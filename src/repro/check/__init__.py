@@ -12,9 +12,9 @@ Four pillars (see DESIGN.md "Static checks" and "Concurrency model"):
   analysis over one instrumented execution's synchronization log
   (RACE001-RACE005), catching races and potential deadlocks that
   bit-identity tests can miss by lucky scheduling;
-* the **cost model** replays the same symbolic schedule against the
-  device latency model, predicting iteration time, DMA traffic, and
-  peak memory, and flagging performance pathologies (PERF001-PERF006)
+* the **cost model** records one payload-free iteration of the
+  simulated executor itself — iteration time, DMA traffic, stalls and
+  peak memory — and flags performance pathologies (PERF001-PERF006)
   — with a policy advisor that recommends the cheapest ablation rung
   fitting a memory budget.
 

@@ -1,23 +1,22 @@
-"""Static performance & memory cost model: predict a compiled plan's
-iteration time, DMA traffic, and peaks *before* it runs.
+"""Performance & memory cost model: a compiled plan's iteration time,
+DMA traffic, stalls and peaks, with the evidence to say why.
 
 The plan verifier (:mod:`repro.check.plan_verifier`) proves a compiled
 schedule memory-*safe*; nothing proves it *fast*.  This module closes
-that gap: it symbolically replays a
-:class:`~repro.core.engine.CompiledMode`'s schedule — the same
-:func:`~repro.check.plan_verifier.extract_trace` flattening the
-verifier uses — against the simulated device latency model
-(:class:`~repro.device.model.DeviceModel` through a private
-:class:`~repro.device.timeline.Timeline` + DMA cost function), timing
-every kernel, allocator call, copy, stall, and reclamation exactly as
-:class:`~repro.core.runtime.Executor` replays them.  Because the
-executor's substrate is itself deterministic, the prediction is not an
-estimate of the *simulated* run — it is a reconstruction: the CI
-calibration gate (``benchmarks/calibrate_cost_model.py``) holds it
-within ±10% of measured replay iterations and the committed
-``BENCH_inference.json`` peaks.
+that gap without a machine of its own.  A simulated
+:class:`~repro.core.runtime.Executor` already is the timed,
+payload-free substrate — allocator, LRU cache, fabric, three-stream
+timeline — so a prediction is one of its iterations, *recorded*: an
+:class:`IterationRecorder` attached to the executor is told about every
+copy, stall, offload release and recompute forward, and the counters
+come from the iteration's own ``IterationResult``.  Two callers: the
+engine's ``cost_report`` hook records the scout iteration it runs
+anyway, and :func:`predict_compiled_mode` records one replay iteration
+on a throwaway executor.  Both are iteration 0 of the same
+deterministic machine, so they agree with each other and with any
+measured iteration exactly.
 
-On top of the timed replay it emits PERF-rule diagnostics through the
+On top of the recording it emits PERF-rule diagnostics through the
 shared :class:`~repro.check.diagnostics.CheckReport` machinery:
 
 * **PERF001 late-prefetch-stall** — a prefetch lands after its consumer
@@ -39,32 +38,20 @@ shared :class:`~repro.check.diagnostics.CheckReport` machinery:
 * **PERF006 serving-padding-waste** — a compiled batch shape whose
   expected lone-request fill is below threshold: the serving path would
   pad most of every batch (see :func:`serving_fill_check`).
-
-Known approximations (all conservative, all irrelevant to the clean
-calibration workloads): pool fragmentation is modeled as a free-bytes
-check (a first-fit hole miss can fall back to the zero-workspace
-algorithm slightly earlier than predicted); the cache-mode
-pressure-eviction order is insertion order, not the live LRU; per-step
-lock state is tracked only as the current step's pinned operand set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.diagnostics import CheckReport, Diagnostic
-from repro.check.plan_verifier import extract_trace
-from repro.core.config import RecomputeStrategy, RuntimeConfig
-from repro.core.plan import plans_by_key
-from repro.device.dma import CopyDirection, DMAEngine
-from repro.device.timeline import Stream, Timeline
-from repro.graph.route import Phase
-from repro.layers.data import DataLayer
+from repro.core.config import RuntimeConfig
+from repro.core.runtime import Executor
+from repro.device.dma import CopyDirection
+from repro.device.timeline import Stream
 
 MiB = 1024 * 1024
-
-_UNALLOC, _GPU, _HOST, _FREED = "unallocated", "gpu", "host", "freed"
 
 
 # --------------------------------------------------------------------------- #
@@ -196,7 +183,6 @@ class CostPrediction:
     extra_forwards: int
     recompute_seconds: float
     capacity: Optional[int]
-    oom_events: int
     pressure_evictions: int
     workspace_fallbacks: int
     steps: List[StepCost] = field(default_factory=list)
@@ -231,7 +217,6 @@ class CostPrediction:
             "peak_host_bytes": self.peak_host_bytes,
             "extra_forwards": self.extra_forwards,
             "recompute_ms": self.recompute_seconds * 1e3,
-            "oom_events": self.oom_events,
             "pressure_evictions": self.pressure_evictions,
             "workspace_fallbacks": self.workspace_fallbacks,
             "prefetches": len(self.prefetches),
@@ -249,551 +234,201 @@ class CostPrediction:
 
 
 # --------------------------------------------------------------------------- #
-# the timed symbolic replay
+# the recorder: one executor iteration, observed
 # --------------------------------------------------------------------------- #
 
-class _CostSim:
-    """Replays one compiled mode's schedule against the latency model.
+class IterationRecorder:
+    """Fills the per-event records from one iteration of a real
+    :class:`~repro.core.runtime.Executor`.
 
-    Mirrors ``Executor._replay_steps`` operation for operation: reap,
-    resident-stalls, on-demand grads, recompute ensure, workspace
-    scratch + fallback, kernel submit, scratch free, offload/free/
-    discard reclamation, settled prefetches, the iteration barrier, and
-    the end-of-iteration sweep — each alloc/free paying the allocator's
-    compute-stream tick and each copy riding the real three-stream
-    :class:`Timeline` arithmetic.
+    Attaching (construction) sets ``executor.recorder``; it must happen
+    on a fresh executor, before the first iteration links a plan, so
+    that :func:`~repro.core.plan.link_iteration_plan` appends
+    :meth:`step_op` to every step.  The executor then calls
+    :meth:`copied` / :meth:`waited` / :meth:`released` at its four copy
+    sites, four stall sites and the offload-release site, and the
+    recompute policy calls :meth:`rebuild_begins` / :meth:`recomputed`.
+    Every method only reads the executor — attaching a recorder never
+    changes an ``IterationResult`` (``tests/test_check_cost.py`` holds
+    that).  Recorded times are relative to the iteration's start.
     """
 
-    def __init__(self, net, compiled, config: RuntimeConfig,
-                 target: Optional[str] = None):
-        self.net = net
-        self.compiled = compiled
-        self.config = config
-        self.model = config.device
-        self.route = compiled.route
-        self.recompute_plan = compiled.recompute_plan
-        self.trace = extract_trace(net, compiled, config, target=target)
-        plans = plans_by_key(compiled.gathered)
-        off_plan = plans.get("offload")
-        self.reap_before_step = bool(off_plan is not None
-                                     and off_plan.reap_before_step)
-        self.cache_mode = bool(config.use_offload and config.use_tensor_cache)
-        ws_plan = plans.get("workspace")
-        self.ws_picks = dict(ws_plan.workspace_picks) \
-            if ws_plan is not None else {}
+    def __init__(self, executor) -> None:
+        self.ex = executor
+        executor.recorder = self
+        tl = executor.timeline
+        self.t0 = tl.elapsed
+        self._busy0 = {s: tl.busy_time(s) for s in Stream}
+        # when each copy stream last went idle: a copy's idle gap is
+        # how long its stream then sat unused before the copy started
+        self._idle_since = {Stream.D2H: self.t0, Stream.H2D: self.t0}
+        self._gap: Dict[int, float] = {}          # tensor id -> last copy
+        self._offload_of: Dict[int, OffloadRecord] = {}
+        self._prefetch_of: Dict[int, PrefetchRecord] = {}
+        self._rebuild_of: Dict[int, RecomputeRecord] = {}  # id(segment)
+        self._settled = -1                        # last finished step
+        self._step_stall = 0.0                    # stall since then
+        self.steps: List[StepCost] = []
+        self.prefetches: List[PrefetchRecord] = []
+        self.offloads: List[OffloadRecord] = []
+        self.recomputes: List[RecomputeRecord] = []
+        self.stalls: List[StallEvent] = []
 
-        self.timeline = Timeline(record_ops=False)
-        self.dma = DMAEngine(self.timeline, self.model,
-                             pinned=config.pinned_host)
-        if config.use_pool_allocator:
-            self.alloc_latency = self.model.pool_alloc_latency
-            self.free_latency = self.model.pool_free_latency
-        else:
-            self.alloc_latency = self.model.cuda_malloc_latency
-            self.free_latency = self.model.cuda_free_latency
-        self.capacity = config.capacity
-        self.param_bytes = self.trace.param_bytes
+    def _now(self) -> float:
+        return self.ex.timeline.now(Stream.COMPUTE) - self.t0
 
-        # --- the ledger (mirrors allocator + SessionTensorState) ---
-        self.placements: Dict[int, str] = {}
-        self.gpu_alloc: Dict[int, int] = {}     # tid -> nbytes on GPU
-        self.host_copies: Dict[int, int] = {}   # tid -> nbytes stashed
-        self.arrival: Dict[int, Tuple[object, PrefetchRecord]] = {}
-        self.pending: List[Tuple[int, int, object, OffloadRecord]] = []
-        self.used = self.param_bytes            # allocator.used_bytes
-        self.peak = self.param_bytes
-        self.host_bytes = 0
-        self.host_peak = 0
-        self.last_compute_event = None
-        self._step_pinned: Set[int] = set()
-        self._materialized: Set[int] = set()
+    def _where(self) -> Tuple[int, str]:
+        """(step index, op) of the step in flight; past the last step
+        the iteration barrier is draining copies."""
+        steps = self.ex.route.steps
+        i = self._settled + 1
+        if i == len(steps):
+            return i - 1, "<barrier>"
+        step = steps[i]
+        return i, f"{step.layer.name}:{step.phase.value[0]}"
 
-        # --- counters + records ---
-        self.alloc_calls = 0
-        self.alloc_overhead = 0.0
-        self.compute_seconds = 0.0
-        self.stall_seconds = 0.0
-        self.recompute_seconds = 0.0
-        self.extra_forwards = 0
-        self.oom_events = 0
-        self.pressure_evictions = 0
-        self.workspace_fallbacks = 0
-        self.step_costs: List[StepCost] = []
-        self.prefetch_records: List[PrefetchRecord] = []
-        self.offload_records: Dict[int, OffloadRecord] = {}
-        self.offload_history: List[OffloadRecord] = []
-        self.recompute_records: List[RecomputeRecord] = []
-        self.stall_events: List[StallEvent] = []
-        self._cur_step_index = 0
-        self._cur_step_op = "<start>"
-
-    # ------------------------------------------------------- ledger helpers
-    def _place(self, tid: int) -> str:
-        return self.placements.get(tid, _UNALLOC)
-
-    def _is_live(self, tid: int) -> bool:
-        return self._place(tid) in (_GPU, _HOST)
-
-    def _tick_alloc(self) -> None:
-        self.alloc_calls += 1
-        self.alloc_overhead += self.alloc_latency
-        self.timeline.tick_compute(self.alloc_latency)
-
-    def _tick_free(self) -> None:
-        self.alloc_calls += 1
-        self.alloc_overhead += self.free_latency
-        self.timeline.tick_compute(self.free_latency)
-
-    def _grow(self, nbytes: int) -> None:
-        self.used += nbytes
-        if self.used > self.peak:
-            self.peak = self.used
-
-    def _note_stall(self, seconds: float, idle_gap: float,
-                    tensor: str, kind: str) -> None:
-        if seconds <= 0:
-            return
-        self.stall_seconds += seconds
-        self.stall_events.append(StallEvent(
-            step=self._cur_step_index, op=self._cur_step_op,
-            tensor=tensor, kind=kind, seconds=seconds,
-            copy_idle_gap=idle_gap))
-
-    def _copy(self, nbytes: int, direction: CopyDirection, label: str,
-              after=None) -> Tuple[object, float, float]:
-        """Submit one copy; returns (event, stream_idle_gap, duration)."""
-        stream = Stream.H2D if direction is CopyDirection.H2D else Stream.D2H
-        clock_before = self.timeline.now(stream)
-        dur = self.dma.copy_time(nbytes, direction)
-        ev = self.dma.copy_async(nbytes, direction, label=label, after=after)
-        idle_gap = (ev.time - dur) - clock_before
-        return ev, idle_gap, dur
-
-    # ----------------------------------------------------- alloc + pressure
-    def _alloc_bytes(self, tid: int, nbytes: int, name: str) -> None:
-        """Mirror ``_gpu_alloc_tensor``'s slow path + ledger update."""
-        if tid in self.gpu_alloc:
-            return
-        if self.capacity is not None and self.used + nbytes > self.capacity:
-            self._alloc_under_pressure(nbytes)
-        self._tick_alloc()
-        self._grow(nbytes)
-        self.gpu_alloc[tid] = nbytes
-        self.placements[tid] = _GPU
-
-    def _alloc_under_pressure(self, nbytes: int) -> None:
-        """Reap, then force-reap, then (cache mode) evict — the
-        executor's ``on_memory_pressure`` cascade, approximately."""
-        self._reap()
-        while self.capacity is not None \
-                and self.used + nbytes > self.capacity and self.pending:
-            self._force_reap_one()
-        if self.capacity is None or self.used + nbytes <= self.capacity:
-            return
-        if self.cache_mode:
-            victims = [t for t in self.gpu_alloc
-                       if t not in self._step_pinned
-                       and t not in self.arrival
-                       and all(p[0] != t for p in self.pending)]
-            for vid in victims:
-                if self.used + nbytes <= self.capacity:
-                    return
-                self._evict_to_host(vid)
-        if self.used + nbytes > self.capacity:
-            # the real executor would raise OutOfMemoryError; keep
-            # replaying so the peak (and PERF005) stay informative
-            self.oom_events += 1
-
-    def _evict_to_host(self, tid: int) -> None:
-        """Synchronous LRU-victim offload (stalls compute)."""
-        nbytes = self.gpu_alloc[tid]
-        if tid not in self.host_copies:
-            self.host_copies[tid] = nbytes
-            self.host_bytes += nbytes
-            self.host_peak = max(self.host_peak, self.host_bytes)
-        ev, idle_gap, _dur = self._copy(nbytes, CopyDirection.D2H,
-                                        "evict")
-        stall = self.timeline.sync(Stream.COMPUTE, ev)
-        self._note_stall(stall, idle_gap, f"tid:{tid}", "evict")
-        self._tick_free()
-        self.used -= self.gpu_alloc.pop(tid)
-        self.placements[tid] = _HOST
-        self.pressure_evictions += 1
-
-    def _free_gpu_only(self, tid: int) -> None:
-        nbytes = self.gpu_alloc.pop(tid, None)
-        if nbytes is not None:
-            self._tick_free()
-            self.used -= nbytes
-        self.placements[tid] = _HOST if tid in self.host_copies else _FREED
-
-    def _discard_tid(self, tid: int) -> None:
-        """Mirror ``Executor._discard``: free everywhere."""
-        nbytes = self.gpu_alloc.pop(tid, None)
-        if nbytes is not None:
-            self._tick_free()
-            self.used -= nbytes
-        hosted = self.host_copies.pop(tid, None)
-        if hosted is not None:
-            self.host_bytes -= hosted
-        self.arrival.pop(tid, None)
-        self.placements[tid] = _FREED
-
-    # --------------------------------------------------------------- movement
-    def _reap(self) -> None:
-        if not self.pending:
-            return
-        now = self.timeline.now(Stream.COMPUTE)
-        remaining = []
-        for item in self.pending:
-            tid, nbytes, ev, rec = item
-            if ev.time <= now:
-                self._complete_offload(tid, rec, at=now)
-            else:
-                remaining.append(item)
-        self.pending = remaining
-
-    def _force_reap_one(self) -> None:
-        tid, nbytes, ev, rec = self.pending.pop(0)
-        stall = self.timeline.sync(Stream.COMPUTE, ev)
-        self._note_stall(stall, getattr(rec, "_idle_gap", 0.0),
-                         rec.tensor, "reap")
-        self._complete_offload(tid, rec,
-                               at=self.timeline.now(Stream.COMPUTE))
-
-    def _complete_offload(self, tid: int, rec: OffloadRecord,
-                          at: float) -> None:
-        nbytes = self.gpu_alloc.pop(tid, None)
-        if nbytes is not None:
-            self._tick_free()
-            self.used -= nbytes
-        if rec.release_time is None:
-            rec.release_time = at
-        self.placements[tid] = _HOST
-
-    def _offload(self, tid: int, nbytes: int, name: str) -> None:
-        """Mirror ``_offload_async`` (eager D2H after the kernel)."""
-        if tid not in self.host_copies:
-            self.host_copies[tid] = nbytes
-            self.host_bytes += nbytes
-            self.host_peak = max(self.host_peak, self.host_bytes)
-        after = [self.last_compute_event] if self.last_compute_event else None
-        ev, idle_gap, dur = self._copy(nbytes, CopyDirection.D2H,
-                                       f"offload:{name}", after=after)
-        rec = OffloadRecord(tensor=name, nbytes=nbytes,
-                            copy_start=ev.time - dur, copy_end=ev.time,
-                            round_trip_seconds=dur + self.dma.copy_time(
-                                nbytes, CopyDirection.H2D))
-        rec._idle_gap = idle_gap  # for reap-stall attribution
-        self.offload_records[tid] = rec
-        self.offload_history.append(rec)
-        if tid in self.gpu_alloc:
-            self.pending.append((tid, nbytes, ev, rec))
-
-    def _prefetch(self, tid: int, nbytes: int, name: str) -> bool:
-        """Mirror ``_prefetch_async`` (best-effort: False if no room)."""
-        if self._place(tid) != _HOST or tid in self.arrival:
-            return tid in self.arrival
-        if self.capacity is not None and self.used + nbytes > self.capacity:
-            return False
-        self._tick_alloc()
-        self._grow(nbytes)
-        self.gpu_alloc[tid] = nbytes
-        issue = self.timeline.now(Stream.COMPUTE)
-        ev, idle_gap, dur = self._copy(nbytes, CopyDirection.H2D,
-                                       f"prefetch:{name}")
-        rec = PrefetchRecord(tensor=name, nbytes=nbytes, issue=issue,
-                             copy_start=ev.time - dur, arrival=ev.time,
-                             idle_gap=idle_gap)
-        self.prefetch_records.append(rec)
-        self.arrival[tid] = (ev, rec)
-        off = self.offload_records.get(tid)
-        if off is not None and off.refetch_time is None:
-            off.refetch_time = issue  # GPU bytes re-occupied here
-        self.placements[tid] = _GPU
-        return True
-
-    def _make_resident(self, t) -> None:
-        """Mirror ``_make_gpu_resident``: block until usable on GPU."""
-        tid = t.tensor_id
-        p = self._place(tid)
-        if p == _GPU:
-            entry = self.arrival.pop(tid, None)
-            if entry is not None:
-                ev, rec = entry
-                consumer_start = self.timeline.now(Stream.COMPUTE)
-                stall = self.timeline.sync(Stream.COMPUTE, ev)
-                rec.consumer_step = self._cur_step_index
-                rec.consumer_op = self._cur_step_op
-                rec.slack = consumer_start - ev.time
-                rec.stall = stall
-                self._note_stall(stall, rec.idle_gap, rec.tensor,
-                                 "prefetch")
-            return
-        if p == _HOST:
-            self._alloc_bytes(tid, t.nbytes, t.name)
-            ev, idle_gap, dur = self._copy(t.nbytes, CopyDirection.H2D,
-                                           f"fetch:{t.name}")
-            stall = self.timeline.sync(Stream.COMPUTE, ev)
-            self._note_stall(stall, idle_gap, t.name, "fetch")
-            off = self.offload_records.get(tid)
+    # -- executor sites ------------------------------------------------------
+    def copied(self, kind: str, t, ev, scale: float) -> None:
+        dma = self.ex.dma
+        to_gpu = ev.stream is Stream.H2D
+        dur = dma.copy_time(
+            t.nbytes, CopyDirection.H2D if to_gpu else CopyDirection.D2H,
+            scale)
+        start = ev.time - dur
+        gap = self._gap[t.tensor_id] = start - self._idle_since[ev.stream]
+        self._idle_since[ev.stream] = ev.time
+        if kind == "offload":
+            pool = self.ex.fabric.pool_of(t.tensor_id)
+            rec = OffloadRecord(
+                tensor=t.name, nbytes=t.nbytes,
+                copy_start=start - self.t0, copy_end=ev.time - self.t0,
+                round_trip_seconds=dur + dma.copy_time(
+                    t.nbytes, CopyDirection.H2D, pool.h2d_scale))
+            self._offload_of[t.tensor_id] = rec
+            self.offloads.append(rec)
+        elif to_gpu:
+            issue = self._now()
+            if kind == "prefetch":
+                rec = PrefetchRecord(
+                    tensor=t.name, nbytes=t.nbytes, issue=issue,
+                    copy_start=start - self.t0, arrival=ev.time - self.t0,
+                    idle_gap=gap)
+                self._prefetch_of[t.tensor_id] = rec
+                self.prefetches.append(rec)
+            off = self._offload_of.get(t.tensor_id)
             if off is not None and off.refetch_time is None:
-                off.refetch_time = ev.time - dur
-            self.placements[tid] = _GPU
-            return
-        # UNALLOCATED/FREED: the executor would raise for a data read;
-        # the verifier owns that finding (PLAN001) — model the forced
-        # materialization and keep timing
-        self._alloc_bytes(tid, t.nbytes, t.name)
+                # GPU bytes re-occupied: at issue for a prefetch (its
+                # allocation precedes the copy), at copy start for a
+                # blocking fetch
+                off.refetch_time = issue if kind == "prefetch" \
+                    else start - self.t0
 
-    # --------------------------------------------------------------- recompute
-    def _ensure(self, missing) -> None:
-        """Mirror ``RecomputePolicy.ensure`` (demand-driven rebuild)."""
-        plan = self.recompute_plan
-        for t in missing:
-            if self._is_live(t.tensor_id):
-                continue
-            producer = self.net.layers[t.producer]
-            seg = plan.segment_of.get(producer.layer_id) \
-                if plan is not None else None
-            if seg is None or not producer.is_recomputable:
-                self._alloc_bytes(t.tensor_id, t.nbytes, t.name)
-                continue
-            rec = RecomputeRecord(
-                anchor=seg.anchor.name, strategy=seg.strategy.value,
-                trigger_step=self._cur_step_index,
-                trigger_op=self._cur_step_op)
-            if seg.strategy is RecomputeStrategy.SPEED_CENTRIC:
-                self._materialize_segment(seg, rec)
-            else:
-                self._chain_to(seg, producer, {t.tensor_id}, rec)
-            if rec.members:
-                self.recompute_records.append(rec)
+    def waited(self, kind: str, t, ev, stall: float) -> None:
+        index, op = self._where()
+        if kind == "prefetch":
+            rec = self._prefetch_of.pop(t.tensor_id)
+            rec.consumer_step, rec.consumer_op = index, op
+            # sync leaves the clock at max(consumer start, arrival)
+            rec.slack = self._now() - (ev.time - self.t0) - stall
+            rec.stall = stall
+        if stall > 0:
+            self._step_stall += stall
+            self.stalls.append(StallEvent(
+                step=index, op=op, tensor=t.name, kind=kind, seconds=stall,
+                copy_idle_gap=self._gap.get(t.tensor_id, 0.0)))
 
-    def _materialize_segment(self, seg, rec: RecomputeRecord) -> None:
-        if id(seg) in self._materialized:
-            return
-        self._materialized.add(id(seg))
-        for member in seg.members:
-            if member.output is not None \
-                    and self._is_live(member.output.tensor_id):
-                continue
-            self._run_forward(member, rec)
-        self._release_anchor(seg)
+    def released(self, t) -> None:
+        off = self._offload_of.get(t.tensor_id)
+        if off is not None and off.release_time is None:
+            off.release_time = self._now()
 
-    def _chain_to(self, seg, target_layer, targets: Set[int],
-                  rec: RecomputeRecord) -> None:
-        chain = []
-        for m in seg.members:
-            chain.append(m)
-            if m.layer_id == target_layer.layer_id:
-                break
-        produced = []
-        for i, member in enumerate(chain):
-            if member.output is not None \
-                    and self._is_live(member.output.tensor_id):
-                continue
-            self._run_forward(member, rec)
-            produced.append(member.output)
-            still_needed = {
-                inp.tensor_id
-                for later in chain[i + 1:]
-                for inp in (p.output for p in later.prev)
-            }
-            for t in list(produced):
-                if t.tensor_id in targets or t.tensor_id in still_needed:
-                    continue
-                if t.tensor_id == member.output.tensor_id:
-                    continue
-                self._discard_tid(t.tensor_id)
-                produced.remove(t)
-        # survivors are transient; the recorded step_discards sweep them
-        self._release_anchor(seg)
+    # -- recompute policy sites ----------------------------------------------
+    def rebuild_begins(self, seg) -> None:
+        index, op = self._where()
+        self._rebuild_of[id(seg)] = RecomputeRecord(
+            anchor=seg.anchor.name, strategy=seg.strategy.value,
+            trigger_step=index, trigger_op=op)
 
-    def _release_anchor(self, seg) -> None:
-        out = seg.anchor.output
-        if out is None:
-            return
-        tid = out.tensor_id
-        if self._place(tid) == _GPU and tid in self.host_copies:
-            self._free_gpu_only(tid)
-
-    def _run_forward(self, layer, rec: RecomputeRecord) -> None:
-        for p in layer.prev:
-            if not self._is_live(p.output.tensor_id):
-                self._ensure([p.output])
-            self._make_resident(p.output)
-        out = layer.output
-        self._alloc_bytes(out.tensor_id, out.nbytes, out.name)
-        dur = layer.sim_time_forward(self.model)
-        self.timeline.submit(Stream.COMPUTE, dur, f"recompute:{layer.name}")
-        self.compute_seconds += dur
-        self.recompute_seconds += dur
-        self.extra_forwards += 1
+    def recomputed(self, layer) -> None:
+        ex = self.ex
+        rec = self._rebuild_of[id(ex.recompute_plan.segment_of[layer.layer_id])]
+        if not rec.members:
+            self.recomputes.append(rec)
+        nbytes = layer.output.nbytes
+        swap = ex.fabric.pools[0]   # where an offload would have gone
         rec.members += 1
-        rec.rebuild_seconds += dur
-        rec.recovered_bytes += out.nbytes
+        rec.rebuild_seconds += layer.sim_time_forward(ex.model)
+        rec.recovered_bytes += nbytes
         rec.transfer_seconds += (
-            self.dma.copy_time(out.nbytes, CopyDirection.D2H)
-            + self.dma.copy_time(out.nbytes, CopyDirection.H2D))
+            ex.dma.copy_time(nbytes, CopyDirection.D2H, swap.d2h_scale)
+            + ex.dma.copy_time(nbytes, CopyDirection.H2D, swap.h2d_scale))
 
-    # ------------------------------------------------------------------- steps
-    def run(self) -> CostPrediction:
-        for step, ss in zip(self.route.steps, self.trace.steps):
-            self._cur_step_index = step.index
-            self._cur_step_op = ss.op
-            stall0 = self.stall_seconds
-            if self.reap_before_step:
-                self._reap()
-            is_fw = step.phase is Phase.FORWARD
-            layer = step.layer
-            is_data = isinstance(layer, DataLayer)
-            kernel_start = kernel_end = self.timeline.now(Stream.COMPUTE)
-            duration = 0.0
-            if is_fw or not is_data:
-                duration = self._compute_section(step, is_fw)
-                kernel_end = self.timeline.now(Stream.COMPUTE)
-                kernel_start = kernel_end - duration
-            # after-step reclamation, in the executor's stack order:
-            # offload registration, then liveness frees, then recompute
-            # conditional discards
-            for st, _rel in ss.offloads:
-                self._offload(st.tensor_id, st.nbytes, st.name)
-            for st in ss.frees:
-                if any(p[0] == st.tensor_id for p in self.pending):
-                    continue  # copy in flight: the reap retires it
-                if self._place(st.tensor_id) != _FREED:
-                    self._discard_tid(st.tensor_id)
-            for st in ss.discards:
-                if self._is_live(st.tensor_id):
-                    self._discard_tid(st.tensor_id)
-            # settled phase: prefetch-ahead with the runtime's guards
-            for st, anchor in ss.prefetches:
-                if self._place(st.tensor_id) == _HOST:
-                    self._prefetch(st.tensor_id, st.nbytes, st.name)
-                elif anchor is not None \
-                        and not self._is_live(st.tensor_id) \
-                        and self._place(anchor.tensor_id) == _HOST:
-                    self._prefetch(anchor.tensor_id, anchor.nbytes,
-                                   anchor.name)
-            self.step_costs.append(StepCost(
-                index=step.index, op=ss.op, phase=ss.phase,
-                start=kernel_start, end=kernel_end, duration=duration,
-                stall=self.stall_seconds - stall0))
+    # -- the step loop -------------------------------------------------------
+    def step_op(self, cs):
+        """The settled-site op for one compiled step (runs after every
+        policy's, so the step's stalls and kernel are final)."""
+        def op(ctx, step):
+            ev = ctx.last_compute_event
+            if ev is None:                 # data-layer backward: no kernel
+                end, duration = self._now(), 0.0
+            else:
+                end = ev.time - self.t0
+                duration = ctx.step_duration \
+                    if ctx.step_duration is not None else cs.duration
+            self.steps.append(StepCost(
+                index=step.index, op=cs.trace_label, phase=cs.phase_value,
+                start=end - duration, end=end, duration=duration,
+                stall=self._step_stall))
+            self._settled = step.index
+            self._step_stall = 0.0
+        return op
 
-        # iteration barrier: drain copies, sync streams, sweep leftovers
-        self._cur_step_op = "<barrier>"
-        while self.pending:
-            self._force_reap_one()
-        self.timeline.sync_all()
-        self._end_of_iteration_cleanup()
-
+    # -- the result ----------------------------------------------------------
+    def prediction(self, result, target: Optional[str] = None
+                   ) -> CostPrediction:
+        """Assemble the prediction from the observed iteration's
+        ``IterationResult`` plus the substrate's own counters (read
+        before the executor closes: closing frees, which ticks)."""
+        ex = self.ex
+        busy = {s: ex.timeline.busy_time(s) - b0
+                for s, b0 in self._busy0.items()}
         return CostPrediction(
-            target=self.trace.target,
-            mode=self.compiled.mode,
-            sim_time=self.timeline.elapsed,
-            compute_seconds=self.compute_seconds,
-            stall_seconds=self.stall_seconds,
-            alloc_overhead_seconds=self.alloc_overhead,
-            alloc_calls=self.alloc_calls,
-            d2h_bytes=self.dma.stats.d2h_bytes,
-            h2d_bytes=self.dma.stats.h2d_bytes,
-            d2h_busy_seconds=self.timeline.busy_time(Stream.D2H),
-            h2d_busy_seconds=self.timeline.busy_time(Stream.H2D),
-            peak_gpu_bytes=self.peak,
-            activation_peak_bytes=self.peak - self.param_bytes,
-            param_bytes=self.param_bytes,
-            peak_host_bytes=self.host_peak,
-            extra_forwards=self.extra_forwards,
-            recompute_seconds=self.recompute_seconds,
-            capacity=self.capacity,
-            oom_events=self.oom_events,
-            pressure_evictions=self.pressure_evictions,
-            workspace_fallbacks=self.workspace_fallbacks,
-            steps=self.step_costs,
-            prefetches=self.prefetch_records,
-            offloads=self.offload_history,
-            recomputes=self.recompute_records,
-            stalls=self.stall_events,
+            target=target or f"{ex.net.name}/{ex.mode}",
+            mode=ex.mode,
+            sim_time=result.sim_time,
+            # the compute stream also carries the allocator's ticks
+            compute_seconds=busy[Stream.COMPUTE] - result.alloc_overhead,
+            stall_seconds=result.stall_seconds,
+            alloc_overhead_seconds=result.alloc_overhead,
+            alloc_calls=result.alloc_calls,
+            d2h_bytes=result.d2h_bytes,
+            h2d_bytes=result.h2d_bytes,
+            d2h_busy_seconds=busy[Stream.D2H],
+            h2d_busy_seconds=busy[Stream.H2D],
+            peak_gpu_bytes=result.peak_bytes,
+            activation_peak_bytes=result.activation_peak_bytes,
+            param_bytes=result.param_bytes,
+            peak_host_bytes=ex.fabric.peak_bytes(),
+            extra_forwards=result.extra_forwards,
+            recompute_seconds=sum(r.rebuild_seconds
+                                  for r in self.recomputes),
+            capacity=ex.config.capacity,
+            pressure_evictions=result.cache_evictions,
+            workspace_fallbacks=sum(
+                1 for w in result.workspace_choices if not w.got_max_speed),
+            steps=self.steps,
+            prefetches=self.prefetches,
+            offloads=self.offloads,
+            recomputes=self.recomputes,
+            stalls=self.stalls,
         )
 
-    def _compute_section(self, step, is_fw: bool) -> float:
-        """Reads resident, grads allocated, workspace, kernel submit,
-        scratch free — returns the kernel duration."""
-        layer = step.layer
-        if is_fw:
-            reads = self.route.forward_reads(layer)
-        else:
-            reads = self.route.backward_reads(layer)
-            missing = [t for t in reads if not self._is_live(t.tensor_id)]
-            if missing:
-                self._ensure(missing)
-        self._step_pinned = {t.tensor_id for t in reads}
-        if layer.output is not None:
-            self._step_pinned.add(layer.output.tensor_id)
-        for t in reads:
-            self._make_resident(t)
-        if is_fw:
-            out = layer.output
-            self._alloc_bytes(out.tensor_id, out.nbytes, out.name)
-        else:
-            if layer.next and layer.grad_output is not None:
-                g = layer.grad_output
-                self._alloc_bytes(g.tensor_id, g.nbytes, g.name)
-            for p in layer.prev:
-                if isinstance(p, DataLayer) or p.grad_output is None:
-                    continue
-                g = p.grad_output
-                self._alloc_bytes(g.tensor_id, g.nbytes, g.name)
-            for g in layer.param_grads:
-                self._alloc_bytes(g.tensor_id, g.nbytes, g.name)
-        # workspace pick (conv steps): scratch + duration, with the
-        # fragmentation fallback modeled as a free-bytes check
-        pick = self.ws_picks.get(step.index)
-        scratch = 0
-        if pick is not None:
-            zero = layer.algorithms(self.model)[0]
-            if pick.phase == "forward":
-                dur_pick = layer.sim_time_forward(self.model, pick.algo)
-                dur_zero = layer.sim_time_forward(self.model, zero)
-            else:
-                dur_pick = layer.sim_time_backward(self.model, pick.algo)
-                dur_zero = layer.sim_time_backward(self.model, zero)
-            ws = pick.algo.workspace_bytes
-            duration = dur_pick
-            if ws > 0:
-                if self.capacity is not None \
-                        and self.used + ws > self.capacity:
-                    duration = dur_zero
-                    self.workspace_fallbacks += 1
-                else:
-                    self._tick_alloc()
-                    self._grow(ws)
-                    scratch = ws
-        elif is_fw:
-            duration = layer.sim_time_forward(self.model)
-        else:
-            duration = layer.sim_time_backward(self.model)
-        label = f"{'fw' if is_fw else 'bw'}:{layer.name}"
-        self.last_compute_event = self.timeline.submit(
-            Stream.COMPUTE, duration, label)
-        self.compute_seconds += duration
-        if scratch:
-            self._tick_free()
-            self.used -= scratch
-        self._step_pinned = set()
-        return duration
 
-    def _end_of_iteration_cleanup(self) -> None:
-        """Mirror ``_end_of_iteration_cleanup``'s static sweep."""
-        for l in self.net.layers:
-            for t in [l.output, l.grad_output] + list(l.param_grads):
-                if t is not None and t.tensor_id in self.gpu_alloc:
-                    self._discard_tid(t.tensor_id)
-        for l in self.net.layers:
-            t = l.output
-            if t is not None and t.tensor_id in self.host_copies:
-                self._discard_tid(t.tensor_id)
+def record_iteration(executor, target: Optional[str] = None
+                     ) -> CostPrediction:
+    """Run iteration 0 of a fresh ``executor`` under a recorder."""
+    recorder = IterationRecorder(executor)
+    return recorder.prediction(executor.run_iteration(0), target)
 
 
 # --------------------------------------------------------------------------- #
@@ -926,13 +561,17 @@ def serving_fill_check(batch: int, max_request: int,
 
 def predict_compiled_mode(net, compiled, config: RuntimeConfig,
                           target: Optional[str] = None) -> CostPrediction:
-    """Timed symbolic replay of one compiled mode.
+    """One recorded replay iteration of a compiled mode on a throwaway
+    simulated executor (no payloads, no tracing spans).
 
     ``config`` must be the *effective* mode config
     (``RuntimeConfig.for_mode``) — the one whose policy stack produced
     ``compiled.gathered``, exactly as the plan verifier requires.
     """
-    return _CostSim(net, compiled, config, target=target).run()
+    sim = replace(config, concrete=False, collect_traces=False,
+                  steady_state_replay=True, trace=False)
+    with Executor(net, sim, mode=compiled.mode, compiled=compiled) as ex:
+        return record_iteration(ex, target)
 
 
 def cost_compiled_mode(net, compiled, config: RuntimeConfig,

@@ -218,11 +218,11 @@ class Engine:
         with self._compile_lock:
             cm = self._compiled.get(mode)
             if cm is None:
-                cm = self._compile_mode(mode)
+                cm, prediction = self._compile_mode(mode)
                 if self.verify_plans:
                     self._verify_mode(mode, cm)
-                if self.cost_report:
-                    self._cost_mode(mode, cm)
+                if prediction is not None:
+                    self._cost_mode(mode, prediction)
                 trace_write(self, f"engine.compiled[{mode}]")
                 self._compiled[mode] = cm
                 self.mode_compile_count += 1
@@ -246,22 +246,20 @@ class Engine:
         if not report.ok:
             raise PlanVerificationError(report)
 
-    def _cost_mode(self, mode: str, cm: CompiledMode) -> None:
-        """Predict one compiled mode's cost and stash the report.
+    def _cost_mode(self, mode: str, prediction) -> None:
+        """Analyze one compiled mode's cost and stash the report.
 
-        Advisory, unlike :meth:`_verify_mode`: PERF findings are
-        warnings about *speed*, not safety — the mode still caches and
-        runs.  Lazy import, same contract as verification.
+        ``prediction`` is the scout iteration itself, recorded (see
+        :meth:`_compile_mode`).  Advisory, unlike :meth:`_verify_mode`:
+        PERF findings are warnings about *speed*, not safety — the mode
+        still caches and runs.
         """
         self._assert_compile_locked()
-        from repro.check.cost_model import cost_compiled_mode
+        from repro.check.cost_model import analyze_prediction
         from repro.check.diagnostics import CheckReport
-        target = f"{self.net.name}/{mode}"
-        report = CheckReport(tool="cost-model", checked=[target])
-        pred, diags = cost_compiled_mode(
-            self.net, cm, self.config.for_mode(mode), target=target)
-        report.extend(diags)
-        report.metrics[target] = pred.to_dict()
+        report = CheckReport(tool="cost-model", checked=[prediction.target])
+        report.extend(analyze_prediction(prediction))
+        report.metrics[prediction.target] = prediction.to_dict()
         self.cost_reports[mode] = report
 
     def _assert_compile_locked(self) -> None:
@@ -294,22 +292,35 @@ class Engine:
                             liveness=liveness,
                             liveness_plan=liveness.compile())
 
-    def _compile_mode(self, mode: str) -> CompiledMode:
+    def _compile_mode(self, mode: str) -> Tuple[CompiledMode, object]:
+        """One mode's compiled artifacts, plus the scout iteration's
+        ``CostPrediction`` when cost reporting is armed (else None)."""
         # The scout records one fresh iteration in simulated mode: the
         # allocator landscape (hence workspace picks), liveness frees,
         # offload/prefetch schedules, and recompute cleanup are
         # identical to a concrete run's, but no payload is ever touched.
         # It reuses the shared base planning (route order + forward
-        # dependency scan) instead of re-deriving it per mode.
+        # dependency scan) instead of re-deriving it per mode.  With
+        # cost reporting armed the same iteration is also the cost
+        # prediction: it runs under the cost model's recorder (lazy
+        # import, same contract as verification) — a recording
+        # iteration 0 and a replayed iteration 0 are the same machine
+        # doing the same thing, so costing needs no second run.
         planning = self._mode_planning(mode)
         scout_cfg = replace(self.config.for_mode(mode),
                             concrete=False, collect_traces=False,
                             steady_state_replay=True)
         with Executor(self.net, scout_cfg, mode=mode,
                       planning=planning) as scout:
-            scout.run_iteration(0)
-            return CompiledMode(planning=planning,
-                                gathered=gather_policy_plans(scout))
+            prediction = None
+            if self.cost_report:
+                from repro.check.cost_model import record_iteration
+                prediction = record_iteration(
+                    scout, f"{self.net.name}/{mode}")
+            else:
+                scout.run_iteration(0)
+            gathered = gather_policy_plans(scout)
+        return CompiledMode(planning=planning, gathered=gathered), prediction
 
     # -------------------------------------------------------------- spawning
     def executor(self, mode: str = "train", precompiled: bool = True,

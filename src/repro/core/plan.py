@@ -20,13 +20,15 @@ This module freezes those decisions after a recording (fresh) iteration:
   :func:`link_iteration_plan` merges them, *in stack order*, into one
   :class:`IterationPlan` — an array of
   :class:`CompiledStep` records whose hook sites are prebound closure
-  lists, so the executor's replay loop runs the exact same mechanics
+  lists, so the executor's step loop runs the exact same mechanics
   with zero hook dispatch for stable policies and no dispatch at all
   where nothing would happen;
 * policies that are **not** plan-stable (the LRU tensor cache, whose
   evictions are pressure-driven; any custom policy that does not opt
   in) keep receiving every hook through bound-method lists in their
-  original stack positions, so a mixed stack replays correctly.
+  original stack positions, so a mixed stack replays correctly — and a
+  plan linked with *every* position dynamic is the recording iteration
+  itself: the executor has one step loop, and "fresh" is that plan.
 
 Replay is bit-identical to the fresh path by construction: every closure
 reproduces the corresponding policy-hook body, including its dynamic
@@ -417,6 +419,9 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
                                  ("on_step_settled", settled)):
                 if hook in pp.keep_hooks and overrides(p, hook):
                     bucket.append(getattr(p, hook))
+        if ex.recorder is not None:
+            # the observer rides last: it sees the step fully settled
+            settled.append(ex.recorder.step_op(cs))
         cs.before_ops = tuple(before)
         cs.compute_ops = tuple(compute)
         cs.after_ops = tuple(after)

@@ -142,6 +142,11 @@ class StepContext:
         return self._ex.allocator.free_bytes
 
     @property
+    def recorder(self):
+        """The executor's iteration observer (None unless costing)."""
+        return self._ex.recorder
+
+    @property
     def pending_offloads(self) -> int:
         """Number of offload copies still in flight."""
         return len(self._ex._pending)
@@ -728,6 +733,8 @@ class RecomputePolicy(MemoryPolicy):
             seg = plan.segment_of.get(producer.layer_id)
             if seg is None:
                 raise RuntimeError(f"{producer.name} not in any segment")
+            if ctx.recorder is not None:
+                ctx.recorder.rebuild_begins(seg)
             if seg.strategy is RecomputeStrategy.SPEED_CENTRIC:
                 self._materialize_segment(ctx, seg)
             else:
@@ -829,6 +836,8 @@ class RecomputePolicy(MemoryPolicy):
             state.unlock(p.output)
         state.unlock(layer.output)
         self.extra_forwards += 1
+        if ctx.recorder is not None:
+            ctx.recorder.recomputed(layer)
 
 
 @register_policy

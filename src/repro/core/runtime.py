@@ -56,7 +56,7 @@ from repro.device.gpu import OutOfMemoryError, SimulatedGPU
 from repro.device.model import DeviceModel
 from repro.device.timeline import Event, Stream, Timeline
 from repro.graph.network import Net
-from repro.graph.route import ExecutionRoute, Phase, Step
+from repro.graph.route import ExecutionRoute
 from repro.layers.base import Layer, LayerContext
 from repro.layers.data import DataLayer
 from repro.mempool.allocator import Allocation, CudaAllocator, PoolAllocator
@@ -105,10 +105,6 @@ class IterationResult:
     # with capture_output (the serving path); excluded from to_dict —
     # payloads are not JSON and the dict contract predates serving
     output: Optional[np.ndarray] = None
-
-    @property
-    def offload_traffic_bytes(self) -> int:
-        return self.d2h_bytes + self.h2d_bytes
 
     def to_dict(self) -> dict:
         """JSON-serializable summary (traces flattened to plain dicts)."""
@@ -282,7 +278,6 @@ class Executor:
         self._recompute_policy = self._find_policy("recompute")
         self._workspace_policy = self._find_policy("workspace")
         self._fallback_cache: Optional[TensorCache] = None
-        self._fallback_recompute: Optional[MemoryPolicy] = None
         for p in self.policies:
             p.bind(self._ctx)
 
@@ -297,9 +292,18 @@ class Executor:
         # steady-state replay state
         self._replay_enabled = cfg.steady_state_replay
         self._collect_traces = cfg.collect_traces
+        self._record_plan: Optional[IterationPlan] = None
         self._iteration_plan: Optional[IterationPlan] = None
         self._fresh_iterations = 0
         self.replayed_iterations = 0
+
+        #: optional observer of this executor's copies, stalls, offload
+        #: releases and recompute forwards (the cost model's
+        #: ``IterationRecorder``).  It must be attached before the first
+        #: iteration links a plan, reads state and never writes it, and
+        #: is None everywhere except costing: each site pays one
+        #: ``is not None`` test, none of them on the no-DMA hot path.
+        self.recorder = None
 
         # runtime state
         self._alloc_of: Dict[int, Allocation] = {}
@@ -372,21 +376,6 @@ class Executor:
         """The workspace policy's per-execution choice recorder."""
         return self._workspace_policy.selector \
             if self._workspace_policy is not None else None
-
-    @property
-    def engine(self) -> MemoryPolicy:
-        """Compatibility alias for the recomputation policy.
-
-        Always an object (a dormant, never-dispatched policy when
-        recomputation is off), so legacy ``ex.engine.extra_forwards``
-        reads keep returning 0 as they did with the old engine.
-        """
-        if self._recompute_policy is not None:
-            return self._recompute_policy
-        if self._fallback_recompute is None:
-            from repro.core.policy import RecomputePolicy
-            self._fallback_recompute = RecomputePolicy.from_config(self.config)
-        return self._fallback_recompute
 
     def _cache_counters(self):
         if self._offload_policy is None:
@@ -468,12 +457,6 @@ class Executor:
             self._dispatch("on_tensor_resident", t, "alloc")
         return a
 
-    def _try_alloc(self, nbytes: int, tag: str) -> Allocation:
-        try:
-            return self.allocator.alloc(nbytes, tag)
-        except OutOfMemoryError:
-            return self._alloc_under_pressure(nbytes, tag)
-
     def _alloc_under_pressure(self, nbytes: int, tag: str) -> Allocation:
         """The slow path: each policy in stack order may free bytes."""
         def retry() -> Optional[Allocation]:
@@ -528,13 +511,37 @@ class Executor:
         state.discard_live(t)
 
     # ---------------------------------------------------------------- movement
+    def _copy(self, t: Tensor, kind: str,
+              after: Optional[List[Event]] = None) -> Event:
+        """Submit one DMA copy of ``t``.  ``kind`` names the call site
+        and fixes the direction: ``evict``/``offload`` stash the tensor
+        in the fabric and go D2H, ``prefetch``/``fetch`` come back H2D
+        from whichever pool holds it, at that pool's rate."""
+        if kind in ("evict", "offload"):
+            direction = CopyDirection.D2H
+            scale = self.fabric.stash(t.tensor_id, t.nbytes).d2h_scale
+        else:
+            direction = CopyDirection.H2D
+            pool = self.fabric.pool_of(t.tensor_id)
+            scale = pool.h2d_scale if pool else 1.0
+        ev = self.dma.copy_async(t.nbytes, direction,
+                                 label=f"{kind}:{t.name}", after=after,
+                                 rate_scale=scale)
+        if self.recorder is not None:
+            self.recorder.copied(kind, t, ev, scale)
+        return ev
+
+    def _wait(self, t: Tensor, kind: str, ev: Event) -> None:
+        """Block compute until the ``kind`` copy of ``t`` lands — the
+        stall the tensor cache and prefetch-ahead exist to avoid."""
+        stall = self.timeline.sync(Stream.COMPUTE, ev)
+        self._stall += stall
+        if self.recorder is not None:
+            self.recorder.waited(kind, t, ev, stall)
+
     def _evict_to_host(self, t: Tensor) -> int:
         """Synchronous offload used by LRU eviction; returns bytes freed."""
-        pool = self.fabric.stash(t.tensor_id, t.nbytes)
-        ev = self.dma.copy_async(t.nbytes, CopyDirection.D2H,
-                                 label=f"evict:{t.name}",
-                                 rate_scale=pool.d2h_scale)
-        self._stall += self.timeline.sync(Stream.COMPUTE, ev)
+        self._wait(t, "evict", self._copy(t, "evict"))
         self.state.set_host_resident(t, True)
         self.store.move_to_host(t)
         a = self._alloc_of.pop(t.tensor_id, None)
@@ -547,10 +554,7 @@ class Executor:
 
     def _offload_async(self, t: Tensor, after: Optional[List[Event]] = None) -> None:
         """Eager UTP offload: D2H overlaps following forward compute."""
-        pool = self.fabric.stash(t.tensor_id, t.nbytes)
-        ev = self.dma.copy_async(t.nbytes, CopyDirection.D2H,
-                                 label=f"offload:{t.name}", after=after,
-                                 rate_scale=pool.d2h_scale)
+        ev = self._copy(t, "offload", after=after)
         self.state.set_host_resident(t, True)
         a = self._alloc_of.get(t.tensor_id)
         if a is None:
@@ -572,11 +576,13 @@ class Executor:
 
     def _force_reap_one(self) -> None:
         p = self._pending.pop(0)
-        self._stall += self.timeline.sync(Stream.COMPUTE, p.event)
+        self._wait(p.tensor, "reap", p.event)
         self._complete_offload(p)
 
     def _complete_offload(self, p: _PendingOffload) -> None:
         t = p.tensor
+        if self.recorder is not None:
+            self.recorder.released(t)
         a = self._alloc_of.pop(t.tensor_id, None)
         if a is not None:
             self.allocator.free(a)
@@ -595,11 +601,7 @@ class Executor:
         except OutOfMemoryError:
             return False
         self._alloc_of[t.tensor_id] = a
-        pool = self.fabric.pool_of(t.tensor_id)
-        ev = self.dma.copy_async(t.nbytes, CopyDirection.H2D,
-                                 label=f"prefetch:{t.name}",
-                                 rate_scale=pool.h2d_scale if pool else 1.0)
-        state.set_arrival(t, ev)
+        state.set_arrival(t, self._copy(t, "prefetch"))
         state.set_placement(t, Placement.GPU)
         self.store.move_to_gpu(t)
         if self._active_listeners["on_tensor_resident"]:
@@ -614,17 +616,13 @@ class Executor:
             if state.any_arrivals:
                 ev = state.pop_arrival(t)
                 if ev is not None:
-                    self._stall += self.timeline.sync(Stream.COMPUTE, ev)
+                    self._wait(t, "prefetch", ev)
             if self._active_listeners["on_tensor_access"]:
                 self._dispatch("on_tensor_access", t)
             return
         if placement is Placement.HOST:
-            a = self._gpu_alloc_tensor(t)  # may evict/reap
-            pool = self.fabric.pool_of(t.tensor_id)
-            ev = self.dma.copy_async(
-                t.nbytes, CopyDirection.H2D, label=f"fetch:{t.name}",
-                rate_scale=pool.h2d_scale if pool else 1.0)
-            self._stall += self.timeline.sync(Stream.COMPUTE, ev)
+            self._gpu_alloc_tensor(t)  # may evict/reap
+            self._wait(t, "fetch", self._copy(t, "fetch"))
             self.store.move_to_gpu(t)
             state.set_placement(t, Placement.GPU)
             return
@@ -644,7 +642,7 @@ class Executor:
     @property
     def iteration_plan(self) -> Optional[IterationPlan]:
         """The compiled replay plan (None until one steady-state
-        iteration has been requested after a fresh recording one)."""
+        iteration has been requested after a recording one)."""
         return self._iteration_plan
 
     def invalidate_plan(self) -> None:
@@ -655,8 +653,17 @@ class Executor:
         self._precompiled = None
         self._fresh_iterations = 0  # require a new recording iteration
 
-    def _compile_plan(self) -> None:
-        self._install_plan(gather_policy_plans(self))
+    def _recording_plan(self) -> IterationPlan:
+        """The all-dynamic plan: no stack position is compiled away, so
+        every hook site dispatches the policies' own hook bodies in
+        stack order.  This is what "fresh" means — the same step loop
+        as replay, running the reference the compiled closures are
+        tested against — and what every iteration runs with
+        ``steady_state_replay=False``."""
+        if self._record_plan is None:
+            self._record_plan = link_iteration_plan(self, tuple(
+                GatheredPolicy(p.key, False, None) for p in self.policies))
+        return self._record_plan
 
     def _install_plan(self, gathered: Sequence[GatheredPolicy]) -> None:
         """Link gathered policy plans (own or engine-shared) and derive
@@ -700,19 +707,20 @@ class Executor:
         tracer = obs_trace.ACTIVE if self._obs_enabled else None
         wall0 = tracer.clock() if tracer is not None else 0.0
         ctx = self._ctx
-        replaying = False
-        if self._replay_enabled:
-            if self._iteration_plan is None:
-                if self._fresh_iterations:
-                    self._compile_plan()
-                elif self._precompiled is not None:
-                    # engine worker: link the shared plan, replay from
-                    # iteration 0 — no recording iteration needed
-                    self._install_plan(self._precompiled.gathered)
-            replaying = self._iteration_plan is not None
-        self._active_listeners = (
-            self._replay_listeners if replaying else self._listeners
-        )
+        if self._replay_enabled and self._iteration_plan is None:
+            if self._fresh_iterations:
+                self._install_plan(gather_policy_plans(self))
+            elif self._precompiled is not None:
+                # engine worker: link the shared plan, replay from
+                # iteration 0 — no recording iteration needed
+                self._install_plan(self._precompiled.gathered)
+        replaying = self._iteration_plan is not None
+        if replaying:
+            plan = self._iteration_plan
+            self._active_listeners = self._replay_listeners
+        else:
+            plan = self._recording_plan()
+            self._active_listeners = self._listeners
         ctx._begin_iteration(iteration, LayerContext(
             iteration=iteration, training=self.training,
             feed=feed, capture_final=capture_output))
@@ -727,11 +735,10 @@ class Executor:
         stall0 = self._stall
         ws_start = len(self._workspace_choices())
 
+        traces = self._run_steps(plan, ctx, optimizer)
         if replaying:
-            traces = self._replay_steps(ctx, optimizer)
             self.replayed_iterations += 1
         else:
-            traces = self._fresh_steps(ctx, optimizer)
             self._fresh_iterations += 1
 
         # iteration barrier: drain copies, free whatever is left
@@ -774,55 +781,28 @@ class Executor:
             output=ctx.layer_ctx.final_output,
         )
 
-    def _fresh_steps(self, ctx: StepContext, optimizer) -> List[StepTrace]:
-        """The recording path: full hook dispatch, decisions re-derived."""
-        traces: List[StepTrace] = []
-        collect = self._collect_traces
-        for step in self.route.steps:
-            ctx._begin_step(step)
-            self._dispatch("before_step", step)
-            if step.phase is Phase.FORWARD:
-                ws = self._forward_step(step, ctx)
-            else:
-                ws = self._backward_step(step, ctx, optimizer)
-            high = self.allocator.used_bytes
-            # reclamation: eager-offload registration, liveness frees,
-            # recompute cleanup — in stack order — then the settled hook
-            # (prefetch-ahead) once the frees have landed
-            self._dispatch("after_step", step)
-            self._dispatch("on_step_settled", step)
-            if collect:
-                traces.append(StepTrace(
-                    index=step.index,
-                    label=f"{step.layer.name}:{step.phase.value[0]}",
-                    phase=step.phase.value,
-                    used_high=high,
-                    used_settled=self.allocator.used_bytes,
-                    activation_high=high - self.param_bytes,
-                    activation_settled=self.allocator.used_bytes
-                    - self.param_bytes,
-                    live_tensors=self.state.live_count(),
-                    workspace=ws,
-                ))
-        return traces
-
-    def _replay_steps(self, ctx: StepContext, optimizer) -> List[StepTrace]:
-        """The steady-state path: compiled actions, no stable-policy
-        dispatch, bit-identical mechanics."""
+    def _run_steps(self, plan: IterationPlan, ctx: StepContext, optimizer
+                   ) -> List[StepTrace]:
+        """The one step loop.  What differs between a recording and a
+        steady-state iteration is the plan's hook-site ops — bound
+        policy hooks vs compiled closures — never the mechanics."""
         traces: List[StepTrace] = []
         collect = self._collect_traces
         allocator = self.allocator
         param_bytes = self.param_bytes
-        for cs in self._iteration_plan.steps:
+        for cs in plan.steps:
             step = cs.step
             ctx._begin_step(step)
             for fn in cs.before_ops:
                 fn(ctx, step)
             if cs.is_forward:
-                ws = self._replay_forward(cs, ctx)
+                ws = self._forward(cs, ctx)
             else:
-                ws = self._replay_backward(cs, ctx, optimizer)
+                ws = self._backward(cs, ctx, optimizer)
             high = allocator.used_bytes
+            # reclamation: eager-offload registration, liveness frees,
+            # recompute cleanup — in stack order — then the settled ops
+            # (prefetch-ahead) once the frees have landed
             for fn in cs.after_ops:
                 fn(ctx, step)
             for fn in cs.settled_ops:
@@ -842,8 +822,8 @@ class Executor:
                 ))
         return traces
 
-    def _replay_forward(self, cs: CompiledStep, ctx: StepContext
-                        ) -> Optional[WorkspaceChoice]:
+    def _forward(self, cs: CompiledStep, ctx: StepContext
+                 ) -> Optional[WorkspaceChoice]:
         layer = cs.layer
         state = self.state
         for t in cs.reads:
@@ -875,8 +855,8 @@ class Executor:
         state.unlock(out)
         return ctx.step_workspace
 
-    def _replay_backward(self, cs: CompiledStep, ctx: StepContext, optimizer
-                         ) -> Optional[WorkspaceChoice]:
+    def _backward(self, cs: CompiledStep, ctx: StepContext, optimizer
+                  ) -> Optional[WorkspaceChoice]:
         if cs.is_data:
             return None
         layer = cs.layer
@@ -945,92 +925,6 @@ class Executor:
         for a in ctx._scratch:
             self.allocator.free(a)
         ctx._scratch.clear()
-
-    def _forward_step(self, step: Step, ctx: StepContext
-                      ) -> Optional[WorkspaceChoice]:
-        layer = step.layer
-        state = self.state
-        reads = self.route.forward_reads(layer)
-        for t in reads:
-            self._make_gpu_resident(t)
-            state.lock(t)
-        self._gpu_alloc_tensor(layer.output)
-        state.lock(layer.output)
-
-        self._dispatch("before_compute", step)
-        duration = ctx.step_duration if ctx.step_duration is not None \
-            else layer.sim_time_forward(self.model)
-        ev = self.timeline.submit(Stream.COMPUTE, duration, f"fw:{layer.name}")
-        ctx.last_compute_event = ev
-
-        if self.concrete:
-            ins = [self.store.get_required(p.output) for p in layer.prev]
-            out = layer.forward(ins, ctx.layer_ctx)
-            self.store.put(layer.output, out)
-            if hasattr(layer, "update_running_stats") and ctx.layer_ctx.training:
-                layer.update_running_stats(ins[0])
-            if ctx.layer_ctx.capture_final and not layer.next:
-                ctx.layer_ctx.final_output = \
-                    self.store.get_required(layer.output)
-
-        self._free_step_scratch(ctx)
-        for t in reads:
-            state.unlock(t)
-        state.unlock(layer.output)
-        return ctx.step_workspace
-
-    def _backward_step(
-        self, step: Step, ctx: StepContext, optimizer
-    ) -> Optional[WorkspaceChoice]:
-        layer = step.layer
-        if isinstance(layer, DataLayer):
-            return None
-
-        state = self.state
-        fw_needed = self.route.backward_reads(layer)
-        missing = [t for t in fw_needed if not state.is_live(t)]
-        if missing:
-            self._dispatch("on_backward_need", step, missing)
-            still = [t for t in missing if not state.is_live(t)]
-            if still:
-                raise RuntimeError(
-                    f"backward of {layer.name} needs freed tensors "
-                    f"{[t.name for t in still]} but recomputation is off"
-                )
-        for t in fw_needed:
-            self._make_gpu_resident(t)
-            state.lock(t)
-
-        has_grad_in = bool(layer.next)
-        if has_grad_in:
-            self._ensure_grad(layer.grad_output)
-            state.lock(layer.grad_output)
-
-        grad_targets = [p for p in layer.prev if not isinstance(p, DataLayer)]
-        for p in grad_targets:
-            self._ensure_grad(p.grad_output)
-            state.lock(p.grad_output)
-        for g in layer.param_grads:
-            self._gpu_alloc_tensor(g)
-
-        self._dispatch("before_compute", step)
-        duration = ctx.step_duration if ctx.step_duration is not None \
-            else layer.sim_time_backward(self.model)
-        ev = self.timeline.submit(Stream.COMPUTE, duration, f"bw:{layer.name}")
-        ctx.last_compute_event = ev
-
-        if self.concrete:
-            self._backward_values(layer, ctx.layer_ctx, optimizer)
-
-        self._free_step_scratch(ctx)
-        for t in fw_needed:
-            state.unlock(t)
-        if has_grad_in:
-            state.unlock(layer.grad_output)
-        for p in grad_targets:
-            state.unlock(p.grad_output)
-
-        return ctx.step_workspace
 
     def _backward_values(self, layer: Layer, ctx: LayerContext, optimizer) -> None:
         ins = [

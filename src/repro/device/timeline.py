@@ -124,20 +124,13 @@ class Timeline:
             self._ops.append(_OpRecord(label, stream, start, end))
         return Event(next(self._events), stream, end, label)
 
-    def tick(self, stream: Stream, duration: float) -> None:
-        """Serialized host-side latency (mallocs/frees): advance the
-        stream's clock and busy-time without minting an event or an op
-        record.  Identical clock arithmetic to a dependency-free
-        :meth:`submit` whose event nobody waits on — just cheaper, for
-        the two-calls-per-allocation hot path."""
-        key = stream.value
-        self._clock[key] += duration
-        self._busy[key] += duration
-
     def tick_compute(self, duration: float) -> None:
-        """:meth:`tick` on the compute stream, skipping even the enum
-        ``value`` descriptor — the allocator calls this twice per
-        allocation lifecycle."""
+        """Serialized host-side latency (mallocs/frees): advance the
+        compute stream's clock and busy-time without minting an event
+        or an op record.  Identical clock arithmetic to a
+        dependency-free :meth:`submit` whose event nobody waits on —
+        just cheaper (not even the enum ``value`` descriptor), for the
+        two-calls-per-allocation hot path."""
         self._clock["compute"] += duration
         self._busy["compute"] += duration
 
@@ -156,10 +149,6 @@ class Timeline:
         for s in self._clock:
             self._clock[s] = t
         return t
-
-    def advance(self, stream: Stream, duration: float, label: str = "") -> Event:
-        """Alias of :meth:`submit` for host-side latencies (mallocs etc.)."""
-        return self.submit(stream, duration, label)
 
     # -- introspection ------------------------------------------------------
     def now(self, stream: Stream = Stream.COMPUTE) -> float:

@@ -12,12 +12,14 @@ what-if question the static model exists to answer.
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.check.advisor import advise, assess_ladder, recommend
 from repro.check.cost_model import (
     CostThresholds,
+    IterationRecorder,
     analyze_prediction,
     cost_compiled_mode,
     cost_engine,
@@ -28,10 +30,16 @@ from repro.check.diagnostics import PERF_RULES
 from repro.cli import main
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
+from repro.device.fabric import LOCAL_CPU, PEER_GPU, REMOTE_RDMA
 from repro.device.model import K40_MODEL
 from repro.zoo import NETWORK_BUILDERS
 
 MiB = 1024 * 1024
+
+#: the nine-net zoo at b8 under the full stack (bench_inference's run)
+BASELINE_INFERENCE = json.loads(
+    (Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
+     / "BENCH_inference.json").read_text())
 
 RUNGS = ("baseline", "liveness_only", "liveness_offload", "superneurons")
 
@@ -79,6 +87,43 @@ class TestCalibration:
                                                    abs=1e-12)
         assert pred.extra_forwards == meas.extra_forwards
 
+    @pytest.mark.parametrize("net,rung,kw", [
+        ("resnet50", "superneurons", {"gpu_capacity": 1 << 30}),
+        ("resnet50", "superneurons", {"gpu_capacity": 700 << 20}),
+        ("alexnet", "liveness_offload",
+         {"external_pools": (PEER_GPU, LOCAL_CPU)}),
+        ("alexnet", "liveness_offload",
+         {"external_pools": (REMOTE_RDMA,)}),
+    ], ids=["1GiB", "700MiB", "peer+cpu", "rdma"])
+    def test_pressure_and_external_pools_reconstruct_too(
+            self, net, rung, kw):
+        """LRU eviction order, first-fit fragmentation, lock sets and
+        the fabric's per-pool copy rates: where a second implementation
+        of the residency machine used to drift by 3-6%."""
+        engine = _engine(net, rung, batch=32, **kw)
+        pred = _predict(engine)
+        meas = _measure(engine, iters=2)
+        assert pred.sim_time == pytest.approx(meas.sim_time, rel=1e-9)
+        assert pred.peak_gpu_bytes == meas.peak_bytes
+        assert pred.d2h_bytes == meas.d2h_bytes
+        assert pred.h2d_bytes == meas.h2d_bytes
+        assert pred.stall_seconds == pytest.approx(meas.stall_seconds,
+                                                   rel=1e-9)
+        assert pred.extra_forwards == meas.extra_forwards
+        assert pred.pressure_evictions == meas.cache_evictions
+
+    @pytest.mark.parametrize("record", BASELINE_INFERENCE,
+                             ids=lambda r: r["net"])
+    def test_zoo_peaks_equal_the_committed_baseline(self, record):
+        """The one anchor that is independent of both sides of the
+        identity above: prediction and executor cannot drift together
+        past the byte columns committed with the inference bench."""
+        engine = _engine(record["net"], batch=record["batch"])
+        for mode in ("train", "infer"):
+            committed = record[f"{mode}_peak_bytes"]
+            assert _measure(engine, mode, iters=1).peak_bytes == committed
+            assert _predict(engine, mode).peak_gpu_bytes == committed
+
     def test_eager_offload_stack_reconstructs_too(self):
         engine = _engine("alexnet", "superneurons",
                          use_tensor_cache=False)
@@ -95,6 +140,48 @@ class TestCalibration:
         assert a.sim_time == b.sim_time
         assert a.peak_gpu_bytes == b.peak_gpu_bytes
         assert a.alloc_calls == b.alloc_calls
+
+
+# --------------------------------------------------------------------------- #
+# the recorder is a pure observer, and the scout it rides at compile
+# time records the same iteration a replay does
+# --------------------------------------------------------------------------- #
+class TestRecorder:
+    @pytest.mark.parametrize("net,concrete", [("lenet", True),
+                                              ("alexnet", False)])
+    @pytest.mark.parametrize("plan", ["recording", "compiled"])
+    def test_recorder_never_changes_the_iteration(self, net, concrete,
+                                                  plan):
+        cfg = RuntimeConfig.superneurons(concrete=concrete)
+        engine = Engine(NETWORK_BUILDERS[net](batch=8), cfg)
+
+        def run(record):
+            with engine.executor(precompiled=plan == "compiled") as ex:
+                recorder = IterationRecorder(ex) if record else None
+                res = ex.run_iteration(0)
+                assert ex.replayed_iterations == (plan == "compiled")
+                if record:
+                    assert len(recorder.steps) == len(ex.route.steps)
+                    pred = recorder.prediction(res)
+                    assert pred.sim_time == res.sim_time
+                return res.to_dict()
+
+        assert run(record=True) == run(record=False)
+
+    @pytest.mark.parametrize("net", ["lenet", "alexnet"])
+    @pytest.mark.parametrize("rung", RUNGS)
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_scout_recording_equals_replay_recording(self, net, rung,
+                                                     mode):
+        cfg = getattr(RuntimeConfig, rung)(concrete=False)
+        engine = Engine(NETWORK_BUILDERS[net](batch=8), cfg,
+                        cost_report=True)
+        target = f"{engine.net.name}/{mode}"
+        pred = predict_compiled_mode(
+            engine.net, engine.compiled(mode),
+            engine.config.for_mode(mode), target=target)
+        assert engine.cost_reports[mode].metrics[target] == pred.to_dict()
+        assert "oom_events" not in pred.to_dict()
 
 
 # --------------------------------------------------------------------------- #
