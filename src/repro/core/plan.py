@@ -131,7 +131,7 @@ class CompiledStep:
         "step", "layer", "is_forward", "is_data", "trace_label",
         "phase_value", "submit_label", "duration", "reads", "output",
         "has_running_stats", "has_grad_in", "grad_targets", "param_grads",
-        "before_ops", "compute_ops", "after_ops", "settled_ops",
+        "pinned", "before_ops", "compute_ops", "after_ops", "settled_ops",
     )
 
     def __init__(self, step: Step, model, route) -> None:
@@ -155,6 +155,7 @@ class CompiledStep:
             self.has_grad_in = False
             self.grad_targets = ()
             self.param_grads = ()
+            pinned = self.reads + (layer.output,)
         else:
             self.submit_label = f"bw:{layer.name}"
             self.duration = 0.0 if self.is_data \
@@ -166,6 +167,13 @@ class CompiledStep:
             self.grad_targets = tuple(
                 p for p in layer.prev if not isinstance(p, DataLayer))
             self.param_grads = tuple(layer.param_grads)
+            pinned = self.reads \
+                + ((layer.grad_output,) if self.has_grad_in else ()) \
+                + tuple(p.grad_output for p in self.grad_targets)
+        #: every tensor the step locks (one by one, as each becomes
+        #: resident — lock order decides eviction victims); released in
+        #: one sweep once the kernel is submitted
+        self.pinned = pinned
 
 
 @dataclass

@@ -51,6 +51,7 @@ from repro.core import config as _config
 from repro.core.cache import TensorCache
 from repro.core.config import RecomputeStrategy, RuntimeConfig
 from repro.core.workspace import WorkspaceChoice, WorkspaceSelector
+from repro.device.gpu import OutOfMemoryError
 from repro.device.timeline import Stream
 from repro.graph.route import Phase, Step
 from repro.layers.base import Layer, LayerContext
@@ -170,7 +171,6 @@ class StepContext:
         is best-effort by design: it may shrink the speed, never break
         the training.
         """
-        from repro.device.gpu import OutOfMemoryError
         try:
             a = self._ex.allocator.alloc(nbytes, tag)
         except OutOfMemoryError:

@@ -284,7 +284,9 @@ class Executor:
         # hook listener tables: per hook, the bound methods of the
         # policies that actually override it, in stack order — a hook
         # nobody implements costs one empty-tuple loop, not a full
-        # stack walk
+        # stack walk.  The four tensor hooks fire once or twice per
+        # tensor per step, so their sites loop over the tuple in place;
+        # ``_dispatch`` serves the per-iteration and demand hooks.
         self._listeners = self._build_listener_table()
         self._active_listeners = self._listeners
         self._replay_listeners: Optional[Dict[str, tuple]] = None
@@ -306,6 +308,7 @@ class Executor:
         self.recorder = None
 
         # runtime state
+        self._closed = False
         self._alloc_of: Dict[int, Allocation] = {}
         self._pending: List[_PendingOffload] = []
         self._stall = 0.0
@@ -426,7 +429,11 @@ class Executor:
                 self.param_bytes += p.nbytes
 
     def close(self) -> None:
-        """Free everything (tests create many executors)."""
+        """Free everything (tests create many executors).  Closing
+        twice is harmless; running a closed executor is an error."""
+        if self._closed:
+            return
+        self._closed = True
         for tid, a in list(self._alloc_of.items()):
             self.allocator.free(a)
         self._alloc_of.clear()
@@ -453,8 +460,9 @@ class Executor:
         kind = t.kind
         if kind is TensorKind.DATA or kind is TensorKind.GRAD:
             self.state.add_live(t)
-        if self._active_listeners["on_tensor_resident"]:
-            self._dispatch("on_tensor_resident", t, "alloc")
+        ctx = self._ctx
+        for fn in self._active_listeners["on_tensor_resident"]:
+            fn(ctx, t, "alloc")
         return a
 
     def _alloc_under_pressure(self, nbytes: int, tag: str) -> Allocation:
@@ -478,8 +486,9 @@ class Executor:
         a = self._alloc_of.pop(t.tensor_id, None)
         if a is not None:
             self.allocator.free(a)
-        if self._active_listeners["on_tensor_released"]:
-            self._dispatch("on_tensor_released", t)
+        ctx = self._ctx
+        for fn in self._active_listeners["on_tensor_released"]:
+            fn(ctx, t)
         if state.host_resident(t):
             # keep the bytes: they may still be device-side if the D2H
             # copy that made the host reservation has not been reaped
@@ -499,8 +508,9 @@ class Executor:
         a = self._alloc_of.pop(t.tensor_id, None)
         if a is not None:
             self.allocator.free(a)
-        if self._active_listeners["on_tensor_dead"]:
-            self._dispatch("on_tensor_dead", t)
+        ctx = self._ctx
+        for fn in self._active_listeners["on_tensor_dead"]:
+            fn(ctx, t)
         if state.host_resident(t):
             self.fabric.evict(t.tensor_id)
             state.set_host_resident(t, False)
@@ -587,8 +597,9 @@ class Executor:
         if a is not None:
             self.allocator.free(a)
         self.store.move_to_host(t)
-        if self._active_listeners["on_tensor_released"]:
-            self._dispatch("on_tensor_released", t)
+        ctx = self._ctx
+        for fn in self._active_listeners["on_tensor_released"]:
+            fn(ctx, t)
         self.state.set_placement(t, Placement.HOST)
 
     def _prefetch_async(self, t: Tensor) -> bool:
@@ -604,8 +615,9 @@ class Executor:
         state.set_arrival(t, self._copy(t, "prefetch"))
         state.set_placement(t, Placement.GPU)
         self.store.move_to_gpu(t)
-        if self._active_listeners["on_tensor_resident"]:
-            self._dispatch("on_tensor_resident", t, "prefetch")
+        ctx = self._ctx
+        for fn in self._active_listeners["on_tensor_resident"]:
+            fn(ctx, t, "prefetch")
         return True
 
     def _make_gpu_resident(self, t: Tensor) -> None:
@@ -617,8 +629,9 @@ class Executor:
                 ev = state.pop_arrival(t)
                 if ev is not None:
                     self._wait(t, "prefetch", ev)
-            if self._active_listeners["on_tensor_access"]:
-                self._dispatch("on_tensor_access", t)
+            ctx = self._ctx
+            for fn in self._active_listeners["on_tensor_access"]:
+                fn(ctx, t)
             return
         if placement is Placement.HOST:
             self._gpu_alloc_tensor(t)  # may evict/reap
@@ -696,6 +709,9 @@ class Executor:
         :class:`~repro.layers.base.LayerContext`, so concurrent
         sessions feed independently.
         """
+        if self._closed:
+            raise RuntimeError(
+                "executor is closed: its device memory has been returned")
         if optimizer is not None and not self.training:
             raise TypeError(
                 "infer mode runs no backward pass, so the optimizer "
@@ -726,6 +742,7 @@ class Executor:
             feed=feed, capture_final=capture_output))
         self._dispatch("on_iteration_start")
         self.allocator.reset_peak()
+        self.allocator.begin_epoch()
         t0 = self.timeline.elapsed
         d2h0, h2d0 = self.dma.stats.d2h_bytes, self.dma.stats.h2d_bytes
         calls0 = self.allocator.stats.calls
@@ -850,9 +867,7 @@ class Executor:
                 ctx.layer_ctx.final_output = self.store.get_required(out)
 
         self._free_step_scratch(ctx)
-        for t in cs.reads:
-            state.unlock(t)
-        state.unlock(out)
+        state.unlock_all(cs.pinned)
         return ctx.step_workspace
 
     def _backward(self, cs: CompiledStep, ctx: StepContext, optimizer
@@ -894,12 +909,7 @@ class Executor:
             self._backward_values(layer, ctx.layer_ctx, optimizer)
 
         self._free_step_scratch(ctx)
-        for t in cs.reads:
-            state.unlock(t)
-        if cs.has_grad_in:
-            state.unlock(layer.grad_output)
-        for p in cs.grad_targets:
-            state.unlock(p.grad_output)
+        state.unlock_all(cs.pinned)
         return ctx.step_workspace
 
     def _end_of_iteration_cleanup(self) -> None:

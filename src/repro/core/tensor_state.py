@@ -140,6 +140,15 @@ class SessionTensorState:
             _ins.trace_write(self, "tensor_state.locked", t.name)
         self._locked.discard(t.tensor_id)
 
+    def unlock_all(self, tensors: Tuple[Tensor, ...]) -> None:
+        """Release a step's pins in one sweep."""
+        if _ins.ACTIVE is not None:
+            for t in tensors:
+                _ins.trace_write(self, "tensor_state.locked", t.name)
+        discard = self._locked.discard
+        for t in tensors:
+            discard(t.tensor_id)
+
     def locked(self, t: Tensor) -> bool:
         return t.tensor_id in self._locked
 

@@ -9,10 +9,10 @@ is why it hurts so much).
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.device.gpu import OutOfMemoryError, SimulatedGPU
-from repro.device.timeline import Stream, Timeline
+from repro.device.timeline import Timeline
 from repro.mempool.heap_pool import HeapPool, PoolExhaustedError
 from repro.mempool.stats import AllocatorStats
 
@@ -27,12 +27,24 @@ class Allocation(NamedTuple):
 
 
 class Allocator:
-    """Common bookkeeping for byte-usage and peak tracking."""
+    """Common bookkeeping for byte-usage and peak tracking.
 
-    def __init__(self, gpu: SimulatedGPU, timeline: Optional[Timeline]):
+    The two implementations differ only in who places the bytes:
+    ``reserve(nbytes) -> handle`` and ``release(handle)`` are the
+    backing store's own bound methods, called straight from
+    :meth:`alloc`/:meth:`free` — there are two of these calls per
+    tensor per step, and a forwarding method between the bookkeeping
+    and the store is a Python frame on each.
+    """
+
+    def __init__(self, gpu: SimulatedGPU, timeline: Optional[Timeline],
+                 reserve: Callable[[int], int],
+                 release: Callable[[int], None]):
         self.gpu = gpu
         self.timeline = timeline
         self.stats = AllocatorStats()
+        self._reserve = reserve
+        self._release = release
         self._used = 0
         self._peak = 0
         # the latencies are device-model constants; resolve the
@@ -40,13 +52,7 @@ class Allocator:
         self._alloc_latency = self.alloc_latency
         self._free_latency = self.free_latency
 
-    # subclasses implement _do_alloc/_do_free and the latency properties
-    def _do_alloc(self, nbytes: int, tag: str) -> int:
-        raise NotImplementedError
-
-    def _do_free(self, handle: int) -> int:
-        raise NotImplementedError
-
+    # subclasses supply the backing store and the latency properties
     @property
     def alloc_latency(self) -> float:
         raise NotImplementedError
@@ -57,7 +63,14 @@ class Allocator:
 
     # -- public API -----------------------------------------------------------
     def alloc(self, nbytes: int, tag: str = "") -> Allocation:
-        handle = self._do_alloc(nbytes, tag)
+        try:
+            handle = self._reserve(nbytes)
+        except PoolExhaustedError as exc:
+            # Only a PoolAllocator's store raises this.  Surface it
+            # as device OOM so capacity probes treat both allocators
+            # uniformly.
+            raise OutOfMemoryError(
+                nbytes, self.free_bytes, self.slab_bytes) from exc
         used = self._used + nbytes
         self._used = used
         if used > self._peak:
@@ -72,7 +85,7 @@ class Allocator:
         return Allocation(handle, nbytes, tag)
 
     def free(self, allocation: Allocation) -> None:
-        self._do_free(allocation.handle)
+        self._release(allocation.handle)
         self._used -= allocation.nbytes
         latency = self._free_latency
         stats = self.stats
@@ -80,6 +93,10 @@ class Allocator:
         stats.overhead_seconds += latency
         if self.timeline is not None:
             self.timeline.tick_compute(latency)
+
+    def begin_epoch(self) -> None:
+        """The executor's iteration-start mark: what follows repeats
+        what followed the previous mark.  Only a heap pool uses it."""
 
     # -- usage accounting --------------------------------------------------------
     @property
@@ -102,13 +119,7 @@ class CudaAllocator(Allocator):
     """Native cudaMalloc/cudaFree baseline: one device segment per call."""
 
     def __init__(self, gpu: SimulatedGPU, timeline: Optional[Timeline] = None):
-        super().__init__(gpu, timeline)
-
-    def _do_alloc(self, nbytes: int, tag: str) -> int:
-        return self.gpu.reserve(nbytes, tag)
-
-    def _do_free(self, handle: int) -> None:
-        self.gpu.release(handle)
+        super().__init__(gpu, timeline, gpu.reserve, gpu.release)
 
     @property
     def alloc_latency(self) -> float:
@@ -136,23 +147,13 @@ class PoolAllocator(Allocator):
         timeline: Optional[Timeline] = None,
         slab_bytes: Optional[int] = None,
     ):
-        super().__init__(gpu, timeline)
         self.slab_bytes = slab_bytes if slab_bytes is not None else gpu.free_bytes
         self._slab_seg = gpu.reserve(self.slab_bytes, "heap-pool-slab")
         self.pool = HeapPool(self.slab_bytes)
+        super().__init__(gpu, timeline, self.pool.alloc, self.pool.free)
 
-    def _do_alloc(self, nbytes: int, tag: str) -> int:
-        try:
-            return self.pool.alloc(nbytes)
-        except PoolExhaustedError as exc:
-            # Surface as device OOM so capacity probes treat both
-            # allocators uniformly.
-            raise OutOfMemoryError(
-                nbytes, self.pool.free_bytes, self.slab_bytes
-            ) from exc
-
-    def _do_free(self, handle: int) -> None:
-        self.pool.free(handle)
+    def begin_epoch(self) -> None:
+        self.pool.begin_epoch()
 
     @property
     def alloc_latency(self) -> float:

@@ -3,7 +3,7 @@ state, forced reaps, and error reporting."""
 
 import pytest
 
-from repro import Executor, RuntimeConfig, SGD
+from repro import Executor, RuntimeConfig, SGD, Session
 from repro.core.config import RecomputeStrategy, WorkspacePolicy
 from repro.device.gpu import OutOfMemoryError
 from repro.device.timeline import Stream
@@ -165,6 +165,34 @@ class TestCloseBehaviour:
         ex.run_iteration(0)
         ex.close()
         assert ex.gpu.used_bytes == 0
+
+    @pytest.mark.parametrize("use_pool", [True, False])
+    def test_close_twice_is_harmless(self, use_pool):
+        """``with session:`` plus an explicit ``close()`` used to release
+        the slab twice (KeyError: unknown segment id 0)."""
+        cfg = RuntimeConfig.superneurons(use_pool_allocator=use_pool)
+        with Executor(lenet(batch=4, image=12), cfg) as ex:
+            ex.run_iteration(0)
+            ex.close()
+        assert ex.gpu.used_bytes == 0
+        with Session(lenet(batch=4, image=12), cfg) as sess:
+            sess.run_iteration(0)
+            sess.close()
+        sess.close()
+        assert sess.executor.gpu.used_bytes == 0
+
+    def test_run_after_close_says_closed(self):
+        """Used to report 'iteration leaked -N bytes beyond parameters'."""
+        ex = Executor(lenet(batch=4, image=12), RuntimeConfig.superneurons())
+        ex.run_iteration(0)
+        ex.close()
+        with pytest.raises(RuntimeError, match="executor is closed"):
+            ex.run_iteration(1)
+        sess = Session(lenet(batch=4, image=12))
+        sess.run_iteration(0)
+        sess.close()
+        with pytest.raises(RuntimeError, match="executor is closed"):
+            sess.run_iteration(1)
 
     def test_two_executors_share_nothing(self):
         n1, n2 = lenet(batch=4, image=12), lenet(batch=4, image=12)

@@ -13,9 +13,9 @@ bound across ``run_iteration`` calls on one executor.
 
 import pytest
 
-from repro import Executor, RuntimeConfig, SGD, Session, Trainer
+from repro import Engine, Executor, RuntimeConfig, SGD, Session, Trainer
 from repro.core.policy import MemoryPolicy
-from repro.zoo import alexnet, lenet
+from repro.zoo import alexnet, lenet, resnet50
 
 ITERS = 5
 
@@ -125,6 +125,98 @@ class TestReplayEquivalence:
             assert ex.replayed_iterations == 1
             ex.run_iteration(3)  # replays the recompiled plan
             assert ex.replayed_iterations == 2
+
+
+class TestAddressPlan:
+    """Under a fixed topology the heap pool answers every alloc/free of
+    an iteration from its recorded address plan — and nothing the
+    executor reports can tell."""
+
+    GiB = 1 << 30
+
+    @staticmethod
+    def signature(res):
+        return (round(res.sim_time, 9), res.peak_bytes, res.d2h_bytes,
+                res.h2d_bytes, res.alloc_calls, res.cache_evictions)
+
+    @pytest.mark.parametrize("capacity", [None, GiB],
+                             ids=["roomy", "pressured-1GiB"])
+    def test_plan_engages_on_resnet50(self, capacity):
+        """The ledger's two sim workloads.  At 1 GiB every iteration
+        makes failed probes and evictions; they are part of the record,
+        so the whole iteration still replays."""
+        cfg = RuntimeConfig.superneurons(concrete=False,
+                                         gpu_capacity=capacity)
+        with Engine(resnet50(batch=32), cfg).session("train") as sess:
+            pool = sess.executor.allocator.pool
+            first = sess.run_iteration(0)
+            assert not pool.replaying, "nothing recorded yet"
+            if capacity is not None:
+                assert first.cache_evictions > 0
+            for i in range(1, 4):
+                res = sess.run_iteration(i)
+                assert pool.replaying, \
+                    "address plan never engaged — iterations run live"
+                assert self.signature(res) == self.signature(first)
+            pool.check_invariants()            # rebuilds from the record
+            assert not pool.replaying
+            assert self.signature(sess.run_iteration(4)) \
+                == self.signature(first)
+            assert pool.replaying              # and is back on it
+
+    def test_non_replay_executor_plans_addresses_too(self):
+        """The address plan keys on what the pool sees, not on the
+        executor's own replay switch."""
+        cfg = RuntimeConfig.superneurons(concrete=False,
+                                         steady_state_replay=False)
+        with Executor(alexnet(batch=4, image=67, num_classes=10), cfg) as ex:
+            ex.run_iteration(0)
+            ex.run_iteration(1)
+            assert ex.replayed_iterations == 0
+            assert ex.allocator.pool.replaying
+
+    def test_aborted_iteration_leaves_the_next_one_correct(self):
+        """An exception mid-iteration strands tensors and stops the
+        pool part-way through its record; the following iterations
+        must clean up and report exactly what an undisturbed run does."""
+
+        class Saboteur(MemoryPolicy):
+            key = "saboteur"
+            armed = False
+
+            def before_step(self, ctx, step):
+                if self.armed and step.index == 30:
+                    raise ValueError("injected")
+
+        def mk():
+            return alexnet(batch=4, image=67, num_classes=10)
+
+        cfg = RuntimeConfig.superneurons(concrete=False)
+        with Session(mk(), cfg) as clean:
+            expect = [self.signature(clean.run_iteration(i))
+                      for i in range(5)]
+            settled = clean.executor.allocator.pool.used_bytes
+        saboteur = Saboteur()
+        with Session(mk(), cfg).with_policy(saboteur) as sess:
+            ex = sess.executor
+            pool = ex.allocator.pool
+            got = [self.signature(sess.run_iteration(i)) for i in range(2)]
+            assert pool.replaying
+            saboteur.armed = True
+            with pytest.raises(ValueError, match="injected"):
+                sess.run_iteration(2)
+            assert ex.allocator.used_bytes > ex.param_bytes  # stranded
+            saboteur.armed = False
+            got += [self.signature(sess.run_iteration(i))
+                    for i in range(2, 5)]
+            assert ex.allocator.used_bytes == ex.param_bytes
+            assert pool.used_bytes == settled
+            assert pool.replaying              # found its way back
+            pool.check_invariants()
+        assert got[:2] == expect[:2]
+        # the recovery iteration's peak carries the stranded tensors;
+        # from the one after it nothing differs
+        assert got[3:] == expect[3:]
 
 
 class TestReplayOptOut:
