@@ -24,27 +24,37 @@ import numpy as np
 
 from repro.device.model import DeviceModel
 from repro.layers.base import Layer, LayerContext, LayerType
+from repro.layers.data import DataLayer
 from repro.tensors.shapes import as_pair, conv2d_out_shape
+
+
+def _out_hw(h: int, w: int, kh: int, kw: int, stride: int,
+            ph: int, pw: int) -> Tuple[int, int]:
+    return (h + 2 * ph - kh) // stride + 1, (w + 2 * pw - kw) // stride + 1
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad) -> np.ndarray:
     """Unfold NCHW input into (N, C*kh*kw, OH*OW) patch columns.
 
     ``pad`` is an int or an (ph, pw) pair (rectangular kernels pad
-    asymmetrically per axis).
+    asymmetrically per axis).  The patches are gathered in one copy of
+    a 6-D strided view; an unpadded input is read where it lies.
     """
     ph, pw = as_pair(pad)
     n, c, h, w = x.shape
-    oh = (h + 2 * ph - kh) // stride + 1
-    ow = (w + 2 * pw - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        i_end = i + stride * oh
-        for j in range(kw):
-            j_end = j + stride * ow
-            cols[:, :, i, j] = xp[:, :, i:i_end:stride, j:j_end:stride]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+    oh, ow = _out_hw(h, w, kh, kw, stride, ph, pw)
+    if ph or pw:
+        xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        xp[:, :, ph:ph + h, pw:pw + w] = x
+        x = xp
+    sn, sc, sh, sw = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, kh, kw, oh, ow),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+    return patches.reshape(n, c * kh * kw, oh * ow)
 
 
 def col2im(
@@ -58,8 +68,7 @@ def col2im(
     """Fold patch columns back, accumulating overlaps (im2col adjoint)."""
     ph, pw = as_pair(pad)
     n, c, h, w = x_shape
-    oh = (h + 2 * ph - kh) // stride + 1
-    ow = (w + 2 * pw - kw) // stride + 1
+    oh, ow = _out_hw(h, w, kh, kw, stride, ph, pw)
     cols6 = cols.reshape(n, c, kh, kw, oh, ow)
     xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
     for i in range(kh):
@@ -69,7 +78,7 @@ def col2im(
             xp[:, :, i:i_end:stride, j:j_end:stride] += cols6[:, :, i, j]
     if ph == 0 and pw == 0:
         return xp
-    return xp[:, :, ph:ph + h, pw:pw + w]
+    return np.ascontiguousarray(xp[:, :, ph:ph + h, pw:pw + w])
 
 
 @dataclass(frozen=True)
@@ -185,36 +194,34 @@ class Conv2D(Layer):
                 bshape, lambda: np.zeros(bshape, dtype=np.float32), "b")
 
     # -- kernels -------------------------------------------------------------------
+    # One GEMM per sample (``matmul`` broadcasts the filter matrix over
+    # the batch axis): a row's result is the same bits whatever rides
+    # in the batch beside it, which served == solo inference relies on.
     def forward(self, inputs, ctx):
         (x,) = inputs
         w = self.param_values[self._w.tensor_id]
-        n = x.shape[0]
-        _, _, oh, ow = self.out_shape
         cols = im2col(x, self.kh, self.kw, self.stride, self.pad)
-        wmat = w.reshape(self.out_channels, -1)
-        out = np.einsum("kc,ncp->nkp", wmat, cols, optimize=True)
-        out = out.reshape(n, self.out_channels, oh, ow)
+        out = np.matmul(w.reshape(self.out_channels, -1), cols)
+        out = out.reshape(x.shape[0], *self.out_shape[1:])
         if self.use_bias:
-            out = out + self.param_values[self._b.tensor_id].reshape(1, -1, 1, 1)
-        return out.astype(np.float32, copy=False)
+            out += self.param_values[self._b.tensor_id].reshape(1, -1, 1, 1)
+        return out
 
     def backward(self, inputs, output, grad_out, ctx):
         (x,) = inputs
         w = self.param_values[self._w.tensor_id]
-        n = x.shape[0]
-        _, _, oh, ow = self.out_shape
-        go = grad_out.reshape(n, self.out_channels, oh * ow)
+        go = grad_out.reshape(x.shape[0], self.out_channels, -1)
         cols = im2col(x, self.kh, self.kw, self.stride, self.pad)
-        dw = np.einsum("nkp,ncp->kc", go, cols, optimize=True)
-        dw = dw.reshape(w.shape).astype(np.float32, copy=False)
-        wmat = w.reshape(self.out_channels, -1)
-        dcols = np.einsum("kc,nkp->ncp", wmat, go, optimize=True)
-        dx = col2im(dcols, x.shape, self.kh, self.kw,
-                    self.stride, self.pad).astype(np.float32, copy=False)
-        param_grads = [dw]
+        dw = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0)
+        param_grads = [dw.reshape(w.shape)]
         if self.use_bias:
-            db = go.sum(axis=(0, 2)).reshape(-1, 1, 1, 1)
-            param_grads.append(db.astype(np.float32, copy=False))
+            param_grads.append(go.sum(axis=(0, 2)).reshape(-1, 1, 1, 1))
+        if isinstance(self.prev[0], DataLayer):
+            # nothing consumes the gradient of the input batch (cuDNN
+            # users skip ConvolutionBackwardData on the first layer too)
+            return [None], param_grads
+        dcols = np.matmul(w.reshape(self.out_channels, -1).T, go)
+        dx = col2im(dcols, x.shape, self.kh, self.kw, self.stride, self.pad)
         return [dx], param_grads
 
     # -- cost model -----------------------------------------------------------------

@@ -8,33 +8,6 @@ from repro.layers.base import Layer, LayerType
 from repro.tensors.shapes import pool2d_out_shape
 
 
-def _pad_for_windows(x: np.ndarray, kernel: int, stride: int, pad: int,
-                     oh: int, ow: int, fill: float) -> np.ndarray:
-    """Pad so that every ceil-mode window is fully in bounds."""
-    n, c, h, w = x.shape
-    need_h = (oh - 1) * stride + kernel
-    need_w = (ow - 1) * stride + kernel
-    bottom = max(0, need_h - (h + pad))
-    right = max(0, need_w - (w + pad))
-    return np.pad(
-        x, ((0, 0), (0, 0), (pad, bottom), (pad, right)),
-        constant_values=fill,
-    )
-
-
-def _windows(xp: np.ndarray, kernel: int, stride: int,
-             oh: int, ow: int) -> np.ndarray:
-    """View of shape (N, C, OH, OW, k, k) over the padded input."""
-    n, c, _h, _w = xp.shape
-    sn, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, oh, ow, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-
-
 class Pool2D(Layer):
     """Pooling layer; a prime recomputation target (cheap, big output)."""
 
@@ -49,10 +22,11 @@ class Pool2D(Layer):
         self.stride = stride
         self.pad = pad
         self.mode = mode
-        # cudnnPoolingBackward(y, dy, x) -> dx reads both x and y; we
-        # mirror that dependency model (the paper's l_peak = 4 tensors
-        # at the backward of a big POOL/LRN layer depends on it) even
-        # though our max kernel only *uses* x and avg uses neither.
+        # cudnnPoolingBackward(y, dy, x) -> dx reads both x and y, and
+        # so does our max kernel (it routes dy to where x == y); avg
+        # uses neither, but keeps the same dependency model (the
+        # paper's l_peak = 4 tensors at the backward of a big POOL/LRN
+        # layer depends on it).
         self.needs_inputs_in_backward = True
         self.needs_output_in_backward = True
 
@@ -62,47 +36,69 @@ class Pool2D(Layer):
         return pool2d_out_shape(in_shapes[0], self.kernel, self.stride,
                                 self.pad, ceil_mode=True)
 
-    def forward(self, inputs, ctx):
-        (x,) = inputs
+    def _padded_hw(self):
+        """Input extent once every ceil-mode window is fully in bounds."""
+        _, _, h, w = self.in_shapes[0]
         _, _, oh, ow = self.out_shape
-        fill = -np.inf if self.mode == "max" else 0.0
-        xp = _pad_for_windows(x, self.kernel, self.stride, self.pad, oh, ow, fill)
-        win = _windows(xp, self.kernel, self.stride, oh, ow)
-        if self.mode == "max":
-            out = win.max(axis=(4, 5))
-        else:
-            out = win.mean(axis=(4, 5))
-        return out.astype(np.float32, copy=False)
+        reach = self.kernel - self.stride
+        return (max(self.pad + h, oh * self.stride + reach),
+                max(self.pad + w, ow * self.stride + reach))
 
-    def backward(self, inputs, output, grad_out, ctx):
-        in_shape = self.in_shapes[0]
-        n, c, h, w = in_shape
+    def _padded(self, x: np.ndarray, fill: float) -> np.ndarray:
+        """``x`` inside a ``fill`` border of that extent; ``x`` itself
+        when no window leaves it."""
+        n, c, h, w = x.shape
+        hw = self._padded_hw()
+        if hw == (h, w):
+            return x
+        xp = np.full((n, c) + hw, fill, dtype=np.float32)
+        xp[:, :, self.pad:self.pad + h, self.pad:self.pad + w] = x
+        return xp
+
+    def _window_slices(self, xp: np.ndarray):
+        """The k*k strided (N, C, OH, OW) views of ``xp``: element
+        (i, j) of every window, in row-major window order."""
         _, _, oh, ow = self.out_shape
         k, s = self.kernel, self.stride
+        for i in range(k):
+            for j in range(k):
+                yield xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
+
+    def forward(self, inputs, ctx):
+        (x,) = inputs
         if self.mode == "max":
+            slices = self._window_slices(self._padded(x, -np.inf))
+            out = next(slices).astype(np.float32)
+            for sl in slices:
+                np.maximum(out, sl, out=out)
+            return out
+        out = np.zeros(x.shape[:2] + self.out_shape[2:], dtype=np.float32)
+        for sl in self._window_slices(self._padded(x, 0.0)):
+            out += sl
+        out /= self.kernel * self.kernel
+        return out
+
+    def backward(self, inputs, output, grad_out, ctx):
+        _, _, h, w = self.in_shapes[0]
+        pad = self.pad
+        dxp = np.zeros(grad_out.shape[:2] + self._padded_hw(),
+                       dtype=np.float32)
+        if self.mode == "max":
+            # dy goes to the first element, row-major in its window,
+            # that equals the window's max: argmax's tie rule
             (x,) = inputs
-            xp = _pad_for_windows(x, k, s, self.pad, oh, ow, -np.inf)
-            dxp = np.zeros_like(xp, dtype=np.float32)
-            win = _windows(xp, k, s, oh, ow).reshape(n, c, oh, ow, k * k)
-            arg = win.argmax(axis=4)
-            ki, kj = np.unravel_index(arg, (k, k))
-            oi = np.arange(oh)[None, None, :, None] * s
-            oj = np.arange(ow)[None, None, None, :] * s
-            rows = (oi + ki).ravel()
-            cols = (oj + kj).ravel()
-            ni = np.repeat(np.arange(n), c * oh * ow)
-            ci = np.tile(np.repeat(np.arange(c), oh * ow), n)
-            np.add.at(dxp, (ni, ci, rows, cols), grad_out.ravel())
+            taken = np.zeros(output.shape, dtype=bool)
+            for sl, dsl in zip(self._window_slices(self._padded(x, -np.inf)),
+                               self._window_slices(dxp)):
+                hit = np.greater(sl == output, taken)   # and not taken
+                taken |= hit
+                # a product, not a masked add: ~10x cheaper, and equal
+                # to it for every finite dy
+                dsl += grad_out * hit
         else:
-            bottom = max(0, (oh - 1) * s + k - (h + self.pad))
-            right = max(0, (ow - 1) * s + k - (w + self.pad))
-            dxp = np.zeros(
-                (n, c, self.pad + h + bottom, self.pad + w + right),
-                dtype=np.float32,
-            )
-            g = grad_out / (k * k)
-            for i in range(k):
-                for j in range(k):
-                    dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += g
-        dx = dxp[:, :, self.pad:self.pad + h, self.pad:self.pad + w]
-        return [np.ascontiguousarray(dx)], []
+            g = grad_out / (self.kernel * self.kernel)
+            for dsl in self._window_slices(dxp):
+                dsl += g
+        if dxp.shape[2:] == (h, w):
+            return [dxp], []
+        return [np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + w])], []

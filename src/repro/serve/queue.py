@@ -128,6 +128,12 @@ class InferenceRequest:
         self._lock = TracedLock("request")
         self._parts: List[Optional[np.ndarray]] = []
         self._remaining = 0
+        # the latest instant any part reported.  A worker reads its
+        # clock before it takes _lock, so the caller that completes the
+        # request may hold an older reading than a sibling slice that
+        # computed and delivered in between; the request is over when
+        # its last part is, not when its last *caller* looked.
+        self._last_report = float("-inf")
         # observability (repro.obs): the request's root span and its
         # queue-wait child, attached by the submit front door when the
         # tracer is armed.  Both close under _lock (deliver/fail/
@@ -166,6 +172,7 @@ class InferenceRequest:
                 return False     # already failed (or delivered): drop it
             self._parts[part_index] = rows
             self.versions.add(version)
+            self._last_report = now = max(self._last_report, now)
             self._remaining -= 1
             if self._remaining > 0:
                 return False
@@ -191,6 +198,7 @@ class InferenceRequest:
         with self._lock:
             if self.future.done():
                 return False
+            now = max(self._last_report, now)
             self.complete_time = now
             self.future.set_exception(exc)
             if self.queue_span is not None:

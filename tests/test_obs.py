@@ -20,6 +20,7 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -393,6 +394,34 @@ class TestServingSpans:
                   if s.name == "compute.slice"]
         assert len(slices) == 2
         assert sorted(s.attrs["part"] for s in slices) == [0, 1]
+
+    def test_four_worker_backlog_trace_validates(self, tmp_path):
+        # more workers than cores on a queued backlog, switching threads
+        # often: split requests' slices land on different workers, which
+        # report their clock readings out of order — every compute.slice
+        # must still sit inside its request's root span
+        sizes = [1, 2, 3, 4, 12, 20] * 40
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with obs_trace.capture() as tr:
+                server = InferenceServer(make_engine(batch=8), workers=4,
+                                         policy="greedy-fill",
+                                         max_wait=0.001)
+                for size in sizes:
+                    server.submit(size=size)
+                with server:
+                    assert server.drain(timeout=60)
+                    timelines = server.session_timelines()
+                completed, failed, shed = server.metrics.counts()
+        finally:
+            sys.setswitchinterval(interval)
+        assert (completed, failed, shed) == (len(sizes), 0, 0)
+        doc = export_chrome_trace(
+            tmp_path / "w4.json", tr, timelines=timelines,
+            counts={"completed": completed, "failed": failed,
+                    "shed": shed})
+        assert validate_trace(doc) == []
 
     def test_fleet_identity_and_export(self, tmp_path):
         with obs_trace.capture() as tr:

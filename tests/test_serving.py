@@ -19,6 +19,8 @@ import pytest
 
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
+from repro.obs.export import build_chrome_trace, validate_trace
+from repro.obs.trace import Tracer
 from repro.serve import (
     COALESCER_REGISTRY,
     DynamicBatcher,
@@ -171,6 +173,35 @@ class TestRequestQueue:
         q.close()
         with pytest.raises(RuntimeError, match="closed"):
             q.submit(size=1)
+
+    def _split_request(self):
+        """A traced two-part request whose part 1 (computed 1.2..2.0)
+        has already reported — the sibling slice that ran while the
+        worker holding part 0 had lost the interpreter lock."""
+        tracer = Tracer()
+        q = RequestQueue(clock=lambda: 0.0)
+        req = q.submit(size=12, span=tracer.root("request", start=0.0))
+        req.begin_dispatch(2)
+        req.mark_dispatched(0.5)
+        assert not req.deliver(1, None, version=0, now=2.0)
+        tracer.emit("compute.slice", start=1.2, end=2.0, parent=req.span)
+        return tracer, req
+
+    def test_completes_at_the_latest_part_not_the_last_caller(self):
+        # part 0's worker read its clock (t=1.0) before part 1 ran
+        tracer, req = self._split_request()
+        assert req.deliver(0, None, version=0, now=1.0)
+        tracer.emit("compute.slice", start=0.5, end=1.0, parent=req.span)
+        assert req.complete_time == 2.0
+        assert req.span.end == 2.0
+        assert validate_trace(build_chrome_trace(tracer)) == []
+
+    def test_fails_no_earlier_than_a_part_already_delivered(self):
+        tracer, req = self._split_request()
+        assert req.fail(RuntimeError("boom"), now=1.0)
+        assert req.complete_time == 2.0
+        assert (req.span.end, req.span.status) == (2.0, "error")
+        assert validate_trace(build_chrome_trace(tracer)) == []
 
 
 # ---------------------------------------------------------------- batcher
