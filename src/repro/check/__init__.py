@@ -83,6 +83,7 @@ _EXPORTS: Dict[str, str] = {
     "analyze_log": "race_detector",
     "run_parallel_scenario": "scenarios",
     "run_serving_scenario": "scenarios",
+    "run_saturated_scenario": "scenarios",
     # cost model + advisor
     "CostPrediction": "cost_model",
     "CostThresholds": "cost_model",

@@ -1,7 +1,7 @@
 """Instrumented stress scenarios the race sanitizer drives.
 
-Two scenarios cover the repo's two concurrency surfaces (``check race``
-on the CLI and the ``race-sanitizer`` CI job run both):
+Three scenarios cover the repo's concurrency surfaces (``check race``
+on the CLI and the CI ``checks`` matrix run them all):
 
 * :func:`run_parallel_scenario` — ``Engine.parallel_run`` over a mix of
   infer and simulated-train sessions (the PR 4 thread-per-session
@@ -9,11 +9,17 @@ on the CLI and the ``race-sanitizer`` CI job run both):
 * :func:`run_serving_scenario` — an :class:`InferenceServer` draining a
   Poisson-ish arrival trace of variable-sized requests while a *swap
   storm* exercises the ``swap_weights`` barrier against live workers
-  (the PR 5 queue/batcher/worker path).
+  (the PR 5 queue/batcher/worker path);
+* :func:`run_saturated_scenario` — the same server fed *closed
+  backlogs* (queued before the workers look), so the workers take
+  batch after batch straight off the ready deque without entering the
+  queue monitor, and every swap lands mid-drain.  The paced trace
+  above almost never leaves a second batch on the deque; this one is
+  what exercises the lock-free hand-off and its done -> idle edge.
 
 Each runs entirely under :func:`repro.check.instrument.capture` and
 returns ``(EventLog, info)`` for :func:`repro.check.race_detector.analyze_log`.
-Both are deterministic in their scheduling *surface* (seeded arrivals,
+All are deterministic in their scheduling *surface* (seeded arrivals,
 fixed request sizes), though the interleaving itself is the thread
 scheduler's — which is the point: the detector checks the
 happens-before structure, which must hold for every interleaving.
@@ -39,6 +45,14 @@ def _build(net: str, batch: int):
         raise KeyError(f"unknown network {net!r}; known: "
                        f"{sorted(NETWORK_BUILDERS)}") from None
     return builder(batch=batch)
+
+
+def _sim_infer_engine(net: str, batch: int):
+    """A simulated infer-only engine and a full-weights swap payload."""
+    engine = compile_engine(_build(net, batch),
+                            RuntimeConfig(concrete=False),
+                            modes=("infer",))
+    return engine, engine.snapshot_params()
 
 
 def run_parallel_scenario(net: str = "lenet", sessions: int = 4,
@@ -98,10 +112,7 @@ def run_serving_scenario(net: str = "lenet", workers: int = 3,
     rng = random.Random(seed)
     swap_every = max(1, requests // (swaps + 1)) if swaps else 0
     with capture(limit=limit) as log:
-        cfg = RuntimeConfig(concrete=False)
-        engine = compile_engine(_build(net, batch), cfg,
-                                modes=("infer",))
-        payload = engine.snapshot_params()
+        engine, payload = _sim_infer_engine(net, batch)
         done_swaps = 0
         with InferenceServer(engine, workers=workers,
                              max_wait=max_wait) as server:
@@ -122,6 +133,55 @@ def run_serving_scenario(net: str = "lenet", workers: int = 3,
         "workers": workers,
         "requests": requests,
         "swaps": done_swaps,
+        "weights_version": engine.weights_version,
+        "events": len(log),
+    }
+    return log, info
+
+
+def run_saturated_scenario(net: str = "lenet", workers: int = 4,
+                           requests: int = 240, swaps: int = 3,
+                           batch: int = 8, max_wait: float = 0.001,
+                           seed: int = 0, limit: Optional[int] = None,
+                           ) -> Tuple[EventLog, Dict]:
+    """Saturated serving: closed backlogs + mid-drain swaps, instrumented.
+
+    ``requests`` variable-sized simulated requests (the serving
+    scenario's sizes, so some split) arrive in ``swaps + 1`` equal
+    waves.  The first wave is queued before ``start()``; each later one
+    is submitted in one burst right after a swap.  Every swap
+    is called once the middle request of the wave in flight is done, so
+    its barrier has to wait out batches that workers popped without
+    ever taking the queue monitor.  That request is polled, not waited
+    on: a future's event would itself order its worker's reads before
+    the swap and hide a missing done -> idle edge.
+    """
+    rng = random.Random(seed)
+    wave = max(1, requests // (swaps + 1))
+    with capture(limit=limit) as log:
+        engine, payload = _sim_infer_engine(net, batch)
+        server = InferenceServer(engine, workers=workers,
+                                 policy="greedy-fill", max_wait=max_wait)
+
+        def submit_wave():
+            return [server.submit(size=1 + rng.randrange(2 * batch))
+                    for _ in range(wave)]
+
+        futures = submit_wave()
+        with server:
+            for _ in range(swaps):
+                while not futures[-wave // 2].done():
+                    time.sleep(0.0002)
+                server.swap_weights(payload, timeout=120)
+                futures += submit_wave()
+            for f in futures:
+                f.result(timeout=120)
+    info = {
+        "scenario": "saturated",
+        "net": net,
+        "workers": workers,
+        "requests": len(futures),
+        "swaps": swaps,
         "weights_version": engine.weights_version,
         "events": len(log),
     }

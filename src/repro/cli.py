@@ -592,29 +592,33 @@ def cmd_check_race(args) -> int:
     """Run the instrumented stress scenarios under the race detector."""
     from repro.check import CheckReport, analyze_log
     from repro.check.scenarios import (
-        run_parallel_scenario, run_serving_scenario)
+        run_parallel_scenario, run_saturated_scenario,
+        run_serving_scenario)
 
+    net = _net_name(args)
+    serving = dict(net=net, requests=args.requests, swaps=args.swaps,
+                   batch=args.batch, seed=args.seed, limit=args.limit)
+    scenarios = {
+        "parallel": lambda: run_parallel_scenario(
+            net=net, sessions=args.sessions, iters=args.iters,
+            batch=args.batch, limit=args.limit),
+        "serving": lambda: run_serving_scenario(
+            workers=args.workers, **serving),
+        "saturated": lambda: run_saturated_scenario(**serving),
+    }
     report = CheckReport(tool="race-detector")
-    if args.scenario in ("parallel", "all"):
-        log, info = run_parallel_scenario(
-            net=_net_name(args), sessions=args.sessions,
-            iters=args.iters, batch=args.batch, limit=args.limit)
-        sub = analyze_log(log, target="parallel")
+    for name, run in scenarios.items():
+        if args.scenario not in (name, "all"):
+            continue
+        log, info = run()
+        sub = analyze_log(log, target=name)
         report.checked.extend(sub.checked)
         report.extend(sub.diagnostics)
-        print(f"parallel scenario: {info['sessions']} sessions x "
-              f"{info['iters']} iters, {info['events']} events")
-    if args.scenario in ("serving", "all"):
-        log, info = run_serving_scenario(
-            net=_net_name(args), workers=args.workers,
-            requests=args.requests, swaps=args.swaps,
-            batch=args.batch, seed=args.seed, limit=args.limit)
-        sub = analyze_log(log, target="serving")
-        report.checked.extend(sub.checked)
-        report.extend(sub.diagnostics)
-        print(f"serving scenario: {info['workers']} workers, "
-              f"{info['requests']} requests, {info['swaps']} swaps, "
-              f"{info['events']} events")
+        shape = f"{info['sessions']} sessions x {info['iters']} iters" \
+            if name == "parallel" \
+            else (f"{info['workers']} workers, {info['requests']} "
+                  f"requests, {info['swaps']} swaps")
+        print(f"{name} scenario: {shape}, {info['events']} events")
     return _emit_report(report, args)
 
 
@@ -839,7 +843,8 @@ def main(argv=None) -> int:
         "race",
         help="happens-before race/deadlock detection over instrumented "
              "stress scenarios")
-    cr.add_argument("--scenario", choices=("parallel", "serving", "all"),
+    cr.add_argument("--scenario",
+                    choices=("parallel", "serving", "saturated", "all"),
                     default="all")
     cr.add_argument("--net", choices=sorted(NETWORK_BUILDERS),
                     default="lenet",
@@ -853,11 +858,13 @@ def main(argv=None) -> int:
     cr.add_argument("--workers", type=int, default=3,
                     help="serving scenario: worker sessions")
     cr.add_argument("--requests", type=int, default=60,
-                    help="serving scenario: trace length in requests")
+                    help="serving + saturated scenarios: trace length "
+                         "in requests")
     cr.add_argument("--swaps", type=int, default=3,
-                    help="serving scenario: mid-trace weight hot-swaps")
+                    help="serving + saturated scenarios: mid-trace "
+                         "weight hot-swaps")
     cr.add_argument("--seed", type=int, default=0,
-                    help="serving scenario: arrival trace rng seed")
+                    help="serving + saturated scenarios: trace rng seed")
     cr.add_argument("--limit", type=int, default=None,
                     help="event-log capacity; overflow truncates the "
                          "trace and reports RACE005 (warning); default "

@@ -31,6 +31,7 @@ straddles a weights install.
 
 from __future__ import annotations
 
+from collections import deque
 from time import monotonic
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
@@ -278,8 +279,26 @@ class DynamicBatcher:
     ready queue is empty runs one *assembly round* — snapshot the
     backlog (waiting out ``max_wait`` from the oldest request if the
     backlog cannot yet fill one batch), plan it through the coalescing
-    policy, and publish every resulting batch atomically.  All
-    synchronization rides the queue's single condition variable.
+    policy, and publish every resulting batch atomically.
+
+    The hand-off keeps the queue monitor off the per-batch path (four
+    workers entering it twice per batch convoy behind each other: a
+    lock hands ownership to a sleeper that must then win the GIL).
+    Three invariants carry the barriers across that:
+
+    * **atomic publish per round** — a round runs under the monitor
+      and its batches enter ``_ready`` in one ``extend``; workers take
+      them with ``popleft()`` *outside* the monitor and enter it only
+      when the deque is empty, to assemble or to wait;
+    * **exact outstanding** — a finished batch comes back as a token
+      on ``_done`` (``deque.append`` is atomic, so no update is ever
+      lost); whoever next holds the monitor consumes the tokens into
+      ``_outstanding``, which only the monitor touches;
+    * **register, then recheck** — a barrier counts itself into
+      ``_waiters`` under the monitor *before* it reads the tokens, and
+      :meth:`mark_done` appends its token *before* it reads
+      ``_waiters``; so a worker either sees the waiter and notifies
+      under the monitor, or its token was there when the waiter looked.
 
     ``pause``/``resume`` gate *assembly only*: already-published
     batches keep flowing to workers, which is exactly the drain the
@@ -300,8 +319,11 @@ class DynamicBatcher:
         self.max_wait = max_wait
         self.clock = clock
         self._cond = queue.cond         # ONE monitor with the queue
-        self._ready: List[AssembledBatch] = []
-        self._outstanding = 0           # popped, not yet mark_done
+        self._ready: deque = deque()    # published, not yet taken
+        self._done: deque = deque()     # one token per finished batch
+        self._outstanding = 0           # published, not yet seen done
+        self._waiters = 0               # barriers inside _wait_until
+        self._done_token = f"batches-done:{id(self)}"
         self._paused = False
         self._shutdown = False
         self._next_batch_id = 0
@@ -311,21 +333,35 @@ class DynamicBatcher:
     def next_batch(self, timeout: Optional[float] = None
                    ) -> Optional[AssembledBatch]:
         """The next ready batch; blocks up to ``timeout`` (forever when
-        None).  Returns ``None`` on timeout or shutdown.  Popping a
-        batch marks it outstanding — the worker MUST call
+        None).  Returns ``None`` on timeout or shutdown.  A batch is
+        outstanding from its publication on — the worker MUST call
         :meth:`mark_done` when its step (and output scatter) finished.
         """
+        if self._shutdown:
+            return None
+        try:
+            batch = self._ready.popleft()
+        except IndexError:
+            batch = self._assemble_or_wait(timeout)
+            if batch is None:
+                return None
+        channel_recv(f"batch:{id(self)}:{batch.batch_id}", "batcher.pop")
+        return batch
+
+    def _assemble_or_wait(self, timeout: Optional[float]
+                          ) -> Optional[AssembledBatch]:
+        """The empty-deque path, under the monitor: run an assembly
+        round when the backlog is due, else wait for one."""
         deadline = None if timeout is None else self.clock() + timeout
         with self._cond:
             while True:
                 if self._shutdown:
                     return None
-                if self._ready:
-                    self._outstanding += 1
-                    batch = self._ready.pop(0)
-                    channel_recv(f"batch:{id(self)}:{batch.batch_id}",
-                                 "batcher.pop")
-                    return batch
+                try:    # other workers keep popping outside the monitor
+                    return self._ready.popleft()
+                except IndexError:
+                    pass
+                self._settle()          # keeps _done short
                 wait = None if deadline is None \
                     else deadline - self.clock()
                 if wait is not None and wait <= 0:
@@ -339,11 +375,25 @@ class DynamicBatcher:
                 self._cond.wait(wait)
 
     def mark_done(self, batch: AssembledBatch) -> None:
-        with self._cond:
-            self._outstanding -= 1
-            self._cond.notify_all()
+        # the edge a barrier joins where it observes idle: everything
+        # this worker did for the batch (its reads of the engine's
+        # weights above all) happens-before what the barrier does next
+        channel_send(self._done_token, "batcher.done")
+        self._done.append(batch.batch_id)
+        if self._waiters:
+            with self._cond:
+                self._cond.notify_all()
 
     # -- assembly (caller holds the monitor) ------------------------------
+    def _settle(self) -> int:
+        """Consume the done tokens; the batches still outstanding."""
+        done = self._done
+        finished = len(done)
+        for _ in range(finished):
+            done.popleft()
+        self._outstanding -= finished
+        return self._outstanding
+
     def _assembly_hold(self) -> float:
         """Seconds to keep holding before assembling: 0 when the backlog
         fills a batch, the queue is closed, or the oldest request has
@@ -367,14 +417,18 @@ class DynamicBatcher:
                     slice_counts.get(s.request.request_id, 0) + 1
         for req in pending:
             req.begin_dispatch(slice_counts.get(req.request_id, 0))
+        batches = []
         for plan in plans:
-            self._ready.append(AssembledBatch(
+            batches.append(AssembledBatch(
                 self._next_batch_id, self.capacity, plan, now))
             # the batch hand-off edge: the assembling thread's work
             # happens-before the worker that pops this batch
             channel_send(f"batch:{id(self)}:{self._next_batch_id}",
                          "batcher.publish")
             self._next_batch_id += 1
+        # counted before they can be taken, and visible all at once
+        self._outstanding += len(batches)
+        self._ready.extend(batches)
         self.batches_assembled += len(plans)
         tracer = obs_trace.ACTIVE
         if tracer is not None:
@@ -402,34 +456,39 @@ class DynamicBatcher:
             self._paused = False
             self._cond.notify_all()
 
+    def _wait_until(self, settled: Callable[[], bool],
+                    timeout: Optional[float]) -> bool:
+        """Block until ``settled()`` holds under the monitor; False on
+        timeout.  Registers as a waiter first, so from here on every
+        :meth:`mark_done` notifies."""
+        deadline = None if timeout is None else self.clock() + timeout
+        with self._cond:
+            self._waiters += 1
+            try:
+                while not settled():
+                    wait = None if deadline is None \
+                        else deadline - self.clock()
+                    if wait is not None and wait <= 0:
+                        return False
+                    self._cond.wait(wait)
+                channel_recv(self._done_token, "batcher.idle")
+                return True
+            finally:
+                self._waiters -= 1
+
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until no batch is ready or outstanding (with assembly
         paused this is the swap barrier: every started request has
         fully completed).  False on timeout."""
-        deadline = None if timeout is None else self.clock() + timeout
-        with self._cond:
-            while self._ready or self._outstanding:
-                wait = None if deadline is None \
-                    else deadline - self.clock()
-                if wait is not None and wait <= 0:
-                    return False
-                self._cond.wait(wait)
-            return True
+        return self._wait_until(lambda: not self._settle(), timeout)
 
     def wait_drained(self, timeout: Optional[float] = None) -> bool:
         """Like :meth:`wait_idle` but also requires an empty request
         queue — the graceful-shutdown barrier.  Assembly must still be
         running (not paused), or a non-empty backlog never drains."""
-        deadline = None if timeout is None else self.clock() + timeout
-        with self._cond:
-            while self.queue.pending_count() or self._ready \
-                    or self._outstanding:
-                wait = None if deadline is None \
-                    else deadline - self.clock()
-                if wait is not None and wait <= 0:
-                    return False
-                self._cond.wait(wait)
-            return True
+        return self._wait_until(
+            lambda: not (self.queue.pending_count() or self._settle()),
+            timeout)
 
     def shutdown(self) -> None:
         """Wake every blocked worker with ``None``."""
@@ -447,9 +506,16 @@ class DynamicBatcher:
     def drain_ready(self) -> List[AssembledBatch]:
         """Remove and return batches that will never run (post-shutdown
         cleanup; the server fails their requests loudly)."""
+        abandoned = []
         with self._cond:
-            ready, self._ready = self._ready, []
-            return ready
+            while True:
+                try:
+                    abandoned.append(self._ready.popleft())
+                except IndexError:
+                    break
+            self._outstanding -= len(abandoned)
+            self._cond.notify_all()
+        return abandoned
 
     def describe(self) -> str:
         return (f"DynamicBatcher(capacity={self.capacity}, "

@@ -1,8 +1,10 @@
 """Serving metrics: latency, fill, padding waste, throughput, SLOs.
 
-Collected under one lock from every worker thread and exported via
-``to_dict`` exactly like :class:`~repro.core.runtime.IterationResult`
-— the CLI, the benchmark gate and the tests all read the same dict.
+Each worker thread records into a private shard, once per batch; every
+reader folds the shards into the totals under the one ``serve.metrics``
+lock and exports via ``to_dict`` exactly like
+:class:`~repro.core.runtime.IterationResult` — the CLI, the benchmark
+gate and the tests all read the same dict.
 
 Latency decomposes the way the request actually spends it:
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from time import monotonic
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -52,37 +54,132 @@ def _stats_ms(samples) -> Dict[str, float]:
     }
 
 
+class _Tally:
+    """Request/batch counters plus latency windows: a server's totals,
+    and each shard's share of them not yet folded in."""
+
+    COUNTERS = ("completed", "failed", "samples", "batches", "rows",
+                "padded_rows", "split_slices")
+
+    def __init__(self) -> None:
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+        self.compute_seconds = 0.0
+        # per priority class: completed/failed counts + latencies
+        self.class_completed: Dict[str, int] = dict.fromkeys(PRIORITIES, 0)
+        self.class_failed: Dict[str, int] = dict.fromkeys(PRIORITIES, 0)
+        self.latency: Dict[str, deque] = {
+            k: deque(maxlen=LATENCY_WINDOW)
+            for k in ("total", "queue", "compute", "failed")}
+        self.class_latency: Dict[str, deque] = {
+            c: deque(maxlen=LATENCY_WINDOW) for c in PRIORITIES}
+
+    @property
+    def fill_ratio(self) -> float:
+        total = self.rows + self.padded_rows
+        return self.rows / total if total else 0.0
+
+    def add_step(self, batch: Optional[AssembledBatch], seconds: float,
+                 completed: Sequence[InferenceRequest]) -> None:
+        if batch is not None:
+            self.batches += 1
+            self.rows += batch.fill
+            self.padded_rows += batch.padding
+            self.split_slices += sum(
+                1 for s in batch.slices if s.rows != s.request.size)
+            self.compute_seconds += seconds
+        latency = self.latency
+        for req in completed:
+            self.completed += 1
+            self.samples += req.size
+            self.class_completed[req.priority] += 1
+            if req.dispatch_time is not None:
+                latency["queue"].append(
+                    req.dispatch_time - req.enqueue_time)
+                if req.complete_time is not None:
+                    latency["compute"].append(
+                        req.complete_time - req.dispatch_time)
+            if req.complete_time is not None:
+                total = req.complete_time - req.enqueue_time
+                latency["total"].append(total)
+                self.class_latency[req.priority].append(total)
+
+    def add_failure(self, req: InferenceRequest) -> None:
+        self.failed += 1
+        self.class_failed[req.priority] += 1
+        if req.complete_time is not None:
+            self.latency["failed"].append(
+                req.complete_time - req.enqueue_time)
+
+    def absorb(self, other: "_Tally") -> None:
+        """Move everything ``other`` holds into this tally."""
+        for name in self.COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+            setattr(other, name, 0)
+        self.compute_seconds += other.compute_seconds
+        other.compute_seconds = 0.0
+        for mine, theirs in ((self.class_completed, other.class_completed),
+                             (self.class_failed, other.class_failed)):
+            for c in PRIORITIES:
+                mine[c] += theirs[c]
+                theirs[c] = 0
+        for mine, theirs in ((self.latency, other.latency),
+                             (self.class_latency, other.class_latency)):
+            for key, window in theirs.items():
+                mine[key].extend(window)
+                window.clear()
+
+
+class MetricsShard:
+    """One worker's private share of a :class:`ServerMetrics`.
+
+    The worker writes it once per batch under a lock nobody else
+    contends for on that path; readers of the owning metrics move what
+    it holds into the totals (lock order metrics -> shard).  The shard
+    holds only what no reader has folded yet, so the 65,536-sample
+    windows exist once, in the totals.
+    """
+
+    def __init__(self) -> None:
+        self._lock = TracedLock("serve.metrics.shard")
+        self._tally = _Tally()
+
+    def record_step(self, batch: Optional[AssembledBatch], seconds: float,
+                    completed: Sequence[InferenceRequest],
+                    failed: Sequence[InferenceRequest] = ()) -> None:
+        """One engine step and the requests it resolved: ``completed``
+        are the ones its deliveries finished, ``failed`` the ones it
+        failed.  ``batch`` is ``None`` for a step that raised — what it
+        resolved still counts, exactly once; the step itself does not.
+        """
+        with self._lock:
+            trace_write(self, "serve.metrics.shard")
+            self._tally.add_step(batch, seconds, completed)
+            for req in failed:
+                self._tally.add_failure(req)
+
+
 class ServerMetrics:
-    """Thread-safe serving counters + distributions."""
+    """Thread-safe serving counters + distributions.
+
+    Workers record into private :class:`MetricsShard` s (:meth:`shard`);
+    everything off the worker path (sheds, swaps, the failures ``stop``
+    hands out) records straight into the totals under ``serve.metrics``.
+    Every reader folds the shards in first, so what it reads is what one
+    shared lock would have collected.
+    """
 
     def __init__(self, clock: Callable[[], float] = monotonic):
         self.clock = clock
         self._lock = TracedLock("serve.metrics")
         self._started_at: Optional[float] = None
         self._stopped_at: Optional[float] = None
-        # requests
-        self.completed = 0
-        self.failed = 0
+        self._total = _Tally()
+        self._shards: List[MetricsShard] = []
+        # admission sheds: never on a worker's path
         self.shed = 0
-        self.samples = 0
         self.shed_samples = 0
-        self._queue_lat: deque = deque(maxlen=LATENCY_WINDOW)
-        self._compute_lat: deque = deque(maxlen=LATENCY_WINDOW)
-        self._total_lat: deque = deque(maxlen=LATENCY_WINDOW)
-        self._failed_lat: deque = deque(maxlen=LATENCY_WINDOW)
-        # per priority class: completed/failed/shed counts + latencies
-        self._class_completed: Dict[str, int] = \
-            {c: 0 for c in PRIORITIES}
-        self._class_failed: Dict[str, int] = {c: 0 for c in PRIORITIES}
-        self._class_shed: Dict[str, int] = {c: 0 for c in PRIORITIES}
-        self._class_lat: Dict[str, deque] = \
-            {c: deque(maxlen=LATENCY_WINDOW) for c in PRIORITIES}
-        # batches
-        self.batches = 0
-        self.rows = 0
-        self.padded_rows = 0
-        self.split_slices = 0
-        self._compute_seconds = 0.0
+        self._class_shed: Dict[str, int] = dict.fromkeys(PRIORITIES, 0)
         # weight swaps
         self.swaps = 0
         self.weights_version = 0
@@ -96,42 +193,17 @@ class ServerMetrics:
         with self._lock:
             self._stopped_at = self.clock()
 
-    def record_batch(self, batch: AssembledBatch,
-                     compute_seconds: float) -> None:
+    def shard(self) -> MetricsShard:
+        """A new private shard for one worker thread."""
+        shard = MetricsShard()
         with self._lock:
-            trace_write(self, "serve.metrics.counters")
-            self.batches += 1
-            self.rows += batch.fill
-            self.padded_rows += batch.padding
-            self.split_slices += sum(
-                1 for s in batch.slices if s.rows != s.request.size)
-            self._compute_seconds += compute_seconds
-
-    def record_request(self, req: InferenceRequest) -> None:
-        with self._lock:
-            trace_write(self, "serve.metrics.counters")
-            self.completed += 1
-            self.samples += req.size
-            self._class_completed[req.priority] += 1
-            if req.dispatch_time is not None:
-                self._queue_lat.append(
-                    req.dispatch_time - req.enqueue_time)
-                if req.complete_time is not None:
-                    self._compute_lat.append(
-                        req.complete_time - req.dispatch_time)
-            if req.complete_time is not None:
-                total = req.complete_time - req.enqueue_time
-                self._total_lat.append(total)
-                self._class_lat[req.priority].append(total)
+            self._shards.append(shard)
+        return shard
 
     def record_failure(self, req: InferenceRequest) -> None:
         with self._lock:
             trace_write(self, "serve.metrics.counters")
-            self.failed += 1
-            self._class_failed[req.priority] += 1
-            if req.complete_time is not None:
-                self._failed_lat.append(
-                    req.complete_time - req.enqueue_time)
+            self._total.add_failure(req)
 
     def record_shed(self, samples: int, priority: str = "normal") -> None:
         """A request of ``samples`` rows was rejected at admission."""
@@ -149,16 +221,23 @@ class ServerMetrics:
             self.weights_version = version
 
     # -- export -----------------------------------------------------------
+    def _folded(self) -> _Tally:
+        """The totals with every shard folded in (caller holds
+        ``_lock``; each shard's lock nests inside it)."""
+        trace_write(self, "serve.metrics.counters")
+        total = self._total
+        for shard in self._shards:
+            with shard._lock:
+                trace_write(shard, "serve.metrics.shard")
+                total.absorb(shard._tally)
+        return total
+
     def _elapsed_unlocked(self) -> float:
         if self._started_at is None:
             return 0.0
         end = self._stopped_at if self._stopped_at is not None \
             else self.clock()
         return max(end - self._started_at, 0.0)
-
-    def _fill_ratio_unlocked(self) -> float:
-        total = self.rows + self.padded_rows
-        return self.rows / total if total else 0.0
 
     @property
     def elapsed(self) -> float:
@@ -173,82 +252,77 @@ class ServerMetrics:
     @property
     def fill_ratio(self) -> float:
         with self._lock:
-            trace_read(self, "serve.metrics.counters")
-            return self._fill_ratio_unlocked()
+            return self._folded().fill_ratio
 
     def p95_latency(self) -> float:
         """Seconds; 0 when nothing completed yet."""
         with self._lock:
-            trace_read(self, "serve.metrics.counters")
-            if not self._total_lat:
+            window = self._folded().latency["total"]
+            if not window:
                 return 0.0
-            return float(np.percentile(np.asarray(self._total_lat), 95))
+            return float(np.percentile(np.asarray(window), 95))
 
     def counts(self) -> tuple:
         """One consistent ``(completed, failed, shed)`` snapshot."""
         with self._lock:
-            trace_read(self, "serve.metrics.counters")
-            return self.completed, self.failed, self.shed
+            t = self._folded()
+            return t.completed, t.failed, self.shed
 
     def latency_snapshot(self) -> Dict[str, list]:
         """Copies of the raw latency windows (seconds) — what
         :class:`FleetMetrics` merges across engines so fleet-wide
         percentiles come from samples, not averaged percentiles."""
         with self._lock:
-            trace_read(self, "serve.metrics.counters")
-            return {
-                "total": list(self._total_lat),
-                "queue": list(self._queue_lat),
-                "compute": list(self._compute_lat),
-                "failed": list(self._failed_lat),
-                "classes": {c: list(d)
-                            for c, d in self._class_lat.items()},
-            }
+            t = self._folded()
+            snap = {k: list(d) for k, d in t.latency.items()}
+            snap["classes"] = {c: list(d)
+                               for c, d in t.class_latency.items()}
+            return snap
 
     def to_dict(self) -> dict:
         """JSON-serializable summary (the ``IterationResult.to_dict``
         contract: one flat dict the CLI/benchmarks print or gate on)."""
         with self._lock:
-            trace_read(self, "serve.metrics.counters")
+            t = self._folded()
             elapsed = self._elapsed_unlocked()
-            offered = self.completed + self.failed + self.shed
+            offered = t.completed + t.failed + self.shed
             return {
                 "requests": {
-                    "completed": self.completed,
-                    "failed": self.failed,
+                    "completed": t.completed,
+                    "failed": t.failed,
                     "shed": self.shed,
-                    "samples": self.samples,
+                    "samples": t.samples,
                     "shed_samples": self.shed_samples,
                     "shed_rate":
                         self.shed / offered if offered else 0.0,
-                    "latency_ms": _stats_ms(self._total_lat),
-                    "queue_ms": _stats_ms(self._queue_lat),
-                    "compute_ms": _stats_ms(self._compute_lat),
-                    "failed_ms": _stats_ms(self._failed_lat),
+                    "latency_ms": _stats_ms(t.latency["total"]),
+                    "queue_ms": _stats_ms(t.latency["queue"]),
+                    "compute_ms": _stats_ms(t.latency["compute"]),
+                    "failed_ms": _stats_ms(t.latency["failed"]),
                 },
                 "classes": {
                     c: {
-                        "completed": self._class_completed[c],
-                        "failed": self._class_failed[c],
+                        "completed": t.class_completed[c],
+                        "failed": t.class_failed[c],
                         "shed": self._class_shed[c],
-                        "latency_ms": _stats_ms(self._class_lat[c]),
+                        "latency_ms": _stats_ms(t.class_latency[c]),
                     }
                     for c in PRIORITIES
                 },
                 "batches": {
-                    "count": self.batches,
-                    "rows": self.rows,
-                    "padded_rows": self.padded_rows,
-                    "fill_ratio": self._fill_ratio_unlocked(),
-                    "split_slices": self.split_slices,
-                    "compute_seconds": self._compute_seconds,
+                    "count": t.batches,
+                    "rows": t.rows,
+                    "padded_rows": t.padded_rows,
+                    "fill_ratio": t.fill_ratio,
+                    "split_slices": t.split_slices,
+                    "compute_seconds": t.compute_seconds,
                 },
                 "throughput": {
                     "elapsed_seconds": elapsed,
                     "requests_per_second":
-                        self.completed / elapsed if elapsed else 0.0,
+                        t.completed / elapsed if elapsed else 0.0,
                     "samples_per_second":
-                        self.samples / elapsed if elapsed else 0.0,
+                        t.samples / elapsed if elapsed else 0.0,
                 },
                 "swaps": {
                     "count": self.swaps,

@@ -233,6 +233,7 @@ class RequestQueue:
         self.clock = clock
         self.cond = TracedCondition("serve.queue")
         self._items: deque = deque()
+        self._rows = 0          # sample rows in _items, kept under cond
         self._next_id = 0
         self._closed = False
         self.submitted = 0
@@ -280,6 +281,7 @@ class RequestQueue:
                                             start=req.enqueue_time)
             self._next_id += 1
             self._items.append(req)
+            self._rows += size
             self.submitted += 1
             # the queue hand-off edge: everything the submitter did
             # happens-before the assembly round that takes this request
@@ -306,7 +308,7 @@ class RequestQueue:
         return len(self._items)
 
     def pending_rows(self) -> int:
-        return sum(r.size for r in self._items)
+        return self._rows
 
     def oldest_enqueue_time(self) -> Optional[float]:
         return self._items[0].enqueue_time if self._items else None
@@ -315,6 +317,7 @@ class RequestQueue:
         """Remove and return the whole backlog (an assembly round)."""
         items = list(self._items)
         self._items.clear()
+        self._rows = 0
         for r in items:
             channel_recv(f"req:{r.request_id}", "queue.take")
         return items

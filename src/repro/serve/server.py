@@ -133,7 +133,7 @@ class InferenceServer:
         # output batch — retaining them would grow without limit
         session = self.engine.session(mode="infer").with_history(0)
         thread = TracedThread(
-            target=self._worker_loop, args=(session,),
+            target=self._worker_loop, args=(session, self.metrics.shard()),
             name=f"repro-serve-{self._worker_seq}", daemon=True)
         self._worker_seq += 1
         self._alive += 1
@@ -380,7 +380,7 @@ class InferenceServer:
                 f"weights v{self.engine.weights_version})")
 
     # -------------------------------------------------------------- workers
-    def _worker_loop(self, session) -> None:
+    def _worker_loop(self, session, shard) -> None:
         concrete = self.engine.config.concrete
         input_shape = self.engine.input_shape
         autoscaling = self.max_workers > self.min_workers
@@ -407,6 +407,8 @@ class InferenceServer:
             trace_read(self.engine, "engine.weights_version")
             trace_read(self.engine, "engine.params")
             version = self.engine.weights_version
+            completed, failed = [], []
+            stepped, dt = None, 0.0
             try:
                 feed = batch.build_feed(input_shape) if concrete else None
                 t0 = self.clock()
@@ -420,7 +422,7 @@ class InferenceServer:
                     rows = None if out is None else \
                         np.array(out[s.row_offset:s.row_offset + s.rows])
                     if s.request.deliver(s.part_index, rows, version, now):
-                        self.metrics.record_request(s.request)
+                        completed.append(s.request)
                     if s.request.span is not None:
                         # one compute span per slice, in the request's
                         # own tree (split requests show every ride)
@@ -433,19 +435,25 @@ class InferenceServer:
                                    "fill": batch.fill,
                                    "padding": batch.padding,
                                    "version": version})
-                self.metrics.record_batch(batch, dt)
+                stepped = batch
             except BaseException as exc:
+                # what the step already delivered stays completed; the
+                # rest fails, each request exactly once
                 now = self.clock()
-                failed = []
                 for s in batch.slices:
                     if s.request.fail(exc, now):
-                        self.metrics.record_failure(s.request)
-                        failed.append(s.request.request_id)
+                        failed.append(s.request)
                 RECORDER.note("worker.exception",
                               f"{type(exc).__name__}: {exc}",
                               engine=self.engine.net.name,
-                              batch=batch.batch_id, requests=failed)
+                              batch=batch.batch_id,
+                              requests=[r.request_id for r in failed])
                 RECORDER.dump("worker-exception")
             finally:
-                self.batcher.mark_done(batch)
+                # one shard write per batch, then the batch is done: a
+                # barrier that sees it done sees its requests counted
+                try:
+                    shard.record_step(stepped, dt, completed, failed)
+                finally:
+                    self.batcher.mark_done(batch)
             iteration += 1

@@ -457,6 +457,82 @@ def test_serving_scenario_with_swap_storm_clean():
     assert "engine.weights_version" in labels
 
 
+def test_saturated_scenario_clean():
+    """Closed backlogs, 4 workers, swaps landing mid-drain: workers take
+    most batches off the ready deque without entering the monitor, so
+    the barrier's proof rests on the hand-off's own edges."""
+    from repro.check.scenarios import run_saturated_scenario
+
+    log, info = run_saturated_scenario(requests=120, swaps=3)
+    report = analyze_log(log, target="saturated")
+    assert report.ok, report.render()
+    assert not report.warnings
+    assert (info["workers"], info["swaps"]) == (4, 3)
+    assert info["weights_version"] == 3
+    pops = sum(e.label == "batcher.pop" for e in log.events)
+    entries = sum(e.kind == "acquire" and e.label == "serve.queue"
+                  and e.thread.startswith("repro-serve-")
+                  for e in log.events)
+    dones = sum(e.label == "batcher.done" for e in log.events)
+    assert dones == pops > 50
+    # the locked pop entered twice per batch; were that still so, this
+    # scenario would not be exercising the lock-free path at all
+    assert entries < 2 * pops
+
+
+def _lock_free_batch_then_install(batcher, engine_like):
+    """A worker takes a batch, reads the weights and marks it done with
+    nobody registered (so ``mark_done`` never enters the monitor); then
+    the swapper finds the batcher idle at once and installs.  Raw
+    events order the two without leaving an edge in the log."""
+    marked = threading.Event()
+
+    def worker():
+        batch = batcher.next_batch(timeout=10.0)
+        trace_read(engine_like, "engine.params")
+        batcher.mark_done(batch)
+        marked.set()
+
+    t = threading.Thread(target=worker, name="fixture-worker")
+    t.start()
+    assert marked.wait(10)
+    assert batcher.wait_idle(timeout=0.0)
+    with TracedLock("engine.compile"):
+        trace_write(engine_like, "engine.params")
+    t.join(10)
+
+
+def test_done_to_idle_edge_orders_a_lock_free_batch_before_the_install():
+    from repro.serve import DynamicBatcher, RequestQueue
+
+    owner = object()
+    with capture() as log:
+        q = RequestQueue()
+        q.submit(size=8)
+        _lock_free_batch_then_install(
+            DynamicBatcher(q, 8, max_wait=0.0), owner)
+    assert analyze_log(log).ok
+
+
+def test_without_the_done_edge_the_install_is_a_race(monkeypatch):
+    """The same run with ``mark_done``'s send muted: the worker's last
+    monitor exit precedes its read, so nothing orders the read before
+    the install — the sanitizer has to say so."""
+    from repro.serve import DynamicBatcher, RequestQueue, batcher
+
+    monkeypatch.setattr(
+        batcher, "channel_send",
+        lambda token, label="chan": None if label == "batcher.done"
+        else channel_send(token, label))
+    owner = object()
+    with capture() as log:
+        q = RequestQueue()
+        q.submit(size=8)
+        _lock_free_batch_then_install(
+            DynamicBatcher(q, 8, max_wait=0.0), owner)
+    assert _rules(analyze_log(log)) == ["RACE001"]
+
+
 def test_inverted_swap_barrier_would_be_caught():
     """If swap_weights took the queue monitor first and the swap lock
     inside it while workers nest the other way, the detector flags the

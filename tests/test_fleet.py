@@ -75,7 +75,7 @@ class TestFailedSplitDoubleCount:
         assert req.future.result(timeout=0) is None
         assert req.complete_time == 1.0
 
-    def test_server_counts_failed_split_once(self):
+    def test_server_counts_failed_split_once(self, monkeypatch):
         """Server-level regression: request R splits across two batches;
         the first batch fails R after delivering slice 0, the second
         still carries slice 1.  Buggy accounting completed AND failed R
@@ -84,16 +84,17 @@ class TestFailedSplitDoubleCount:
         eng = make_engine(batch=8, concrete=False)
         server = InferenceServer(eng, workers=1, policy="greedy-fill",
                                  max_wait=0.0)
-        real_record_batch = server.metrics.record_batch
+        real_deliver = InferenceRequest.deliver
         calls = []
 
-        def exploding_record_batch(batch, dt):
-            calls.append(batch)
-            if len(calls) == 1:
+        def exploding_deliver(req, *args):
+            calls.append(req)
+            done = real_deliver(req, *args)
+            if len(calls) == 1:     # slice 0 landed; now the step dies
                 raise RuntimeError("injected batch failure")
-            real_record_batch(batch, dt)
+            return done
 
-        server.metrics.record_batch = exploding_record_batch
+        monkeypatch.setattr(InferenceRequest, "deliver", exploding_deliver)
         with server:
             f_r = server.submit(size=10)    # splits 8 + 2
             f_q = server.submit(size=2)
@@ -323,7 +324,7 @@ class TestMetrics:
                                priority="critical")
         req.begin_dispatch(1)
         req.deliver(0, None, version=0, now=0.010)
-        m.record_request(req)
+        m.shard().record_step(None, 0.0, [req])
         m.record_shed(5, priority="batch")
         d = m.to_dict()
         assert d["classes"]["critical"]["completed"] == 1
@@ -348,7 +349,7 @@ class TestMetrics:
             req = InferenceRequest(0, 1, None, enqueue_time=0.0)
             req.begin_dispatch(1)
             req.deliver(0, None, version=0, now=lat)
-            metrics.record_request(req)
+            metrics.shard().record_step(None, 0.0, [req])
         fm.record_routed("a")
         fm.record_routed("a")
         fm.record_routed("b")
