@@ -81,9 +81,9 @@ def _measure(make_config, replay: bool, batch: int, iters: int,
 OBS_OVERHEAD_BUDGET = 0.02
 
 
-def _measure_obs(trace_flag, batch: int, iters: int) -> float:
+def _measure_obs(trace_flag: bool, batch: int, iters: int) -> float:
     """One timed run with ``RuntimeConfig.trace=trace_flag``:
-    ``None`` = hooks live but tracer disarmed (the default everyone
+    ``True`` = hooks live but tracer disarmed (the default everyone
     pays), ``False`` = the executor skips its own hooks (the control
     arm the disarmed path is measured against)."""
     net = alexnet(batch=batch, image=227)
@@ -98,8 +98,8 @@ def _measure_obs(trace_flag, batch: int, iters: int) -> float:
 
 
 def run_obs_overhead(batch: int, iters: int, repeats: int) -> dict:
-    """Disarmed-tracing cost: trace=None (hook live, global tracer
-    ``None``) vs trace=False (hook suppressed).  Arms are interleaved
+    """Disarmed-tracing cost: the default trace=True (hook live, global
+    tracer ``None``) vs trace=False (hook suppressed).  Arms are interleaved
     per repeat and min-reduced, the same noise discipline as
     :func:`_measure`; the process tracer is force-disarmed for the
     measurement so an ambient ``REPRO_TRACE=1`` cannot turn this into
@@ -110,7 +110,7 @@ def run_obs_overhead(batch: int, iters: int, repeats: int) -> dict:
     disarmed = control = float("inf")
     try:
         for _ in range(repeats):
-            disarmed = min(disarmed, _measure_obs(None, batch, iters))
+            disarmed = min(disarmed, _measure_obs(True, batch, iters))
             control = min(control, _measure_obs(False, batch, iters))
     finally:
         if prev is not None:

@@ -24,9 +24,9 @@ uploads (``diagnostics.SCHEMA_VERSION``).  Entry points: ``repro check
 plan`` / ``check lint`` / ``check race`` / ``check cost`` on the CLI;
 ``Engine(..., verify=True)`` / ``RuntimeConfig.verify_plans`` and
 ``Engine(..., cost_report=True)`` / ``RuntimeConfig.cost_report`` at
-compile time; ``RuntimeConfig.trace_sync`` / ``REPRO_TRACE_SYNC=1`` to
-arm the synchronization trace (capacity via ``trace_sync_cap`` /
-``REPRO_TRACE_SYNC_CAP``).
+compile time; ``REPRO_TRACE_SYNC=1`` or ``instrument.capture()`` to
+arm the synchronization trace (capacity via ``REPRO_TRACE_SYNC_CAP`` /
+``capture(limit=)``).
 
 Attribute resolution is lazy (PEP 562): ``repro.check.instrument`` is
 imported by core modules (engine, tensor_state) whose own import chain

@@ -26,9 +26,10 @@ Tracing is process-global and off by default: every hook first checks
 the module-level :data:`ACTIVE` log and returns immediately when it is
 ``None`` (one global load + ``is None`` per operation — the "near-zero
 when disarmed" contract the serving benchmark holds to ≤5%).  Arm it
-with :func:`arm`/:func:`capture`, via ``RuntimeConfig.trace_sync``, or
-by exporting ``REPRO_TRACE_SYNC=1`` (consulted once, at import — how
-the CI stress/race jobs arm whole scripts without code changes).
+with :func:`arm`/:func:`capture`, or by exporting
+``REPRO_TRACE_SYNC=1`` (consulted once, at import — how the CI race
+jobs arm whole scripts without code changes).  No engine or config
+arms it: process state has process-wide switches only.
 
 Gate locks
 ----------
@@ -46,12 +47,11 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, NamedTuple, Optional
 
-#: Environment switch: "1"/"true"/"yes"/"on" arms tracing at import.
+#: Environment switch: arms tracing at import (see :func:`env_flag`).
 TRACE_ENV = "REPRO_TRACE_SYNC"
 
 #: Environment override for the default event-log capacity (see
-#: :func:`default_limit`); ``RuntimeConfig.trace_sync_cap`` wins over it
-#: per engine.
+#: :func:`default_limit`).
 CAP_ENV = "REPRO_TRACE_SYNC_CAP"
 
 #: Default event-log capacity.  On overflow the log stops appending and
@@ -61,23 +61,36 @@ CAP_ENV = "REPRO_TRACE_SYNC_CAP"
 DEFAULT_LIMIT = 2_000_000
 
 
+def env_flag(name: str) -> bool:
+    """The one truth table for every ``REPRO_*`` on/off switch:
+    ``1``/``true``/``yes``/``on`` (any case) is on, everything else —
+    unset, ``0``, a typo — is off."""
+    return os.environ.get(name, "").strip().lower() \
+        in ("1", "true", "yes", "on")
+
+
+def env_positive_int(name: str, default: int) -> int:
+    """``name`` as a positive integer, ``default`` when unset or blank;
+    anything else raises ``ValueError`` naming the variable.  Read per
+    call, so one process can re-resolve after the environment changes
+    (the tests do)."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0       # rejected below, with the other non-positives
+    if value < 1:
+        raise ValueError(
+            f"{name} must be a positive integer, got {raw!r}")
+    return value
+
+
 def default_limit() -> int:
     """The event-log capacity to use when none is given explicitly:
-    ``REPRO_TRACE_SYNC_CAP`` when set to a positive integer, else
-    :data:`DEFAULT_LIMIT`.  Read per call, so one process can re-resolve
-    after the environment changes (the tests do)."""
-    raw = os.environ.get(CAP_ENV, "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{CAP_ENV} must be a positive integer, got {raw!r}")
-        if cap < 1:
-            raise ValueError(
-                f"{CAP_ENV} must be a positive integer, got {raw!r}")
-        return cap
-    return DEFAULT_LIMIT
+    ``REPRO_TRACE_SYNC_CAP`` when set, else :data:`DEFAULT_LIMIT`."""
+    return env_positive_int(CAP_ENV, DEFAULT_LIMIT)
 
 
 class SyncEvent(NamedTuple):
@@ -162,11 +175,6 @@ class EventLog:
         return len(self.events)
 
 
-def _env_armed() -> bool:
-    return os.environ.get(TRACE_ENV, "").strip().lower() \
-        in ("1", "true", "yes", "on")
-
-
 #: The armed log, or ``None`` when tracing is off.  Hot paths read this
 #: module attribute directly (``instrument.ACTIVE is not None``) so the
 #: disarmed cost is one global load per hook.
@@ -196,20 +204,6 @@ def armed() -> bool:
 
 def active_log() -> Optional[EventLog]:
     return ACTIVE
-
-
-def resolve_arm(flag: Optional[bool], cap: Optional[int] = None) -> None:
-    """Arm per a ``RuntimeConfig.trace_sync`` value: ``True`` arms,
-    ``False``/``None`` leave the current state alone (``None`` defers
-    to the environment switch, which was applied at import).  ``cap``
-    (``RuntimeConfig.trace_sync_cap``) sizes the log when arming — and
-    re-caps an already-armed log, since the knob's contract is "this
-    run's trace stops at N events" however arming happened."""
-    if flag:
-        log = arm(EventLog(limit=cap) if ACTIVE is None and cap is not None
-                  else None)
-        if cap is not None:
-            log.limit = cap
 
 
 @contextmanager
@@ -387,6 +381,6 @@ def channel_recv(token: str, label: str = "chan") -> None:
 
 
 # module init: the environment switch arms process-wide tracing for
-# whole scripts (CI stress / race-sanitizer jobs) without code changes
-if _env_armed():  # pragma: no cover - exercised via subprocess in CI
+# whole scripts (the CI race jobs) without code changes
+if env_flag(TRACE_ENV):  # pragma: no cover - exercised via subprocess in CI
     arm()

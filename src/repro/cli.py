@@ -170,17 +170,14 @@ def _cmd_trace_export(args, name, net) -> int:
     span tracer armed and write the merged Chrome trace — wall-clock
     iteration spans plus the simulated device streams (compute/D2H/H2D
     overlap), Perfetto-loadable."""
-    import dataclasses
-
     from repro.obs import trace as obs_trace
     from repro.obs.export import export_chrome_trace
 
     if args.iters < 1:
         print("trace --trace-out needs --iters >= 1", file=sys.stderr)
         return 2
-    cfg = dataclasses.replace(_config(args), trace=True)
     with obs_trace.capture(clock=CLOCK) as tracer:
-        with Session(net, cfg, mode=args.mode) as sess:
+        with Session(net, _config(args), mode=args.mode) as sess:
             for i in range(args.iters):
                 sess.run_iteration(i)
             timeline = sess.executor.timeline
@@ -336,7 +333,6 @@ def _cmd_serve_fleet(args, tracer=None) -> int:
         t += rng.exponential(1.0 / args.rate)
 
     fleet = ServingFleet(engines, workers=args.workers,
-                         max_workers=args.max_workers,
                          max_pending_rows=args.max_pending_rows,
                          policy=args.policy, max_wait=args.max_wait,
                          clock=CLOCK)
@@ -685,7 +681,7 @@ def cmd_policies(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -775,9 +771,6 @@ def main(argv=None) -> int:
     p.add_argument("--max-pending-rows", type=int, default=None,
                    help="bounded admission per lane: shed past this "
                         "many pending sample rows (--fleet mode)")
-    p.add_argument("--max-workers", type=int, default=None,
-                   help="autoscale ceiling per lane (default: "
-                        "--workers, autoscaling off; --fleet mode)")
     p.add_argument("--critical-frac", type=float, default=0.1,
                    help="fraction of trace requests tagged "
                         "priority=critical with a deadline "
@@ -905,8 +898,11 @@ def main(argv=None) -> int:
                    choices=sorted(FRAMEWORKS),
                    help="show a single framework's stack")
     p.set_defaults(fn=cmd_policies)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

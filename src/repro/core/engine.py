@@ -74,7 +74,6 @@ from repro.check.instrument import (
     TracedLock,
     channel_recv,
     channel_send,
-    resolve_arm,
     trace_read,
     trace_write,
 )
@@ -198,12 +197,6 @@ class Engine:
         self._compile_lock = TracedLock("engine.compile")
         #: bumped by :meth:`install_params`; serving metrics report it
         self.weights_version = 0
-        # arm the synchronization trace when the config asks for it
-        # (None defers to the REPRO_TRACE_SYNC env, applied at import)
-        resolve_arm(self.config.trace_sync, self.config.trace_sync_cap)
-        # same contract for the observability span tracer (repro.obs):
-        # None defers to REPRO_TRACE, True arms the process tracer now
-        obs_trace.resolve_arm(self.config.trace, self.config.trace_limit)
 
     # ------------------------------------------------------------- compiling
     def compiled(self, mode: str = "train") -> CompiledMode:
@@ -350,8 +343,7 @@ class Engine:
     # ----------------------------------------------------------- concurrency
     def parallel_run(self, sessions: Sequence, iters: int,
                      start_iteration: int = 0,
-                     timeout: Optional[float] = None,
-                     trace: Optional[bool] = None
+                     timeout: Optional[float] = None
                      ) -> List[List[IterationResult]]:
         """Drive N sessions concurrently, one thread per session.
 
@@ -376,18 +368,15 @@ class Engine:
         threads are abandoned, not joined — note they are non-daemon,
         so a truly wedged session still blocks *interpreter exit*;
         pair the timeout with a process-level kill (CI
-        ``timeout-minutes``, or ``os._exit`` as the stress gate does)
+        ``timeout-minutes``, or ``os._exit`` as ``repro infer`` does)
         when a hang must not outlive the error.
 
-        ``trace=True`` arms the process span tracer
-        (:mod:`repro.obs.trace`) before the sessions' executors build,
-        so each session gets a ``session.run`` span over ``iters``
-        per-iteration spans and a device timeline with a bounded op
-        log — the ``repro.cli infer --trace-out`` path.  ``None``
-        defers to whatever arming is already in effect.
+        With the process span tracer (:mod:`repro.obs.trace`) armed
+        before the sessions' executors build, each session gets a
+        ``session.run`` span over ``iters`` per-iteration spans and a
+        device timeline with a bounded op log — the ``repro.cli infer
+        --trace-out`` path.
         """
-        if trace:
-            obs_trace.arm()
         sessions = list(sessions)
         if not sessions:
             return []

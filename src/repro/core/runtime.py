@@ -212,18 +212,16 @@ class Executor:
         self.gpu = SimulatedGPU(self.model)
         if cfg.gpu_capacity is not None:
             self.gpu.capacity = cfg.gpu_capacity
-        # observability: cfg.trace=True arms the process tracer here;
-        # cfg.trace=False suppresses this executor's hooks entirely
-        # (the hook-free control arm of the overhead gate); None defers
-        # to env/global arming, checked per iteration at one global
-        # load.  With tracing on at build time the timeline keeps a
-        # *bounded* op log so the exporter can draw the stream overlap;
-        # otherwise no op records — the per-op log would grow without
-        # bound across iterations (introspection uses traces/stats).
-        obs_trace.resolve_arm(cfg.trace, cfg.trace_limit)
-        self._obs_enabled = cfg.trace is not False
-        record_ops = bool(cfg.trace) or \
-            (cfg.trace is None and obs_trace.armed())
+        # observability: arming is process-wide (repro.obs.trace) and
+        # checked per iteration at one global load; cfg.trace=False
+        # suppresses this executor's hooks entirely (the hook-free
+        # control arm of the overhead gate).  With the tracer armed at
+        # build time the timeline keeps a *bounded* op log so the
+        # exporter can draw the stream overlap; otherwise no op records
+        # — the per-op log would grow without bound across iterations
+        # (introspection uses traces/stats).
+        self._obs_enabled = cfg.trace
+        record_ops = cfg.trace and obs_trace.armed()
         self.timeline = Timeline(
             record_ops=record_ops,
             max_ops=obs_trace.TIMELINE_OPS_LIMIT if record_ops else None)
@@ -716,7 +714,7 @@ class Executor:
             raise TypeError(
                 "infer mode runs no backward pass, so the optimizer "
                 "would never step; drop it or use a train-mode session")
-        # the per-iteration obs hook: disarmed (trace=None, no tracer)
+        # the per-iteration obs hook: disarmed (no process tracer)
         # costs one attribute load + one global load + `is None`;
         # trace=False short-circuits even that (the control arm the
         # bench_steady_state overhead gate compares against)

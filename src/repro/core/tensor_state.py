@@ -34,27 +34,22 @@ placements and locks (proven by ``tests/test_parallel_sessions.py``).
 Every ``set_placement`` is then checked against the legal edges (plus
 same-state no-ops).  The runtime leaves validation off on the hot path;
 ``validate=None`` (the default) defers to the ``REPRO_VALIDATE_STATE``
-environment variable, which the test suite and the CI stress/serving
-jobs set — so every suite runs the full ablation ladder through the
+environment variable, which the test suite and the CI serving jobs
+set — so every suite runs the full ablation ladder through the
 armed state machine while production runs pay nothing.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.check import instrument as _ins
 from repro.tensors.tensor import Placement, Tensor
 
-#: Environment switch consulted when ``SessionTensorState(validate=None)``:
-#: "1"/"true"/"yes" arm the placement state machine process-wide.
+#: Environment switch consulted when ``SessionTensorState(validate=None)``
+#: (see :func:`repro.check.instrument.env_flag`): arms the placement
+#: state machine process-wide.
 VALIDATE_ENV = "REPRO_VALIDATE_STATE"
-
-
-def _env_validate() -> bool:
-    return os.environ.get(VALIDATE_ENV, "").strip().lower() \
-        in ("1", "true", "yes", "on")
 
 #: Legal placement transitions (see the state machine above).  The
 #: UNALLOCATED->FREED edge is the no-op discard: liveness free lists
@@ -101,7 +96,8 @@ class SessionTensorState:
         self._host: Set[int] = set()
         self._live: Set[int] = set()      # DATA/GRAD ids with GPU allocs
         self._arrivals: Dict[int, object] = {}  # tensor_id -> DMA Event
-        self.validate = _env_validate() if validate is None else validate
+        self.validate = _ins.env_flag(VALIDATE_ENV) if validate is None \
+            else validate
 
     # -- placement --------------------------------------------------------
     def placement(self, t: Tensor) -> Placement:

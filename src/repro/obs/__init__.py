@@ -6,8 +6,8 @@ separately; this package is the layer that reads them as one story:
 
 * :mod:`repro.obs.trace` — the span tracer.  One serving request (or
   one engine iteration) is one tree of timed :class:`Span` s with a
-  shared trace id; armed via ``RuntimeConfig.trace`` / ``REPRO_TRACE``
-  with the same near-zero-disarmed-cost discipline as
+  shared trace id; armed via ``REPRO_TRACE`` / ``capture()`` with
+  the same near-zero-disarmed-cost discipline as
   ``REPRO_TRACE_SYNC`` (one global load + ``is None`` per hook).
 * :mod:`repro.obs.export` — the Chrome trace-event exporter: wall-clock
   spans merged with the *simulated* device timeline streams into one

@@ -9,16 +9,15 @@ because the interesting trees here *cross* threads by design.
 Arming follows the exact discipline of
 :mod:`repro.check.instrument` (``REPRO_TRACE_SYNC``): a module-level
 :data:`ACTIVE` tracer, hooks that cost one global load + ``is None``
-when disarmed, an env knob (``REPRO_TRACE``) honored at import, a
-config knob (``RuntimeConfig.trace``) resolved at engine/executor
-construction via :func:`resolve_arm`, and a :func:`capture` context
-manager for tests.  ``RuntimeConfig.trace`` is three-state:
-
-* ``None``  — defer to the env/global arming (the disarmed-cost path);
-* ``True``  — arm the process tracer when the engine/executor builds;
-* ``False`` — suppress the executor's per-iteration hook entirely (the
-  hook-free control arm the ``bench_steady_state`` overhead gate
-  measures the disarmed path against).
+when disarmed, an env knob (``REPRO_TRACE``) honored at import, and
+:func:`arm`/:func:`capture` for code.  Those are the only ways to arm:
+the tracer is process state, so no engine or config switches it.
+``RuntimeConfig.trace`` is a plain per-executor bool — ``True`` (the
+default) lets that executor emit its iteration span and keep its
+bounded device-op log *when the process tracer is armed*; ``False``
+suppresses both for that executor only (the cost model's throwaway
+executor, and the hook-free control arm of the ``bench_steady_state``
+overhead gate).
 
 The tracer is bounded (:data:`DEFAULT_LIMIT` spans, ``REPRO_TRACE_LIMIT``
 to override): past the cap new spans are created but not retained, and
@@ -29,13 +28,12 @@ and never silently pretends the dropped spans were captured.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from contextlib import contextmanager
 from time import monotonic
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro.check.instrument import TracedLock
+from repro.check.instrument import TracedLock, env_flag, env_positive_int
 
 #: arming knob honored at import time (mirrors ``REPRO_TRACE_SYNC``)
 TRACE_ENV = "REPRO_TRACE"
@@ -53,11 +51,7 @@ TIMELINE_OPS_LIMIT = 200_000
 
 
 def default_limit() -> int:
-    raw = os.environ.get(CAP_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_LIMIT
+    return env_positive_int(CAP_ENV, DEFAULT_LIMIT)
 
 
 class Span:
@@ -221,11 +215,6 @@ class Tracer:
 ACTIVE: Optional[Tracer] = None
 
 
-def _env_armed() -> bool:
-    return os.environ.get(TRACE_ENV, "").strip().lower() \
-        not in ("", "0", "false", "no", "off")
-
-
 def arm(tracer: Optional[Tracer] = None) -> Tracer:
     """Install ``tracer`` (or keep/create one) as :data:`ACTIVE`."""
     global ACTIVE
@@ -251,19 +240,6 @@ def active_tracer() -> Optional[Tracer]:
     return ACTIVE
 
 
-def resolve_arm(flag: Optional[bool],
-                limit: Optional[int] = None) -> None:
-    """Resolve a config's three-state ``trace`` knob (engine/executor
-    construction).  ``True`` arms (and applies ``limit``); ``False`` and
-    ``None`` leave the global state alone — ``False`` only suppresses
-    that executor's own hooks, it must not disarm a tracer some other
-    engine armed."""
-    if flag:
-        tracer = arm()
-        if limit is not None:
-            tracer.limit = max(1, int(limit))
-
-
 @contextmanager
 def capture(limit: Optional[int] = None,
             clock: Callable[[], float] = monotonic) -> Iterator[Tracer]:
@@ -279,5 +255,5 @@ def capture(limit: Optional[int] = None,
         ACTIVE = prev
 
 
-if _env_armed():  # honor REPRO_TRACE=1 at import, like REPRO_TRACE_SYNC
+if env_flag(TRACE_ENV):  # honor REPRO_TRACE=1 at import, like REPRO_TRACE_SYNC
     arm()

@@ -19,8 +19,7 @@ variable-sized request traffic:
   engine and N worker sessions (thread-per-session, the
   ``engine.parallel_run`` drive), returning per-request futures, with
   :meth:`InferenceServer.swap_weights` installing updated weights at a
-  step barrier (in-flight requests finish on the old weights) and
-  queue-depth-driven worker autoscaling between a floor and ceiling;
+  step barrier (in-flight requests finish on the old weights);
 * :mod:`repro.serve.router` / :mod:`repro.serve.fleet` — the
   heterogeneous fleet: N engine lanes (different nets and/or batch
   shapes) behind one :class:`ServingFleet` front door whose

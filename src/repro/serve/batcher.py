@@ -498,9 +498,8 @@ class DynamicBatcher:
 
     @property
     def stopping(self) -> bool:
-        """True once :meth:`shutdown` ran — lets a worker whose
-        ``next_batch`` returned ``None`` tell shutdown apart from an
-        idle timeout (the autoscaler retires on the latter only)."""
+        """True once :meth:`shutdown` ran — tells a ``None`` from
+        ``next_batch`` that means shutdown apart from a timeout."""
         return self._shutdown
 
     def drain_ready(self) -> List[AssembledBatch]:

@@ -13,17 +13,14 @@ does the fleet shed — recorded, then raised as
 :class:`~repro.serve.queue.RequestRejected` so the caller learns
 synchronously.
 
-The three backpressure invariants (DESIGN.md "Serving"):
+The two backpressure invariants (DESIGN.md "Serving"):
 
 1. admission is bounded — no queue ever holds more than its
    ``max_pending_rows``, so backlog memory is O(fleet config), not
    O(offered load);
 2. shed is explicit and synchronous — an over-capacity submit raises
    ``RequestRejected`` from ``submit`` itself, and the accounting
-   identity ``completed + failed + shed == offered`` holds exactly;
-3. worker autoscale is bounded — each lane scales between its
-   ``workers`` floor and ``max_workers`` ceiling, never below the
-   floor, so a drain always progresses.
+   identity ``completed + failed + shed == offered`` holds exactly.
 """
 
 from __future__ import annotations
@@ -65,9 +62,9 @@ def _lane_names(engines: Sequence[Engine],
 class ServingFleet:
     """N engine lanes, one router, one front-door ``submit``.
 
-    ``workers``/``max_workers``/``max_pending_rows`` configure every
-    lane identically (the shapes differ; the backpressure contract
-    should not).  ``max_wait`` is the anti-starvation bound for the
+    ``workers``/``max_pending_rows`` configure every lane identically
+    (the shapes differ; the backpressure contract should not).
+    ``max_wait`` is the anti-starvation bound for the
     *largest* lane; smaller lanes wait proportionally less
     (``max_wait * capacity / max_capacity``) — the same
     fill-vs-latency tuning policy applied per shape, so a small-batch
@@ -78,7 +75,6 @@ class ServingFleet:
     def __init__(self, engines: Sequence[Engine],
                  names: Optional[Sequence[str]] = None,
                  workers: int = 1,
-                 max_workers: Optional[int] = None,
                  max_pending_rows: Optional[int] = None,
                  policy="greedy-fill",
                  max_wait: float = 0.002,
@@ -100,8 +96,7 @@ class ServingFleet:
             self.servers[name] = InferenceServer(
                 eng, workers=workers, policy=policy,
                 max_wait=max_wait * eng.batch_size / max_capacity,
-                max_pending_rows=max_pending_rows,
-                max_workers=max_workers, clock=clock)
+                max_pending_rows=max_pending_rows, clock=clock)
         self.router = Router(self.servers, depth_weight=depth_weight)
         self.metrics = FleetMetrics(
             {name: s.metrics for name, s in self.servers.items()})

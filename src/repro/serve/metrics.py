@@ -254,14 +254,6 @@ class ServerMetrics:
         with self._lock:
             return self._folded().fill_ratio
 
-    def p95_latency(self) -> float:
-        """Seconds; 0 when nothing completed yet."""
-        with self._lock:
-            window = self._folded().latency["total"]
-            if not window:
-                return 0.0
-            return float(np.percentile(np.asarray(window), 95))
-
     def counts(self) -> tuple:
         """One consistent ``(completed, failed, shed)`` snapshot."""
         with self._lock:

@@ -50,42 +50,20 @@ class InferenceServer:
     registered coalescing strategy (``"fifo"``, ``"greedy-fill"``,
     ``"deadline"``); ``max_wait`` bounds how long a lone request waits
     for batch-mates.  ``max_pending_rows`` bounds admission (the queue
-    sheds with :class:`RequestRejected` past it); ``max_workers`` above
-    ``workers`` arms the autoscaler — extra workers spawn while the
-    backlog exceeds ``scale_up_depth`` batches per live worker, and
-    retire after ``idle_retire`` seconds without work, never dropping
-    below the ``workers`` floor (so a drain always progresses).
-    Use as a context manager, or ``start()``/``stop()`` explicitly.
+    sheds with :class:`RequestRejected` past it).  The roster is fixed:
+    ``start()`` stands up all ``workers`` and they live until
+    ``stop()``.  Use as a context manager, or ``start()``/``stop()``
+    explicitly.
     """
 
     def __init__(self, engine: Engine, workers: int = 2,
                  policy="fifo", max_wait: float = 0.002,
                  max_pending_rows: Optional[int] = None,
-                 max_workers: Optional[int] = None,
-                 scale_up_depth: float = 2.0,
-                 idle_retire: float = 0.05,
                  clock: Callable[[], float] = monotonic):
         if workers < 1:
             raise ValueError(f"need >= 1 workers, got {workers}")
-        if max_workers is not None and max_workers < workers:
-            raise ValueError(
-                f"max_workers={max_workers} below the {workers}-worker "
-                f"floor")
-        if scale_up_depth <= 0:
-            raise ValueError(
-                f"scale_up_depth must be > 0, got {scale_up_depth}")
-        if idle_retire <= 0:
-            raise ValueError(
-                f"idle_retire must be > 0, got {idle_retire}")
-        if not engine.supports_parallel("infer"):  # always true today;
-            raise TypeError(                       # guards future modes
-                "engine cannot drive parallel infer sessions")
         self.engine = engine
         self.workers = workers
-        self.min_workers = workers
-        self.max_workers = workers if max_workers is None else max_workers
-        self.scale_up_depth = scale_up_depth
-        self.idle_retire = idle_retire
         self.clock = clock
         sample_shape = engine.input_shape[1:]
         if max_pending_rows is None:
@@ -98,15 +76,12 @@ class InferenceServer:
                                       policy=policy, max_wait=max_wait,
                                       clock=clock)
         self.metrics = ServerMetrics(clock=clock)
+        # the worker roster: written once by start(), before any worker
+        # thread starts, and never again — so it needs no lock
         self._sessions: list = []
         self._threads: list = []
         self._started = False
         self._stopped = False
-        # guards the worker roster (_alive/_sessions/_threads); taken
-        # alone, never inside the queue monitor, so the order is acyclic
-        self._scale_lock = TracedLock("server.scale")
-        self._alive = 0
-        self._worker_seq = 0
         # serializes swappers; the batcher pause/drain is the barrier.
         # gate=True: holding it across wait_idle IS the design (RACE004
         # exempts documented gates)
@@ -121,46 +96,19 @@ class InferenceServer:
         # engine's compile lock would serialize them anyway)
         self.engine.compiled("infer")
         self.metrics.note_start()
-        with self._scale_lock:
-            for _ in range(self.workers):
-                self._spawn_worker()
-        return self
-
-    def _spawn_worker(self) -> None:
-        """Stand one worker up (caller holds ``_scale_lock``)."""
         # history capped to 0: a serving worker runs unboundedly
         # many iterations and every result holds traces + the
         # output batch — retaining them would grow without limit
-        session = self.engine.session(mode="infer").with_history(0)
-        thread = TracedThread(
-            target=self._worker_loop, args=(session, self.metrics.shard()),
-            name=f"repro-serve-{self._worker_seq}", daemon=True)
-        self._worker_seq += 1
-        self._alive += 1
-        self._sessions.append(session)
-        self._threads.append(thread)
-        thread.start()
-
-    def _maybe_scale_up(self) -> None:
-        """Spawn a worker when the backlog outruns the live ones (called
-        on the submit path; cheap when autoscaling is off)."""
-        if self.max_workers <= self.min_workers:
-            return
-        with self.queue.cond:
-            backlog = self.queue.pending_rows()
-        with self._scale_lock:
-            if self._stopped or not self._started \
-                    or self._alive >= self.max_workers:
-                return
-            threshold = self.scale_up_depth * self.engine.batch_size \
-                * self._alive
-            if backlog > threshold:
-                self._spawn_worker()
-
-    @property
-    def alive_workers(self) -> int:
-        with self._scale_lock:
-            return self._alive
+        self._sessions = [self.engine.session(mode="infer").with_history(0)
+                          for _ in range(self.workers)]
+        self._threads = [
+            TracedThread(target=self._worker_loop,
+                         args=(session, self.metrics.shard()),
+                         name=f"repro-serve-{i}", daemon=True)
+            for i, session in enumerate(self._sessions)]
+        for thread in self._threads:
+            thread.start()
+        return self
 
     def stop(self, drain: bool = True,
              timeout: Optional[float] = None) -> bool:
@@ -270,7 +218,6 @@ class InferenceServer:
             RECORDER.note_shed(rows, priority,
                                f"server:{self.engine.net.name}")
             raise
-        self._maybe_scale_up()
         return req.future
 
     def try_submit(self, data: Optional[np.ndarray] = None,
@@ -293,7 +240,6 @@ class InferenceServer:
                                     span=span)
         except RequestRejected:
             return None
-        self._maybe_scale_up()
         return req.future
 
     def drain(self, timeout: Optional[float] = None) -> bool:
@@ -302,11 +248,9 @@ class InferenceServer:
 
     def session_timelines(self) -> Dict[str, "object"]:
         """Each worker session's device :class:`Timeline` (for the
-        Chrome trace exporter's simulated-stream lanes).  Includes
-        retired autoscaled workers — their ops happened."""
-        with self._scale_lock:
-            return {f"{self.engine.net.name}.worker{i}": s.executor.timeline
-                    for i, s in enumerate(self._sessions)}
+        Chrome trace exporter's simulated-stream lanes)."""
+        return {f"{self.engine.net.name}.worker{i}": s.executor.timeline
+                for i, s in enumerate(self._sessions)}
 
     def register_metrics(self, registry, prefix: str) -> None:
         """Register this server's surfaces on a
@@ -323,9 +267,7 @@ class InferenceServer:
                 return {"requests": self.queue.pending_count(),
                         "rows": self.queue.pending_rows()}
         registry.probe(f"{prefix}.queue.pending", _pending)
-        with self._scale_lock:
-            sessions = list(self._sessions)
-        for i, s in enumerate(sessions):
+        for i, s in enumerate(self._sessions):
             s.executor.register_metrics(registry,
                                         f"{prefix}.worker{i}")
 
@@ -370,34 +312,21 @@ class InferenceServer:
         return installed
 
     def describe(self) -> str:
-        workers = f"{self.workers} workers" \
-            if self.max_workers == self.min_workers \
-            else f"{self.min_workers}..{self.max_workers} workers"
         bound = "" if not isinstance(self.queue, BoundedRequestQueue) \
             else f", max_pending_rows={self.queue.max_pending_rows}"
         return (f"InferenceServer({self.engine.net.name}, "
-                f"{workers}, {self.batcher.describe()}{bound}, "
+                f"{self.workers} workers, {self.batcher.describe()}{bound}, "
                 f"weights v{self.engine.weights_version})")
 
     # -------------------------------------------------------------- workers
     def _worker_loop(self, session, shard) -> None:
         concrete = self.engine.config.concrete
         input_shape = self.engine.input_shape
-        autoscaling = self.max_workers > self.min_workers
         iteration = 0
         while True:
-            batch = self.batcher.next_batch(
-                timeout=self.idle_retire if autoscaling else None)
-            if batch is None:
-                if self.batcher.stopping:   # shutdown
-                    return
-                # idle timeout: retire if we are above the floor (the
-                # floor guarantees a drain always has live workers)
-                with self._scale_lock:
-                    if self._alive > self.min_workers:
-                        self._alive -= 1
-                        return
-                continue
+            batch = self.batcher.next_batch()
+            if batch is None:   # no timeout given, so: shutdown
+                return
             now = self.clock()
             for s in batch.slices:
                 s.request.mark_dispatched(now)

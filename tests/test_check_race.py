@@ -387,24 +387,6 @@ def test_capture_restores_previous_state():
     assert not instrument.armed()
 
 
-def test_trace_sync_config_arms(monkeypatch):
-    from repro.core.config import RuntimeConfig
-    from repro.core.engine import Engine
-    from repro.zoo import lenet
-
-    prev = instrument.disarm()
-    try:
-        Engine(lenet(batch=2), RuntimeConfig(concrete=False))
-        assert not instrument.armed()   # None defers; env not set here
-        Engine(lenet(batch=2),
-               RuntimeConfig(concrete=False, trace_sync=True))
-        assert instrument.armed()
-    finally:
-        instrument.disarm()
-        if prev is not None:
-            instrument.arm(prev)
-
-
 def test_thread_key_dedupes_same_name():
     log = EventLog()
     results = []

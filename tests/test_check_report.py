@@ -1,9 +1,12 @@
 """The unified check-report contract (ISSUE 8 satellite): one JSON
 artifact schema across ``check plan|lint|race|cost``, report merging,
 the shared ``--fail-on`` exit-code ladder, and the event-log capacity
-knob (``REPRO_TRACE_SYNC_CAP`` / ``RuntimeConfig.trace_sync_cap``)."""
+knob (``REPRO_TRACE_SYNC_CAP``)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -24,9 +27,9 @@ from repro.check.instrument import (
     DEFAULT_LIMIT,
     EventLog,
     default_limit,
-    resolve_arm,
 )
 from repro.cli import main
+from repro.obs import trace as obs_trace
 
 SHARED_KEYS = {"schema_version", "tool", "rules", "ok", "checked",
                "summary", "diagnostics", "metrics"}
@@ -182,7 +185,7 @@ class TestFailOn:
 
 
 # --------------------------------------------------------------------------- #
-# event-log capacity: REPRO_TRACE_SYNC_CAP / trace_sync_cap
+# event-log capacity: REPRO_TRACE_SYNC_CAP
 # --------------------------------------------------------------------------- #
 class TestTraceCap:
     def test_default_limit_without_env(self, monkeypatch):
@@ -207,38 +210,74 @@ class TestTraceCap:
         assert len(log) == 3
         assert log.truncated
 
-    def test_resolve_arm_caps_a_fresh_log(self):
-        prev = instrument.ACTIVE
-        instrument.ACTIVE = None
-        try:
-            resolve_arm(True, cap=42)
-            assert instrument.ACTIVE.limit == 42
-        finally:
-            instrument.ACTIVE = prev
 
-    def test_resolve_arm_recaps_an_armed_log(self):
-        prev = instrument.ACTIVE
-        instrument.ACTIVE = EventLog(limit=100)
-        try:
-            resolve_arm(True, cap=7)
-            assert instrument.ACTIVE.limit == 7
-            resolve_arm(None, cap=99)   # None leaves arming state alone
-            assert instrument.ACTIVE.limit == 7
-        finally:
-            instrument.ACTIVE = prev
+# --------------------------------------------------------------------------- #
+# the environment truth table: one flag parser, one positive-int parser
+# --------------------------------------------------------------------------- #
+ON = ["1", "true", "TRUE", "Yes", " on "]
+OFF = ["", "0", "2", "false", "off", "no", "tru", "enabled"]
+GOOD_INTS = {"500": 500, " 7 ": 7}
+BAD_INTS = ["abc", "0", "-5", "1.5"]
 
-    def test_engine_config_cap_reaches_the_log(self):
-        from repro.core.config import RuntimeConfig
-        from repro.core.engine import Engine
-        from repro.zoo import NETWORK_BUILDERS
-
-        prev = instrument.ACTIVE
-        instrument.ACTIVE = None
+#: variable -> what a child process evaluates to see its effect.  The
+#: two tracing switches are read once, at import, so the child reloads
+#: their module per value — which is why this runs in a child at all.
+ENV_PROBES = {
+    "REPRO_TRACE_SYNC": "importlib.reload(instrument).armed()",
+    "REPRO_TRACE": "importlib.reload(obs_trace).armed()",
+    "REPRO_VALIDATE_STATE": "tensor_state.SessionTensorState().validate",
+    "REPRO_TRACE_SYNC_CAP": "instrument.EventLog().limit",
+    "REPRO_TRACE_LIMIT": "obs_trace.Tracer().limit",
+}
+CAPACITIES = {"REPRO_TRACE_SYNC_CAP": instrument.DEFAULT_LIMIT,
+              "REPRO_TRACE_LIMIT": obs_trace.DEFAULT_LIMIT}
+_ENV_CHILD = """
+import importlib, json, os, sys
+from repro.check import instrument
+from repro.core import tensor_state
+from repro.obs import trace as obs_trace
+out = {}
+for name, (probe, values) in json.loads(sys.argv[1]).items():
+    out[name] = {}
+    for value in values:
+        os.environ[name] = value
         try:
-            Engine(NETWORK_BUILDERS["lenet"](batch=4),
-                   RuntimeConfig(concrete=False, trace_sync=True,
-                                 trace_sync_cap=1234))
-            assert instrument.ACTIVE is not None
-            assert instrument.ACTIVE.limit == 1234
-        finally:
-            instrument.ACTIVE = prev
+            out[name][value] = eval(probe)
+        except ValueError as exc:
+            out[name][value] = f"ValueError: {exc}"
+        del os.environ[name]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def env_effects():
+    """One child process evaluates every (variable, value) pair."""
+    cases = {name: (probe, list(GOOD_INTS) + [""] + BAD_INTS
+                    if name in CAPACITIES else ON + OFF)
+             for name, probe in ENV_PROBES.items()}
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")}
+    done = subprocess.run(
+        [sys.executable, "-c", _ENV_CHILD, json.dumps(cases)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("name", list(ENV_PROBES))
+def test_env_truth_table(env_effects, name):
+    """1/true/yes/on (any case) is on and everything else — unset, a
+    typo, ``2`` — is off, for all three switches alike; both capacities
+    take a positive integer or raise naming the variable."""
+    got = env_effects[name]
+    if name in CAPACITIES:
+        for raw, value in GOOD_INTS.items():
+            assert got[raw] == value
+        assert got[""] == CAPACITIES[name]
+        for raw in BAD_INTS:
+            assert got[raw].startswith("ValueError") and name in got[raw] \
+                and repr(raw) in got[raw], (raw, got[raw])
+    else:
+        assert {raw: got[raw] for raw in ON} == dict.fromkeys(ON, True)
+        assert {raw: got[raw] for raw in OFF} == dict.fromkeys(OFF, False)

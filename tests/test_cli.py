@@ -126,6 +126,36 @@ class TestCLI:
         assert rc == 0
         assert "policy=fifo" in out and "concrete" in out
 
+    @pytest.mark.parametrize("argv, spans", [
+        (["trace", "--net", "lenet", "--batch", "4", "--iters", "2"],
+         {"iteration"}),
+        (["infer", "--net", "lenet", "--batch", "4", "--sessions", "2",
+          "--iters", "2", "--parallel"], {"session.run", "iteration"}),
+        (["serve", "--net", "lenet", "--batch", "4", "--rate", "300",
+          "--duration", "0.2", "--workers", "2"], {"request"}),
+        (["serve", "--net", "lenet", "--rate", "300", "--duration", "0.2",
+          "--fleet", "--fleet-batches", "4,8", "--workers", "2"],
+         {"request", "route"}),
+    ], ids=["trace", "infer-parallel", "serve", "serve-fleet"])
+    def test_trace_out_arms_for_the_run_only(self, argv, spans, tmp_path,
+                                             monkeypatch, capsys):
+        """``--trace-out`` is ``capture()`` around the run: the artifact
+        validates offline, carries the run's spans and device streams,
+        and the process is left as disarmed as it was found."""
+        import json
+
+        from repro.obs import trace as obs_trace
+        from repro.obs.export import validate_trace_file
+        monkeypatch.setattr(obs_trace, "ACTIVE", None)
+        out = tmp_path / "trace.json"
+        assert main(argv + ["--trace-out", str(out)]) == 0
+        assert obs_trace.ACTIVE is None
+        assert validate_trace_file(out) == []
+        events = json.loads(out.read_text())["traceEvents"]
+        assert spans <= {e["name"] for e in events}
+        assert any(e.get("cat", "").startswith("sim.") for e in events), \
+            "no device-timeline ops: the executors built disarmed"
+
     def test_serve_rejects_bad_rate(self, capsys):
         rc = main(["serve", "--net", "lenet", "--rate", "0",
                    "--duration", "1"])

@@ -15,8 +15,6 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
@@ -365,49 +363,6 @@ class TestMetrics:
             pytest.approx(20.0)
         assert fm.counts() == (2, 0, 1)
         assert d["fleet"]["requests"]["shed_rate"] == pytest.approx(1 / 3)
-
-
-# --------------------------------------------------------------------------
-# autoscaling
-# --------------------------------------------------------------------------
-class TestAutoscale:
-    def test_scales_up_under_backlog_and_retires_idle(self):
-        eng = make_engine(batch=4, concrete=False)
-        server = InferenceServer(eng, workers=1, max_workers=3,
-                                 scale_up_depth=0.5, idle_retire=0.02,
-                                 max_wait=0.0)
-        with server:
-            assert server.alive_workers == 1
-            for _ in range(12):
-                server.submit(size=8)       # 2 steps each: deep backlog
-            assert server.alive_workers > 1, \
-                "backlog past scale_up_depth must spawn workers"
-            assert server.alive_workers <= 3
-            server.drain(timeout=30.0)
-            deadline = time.monotonic() + 10.0
-            while server.alive_workers > 1:
-                if time.monotonic() > deadline:
-                    pytest.fail("idle workers never retired to the floor")
-                time.sleep(0.01)
-        completed, failed, _ = server.metrics.counts()
-        assert completed == 12 and failed == 0
-
-    def test_autoscale_off_by_default(self):
-        eng = make_engine(batch=4, concrete=False)
-        with InferenceServer(eng, workers=2, max_wait=0.0) as server:
-            for _ in range(8):
-                server.submit(size=8)
-            server.drain(timeout=30.0)
-            assert server.alive_workers == 2
-
-    def test_validates_bounds(self):
-        eng = make_engine(batch=4, concrete=False)
-        with pytest.raises(ValueError):
-            InferenceServer(eng, workers=2, max_workers=1)
-        with pytest.raises(ValueError):
-            InferenceServer(eng, workers=1, scale_up_depth=0)
-        with pytest.raises(ValueError):
-            InferenceServer(eng, workers=1, idle_retire=0)
 
 
 # --------------------------------------------------------------------------

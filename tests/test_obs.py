@@ -103,20 +103,44 @@ class TestTracer:
             assert obs_trace.armed()
         assert obs_trace.ACTIVE is prev
 
-    def test_resolve_arm_three_states(self):
-        prev = obs_trace.disarm()
-        try:
-            obs_trace.resolve_arm(None)
-            assert not obs_trace.armed()      # None defers
-            obs_trace.resolve_arm(False)
-            assert not obs_trace.armed()      # False never arms
-            obs_trace.resolve_arm(True, limit=7)
-            assert obs_trace.armed()
-            assert obs_trace.ACTIVE.limit == 7
-        finally:
-            obs_trace.disarm()
-            if prev is not None:
-                obs_trace.arm(prev)
+    @pytest.mark.parametrize("armed", [False, True])
+    def test_engines_and_executors_leave_arming_alone(
+            self, monkeypatch, armed):
+        """Arming is process-wide (env at import, ``arm()``/
+        ``capture()``): building an engine and its executors never
+        arms, disarms, swaps or re-caps either process tracer —
+        whatever ``RuntimeConfig.trace`` says."""
+        from contextlib import ExitStack
+
+        from repro.check import instrument
+        monkeypatch.setattr(instrument, "ACTIVE", None)
+        monkeypatch.setattr(obs_trace, "ACTIVE", None)
+        with ExitStack() as stack:
+            if armed:
+                stack.enter_context(instrument.capture(limit=7))
+                stack.enter_context(obs_trace.capture(limit=7))
+            found = instrument.ACTIVE, obs_trace.ACTIVE
+            for trace in (True, False):
+                engine = Engine(
+                    NETWORK_BUILDERS["lenet"](batch=2),
+                    RuntimeConfig.superneurons(concrete=False,
+                                               trace=trace))
+                sessions = [engine.session(mode=m)
+                            for m in ("train", "infer", "infer")]
+                sessions[0].run_iteration(0)
+                engine.parallel_run(sessions[1:], 1, timeout=60.0)
+                # the per-executor half of tracing follows the config
+                # only when the process tracer was armed at build
+                for s in sessions:
+                    assert bool(s.executor.timeline.ops()) \
+                        == (armed and trace)
+                    s.close()
+                assert instrument.ACTIVE is found[0]
+                assert obs_trace.ACTIVE is found[1]
+            if armed:
+                assert found[0].limit == found[1].limit == 7
+            else:
+                assert found == (None, None)
 
 
 # --------------------------------------------------------------------------

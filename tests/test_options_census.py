@@ -1,0 +1,205 @@
+"""The options census: every independently settable value, pinned.
+
+ROADMAP's standing rule — "no new ``RuntimeConfig`` field, env var or
+CLI flag without a ledger row that justifies it" — used to rest on a
+reviewer's memory.  The tables below are the whole option surface:
+config fields, constructor/method parameters of the public entry
+points, ``REPRO_*`` environment variables, and the flags of every
+``repro`` subcommand.  Adding, renaming or removing one fails here
+until the table is edited too, and the diff of this file is then the
+list a review has to justify (removals need no justification).
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.cli import build_parser
+from repro.core.config import RuntimeConfig
+from repro.core.engine import Engine
+from repro.serve import DynamicBatcher, InferenceServer, ServingFleet
+
+RULE = ("no new RuntimeConfig field, env var or CLI flag (or entry-point "
+        "parameter) without a ledger row that justifies it — ROADMAP.md, "
+        "'Standing rules'")
+
+CONFIG_FIELDS = [
+    "concrete", "device", "gpu_capacity", "use_pool_allocator",
+    "pool_slab_bytes", "pinned_host", "use_liveness", "liveness_scope",
+    "use_offload", "use_tensor_cache", "cache_policy", "recompute",
+    "workspace_policy", "steady_state_replay", "verify_plans",
+    "validate_state", "trace", "cost_report", "collect_traces",
+    "external_pools", "offload_types",
+]
+
+PARAMETERS = {
+    "InferenceServer": (InferenceServer, [
+        "engine", "workers", "policy", "max_wait", "max_pending_rows",
+        "clock"]),
+    "ServingFleet": (ServingFleet, [
+        "engines", "names", "workers", "max_pending_rows", "policy",
+        "max_wait", "depth_weight", "clock"]),
+    "DynamicBatcher": (DynamicBatcher, [
+        "queue", "capacity", "policy", "max_wait", "clock"]),
+    "Engine": (Engine, ["net", "config", "verify", "cost_report"]),
+    "Engine.parallel_run": (Engine.parallel_run, [
+        "sessions", "iters", "start_iteration", "timeout"]),
+    "compile": (repro.compile, [
+        "net", "config", "modes", "verify", "cost_report"]),
+}
+
+ENV_VARS = {
+    "REPRO_FLIGHT_DIR", "REPRO_TRACE", "REPRO_TRACE_LIMIT",
+    "REPRO_TRACE_SYNC", "REPRO_TRACE_SYNC_CAP", "REPRO_VALIDATE_STATE",
+}
+
+_COMMON = ["--batch", "--framework", "--gpu-gb", "--net"]
+_CHECK_OUT = ["--fail-on", "--format", "--output"]
+CLI_FLAGS = {
+    "report": _COMMON,
+    "trace": _COMMON + ["--iters", "--mode", "--trace-out"],
+    "probe": _COMMON + ["--depth", "--limit"],
+    "breakdown": _COMMON,
+    "infer": _COMMON + ["--iters", "--parallel", "--sessions",
+                        "--timeout", "--trace-out"],
+    "serve": _COMMON + [
+        "--concrete", "--critical-frac", "--duration", "--fleet",
+        "--fleet-batches", "--max-pending-rows", "--max-request",
+        "--max-wait", "--metrics-out", "--policy", "--rate", "--seed",
+        "--swaps", "--timeout", "--trace-out", "--workers"],
+    "check plan": _CHECK_OUT + [
+        "--all", "--batch", "--configs", "--gpu-gb", "--modes", "--net",
+        "--serve-batches"],
+    "check lint": _CHECK_OUT + ["paths"],
+    "check race": _CHECK_OUT + [
+        "--batch", "--iters", "--limit", "--net", "--requests",
+        "--scenario", "--seed", "--sessions", "--swaps", "--workers"],
+    "check cost": _CHECK_OUT + [
+        "--advise", "--all", "--batch", "--budget", "--configs",
+        "--gpu-gb", "--max-request", "--modes", "--net"],
+    "policies": ["framework_name"],
+}
+
+
+def _same(found, table, what: str, name: str) -> None:
+    found, table = sorted(found), sorted(table)
+    assert found == table, (
+        f"{what} changed: added {sorted(set(found) - set(table))}, "
+        f"removed {sorted(set(table) - set(found))}.  Rule: {RULE}.  "
+        f"If the change is justified, edit {name} in {__file__}.")
+
+
+def test_runtime_config_fields():
+    _same([f.name for f in dataclasses.fields(RuntimeConfig)],
+          CONFIG_FIELDS, "RuntimeConfig's fields", "CONFIG_FIELDS")
+
+
+@pytest.mark.parametrize("name", list(PARAMETERS))
+def test_entry_point_parameters(name):
+    fn, table = PARAMETERS[name]
+    found = [p for p in inspect.signature(fn).parameters if p != "self"]
+    _same(found, table, f"{name}'s parameters", f"PARAMETERS[{name!r}]")
+
+
+# ---------------------------------------------------------- environment
+def _is_environ(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "environ" \
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+
+
+def _env_key(node: ast.AST):
+    """The key expression when ``node`` reads the environment
+    (``os.environ.get(k)``, ``os.environ[k]``, ``os.getenv(k)``)."""
+    if isinstance(node, ast.Subscript) and _is_environ(node.value):
+        return node.slice
+    if isinstance(node, ast.Call) and node.args \
+            and isinstance(node.func, ast.Attribute):
+        f = node.func
+        if (f.attr == "get" and _is_environ(f.value)) or (
+                f.attr == "getenv" and isinstance(f.value, ast.Name)
+                and f.value.id == "os"):
+            return node.args[0]
+    return None
+
+
+def environment_names_read() -> set:
+    """Every name that reaches ``os.environ`` under ``src/repro``,
+    found by walking the AST: a read whose key is a literal or a
+    module-level string constant counts directly; a function that
+    reads its own parameter (``env_flag(name)``) makes every call to
+    it a read of that call's first argument."""
+    trees = [ast.parse(p.read_text(encoding="utf-8"), str(p))
+             for p in sorted(Path(repro.__file__).parent.rglob("*.py"))]
+    helpers = {}    # function name -> the parameter it looks up
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                params = {a.arg for a in fn.args.args}
+                for node in ast.walk(fn):
+                    key = _env_key(node)
+                    if isinstance(key, ast.Name) and key.id in params:
+                        helpers[fn.name] = key.id
+    names = set()
+    for tree in trees:
+        constants = {
+            target.id: node.value.value
+            for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            key = _env_key(node)
+            if key is None and isinstance(node, ast.Call) and node.args:
+                f = node.func
+                called = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                if called in helpers:
+                    key = node.args[0]
+            if isinstance(key, ast.Constant):
+                names.add(key.value)
+            elif isinstance(key, ast.Name) and key.id in constants:
+                names.add(constants[key.id])
+            elif key is not None:
+                # only a helper's own parameter may stay unresolved
+                # (its callers are counted above)
+                assert isinstance(key, ast.Name) \
+                    and key.id in helpers.values(), \
+                    f"cannot resolve the environment key {ast.dump(key)}"
+    return names
+
+
+def test_environment_variables():
+    found = environment_names_read()
+    assert all(n.startswith("REPRO_") for n in found), found
+    _same(found, ENV_VARS, "the environment variables src/repro reads",
+          "ENV_VARS")
+
+
+# ------------------------------------------------------------------ CLI
+def cli_flags(parser: argparse.ArgumentParser, path=()) -> dict:
+    """``{"check race": [flags...]}`` for every leaf subcommand."""
+    out, flags = {}, []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(cli_flags(sub, path + (name,)))
+        elif not isinstance(action, argparse._HelpAction):
+            flags.append(max(action.option_strings, key=len)
+                         if action.option_strings else action.dest)
+    if not out:
+        out[" ".join(path)] = flags
+    return out
+
+
+def test_cli_subcommands_and_flags():
+    found = cli_flags(build_parser())
+    _same(found, CLI_FLAGS, "the repro subcommands", "CLI_FLAGS")
+    for command, flags in found.items():
+        _same(flags, CLI_FLAGS[command], f"`repro {command}`'s flags",
+              f"CLI_FLAGS[{command!r}]")

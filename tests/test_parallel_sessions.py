@@ -35,7 +35,7 @@ from repro import Executor, MemoryPolicy, RuntimeConfig, Session
 from repro.core.policy import resolve_policies
 from repro.core.tensor_state import ALLOWED_TRANSITIONS, SessionTensorState
 from repro.tensors.tensor import Placement
-from repro.zoo import alexnet, lenet
+from repro.zoo import alexnet, lenet, resnet_from_units
 
 HARD_TIMEOUT = 180  # seconds: a hung session must fail loudly, not stall CI
 
@@ -523,17 +523,20 @@ class TestParallelRun:
 
 
 class TestThreadedStressSmoke:
-    """The CI stress gate (also runnable standalone via
-    ``benchmarks/stress_parallel_sessions.py``): N sessions × M
-    iterations per small zoo net under a hard timeout, gating on
-    bit-identical losses/peaks vs the sequential baseline."""
+    """The CI stress gate: N sessions × M iterations per small zoo net
+    under a hard timeout, gating on bit-identical losses/peaks vs the
+    sequential baseline (the happens-before analysis of the same drive
+    is ``repro check race --scenario parallel``)."""
 
     @pytest.mark.parametrize("mk,cfg", [
         (lambda: lenet(batch=4, image=12),
          RuntimeConfig.superneurons()),
         (lambda: alexnet(batch=2, image=67, num_classes=10),
          RuntimeConfig.superneurons(concrete=False)),
-    ], ids=["lenet-concrete", "alexnet-sim"])
+        (lambda: resnet_from_units((1, 1, 1, 1), batch=2, image=32,
+                                   num_classes=10),
+         RuntimeConfig.superneurons(concrete=False)),
+    ], ids=["lenet-concrete", "alexnet-sim", "resnet-sim"])
     def test_stress_n_sessions_m_iterations(self, mk, cfg):
         n_sessions, iters = 4, 3
         engine = repro.compile(mk(), cfg)

@@ -20,6 +20,7 @@ import pytest
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
 from repro.obs.export import build_chrome_trace, validate_trace
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.serve import (
     COALESCER_REGISTRY,
@@ -501,6 +502,44 @@ class TestServerMetrics:
         future = server.submit(data)
         assert server.stop(timeout=30.0) is True
         assert future.result(timeout=1.0) is not None
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_roster_is_fixed_from_start_to_stop(self, workers):
+        """``workers=N`` means N ``repro-serve-*`` threads from
+        ``start()`` to ``stop()``, whatever the backlog: 24 two-step
+        requests queued at once is 48 batches deep, far past any
+        per-worker depth, and spawns nothing; idling retires nothing."""
+        def serve_threads():
+            return sum(t.name.startswith("repro-serve-")
+                       for t in threading.enumerate())
+        sim = make_engine(concrete=False)
+        before = serve_threads()
+        server = InferenceServer(sim, workers=workers, max_wait=0.0)
+        assert serve_threads() == before        # nothing until start()
+        with server:
+            assert serve_threads() == before + workers
+            futures = [server.submit(size=2 * BATCH) for _ in range(24)]
+            deadline = time.monotonic() + 30.0
+            while not all(f.done() for f in futures):
+                assert serve_threads() == before + workers
+                assert time.monotonic() < deadline, "backlog never drained"
+                time.sleep(0.001)
+            assert server.drain(timeout=30.0)
+            time.sleep(0.1)                     # idle: nobody retires
+            assert serve_threads() == before + workers
+            assert len(server.session_timelines()) == workers
+            registry = MetricsRegistry()
+            server.register_metrics(registry, "lane")
+            assert {n.split(".")[1] for n in registry.names()
+                    if n.startswith("lane.worker")} \
+                == {f"worker{i}" for i in range(workers)}
+            assert f"{workers} workers" in server.describe()
+        assert serve_threads() == before
+        assert server.metrics.counts() == (24, 0, 0)
+
+    def test_needs_at_least_one_worker(self, engine):
+        with pytest.raises(ValueError, match="workers"):
+            InferenceServer(engine, workers=0)
 
 
 # -------------------------------------------------- engine introspection
