@@ -22,8 +22,7 @@ All report structured :class:`~repro.check.diagnostics.Diagnostic`
 findings with provenance and serialize to one JSON artifact schema CI
 uploads (``diagnostics.SCHEMA_VERSION``).  Entry points: ``repro check
 plan`` / ``check lint`` / ``check race`` / ``check cost`` on the CLI;
-``Engine(..., verify=True)`` / ``RuntimeConfig.verify_plans`` and
-``Engine(..., cost_report=True)`` / ``RuntimeConfig.cost_report`` at
+``Engine(..., verify=True)`` and ``Engine(..., cost_report=True)`` at
 compile time; ``REPRO_TRACE_SYNC=1`` or ``instrument.capture()`` to
 arm the synchronization trace (capacity via ``REPRO_TRACE_SYNC_CAP`` /
 ``capture(limit=)``).

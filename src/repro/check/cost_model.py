@@ -562,14 +562,14 @@ def serving_fill_check(batch: int, max_request: int,
 def predict_compiled_mode(net, compiled, config: RuntimeConfig,
                           target: Optional[str] = None) -> CostPrediction:
     """One recorded replay iteration of a compiled mode on a throwaway
-    simulated executor (no payloads, no tracing spans).
+    simulated executor (no payloads; an executor emits no spans).
 
     ``config`` must be the *effective* mode config
     (``RuntimeConfig.for_mode``) — the one whose policy stack produced
     ``compiled.gathered``, exactly as the plan verifier requires.
     """
     sim = replace(config, concrete=False, collect_traces=False,
-                  steady_state_replay=True, trace=False)
+                  steady_state_replay=True)
     with Executor(net, sim, mode=compiled.mode, compiled=compiled) as ex:
         return record_iteration(ex, target)
 

@@ -62,8 +62,8 @@ MiB = 1024 * 1024
 
 
 class PlanVerificationError(RuntimeError):
-    """A compiled plan failed verification (``Engine`` with
-    ``verify_plans`` armed raises this instead of caching the mode)."""
+    """A compiled plan failed verification (``Engine(verify=True)``
+    raises this instead of caching the mode)."""
 
     def __init__(self, report: CheckReport):
         self.report = report

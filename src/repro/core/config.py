@@ -16,6 +16,14 @@ from repro.device.model import DeviceModel, K40_MODEL
 from repro.layers.base import LayerType
 
 
+#: which layer types are offloading checkpoints.  The paper offloads
+#: CONV outputs; the DATA batch joins them because the measured
+#: AlexNet peak (Fig. 10c, 886 MB at LRN1-backward with no data
+#: tensor resident) requires the input batch to leave the GPU too.
+OFFLOAD_TYPES: FrozenSet[LayerType] = frozenset(
+    {LayerType.CONV, LayerType.DATA})
+
+
 class RecomputeStrategy(enum.Enum):
     """Which recomputation strategy (paper §3.4, Fig. 9)."""
 
@@ -68,27 +76,9 @@ class RuntimeConfig:
     # steady-state iteration replay: after the first iteration of a
     # fixed topology, plan-stable policies are compiled into an
     # IterationPlan the executor replays with no hook dispatch
-    # (bit-identical results; Session.with_replay(False) opts out).
+    # (bit-identical results; False runs the all-dynamic plan every
+    # iteration — the reference the compiled closures are tested against).
     steady_state_replay: bool = True
-    # run the static plan verifier (repro.check) on every compiled mode
-    # before the engine caches it; violations raise PlanVerificationError
-    verify_plans: bool = False
-    # arm SessionTensorState's placement state machine.  None defers to
-    # the REPRO_VALIDATE_STATE environment variable (set by the test
-    # suite and the CI serving jobs); True/False override it.
-    validate_state: Optional[bool] = None
-    # this executor's share of span tracing (repro.obs.trace): when the
-    # process tracer is armed — REPRO_TRACE at import, or arm()/
-    # capture(); never by a config — it emits one span per iteration
-    # and keeps a bounded device-op log for the Perfetto exporter.
-    # False suppresses both for this executor only (the cost model's
-    # throwaway executor; the hook-free control arm of the
-    # bench_steady_state overhead gate).
-    trace: bool = True
-    # build a static cost-model report (repro.check.cost_model) for
-    # every compiled mode and stash it on Engine.cost_reports — purely
-    # advisory (never raises), the runtime analogue of verify_plans
-    cost_report: bool = False
     # per-step StepTrace records (Fig. 10).  Long training runs can
     # switch them off so result objects hold O(1) memory per iteration.
     collect_traces: bool = True
@@ -96,13 +86,6 @@ class RuntimeConfig:
     # external memory pools for the UTP, fastest first (paper Fig. 7).
     # None = the default single local-CPU-DRAM pool.
     external_pools: Optional[tuple] = None
-
-    # which layer types are offloading checkpoints.  The paper offloads
-    # CONV outputs; the DATA batch joins them because the measured
-    # AlexNet peak (Fig. 10c, 886 MB at LRN1-backward with no data
-    # tensor resident) requires the input batch to leave the GPU too.
-    offload_types: FrozenSet[LayerType] = frozenset(
-        {LayerType.CONV, LayerType.DATA})
 
     # -- canonical configurations -------------------------------------------
     @classmethod

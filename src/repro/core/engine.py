@@ -165,21 +165,18 @@ class Engine:
     """
 
     def __init__(self, net: Net, config: Optional[RuntimeConfig] = None,
-                 verify: Optional[bool] = None,
-                 cost_report: Optional[bool] = None):
+                 verify: bool = False, cost_report: bool = False):
         self.net = net.build()
         # private copy: compiled plans are derived from the config, so
         # later caller-side mutation must not desync them from workers
         self.config = replace(config) if config is not None \
             else RuntimeConfig()
-        #: run the static plan verifier on every mode before caching it
-        #: (None defers to config.verify_plans)
-        self.verify_plans = self.config.verify_plans if verify is None \
-            else verify
-        #: build an advisory cost-model report per compiled mode
-        #: (None defers to config.cost_report)
-        self.cost_report = self.config.cost_report if cost_report is None \
-            else cost_report
+        #: run the static plan verifier (repro.check) on every mode
+        #: before caching it; violations raise PlanVerificationError
+        self.verify_plans = verify
+        #: build a cost-model report (repro.check.cost_model) per
+        #: compiled mode — purely advisory, never raises
+        self.cost_report = cost_report
         #: mode -> CheckReport from the static cost model, filled as
         #: modes compile when cost reporting is armed
         self.cost_reports: Dict[str, "object"] = {}
@@ -593,8 +590,7 @@ class Engine:
 
 def compile(net: Net, config: Optional[RuntimeConfig] = None,
             modes: Tuple[str, ...] = (),
-            verify: Optional[bool] = None,
-            cost_report: Optional[bool] = None) -> Engine:
+            verify: bool = False, cost_report: bool = False) -> Engine:
     """Compile a network into an :class:`Engine`.
 
     ``modes`` eagerly compiles the named execution modes; by default

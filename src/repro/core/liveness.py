@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.core.config import RecomputeStrategy, RuntimeConfig
+from repro.core.config import OFFLOAD_TYPES, RecomputeStrategy, RuntimeConfig
 from repro.graph.route import ExecutionRoute, Phase, Step
 from repro.layers.base import Layer, LayerType
 from repro.tensors.tensor import Tensor
@@ -262,7 +262,7 @@ class LivenessAnalysis:
     def _offloadable_ids(self) -> Set[int]:
         ids: Set[int] = set()
         for layer in self.route.net.layers:
-            if layer.ltype in self.config.offload_types and layer.output is not None:
+            if layer.ltype in OFFLOAD_TYPES and layer.output is not None:
                 ids.add(layer.output.tensor_id)
         return ids
 
@@ -286,6 +286,6 @@ class LivenessAnalysis:
         """Σ (l_f ∉ checkpoints) + l_b(N)."""
         total = 0
         for layer in self.route.forward_layers:
-            if layer.ltype not in self.config.offload_types:
+            if layer.ltype not in OFFLOAD_TYPES:
                 total += layer.l_f()
         return total + self.route.forward_layers[-1].l_b()

@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 
 from repro.core import config as _config
 from repro.core.cache import TensorCache
-from repro.core.config import RecomputeStrategy, RuntimeConfig
+from repro.core.config import OFFLOAD_TYPES, RecomputeStrategy, RuntimeConfig
 from repro.core.workspace import WorkspaceChoice, WorkspaceSelector
 from repro.device.gpu import OutOfMemoryError
 from repro.device.timeline import Stream
@@ -488,7 +488,7 @@ class OffloadCachePolicy(MemoryPolicy):
         if self.cache_mode or step.phase is not Phase.FORWARD:
             return
         layer = step.layer
-        if layer.ltype in ctx.config.offload_types:
+        if layer.ltype in OFFLOAD_TYPES:
             after = [ctx.last_compute_event] if ctx.last_compute_event else None
             ctx.offload(layer.output, after=after)
 
@@ -589,13 +589,12 @@ class OffloadCachePolicy(MemoryPolicy):
     def compile_plan(self, ctx: StepContext):
         from repro.core.plan import PolicyPlan
         steps = ctx.route.steps
-        offload_types = ctx.config.offload_types
         offloads = {}
         prefetch = {}
         for step in steps:
             if step.phase is Phase.FORWARD:
                 if not self.cache_mode \
-                        and step.layer.ltype in offload_types:
+                        and step.layer.ltype in OFFLOAD_TYPES:
                     offloads[step.index] = (step.layer.output,)
                 continue
             nxt = step.index + 1

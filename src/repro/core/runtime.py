@@ -212,16 +212,13 @@ class Executor:
         self.gpu = SimulatedGPU(self.model)
         if cfg.gpu_capacity is not None:
             self.gpu.capacity = cfg.gpu_capacity
-        # observability: arming is process-wide (repro.obs.trace) and
-        # checked per iteration at one global load; cfg.trace=False
-        # suppresses this executor's hooks entirely (the hook-free
-        # control arm of the overhead gate).  With the tracer armed at
-        # build time the timeline keeps a *bounded* op log so the
-        # exporter can draw the stream overlap; otherwise no op records
-        # — the per-op log would grow without bound across iterations
-        # (introspection uses traces/stats).
-        self._obs_enabled = cfg.trace
-        record_ops = cfg.trace and obs_trace.armed()
+        # observability: with the process tracer (repro.obs.trace)
+        # armed at build time the timeline keeps a *bounded* op log so
+        # the exporter can draw the stream overlap; otherwise no op
+        # records — the per-op log would grow without bound across
+        # iterations (introspection uses traces/stats).  The
+        # per-iteration span is Session.run_iteration's, not ours.
+        record_ops = obs_trace.armed()
         self.timeline = Timeline(
             record_ops=record_ops,
             max_ops=obs_trace.TIMELINE_OPS_LIMIT if record_ops else None)
@@ -263,9 +260,9 @@ class Executor:
         # ALL executor-mutated tensor state is session-local: this table
         # (placement, locks, host residency, arrivals, live set) is what
         # lets N executors share one net's descriptors concurrently.
-        # validate=None defers to REPRO_VALIDATE_STATE, so test/CI
-        # processes arm the placement state machine for every session.
-        self.state = SessionTensorState(validate=cfg.validate_state)
+        # REPRO_VALIDATE_STATE arms the placement state machine, so
+        # test/CI processes arm it for every session.
+        self.state = SessionTensorState()
 
         # the policy stack (ordered; dispatch order is semantic)
         self.policies: List[MemoryPolicy] = (
@@ -714,12 +711,6 @@ class Executor:
             raise TypeError(
                 "infer mode runs no backward pass, so the optimizer "
                 "would never step; drop it or use a train-mode session")
-        # the per-iteration obs hook: disarmed (no process tracer)
-        # costs one attribute load + one global load + `is None`;
-        # trace=False short-circuits even that (the control arm the
-        # bench_steady_state overhead gate compares against)
-        tracer = obs_trace.ACTIVE if self._obs_enabled else None
-        wall0 = tracer.clock() if tracer is not None else 0.0
         ctx = self._ctx
         if self._replay_enabled and self._iteration_plan is None:
             if self._fresh_iterations:
@@ -767,14 +758,6 @@ class Executor:
         # SoftmaxLoss objects would race under concurrent sessions)
         loss = ctx.layer_ctx.last_loss
         hits1, miss1, ev1 = self._cache_counters()
-        if tracer is not None:
-            tracer.emit(
-                "iteration", cat="engine", start=wall0,
-                end=tracer.clock(),
-                attrs={"net": self.net.name, "mode": self.mode,
-                       "iteration": iteration, "replayed": replaying,
-                       "sim_time": round(self.timeline.elapsed - t0, 9),
-                       "peak_bytes": self.allocator.peak_bytes})
         return IterationResult(
             iteration=iteration,
             loss=loss,

@@ -42,6 +42,7 @@ from repro.core.policy import (
 )
 from repro.core.runtime import Executor, IterationResult
 from repro.graph.network import Net
+from repro.obs import trace as obs_trace
 
 
 class Session:
@@ -172,20 +173,6 @@ class Session:
             setattr(self._config, k, v)
         return self
 
-    def with_replay(self, enabled: bool = True) -> "Session":
-        """Opt in/out of steady-state iteration replay.
-
-        Replay is on by default: after the first iteration the compiled
-        :class:`~repro.core.plan.IterationPlan` is replayed with no
-        hook dispatch for plan-stable policies (bit-identical results).
-        ``with_replay(False)`` forces every iteration down the fresh
-        planning path — useful for A/B benchmarks and for custom
-        policies whose behavior must be observed every step.
-        """
-        self._require_unbuilt("change replay mode")
-        self._config.steady_state_replay = enabled
-        return self
-
     def with_history(self, max_results: Optional[int]) -> "Session":
         """Cap ``self.results`` to the most recent ``max_results``
         entries (None = unbounded).  Million-iteration runs keep steady
@@ -277,9 +264,27 @@ class Session:
     def run_iteration(self, iteration: int = 0, optimizer=None,
                       feed=None, capture_output: bool = False
                       ) -> IterationResult:
-        res = self.executor.run_iteration(iteration, optimizer=optimizer,
-                                          feed=feed,
-                                          capture_output=capture_output)
+        ex = self.executor
+        # the per-iteration span is emitted here, by the handle a user
+        # drives, so internal executors (the engine's compile scout,
+        # the cost model's throwaway) emit none without being told.
+        # Disarmed (no process tracer) it costs one global load +
+        # `is None`, twice.
+        tracer = obs_trace.ACTIVE
+        if tracer is not None:
+            wall0 = tracer.clock()
+            replayed0 = ex.replayed_iterations
+        res = ex.run_iteration(iteration, optimizer=optimizer, feed=feed,
+                               capture_output=capture_output)
+        if tracer is not None:
+            tracer.emit(
+                "iteration", cat="engine", start=wall0,
+                end=tracer.clock(),
+                attrs={"net": self._net.name, "mode": self._mode,
+                       "iteration": iteration,
+                       "replayed": ex.replayed_iterations > replayed0,
+                       "sim_time": round(res.sim_time, 9),
+                       "peak_bytes": res.peak_bytes})
         self.results.append(res)
         if self._max_history is not None \
                 and len(self.results) > self._max_history:

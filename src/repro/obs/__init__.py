@@ -14,10 +14,10 @@ separately; this package is the layer that reads them as one story:
   Perfetto-loadable ``trace.json``, plus the schema validator the
   obs-smoke CI job gates on (span nesting, one root per offered
   request, completed+failed+shed partition the roots).
-* :mod:`repro.obs.metrics` — the process-wide :class:`MetricsRegistry`
-  (counter / gauge / histogram / probe) that ``ServerMetrics``,
-  ``FleetMetrics``, mempool stats and cache counters register into,
-  with a JSON-lines exporter and one renderer the CLI reuses.
+* :mod:`repro.obs.metrics` — the :class:`MetricsRegistry`, a
+  namespace of probes that ``ServerMetrics``, ``FleetMetrics``,
+  mempool stats and cache counters register into, with a JSON-lines
+  exporter and one renderer the CLI reuses.
 * :mod:`repro.obs.recorder` — the flight recorder: a bounded ring of
   recent events dumped automatically on request failure, shed burst,
   ``parallel_run`` timeout, or a stuck worker.
@@ -29,13 +29,7 @@ from repro.obs.export import (
     validate_trace,
     validate_trace_file,
 )
-from repro.obs.metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import RECORDER, FlightRecorder
 from repro.obs.trace import (
     ACTIVE,
@@ -50,13 +44,9 @@ from repro.obs.trace import (
 
 __all__ = [
     "ACTIVE",
-    "Counter",
     "FlightRecorder",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "RECORDER",
-    "REGISTRY",
     "Span",
     "Tracer",
     "active_tracer",

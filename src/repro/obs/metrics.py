@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms, probes.
+"""The metrics registry: one namespace of probes.
 
 Four surfaces already count things —
 :class:`~repro.serve.metrics.ServerMetrics`/``FleetMetrics`` windows,
@@ -10,119 +10,21 @@ registry does not replace them; it gives them one namespace to
 and one renderer, so the CLI, the obs-smoke CI job and a monitoring
 sidecar all read the same surface.
 
-Two instrument families:
-
-* **owned** — :class:`Counter`, :class:`Gauge`, :class:`Histogram`
-  created via the registry; thread-safe, lock-per-instrument (the lock
-  is a leaf, safe to touch from worker threads);
-* **probes** — a name bound to a zero-arg callable over an *existing*
-  locked stats object (``server.metrics.to_dict``, allocator stats,
-  cache counters).  The callable runs at ``collect()`` time, so the
-  owning subsystem keeps its own synchronization and the registry adds
-  no per-event cost to hot paths.  A probe may carry a ``renderer``
-  (value -> str) — ``serve.metrics.render_slo_report`` plugs in here,
-  so the CLI's SLO block and the registry's render never drift.
+A **probe** is a name bound to a zero-arg callable over an *existing*
+locked stats object (``server.metrics.to_dict``, allocator stats,
+cache counters).  The callable runs at ``collect()`` time, so the
+owning subsystem keeps its own synchronization and the registry adds
+no per-event cost to hot paths.  A probe may carry a ``renderer``
+(value -> str) — ``serve.metrics.render_slo_report`` plugs in here,
+so the CLI's SLO block and the registry's render never drift.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.check.instrument import TracedLock
-
-#: histogram samples kept per instrument (rolling window, O(1) memory)
-HISTOGRAM_WINDOW = 8192
-
-
-class Counter:
-    """Monotonic event count (``inc`` only goes up)."""
-
-    __slots__ = ("name", "_lock", "_value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._lock = TracedLock("obs.metric")
-        self._value = 0
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        with self._lock:
-            self._value += n
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """Last-write-wins instantaneous value."""
-
-    __slots__ = ("name", "_lock", "_value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._lock = TracedLock("obs.metric")
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += float(delta)
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Histogram:
-    """Rolling-window distribution with percentile snapshots."""
-
-    __slots__ = ("name", "_lock", "_window", "_count", "_sum")
-
-    def __init__(self, name: str, window: int = HISTOGRAM_WINDOW):
-        self.name = name
-        self._lock = TracedLock("obs.metric")
-        self._window: deque = deque(maxlen=window)
-        self._count = 0
-        self._sum = 0.0
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self._window.append(float(value))
-            self._count += 1
-            self._sum += float(value)
-
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            samples = list(self._window)
-            count, total = self._count, self._sum
-        if not samples:
-            return {"count": count, "sum": total, "mean": 0.0,
-                    "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
-        arr = np.asarray(samples)
-        return {
-            "count": count,
-            "sum": total,
-            "mean": float(arr.mean()),
-            "p50": float(np.percentile(arr, 50)),
-            "p95": float(np.percentile(arr, 95)),
-            "p99": float(np.percentile(arr, 99)),
-            "max": float(arr.max()),
-        }
-
-    @property
-    def value(self) -> Dict[str, float]:
-        return self.snapshot()
 
 
 class Probe:
@@ -142,84 +44,37 @@ class Probe:
 
 
 class MetricsRegistry:
-    """One namespace of instruments; snapshot, export, render.
+    """One namespace of probes; snapshot, export, render.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create (idempotent
-    for the same type; a name clash across types raises — one name, one
-    meaning).  ``probe`` replaces on re-register: a restarted server
-    re-binding its name must win over the dead instance's callable.
+    ``probe`` replaces on re-register: a restarted server re-binding
+    its name must win over the dead instance's callable.
     """
 
     def __init__(self) -> None:
         self._lock = TracedLock("obs.registry")
-        self._instruments: Dict[str, Any] = {}
-
-    def _get_or_create(self, name: str, cls, *args):
-        with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if type(existing) is not cls:
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{type(existing).__name__}")
-                return existing
-            inst = cls(name, *args)
-            self._instruments[name] = inst
-            return inst
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
-
-    def histogram(self, name: str,
-                  window: int = HISTOGRAM_WINDOW) -> Histogram:
-        return self._get_or_create(name, Histogram, window)
+        self._probes: Dict[str, Probe] = {}
 
     def probe(self, name: str, fn: Callable[[], Any],
               renderer: Optional[Callable[[Any], str]] = None) -> Probe:
+        probe = Probe(name, fn, renderer)
         with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None and type(existing) is not Probe:
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{type(existing).__name__}")
-            inst = Probe(name, fn, renderer)
-            self._instruments[name] = inst
-            return inst
-
-    def unregister(self, prefix: str) -> int:
-        """Drop every instrument whose name is ``prefix`` or starts
-        with ``prefix.``; returns how many were removed."""
-        with self._lock:
-            doomed = [n for n in self._instruments
-                      if n == prefix or n.startswith(prefix + ".")]
-            for n in doomed:
-                del self._instruments[n]
-            return len(doomed)
+            self._probes[name] = probe
+        return probe
 
     def names(self) -> List[str]:
         with self._lock:
-            return sorted(self._instruments)
-
-    def get(self, name: str) -> Optional[Any]:
-        with self._lock:
-            return self._instruments.get(name)
+            return sorted(self._probes)
 
     # -- export -----------------------------------------------------------
     def collect(self) -> Dict[str, dict]:
-        """``{name: {"type": ..., "value": ...}}`` snapshot.  Probes run
-        *outside* the registry lock (their callables take the owning
-        subsystem's locks; holding ours across them would couple two
-        unrelated lock domains)."""
+        """``{name: {"type": "probe", "value": ...}}`` snapshot.  Probes
+        run *outside* the registry lock (their callables take the
+        owning subsystem's locks; holding ours across them would couple
+        two unrelated lock domains)."""
         with self._lock:
-            items = sorted(self._instruments.items())
-        out: Dict[str, dict] = {}
-        for name, inst in items:
-            out[name] = {"type": type(inst).__name__.lower(),
-                         "value": inst.value}
-        return out
+            items = sorted(self._probes.items())
+        return {name: {"type": "probe", "value": probe.value}
+                for name, probe in items}
 
     def export_jsonl(self, path, extra: Optional[dict] = None) -> dict:
         """Append one JSON line ``{"metrics": collect(), **extra}`` to
@@ -235,26 +90,13 @@ class MetricsRegistry:
         """Human-readable listing; a probe with a renderer delegates to
         it (the shared SLO renderer keeps CLI and registry identical)."""
         with self._lock:
-            items = sorted(self._instruments.items())
+            items = sorted(self._probes.items())
         lines: List[str] = []
-        for name, inst in items:
-            if isinstance(inst, Probe) and inst.renderer is not None:
-                body = inst.renderer(inst.value)
+        for name, probe in items:
+            if probe.renderer is not None:
+                body = probe.renderer(probe.value)
                 lines.append(f"{name}:")
                 lines.extend("  " + ln for ln in body.splitlines())
-            elif isinstance(inst, Histogram):
-                snap = inst.snapshot()
-                lines.append(
-                    f"{name}: n={snap['count']} mean={snap['mean']:.4g} "
-                    f"p50={snap['p50']:.4g} p95={snap['p95']:.4g} "
-                    f"p99={snap['p99']:.4g} max={snap['max']:.4g}")
-            elif isinstance(inst, Probe):
-                lines.append(f"{name}: {inst.value!r}")
             else:
-                lines.append(f"{name}: {inst.value}")
+                lines.append(f"{name}: {probe.value!r}")
         return "\n".join(lines)
-
-
-#: the process registry (subsystems may also build private ones in
-#: tests — every method works the same on a fresh instance)
-REGISTRY = MetricsRegistry()

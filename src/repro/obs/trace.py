@@ -12,12 +12,10 @@ Arming follows the exact discipline of
 when disarmed, an env knob (``REPRO_TRACE``) honored at import, and
 :func:`arm`/:func:`capture` for code.  Those are the only ways to arm:
 the tracer is process state, so no engine or config switches it.
-``RuntimeConfig.trace`` is a plain per-executor bool — ``True`` (the
-default) lets that executor emit its iteration span and keep its
-bounded device-op log *when the process tracer is armed*; ``False``
-suppresses both for that executor only (the cost model's throwaway
-executor, and the hook-free control arm of the ``bench_steady_state``
-overhead gate).
+The per-iteration span is emitted by ``Session.run_iteration`` — the
+handle a user drives — so internal executors (the engine's compile
+scout, the cost model's throwaway) emit none; an executor built while
+the tracer is armed keeps a bounded device-op log for the exporter.
 
 The tracer is bounded (:data:`DEFAULT_LIMIT` spans, ``REPRO_TRACE_LIMIT``
 to override): past the cap new spans are created but not retained, and

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.check.advisor import advise, assess_ladder, recommend
 from repro.check.cost_model import (
     CostThresholds,
@@ -36,10 +37,10 @@ from repro.zoo import NETWORK_BUILDERS
 
 MiB = 1024 * 1024
 
-#: the nine-net zoo at b8 under the full stack (bench_inference's run)
-BASELINE_INFERENCE = json.loads(
-    (Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
-     / "BENCH_inference.json").read_text())
+#: train/infer peak bytes of the nine-net zoo at b8 under the full stack
+ZOO_PEAKS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "zoo_peaks.json")
+    .read_text())
 
 RUNGS = ("baseline", "liveness_only", "liveness_offload", "superneurons")
 
@@ -112,12 +113,11 @@ class TestCalibration:
         assert pred.extra_forwards == meas.extra_forwards
         assert pred.pressure_evictions == meas.cache_evictions
 
-    @pytest.mark.parametrize("record", BASELINE_INFERENCE,
-                             ids=lambda r: r["net"])
+    @pytest.mark.parametrize("record", ZOO_PEAKS, ids=lambda r: r["net"])
     def test_zoo_peaks_equal_the_committed_baseline(self, record):
         """The one anchor that is independent of both sides of the
         identity above: prediction and executor cannot drift together
-        past the byte columns committed with the inference bench."""
+        past the byte columns committed in ``tests/data``."""
         engine = _engine(record["net"], batch=record["batch"])
         for mode in ("train", "infer"):
             committed = record[f"{mode}_peak_bytes"]
@@ -322,15 +322,16 @@ class TestEngineHook:
         assert report.metrics["lenet/train"]["peak_gpu_bytes"] > 0
 
     def test_cost_report_config_knob(self):
-        cfg = RuntimeConfig.superneurons(concrete=False,
-                                         cost_report=True)
-        engine = Engine(NETWORK_BUILDERS["lenet"](batch=8), cfg)
-        engine.compiled("infer")
+        """The one knob is the compile-time argument, off by default."""
+        cfg = RuntimeConfig.superneurons(concrete=False)
+        net = NETWORK_BUILDERS["lenet"](batch=8)
+        engine = repro.compile(net, cfg, modes=("infer",), cost_report=True)
         assert "infer" in engine.cost_reports
+        assert repro.compile(net, cfg, modes=("infer",)).cost_reports == {}
 
     def test_cost_report_is_advisory(self):
         """Over-budget findings never block compilation or execution
-        (unlike verify_plans) — the mode still caches and runs."""
+        (unlike ``verify=True``) — the mode still caches and runs."""
         engine = Engine(NETWORK_BUILDERS["lenet"](batch=8),
                         RuntimeConfig.superneurons(concrete=False),
                         cost_report=True)

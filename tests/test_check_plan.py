@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+import repro
 from repro.check import (
     CheckReport,
     Diagnostic,
@@ -21,6 +22,7 @@ from repro.check import (
 from repro.check.plan_verifier import PlanTrace, SymStep, SymTensor
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
+from repro.core.runtime import Executor
 from repro.core.tensor_state import SessionTensorState
 from repro.zoo import alexnet, lenet
 
@@ -220,11 +222,11 @@ def test_engine_verify_accepts_good_plans():
 
 
 def test_config_knob_arms_verification():
-    cfg = RuntimeConfig.superneurons(concrete=False, verify_plans=True)
-    eng = Engine(lenet(batch=8), cfg)
-    assert eng.verify_plans
-    assert not Engine(lenet(batch=8),
-                      RuntimeConfig.superneurons(concrete=False)).verify_plans
+    """The one knob is the compile-time argument, off by default."""
+    cfg = RuntimeConfig.superneurons(concrete=False)
+    assert repro.compile(lenet(batch=8), cfg, verify=True).verify_plans
+    assert not repro.compile(lenet(batch=8), cfg).verify_plans
+    assert not Engine(lenet(batch=8), cfg).verify_plans
 
 
 def test_engine_verify_refuses_bad_plan(monkeypatch):
@@ -262,9 +264,12 @@ def test_verify_compiled_mode_matches_verify_engine():
 
 def test_state_validation_armed_by_suite_env():
     # conftest.py sets REPRO_VALIDATE_STATE=1 for the whole suite, and
-    # validate=None (the executor default) defers to it
+    # validate=None (what every executor builds with) defers to it
     assert SessionTensorState().validate is True
     assert SessionTensorState(validate=False).validate is False
+    with Executor(lenet(batch=4),
+                  RuntimeConfig.superneurons(concrete=False)) as ex:
+        assert ex.state.validate is True
 
 
 def test_state_validation_env_resolution(monkeypatch):
@@ -276,13 +281,3 @@ def test_state_validation_env_resolution(monkeypatch):
     assert SessionTensorState().validate is False
     assert SessionTensorState(validate=True).validate is True
 
-
-def test_config_validate_state_overrides_env(monkeypatch):
-    from repro.core.runtime import Executor
-    monkeypatch.setenv("REPRO_VALIDATE_STATE", "1")
-    cfg = RuntimeConfig.superneurons(concrete=False, validate_state=False)
-    with Executor(lenet(batch=4), cfg) as ex:
-        assert ex.state.validate is False
-    with Executor(lenet(batch=4),
-                  RuntimeConfig.superneurons(concrete=False)) as ex:
-        assert ex.state.validate is True

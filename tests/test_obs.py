@@ -9,9 +9,13 @@ The load-bearing guarantees:
 * trace-id propagation crosses threads: a request's queue wait and
   every compute slice (including both halves of a split) land in the
   tree its root opened at the front door;
-* disarmed tracing is effectively free (the overhead gate in
-  ``bench_steady_state`` measures it; here we prove the hooks stay
-  ``None``-guarded and ``trace=False`` suppresses them outright);
+* disarmed tracing is free in frames, not in a noisy percentage:
+  ``TestDisarmedCost`` counts **zero** calls into ``repro.obs`` and
+  ``repro.check`` across a replayed train iteration, so a hook that
+  costs a frame when disarmed fails the build;
+* iteration spans come from the handle a user drives
+  (``Session.run_iteration``), so N served batches are N spans and
+  internal executors (compile scout, cost model) add none;
 * metrics snapshots stay consistent under concurrent readers — no
   torn ``(completed, failed, shed)`` triples, no exceptions from
   iterating live windows.
@@ -19,6 +23,7 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 import threading
@@ -29,6 +34,7 @@ import pytest
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
 from repro.core.runtime import Executor
+from repro.core.session import Session
 from repro.obs import trace as obs_trace
 from repro.obs.export import (
     build_chrome_trace,
@@ -47,6 +53,10 @@ from repro.zoo import NETWORK_BUILDERS
 def make_engine(batch=4, net="lenet") -> Engine:
     return Engine(NETWORK_BUILDERS[net](batch=batch),
                   RuntimeConfig.superneurons(concrete=False))
+
+
+def iteration_spans(tracer):
+    return [s for s in tracer.spans() if s.name == "iteration"]
 
 
 # --------------------------------------------------------------------------
@@ -108,8 +118,7 @@ class TestTracer:
             self, monkeypatch, armed):
         """Arming is process-wide (env at import, ``arm()``/
         ``capture()``): building an engine and its executors never
-        arms, disarms, swaps or re-caps either process tracer —
-        whatever ``RuntimeConfig.trace`` says."""
+        arms, disarms, swaps or re-caps either process tracer."""
         from contextlib import ExitStack
 
         from repro.check import instrument
@@ -120,23 +129,18 @@ class TestTracer:
                 stack.enter_context(instrument.capture(limit=7))
                 stack.enter_context(obs_trace.capture(limit=7))
             found = instrument.ACTIVE, obs_trace.ACTIVE
-            for trace in (True, False):
-                engine = Engine(
-                    NETWORK_BUILDERS["lenet"](batch=2),
-                    RuntimeConfig.superneurons(concrete=False,
-                                               trace=trace))
-                sessions = [engine.session(mode=m)
-                            for m in ("train", "infer", "infer")]
-                sessions[0].run_iteration(0)
-                engine.parallel_run(sessions[1:], 1, timeout=60.0)
-                # the per-executor half of tracing follows the config
-                # only when the process tracer was armed at build
-                for s in sessions:
-                    assert bool(s.executor.timeline.ops()) \
-                        == (armed and trace)
-                    s.close()
-                assert instrument.ACTIVE is found[0]
-                assert obs_trace.ACTIVE is found[1]
+            engine = make_engine(batch=2)
+            sessions = [engine.session(mode=m)
+                        for m in ("train", "infer", "infer")]
+            sessions[0].run_iteration(0)
+            engine.parallel_run(sessions[1:], 1, timeout=60.0)
+            # an executor keeps its op log exactly when the process
+            # tracer was armed at build
+            for s in sessions:
+                assert bool(s.executor.timeline.ops()) == armed
+                s.close()
+            assert instrument.ACTIVE is found[0]
+            assert obs_trace.ACTIVE is found[1]
             if armed:
                 assert found[0].limit == found[1].limit == 7
             else:
@@ -147,32 +151,6 @@ class TestTracer:
 # metrics registry
 # --------------------------------------------------------------------------
 class TestMetricsRegistry:
-    def test_counter_gauge_histogram(self):
-        reg = MetricsRegistry()
-        c = reg.counter("reqs")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-        g = reg.gauge("depth")
-        g.set(3.0)
-        g.add(-1.0)
-        assert g.value == 2.0
-        h = reg.histogram("lat")
-        for v in (1.0, 2.0, 3.0):
-            h.observe(v)
-        snap = h.snapshot()
-        assert snap["count"] == 3 and snap["max"] == 3.0
-
-    def test_get_or_create_is_idempotent_but_type_clash_raises(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x") is reg.counter("x")
-        with pytest.raises(ValueError):
-            reg.gauge("x")
-        with pytest.raises(ValueError):
-            reg.probe("x", lambda: 1)
-
     def test_probe_replaces_and_renders(self):
         reg = MetricsRegistry()
         reg.probe("slo", lambda: {"a": 1},
@@ -182,21 +160,11 @@ class TestMetricsRegistry:
         assert reg.collect()["slo"]["value"] == {"a": 2}
         assert "a=2" in reg.render()
 
-    def test_unregister_prefix(self):
-        reg = MetricsRegistry()
-        reg.counter("lane.a.reqs")
-        reg.counter("lane.a.rows")
-        reg.counter("lane.b.reqs")
-        assert reg.unregister("lane.a") == 2
-        assert reg.names() == ["lane.b.reqs"]
-
     def test_export_jsonl_appends_a_time_series(self, tmp_path):
         reg = MetricsRegistry()
-        c = reg.counter("n")
+        reg.probe("n", itertools.count(1).__next__)
         path = tmp_path / "metrics.jsonl"
-        c.inc()
         reg.export_jsonl(path, extra={"t": 1})
-        c.inc()
         reg.export_jsonl(path, extra={"t": 2})
         lines = [json.loads(ln) for ln in path.read_text().splitlines()]
         assert [ln["metrics"]["n"]["value"] for ln in lines] == [1, 2]
@@ -309,23 +277,19 @@ class TestEngineTracing:
     def test_iteration_spans_when_armed(self):
         net = NETWORK_BUILDERS["lenet"](batch=4)
         with obs_trace.capture() as tr:
-            with Executor(net, RuntimeConfig.superneurons(
-                    concrete=False)) as ex:
-                ex.run_iteration(0)
-                ex.run_iteration(1)
-        spans = [s for s in tr.spans() if s.name == "iteration"]
+            with Session(net, RuntimeConfig.superneurons(
+                    concrete=False)) as sess:
+                results = sess.run(iters=2)
+        spans = iteration_spans(tr)
         assert len(spans) == 2
         assert spans[0].cat == "engine"
         assert spans[0].attrs["net"] == "lenet"
-        assert spans[0].attrs["sim_time"] > 0
-
-    def test_trace_false_suppresses_the_hook(self):
-        net = NETWORK_BUILDERS["lenet"](batch=4)
-        with obs_trace.capture() as tr:
-            with Executor(net, RuntimeConfig.superneurons(
-                    concrete=False, trace=False)) as ex:
-                ex.run_iteration(0)
-        assert [s for s in tr.spans() if s.name == "iteration"] == []
+        assert spans[0].attrs["mode"] == "train"
+        assert [s.attrs["iteration"] for s in spans] == [0, 1]
+        assert [s.attrs["replayed"] for s in spans] == [False, True]
+        for span, res in zip(spans, results):
+            assert span.attrs["sim_time"] == round(res.sim_time, 9) > 0
+            assert span.attrs["peak_bytes"] == res.peak_bytes
 
     def test_timeline_ops_only_recorded_when_armed(self):
         net = NETWORK_BUILDERS["lenet"](batch=4)
@@ -368,13 +332,11 @@ class TestEngineTracing:
         assert all(r.status == "ok" for r in roots)
         assert sorted(r.attrs["session"] for r in roots) == [0, 1]
         assert all(r.attrs["iters"] == 2 for r in roots)
-        # each executor iteration lands as its own engine-cat span
-        # (the executor hook is parentless by design: it cannot know
-        # which session root owns it without threading context through
-        # every run_iteration call)
-        iters = [s for s in tr.spans() if s.name == "iteration"]
-        # 2 sessions x 2 iters, plus the engine's one compile scout
-        assert len(iters) == 5
+        # each session iteration lands as its own engine-cat span
+        # (parentless by design: run_iteration cannot know which
+        # session root owns it without threading context through every
+        # call); 2 sessions x 2 iters, none for the compile scout
+        assert len(iteration_spans(tr)) == 4
 
     def test_executor_register_metrics_probes(self):
         net = NETWORK_BUILDERS["lenet"](batch=4)
@@ -388,6 +350,47 @@ class TestEngineTracing:
         assert "hits" in snap["eng.cache"]["value"]
         assert snap["eng.timeline"]["value"]["elapsed"] > 0
         assert "d2h_bytes" in snap["eng.dma"]["value"]
+
+
+# --------------------------------------------------------------------------
+# disarmed cost: frames, not percentages
+# --------------------------------------------------------------------------
+class TestDisarmedCost:
+    @pytest.mark.parametrize("net,gpu_capacity", [
+        ("alexnet", None),            # roomy: everything resident
+        ("resnet50", 1 << 30),        # 1 GiB: evictions every iteration
+    ])
+    def test_replayed_iteration_enters_no_obs_or_check_frame(
+            self, monkeypatch, net, gpu_capacity):
+        """With both process tracers disarmed a steady-state train
+        iteration calls no Python function of ``repro.obs`` or
+        ``repro.check`` — every hook on the path is an inline
+        ``is None`` test.  A wall-clock gate cannot see one frame; this
+        one cannot miss it."""
+        from repro.check import instrument
+        monkeypatch.setattr(instrument, "ACTIVE", None)
+        monkeypatch.setattr(obs_trace, "ACTIVE", None)
+        entered = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_globals.get(
+                    "__name__", "").startswith(("repro.obs", "repro.check")):
+                entered.append(f"{frame.f_globals['__name__']}."
+                               f"{frame.f_code.co_name}")
+
+        with Session(NETWORK_BUILDERS[net](batch=32),
+                     RuntimeConfig.superneurons(
+                         concrete=False,
+                         gpu_capacity=gpu_capacity)) as sess:
+            sess.run(iters=2)            # record, then link the plan
+            sys.setprofile(profiler)
+            try:
+                res = sess.run_iteration(2)
+            finally:
+                sys.setprofile(None)
+            assert sess.executor.replayed_iterations == 2
+        assert (res.cache_evictions > 0) == (gpu_capacity is not None)
+        assert entered == []
 
 
 # --------------------------------------------------------------------------
@@ -418,6 +421,30 @@ class TestServingSpans:
                   if s.name == "compute.slice"]
         assert len(slices) == 2
         assert sorted(s.attrs["part"] for s in slices) == [0, 1]
+
+    def test_n_served_batches_are_n_iteration_spans(self):
+        """The engine's compile scout and ``check cost``'s throwaway
+        executors are not iterations anybody asked for: an armed
+        serving trace carries one ``iteration`` span per batch."""
+        from repro.cli import main
+        with obs_trace.capture() as tr:
+            engine = make_engine(batch=4)
+            server = InferenceServer(engine, workers=2,
+                                     policy="greedy-fill",
+                                     max_wait=0.001)
+            with server:
+                for size in (1, 2, 3, 4) * 8:
+                    server.submit(size=size)
+                assert server.drain(timeout=30)
+            batches = server.metrics.to_dict()["batches"]["count"]
+            spans = iteration_spans(tr)
+            assert len(spans) == batches > 0
+            assert all(s.attrs["replayed"] for s in spans)
+            assert all(s.attrs["mode"] == "infer" for s in spans)
+            # compiles (scout) and costs (throwaway executor) both
+            # modes of a fresh engine
+            assert main(["check", "cost", "--net", "lenet"]) == 0
+            assert len(iteration_spans(tr)) == batches
 
     def test_four_worker_backlog_trace_validates(self, tmp_path):
         # more workers than cores on a queued backlog, switching threads

@@ -24,6 +24,8 @@ import repro
 from repro.cli import build_parser
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
+from repro.core.runtime import Executor
+from repro.core.session import Session
 from repro.serve import DynamicBatcher, InferenceServer, ServingFleet
 
 RULE = ("no new RuntimeConfig field, env var or CLI flag (or entry-point "
@@ -34,9 +36,8 @@ CONFIG_FIELDS = [
     "concrete", "device", "gpu_capacity", "use_pool_allocator",
     "pool_slab_bytes", "pinned_host", "use_liveness", "liveness_scope",
     "use_offload", "use_tensor_cache", "cache_policy", "recompute",
-    "workspace_policy", "steady_state_replay", "verify_plans",
-    "validate_state", "trace", "cost_report", "collect_traces",
-    "external_pools", "offload_types",
+    "workspace_policy", "steady_state_replay", "collect_traces",
+    "external_pools",
 ]
 
 PARAMETERS = {
@@ -49,6 +50,9 @@ PARAMETERS = {
     "DynamicBatcher": (DynamicBatcher, [
         "queue", "capacity", "policy", "max_wait", "clock"]),
     "Engine": (Engine, ["net", "config", "verify", "cost_report"]),
+    "Session": (Session, ["net", "config", "mode", "engine"]),
+    "Executor": (Executor, [
+        "net", "config", "policies", "mode", "compiled", "planning"]),
     "Engine.parallel_run": (Engine.parallel_run, [
         "sessions", "iters", "start_iteration", "timeout"]),
     "compile": (repro.compile, [

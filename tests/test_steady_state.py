@@ -221,7 +221,8 @@ class TestAddressPlan:
 
 class TestReplayOptOut:
     def test_session_with_replay_false(self):
-        with Session(lenet(batch=2, image=12)).with_replay(False) as sess:
+        with Session(lenet(batch=2, image=12)).with_config(
+                steady_state_replay=False) as sess:
             for i in range(3):
                 sess.run_iteration(i)
             assert sess.executor.replayed_iterations == 0
@@ -237,7 +238,7 @@ class TestReplayOptOut:
         sess = Session(lenet(batch=2, image=12))
         sess.run_iteration(0)
         with pytest.raises(RuntimeError, match="already built"):
-            sess.with_replay(False)
+            sess.with_config(steady_state_replay=False)
         sess.close()
 
 
