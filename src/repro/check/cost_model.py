@@ -184,6 +184,10 @@ class CostPrediction:
     recompute_seconds: float
     capacity: Optional[int]
     pressure_evictions: int
+    #: of those, clean lines dropped with no D2H copy: the recorder
+    #: sees no copy, no stall and no record for them, so
+    #: D2H copies == pressure_evictions - clean_evictions
+    clean_evictions: int
     workspace_fallbacks: int
     steps: List[StepCost] = field(default_factory=list)
     prefetches: List[PrefetchRecord] = field(default_factory=list)
@@ -218,6 +222,7 @@ class CostPrediction:
             "extra_forwards": self.extra_forwards,
             "recompute_ms": self.recompute_seconds * 1e3,
             "pressure_evictions": self.pressure_evictions,
+            "clean_evictions": self.clean_evictions,
             "workspace_fallbacks": self.workspace_fallbacks,
             "prefetches": len(self.prefetches),
             "offloads": len(self.offloads),
@@ -414,6 +419,7 @@ class IterationRecorder:
                                   for r in self.recomputes),
             capacity=ex.config.capacity,
             pressure_evictions=result.cache_evictions,
+            clean_evictions=result.cache_clean_evictions,
             workspace_fallbacks=sum(
                 1 for w in result.workspace_choices if not w.got_max_speed),
             steps=self.steps,

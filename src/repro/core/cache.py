@@ -26,7 +26,8 @@ interface so the ablation bench can quantify the choice.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from itertools import islice
+from typing import Callable, Dict, Iterator, List
 
 from repro.tensors.tensor import Tensor
 
@@ -112,12 +113,7 @@ class TensorCache:
                 "state= at construction or call bind_state() before "
                 "evict_for()")
         freed = 0
-        locked = self._state.locked
-        # collect victims first because offload_cb mutates the map
-        victims: List[Tensor] = [
-            t for t in self._victim_order() if not locked(t)
-        ]
-        for t in victims:
+        for t in self._victims():
             if freed >= nbytes:
                 break
             self.remove(t)
@@ -125,10 +121,32 @@ class TensorCache:
             self.evictions += 1
         return freed
 
-    def _victim_order(self) -> List[Tensor]:
-        """Eviction order (first = first out) under the active policy."""
-        if self.policy == "lru":
-            return [self._entries[tid] for tid in reversed(self._entries)]
+    def _victims(self) -> Iterator[Tensor]:
+        """Unlocked entries, first out first, found lazily.
+
+        The caller removes each victim before asking for the next, and
+        its offload mutates the map in between, so the LRU tail is
+        re-entered per victim — past the locked entries already seen
+        (lock bits hold still during a pressure event).  An event then
+        costs O(victims + locked tail) lock checks, not O(entries):
+        the locked tensors are the running step's, at the MRU end.
+        """
+        locked = self._state.locked
+        if self.policy != "lru":  # ablation only: a sorted snapshot
+            yield from [t for t in self._sorted_order() if not locked(t)]
+            return
+        skip = 0
+        while True:
+            for t in islice(reversed(self._entries.values()), skip, None):
+                if not locked(t):
+                    break
+                skip += 1
+            else:
+                return
+            yield t
+
+    def _sorted_order(self) -> List[Tensor]:
+        """Eviction order (first = first out) under ``fifo``/``lfu``."""
         if self.policy == "fifo":
             order = sorted(self._entries, key=lambda tid: self._arrival[tid])
             return [self._entries[tid] for tid in order]

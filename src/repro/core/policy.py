@@ -148,6 +148,13 @@ class StepContext:
         return self._ex.recorder
 
     @property
+    def cache_armed(self) -> bool:
+        """Does the resolved stack carry an armed tensor cache?  Read
+        from the stack, not the config, so explicit stacks agree."""
+        p = self._ex._offload_policy
+        return p is not None and p.cache_mode
+
+    @property
     def pending_offloads(self) -> int:
         """Number of offload copies still in flight."""
         return len(self._ex._pending)
@@ -649,6 +656,7 @@ class RecomputePolicy(MemoryPolicy):
         # fresh iteration, in discard order) — the schedule replay runs
         # instead of dispatching after_step at all
         self._cleanup_by_step: Dict[int, List[Tensor]] = {}
+        self._release_anchors = True  # decided once, at bind
 
     @classmethod
     def from_config(cls, config: RuntimeConfig) -> "RecomputePolicy":
@@ -667,6 +675,13 @@ class RecomputePolicy(MemoryPolicy):
 
     def describe(self) -> str:
         return f"recompute(strategy={self.strategy.value})"
+
+    def bind(self, ctx: StepContext) -> None:
+        # An armed tensor cache makes the residency call itself: a
+        # fetched anchor stays at its LRU position as a clean line and
+        # pressure retires it for free.  Eager mode has nothing else
+        # to retire the copy, and Fig. 10c's l_peak rests on it going.
+        self._release_anchors = not ctx.cache_armed
 
     # -- hooks ---------------------------------------------------------------
     def on_iteration_start(self, ctx: StepContext) -> None:
@@ -761,11 +776,13 @@ class RecomputePolicy(MemoryPolicy):
         backward will prefetch it again.  Without this, the anchor
         inflates the segment-backward working set above l_peak —
         the paper's measured AlexNet peak (exactly 4 tensors at LRN1's
-        backward) implies their runtime releases it too.
+        backward) implies their runtime releases it too.  Eager mode
+        only (see :meth:`bind`): under an armed cache the anchor is a
+        clean line and dropping it here buys a re-fetch per chain.
         """
         out = seg.anchor.output
         state = ctx.state
-        if out is not None and state.on_gpu(out) \
+        if self._release_anchors and out is not None and state.on_gpu(out) \
                 and state.host_resident(out) and not state.locked(out):
             ctx.release_gpu(out)
 
@@ -830,6 +847,8 @@ class RecomputePolicy(MemoryPolicy):
         if ctx.concrete:
             ins = [ctx.store.get_required(p.output) for p in layer.prev]
             out = layer.forward(ins, ctx.layer_ctx)
+            assert not (state.validate and state.host_resident(layer.output)), \
+                f"{layer.output.name} rewritten over a valid host copy"
             ctx.store.put(layer.output, out)
         for p in layer.prev:
             state.unlock(p.output)

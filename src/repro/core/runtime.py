@@ -100,6 +100,8 @@ class IterationResult:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
+    #: of those, clean lines dropped with no copy (host copy still valid)
+    cache_clean_evictions: int = 0
     workspace_choices: List[WorkspaceChoice] = field(default_factory=list)
     # terminal layer's concrete output, kept only when the iteration ran
     # with capture_output (the serving path); excluded from to_dict —
@@ -124,7 +126,8 @@ class IterationResult:
             "extra_forwards": self.extra_forwards,
             "stall_seconds": self.stall_seconds,
             "cache": {"hits": self.cache_hits, "misses": self.cache_misses,
-                      "evictions": self.cache_evictions},
+                      "evictions": self.cache_evictions,
+                      "clean_evictions": self.cache_clean_evictions},
             "workspaces": {
                 "executions": len(ws),
                 "at_max_speed": at_max,
@@ -307,6 +310,7 @@ class Executor:
         self._alloc_of: Dict[int, Allocation] = {}
         self._pending: List[_PendingOffload] = []
         self._stall = 0.0
+        self._clean_evictions = 0
         self.param_bytes = 0
         self._allocate_params()
         # static end-of-iteration sweep candidates (tensors are fixed
@@ -377,9 +381,9 @@ class Executor:
 
     def _cache_counters(self):
         if self._offload_policy is None:
-            return 0, 0, 0
+            return 0, 0, 0, 0
         c = self._offload_policy.cache
-        return c.hits, c.misses, c.evictions
+        return c.hits, c.misses, c.evictions, self._clean_evictions
 
     def _extra_forwards(self) -> int:
         return self._recompute_policy.extra_forwards \
@@ -402,7 +406,8 @@ class Executor:
             "peak_bytes": self.allocator.peak_bytes,
         })
         registry.probe(f"{prefix}.cache", lambda: dict(zip(
-            ("hits", "misses", "evictions"), self._cache_counters())))
+            ("hits", "misses", "evictions", "clean_evictions"),
+            self._cache_counters())))
         registry.probe(f"{prefix}.timeline", lambda: {
             "elapsed": self.timeline.elapsed,
             **{s.value: self.timeline.busy_time(s) for s in Stream},
@@ -545,9 +550,18 @@ class Executor:
             self.recorder.waited(kind, t, ev, stall)
 
     def _evict_to_host(self, t: Tensor) -> int:
-        """Synchronous offload used by LRU eviction; returns bytes freed."""
-        self._wait(t, "evict", self._copy(t, "evict"))
-        self.state.set_host_resident(t, True)
+        """Synchronous offload used by LRU eviction; returns bytes freed.
+
+        The cache is write-back with a clean bit: an output is written
+        once per (re)materialisation and ``_discard`` retires its host
+        copy, so a GPU copy whose host copy is still valid is a *clean
+        line* and drops with no copy and no stall — between two uses an
+        evicted tensor crosses PCIe at most once per direction."""
+        if self.state.host_resident(t):
+            self._clean_evictions += 1
+        else:
+            self._wait(t, "evict", self._copy(t, "evict"))
+            self.state.set_host_resident(t, True)
         self.store.move_to_host(t)
         a = self._alloc_of.pop(t.tensor_id, None)
         freed = 0
@@ -736,7 +750,7 @@ class Executor:
         d2h0, h2d0 = self.dma.stats.d2h_bytes, self.dma.stats.h2d_bytes
         calls0 = self.allocator.stats.calls
         ovh0 = self.allocator.stats.overhead_seconds
-        hits0, miss0, ev0 = self._cache_counters()
+        hits0, miss0, ev0, clean0 = self._cache_counters()
         extra0 = self._extra_forwards()
         stall0 = self._stall
         ws_start = len(self._workspace_choices())
@@ -757,7 +771,7 @@ class Executor:
         # the loss travels through the per-session LayerContext (shared
         # SoftmaxLoss objects would race under concurrent sessions)
         loss = ctx.layer_ctx.last_loss
-        hits1, miss1, ev1 = self._cache_counters()
+        hits1, miss1, ev1, clean1 = self._cache_counters()
         return IterationResult(
             iteration=iteration,
             loss=loss,
@@ -775,6 +789,7 @@ class Executor:
             cache_hits=hits1 - hits0,
             cache_misses=miss1 - miss0,
             cache_evictions=ev1 - ev0,
+            cache_clean_evictions=clean1 - clean0,
             workspace_choices=self._workspace_choices()[ws_start:],
             output=ctx.layer_ctx.final_output,
         )
@@ -841,6 +856,8 @@ class Executor:
         if self.concrete:
             ins = [self.store.get_required(p.output) for p in layer.prev]
             val = layer.forward(ins, ctx.layer_ctx)
+            assert not (state.validate and state.host_resident(out)), \
+                f"{out.name} rewritten over a valid host copy"
             self.store.put(out, val)
             if cs.has_running_stats and ctx.layer_ctx.training:
                 layer.update_running_stats(ins[0])

@@ -112,6 +112,16 @@ class TestCalibration:
                                                    rel=1e-9)
         assert pred.extra_forwards == meas.extra_forwards
         assert pred.pressure_evictions == meas.cache_evictions
+        # the bytes reconcile: a clean drop (9 of the 51 evictions at
+        # 700 MiB) is counted and logs no copy, no stall, no record —
+        # every eviction that did copy stalled compute on it
+        assert pred.clean_evictions == meas.cache_clean_evictions
+        assert pred.to_dict()["clean_evictions"] == pred.clean_evictions
+        assert (pred.clean_evictions > 0) \
+            == (kw.get("gpu_capacity") == 700 << 20)
+        copies = sum(1 for s in pred.stalls if s.kind == "evict")
+        assert copies == pred.pressure_evictions - pred.clean_evictions
+        assert not (pred.pressure_evictions and pred.offloads)
 
     @pytest.mark.parametrize("record", ZOO_PEAKS, ids=lambda r: r["net"])
     def test_zoo_peaks_equal_the_committed_baseline(self, record):

@@ -347,7 +347,8 @@ class TestEngineTracing:
             ex.register_metrics(reg, "eng")
             snap = reg.collect()
         assert snap["eng.allocator"]["value"]["allocs"] > 0
-        assert "hits" in snap["eng.cache"]["value"]
+        assert set(snap["eng.cache"]["value"]) == {
+            "hits", "misses", "evictions", "clean_evictions"}
         assert snap["eng.timeline"]["value"]["elapsed"] > 0
         assert "d2h_bytes" in snap["eng.dma"]["value"]
 
