@@ -13,7 +13,7 @@ benches fill the gaps on the same substrate:
 
 from repro.analysis.report import Table
 from repro.core.config import RuntimeConfig, WorkspacePolicy
-from repro.core.runtime import Executor
+from repro.core.session import Session
 from repro.device.fabric import LOCAL_CPU, PEER_GPU, REMOTE_RDMA
 from repro.zoo import alexnet, resnet50
 
@@ -26,9 +26,9 @@ def _policy_run(policy: str):
     """ResNet50 squeezed enough that the cache must evict constantly."""
     net = resnet50(batch=64)
     cap = net.total_param_bytes() + 2 * GiB
-    ex = Executor(net, RuntimeConfig.superneurons(
+    ex = Session(net, RuntimeConfig.superneurons(
         concrete=False, cache_policy=policy, gpu_capacity=cap,
-        workspace_policy=WorkspacePolicy.NONE))
+        workspace_policy=WorkspacePolicy.NONE)).executor
     r = ex.run_iteration(0)
     out = (img_per_sec(net, r), r.d2h_bytes + r.h2d_bytes, r.cache_evictions)
     ex.close()
@@ -62,9 +62,9 @@ def test_ablation_eviction_policy(benchmark):
 
 def _pinned_run(pinned: bool):
     net = alexnet(batch=512, image=227)
-    ex = Executor(net, RuntimeConfig.liveness_offload(
+    ex = Session(net, RuntimeConfig.liveness_offload(
         concrete=False, pinned_host=pinned,
-        workspace_policy=WorkspacePolicy.NONE))
+        workspace_policy=WorkspacePolicy.NONE)).executor
     r = ex.run_iteration(0)
     out = (img_per_sec(net, r), r.stall_seconds)
     ex.close()
@@ -99,9 +99,9 @@ def test_ablation_pinned_staging(benchmark):
 
 def _pool_run(pools, label):
     net = alexnet(batch=512, image=227)
-    ex = Executor(net, RuntimeConfig.liveness_offload(
+    ex = Session(net, RuntimeConfig.liveness_offload(
         concrete=False, external_pools=pools,
-        workspace_policy=WorkspacePolicy.NONE))
+        workspace_policy=WorkspacePolicy.NONE)).executor
     r = ex.run_iteration(0)
     out = img_per_sec(net, r)
     ex.close()

@@ -9,9 +9,10 @@ import pytest
 from repro.analysis.report import Table
 from repro.core.config import RuntimeConfig, WorkspacePolicy
 from repro.device.model import K40_MODEL
+from repro.frameworks.probe import try_run
 from repro.layers.conv import Conv2D
 
-from benchmarks.common import GiB, MiB, PAPER_NETWORKS, img_per_sec, once, sim_run, write_result
+from benchmarks.common import GiB, MiB, PAPER_NETWORKS, img_per_sec, once, write_result
 
 
 def _measure():
@@ -28,9 +29,9 @@ def _measure():
                  for l in net.layers if isinstance(l, Conv2D))
         # speed: full runtime (fits 12 GB for every net) with dynamic
         # workspaces vs the zero-workspace algorithm everywhere
-        slow = sim_run(builder(**kw), RuntimeConfig.superneurons(
+        slow = try_run(builder(**kw), RuntimeConfig.superneurons(
             concrete=False, workspace_policy=WorkspacePolicy.NONE))
-        fast = sim_run(builder(**kw), RuntimeConfig.superneurons(
+        fast = try_run(builder(**kw), RuntimeConfig.superneurons(
             concrete=False, workspace_policy=WorkspacePolicy.DYNAMIC))
         s_slow = img_per_sec(net, slow)
         s_fast = img_per_sec(net, fast)

@@ -8,7 +8,7 @@ any layer-wise runtime can reach.
 
 from repro.analysis.report import Table, series_to_text
 from repro.core.config import RuntimeConfig, WorkspacePolicy
-from repro.core.runtime import Executor
+from repro.core.session import Session
 
 from benchmarks.common import MiB, once, write_result
 from repro.zoo import alexnet
@@ -33,7 +33,7 @@ def _measure():
     out = {}
     traces = {}
     for name, cfg in CONFIGS.items():
-        ex = Executor(_mk(), cfg())
+        ex = Session(_mk(), cfg()).executor
         r = ex.run_iteration(0)
         peak_tr = max(r.traces, key=lambda t: t.activation_high)
         out[name] = (r.activation_peak_bytes, peak_tr.label)

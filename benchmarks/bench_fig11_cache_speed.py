@@ -7,7 +7,7 @@ whose thin layers cannot hide the eager offload traffic under compute.
 
 from repro.analysis.report import Table
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import Executor
+from repro.core.session import Session
 from repro.zoo import alexnet, inception_v4, resnet50, resnet101, resnet152, vgg16
 
 from benchmarks.common import img_per_sec, once, write_result
@@ -24,8 +24,8 @@ NETS = {
 
 def _speed(mk, use_cache: bool):
     net = mk()
-    ex = Executor(net, RuntimeConfig.superneurons(
-        use_tensor_cache=use_cache, concrete=False))
+    ex = Session(net, RuntimeConfig.superneurons(
+        use_tensor_cache=use_cache, concrete=False)).executor
     r = ex.run_iteration(0)
     s = img_per_sec(net, r)
     ex.close()

@@ -10,7 +10,7 @@ Paper (AlexNet, 5 CONV layers, steps 1f..5f then 5b..1b):
 
 from repro.analysis.report import Table
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import Executor
+from repro.core.session import Session
 from repro.zoo import alexnet
 
 from benchmarks.common import GiB, MiB, img_per_sec, once, write_result
@@ -18,8 +18,8 @@ from benchmarks.common import GiB, MiB, img_per_sec, once, write_result
 
 def _run(batch: int, pool_gb: int):
     net = alexnet(batch=batch, image=227)
-    ex = Executor(net, RuntimeConfig.superneurons(
-        concrete=False, pool_slab_bytes=pool_gb * GiB))
+    ex = Session(net, RuntimeConfig.superneurons(
+        concrete=False, pool_slab_bytes=pool_gb * GiB)).executor
     r = ex.run_iteration(0)
     speed = img_per_sec(net, r)
     choices = [w for w in r.workspace_choices]

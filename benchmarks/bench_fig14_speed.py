@@ -7,7 +7,6 @@ computation per image).
 """
 
 from repro.analysis.report import series_to_text
-from repro.core.runtime import Executor
 from repro.device.model import TITANXP_MODEL
 from repro.frameworks import framework_config
 from repro.frameworks.probe import try_run

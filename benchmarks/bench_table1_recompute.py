@@ -13,7 +13,7 @@ forwards of our engine plus the paper's closed-form prediction.
 from repro.analysis.report import Table
 from repro.core.config import RecomputeStrategy, RuntimeConfig, WorkspacePolicy
 from repro.core.recompute import plan_segments
-from repro.core.runtime import Executor
+from repro.core.session import Session
 from repro.graph.route import ExecutionRoute
 from repro.zoo import alexnet, resnet50, resnet101
 
@@ -43,9 +43,9 @@ def _measure():
         for strat_name, strat in STRATS.items():
             net = mk()
             plan = plan_segments(ExecutionRoute(net), strat)
-            ex = Executor(net, RuntimeConfig.superneurons(
+            ex = Session(net, RuntimeConfig.superneurons(
                 use_tensor_cache=False, recompute=strat, concrete=False,
-                workspace_policy=WorkspacePolicy.NONE))
+                workspace_policy=WorkspacePolicy.NONE)).executor
             r = ex.run_iteration(0)
             ex.close()
             out[(net_name, strat_name)] = (

@@ -8,7 +8,7 @@ calls per iteration and the bigger the pool's win.
 
 from repro.analysis.report import Table
 from repro.core.config import RuntimeConfig, WorkspacePolicy
-from repro.core.runtime import Executor
+from repro.core.session import Session
 from repro.zoo import alexnet, inception_v4, resnet50, resnet101, resnet152, vgg16
 
 from benchmarks.common import img_per_sec, once, write_result
@@ -25,9 +25,9 @@ NETS = {
 
 def _run(mk, use_pool: bool):
     net = mk()
-    ex = Executor(net, RuntimeConfig.superneurons(
+    ex = Session(net, RuntimeConfig.superneurons(
         concrete=False, use_pool_allocator=use_pool,
-        workspace_policy=WorkspacePolicy.NONE))
+        workspace_policy=WorkspacePolicy.NONE)).executor
     r = ex.run_iteration(0)
     speed = img_per_sec(net, r)
     calls = r.alloc_calls

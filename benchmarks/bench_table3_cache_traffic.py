@@ -7,7 +7,7 @@ every batch up to 896 moves ZERO bytes and b=1024 moves only 0.88 GB.
 
 from repro.analysis.report import Table
 from repro.core.config import RuntimeConfig, WorkspacePolicy
-from repro.core.runtime import Executor
+from repro.core.session import Session
 from repro.zoo import alexnet
 
 from benchmarks.common import GiB, once, write_result
@@ -17,9 +17,9 @@ BATCHES = [256, 384, 512, 640, 896, 1024]
 
 def _traffic(batch: int, use_cache: bool) -> float:
     net = alexnet(batch=batch, image=227)
-    ex = Executor(net, RuntimeConfig.liveness_offload(
+    ex = Session(net, RuntimeConfig.liveness_offload(
         use_tensor_cache=use_cache, concrete=False,
-        workspace_policy=WorkspacePolicy.NONE))
+        workspace_policy=WorkspacePolicy.NONE)).executor
     r = ex.run_iteration(0)
     ex.close()
     return (r.d2h_bytes + r.h2d_bytes) / GiB

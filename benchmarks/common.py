@@ -22,8 +22,6 @@ from typing import Callable, Dict, Optional
 
 from repro.core.config import RuntimeConfig
 from repro.core.runtime import IterationResult
-from repro.core.session import Session
-from repro.device.gpu import OutOfMemoryError
 from repro.frameworks import FRAMEWORKS, framework_config
 from repro.frameworks.probe import max_batch, max_resnet_depth
 from repro.zoo import (
@@ -60,15 +58,6 @@ def write_result(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print("\n" + text)
-
-
-def sim_run(net, config: RuntimeConfig) -> Optional[IterationResult]:
-    """One simulated iteration through the Session API (None on OOM)."""
-    try:
-        with Session(net, config) as sess:
-            return sess.run_iteration(0)
-    except (OutOfMemoryError, MemoryError):
-        return None
 
 
 def img_per_sec(net, res: Optional[IterationResult]) -> Optional[float]:

@@ -17,11 +17,10 @@ worker gets its own device substrate but shares the compiled plans:
 >>> with engine.session(mode="infer") as worker:
 ...     result = worker.run_iteration(0)
 
-The legacy constructor keeps working unchanged:
-
->>> from repro import Executor, RuntimeConfig
->>> ex = Executor(net, RuntimeConfig.superneurons())
->>> result = ex.run_iteration(0)
+Those are the two ways to start a run.  Both go through
+:class:`Engine`, the one place a run is planned and its executor built;
+``session.executor`` exposes the substrate (allocator, timeline, tensor
+cache) for inspection.
 
 See README.md for the full walkthrough and DESIGN.md for how each paper
 subsystem maps onto the packages below.
@@ -42,7 +41,7 @@ from repro.core.policy import (
     StepContext,
     register_policy,
 )
-from repro.core.runtime import Executor, IterationResult
+from repro.core.runtime import IterationResult
 from repro.core.tensor_state import SessionTensorState
 from repro.core.session import Session
 from repro.graph.network import Net
@@ -63,7 +62,6 @@ __all__ = [
     "register_policy",
     "Engine",
     "compile",
-    "Executor",
     "IterationResult",
     "SessionTensorState",
     "Session",

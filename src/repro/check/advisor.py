@@ -68,12 +68,6 @@ class Advice:
     ladder: List[RungAssessment] = field(default_factory=list)
     recommended: Optional[str] = None
 
-    def assessment(self, rung: str) -> RungAssessment:
-        for a in self.ladder:
-            if a.rung == rung:
-                return a
-        raise KeyError(rung)
-
     def render(self) -> str:
         budget_txt = f"{self.budget / MiB:.0f} MiB" \
             if self.budget is not None else "none"

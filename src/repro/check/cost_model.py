@@ -576,7 +576,7 @@ def predict_compiled_mode(net, compiled, config: RuntimeConfig,
     """
     sim = replace(config, concrete=False, collect_traces=False,
                   steady_state_replay=True)
-    with Executor(net, sim, mode=compiled.mode, compiled=compiled) as ex:
+    with Executor(net, sim, sim.policy_stack(), compiled) as ex:
         return record_iteration(ex, target)
 
 

@@ -119,8 +119,8 @@ class SymStep:
     #: conditional discards after the step (recompute cleanup: only if
     #: still live — never a double-free by construction)
     discards: Tuple[SymTensor, ...] = ()
-    #: settled-phase prefetch candidates: ``(tensor, anchor | None)``
-    prefetches: Tuple[Tuple[SymTensor, Optional[SymTensor]], ...] = ()
+    #: settled-phase prefetch candidates (fetched only if host-resident)
+    prefetches: Tuple[SymTensor, ...] = ()
     workspace_bytes: int = 0
 
 
@@ -219,11 +219,10 @@ def extract_trace(net, compiled, config: RuntimeConfig,
         if off_plan is not None:
             for t in off_plan.step_offloads.get(i, ()):
                 offloads.append((sym(t), release_step.get(t.tensor_id)))
-        prefetches: List[Tuple[SymTensor, Optional[SymTensor]]] = []
+        prefetches: List[SymTensor] = []
         if off_plan is not None:
-            for t, anchor in off_plan.step_prefetch.get(i, ()):
-                prefetches.append(
-                    (sym(t), sym(anchor) if anchor is not None else None))
+            for t in off_plan.step_prefetch.get(i, ()):
+                prefetches.append(sym(t))
         pick = ws_plan.workspace_picks.get(i) if ws_plan is not None else None
         steps.append(SymStep(
             index=i, op=op, phase=step.phase.value,
@@ -418,13 +417,10 @@ def verify_trace(trace: PlanTrace) -> List[Diagnostic]:
             if st.is_live(t):  # conditional by contract
                 st.discard(t)
 
-        # -- settled phase: prefetch-ahead with the runtime's guards
-        for t, anchor in step.prefetches:
+        # -- settled phase: prefetch-ahead with the runtime's guard
+        for t in step.prefetches:
             if st.place(t) == _HOST:
                 st.alloc(t)  # arrives just-in-time for the next step
-            elif anchor is not None and not st.is_live(t) \
-                    and st.placements.get(anchor.tensor_id) == _HOST:
-                st.alloc(anchor)
         st.sample_peak()
 
     # -- iteration barrier: drain copies, check the invariants that

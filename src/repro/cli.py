@@ -192,6 +192,11 @@ def _cmd_trace_export(args, name, net) -> int:
 
 def cmd_probe(args) -> int:
     factory = lambda: _config(args)
+    start = 1 if args.depth else 2  # n3 sweeps from 1, batches from 2
+    if args.limit < start:
+        print(f"probe --limit {args.limit} is below the search start "
+              f"{start}", file=sys.stderr)
+        return 2
     if args.depth:
         if args.net is not None:
             print("probe --depth sweeps custom ResNets; it cannot honour "
@@ -204,7 +209,7 @@ def cmd_probe(args) -> int:
     else:
         name = _net_name(args)
         builder = NETWORK_BUILDERS[name]
-        b = max_batch(builder, factory, start=2, limit=args.limit)
+        b = max_batch(builder, factory, start=start, limit=args.limit)
         print(f"largest {name} batch under {args.framework}: {b}")
     return 0
 

@@ -92,6 +92,12 @@ from repro.obs import trace as obs_trace
 MODES = ("train", "infer")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown execution mode {mode!r}; "
+                         f"expected one of {MODES}")
+
+
 @dataclass(frozen=True)
 class PlanningBase:
     """The mode-independent planning groundwork, derived once per engine.
@@ -112,9 +118,10 @@ class ModePlanning:
     """One mode's pre-scout planning artifacts (route + analyses).
 
     The subset of :class:`CompiledMode` that exists *before* the scout
-    iteration runs; an :class:`~repro.core.runtime.Executor` accepts it
-    via ``planning=`` to skip re-deriving route/liveness/segments while
-    still recording its own first iteration.
+    iteration runs.  An :class:`~repro.core.runtime.Executor` built
+    over it (the scout itself, every standalone ``Session``) records
+    its own first iteration; one built over the :class:`CompiledMode`
+    replays the scout's.
     """
 
     mode: str
@@ -122,6 +129,9 @@ class ModePlanning:
     recompute_plan: RecomputePlan
     liveness: LivenessAnalysis
     liveness_plan: LivenessPlan
+
+    #: no scout has run over bare planning (``CompiledMode`` fills it)
+    gathered = None
 
 
 @dataclass(frozen=True)
@@ -187,6 +197,7 @@ class Engine:
         #: per-mode scout compiles (≤ 1 per entry of :data:`MODES`).
         self.mode_compile_count = 0
         self._base: Optional[PlanningBase] = None
+        self._planning: Dict[str, ModePlanning] = {}
         self._compiled: Dict[str, CompiledMode] = {}
         # sessions may be driven from user threads that trigger the
         # lazy compile concurrently; the lock keeps "one planning pass"
@@ -198,17 +209,15 @@ class Engine:
     # ------------------------------------------------------------- compiling
     def compiled(self, mode: str = "train") -> CompiledMode:
         """The (cached) compiled artifacts for one execution mode."""
-        if mode not in MODES:
-            raise ValueError(f"unknown execution mode {mode!r}; "
-                             f"expected one of {MODES}")
         trace_read(self, f"engine.compiled[{mode}]")
         cm = self._compiled.get(mode)
         if cm is not None:  # fast path: no lock once compiled
             return cm
+        planning = self.planning(mode)  # rejects an unknown mode
         with self._compile_lock:
             cm = self._compiled.get(mode)
             if cm is None:
-                cm, prediction = self._compile_mode(mode)
+                cm, prediction = self._compile_mode(planning)
                 if self.verify_plans:
                     self._verify_mode(mode, cm)
                 if prediction is not None:
@@ -268,6 +277,19 @@ class Engine:
             self.compile_count += 1
         return self._base
 
+    def planning(self, mode: str = "train") -> ModePlanning:
+        """The (cached) pre-scout planning artifacts for one mode: what
+        the scout, every recording executor and the compiled mode all
+        share, derived by the one :meth:`_mode_planning` pass."""
+        _check_mode(mode)
+        mp = self._planning.get(mode)
+        if mp is None:
+            with self._compile_lock:
+                mp = self._planning.get(mode)
+                if mp is None:
+                    mp = self._planning[mode] = self._mode_planning(mode)
+        return mp
+
     def _mode_planning(self, mode: str) -> ModePlanning:
         """Route + analyses for one mode, on top of the shared base."""
         base = self._planning_base()
@@ -282,26 +304,27 @@ class Engine:
                             liveness=liveness,
                             liveness_plan=liveness.compile())
 
-    def _compile_mode(self, mode: str) -> Tuple[CompiledMode, object]:
+    def _compile_mode(self, planning: ModePlanning
+                      ) -> Tuple[CompiledMode, object]:
         """One mode's compiled artifacts, plus the scout iteration's
         ``CostPrediction`` when cost reporting is armed (else None)."""
         # The scout records one fresh iteration in simulated mode: the
         # allocator landscape (hence workspace picks), liveness frees,
         # offload/prefetch schedules, and recompute cleanup are
         # identical to a concrete run's, but no payload is ever touched.
-        # It reuses the shared base planning (route order + forward
-        # dependency scan) instead of re-deriving it per mode.  With
+        # It runs over the mode's cached planning, like every other
+        # recording executor of this engine.  With
         # cost reporting armed the same iteration is also the cost
         # prediction: it runs under the cost model's recorder (lazy
         # import, same contract as verification) — a recording
         # iteration 0 and a replayed iteration 0 are the same machine
         # doing the same thing, so costing needs no second run.
-        planning = self._mode_planning(mode)
+        mode = planning.mode
         scout_cfg = replace(self.config.for_mode(mode),
                             concrete=False, collect_traces=False,
                             steady_state_replay=True)
-        with Executor(self.net, scout_cfg, mode=mode,
-                      planning=planning) as scout:
+        with Executor(self.net, scout_cfg, resolve_policies(scout_cfg),
+                      planning) as scout:
             prediction = None
             if self.cost_report:
                 from repro.check.cost_model import record_iteration
@@ -315,22 +338,24 @@ class Engine:
     # -------------------------------------------------------------- spawning
     def executor(self, mode: str = "train", precompiled: bool = True,
                  extra_policies: Tuple[MemoryPolicy, ...] = ()) -> Executor:
-        """A fresh executor over this engine's net.
+        """A fresh executor over this engine's net — the one place a
+        run's executor is built.
 
         With ``precompiled`` (the default when replay is enabled and no
         custom policy instances ride along), the worker links the
         shared compiled plan and replays from iteration 0; otherwise it
-        records its own first iteration, exactly like a standalone
-        ``Executor`` — the legacy :class:`~repro.core.session.Session`
-        path uses that to keep its record-then-replay contract.
+        runs over the same cached :meth:`planning` but records its own
+        first iteration — what a standalone
+        :class:`~repro.core.session.Session` asks for, so building one
+        never pays for a scout.
         """
         eff = self.config.for_mode(mode)
         stack = resolve_policies(eff) + list(extra_policies)
-        compiled = None
         if precompiled and eff.steady_state_replay and not extra_policies:
-            compiled = self.compiled(mode)
-        return Executor(self.net, self.config, policies=stack,
-                        mode=mode, compiled=compiled)
+            plan = self.compiled(mode)
+        else:
+            plan = self.planning(mode)
+        return Executor(self.net, eff, stack, plan)
 
     def session(self, mode: str = "train"):
         """Spawn a lightweight session sharing this engine's plans."""
@@ -572,9 +597,7 @@ class Engine:
         infer sessions always (they never write shared state); train
         sessions only in simulated mode (concrete train would race on
         the shared weights and BN running statistics)."""
-        if mode not in MODES:
-            raise ValueError(f"unknown execution mode {mode!r}; "
-                             f"expected one of {MODES}")
+        _check_mode(mode)
         return mode == "infer" or not self.config.concrete
 
     def describe(self) -> str:

@@ -92,10 +92,9 @@ class PolicyPlan:
         step index -> checkpoint outputs whose eager D2H copy starts
         right after the step's kernel.
     step_prefetch:
-        step index -> ordered ``(tensor, anchor_output | None)`` pairs
-        considered by prefetch-ahead once the step's frees settle.  A
-        non-None anchor marks a recompute-covered read: the *anchor* is
-        fetched (if host-resident) so the segment re-run doesn't stall.
+        step index -> the next step's reads, in read order: the tensors
+        prefetch-ahead considers once the step's frees settle (each is
+        fetched only if host-resident at that moment — a live guard).
     workspace_picks:
         step index -> the recorded :class:`WorkspaceChoice` (pre
         -fallback); replay re-runs the scratch allocation and its
@@ -117,8 +116,7 @@ class PolicyPlan:
     step_frees: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     step_discards: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     step_offloads: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
-    step_prefetch: Mapping[int, Tuple[Tuple[Tensor, Optional[Tensor]], ...]] = \
-        field(default_factory=dict)
+    step_prefetch: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     workspace_picks: Mapping[int, WorkspaceChoice] = field(default_factory=dict)
     active_after_steps: Optional[FrozenSet[int]] = None
     keep_hooks: Tuple[str, ...] = ()
@@ -247,19 +245,14 @@ def _make_offload_op(ex, outputs: Tuple[Tensor, ...]) -> StepOp:
     return op
 
 
-def _make_prefetch_op(
-    ex, entries: Tuple[Tuple[Tensor, Optional[Tensor]], ...]
-) -> StepOp:
+def _make_prefetch_op(ex, tensors: Tuple[Tensor, ...]) -> StepOp:
     prefetch = ex._prefetch_async
-    state = ex.state  # session-local: the guards read THIS session's view
+    state = ex.state  # session-local: the guard reads THIS session's view
 
     def op(ctx, step):
-        for t, anchor in entries:
+        for t in tensors:
             if state.on_host(t):
                 prefetch(t)
-            elif anchor is not None and not state.is_live(t) \
-                    and state.on_host(anchor):
-                prefetch(anchor)
     return op
 
 

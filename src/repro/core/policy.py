@@ -517,15 +517,6 @@ class OffloadCachePolicy(MemoryPolicy):
         for t in ctx.reads_at(nxt, include_synthetic=False):
             if state.on_host(t):
                 ctx.prefetch(t)
-            elif (not state.is_live(t)
-                  and t.tensor_id in ctx.plan.recompute_covered):
-                # the next step will trigger a segment recompute; start
-                # fetching its anchor now so the chain doesn't stall
-                producer = ctx.net.layers[t.producer]
-                anchor = ctx.recompute_plan.anchor_output_of(
-                    producer.layer_id)
-                if anchor is not None and state.on_host(anchor):
-                    ctx.prefetch(anchor)
 
     # -- cache membership ----------------------------------------------------
     # Every membership/counter hook is gated on cache_mode: in eager
@@ -607,17 +598,9 @@ class OffloadCachePolicy(MemoryPolicy):
             nxt = step.index + 1
             if nxt >= len(steps):
                 continue
-            entries = []
-            for t in ctx.reads_at(nxt, include_synthetic=False):
-                anchor = None
-                if ctx.recompute_plan is not None \
-                        and t.tensor_id in ctx.plan.recompute_covered:
-                    producer = ctx.net.layers[t.producer]
-                    anchor = ctx.recompute_plan.anchor_output_of(
-                        producer.layer_id)
-                entries.append((t, anchor))
-            if entries:
-                prefetch[step.index] = tuple(entries)
+            reads = tuple(ctx.reads_at(nxt, include_synthetic=False))
+            if reads:
+                prefetch[step.index] = reads
         if self.cache_mode:
             # no eager copies ⇒ nothing to reap before steps, nothing
             # to register after them; membership/counter hooks stay

@@ -19,9 +19,11 @@ lifecycle hooks:
 * **dynamic workspaces** (``WorkspacePolicy``) — every conv execution
   picks the fastest algorithm whose workspace fits the bytes free.
 
-The step loop itself contains no policy-specific branches; the stack is
-resolved from the :class:`~repro.core.config.RuntimeConfig` (or passed
-explicitly), so new policies are new classes, not new branches here.
+The step loop itself contains no policy-specific branches, and the
+executor plans nothing: :class:`~repro.core.engine.Engine` resolves the
+stack from the :class:`~repro.core.config.RuntimeConfig`, derives the
+route and analyses once per mode, and hands both in — new policies are
+new classes, not new branches here.
 
 The executor runs identically in concrete mode (NumPy payloads, used to
 prove numerical equivalence) and simulated mode (byte/time ledger only,
@@ -37,7 +39,7 @@ import numpy as np
 
 from repro.core.cache import TensorCache
 from repro.core.config import RuntimeConfig
-from repro.core.liveness import LivenessAnalysis, LivenessPlan
+from repro.core.liveness import LivenessPlan
 from repro.core.plan import (
     SCHEDULABLE_HOOKS,
     CompiledStep,
@@ -46,8 +48,7 @@ from repro.core.plan import (
     gather_policy_plans,
     link_iteration_plan,
 )
-from repro.core.policy import MemoryPolicy, StepContext, resolve_policies
-from repro.core.recompute import plan_segments
+from repro.core.policy import MemoryPolicy, StepContext
 from repro.core.tensor_state import SessionTensorState
 from repro.core.workspace import WorkspaceChoice
 from repro.device.dma import CopyDirection, DMAEngine
@@ -56,7 +57,6 @@ from repro.device.gpu import OutOfMemoryError, SimulatedGPU
 from repro.device.model import DeviceModel
 from repro.device.timeline import Event, Stream, Timeline
 from repro.graph.network import Net
-from repro.graph.route import ExecutionRoute
 from repro.layers.base import Layer, LayerContext
 from repro.layers.data import DataLayer
 from repro.mempool.allocator import Allocation, CudaAllocator, PoolAllocator
@@ -166,25 +166,33 @@ class _PendingOffload:
 class Executor:
     """Runs iterations of one network under one policy stack.
 
-    ``Executor(net, config)`` resolves the stack from the config — the
-    legacy constructor keeps working unchanged.  ``policies`` overrides
-    the stack explicitly (the :class:`~repro.core.session.Session`
-    builder uses this to append custom policies).
+    Only :class:`~repro.core.engine.Engine` builds one: a run starts at
+    ``Session(net, config)`` or ``Engine(net, config).session(mode)``,
+    and the engine hands its executor everything that was decided
+    before the first step —
 
-    ``mode`` selects the execution mode: ``"train"`` runs the 2N-step
+    ``config``
+        the *effective* mode config (``RuntimeConfig.for_mode``);
+    ``policies``
+        the resolved, ordered policy stack (plus any custom instances a
+        session appended);
+    ``plan``
+        the engine's planning artifacts for one execution mode: a
+        :class:`~repro.core.engine.CompiledMode` (route, liveness and
+        recompute plans plus the scout-gathered policy plans — the
+        executor links them and replays from iteration 0) or a bare
+        :class:`~repro.core.engine.ModePlanning` (the same route and
+        analyses; the executor records its own first iteration).
+
+    ``plan.mode`` is the execution mode: ``"train"`` runs the 2N-step
     forward+backward route; ``"infer"`` runs the forward-only N-step
     route with ``training=False`` kernels, no gradient allocation, and
-    the backward-bridging policies (offload, recompute) disarmed — see
-    :meth:`RuntimeConfig.for_mode`.
+    the backward-bridging policies (offload, recompute) disarmed.
 
-    ``compiled`` injects a :class:`~repro.core.engine.CompiledMode`
-    (shared route/liveness/recompute artifacts plus gathered policy
-    plans) from a compile-once :class:`~repro.core.engine.Engine`: the
-    executor then skips its own planning entirely and replays the
-    linked plan from iteration 0.  ``planning`` injects only the
-    pre-scout artifacts (:class:`~repro.core.engine.ModePlanning`) —
-    the executor skips route/liveness/segmentation derivation but still
-    records its own first iteration (the engine's scout path).
+    The executor derives nothing itself — no route, no segmentation, no
+    liveness pass.  All three arguments are required; the ``None``
+    placeholders exist only so the retired ``Executor(net, config)``
+    call fails with a pointer to the front door.
 
     Every piece of *mutable* per-tensor state — placement, cache locks,
     host residency, prefetch arrivals — lives in :attr:`state`, a
@@ -199,16 +207,17 @@ class Executor:
         net: Net,
         config: Optional[RuntimeConfig] = None,
         policies: Optional[Sequence[MemoryPolicy]] = None,
-        mode: str = "train",
-        compiled=None,
-        planning=None,
+        plan=None,
     ):
+        if config is None or policies is None or plan is None:
+            raise TypeError(
+                "Executor takes its config, policy stack and planning "
+                "artifacts from an Engine; start a run with "
+                "Session(net, config) or Engine(net, config).session(mode)")
         self.net = net.build()
-        base_config = config or RuntimeConfig()
-        self.mode = mode
-        self.config = base_config.for_mode(mode)  # validates the mode
-        self.training = mode == "train"
-        cfg = self.config
+        self.mode = plan.mode
+        self.config = cfg = config
+        self.training = plan.mode == "train"
         self.concrete = cfg.concrete
         self.model: DeviceModel = cfg.device
 
@@ -236,29 +245,15 @@ class Executor:
             self.allocator = CudaAllocator(self.gpu, self.timeline)
         self.store = ArrayStore() if self.concrete else NullStore()
 
-        if compiled is not None and planning is not None:
-            raise TypeError("pass either compiled or planning, not both")
-        artifacts = compiled if compiled is not None else planning
-        if artifacts is not None:
-            if artifacts.mode != mode:
-                raise ValueError(
-                    f"compiled artifacts are for mode {artifacts.mode!r}, "
-                    f"executor runs {mode!r}"
-                )
-            # engine workers share the read-only planning artifacts
-            self.route = artifacts.route
-            self.recompute_plan = artifacts.recompute_plan
-            self.liveness = artifacts.liveness
-            self.plan: LivenessPlan = artifacts.liveness_plan
-        else:
-            self.route = ExecutionRoute(self.net, training=self.training)
-            self.recompute_plan = plan_segments(
-                self.route, cfg.recompute, self.net.max_layer_bytes()
-            )
-            self.liveness = LivenessAnalysis(self.route, cfg,
-                                             self.recompute_plan)
-            self.plan = self.liveness.compile()
-        self._precompiled = compiled
+        # the engine's read-only planning artifacts, shared by every
+        # executor of this mode
+        self.route = plan.route
+        self.recompute_plan = plan.recompute_plan
+        self.liveness = plan.liveness
+        self.plan: LivenessPlan = plan.liveness_plan
+        #: the scout-gathered policy plans (None over bare planning:
+        #: this executor records its own first iteration)
+        self._shared_gathered = plan.gathered
 
         # ALL executor-mutated tensor state is session-local: this table
         # (placement, locks, host residency, arrivals, live set) is what
@@ -268,9 +263,7 @@ class Executor:
         self.state = SessionTensorState()
 
         # the policy stack (ordered; dispatch order is semantic)
-        self.policies: List[MemoryPolicy] = (
-            list(policies) if policies is not None else resolve_policies(cfg)
-        )
+        self.policies: List[MemoryPolicy] = list(policies)
         self._ctx = StepContext(self)
         self._offload_policy = self._find_policy("offload")
         self._recompute_policy = self._find_policy("recompute")
@@ -667,14 +660,6 @@ class Executor:
         iteration has been requested after a recording one)."""
         return self._iteration_plan
 
-    def invalidate_plan(self) -> None:
-        """Drop the compiled plan; the next iteration records afresh
-        (a precompiled engine plan is dropped too)."""
-        self._iteration_plan = None
-        self._replay_listeners = None
-        self._precompiled = None
-        self._fresh_iterations = 0  # require a new recording iteration
-
     def _recording_plan(self) -> IterationPlan:
         """The all-dynamic plan: no stack position is compiled away, so
         every hook site dispatches the policies' own hook bodies in
@@ -729,10 +714,10 @@ class Executor:
         if self._replay_enabled and self._iteration_plan is None:
             if self._fresh_iterations:
                 self._install_plan(gather_policy_plans(self))
-            elif self._precompiled is not None:
+            elif self._shared_gathered is not None:
                 # engine worker: link the shared plan, replay from
                 # iteration 0 — no recording iteration needed
-                self._install_plan(self._precompiled.gathered)
+                self._install_plan(self._shared_gathered)
         replaying = self._iteration_plan is not None
         if replaying:
             plan = self._iteration_plan

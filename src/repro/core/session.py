@@ -12,21 +12,21 @@ A :class:`Session` is the recommended entry point for new code::
 ``with_policy`` maps options onto the underlying
 :class:`~repro.core.config.RuntimeConfig` through the registered
 policy's ``configure`` classmethod, so the config object stays the
-single source of truth and ``Session`` is provably equivalent to the
-legacy ``Executor(net, config)`` constructor — the equivalence tests
-assert identical ``IterationResult.to_dict()`` output for both paths.
+single source of truth: ``Session(net).with_policy(...)`` and
+``Session(net, config)`` with the same fields set are the same run.
 
 Custom :class:`~repro.core.policy.MemoryPolicy` *instances* can be
 appended with ``with_policy(my_policy)``; they ride at the end of the
 resolved stack, observing every hook without any executor edits.
 
 ``Session`` is a thin facade over the compile-once
-:class:`~repro.core.engine.Engine`: a standalone session lazily wraps
-its net+config in a private engine and asks it for a recording
-executor (preserving the record-then-replay contract), while
-``engine.session(mode=...)`` workers share one engine's compiled plans
-and replay them from iteration 0.  ``mode="infer"`` selects the
-forward-only serving loop on either path.
+:class:`~repro.core.engine.Engine`, which plans every run and builds
+every executor: a standalone session lazily wraps its net+config in a
+private engine and asks it for a *recording* executor (the engine's
+cached planning, no scout — iteration 0 records, iteration 1 on
+replays), while ``engine.session(mode=...)`` workers share one
+engine's compiled plans and replay them from iteration 0.
+``mode="infer"`` selects the forward-only serving loop on either path.
 """
 
 from __future__ import annotations
@@ -101,11 +101,6 @@ class Session:
             raise RuntimeError(
                 f"cannot {what}: the session is already built; "
                 "configure before the first run"
-            )
-        if self._engine is not None:
-            raise RuntimeError(
-                f"cannot {what}: compile() froze this session's config "
-                "into an engine; configure before compiling"
             )
 
     def with_policy(self, policy: Union[str, MemoryPolicy],
@@ -182,35 +177,6 @@ class Session:
         self._max_history = max_results
         return self
 
-    # ---------------------------------------------------------- engine facade
-    def compile(self, *modes: str):
-        """Freeze this session's net+config into a compiled
-        :class:`~repro.core.engine.Engine`.
-
-        Compiles the given modes eagerly (default: this session's
-        mode); spawn sharing sessions with ``engine.session(mode=...)``.
-        Custom policy *instances* are per-session state and cannot be
-        compiled into a shared engine.
-        """
-        if self._engine_bound:
-            for mode in (modes or (self._mode,)):
-                self._engine.compiled(mode)
-            return self._engine
-        if self._extra_policies:
-            raise TypeError(
-                "custom policy instances are per-session and cannot be "
-                "compiled into a shared engine; use registry names")
-        engine = self._private_engine()
-        for mode in (modes or (self._mode,)):
-            engine.compiled(mode)
-        return engine
-
-    def _private_engine(self):
-        if self._engine is None:
-            from repro.core.engine import Engine  # lazy: avoid cycle
-            self._engine = Engine(self._net, self._config)
-        return self._engine
-
     # ------------------------------------------------------------ inspection
     @property
     def config(self) -> RuntimeConfig:
@@ -233,15 +199,17 @@ class Session:
         """The lazily built executor (building it freezes the config).
 
         Engine-bound workers link the shared compiled plan and replay
-        from iteration 0; standalone sessions ask their private engine
-        for a *recording* executor, preserving the legacy
-        record-then-replay contract bit for bit.
+        from iteration 0; a standalone session wraps its net+config in
+        a private engine and asks it for a *recording* executor —
+        iteration 0 records, later ones replay.
         """
         if self._executor is None:
             if self._engine_bound:
                 self._executor = self._engine.executor(self._mode)
             else:
-                self._executor = self._private_engine().executor(
+                from repro.core.engine import Engine  # lazy: avoid cycle
+                self._engine = Engine(self._net, self._config)
+                self._executor = self._engine.executor(
                     self._mode, precompiled=False,
                     extra_policies=tuple(self._extra_policies))
         return self._executor

@@ -8,8 +8,8 @@ which is exactly the quantity every memory figure in the paper reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.device.model import DeviceModel, K40_MODEL
 
@@ -56,7 +56,6 @@ class SimulatedGPU:
         self._peak = 0
         self._next_id = 0
         self._segments: Dict[int, _Segment] = {}
-        self._timeline_samples: List[Tuple[str, int]] = []
 
     # -- raw reserve / release ---------------------------------------------
     def reserve(self, nbytes: int, tag: str = "") -> int:
@@ -93,14 +92,3 @@ class SimulatedGPU:
 
     def reset_peak(self) -> None:
         self._peak = self._used
-
-    def sample(self, label: str) -> None:
-        """Record (label, used_bytes) for stepwise traces (Fig. 10)."""
-        self._timeline_samples.append((label, self._used))
-
-    @property
-    def samples(self) -> List[Tuple[str, int]]:
-        return list(self._timeline_samples)
-
-    def clear_samples(self) -> None:
-        self._timeline_samples.clear()

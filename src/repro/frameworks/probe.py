@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import Executor, IterationResult
+from repro.core.runtime import IterationResult
+from repro.core.session import Session
 from repro.device.gpu import OutOfMemoryError
 from repro.graph.network import Net
 
@@ -19,13 +20,14 @@ from repro.graph.network import Net
 def try_run(net: Net, config: RuntimeConfig) -> Optional[IterationResult]:
     """One simulated iteration; None when the device OOMs.
 
-    The context manager guarantees the executor's pool slab goes back to
+    The context manager guarantees the session's pool slab goes back to
     the device ledger on every exit path (probes build hundreds of
-    executors, so a leak here compounds fast).
+    sessions, so a leak here compounds fast).  A standalone session
+    records its one iteration — no compile scout runs per probe.
     """
     try:
-        with Executor(net, config) as ex:
-            return ex.run_iteration(0)
+        with Session(net, config) as sess:
+            return sess.run_iteration(0)
     except (OutOfMemoryError, MemoryError):
         return None
 
@@ -39,7 +41,10 @@ def _search_max(fits: Callable[[int], bool], lo: int, hi_cap: int) -> int:
     """Largest n in [lo, hi_cap] with fits(n); 0 if even lo fails.
 
     Grows exponentially from ``lo`` and binary-searches the bracket.
+    An empty range (``lo > hi_cap``) is a caller error, not a 0.
     """
+    if lo > hi_cap:
+        raise ValueError(f"empty search range: start {lo} > limit {hi_cap}")
     if not fits(lo):
         return 0
     hi = lo

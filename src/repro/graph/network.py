@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.layers.base import Layer, LayerType
 from repro.layers.data import DataLayer
@@ -87,12 +87,6 @@ class Net:
         return len(self.layers)
 
     # -- summaries ----------------------------------------------------------------
-    def count_by_type(self) -> Dict[LayerType, int]:
-        out: Dict[LayerType, int] = {}
-        for l in self.layers:
-            out[l.ltype] = out.get(l.ltype, 0) + 1
-        return out
-
     def total_param_bytes(self) -> int:
         return sum(p.nbytes for l in self.layers for p in l.params)
 

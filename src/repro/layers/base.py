@@ -241,10 +241,6 @@ class Layer:
         grad = self.grad_output.nbytes if self.grad_output is not None else 0
         return grad + sum(g.nbytes for g in self.param_grads)
 
-    def l_total(self) -> int:
-        """l_i = all tensors of the layer (paper Fig. 13 uses this sum)."""
-        return self.l_f() + self.l_b() + sum(p.nbytes for p in self.params)
-
     def working_set_bytes(self) -> int:
         """Peak bytes the layer's own computation must have resident —
         the paper's ``l_i`` whose maximum is the floor ``l_peak``.

@@ -417,10 +417,6 @@ class FleetMetrics:
         self.shed_samples = 0
         self._class_shed: Dict[str, int] = {c: 0 for c in PRIORITIES}
 
-    @property
-    def engine_names(self) -> List[str]:
-        return list(self._engines)
-
     def engine(self, name: str) -> ServerMetrics:
         return self._engines[name]
 

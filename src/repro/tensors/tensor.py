@@ -24,12 +24,6 @@ import numpy as np
 _tensor_ids = itertools.count(0)
 
 
-def reset_tensor_ids() -> None:
-    """Reset the global tensor id counter (test isolation only)."""
-    global _tensor_ids
-    _tensor_ids = itertools.count(0)
-
-
 class TensorKind(enum.Enum):
     """What role a tensor plays in the computation.
 

@@ -14,3 +14,21 @@ applies to ``validate=None``.
 import os
 
 os.environ.setdefault("REPRO_VALIDATE_STATE", "1")
+
+from repro.core.engine import Engine  # noqa: E402  (after the env default)
+from repro.core.runtime import Executor  # noqa: E402
+
+
+def hand_stacked_executor(net, config, stack, mode="train"):
+    """An executor over a policy stack in an order no config resolves
+    to — a custom policy *ahead of* the built-ins, two caches with
+    different eviction orders on one net, a stack that contradicts the
+    config's flags.  ``Session.with_policy(instance)`` covers the
+    append-at-the-end case; this is the only other way in, and it plans
+    nothing itself: route, segments and liveness come from an
+    :class:`Engine`, exactly as ``Engine.executor`` takes them.  The
+    suite constructs an executor nowhere else.
+    """
+    engine = Engine(net, config)
+    return Executor(engine.net, engine.config.for_mode(mode), stack,
+                    engine.planning(mode))

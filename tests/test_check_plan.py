@@ -22,7 +22,7 @@ from repro.check import (
 from repro.check.plan_verifier import PlanTrace, SymStep, SymTensor
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
-from repro.core.runtime import Executor
+from repro.core.session import Session
 from repro.core.tensor_state import SessionTensorState
 from repro.zoo import alexnet, lenet
 
@@ -204,7 +204,7 @@ def test_offloaded_read_without_prefetch_is_flagged():
     ])
     assert _rules(verify_trace(tr)) == ["PLAN002"]
     # ... and scheduling the prefetch cures it
-    tr.steps[1].prefetches = ((t, None),)
+    tr.steps[1].prefetches = (t,)
     assert verify_trace(tr) == []
 
 
@@ -267,8 +267,8 @@ def test_state_validation_armed_by_suite_env():
     # validate=None (what every executor builds with) defers to it
     assert SessionTensorState().validate is True
     assert SessionTensorState(validate=False).validate is False
-    with Executor(lenet(batch=4),
-                  RuntimeConfig.superneurons(concrete=False)) as ex:
+    with Session(lenet(batch=4),
+                 RuntimeConfig.superneurons(concrete=False)).executor as ex:
         assert ex.state.validate is True
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import Engine, Executor, MemoryPolicy, RuntimeConfig, SGD
+from repro import Engine, MemoryPolicy, RuntimeConfig, SGD, Session
 from repro.core.policy import (
     LivenessPolicy,
     OffloadCachePolicy,
@@ -27,6 +27,8 @@ from repro.core.policy import (
 from repro.device.gpu import OutOfMemoryError
 from repro.zoo import lenet, resnet50
 from repro.zoo.resnet import resnet_from_units
+
+from tests.conftest import hand_stacked_executor
 
 GiB = 1 << 30
 H2D = ("fetch", "prefetch")
@@ -129,8 +131,8 @@ def train_small(capacity):
     params = {p.tensor_id for l in net.layers for p in l.params}
     opt = SGD(0.05)
     results = []
-    with Executor(net, RuntimeConfig.superneurons(
-            gpu_capacity=capacity)) as ex:
+    with Session(net, RuntimeConfig.superneurons(
+            gpu_capacity=capacity)).executor as ex:
         assert ex.state.validate, "the suite arms the placement validator"
         log = watch(ex)
         for i in range(ITERS):
@@ -185,7 +187,7 @@ class TestCleanBitSoundness:
 
     def test_forward_write_over_a_host_valid_output_is_an_error(self):
         net = lenet(batch=4, image=12)
-        with Executor(net, RuntimeConfig.superneurons()) as ex:
+        with Session(net, RuntimeConfig.superneurons()).executor as ex:
             ex.state.set_host_resident(net.layers[1].output, True)
             with pytest.raises(AssertionError, match="valid host copy"):
                 ex.run_iteration(0)
@@ -201,7 +203,8 @@ class TestCleanBitSoundness:
 
         cfg = RuntimeConfig.superneurons()
         stack = [Spoiler()] + resolve_policies(cfg)
-        with Executor(lenet(batch=4, image=12), cfg, policies=stack) as ex:
+        with hand_stacked_executor(lenet(batch=4, image=12), cfg,
+                                   stack) as ex:
             with pytest.raises(AssertionError, match="valid host copy"):
                 ex.run_iteration(0)
 
@@ -222,9 +225,9 @@ class TestAnchorRelease:
         cfg = RuntimeConfig.superneurons(
             concrete=False, use_tensor_cache=cache is None)
         net = lenet(batch=4, image=12)
-        with Executor(net, cfg, policies=self.stack(cache)) as ex:
+        with hand_stacked_executor(net, cfg, self.stack(cache)) as ex:
             assert ex._recompute_policy._release_anchors is releases
         cfg = RuntimeConfig.superneurons(
             concrete=False, use_tensor_cache=cache is not None)
-        with Executor(net, cfg) as ex:
+        with Session(net, cfg).executor as ex:
             assert ex._recompute_policy._release_anchors is releases

@@ -34,6 +34,14 @@ class TestCLI:
         assert rc == 0
         assert "largest lenet batch" in out
 
+    def test_probe_limit_below_start_is_usage_error(self, capsys):
+        rc = main(["probe", "--net", "lenet", "--limit", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--limit 1" in captured.err
+        assert "largest lenet batch" not in captured.out
+        assert main(["probe", "--depth", "--limit", "0"]) == 2
+
     def test_breakdown(self, capsys):
         rc = main(["breakdown", "--net", "lenet", "--batch", "4"])
         out = capsys.readouterr().out

@@ -12,14 +12,23 @@ Contracts under test:
   their iterations interleave (determinism under sharing);
 * ``Session.without_policy`` is driven by the policy registry: its
   accepted names and error listing match ``with_policy``, and
-  disarming offload disarms the tensor cache with it.
+  disarming offload disarms the tensor cache with it;
+* the Engine is the one front door (PR 21): ``Executor`` is not a
+  package export and cannot be built without an engine's planning, and
+  every executor of an engine — standalone session, engine worker,
+  scout — runs over the one cached ``_mode_planning`` result.
 """
 
 import pytest
 
 import repro
 from repro import Engine, RuntimeConfig, SGD, Session, Trainer
+from repro.core.liveness import LivenessAnalysis
+from repro.core.plan import plans_by_key
 from repro.core.policy import POLICY_REGISTRY, MemoryPolicy
+from repro.core.runtime import Executor
+from repro.graph.route import ExecutionRoute
+from repro.tensors.tensor import Tensor
 from repro.zoo import NETWORK_BUILDERS, alexnet, lenet
 
 ITERS = 4
@@ -244,18 +253,6 @@ class TestConcurrentSessions:
             sess.with_config(concrete=False)
         sess.close()
 
-    def test_session_compile_returns_engine(self):
-        sess = Session(lenet(batch=2, image=12),
-                       RuntimeConfig.superneurons())
-        engine = sess.compile("train", "infer")
-        assert isinstance(engine, Engine)
-        # one SHARED planning pass (route order + forward dependency
-        # scan) covers both modes; each mode adds only its own scout
-        assert engine.compile_count == 1
-        assert engine.mode_compile_count == 2
-        assert engine.compiled_modes == ("infer", "train")
-        sess.close()
-
     def test_train_and_infer_compiles_share_planning_base(self):
         """The batched-compile fix: compiling both modes runs the
         Alg. 1 graph walk exactly once, and both routes reference the
@@ -268,23 +265,82 @@ class TestConcurrentSessions:
         assert engine.mode_compile_count == 2
         assert train.route.forward_layers is infer.route.forward_layers
 
-    def test_engine_bound_compile_warms_requested_modes(self):
-        """compile() on a worker must honor its docstring: the named
-        modes get compiled on the shared engine, not skipped."""
-        engine = Engine(lenet(batch=2, image=12))
-        worker = engine.session(mode="infer")
-        assert worker.compile("train") is engine
-        assert engine.compiled_modes == ("train",)
-        worker.close()
 
-    def test_custom_policy_instances_cannot_compile(self):
-        class Probe(MemoryPolicy):
-            key = "probe"
+class TestFrontDoor:
+    def test_executor_is_not_a_package_export(self):
+        assert "Executor" not in repro.__all__
+        with pytest.raises(ImportError):
+            from repro import Executor  # noqa: F401
 
-        sess = Session(lenet(batch=2, image=12)).with_policy(Probe())
-        with pytest.raises(TypeError, match="per-session"):
-            sess.compile()
-        sess.close()
+    def test_executor_needs_an_engines_planning(self):
+        net, cfg = lenet(batch=2, image=12), RuntimeConfig.superneurons()
+        for args in ((net,), (net, cfg), (net, cfg, cfg.policy_stack())):
+            with pytest.raises(TypeError, match="Session.*Engine"):
+                Executor(*args)
+
+    def test_one_planning_pass_per_mode_per_engine(self, monkeypatch):
+        """Every way in ends at ``Engine._mode_planning``, once per
+        mode; ``Executor.__init__`` builds no route and compiles no
+        liveness plan of its own."""
+        calls, derived = [], {"routes": 0, "liveness": 0}
+        plan_mode = Engine._mode_planning
+        route_init = ExecutionRoute.__init__
+        liveness_compile = LivenessAnalysis.compile
+
+        def counted_planning(engine, mode):
+            calls.append((id(engine), mode))
+            return plan_mode(engine, mode)
+
+        def counted_route(self, *a, **kw):
+            derived["routes"] += 1
+            route_init(self, *a, **kw)
+
+        def counted_liveness(self):
+            derived["liveness"] += 1
+            return liveness_compile(self)
+
+        monkeypatch.setattr(Engine, "_mode_planning", counted_planning)
+        monkeypatch.setattr(ExecutionRoute, "__init__", counted_route)
+        monkeypatch.setattr(LivenessAnalysis, "compile", counted_liveness)
+
+        net, cfg = lenet(batch=2, image=12), RuntimeConfig.superneurons()
+        with Session(net, cfg) as solo:
+            solo.run(2)
+            private = solo.engine
+            private.compiled("train")  # the scout re-plans nothing
+            assert calls == [(id(private), "train")]
+            planning = private.planning("train")
+            assert solo.executor.route is planning.route
+            assert solo.executor.plan is planning.liveness_plan
+            assert private.compiled("train").planning is planning
+
+        engine = Engine(net, cfg)
+        with engine.session("train") as a, engine.session("train") as b, \
+                engine.session("infer") as c, \
+                engine.executor("train", precompiled=False) as recording:
+            for s in (a, b, c):
+                s.run_iteration(0)
+            recording.run_iteration(0)
+            planning = engine.planning("train")
+            for ex in (a.executor, b.executor, recording):
+                assert ex.route is planning.route
+                assert ex.plan is planning.liveness_plan
+            assert c.executor.route is engine.planning("infer").route
+        assert calls[1:] == [(id(engine), "train"), (id(engine), "infer")]
+        # three planning passes, three routes, three liveness compiles:
+        # none of the seven executors (scouts included) derived its own
+        assert derived == {"routes": 3, "liveness": 3}
+
+    @pytest.mark.parametrize("preset", ["superneurons", "liveness_offload"])
+    def test_step_prefetch_is_a_tuple_of_tensors(self, preset):
+        cfg = getattr(RuntimeConfig, preset)(concrete=False)
+        engine = Engine(alexnet(batch=2, image=67, num_classes=10), cfg)
+        schedule = plans_by_key(
+            engine.compiled("train").gathered)["offload"].step_prefetch
+        assert schedule
+        for reads in schedule.values():
+            assert isinstance(reads, tuple) and reads
+            assert all(isinstance(t, Tensor) for t in reads)
 
 
 class TestWithoutPolicyRegistry:

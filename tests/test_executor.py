@@ -8,7 +8,7 @@ baseline — same losses, same parameters, bit for bit.
 import numpy as np
 import pytest
 
-from repro import Executor, RuntimeConfig, SGD
+from repro import RuntimeConfig, SGD, Session
 from repro.core.config import RecomputeStrategy, WorkspacePolicy
 from repro.device.gpu import OutOfMemoryError
 from repro.zoo import alexnet, lenet, resnet_from_units
@@ -19,7 +19,7 @@ MB = 1024 * 1024
 
 def run_losses(net_fn, config, iters=3, lr=0.05):
     net = net_fn()
-    ex = Executor(net, config)
+    ex = Session(net, config).executor
     opt = SGD(lr=lr)
     losses = []
     for i in range(iters):
@@ -85,7 +85,7 @@ class TestPeakMemoryOrdering:
 
     def _peak(self, net_fn, config):
         net = net_fn()
-        ex = Executor(net, config)
+        ex = Session(net, config).executor
         r = ex.run_iteration(0)
         ex.close()
         return r.activation_peak_bytes
@@ -117,8 +117,8 @@ class TestPeakMemoryOrdering:
     def test_baseline_matches_formula(self):
         """Baseline peak == Σ l_f + Σ l_b exactly (no ws, no opts)."""
         net = lenet(batch=2, image=12)
-        ex = Executor(net, RuntimeConfig.baseline(
-            workspace_policy=WorkspacePolicy.NONE))
+        ex = Session(net, RuntimeConfig.baseline(
+            workspace_policy=WorkspacePolicy.NONE)).executor
         r = ex.run_iteration(0)
         ex.close()
         assert r.activation_peak_bytes == net.baseline_peak_bytes()
@@ -128,8 +128,8 @@ class TestRecomputeCounts:
     def test_alexnet_speed_centric_matches_paper(self):
         """Paper Table 1: AlexNet speed-centric does 14 extra forwards."""
         net = alexnet(batch=2, image=67, num_classes=10)
-        ex = Executor(net, RuntimeConfig.liveness_only(
-            recompute=RecomputeStrategy.SPEED_CENTRIC))
+        ex = Session(net, RuntimeConfig.liveness_only(
+            recompute=RecomputeStrategy.SPEED_CENTRIC)).executor
         r = ex.run_iteration(0)
         ex.close()
         assert r.extra_forwards == 14
@@ -157,7 +157,8 @@ class TestRecomputeCounts:
         counts = {}
         for name, strat in [("speed", RecomputeStrategy.SPEED_CENTRIC),
                             ("memory", RecomputeStrategy.MEMORY_CENTRIC)]:
-            ex = Executor(net_fn(), RuntimeConfig.liveness_only(recompute=strat))
+            ex = Session(net_fn(), RuntimeConfig.liveness_only(
+                recompute=strat)).executor
             counts[name] = ex.run_iteration(0).extra_forwards
             ex.close()
         assert counts["memory"] > counts["speed"]
@@ -169,7 +170,8 @@ class TestRecomputeCounts:
         for name, strat in [("speed", RecomputeStrategy.SPEED_CENTRIC),
                             ("memory", RecomputeStrategy.MEMORY_CENTRIC),
                             ("cost", RecomputeStrategy.COST_AWARE)]:
-            ex = Executor(net_fn(), RuntimeConfig.liveness_only(recompute=strat))
+            ex = Session(net_fn(), RuntimeConfig.liveness_only(
+                recompute=strat)).executor
             res[name] = ex.run_iteration(0).extra_forwards
             ex.close()
         assert res["speed"] <= res["cost"] <= res["memory"]
@@ -178,7 +180,7 @@ class TestRecomputeCounts:
 class TestOffloadMechanics:
     def test_eager_offload_generates_traffic(self):
         net = alexnet(batch=2, image=67, num_classes=10)
-        ex = Executor(net, RuntimeConfig.liveness_offload())
+        ex = Session(net, RuntimeConfig.liveness_offload()).executor
         r = ex.run_iteration(0)
         ex.close()
         assert r.d2h_bytes > 0
@@ -187,8 +189,8 @@ class TestOffloadMechanics:
     def test_cache_avoids_traffic_when_memory_ample(self):
         """Table 3: with the tensor cache and a roomy GPU, traffic is zero."""
         net = alexnet(batch=2, image=67, num_classes=10)
-        ex = Executor(net, RuntimeConfig.liveness_offload(
-            use_tensor_cache=True))
+        ex = Session(net, RuntimeConfig.liveness_offload(
+            use_tensor_cache=True)).executor
         r = ex.run_iteration(0)
         ex.close()
         assert r.d2h_bytes == 0
@@ -199,15 +201,16 @@ class TestOffloadMechanics:
                                        num_classes=10)
         # probe the roomy-GPU activation peak, then rerun with capacity
         # squeezed to 60% of it: the cache must start evicting
-        probe = Executor(mk(), RuntimeConfig.liveness_offload(
-            use_tensor_cache=True, workspace_policy=WorkspacePolicy.NONE))
+        probe = Session(mk(), RuntimeConfig.liveness_offload(
+            use_tensor_cache=True,
+            workspace_policy=WorkspacePolicy.NONE)).executor
         roomy = probe.run_iteration(0)
         probe.close()
         assert roomy.cache_evictions == 0
         cap = probe.param_bytes + int(roomy.activation_peak_bytes * 0.6)
-        ex = Executor(mk(), RuntimeConfig.liveness_offload(
+        ex = Session(mk(), RuntimeConfig.liveness_offload(
             use_tensor_cache=True, gpu_capacity=cap,
-            workspace_policy=WorkspacePolicy.NONE))
+            workspace_policy=WorkspacePolicy.NONE)).executor
         r = ex.run_iteration(0)
         ex.close()
         assert r.cache_evictions > 0
@@ -234,8 +237,8 @@ class TestCapacityProbing:
     def test_oom_raised_when_too_small(self):
         net = lenet(batch=4, image=12)
         tiny = net.total_param_bytes() + 64 * 1024
-        ex = Executor(net, RuntimeConfig.baseline(gpu_capacity=tiny,
-                      workspace_policy=WorkspacePolicy.NONE))
+        ex = Session(net, RuntimeConfig.baseline(gpu_capacity=tiny,
+                     workspace_policy=WorkspacePolicy.NONE)).executor
         with pytest.raises(OutOfMemoryError):
             ex.run_iteration(0)
 
@@ -249,17 +252,17 @@ class TestCapacityProbing:
                               workspace_policy=WorkspacePolicy.NONE)),
                           ("sn", RuntimeConfig.superneurons(
                               workspace_policy=WorkspacePolicy.NONE))]:
-            ex = Executor(mk(), cfg)
+            ex = Session(mk(), cfg).executor
             peaks[name] = ex.run_iteration(0).peak_bytes
             ex.close()
         assert peaks["sn"] < peaks["base"]
         cap = (peaks["sn"] + peaks["base"]) // 2
-        ex = Executor(mk(), RuntimeConfig.baseline(
-            gpu_capacity=cap, workspace_policy=WorkspacePolicy.NONE))
+        ex = Session(mk(), RuntimeConfig.baseline(
+            gpu_capacity=cap, workspace_policy=WorkspacePolicy.NONE)).executor
         with pytest.raises(OutOfMemoryError):
             ex.run_iteration(0)
-        ex2 = Executor(mk(), RuntimeConfig.superneurons(
-            gpu_capacity=cap, workspace_policy=WorkspacePolicy.NONE))
+        ex2 = Session(mk(), RuntimeConfig.superneurons(
+            gpu_capacity=cap, workspace_policy=WorkspacePolicy.NONE)).executor
         r = ex2.run_iteration(0)
         ex2.close()
         assert r.loss is not None
@@ -271,8 +274,8 @@ class TestSimulatedMode:
         mk = lambda: alexnet(batch=2, image=67, num_classes=10)
         peaks = {}
         for mode in (True, False):
-            ex = Executor(mk(), RuntimeConfig.superneurons(
-                concrete=mode, workspace_policy=WorkspacePolicy.NONE))
+            ex = Session(mk(), RuntimeConfig.superneurons(
+                concrete=mode, workspace_policy=WorkspacePolicy.NONE)).executor
             peaks[mode] = ex.run_iteration(0).activation_peak_bytes
             ex.close()
         assert peaks[True] == peaks[False]
@@ -280,7 +283,7 @@ class TestSimulatedMode:
     def test_simulated_mode_is_fast_for_big_nets(self):
         net = resnet_from_units((2, 2, 2, 2), batch=4, image=64,
                                 num_classes=10)
-        ex = Executor(net, RuntimeConfig.superneurons(concrete=False))
+        ex = Session(net, RuntimeConfig.superneurons(concrete=False)).executor
         r = ex.run_iteration(0)
         ex.close()
         assert r.loss is None           # no payloads -> no loss
@@ -288,7 +291,7 @@ class TestSimulatedMode:
 
     def test_multiple_iterations_stable(self):
         net = lenet(batch=2, image=12)
-        ex = Executor(net, RuntimeConfig.superneurons(concrete=False))
+        ex = Session(net, RuntimeConfig.superneurons(concrete=False)).executor
         peaks = [ex.run_iteration(i).activation_peak_bytes for i in range(3)]
         ex.close()
         assert peaks[0] == peaks[1] == peaks[2]
@@ -297,7 +300,7 @@ class TestSimulatedMode:
 class TestStepTraces:
     def test_trace_covers_all_steps(self):
         net = lenet(batch=2, image=12)
-        ex = Executor(net, RuntimeConfig.liveness_only())
+        ex = Session(net, RuntimeConfig.liveness_only()).executor
         r = ex.run_iteration(0)
         ex.close()
         assert len(r.traces) == 2 * len(net)
@@ -305,8 +308,8 @@ class TestStepTraces:
     def test_forward_memory_monotone_under_liveness_lenet(self):
         """For a linear net with backward deps, forward memory climbs."""
         net = lenet(batch=2, image=12)
-        ex = Executor(net, RuntimeConfig.liveness_only(
-            workspace_policy=WorkspacePolicy.NONE))
+        ex = Session(net, RuntimeConfig.liveness_only(
+            workspace_policy=WorkspacePolicy.NONE)).executor
         r = ex.run_iteration(0)
         ex.close()
         n = len(net)
@@ -315,14 +318,14 @@ class TestStepTraces:
 
     def test_memory_returns_to_zero(self):
         net = lenet(batch=2, image=12)
-        ex = Executor(net, RuntimeConfig.liveness_only())
+        ex = Session(net, RuntimeConfig.liveness_only()).executor
         r = ex.run_iteration(0)
         ex.close()
         assert r.traces[-1].activation_settled == 0
 
     def test_workspace_choices_recorded(self):
         net = lenet(batch=2, image=12)
-        ex = Executor(net, RuntimeConfig.superneurons())
+        ex = Session(net, RuntimeConfig.superneurons()).executor
         r = ex.run_iteration(0)
         ex.close()
         conv_execs = [w for w in r.workspace_choices]

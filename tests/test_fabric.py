@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Executor, RuntimeConfig, SGD
+from repro import RuntimeConfig, SGD, Session
 from repro.core.cache import TensorCache
 from repro.core.config import WorkspacePolicy
 from repro.device.fabric import (
@@ -72,7 +72,7 @@ class TestFabricInExecutor:
         cfg = RuntimeConfig.superneurons(
             use_tensor_cache=False, external_pools=pools,
             workspace_policy=WorkspacePolicy.NONE)
-        ex = Executor(net, cfg)
+        ex = Session(net, cfg).executor
         opt = SGD(lr=0.05)
         out = [ex.run_iteration(i, optimizer=opt).loss for i in range(iters)]
         ex.close()
@@ -93,7 +93,7 @@ class TestFabricInExecutor:
             use_tensor_cache=False,
             external_pools=(tiny, LOCAL_CPU),
             workspace_policy=WorkspacePolicy.NONE)
-        ex = Executor(net, cfg)
+        ex = Session(net, cfg).executor
         ex.run_iteration(0)
         peak_tiny = ex.fabric.peak_bytes("tiny")
         peak_cpu = ex.fabric.peak_bytes("cpu_dram")
@@ -107,10 +107,10 @@ class TestFabricInExecutor:
         mkcfg = lambda pools: RuntimeConfig.liveness_offload(
             concrete=False, external_pools=pools,
             workspace_policy=WorkspacePolicy.NONE)
-        e1 = Executor(net1, mkcfg((PEER_GPU,)))
+        e1 = Session(net1, mkcfg((PEER_GPU,))).executor
         t_fast = e1.run_iteration(0).sim_time
         e1.close()
-        e2 = Executor(net2, mkcfg((REMOTE_RDMA,)))
+        e2 = Session(net2, mkcfg((REMOTE_RDMA,))).executor
         t_slow = e2.run_iteration(0).sim_time
         e2.close()
         assert t_slow >= t_fast
@@ -159,7 +159,7 @@ class TestCachePolicies:
             cfg = RuntimeConfig.liveness_offload(
                 use_tensor_cache=True, cache_policy=policy,
                 gpu_capacity=cap, workspace_policy=WorkspacePolicy.NONE)
-            ex = Executor(net, cfg)
+            ex = Session(net, cfg).executor
             opt = SGD(lr=0.05)
             out = [ex.run_iteration(i, optimizer=opt).loss
                    for i in range(2)]

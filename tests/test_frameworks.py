@@ -67,6 +67,16 @@ class TestSearchMax:
         assert _search_max(lambda n: n <= 64, 1, 64) == 64
         assert _search_max(lambda n: n <= 8, 8, 64) == 8
 
+    def test_start_around_the_cap(self):
+        """The cap binds whatever the start: one below it and at it the
+        answer is the cap; above it the range is empty — it used to
+        return the start, ignoring the cap."""
+        cap = 8
+        assert _search_max(lambda n: True, cap - 1, cap) == cap
+        assert _search_max(lambda n: True, cap, cap) == cap
+        with pytest.raises(ValueError, match="empty search range"):
+            _search_max(lambda n: True, cap + 1, cap)
+
 
 class TestProbes:
     def test_try_run_none_on_tiny_device(self):

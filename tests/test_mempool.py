@@ -172,12 +172,6 @@ class TestSimulatedGPU:
         with pytest.raises(KeyError):
             gpu.release(123)
 
-    def test_samples(self):
-        gpu = SimulatedGPU()
-        gpu.reserve(1024)
-        gpu.sample("step0")
-        assert gpu.samples == [("step0", 1024)]
-
 
 class _Pair:
     """One call stream into two pools: ``planned`` is told where epochs

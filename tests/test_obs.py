@@ -33,7 +33,6 @@ import pytest
 
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
-from repro.core.runtime import Executor
 from repro.core.session import Session
 from repro.obs import trace as obs_trace
 from repro.obs.export import (
@@ -295,16 +294,16 @@ class TestEngineTracing:
         net = NETWORK_BUILDERS["lenet"](batch=4)
         prev = obs_trace.disarm()
         try:
-            with Executor(net, RuntimeConfig.superneurons(
-                    concrete=False)) as ex:
+            with Session(net, RuntimeConfig.superneurons(
+                    concrete=False)).executor as ex:
                 ex.run_iteration(0)
                 assert ex.timeline.ops() == []    # disarmed: no op log
         finally:
             if prev is not None:
                 obs_trace.arm(prev)
         with obs_trace.capture():
-            with Executor(net, RuntimeConfig.superneurons(
-                    concrete=False)) as ex:
+            with Session(net, RuntimeConfig.superneurons(
+                    concrete=False)).executor as ex:
                 ex.run_iteration(0)
                 assert len(ex.timeline.ops()) > 0
                 assert ex.timeline.max_ops == obs_trace.TIMELINE_OPS_LIMIT
@@ -341,8 +340,8 @@ class TestEngineTracing:
     def test_executor_register_metrics_probes(self):
         net = NETWORK_BUILDERS["lenet"](batch=4)
         reg = MetricsRegistry()
-        with Executor(net, RuntimeConfig.superneurons(
-                concrete=False)) as ex:
+        with Session(net, RuntimeConfig.superneurons(
+                concrete=False)).executor as ex:
             ex.run_iteration(0)
             ex.register_metrics(reg, "eng")
             snap = reg.collect()

@@ -51,8 +51,7 @@ PARAMETERS = {
         "queue", "capacity", "policy", "max_wait", "clock"]),
     "Engine": (Engine, ["net", "config", "verify", "cost_report"]),
     "Session": (Session, ["net", "config", "mode", "engine"]),
-    "Executor": (Executor, [
-        "net", "config", "policies", "mode", "compiled", "planning"]),
+    "Executor": (Executor, ["net", "config", "policies", "plan"]),
     "Engine.parallel_run": (Engine.parallel_run, [
         "sessions", "iters", "start_iteration", "timeout"]),
     "compile": (repro.compile, [

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.config import RecomputeStrategy, RuntimeConfig, WorkspacePolicy
 from repro.core.recompute import plan_segments
-from repro.core.runtime import Executor
+from repro.core.session import Session
 from repro.graph.route import ExecutionRoute
 from repro.zoo import alexnet, inception_v4, resnet_from_units
 
@@ -48,9 +48,9 @@ class TestAlexNetPaperNumbers:
         assert lrn1.working_set_bytes() == self.net.max_layer_bytes()
 
     def test_executed_peak_equals_l_peak(self):
-        ex = Executor(self.net, RuntimeConfig.superneurons(
+        ex = Session(self.net, RuntimeConfig.superneurons(
             use_tensor_cache=False, concrete=False,
-            workspace_policy=WorkspacePolicy.NONE))
+            workspace_policy=WorkspacePolicy.NONE)).executor
         r = ex.run_iteration(0)
         ex.close()
         assert r.activation_peak_bytes == self.net.max_layer_bytes()
@@ -117,7 +117,7 @@ class TestCombinedPressure:
         def run(config):
             net = resnet_from_units((1, 1, 1, 1), batch=2, image=32,
                                     num_classes=4)
-            ex = Executor(net, config)
+            ex = Session(net, config).executor
             opt = SGD(lr=0.05)
             out = [ex.run_iteration(i, optimizer=opt).loss
                    for i in range(3)]

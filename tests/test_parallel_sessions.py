@@ -31,8 +31,7 @@ from dataclasses import replace
 import pytest
 
 import repro
-from repro import Executor, MemoryPolicy, RuntimeConfig, Session
-from repro.core.policy import resolve_policies
+from repro import MemoryPolicy, RuntimeConfig, Session
 from repro.core.tensor_state import ALLOWED_TRANSITIONS, SessionTensorState
 from repro.tensors.tensor import Placement
 from repro.zoo import alexnet, lenet, resnet_from_units
@@ -185,8 +184,13 @@ def _run_threads(fns):
         return [f.result(timeout=HARD_TIMEOUT) for f in futures]
 
 
-def _infer_stack(cfg, extra):
-    return resolve_policies(cfg.for_mode("infer")) + list(extra)
+def _executor_with(net, cfg, mode, extra):
+    """The resolved stack with ``extra`` probe policies riding at its
+    end — what ``Session.with_policy(instance)`` builds."""
+    sess = Session(net, cfg, mode=mode)
+    for policy in extra:
+        sess.with_policy(policy)
+    return sess.executor
 
 
 # --------------------------------------------------------------------------- #
@@ -200,8 +204,8 @@ class TestStateIsolation:
         lived on the shared descriptors."""
         net = lenet(batch=2, image=12).build()
         cfg = RuntimeConfig.superneurons(concrete=False)
-        with Executor(net, cfg, mode="infer") as a, \
-                Executor(net, cfg, mode="infer") as b:
+        with Session(net, cfg, mode="infer").executor as a, \
+                Session(net, cfg, mode="infer").executor as b:
             t = net.layers[1].output
             a.state.set_placement(t, Placement.GPU)
             a.state.lock(t)
@@ -236,8 +240,7 @@ class TestStateIsolation:
 
         # solo baseline: same stack shape (recorder riding along)
         solo_rec = _PlacementRecorder(outputs)
-        with Executor(net, cfg, mode="infer",
-                      policies=_infer_stack(cfg, [solo_rec])) as ex:
+        with _executor_with(net, cfg, "infer", [solo_rec]) as ex:
             solo = [ex.run_iteration(i).to_dict() for i in range(iters)]
         solo_trace = list(solo_rec.trace)
 
@@ -246,10 +249,10 @@ class TestStateIsolation:
         rec_b = _PlacementRecorder(outputs)
         probe_a = _CrossSessionProbe(sentinel, hold=True)
         probe_b = _CrossSessionProbe(sentinel, hold=False)
-        ex_a = Executor(net, cfg, mode="infer", policies=_infer_stack(
-            cfg, [rec_a, probe_a, _StepBarrier(barrier)]))
-        ex_b = Executor(net, cfg, mode="infer", policies=_infer_stack(
-            cfg, [rec_b, probe_b, _StepBarrier(barrier)]))
+        ex_a = _executor_with(
+            net, cfg, "infer", [rec_a, probe_a, _StepBarrier(barrier)])
+        ex_b = _executor_with(
+            net, cfg, "infer", [rec_b, probe_b, _StepBarrier(barrier)])
 
         def drive(ex):
             try:
@@ -290,8 +293,7 @@ class TestScheduleProperties:
         iters = 3
 
         solo_rec = _PlacementRecorder(outputs)
-        with Executor(net, cfg, mode="infer",
-                      policies=_infer_stack(cfg, [solo_rec])) as ex:
+        with _executor_with(net, cfg, "infer", [solo_rec]) as ex:
             solo = [ex.run_iteration(i).to_dict() for i in range(iters)]
 
         sched = _TokenScheduler(2, seed)
@@ -299,10 +301,8 @@ class TestScheduleProperties:
         for sid in range(2):
             rec = _PlacementRecorder(outputs)
             probe = _LockBalanceProbe(param_ids)
-            exs.append(Executor(net, cfg, mode="infer",
-                                policies=_infer_stack(
-                                    cfg, [rec, probe,
-                                          _TokenGate(sched, sid)])))
+            exs.append(_executor_with(
+                net, cfg, "infer", [rec, probe, _TokenGate(sched, sid)]))
             exs[-1].state.validate = True  # arm the state machine
             recs.append(rec)
             probes.append(probe)
@@ -336,8 +336,8 @@ class TestScheduleProperties:
             RuntimeConfig.superneurons(concrete=False),
         ]
         for cfg in ladder:
-            with Executor(alexnet(batch=2, image=67, num_classes=10),
-                          cfg) as ex:
+            with Session(alexnet(batch=2, image=67, num_classes=10),
+                         cfg).executor as ex:
                 ex.state.validate = True
                 for i in range(2):
                     ex.run_iteration(i)  # IllegalPlacementTransition raises
@@ -354,8 +354,7 @@ class TestScheduleProperties:
         net = lenet(batch=2, image=12).build()
         cfg = RuntimeConfig.superneurons(concrete=False)
         probe = _LockBalanceProbe(_param_ids(net))
-        with Executor(net, cfg, mode="train",
-                      policies=resolve_policies(cfg) + [probe]) as ex:
+        with _executor_with(net, cfg, "train", [probe]) as ex:
             for i in range(3):
                 ex.run_iteration(i)
         assert probe.violations == []
@@ -371,8 +370,7 @@ class TestScheduleProperties:
         def run(with_replay):
             rec = _PlacementRecorder(outputs)
             c = replace(cfg, steady_state_replay=with_replay)
-            with Executor(net, c, mode="train",
-                          policies=resolve_policies(c) + [rec]) as ex:
+            with _executor_with(net, c, "train", [rec]) as ex:
                 results = [ex.run_iteration(i).to_dict() for i in range(3)]
                 replayed = ex.replayed_iterations
             return results, rec.trace, replayed

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Executor, RuntimeConfig, SGD
+from repro import RuntimeConfig, SGD, Session
 from repro.core.config import RecomputeStrategy, WorkspacePolicy
 from repro.core.liveness import LivenessAnalysis
 from repro.graph import ExecutionRoute, Net
@@ -77,7 +77,7 @@ def build_net(block_ids, seed: int, batch: int = 2) -> Net:
 
 def train_losses(block_ids, seed, config, iters=2):
     net = build_net(block_ids, seed)
-    ex = Executor(net, config)
+    ex = Session(net, config).executor
     opt = SGD(lr=0.05)
     losses = [ex.run_iteration(i, optimizer=opt).loss for i in range(iters)]
     ex.close()
@@ -119,7 +119,7 @@ class TestRandomNetEquivalence:
     def test_superneurons_peak_never_higher_than_baseline(self, blocks, seed):
         def peak(config):
             net = build_net(blocks, seed)
-            ex = Executor(net, config)
+            ex = Session(net, config).executor
             p = ex.run_iteration(0).activation_peak_bytes
             ex.close()
             return p

@@ -3,7 +3,7 @@ state, forced reaps, and error reporting."""
 
 import pytest
 
-from repro import Executor, RuntimeConfig, SGD, Session
+from repro import RuntimeConfig, SGD, Session
 from repro.core.config import RecomputeStrategy, WorkspacePolicy
 from repro.device.gpu import OutOfMemoryError
 from repro.device.timeline import Stream
@@ -16,7 +16,7 @@ class TestMultiIteration:
     def test_ten_iterations_no_leak(self):
         """The ledger must return to params-only after every iteration."""
         net = lenet(batch=8, image=16)
-        ex = Executor(net, RuntimeConfig.superneurons())
+        ex = Session(net, RuntimeConfig.superneurons()).executor
         for i in range(10):
             ex.run_iteration(i, optimizer=SGD(0.05))
             assert ex.allocator.used_bytes == ex.param_bytes
@@ -25,7 +25,8 @@ class TestMultiIteration:
 
     def test_dma_stats_accumulate_across_iterations(self):
         net = alexnet(batch=2, image=67, num_classes=10)
-        ex = Executor(net, RuntimeConfig.liveness_offload(concrete=False))
+        ex = Session(net, RuntimeConfig.liveness_offload(
+            concrete=False)).executor
         r1 = ex.run_iteration(0)
         r2 = ex.run_iteration(1)
         assert r1.d2h_bytes == r2.d2h_bytes > 0  # per-iteration deltas
@@ -34,7 +35,7 @@ class TestMultiIteration:
 
     def test_timeline_monotone(self):
         net = lenet(batch=4, image=12)
-        ex = Executor(net, RuntimeConfig.superneurons(concrete=False))
+        ex = Session(net, RuntimeConfig.superneurons(concrete=False)).executor
         t1 = ex.run_iteration(0).sim_time
         before = ex.timeline.elapsed
         ex.run_iteration(1)
@@ -52,9 +53,9 @@ class TestPressurePaths:
 
         net = lenet(batch=8, image=16)
         cap = net.total_param_bytes() + 8 * MiB
-        ex = Executor(net, RuntimeConfig.liveness_offload(
+        ex = Session(net, RuntimeConfig.liveness_offload(
             concrete=False, gpu_capacity=cap,
-            workspace_policy=WorkspacePolicy.NONE))
+            workspace_policy=WorkspacePolicy.NONE)).executor
         # occupy most of the free space with a tensor, offload it async
         big = Tensor((1, 1, 1, 6 * MiB // 4), name="big")
         ex._gpu_alloc_tensor(big)
@@ -74,9 +75,9 @@ class TestPressurePaths:
     def test_oom_error_carries_numbers(self):
         net = lenet(batch=64, image=28)
         tiny = net.total_param_bytes() + 256 * 1024
-        ex = Executor(net, RuntimeConfig.baseline(
+        ex = Session(net, RuntimeConfig.baseline(
             concrete=False, gpu_capacity=tiny,
-            workspace_policy=WorkspacePolicy.NONE))
+            workspace_policy=WorkspacePolicy.NONE)).executor
         with pytest.raises(OutOfMemoryError) as ei:
             ex.run_iteration(0)
         assert ei.value.requested > 0
@@ -86,7 +87,7 @@ class TestPressurePaths:
         """A freed tensor needed by backward without recomputation armed
         must raise a scheduling-bug error, not compute garbage."""
         net = lenet(batch=2, image=12)
-        ex = Executor(net, RuntimeConfig.liveness_only())
+        ex = Session(net, RuntimeConfig.liveness_only()).executor
         # sabotage: free a tensor the backward needs
         pool1 = net.layer_by_name("pool1")
         ex.run_iteration(0)  # warm-up proves the net itself is fine
@@ -106,8 +107,8 @@ class TestWorkspaceFallback:
         fragmented pool, the conv must fall back, not crash."""
         net = alexnet(batch=16, image=227)
         cap = net.total_param_bytes() + 600 * MiB
-        ex = Executor(net, RuntimeConfig.superneurons(
-            concrete=False, gpu_capacity=cap))
+        ex = Session(net, RuntimeConfig.superneurons(
+            concrete=False, gpu_capacity=cap)).executor
         r = ex.run_iteration(0)
         ex.close()
         assert r.workspace_choices  # ran; some choice was made everywhere
@@ -118,9 +119,9 @@ class TestWorkspaceFallback:
         zero-workspace algorithm instead of failing the iteration."""
         net = alexnet(batch=64, image=227)
         cap = net.total_param_bytes() + net.baseline_peak_bytes() + 50 * MiB
-        ex = Executor(net, RuntimeConfig.baseline(
+        ex = Session(net, RuntimeConfig.baseline(
             concrete=False, gpu_capacity=cap,
-            workspace_policy=WorkspacePolicy.MAX_SPEED))
+            workspace_policy=WorkspacePolicy.MAX_SPEED)).executor
         r = ex.run_iteration(0)
         ex.close()
         assert any(not w.got_max_speed for w in r.workspace_choices)
@@ -129,8 +130,8 @@ class TestWorkspaceFallback:
 class TestRecomputeEngineEdges:
     def test_speed_centric_materializes_once(self):
         net = alexnet(batch=2, image=67, num_classes=10)
-        ex = Executor(net, RuntimeConfig.liveness_only(
-            recompute=RecomputeStrategy.SPEED_CENTRIC))
+        ex = Session(net, RuntimeConfig.liveness_only(
+            recompute=RecomputeStrategy.SPEED_CENTRIC)).executor
         r0 = ex.run_iteration(0)
         r1 = ex.run_iteration(1)
         ex.close()
@@ -141,9 +142,9 @@ class TestRecomputeEngineEdges:
         peaks = {}
         for strat in (RecomputeStrategy.SPEED_CENTRIC,
                       RecomputeStrategy.MEMORY_CENTRIC):
-            ex = Executor(mk(), RuntimeConfig.superneurons(
+            ex = Session(mk(), RuntimeConfig.superneurons(
                 use_tensor_cache=False, recompute=strat, concrete=False,
-                workspace_policy=WorkspacePolicy.NONE))
+                workspace_policy=WorkspacePolicy.NONE)).executor
             peaks[strat] = ex.run_iteration(0).activation_peak_bytes
             ex.close()
         assert peaks[RecomputeStrategy.MEMORY_CENTRIC] <= \
@@ -151,7 +152,7 @@ class TestRecomputeEngineEdges:
 
     def test_recompute_engine_counts_reset_per_run(self):
         net = lenet(batch=2, image=12)
-        ex = Executor(net, RuntimeConfig.superneurons())
+        ex = Session(net, RuntimeConfig.superneurons()).executor
         a = ex.run_iteration(0).extra_forwards
         b = ex.run_iteration(1).extra_forwards
         ex.close()
@@ -161,7 +162,7 @@ class TestRecomputeEngineEdges:
 class TestCloseBehaviour:
     def test_close_releases_everything(self):
         net = lenet(batch=4, image=12)
-        ex = Executor(net, RuntimeConfig.superneurons())
+        ex = Session(net, RuntimeConfig.superneurons()).executor
         ex.run_iteration(0)
         ex.close()
         assert ex.gpu.used_bytes == 0
@@ -171,7 +172,7 @@ class TestCloseBehaviour:
         """``with session:`` plus an explicit ``close()`` used to release
         the slab twice (KeyError: unknown segment id 0)."""
         cfg = RuntimeConfig.superneurons(use_pool_allocator=use_pool)
-        with Executor(lenet(batch=4, image=12), cfg) as ex:
+        with Session(lenet(batch=4, image=12), cfg).executor as ex:
             ex.run_iteration(0)
             ex.close()
         assert ex.gpu.used_bytes == 0
@@ -183,7 +184,8 @@ class TestCloseBehaviour:
 
     def test_run_after_close_says_closed(self):
         """Used to report 'iteration leaked -N bytes beyond parameters'."""
-        ex = Executor(lenet(batch=4, image=12), RuntimeConfig.superneurons())
+        ex = Session(lenet(batch=4, image=12),
+                     RuntimeConfig.superneurons()).executor
         ex.run_iteration(0)
         ex.close()
         with pytest.raises(RuntimeError, match="executor is closed"):
@@ -196,8 +198,8 @@ class TestCloseBehaviour:
 
     def test_two_executors_share_nothing(self):
         n1, n2 = lenet(batch=4, image=12), lenet(batch=4, image=12)
-        e1 = Executor(n1, RuntimeConfig.superneurons())
-        e2 = Executor(n2, RuntimeConfig.baseline())
+        e1 = Session(n1, RuntimeConfig.superneurons()).executor
+        e2 = Session(n2, RuntimeConfig.baseline()).executor
         l1 = e1.run_iteration(0, optimizer=SGD(0.05)).loss
         l2 = e2.run_iteration(0, optimizer=SGD(0.05)).loss
         e1.close(), e2.close()
@@ -209,7 +211,7 @@ class TestResultSerialization:
         import json
 
         net = lenet(batch=4, image=12)
-        ex = Executor(net, RuntimeConfig.superneurons())
+        ex = Session(net, RuntimeConfig.superneurons()).executor
         r = ex.run_iteration(0, optimizer=SGD(0.05))
         ex.close()
         d = r.to_dict()

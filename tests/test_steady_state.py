@@ -13,7 +13,7 @@ bound across ``run_iteration`` calls on one executor.
 
 import pytest
 
-from repro import Engine, Executor, RuntimeConfig, SGD, Session, Trainer
+from repro import Engine, RuntimeConfig, SGD, Session, Trainer
 from repro.core.policy import MemoryPolicy
 from repro.zoo import alexnet, lenet, resnet50
 
@@ -31,7 +31,7 @@ ABLATION = {
 
 
 def run_dicts(mk_net, config, iters=ITERS, lr=0.05):
-    with Executor(mk_net(), config) as ex:
+    with Session(mk_net(), config).executor as ex:
         opt = SGD(lr=lr)
         out = [ex.run_iteration(i, optimizer=opt).to_dict()
                for i in range(iters)]
@@ -102,8 +102,8 @@ class TestReplayEquivalence:
         assert probe.per_iteration[2] == probe.per_iteration[0]
 
     def test_plan_reports_stable_policies(self):
-        with Executor(lenet(batch=2, image=12),
-                      RuntimeConfig.superneurons()) as ex:
+        with Session(lenet(batch=2, image=12),
+                     RuntimeConfig.superneurons()).executor as ex:
             assert ex.iteration_plan is None
             ex.run_iteration(0)
             ex.run_iteration(1)
@@ -112,19 +112,6 @@ class TestReplayEquivalence:
             assert set(plan.stable_keys) == \
                 {"offload", "liveness", "recompute", "workspace"}
             assert len(plan.steps) == len(ex.route.steps)
-
-    def test_invalidate_plan_forces_recording(self):
-        with Executor(lenet(batch=2, image=12),
-                      RuntimeConfig.superneurons()) as ex:
-            ex.run_iteration(0)
-            ex.run_iteration(1)
-            assert ex.replayed_iterations == 1
-            ex.invalidate_plan()
-            assert ex.iteration_plan is None
-            ex.run_iteration(2)  # records afresh
-            assert ex.replayed_iterations == 1
-            ex.run_iteration(3)  # replays the recompiled plan
-            assert ex.replayed_iterations == 2
 
 
 class TestAddressPlan:
@@ -169,7 +156,8 @@ class TestAddressPlan:
         executor's own replay switch."""
         cfg = RuntimeConfig.superneurons(concrete=False,
                                          steady_state_replay=False)
-        with Executor(alexnet(batch=4, image=67, num_classes=10), cfg) as ex:
+        with Session(alexnet(batch=4, image=67, num_classes=10),
+                     cfg).executor as ex:
             ex.run_iteration(0)
             ex.run_iteration(1)
             assert ex.replayed_iterations == 0
@@ -250,7 +238,7 @@ class TestFiveIterationDeterminism:
         def losses(replay):
             cfg = RuntimeConfig.superneurons(steady_state_replay=replay)
             out = []
-            with Executor(lenet(batch=4, image=12), cfg) as ex:
+            with Session(lenet(batch=4, image=12), cfg).executor as ex:
                 opt = SGD(0.05)
                 for i in range(ITERS):
                     out.append(ex.run_iteration(i, optimizer=opt).loss)
@@ -290,8 +278,8 @@ class TestAccumulatorHygiene:
     """Counters and logs are per-iteration deltas, not lifetime piles."""
 
     def test_workspace_choice_log_is_per_iteration(self):
-        with Executor(lenet(batch=4, image=12),
-                      RuntimeConfig.superneurons()) as ex:
+        with Session(lenet(batch=4, image=12),
+                     RuntimeConfig.superneurons()).executor as ex:
             r1 = ex.run_iteration(0)
             n1 = len(ex.selector.choices)
             r2 = ex.run_iteration(1)
@@ -300,15 +288,16 @@ class TestAccumulatorHygiene:
         assert len(r1.workspace_choices) == len(r2.workspace_choices) == n1
 
     def test_timeline_op_log_does_not_grow(self):
-        with Executor(lenet(batch=4, image=12),
-                      RuntimeConfig.superneurons()) as ex:
+        with Session(lenet(batch=4, image=12),
+                     RuntimeConfig.superneurons()).executor as ex:
             ex.run_iteration(0)
             ex.run_iteration(1)
             assert ex.timeline.ops() == []  # executor records no op log
 
     def test_executor_state_drained_between_iterations(self):
-        with Executor(alexnet(batch=2, image=67, num_classes=10),
-                      RuntimeConfig.liveness_offload(concrete=False)) as ex:
+        with Session(alexnet(batch=2, image=67, num_classes=10),
+                     RuntimeConfig.liveness_offload(concrete=False)
+                     ).executor as ex:
             for i in range(3):
                 ex.run_iteration(i)
                 assert ex._pending == []
@@ -318,8 +307,9 @@ class TestAccumulatorHygiene:
     def test_eager_mode_cache_counters_stay_silent(self):
         """Eager offload has no cache; its counters must not tick (they
         previously counted a miss per tensor access, forever)."""
-        with Executor(alexnet(batch=2, image=67, num_classes=10),
-                      RuntimeConfig.liveness_offload(concrete=False)) as ex:
+        with Session(alexnet(batch=2, image=67, num_classes=10),
+                     RuntimeConfig.liveness_offload(concrete=False)
+                     ).executor as ex:
             r1 = ex.run_iteration(0)
             r2 = ex.run_iteration(1)
         for r in (r1, r2):
@@ -329,8 +319,9 @@ class TestAccumulatorHygiene:
     def test_per_iteration_deltas_are_stable(self):
         """Back-to-back iterations report identical deltas — nothing
         double-counts across the iteration boundary."""
-        with Executor(alexnet(batch=2, image=67, num_classes=10),
-                      RuntimeConfig.superneurons(concrete=False)) as ex:
+        with Session(alexnet(batch=2, image=67, num_classes=10),
+                     RuntimeConfig.superneurons(concrete=False)
+                     ).executor as ex:
             r1 = ex.run_iteration(0)
             r2 = ex.run_iteration(1)
         for field in ("d2h_bytes", "h2d_bytes", "alloc_calls",
@@ -355,7 +346,7 @@ class TestAccumulatorHygiene:
 
     def test_traces_can_be_disabled(self):
         cfg = RuntimeConfig.superneurons(collect_traces=False)
-        with Executor(lenet(batch=4, image=12), cfg) as ex:
+        with Session(lenet(batch=4, image=12), cfg).executor as ex:
             r = ex.run_iteration(0)
         assert r.traces == []
         assert r.loss is not None
