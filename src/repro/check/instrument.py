@@ -25,7 +25,8 @@ Arming
 Tracing is process-global and off by default: every hook first checks
 the module-level :data:`ACTIVE` log and returns immediately when it is
 ``None`` (one global load + ``is None`` per operation — the "near-zero
-when disarmed" contract the serving benchmark holds to ≤5%).  Arm it
+when disarmed" contract ``tests/test_obs.py::TestDisarmedCost`` holds
+to zero ``repro.check.*`` frames per replayed iteration).  Arm it
 with :func:`arm`/:func:`capture`, or by exporting
 ``REPRO_TRACE_SYNC=1`` (consulted once, at import — how the CI race
 jobs arm whole scripts without code changes).  No engine or config

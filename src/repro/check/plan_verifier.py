@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.diagnostics import CheckReport, Diagnostic
 from repro.core.config import RuntimeConfig
-from repro.core.plan import plans_by_key, unstable_keys
+from repro.core.plan import plans_by_key
 from repro.graph.route import Phase
 from repro.layers.data import DataLayer
 
@@ -244,7 +244,8 @@ def extract_trace(net, compiled, config: RuntimeConfig,
         param_bytes=param_bytes,
         capacity=config.capacity,
         overflow_is_error=not cache_mode,
-        unverified_policies=unstable_keys(compiled.gathered),
+        unverified_policies=tuple(
+            g.key for g in compiled.gathered if g.plan is None),
     )
 
 

@@ -74,10 +74,12 @@ class RuntimeConfig:
     workspace_policy: WorkspacePolicy = WorkspacePolicy.DYNAMIC
 
     # steady-state iteration replay: after the first iteration of a
-    # fixed topology, plan-stable policies are compiled into an
-    # IterationPlan the executor replays with no hook dispatch
-    # (bit-identical results; False runs the all-dynamic plan every
-    # iteration — the reference the compiled closures are tested against).
+    # fixed topology the executor links its IterationPlan again, and
+    # the policies whose schedules had to be observed (workspace
+    # picks, recompute cleanup) compile like the derived ones did
+    # before iteration 0 — no hook dispatch from then on, bit-identical
+    # results.  False never links again: the observers' hooks dispatch
+    # on every iteration (what the ledger's gates compare replay with).
     steady_state_replay: bool = True
     # per-step StepTrace records (Fig. 10).  Long training runs can
     # switch them off so result objects hold O(1) memory per iteration.

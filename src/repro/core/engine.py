@@ -79,7 +79,7 @@ from repro.check.instrument import (
 )
 from repro.core.config import RuntimeConfig
 from repro.core.liveness import LivenessAnalysis, LivenessPlan
-from repro.core.plan import GatheredPolicy, gather_policy_plans
+from repro.core.plan import GatheredPolicy, gather_plans
 from repro.core.policy import MemoryPolicy, resolve_policies
 from repro.core.recompute import RecomputePlan, plan_segments
 from repro.core.runtime import Executor, IterationResult
@@ -308,7 +308,7 @@ class Engine:
                       ) -> Tuple[CompiledMode, object]:
         """One mode's compiled artifacts, plus the scout iteration's
         ``CostPrediction`` when cost reporting is armed (else None)."""
-        # The scout records one fresh iteration in simulated mode: the
+        # The scout records one iteration in simulated mode: the
         # allocator landscape (hence workspace picks), liveness frees,
         # offload/prefetch schedules, and recompute cleanup are
         # identical to a concrete run's, but no payload is ever touched.
@@ -332,7 +332,7 @@ class Engine:
                     scout, f"{self.net.name}/{mode}")
             else:
                 scout.run_iteration(0)
-            gathered = gather_policy_plans(scout)
+            gathered = gather_plans(scout)
         return CompiledMode(planning=planning, gathered=gathered), prediction
 
     # -------------------------------------------------------------- spawning

@@ -1,47 +1,51 @@
-"""The compiled iteration plan: steady-state replay of policy decisions.
+"""The compiled iteration plan: every policy action, written once.
 
 The paper's central observation (§3) is that liveness, offload/prefetch,
 recomputation, and workspace decisions are *deterministic per topology*:
 once the route is fixed, the same tensors die at the same steps, the
 same checkpoints offload after the same kernels, the same segments
 recompute on the same backward demands, and the same conv algorithms fit
-the same free-byte landscape — every iteration.  The hook-dispatch
-runtime re-derives all of this on every step of every iteration, which
-is pure planning overhead once the first iteration has shown the plan.
+the same free-byte landscape — every iteration.
 
-This module freezes those decisions after a recording (fresh) iteration:
+So a policy *decides* and this module *acts*.  A decision is a schedule,
+a :class:`PolicyPlan` the policy returns from ``compile_plan``; an act
+is one of the op builders below, the only code that frees, offloads,
+prefetches or provisions scratch on a built-in policy's behalf:
 
-* each plan-stable policy contributes a :class:`PolicyPlan` via its
-  ``compile_plan`` hook — per-step free lists (liveness), the eager
-  offload/prefetch schedule (UTP), the steps where recomputation
-  bookkeeping is live, and the per-execution workspace algorithm picks;
-* :func:`gather_policy_plans` collects the contributions
-  (executor-independent, so a compile-once engine can share them) and
-  :func:`link_iteration_plan` merges them, *in stack order*, into one
-  :class:`IterationPlan` — an array of
-  :class:`CompiledStep` records whose hook sites are prebound closure
-  lists, so the executor's step loop runs the exact same mechanics
-  with zero hook dispatch for stable policies and no dispatch at all
-  where nothing would happen;
-* policies that are **not** plan-stable (the LRU tensor cache, whose
-  evictions are pressure-driven; any custom policy that does not opt
-  in) keep receiving every hook through bound-method lists in their
-  original stack positions, so a mixed stack replays correctly — and a
-  plan linked with *every* position dynamic is the recording iteration
-  itself: the executor has one step loop, and "fresh" is that plan.
+* a **derived** schedule follows from the route alone — the liveness
+  free lists, the UTP's eager offload and prefetch-ahead steps — so its
+  policy has a plan at the first link and runs compiled from
+  iteration 0;
+* an **observed** schedule needs one look at a running iteration — the
+  workspace picks, the steps where recompute cleanup found work — so
+  its policy answers ``None`` at the first link, has its hooks
+  dispatched for that *recording* iteration, and compiles at the next;
+* a policy that never returns a plan (the base default: every custom
+  policy that does not opt in) keeps receiving every hook through
+  bound-method lists in its original stack position.
 
-Replay is bit-identical to the fresh path by construction: every closure
-reproduces the corresponding policy-hook body, including its dynamic
-guards (offload-in-flight checks, host-residency checks before prefetch,
-the workspace fragmentation fallback).  Demand-driven hooks
-(``on_backward_need``, ``on_memory_pressure``) and the iteration
-brackets are never compiled away — they are mechanics, not planning.
+:func:`gather_plans` asks each stack position
+(executor-independent answers, so a compile-once engine can share them)
+and :func:`link_iteration_plan` merges them, *in stack order*, into one
+:class:`IterationPlan`: an array of :class:`CompiledStep` records whose
+hook sites are prebound closure lists, plus the dispatch table for the
+hooks that are never compiled away.  The executor has one step loop and
+it always runs a linked plan; "recording" is a plan whose observers
+still dispatch.
+
+The ops keep every dynamic guard (offload-in-flight checks,
+host-residency checks before prefetch, the workspace fragmentation
+fallback); ``tests/reference_policies.py`` holds the hook-dispatch
+bodies they replaced, and a differential test holds the two equal.
+Demand-driven hooks (``on_backward_need``, ``on_memory_pressure``) and
+the iteration brackets are never compiled away — they are mechanics,
+not planning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.workspace import WorkspaceChoice
 from repro.graph.route import Phase, Step
@@ -51,36 +55,44 @@ from repro.tensors.tensor import Tensor
 #: A hook-site closure: ``op(ctx, step)``, prebound to executor internals.
 StepOp = Callable[[object, Step], None]
 
-#: The per-step hooks replay can compile away.  Demand hooks
-#: (``on_backward_need``, ``on_memory_pressure``) and the iteration
-#: brackets (``on_iteration_start``/``end``) are deliberately absent:
-#: they always dispatch, in both modes.
-SCHEDULABLE_HOOKS = (
+#: The hooks a compiled policy stops receiving (unless its plan names
+#: them in ``keep_hooks``).  The step hooks become a
+#: :class:`CompiledStep`'s hook-site ops; the tensor hooks fire from
+#: the executor's residency moves, through :attr:`IterationPlan.listeners`.
+STEP_HOOKS = (
     "before_step",
     "before_compute",
     "after_step",
     "on_step_settled",
+)
+TENSOR_HOOKS = (
     "on_tensor_dead",
     "on_tensor_released",
     "on_tensor_resident",
     "on_tensor_access",
 )
 
+#: Never compiled away: the iteration brackets and the recomputation
+#: trigger dispatch to every overrider on every iteration
+#: (``on_memory_pressure`` too, which walks the stack itself because
+#: each policy's answer decides whether the next is asked).
+ALWAYS_HOOKS = ("on_iteration_start", "on_iteration_end", "on_backward_need")
+
 
 @dataclass(frozen=True)
 class PolicyPlan:
-    """One plan-stable policy's frozen per-step decisions.
+    """One policy's per-step decisions, as schedules the ops below run.
 
     Returned by :meth:`~repro.core.policy.MemoryPolicy.compile_plan`.
     Every field is optional; a policy fills only the schedules it owns.
-    A stable policy that returns ``None`` (or an empty ``PolicyPlan``)
-    asserts it does nothing per-step, and is elided entirely.
+    An empty ``PolicyPlan`` says the policy does nothing per step and is
+    elided entirely; ``None`` in its place says "not compiled — keep
+    dispatching my hooks".
 
     Attributes
     ----------
     reap_before_step:
-        Reap completed eager offloads before every step (the eager
-        UTP's ``before_step`` body).
+        Reap completed eager offloads before every step (eager UTP).
     step_frees:
         step index -> tensors to discard after the step (skipping any
         with an offload copy in flight) — the liveness free lists.
@@ -99,16 +111,11 @@ class PolicyPlan:
         step index -> the recorded :class:`WorkspaceChoice` (pre
         -fallback); replay re-runs the scratch allocation and its
         fragmentation fallback, skipping only the algorithm selection.
-    active_after_steps:
-        steps at which the policy's ``after_step`` must still be
-        dispatched during replay (used by recomputation, whose cleanup
-        only has work where transients/persistents exist).  ``None``
-        means never.
     keep_hooks:
-        schedulable hooks this policy must KEEP receiving during replay
-        even though it is plan-stable — the cache-mode UTP compiles its
-        step schedule but its tensor hooks maintain the LRU order and
-        hit/miss counters, which only exist by observing every event.
+        step or tensor hooks this policy must KEEP receiving although it
+        is compiled — the cache-mode UTP compiles its step schedule but
+        its tensor hooks maintain the LRU order and hit/miss counters,
+        which only exist by observing every event.
     """
 
     key: str = ""
@@ -118,12 +125,11 @@ class PolicyPlan:
     step_offloads: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     step_prefetch: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     workspace_picks: Mapping[int, WorkspaceChoice] = field(default_factory=dict)
-    active_after_steps: Optional[FrozenSet[int]] = None
     keep_hooks: Tuple[str, ...] = ()
 
 
 class CompiledStep:
-    """Everything the replay loop needs for one step, precomputed."""
+    """Everything the step loop needs for one step, precomputed."""
 
     __slots__ = (
         "step", "layer", "is_forward", "is_data", "trace_label",
@@ -179,11 +185,11 @@ class IterationPlan:
     """The merged, executor-ready schedule for one full iteration."""
 
     steps: List[CompiledStep]
-    stable_keys: Tuple[str, ...]
-    # id(policy) -> its contribution, for every plan-stable policy
-    # (None = stable with nothing per-step).  The executor derives the
-    # replay dispatch tables from this.
-    policy_plans: Dict[int, Optional[PolicyPlan]] = field(default_factory=dict)
+    #: registry names of the compiled stack positions
+    compiled_keys: Tuple[str, ...]
+    #: hook name -> bound methods, in stack order, for the hooks no
+    #: hook site carries (see :func:`listener_table`)
+    listeners: Dict[str, tuple]
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -196,12 +202,12 @@ class IterationPlan:
             if not ops
         )
         return (f"IterationPlan({len(self.steps)} steps, "
-                f"stable={list(self.stable_keys)}, "
+                f"compiled={list(self.compiled_keys)}, "
                 f"{elided} empty hook sites elided)")
 
 
 # --------------------------------------------------------------------------- #
-# closure builders (each reproduces one policy-hook body, prebound)
+# op builders: the one body of each built-in policy action, prebound
 # --------------------------------------------------------------------------- #
 
 def _make_reap_op(ex) -> StepOp:
@@ -256,37 +262,37 @@ def _make_prefetch_op(ex, tensors: Tuple[Tensor, ...]) -> StepOp:
     return op
 
 
-def _make_workspace_op(ex, policy, step: Step, pick: WorkspaceChoice) -> StepOp:
-    """Replay one conv execution's recorded algorithm pick.
+def make_workspace_op(model, selector, step: Step, pick: WorkspaceChoice
+                      ) -> StepOp:
+    """Provision one conv execution's algorithm pick: reserve its
+    scratch, fall back to the zero-workspace algorithm when
+    fragmentation defeats the reservation, set the step's duration.
 
-    Selection is skipped; the scratch reservation and its fragmentation
-    fallback re-run live, exactly as the fresh hook body does."""
+    ``op(ctx, step)`` replays a frozen pick — selection is skipped and
+    the pick is logged against the bytes free now.  The recording hook
+    has just selected (and logged) ``pick`` itself, and passes it as the
+    third argument."""
     layer = step.layer
-    model = ex.model
     phase = pick.phase
     algo, best = pick.algo, pick.max_speed_algo
-    zero_algo = layer.algorithms(model)[0]
-    if phase == "forward":
-        dur_pick = layer.sim_time_forward(model, algo)
-        dur_zero = layer.sim_time_forward(model, zero_algo)
-    else:
-        dur_pick = layer.sim_time_backward(model, algo)
-        dur_zero = layer.sim_time_backward(model, zero_algo)
+    sim_time = layer.sim_time_forward if phase == "forward" \
+        else layer.sim_time_backward
+    dur_pick = sim_time(model, algo)
     tag = f"ws:{layer.name}"
     name = layer.name
     ws_bytes = algo.workspace_bytes
 
-    def op(ctx, step):
-        selector = policy.selector
-        choice = WorkspaceChoice(name, phase, algo, ctx.free_bytes, best)
-        selector.record(choice)
+    def op(ctx, step, choice=None):
+        if choice is None:
+            choice = selector.record(
+                WorkspaceChoice(name, phase, algo, ctx.free_bytes, best))
         duration = dur_pick
         if ws_bytes > 0 and ctx.alloc_scratch(ws_bytes, tag=tag) is None:
             # fragmentation: fall back to the zero-workspace algo
-            choice = WorkspaceChoice(name, phase, zero_algo,
-                                     ctx.free_bytes, best)
-            selector.replace_last(choice)
-            duration = dur_zero
+            zero_algo = layer.algorithms(model)[0]
+            choice = selector.replace_last(WorkspaceChoice(
+                name, phase, zero_algo, ctx.free_bytes, best))
+            duration = sim_time(model, zero_algo)
         ctx.set_duration(duration)
         ctx.set_workspace(choice)
     return op
@@ -298,7 +304,8 @@ def _make_workspace_op(ex, policy, step: Step, pick: WorkspaceChoice) -> StepOp:
 
 @dataclass(frozen=True)
 class GatheredPolicy:
-    """One stack position's compilation outcome, executor-independent.
+    """One stack position's answer to ``compile_plan``, executor
+    -independent: its schedule, or ``None`` while its hooks dispatch.
 
     The tuple of these — aligned with the resolved policy stack — is
     what a compile-once :class:`~repro.core.engine.Engine` shares across
@@ -309,51 +316,59 @@ class GatheredPolicy:
     """
 
     key: str
-    stable: bool
     plan: Optional[PolicyPlan]
 
 
 def plans_by_key(gathered: Tuple["GatheredPolicy", ...]
                  ) -> Dict[str, PolicyPlan]:
-    """The stable policies' non-empty contributions, keyed by registry
-    name.  The static plan verifier (:mod:`repro.check.plan_verifier`)
-    reads the frozen schedules through this instead of touching stack
-    positions, so policy order stays an executor concern."""
-    return {g.key: g.plan for g in gathered if g.stable and g.plan is not None}
+    """The compiled positions' schedules, keyed by registry name.  The
+    static plan verifier (:mod:`repro.check.plan_verifier`) reads the
+    frozen schedules through this instead of touching stack positions,
+    so policy order stays an executor concern."""
+    return {g.key: g.plan for g in gathered if g.plan is not None}
 
 
-def unstable_keys(gathered: Tuple["GatheredPolicy", ...]) -> Tuple[str, ...]:
-    """Registry names of the dynamic (non-plan-stable) stack positions —
-    the part of a compiled mode a static verifier cannot replay."""
-    return tuple(g.key for g in gathered if not g.stable)
+def gather_plans(ex) -> Tuple["GatheredPolicy", ...]:
+    """Ask every stack position for its schedule.
 
-
-def gather_policy_plans(ex) -> Tuple["GatheredPolicy", ...]:
-    """Freeze every stack position's decisions after a fresh iteration.
-
-    Must run after at least one fresh (recording) iteration, so that
-    policies whose plans are observed rather than derived (workspace
-    picks, recompute activity) have something to freeze.
+    Before a recording iteration has completed only the derived
+    schedules exist; policies whose plans are observed (workspace
+    picks, recompute activity) answer ``None`` until then.
     """
     ctx = ex._ctx
-    out: List[GatheredPolicy] = []
-    for p in ex.policies:
-        if p.is_plan_stable(ctx):
-            out.append(GatheredPolicy(p.key, True, p.compile_plan(ctx)))
-        else:
-            out.append(GatheredPolicy(p.key, False, None))
-    return tuple(out)
+    return tuple(GatheredPolicy(p.key, p.compile_plan(ctx))
+                 for p in ex.policies)
+
+
+def listener_table(ex, plans) -> Dict[str, tuple]:
+    """Bound-method dispatch lists for the hooks no hook site carries:
+    per hook, the policies that actually override it, in stack order —
+    a hook nobody implements costs one empty-tuple loop, not a stack
+    walk.  ``plans`` aligns with ``ex.policies``; a compiled position
+    (plan not ``None``) loses its tensor hooks unless the plan keeps
+    them, and nobody ever loses an :data:`ALWAYS_HOOKS` entry."""
+    overrides = ex._overrides
+    pairs = list(zip(ex.policies, plans))
+    table = {
+        hook: tuple(getattr(p, hook) for p, pp in pairs
+                    if overrides(p, hook)
+                    and (pp is None or hook in pp.keep_hooks))
+        for hook in TENSOR_HOOKS
+    }
+    for hook in ALWAYS_HOOKS:
+        table[hook] = tuple(getattr(p, hook) for p in ex.policies
+                            if overrides(p, hook))
+    return table
 
 
 def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
                         ) -> IterationPlan:
     """Bind gathered policy plans to ``ex``'s substrate as closures.
 
-    ``gathered`` may come from this executor's own recording iteration
-    or from an engine's scout executor — the stacks must resolve to the
-    same keys in the same order (guaranteed when both come from the
-    same config), and dynamic policies dispatch to *this* executor's
-    instances.
+    ``gathered`` may come from this executor's own policies or from an
+    engine's scout executor — the stacks must resolve to the same keys
+    in the same order (guaranteed when both come from the same config),
+    and dispatching policies dispatch to *this* executor's instances.
     """
     keys = [p.key for p in ex.policies]
     if keys != [g.key for g in gathered]:
@@ -362,11 +377,17 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
             f"stack {[g.key for g in gathered]}"
         )
     overrides = ex._overrides  # one override-detection rule, one place
-    pairs = list(zip(ex.policies, gathered))
-    contributions: Dict[int, Optional[PolicyPlan]] = {
-        id(p): g.plan for p, g in pairs if g.stable
-    }
-    stable_keys = [g.key for g in gathered if g.stable]
+    plans = [g.plan for g in gathered]
+    # a dispatching policy rides every step hook it overrides; a
+    # compiled one only those its plan explicitly kept live, after its
+    # compiled actions — same stack position either way
+    stack = [
+        (p, pp, [(site, getattr(p, hook))
+                 for site, hook in enumerate(STEP_HOOKS)
+                 if hook in (STEP_HOOKS if pp is None else pp.keep_hooks)
+                 and overrides(p, hook)])
+        for p, pp in zip(ex.policies, plans)
+    ]
     reap_op = _make_reap_op(ex)
 
     steps: List[CompiledStep] = []
@@ -377,49 +398,29 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
         compute: List[StepOp] = []
         after: List[StepOp] = []
         settled: List[StepOp] = []
-        for p, g in pairs:
-            if not g.stable:
-                # dynamic policy: bound methods, original stack position
-                if overrides(p, "before_step"):
-                    before.append(p.before_step)
-                if overrides(p, "before_compute"):
-                    compute.append(p.before_compute)
-                if overrides(p, "after_step"):
-                    after.append(p.after_step)
-                if overrides(p, "on_step_settled"):
-                    settled.append(p.on_step_settled)
-                continue
-            pp = g.plan
-            if pp is None:
-                continue  # stable, nothing per-step: elided entirely
-            if pp.reap_before_step:
-                before.append(reap_op)
-            offloads = pp.step_offloads.get(i)
-            if offloads:
-                after.append(_make_offload_op(ex, offloads))
-            frees = pp.step_frees.get(i)
-            if frees:
-                after.append(_make_frees_op(ex, frees))
-            discards = pp.step_discards.get(i)
-            if discards:
-                after.append(_make_discards_op(ex, discards))
-            if pp.active_after_steps is not None \
-                    and i in pp.active_after_steps:
-                after.append(p.after_step)
-            prefetch = pp.step_prefetch.get(i)
-            if prefetch:
-                settled.append(_make_prefetch_op(ex, prefetch))
-            pick = pp.workspace_picks.get(i)
-            if pick is not None:
-                compute.append(_make_workspace_op(ex, p, step, pick))
-            # step hooks the stable policy explicitly kept live ride in
-            # their stack position, after its compiled actions
-            for hook, bucket in (("before_step", before),
-                                 ("before_compute", compute),
-                                 ("after_step", after),
-                                 ("on_step_settled", settled)):
-                if hook in pp.keep_hooks and overrides(p, hook):
-                    bucket.append(getattr(p, hook))
+        sites = (before, compute, after, settled)  # STEP_HOOKS order
+        for p, pp, hooks in stack:
+            if pp is not None:
+                if pp.reap_before_step:
+                    before.append(reap_op)
+                offloads = pp.step_offloads.get(i)
+                if offloads:
+                    after.append(_make_offload_op(ex, offloads))
+                frees = pp.step_frees.get(i)
+                if frees:
+                    after.append(_make_frees_op(ex, frees))
+                discards = pp.step_discards.get(i)
+                if discards:
+                    after.append(_make_discards_op(ex, discards))
+                prefetch = pp.step_prefetch.get(i)
+                if prefetch:
+                    settled.append(_make_prefetch_op(ex, prefetch))
+                pick = pp.workspace_picks.get(i)
+                if pick is not None:
+                    compute.append(make_workspace_op(
+                        ex.model, p.selector, step, pick))
+            for site, fn in hooks:
+                sites[site].append(fn)
         if ex.recorder is not None:
             # the observer rides last: it sees the step fully settled
             settled.append(ex.recorder.step_op(cs))
@@ -428,5 +429,7 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
         cs.after_ops = tuple(after)
         cs.settled_ops = tuple(settled)
         steps.append(cs)
-    return IterationPlan(steps=steps, stable_keys=tuple(stable_keys),
-                         policy_plans=contributions)
+    return IterationPlan(
+        steps=steps,
+        compiled_keys=tuple(g.key for g in gathered if g.plan is not None),
+        listeners=listener_table(ex, plans))

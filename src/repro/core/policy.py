@@ -12,6 +12,12 @@ itself (:mod:`repro.core.runtime`) contains no policy-specific branches;
 adding a new eviction schedule or prefetch heuristic is a new policy
 class plus a :func:`register_policy` line, never an edit to the loop.
 
+A policy *decides*: ``compile_plan`` hands its per-step schedule to the
+executor, whose plan ops then run in the policy's stack position in
+place of its step and tensor hooks.  Liveness and offload derive theirs
+from the route and override no step hook; workspace and recompute
+observe one recording iteration through the hooks below, then compile.
+
 Hook protocol (all optional; the base class no-ops everything):
 
 ========================  =====================================================
@@ -50,6 +56,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 from repro.core import config as _config
 from repro.core.cache import TensorCache
 from repro.core.config import OFFLOAD_TYPES, RecomputeStrategy, RuntimeConfig
+from repro.core.plan import PolicyPlan, make_workspace_op
 from repro.core.workspace import WorkspaceChoice, WorkspaceSelector
 from repro.device.gpu import OutOfMemoryError
 from repro.device.timeline import Stream
@@ -88,7 +95,11 @@ class StepContext:
         self.last_compute_event = None
         self.step_duration = None
         self.step_workspace = None
-        self._scratch.clear()
+        if self._scratch:
+            # only a step that raised leaves scratch behind (the kernel
+            # path releases it); return it, or every later iteration
+            # fails its leak check
+            self._ex._free_step_scratch(self)
 
     # -- read-only views ----------------------------------------------------
     @property
@@ -146,6 +157,14 @@ class StepContext:
     def recorder(self):
         """The executor's iteration observer (None unless costing)."""
         return self._ex.recorder
+
+    @property
+    def recorded(self) -> bool:
+        """Has a whole iteration run with every not-yet-compiled
+        policy's hooks dispatching?  From then on an observed schedule
+        (workspace picks, recompute cleanup) is complete, and
+        ``compile_plan`` may return it."""
+        return self._ex._recorded
 
     @property
     def cache_armed(self) -> bool:
@@ -281,28 +300,22 @@ class MemoryPolicy:
     def bind(self, ctx: StepContext) -> None:
         """Called once when the executor is built (plans exist)."""
 
-    # -- steady-state plan compilation ---------------------------------------
-    def is_plan_stable(self, ctx: StepContext) -> bool:
-        """Are this policy's per-step decisions fixed by the topology?
+    # -- plan compilation -----------------------------------------------------
+    def compile_plan(self, ctx: StepContext) -> Optional[PolicyPlan]:
+        """This policy's per-step decisions as schedules, or ``None``.
 
-        Returning True lets the executor compile the decisions once
-        (via :meth:`compile_plan`) and *stop dispatching* this policy's
-        per-step hooks on steady-state iterations — the compiled
-        :class:`~repro.core.plan.IterationPlan` replays them instead.
-        Demand hooks (``on_backward_need``, ``on_memory_pressure``) and
-        the iteration brackets are always dispatched regardless.
+        Asked whenever the executor links a plan: before iteration 0
+        (a schedule derived from the route can be returned at once) and
+        again once a recording iteration has completed (one that must
+        be observed returns ``None`` until ``ctx.recorded``).  Returning
+        a :class:`~repro.core.plan.PolicyPlan` compiles the policy: the
+        plan's ops run in its stack position and its step and tensor
+        hooks are *no longer dispatched*, except those the plan names
+        in ``keep_hooks``.  Demand hooks (``on_backward_need``,
+        ``on_memory_pressure``) and the iteration brackets are always
+        dispatched regardless.
 
-        Default False: unknown policies keep full hook dispatch.
-        """
-        return False
-
-    def compile_plan(self, ctx: StepContext):
-        """Freeze this policy's per-step decisions for replay.
-
-        Called after at least one fresh iteration has run (so observed
-        schedules — workspace picks, recompute activity — exist).
-        Returns a :class:`~repro.core.plan.PolicyPlan` or None (None
-        asserts the policy does nothing per-step and is elided).
+        Default ``None``: unknown policies keep full hook dispatch.
         """
         return None
 
@@ -380,9 +393,10 @@ class LivenessPolicy(MemoryPolicy):
     """Free tensors the moment no later step reads them (paper §3.2).
 
     The per-step free lists come from the executor's compiled
-    :class:`~repro.core.liveness.LivenessPlan`; this policy is the one
-    place that executes them.  Tensors with an offload copy in flight
-    are skipped — completing the copy retires the GPU bytes instead.
+    :class:`~repro.core.liveness.LivenessPlan`; this policy hands them
+    over as its schedule and the plan's frees op executes them.
+    Tensors with an offload copy in flight are skipped — completing the
+    copy retires the GPU bytes instead.
     """
 
     key = "liveness"
@@ -411,20 +425,9 @@ class LivenessPolicy(MemoryPolicy):
     def describe(self) -> str:
         return f"liveness(scope={self.scope})"
 
-    def after_step(self, ctx: StepContext, step: Step) -> None:
-        for t in ctx.plan.frees(step.index):
-            if ctx.offload_in_flight(t):
-                continue  # eager offload in flight; reap handles it
-            ctx.discard(t)
-
-    # -- steady-state compilation --------------------------------------------
-    def is_plan_stable(self, ctx: StepContext) -> bool:
+    def compile_plan(self, ctx: StepContext) -> PolicyPlan:
         # The free lists come straight from the compiled LivenessPlan:
         # per-topology by construction (paper §3.2).
-        return True
-
-    def compile_plan(self, ctx: StepContext):
-        from repro.core.plan import PolicyPlan
         return PolicyPlan(key=self.key, step_frees=ctx.plan.freeze())
 
 
@@ -484,40 +487,6 @@ class OffloadCachePolicy(MemoryPolicy):
         # the cache's victim filter consults this session's lock bits
         self.cache.bind_state(ctx.state)
 
-    # -- hooks ---------------------------------------------------------------
-    def before_step(self, ctx: StepContext, step: Step) -> None:
-        ctx.reap_offloads()
-
-    def after_step(self, ctx: StepContext, step: Step) -> None:
-        # Eager UTP offload: the D2H copy overlaps the following forward
-        # compute (it is ordered after this step's kernel event, and
-        # must register before liveness frees run so they skip it).
-        if self.cache_mode or step.phase is not Phase.FORWARD:
-            return
-        layer = step.layer
-        if layer.ltype in OFFLOAD_TYPES:
-            after = [ctx.last_compute_event] if ctx.last_compute_event else None
-            ctx.offload(layer.output, after=after)
-
-    def on_step_settled(self, ctx: StepContext, step: Step) -> None:
-        # Prefetch-ahead (paper §3.3.1): start the H2D fetch of the next
-        # backward step's host-resident reads so it overlaps this step's
-        # compute.  Issued after the step's frees: identical overlap on
-        # the timeline, but tensors land just-in-time so the measured
-        # peak stays at l_peak — which the paper's own Fig. 10c peak
-        # (exactly max(l_i)) requires.
-        if step.phase is Phase.BACKWARD:
-            self._prefetch_ahead(ctx, step)
-
-    def _prefetch_ahead(self, ctx: StepContext, step: Step) -> None:
-        nxt = step.index + 1
-        if nxt >= len(ctx.route.steps):
-            return
-        state = ctx.state
-        for t in ctx.reads_at(nxt, include_synthetic=False):
-            if state.on_host(t):
-                ctx.prefetch(t)
-
     # -- cache membership ----------------------------------------------------
     # Every membership/counter hook is gated on cache_mode: in eager
     # mode the cache is dormant and must stay silent — previously
@@ -573,19 +542,20 @@ class OffloadCachePolicy(MemoryPolicy):
     # drains in-flight copies itself, so a stack without this policy —
     # or a custom one that offloads directly — can never leak pendings.)
 
-    # -- steady-state compilation --------------------------------------------
-    def is_plan_stable(self, ctx: StepContext) -> bool:
-        # Both modes have a static *step* schedule: eager offloads
-        # checkpoint outputs after fixed kernels, and prefetch-ahead
-        # candidates come from the static read sets (the host-residency
-        # test stays a live guard in the compiled op).  Cache mode
-        # additionally keeps its tensor hooks live (see compile_plan):
-        # LRU order, hit/miss counters, and pressure-driven eviction
-        # only exist by observing every residency event.
-        return True
-
-    def compile_plan(self, ctx: StepContext):
-        from repro.core.plan import PolicyPlan
+    # -- the step schedule ---------------------------------------------------
+    def compile_plan(self, ctx: StepContext) -> PolicyPlan:
+        # Both modes have a static *step* schedule, derived from the
+        # route.  Eager: a checkpoint output's D2H copy starts right
+        # after its forward kernel (ordered after the kernel's event, so
+        # it overlaps the following forward compute, and registered
+        # before the liveness frees run so they skip it), and completed
+        # copies are reaped before every step.  Both: prefetch-ahead
+        # (paper §3.3.1) — each backward step names the next step's
+        # reads, and the ones on the host at that moment start their H2D
+        # fetch so it overlaps this step's compute.  Issued after the
+        # step's frees: identical overlap on the timeline, but tensors
+        # land just-in-time so the measured peak stays at l_peak — which
+        # the paper's own Fig. 10c peak (exactly max(l_i)) requires.
         steps = ctx.route.steps
         offloads = {}
         prefetch = {}
@@ -603,7 +573,9 @@ class OffloadCachePolicy(MemoryPolicy):
                 prefetch[step.index] = reads
         if self.cache_mode:
             # no eager copies ⇒ nothing to reap before steps, nothing
-            # to register after them; membership/counter hooks stay
+            # to register after them.  The tensor hooks stay live: LRU
+            # order, hit/miss counters and pressure-driven eviction
+            # only exist by observing every residency event.
             return PolicyPlan(
                 key=self.key, step_prefetch=prefetch,
                 keep_hooks=("on_tensor_resident", "on_tensor_access",
@@ -636,8 +608,8 @@ class RecomputePolicy(MemoryPolicy):
         self._materialized: Set[int] = set()  # id(segment anchors) done
         self._transient: List[Tensor] = []
         # step index -> tensors the cleanup sweep discarded there (last
-        # fresh iteration, in discard order) — the schedule replay runs
-        # instead of dispatching after_step at all
+        # recording iteration, in discard order) — the schedule replay
+        # runs instead of dispatching after_step at all
         self._cleanup_by_step: Dict[int, List[Tensor]] = {}
         self._release_anchors = True  # decided once, at bind
 
@@ -699,22 +671,21 @@ class RecomputePolicy(MemoryPolicy):
         if dropped:
             self._cleanup_by_step[step.index] = dropped
 
-    # -- steady-state compilation --------------------------------------------
-    def is_plan_stable(self, ctx: StepContext) -> bool:
+    def compile_plan(self, ctx: StepContext) -> Optional[PolicyPlan]:
         # Segment re-execution is demand-driven mechanics (triggered by
         # ``on_backward_need``, which always dispatches); the only
         # per-step hook is the cleanup sweep, whose discard schedule is
-        # fixed by the recompute plan.  Stable: replay runs the recorded
-        # discards (still guarded by liveness) with no dispatch at all.
-        return True
-
-    def compile_plan(self, ctx: StepContext):
-        from repro.core.plan import PolicyPlan
+        # fixed by the recompute plan but observed, not derived: it
+        # exists once an iteration has been swept.  Replay then runs the
+        # recorded discards (still guarded by liveness), no dispatch.
+        if not ctx.recorded:
+            return None
         return PolicyPlan(
             key=self.key,
             step_discards={i: tuple(ts)
                            for i, ts in self._cleanup_by_step.items()},
         )
+
     def ensure(self, ctx: StepContext, missing: List[Tensor]) -> None:
         """Make every tensor in ``missing`` resident by recomputation."""
         plan = ctx.recompute_plan
@@ -858,7 +829,7 @@ class WorkspacePolicy(MemoryPolicy):
     def __init__(self, mode: Optional[_config.WorkspacePolicy] = None) -> None:
         self.mode = mode if mode is not None else _config.WorkspacePolicy.DYNAMIC
         self.selector: Optional[WorkspaceSelector] = None
-        # step index -> the selection of the last fresh iteration
+        # step index -> the selection of the last recording iteration
         # (pre-fallback), frozen into the IterationPlan on compile
         self._pick_by_step: Dict[int, WorkspaceChoice] = {}
 
@@ -895,34 +866,19 @@ class WorkspacePolicy(MemoryPolicy):
         phase = "forward" if step.phase is Phase.FORWARD else "backward"
         choice = self.selector.select(layer, ctx.free_bytes, phase)
         self._pick_by_step[step.index] = choice
-        if choice.assigned_ws > 0:
-            scratch = ctx.alloc_scratch(choice.assigned_ws,
-                                        tag=f"ws:{layer.name}")
-            if scratch is None:
-                # fragmentation: fall back to the zero-workspace algo
-                choice = WorkspaceChoice(
-                    layer.name, phase,
-                    layer.algorithms(ctx.model)[0],
-                    ctx.free_bytes,
-                    choice.max_speed_algo,
-                )
-                self.selector.replace_last(choice)
-        if phase == "forward":
-            ctx.set_duration(layer.sim_time_forward(ctx.model, choice.algo))
-        else:
-            ctx.set_duration(layer.sim_time_backward(ctx.model, choice.algo))
-        ctx.set_workspace(choice)
+        # selecting is this hook's whole job; provisioning the pick is
+        # the op replay runs
+        make_workspace_op(ctx.model, self.selector, step, choice)(
+            ctx, step, choice)
 
-    # -- steady-state compilation --------------------------------------------
-    def is_plan_stable(self, ctx: StepContext) -> bool:
+    def compile_plan(self, ctx: StepContext) -> Optional[PolicyPlan]:
         # The free-byte landscape at each step is identical on every
         # iteration of a fixed topology (the allocator returns to
         # params-only at the barrier), so the per-step selection
-        # repeats.  Replay reuses the recorded pick but re-runs the
-        # scratch reservation and its fragmentation fallback live.
-        return True
-
-    def compile_plan(self, ctx: StepContext):
-        from repro.core.plan import PolicyPlan
+        # repeats — once one whole iteration has shown it.  Replay
+        # reuses the recorded pick but re-runs the scratch reservation
+        # and its fragmentation fallback live.
+        if not ctx.recorded:
+            return None
         return PolicyPlan(key=self.key,
                           workspace_picks=dict(self._pick_by_step))

@@ -33,7 +33,7 @@ used for 12 GB-scale capacity and speed benchmarks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,12 +41,11 @@ from repro.core.cache import TensorCache
 from repro.core.config import RuntimeConfig
 from repro.core.liveness import LivenessPlan
 from repro.core.plan import (
-    SCHEDULABLE_HOOKS,
     CompiledStep,
-    GatheredPolicy,
     IterationPlan,
-    gather_policy_plans,
+    gather_plans,
     link_iteration_plan,
+    listener_table,
 )
 from repro.core.policy import MemoryPolicy, StepContext
 from repro.core.tensor_state import SessionTensorState
@@ -182,7 +181,8 @@ class Executor:
         recompute plans plus the scout-gathered policy plans — the
         executor links them and replays from iteration 0) or a bare
         :class:`~repro.core.engine.ModePlanning` (the same route and
-        analyses; the executor records its own first iteration).
+        analyses; the executor gathers its own policies' plans, and
+        the ones that must observe an iteration record its first).
 
     ``plan.mode`` is the execution mode: ``"train"`` runs the 2N-step
     forward+backward route; ``"infer"`` runs the forward-only N-step
@@ -252,7 +252,7 @@ class Executor:
         self.liveness = plan.liveness
         self.plan: LivenessPlan = plan.liveness_plan
         #: the scout-gathered policy plans (None over bare planning:
-        #: this executor records its own first iteration)
+        #: this executor gathers its own)
         self._shared_gathered = plan.gathered
 
         # ALL executor-mutated tensor state is session-local: this table
@@ -272,22 +272,22 @@ class Executor:
         for p in self.policies:
             p.bind(self._ctx)
 
-        # hook listener tables: per hook, the bound methods of the
-        # policies that actually override it, in stack order — a hook
-        # nobody implements costs one empty-tuple loop, not a full
-        # stack walk.  The four tensor hooks fire once or twice per
-        # tensor per step, so their sites loop over the tuple in place;
-        # ``_dispatch`` serves the per-iteration and demand hooks.
-        self._listeners = self._build_listener_table()
-        self._active_listeners = self._listeners
-        self._replay_listeners: Optional[Dict[str, tuple]] = None
-
-        # steady-state replay state
+        # the linked plan (None = link before the next iteration, see
+        # :meth:`_link_plan`) and its dispatch table.  The four tensor
+        # hooks fire once or twice per tensor per step, so their sites
+        # loop over the table's tuple in place; ``_dispatch`` serves the
+        # per-iteration and demand hooks.  Until the first link every
+        # overrider listens.
+        self._plan: Optional[IterationPlan] = None
+        self._listeners = listener_table(self, [None] * len(self.policies))
+        #: were ``_plan``'s schedules gathered after a whole recording
+        #: iteration (this executor's, or the engine scout's)?
+        self._replaying = False
+        #: has a recording iteration completed here?  (What
+        #: ``StepContext.recorded`` shows the policies.)
+        self._recorded = False
         self._replay_enabled = cfg.steady_state_replay
         self._collect_traces = cfg.collect_traces
-        self._record_plan: Optional[IterationPlan] = None
-        self._iteration_plan: Optional[IterationPlan] = None
-        self._fresh_iterations = 0
         self.replayed_iterations = 0
 
         #: optional observer of this executor's copies, stalls, offload
@@ -324,35 +324,13 @@ class Executor:
                 return p
         return None
 
-    _DISPATCH_HOOKS = SCHEDULABLE_HOOKS + (
-        "on_iteration_start", "on_iteration_end", "on_backward_need",
-    )
-
     @staticmethod
     def _overrides(p: MemoryPolicy, hook: str) -> bool:
         return getattr(type(p), hook) is not getattr(MemoryPolicy, hook)
 
-    def _build_listener_table(
-        self, skip_hooks: Optional[Dict[int, Set[str]]] = None
-    ) -> Dict[str, tuple]:
-        """Bound-method dispatch lists; ``skip_hooks`` maps a policy id
-        to the schedulable hooks compiled away for it (demand hooks and
-        iteration brackets always keep every overrider)."""
-        table: Dict[str, tuple] = {}
-        skip_hooks = skip_hooks or {}
-        for hook in self._DISPATCH_HOOKS:
-            fns = []
-            for p in self.policies:
-                if hook in skip_hooks.get(id(p), ()):
-                    continue
-                if self._overrides(p, hook):
-                    fns.append(getattr(p, hook))
-            table[hook] = tuple(fns)
-        return table
-
     def _dispatch(self, hook: str, *args) -> None:
         ctx = self._ctx
-        for fn in self._active_listeners[hook]:
+        for fn in self._listeners[hook]:
             fn(ctx, *args)
 
     @property
@@ -454,7 +432,7 @@ class Executor:
         if kind is TensorKind.DATA or kind is TensorKind.GRAD:
             self.state.add_live(t)
         ctx = self._ctx
-        for fn in self._active_listeners["on_tensor_resident"]:
+        for fn in self._listeners["on_tensor_resident"]:
             fn(ctx, t, "alloc")
         return a
 
@@ -480,7 +458,7 @@ class Executor:
         if a is not None:
             self.allocator.free(a)
         ctx = self._ctx
-        for fn in self._active_listeners["on_tensor_released"]:
+        for fn in self._listeners["on_tensor_released"]:
             fn(ctx, t)
         if state.host_resident(t):
             # keep the bytes: they may still be device-side if the D2H
@@ -502,7 +480,7 @@ class Executor:
         if a is not None:
             self.allocator.free(a)
         ctx = self._ctx
-        for fn in self._active_listeners["on_tensor_dead"]:
+        for fn in self._listeners["on_tensor_dead"]:
             fn(ctx, t)
         if state.host_resident(t):
             self.fabric.evict(t.tensor_id)
@@ -600,7 +578,7 @@ class Executor:
             self.allocator.free(a)
         self.store.move_to_host(t)
         ctx = self._ctx
-        for fn in self._active_listeners["on_tensor_released"]:
+        for fn in self._listeners["on_tensor_released"]:
             fn(ctx, t)
         self.state.set_placement(t, Placement.HOST)
 
@@ -618,7 +596,7 @@ class Executor:
         state.set_placement(t, Placement.GPU)
         self.store.move_to_gpu(t)
         ctx = self._ctx
-        for fn in self._active_listeners["on_tensor_resident"]:
+        for fn in self._listeners["on_tensor_resident"]:
             fn(ctx, t, "prefetch")
         return True
 
@@ -632,7 +610,7 @@ class Executor:
                 if ev is not None:
                     self._wait(t, "prefetch", ev)
             ctx = self._ctx
-            for fn in self._active_listeners["on_tensor_access"]:
+            for fn in self._listeners["on_tensor_access"]:
                 fn(ctx, t)
             return
         if placement is Placement.HOST:
@@ -658,32 +636,21 @@ class Executor:
     def iteration_plan(self) -> Optional[IterationPlan]:
         """The compiled replay plan (None until one steady-state
         iteration has been requested after a recording one)."""
-        return self._iteration_plan
+        return self._plan if self._replaying else None
 
-    def _recording_plan(self) -> IterationPlan:
-        """The all-dynamic plan: no stack position is compiled away, so
-        every hook site dispatches the policies' own hook bodies in
-        stack order.  This is what "fresh" means — the same step loop
-        as replay, running the reference the compiled closures are
-        tested against — and what every iteration runs with
-        ``steady_state_replay=False``."""
-        if self._record_plan is None:
-            self._record_plan = link_iteration_plan(self, tuple(
-                GatheredPolicy(p.key, False, None) for p in self.policies))
-        return self._record_plan
-
-    def _install_plan(self, gathered: Sequence[GatheredPolicy]) -> None:
-        """Link gathered policy plans (own or engine-shared) and derive
-        the replay dispatch tables."""
-        self._iteration_plan = link_iteration_plan(self, gathered)
-        schedulable = set(SCHEDULABLE_HOOKS)
-        skip_hooks: Dict[int, Set[str]] = {}
-        for p, g in zip(self.policies, gathered):
-            if not g.stable:
-                continue  # dynamic: keeps every hook
-            keep = set(g.plan.keep_hooks) if g.plan is not None else set()
-            skip_hooks[id(p)] = schedulable - keep
-        self._replay_listeners = self._build_listener_table(skip_hooks)
+    def _link_plan(self) -> IterationPlan:
+        """The one link step: take the engine-shared policy plans or ask
+        this stack for its own, and bind them to this substrate.  Before
+        a recording iteration only derived schedules exist, so the
+        observers' hooks ride the plan as bound methods in their stack
+        positions — the same step loop, recording."""
+        gathered = self._shared_gathered
+        self._replaying = gathered is not None or self._recorded
+        if gathered is None:
+            gathered = gather_plans(self)
+        self._plan = plan = link_iteration_plan(self, gathered)
+        self._listeners = plan.listeners
+        return plan
 
     # ------------------------------------------------------------------ stepping
     def run_iteration(
@@ -711,20 +678,9 @@ class Executor:
                 "infer mode runs no backward pass, so the optimizer "
                 "would never step; drop it or use a train-mode session")
         ctx = self._ctx
-        if self._replay_enabled and self._iteration_plan is None:
-            if self._fresh_iterations:
-                self._install_plan(gather_policy_plans(self))
-            elif self._shared_gathered is not None:
-                # engine worker: link the shared plan, replay from
-                # iteration 0 — no recording iteration needed
-                self._install_plan(self._shared_gathered)
-        replaying = self._iteration_plan is not None
-        if replaying:
-            plan = self._iteration_plan
-            self._active_listeners = self._replay_listeners
-        else:
-            plan = self._recording_plan()
-            self._active_listeners = self._listeners
+        plan = self._plan
+        if plan is None:
+            plan = self._link_plan()
         ctx._begin_iteration(iteration, LayerContext(
             iteration=iteration, training=self.training,
             feed=feed, capture_final=capture_output))
@@ -741,10 +697,14 @@ class Executor:
         ws_start = len(self._workspace_choices())
 
         traces = self._run_steps(plan, ctx, optimizer)
-        if replaying:
+        if self._replaying:
             self.replayed_iterations += 1
         else:
-            self._fresh_iterations += 1
+            # the observers have seen one whole iteration; with replay
+            # on, the next one links again and they compile
+            self._recorded = True
+            if self._replay_enabled:
+                self._plan = None
 
         # iteration barrier: drain copies, free whatever is left
         self._dispatch("on_iteration_end")
@@ -782,8 +742,9 @@ class Executor:
     def _run_steps(self, plan: IterationPlan, ctx: StepContext, optimizer
                    ) -> List[StepTrace]:
         """The one step loop.  What differs between a recording and a
-        steady-state iteration is the plan's hook-site ops — bound
-        policy hooks vs compiled closures — never the mechanics."""
+        steady-state iteration is the plan's hook-site ops — which
+        positions are bound policy hooks and which compiled closures —
+        never the mechanics."""
         traces: List[StepTrace] = []
         collect = self._collect_traces
         allocator = self.allocator

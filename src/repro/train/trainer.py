@@ -31,8 +31,8 @@ class TrainStats:
 class Trainer:
     """Owns a session and an optimizer; runs iterations.
 
-    Accepts either a prebuilt :class:`Session` or the legacy
-    ``(net, config)`` pair, which it wraps in one.
+    Accepts either a prebuilt :class:`Session` or a ``(net, config)``
+    pair, which it wraps in one.
     """
 
     def __init__(

@@ -1,0 +1,125 @@
+"""The built-in policies as hook-dispatching bodies, kept as test references.
+
+Until PR 22 every built-in policy carried each per-step decision twice:
+as a hook body that ran on recording iterations and as a
+``compile_plan`` schedule plus a ``core/plan.py`` op that ran on every
+later one.  The shipped policies now only produce schedules and the ops
+are the one place that acts.  These subclasses are the hook bodies that
+were deleted, moved here unchanged: each answers ``compile_plan`` with
+``None`` — the custom-policy default, "keep dispatching my hooks" — so a
+stack built from them decides everything live, per step, through the
+``StepContext`` operations alone, on every iteration.  They are slow and
+obviously right, which is what a reference is for;
+``test_reference_policies.py`` holds the compiled stack to them.
+"""
+
+from repro.core.config import OFFLOAD_TYPES
+from repro.core.policy import (
+    LivenessPolicy,
+    OffloadCachePolicy,
+    RecomputePolicy,
+    WorkspacePolicy,
+    resolve_policies,
+)
+from repro.core.workspace import WorkspaceChoice
+from repro.graph.route import Phase
+from repro.layers.conv import Conv2D
+
+
+class ReferenceLivenessPolicy(LivenessPolicy):
+    def compile_plan(self, ctx):
+        return None
+
+    def after_step(self, ctx, step):
+        for t in ctx.plan.frees(step.index):
+            if ctx.offload_in_flight(t):
+                continue  # eager offload in flight; reap handles it
+            ctx.discard(t)
+
+
+class ReferenceOffloadCachePolicy(OffloadCachePolicy):
+    def compile_plan(self, ctx):
+        return None
+
+    def before_step(self, ctx, step):
+        ctx.reap_offloads()
+
+    def after_step(self, ctx, step):
+        # Eager UTP offload: the D2H copy overlaps the following forward
+        # compute (it is ordered after this step's kernel event, and
+        # must register before liveness frees run so they skip it).
+        if self.cache_mode or step.phase is not Phase.FORWARD:
+            return
+        layer = step.layer
+        if layer.ltype in OFFLOAD_TYPES:
+            after = [ctx.last_compute_event] if ctx.last_compute_event else None
+            ctx.offload(layer.output, after=after)
+
+    def on_step_settled(self, ctx, step):
+        # Prefetch-ahead (paper §3.3.1): start the H2D fetch of the next
+        # backward step's host-resident reads so it overlaps this step's
+        # compute.  Issued after the step's frees, so tensors land
+        # just-in-time and the measured peak stays at l_peak.
+        if step.phase is Phase.BACKWARD:
+            self._prefetch_ahead(ctx, step)
+
+    def _prefetch_ahead(self, ctx, step):
+        nxt = step.index + 1
+        if nxt >= len(ctx.route.steps):
+            return
+        state = ctx.state
+        for t in ctx.reads_at(nxt, include_synthetic=False):
+            if state.on_host(t):
+                ctx.prefetch(t)
+
+
+class ReferenceRecomputePolicy(RecomputePolicy):
+    """The cleanup sweep is the shipped ``after_step``; the reference
+    simply never trades it for the recorded discard schedule."""
+
+    def compile_plan(self, ctx):
+        return None
+
+
+class ReferenceWorkspacePolicy(WorkspacePolicy):
+    def compile_plan(self, ctx):
+        return None
+
+    def before_compute(self, ctx, step):
+        layer = step.layer
+        if not isinstance(layer, Conv2D):
+            return
+        phase = "forward" if step.phase is Phase.FORWARD else "backward"
+        choice = self.selector.select(layer, ctx.free_bytes, phase)
+        if choice.assigned_ws > 0:
+            scratch = ctx.alloc_scratch(choice.assigned_ws,
+                                        tag=f"ws:{layer.name}")
+            if scratch is None:
+                # fragmentation: fall back to the zero-workspace algo
+                choice = WorkspaceChoice(
+                    layer.name, phase,
+                    layer.algorithms(ctx.model)[0],
+                    ctx.free_bytes,
+                    choice.max_speed_algo,
+                )
+                self.selector.replace_last(choice)
+        if phase == "forward":
+            ctx.set_duration(layer.sim_time_forward(ctx.model, choice.algo))
+        else:
+            ctx.set_duration(layer.sim_time_backward(ctx.model, choice.algo))
+        ctx.set_workspace(choice)
+
+
+REFERENCE_OF = {
+    LivenessPolicy: ReferenceLivenessPolicy,
+    OffloadCachePolicy: ReferenceOffloadCachePolicy,
+    RecomputePolicy: ReferenceRecomputePolicy,
+    WorkspacePolicy: ReferenceWorkspacePolicy,
+}
+
+
+def reference_stack(config):
+    """The stack ``config`` denotes, position for position, built from
+    the dispatching references."""
+    return [REFERENCE_OF[type(p)].from_config(config)
+            for p in resolve_policies(config)]

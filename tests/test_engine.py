@@ -2,7 +2,7 @@
 
 Contracts under test:
 
-* the old ``Session(net).with_policy(...).run(...)`` path and an
+* the standalone ``Session(net).with_policy(...).run(...)`` path and an
   ``engine.session(mode="train")`` worker return bit-identical
   ``IterationResult.to_dict()`` output (the facade round-trip);
 * infer-mode forward losses are bit-identical to train-mode's forward
@@ -35,22 +35,22 @@ ITERS = 4
 
 
 class TestEngineTrainRoundTrip:
-    """The facade: legacy Session output == engine worker output."""
+    """The facade: standalone Session output == engine worker output."""
 
     def test_session_path_matches_engine_worker_bit_identical(self):
         def mk():
             return lenet(batch=4, image=12)
 
         with Session(mk(), RuntimeConfig.superneurons()) as sess:
-            legacy = [sess.run_iteration(i, optimizer=SGD(0.05)).to_dict()
-                      for i in range(ITERS)]
+            solo = [sess.run_iteration(i, optimizer=SGD(0.05)).to_dict()
+                    for i in range(ITERS)]
         engine = repro.compile(mk(), RuntimeConfig.superneurons())
         with engine.session(mode="train") as worker:
             shared = [worker.run_iteration(i, optimizer=SGD(0.05)).to_dict()
                       for i in range(ITERS)]
             # the worker replays the engine plan from iteration 0
             assert worker.executor.replayed_iterations == ITERS
-        assert shared == legacy
+        assert shared == solo
 
     def test_fluent_with_policy_path_matches_engine(self):
         def mk():
@@ -59,15 +59,15 @@ class TestEngineTrainRoundTrip:
         with Session(mk()).with_policy("offload", cache="lru") \
                           .with_policy("recompute", strategy="cost_aware") \
                 as sess:
-            legacy = [r.to_dict() for r in
-                      sess.run(iters=3, optimizer=SGD(0.05))]
+            solo = [r.to_dict() for r in
+                    sess.run(iters=3, optimizer=SGD(0.05))]
         cfg = RuntimeConfig()
         POLICY_REGISTRY["offload"].configure(cfg, cache="lru")
         POLICY_REGISTRY["recompute"].configure(cfg, strategy="cost_aware")
         with repro.compile(mk(), cfg).session() as worker:
             shared = [r.to_dict() for r in
                       worker.run(iters=3, optimizer=SGD(0.05))]
-        assert shared == legacy
+        assert shared == solo
 
     def test_simulated_alexnet_round_trip(self):
         def mk():
@@ -75,10 +75,10 @@ class TestEngineTrainRoundTrip:
 
         cfg = RuntimeConfig.superneurons(concrete=False)
         with Session(mk(), cfg) as sess:
-            legacy = [sess.run_iteration(i).to_dict() for i in range(3)]
+            solo = [sess.run_iteration(i).to_dict() for i in range(3)]
         with repro.compile(mk(), cfg).session() as worker:
             shared = [worker.run_iteration(i).to_dict() for i in range(3)]
-        assert shared == legacy
+        assert shared == solo
 
 
 class TestInferMode:

@@ -8,6 +8,11 @@ points, ``REPRO_*`` environment variables, and the flags of every
 ``repro`` subcommand.  Adding, renaming or removing one fails here
 until the table is edited too, and the diff of this file is then the
 list a review has to justify (removals need no justification).
+
+``POLICY_PROTOCOL`` pins the other surface third-party code is written
+against: what a ``MemoryPolicy`` may override and what a ``StepContext``
+lets it see and do.  Every name there is a promise the executor keeps
+on every iteration of every plan, so it grows the same way.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import repro
 from repro.cli import build_parser
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
+from repro.core.policy import MemoryPolicy, StepContext
 from repro.core.runtime import Executor
 from repro.core.session import Session
 from repro.serve import DynamicBatcher, InferenceServer, ServingFleet
@@ -91,6 +97,34 @@ CLI_FLAGS = {
 }
 
 
+POLICY_PROTOCOL = {
+    "MemoryPolicy": (MemoryPolicy, [
+        # identity and config mapping
+        "key", "backward_only", "from_config", "configure", "disarm",
+        "describe", "bind",
+        # decide: the schedule (None = keep dispatching the hooks below)
+        "compile_plan",
+        # step hooks and tensor hooks (compiled away by a PolicyPlan)
+        "before_step", "before_compute", "after_step", "on_step_settled",
+        "on_tensor_dead", "on_tensor_released", "on_tensor_resident",
+        "on_tensor_access",
+        # always dispatched
+        "on_iteration_start", "on_iteration_end", "on_backward_need",
+        "on_memory_pressure"]),
+    "StepContext": (StepContext, [
+        # views
+        "state", "config", "net", "route", "model", "timeline", "store",
+        "concrete", "plan", "recompute_plan", "free_bytes", "recorder",
+        "recorded", "cache_armed", "pending_offloads", "offload_in_flight",
+        "reads_at",
+        # operations
+        "alloc_tensor", "alloc_scratch", "set_duration", "set_workspace",
+        "discard", "release_gpu", "make_resident", "offload", "prefetch",
+        "evict_to_host", "reap_offloads", "force_reap_one",
+        "submit_compute"]),
+}
+
+
 def _same(found, table, what: str, name: str) -> None:
     found, table = sorted(found), sorted(table)
     assert found == table, (
@@ -109,6 +143,14 @@ def test_entry_point_parameters(name):
     fn, table = PARAMETERS[name]
     found = [p for p in inspect.signature(fn).parameters if p != "self"]
     _same(found, table, f"{name}'s parameters", f"PARAMETERS[{name!r}]")
+
+
+@pytest.mark.parametrize("name", list(POLICY_PROTOCOL))
+def test_policy_protocol(name):
+    cls, table = POLICY_PROTOCOL[name]
+    found = [n for n in vars(cls) if not n.startswith("_")]
+    _same(found, table, f"{name}'s public names",
+          f"POLICY_PROTOCOL[{name!r}]")
 
 
 # ---------------------------------------------------------- environment

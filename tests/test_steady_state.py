@@ -14,6 +14,7 @@ bound across ``run_iteration`` calls on one executor.
 import pytest
 
 from repro import Engine, RuntimeConfig, SGD, Session, Trainer
+from repro.core.plan import PolicyPlan
 from repro.core.policy import MemoryPolicy
 from repro.zoo import alexnet, lenet, resnet50
 
@@ -101,6 +102,64 @@ class TestReplayEquivalence:
         assert probe.per_iteration[1] == probe.per_iteration[0]
         assert probe.per_iteration[2] == probe.per_iteration[0]
 
+    def test_custom_compiled_policy_keeps_only_the_hooks_it_names(self):
+        """The one-method protocol from a custom policy's side: while
+        ``compile_plan`` answers None every hook dispatches; once it
+        answers a ``PolicyPlan`` the step hooks and the tensor hooks
+        stop, except those ``keep_hooks`` names — which still fire in
+        the policy's stack position."""
+        log = []
+
+        class Observer(MemoryPolicy):
+            key = "observer"
+
+            def compile_plan(self, ctx):
+                if not ctx.recorded:
+                    return None
+                return PolicyPlan(key=self.key,
+                                  keep_hooks=("on_tensor_dead",))
+
+            def on_iteration_start(self, ctx):
+                log.append([])
+
+            def before_step(self, ctx, step):
+                log[-1].append(("step", step.index))
+
+            def on_step_settled(self, ctx, step):
+                log[-1].append(("step", step.index))
+
+            def on_tensor_resident(self, ctx, t, source):
+                log[-1].append(("resident", t.name))
+
+            def on_tensor_dead(self, ctx, t):
+                log[-1].append(("dead", self.key, t.name))
+
+        class Trailing(MemoryPolicy):
+            key = "trailing"
+
+            def on_tensor_dead(self, ctx, t):
+                log[-1].append(("dead", self.key, t.name))
+
+        with Session(lenet(batch=2, image=12),
+                     RuntimeConfig.superneurons()) \
+                .with_policy(Observer()).with_policy(Trailing()) as sess:
+            for i in range(3):
+                sess.run_iteration(i, optimizer=SGD(0.05))
+            keys = sess.executor.iteration_plan.compiled_keys
+        assert "observer" in keys and "trailing" not in keys
+        recording, *compiled = log
+        n_steps = sum(1 for e in recording if e[0] == "step")
+        assert n_steps and any(e[0] == "resident" for e in recording)
+        deaths = [e for e in recording if e[0] == "dead"]
+        # each death reaches the observer first, then the policy
+        # stacked behind it
+        assert deaths[0::2] == [("dead", "observer", name)
+                                for _, _, name in deaths[1::2]]
+        assert deaths[1::2] == [("dead", "trailing", name)
+                                for _, _, name in deaths[0::2]]
+        for entries in compiled:
+            assert entries == deaths  # nothing else arrives, same order
+
     def test_plan_reports_stable_policies(self):
         with Session(lenet(batch=2, image=12),
                      RuntimeConfig.superneurons()).executor as ex:
@@ -109,7 +168,7 @@ class TestReplayEquivalence:
             ex.run_iteration(1)
             plan = ex.iteration_plan
             assert plan is not None
-            assert set(plan.stable_keys) == \
+            assert set(plan.compiled_keys) == \
                 {"offload", "liveness", "recompute", "workspace"}
             assert len(plan.steps) == len(ex.route.steps)
 
@@ -164,17 +223,30 @@ class TestAddressPlan:
             assert ex.allocator.pool.replaying
 
     def test_aborted_iteration_leaves_the_next_one_correct(self):
-        """An exception mid-iteration strands tensors and stops the
-        pool part-way through its record; the following iterations
-        must clean up and report exactly what an undisturbed run does."""
+        """An exception mid-iteration strands tensors — and, raised
+        between a conv's workspace reservation and its kernel, the
+        step's scratch — and stops the pool part-way through its
+        record; the following iterations must clean up and report
+        exactly what an undisturbed run does."""
 
         class Saboteur(MemoryPolicy):
             key = "saboteur"
             armed = False
 
-            def before_step(self, ctx, step):
-                if self.armed and step.index == 30:
+            def __init__(self, hook, at_step):
+                self.hook, self.at_step = hook, at_step
+
+            def trip(self, hook, step):
+                if self.armed and hook == self.hook \
+                        and step.index == self.at_step:
                     raise ValueError("injected")
+
+            def before_step(self, ctx, step):
+                self.trip("before_step", step)
+
+            def before_compute(self, ctx, step):
+                # appended, so it rides after ``workspace``
+                self.trip("before_compute", step)
 
         def mk():
             return alexnet(batch=4, image=67, num_classes=10)
@@ -184,27 +256,31 @@ class TestAddressPlan:
             expect = [self.signature(clean.run_iteration(i))
                       for i in range(5)]
             settled = clean.executor.allocator.pool.used_bytes
-        saboteur = Saboteur()
-        with Session(mk(), cfg).with_policy(saboteur) as sess:
-            ex = sess.executor
-            pool = ex.allocator.pool
-            got = [self.signature(sess.run_iteration(i)) for i in range(2)]
-            assert pool.replaying
-            saboteur.armed = True
-            with pytest.raises(ValueError, match="injected"):
-                sess.run_iteration(2)
-            assert ex.allocator.used_bytes > ex.param_bytes  # stranded
-            saboteur.armed = False
-            got += [self.signature(sess.run_iteration(i))
-                    for i in range(2, 5)]
-            assert ex.allocator.used_bytes == ex.param_bytes
-            assert pool.used_bytes == settled
-            assert pool.replaying              # found its way back
-            pool.check_invariants()
-        assert got[:2] == expect[:2]
-        # the recovery iteration's peak carries the stranded tensors;
-        # from the one after it nothing differs
-        assert got[3:] == expect[3:]
+        # step 30 is mid-backward; step 46 is conv1's backward, whose
+        # 1,306,800-byte workspace is reserved when the hook raises
+        for hook, at_step in (("before_step", 30), ("before_compute", 46)):
+            saboteur = Saboteur(hook, at_step)
+            with Session(mk(), cfg).with_policy(saboteur) as sess:
+                ex = sess.executor
+                pool = ex.allocator.pool
+                got = [self.signature(sess.run_iteration(i))
+                       for i in range(2)]
+                assert pool.replaying
+                saboteur.armed = True
+                with pytest.raises(ValueError, match="injected"):
+                    sess.run_iteration(2)
+                assert ex.allocator.used_bytes > ex.param_bytes  # stranded
+                saboteur.armed = False
+                got += [self.signature(sess.run_iteration(i))
+                        for i in range(2, 5)]
+                assert ex.allocator.used_bytes == ex.param_bytes
+                assert pool.used_bytes == settled
+                assert pool.replaying              # found its way back
+                pool.check_invariants()
+            assert got[:2] == expect[:2]
+            # the recovery iteration's peak carries what was stranded;
+            # from the one after it nothing differs
+            assert got[3:] == expect[3:]
 
 
 class TestReplayOptOut:
