@@ -66,7 +66,10 @@ class Advice:
     budget: Optional[int]
     rank_mode: str
     ladder: List[RungAssessment] = field(default_factory=list)
-    recommended: Optional[str] = None
+
+    @property
+    def recommended(self) -> Optional[str]:
+        return recommend(self.ladder, self.budget, self.rank_mode)
 
     def render(self) -> str:
         budget_txt = f"{self.budget / MiB:.0f} MiB" \
@@ -150,5 +153,4 @@ def advise(make_net: Callable[[], object], net_name: str,
         raise ValueError(f"rank_mode {rank_mode!r} not in modes {modes}")
     ladder = assess_ladder(make_net, modes=modes, rungs=rungs, **config_kw)
     return Advice(net=net_name, budget=budget, rank_mode=rank_mode,
-                  ladder=list(ladder),
-                  recommended=recommend(ladder, budget, rank_mode))
+                  ladder=ladder)

@@ -30,7 +30,9 @@ to zero ``repro.check.*`` frames per replayed iteration).  Arm it
 with :func:`arm`/:func:`capture`, or by exporting
 ``REPRO_TRACE_SYNC=1`` (consulted once, at import — how the CI race
 jobs arm whole scripts without code changes).  No engine or config
-arms it: process state has process-wide switches only.
+arms it: process state has process-wide switches only.  The switch is
+an :class:`ArmingSwitch`, which :mod:`repro.obs.trace` instantiates a
+second time over its own ``ACTIVE``.
 
 Gate locks
 ----------
@@ -46,7 +48,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
 
 #: Environment switch: arms tracing at import (see :func:`env_flag`).
 TRACE_ENV = "REPRO_TRACE_SYNC"
@@ -88,10 +90,72 @@ def env_positive_int(name: str, default: int) -> int:
     return value
 
 
-def default_limit() -> int:
-    """The event-log capacity to use when none is given explicitly:
-    ``REPRO_TRACE_SYNC_CAP`` when set, else :data:`DEFAULT_LIMIT`."""
-    return env_positive_int(CAP_ENV, DEFAULT_LIMIT)
+class ArmingSwitch:
+    """The process-wide switch of one collector type: the sync
+    :class:`EventLog` here, the span ``Tracer`` in :mod:`repro.obs.trace`.
+
+    A collector is armed while its module's ``ACTIVE`` global holds an
+    instance.  Hot paths read that global inline (one load, no call), so
+    it stays a plain module attribute; this class is its only writer.
+    ``namespace`` is the owning module's ``globals()``; ``factory()``
+    builds a collector whose capacity defaults to :meth:`default_limit`.
+    """
+
+    def __init__(self, namespace: Dict[str, Any],
+                 factory: Callable[..., Any], *, trace_env: str,
+                 cap_env: str, default_cap: int):
+        self._namespace = namespace
+        self.factory = factory
+        self.trace_env = trace_env      # on/off, consulted at import
+        self.cap_env = cap_env          # capacity override
+        self.default_cap = default_cap
+
+    def default_limit(self) -> int:
+        """The capacity to use when none is given explicitly: the
+        ``cap_env`` variable when set, else the built-in default."""
+        return env_positive_int(self.cap_env, self.default_cap)
+
+    def active(self) -> Optional[Any]:
+        return self._namespace["ACTIVE"]
+
+    def armed(self) -> bool:
+        return self._namespace["ACTIVE"] is not None
+
+    def _install(self, collector: Optional[Any]) -> Optional[Any]:
+        prev = self._namespace["ACTIVE"]
+        self._namespace["ACTIVE"] = collector
+        return prev
+
+    def arm(self, collector: Optional[Any] = None) -> Any:
+        """Arm ``collector``; with none given keep the armed one, or
+        create one (idempotent)."""
+        if collector is None and not self.armed():
+            collector = self.factory()
+        if collector is not None:   # (an empty log is falsy: test None)
+            self._install(collector)
+        return self.active()
+
+    def disarm(self) -> Optional[Any]:
+        """Disarm; returns the collector that was armed (if any)."""
+        return self._install(None)
+
+    @contextmanager
+    def capture(self, **collector_kw: Any) -> Iterator[Any]:
+        """Arm a fresh ``factory(**collector_kw)`` for the enclosed
+        block, then restore the previous arming state — the scenario/
+        test entry point, and what every ``--trace-out`` flag is."""
+        collector = self.factory(**collector_kw)
+        prev = self._install(collector)
+        try:
+            yield collector
+        finally:
+            self._install(prev)
+
+    def arm_at_import(self) -> None:
+        """The environment arms whole scripts (the CI race jobs)
+        without code changes."""
+        if env_flag(self.trace_env):
+            self.arm()
 
 
 class SyncEvent(NamedTuple):
@@ -181,45 +245,15 @@ class EventLog:
 #: disarmed cost is one global load per hook.
 ACTIVE: Optional[EventLog] = None
 
-
-def arm(log: Optional[EventLog] = None) -> EventLog:
-    """Arm tracing (idempotent when already armed and ``log`` is None)."""
-    global ACTIVE
-    if log is not None:
-        ACTIVE = log
-    elif ACTIVE is None:
-        ACTIVE = EventLog()
-    return ACTIVE
-
-
-def disarm() -> Optional[EventLog]:
-    """Disarm tracing; returns the log that was active (if any)."""
-    global ACTIVE
-    log, ACTIVE = ACTIVE, None
-    return log
-
-
-def armed() -> bool:
-    return ACTIVE is not None
-
-
-def active_log() -> Optional[EventLog]:
-    return ACTIVE
-
-
-@contextmanager
-def capture(limit: Optional[int] = None) -> Iterator[EventLog]:
-    """Arm a fresh log for the enclosed block, then restore the
-    previous arming state — the scenario/test entry point.  ``limit``
-    of ``None`` resolves through :func:`default_limit`."""
-    global ACTIVE
-    prev = ACTIVE
-    log = EventLog(limit=limit)
-    ACTIVE = log
-    try:
-        yield log
-    finally:
-        ACTIVE = prev
+_SWITCH = ArmingSwitch(globals(), EventLog, trace_env=TRACE_ENV,
+                       cap_env=CAP_ENV, default_cap=DEFAULT_LIMIT)
+arm = _SWITCH.arm
+disarm = _SWITCH.disarm
+armed = _SWITCH.armed
+active_log = _SWITCH.active
+capture = _SWITCH.capture
+default_limit = _SWITCH.default_limit
+_SWITCH.arm_at_import()
 
 
 def _rec(kind: str, obj: int, label: str, detail: str = "",
@@ -321,9 +355,6 @@ class TracedEvent:
         _rec("event_set", id(self), self.label)
         self._event.set()
 
-    def clear(self) -> None:
-        self._event.clear()
-
     def wait(self, timeout: Optional[float] = None) -> bool:
         _rec("event_wait_begin", id(self), self.label)
         ok = self._event.wait(timeout)
@@ -379,9 +410,3 @@ def channel_recv(token: str, label: str = "chan") -> None:
     thread (no-op if nothing was sent — the detector just finds no
     edge)."""
     _rec("chan_recv", 0, label, detail=token)
-
-
-# module init: the environment switch arms process-wide tracing for
-# whole scripts (the CI race jobs) without code changes
-if env_flag(TRACE_ENV):  # pragma: no cover - exercised via subprocess in CI
-    arm()

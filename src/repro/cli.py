@@ -40,6 +40,8 @@ import time
 
 from repro.analysis import memory_breakdown_by_type, time_breakdown_by_type
 from repro.analysis.report import Table
+# the paper's ablation ladder: each rung is a RuntimeConfig classmethod
+from repro.check.advisor import DEFAULT_LADDER as ABLATION_LADDER
 from repro.core.engine import Engine
 from repro.core.policy import POLICY_REGISTRY
 from repro.core.session import Session
@@ -477,11 +479,6 @@ def _cmd_serve_single(args, tracer=None) -> int:
     return 1 if failed else 0
 
 
-#: the paper's ablation ladder: each rung is a RuntimeConfig classmethod
-ABLATION_LADDER = ("baseline", "liveness_only", "liveness_offload",
-                   "superneurons")
-
-
 def _emit_report(report, args) -> int:
     """Render a CheckReport per --format/--output.
 
@@ -626,10 +623,9 @@ def cmd_check_race(args) -> int:
 @_check_cmd
 def cmd_check_cost(args) -> int:
     """Predict compiled schedules' cost; flag performance pathologies."""
-    from repro.core.config import RuntimeConfig
     from repro.check import CheckReport
-    from repro.check.advisor import advise
-    from repro.check.cost_model import cost_compiled_mode, serving_fill_check
+    from repro.check.advisor import Advice, assess_ladder
+    from repro.check.cost_model import analyze_prediction, serving_fill_check
 
     nets = sorted(NETWORK_BUILDERS) if args.all else [_net_name(args)]
     rungs = _parse_rungs(args)
@@ -637,23 +633,19 @@ def cmd_check_cost(args) -> int:
         return 2
     modes = args.modes.split(",") if args.modes else ["train", "infer"]
     budget = int(args.budget * GiB) if args.budget is not None else None
-    capacity = int(args.gpu_gb * GiB)
     max_request = args.max_request or 2 * args.batch
     report = CheckReport(tool="cost-model")
     for name in nets:
-        for rung in rungs:
-            cfg = getattr(RuntimeConfig, rung)(
-                concrete=False, gpu_capacity=capacity)
-            engine = Engine(NETWORK_BUILDERS[name](batch=args.batch), cfg)
-            for mode in modes:
-                target = f"{name}/{mode}@{rung}"
-                report.checked.append(target)
-                pred, diags = cost_compiled_mode(
-                    engine.net, engine.compiled(mode),
-                    engine.config.for_mode(mode), target=target,
-                    budget=budget)
-                report.extend(diags)
-                report.metrics[target] = pred.to_dict()
+        # one sweep: the advisor ranks the predictions the report holds
+        ladder = assess_ladder(
+            lambda name=name: NETWORK_BUILDERS[name](batch=args.batch),
+            modes=modes, rungs=rungs,
+            gpu_capacity=int(args.gpu_gb * GiB))
+        for assessment in ladder:
+            for pred in assessment.predictions.values():
+                report.checked.append(pred.target)
+                report.extend(analyze_prediction(pred, budget=budget))
+                report.metrics[pred.target] = pred.to_dict()
         # the serving path pads every batch to the compiled shape:
         # check the expected fill of this batch size (PERF006)
         target = f"{name}/serve@b{args.batch}"
@@ -661,12 +653,9 @@ def cmd_check_cost(args) -> int:
         report.extend(serving_fill_check(args.batch, max_request,
                                          target=target))
         if args.advise:
-            adv = advise(
-                lambda name=name: NETWORK_BUILDERS[name](batch=args.batch),
-                name, budget=budget, modes=tuple(modes),
-                rungs=tuple(rungs),
-                rank_mode="train" if "train" in modes else modes[0],
-                gpu_capacity=capacity)
+            adv = Advice(
+                net=name, budget=budget, ladder=ladder,
+                rank_mode="train" if "train" in modes else modes[0])
             report.metrics[f"{name}/advice"] = adv.to_dict()
             print(adv.render())
     return _emit_report(report, args)

@@ -23,7 +23,6 @@ from repro.device.model import DeviceModel, K40_MODEL, TITANXP_MODEL
 from repro.device.timeline import Timeline, Stream, Event
 from repro.device.gpu import SimulatedGPU, OutOfMemoryError
 from repro.device.dma import DMAEngine, CopyDirection
-from repro.device.host import HostMemory
 from repro.device.fabric import (
     ExternalPool,
     LOCAL_CPU,
@@ -48,5 +47,4 @@ __all__ = [
     "OutOfMemoryError",
     "DMAEngine",
     "CopyDirection",
-    "HostMemory",
 ]

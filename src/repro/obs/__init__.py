@@ -1,14 +1,16 @@
 """repro.obs — unified observability: spans, metrics, traces, forensics.
 
-The runtime's four counting surfaces (serving SLO windows, allocator
-stats, tensor-cache counters, the simulated device timeline) grew up
-separately; this package is the layer that reads them as one story:
+The runtime counts in several places (serving SLO tallies, allocator
+stats, tensor-cache counters, the simulated device timeline); this
+package is the layer that reads them as one story:
 
 * :mod:`repro.obs.trace` — the span tracer.  One serving request (or
   one engine iteration) is one tree of timed :class:`Span` s with a
-  shared trace id; armed via ``REPRO_TRACE`` / ``capture()`` with
-  the same near-zero-disarmed-cost discipline as
-  ``REPRO_TRACE_SYNC`` (one global load + ``is None`` per hook).
+  shared trace id; armed via ``REPRO_TRACE`` / ``capture()`` through
+  the one :class:`~repro.check.instrument.ArmingSwitch` scaffold
+  ``REPRO_TRACE_SYNC`` also uses (one global load + ``is None`` per
+  disarmed hook).  The armed tracer is ``repro.obs.trace.ACTIVE``; a
+  re-export here would be a copy that never follows ``arm()``.
 * :mod:`repro.obs.export` — the Chrome trace-event exporter: wall-clock
   spans merged with the *simulated* device timeline streams into one
   Perfetto-loadable ``trace.json``, plus the schema validator the
@@ -32,7 +34,6 @@ from repro.obs.export import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import RECORDER, FlightRecorder
 from repro.obs.trace import (
-    ACTIVE,
     Span,
     Tracer,
     active_tracer,
@@ -43,7 +44,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "ACTIVE",
     "FlightRecorder",
     "MetricsRegistry",
     "RECORDER",

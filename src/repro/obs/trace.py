@@ -6,12 +6,12 @@ its whole tree and an explicit ``parent_id`` — context rides the object
 assembling worker and the computing worker), never a thread-local,
 because the interesting trees here *cross* threads by design.
 
-Arming follows the exact discipline of
-:mod:`repro.check.instrument` (``REPRO_TRACE_SYNC``): a module-level
-:data:`ACTIVE` tracer, hooks that cost one global load + ``is None``
-when disarmed, an env knob (``REPRO_TRACE``) honored at import, and
-:func:`arm`/:func:`capture` for code.  Those are the only ways to arm:
-the tracer is process state, so no engine or config switches it.
+Arming is :mod:`repro.check.instrument`'s :class:`ArmingSwitch`,
+instantiated here over this module's :data:`ACTIVE` tracer: hooks cost
+one global load + ``is None`` when disarmed, ``REPRO_TRACE`` is
+honored at import, and :func:`arm`/:func:`capture` arm from code.
+Those are the only ways to arm: the tracer is process state, so no
+engine or config switches it.
 The per-iteration span is emitted by ``Session.run_iteration`` — the
 handle a user drives — so internal executors (the engine's compile
 scout, the cost model's throwaway) emit none; an executor built while
@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from time import monotonic
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro.check.instrument import TracedLock, env_flag, env_positive_int
+from repro.check.instrument import ArmingSwitch, TracedLock
 
 #: arming knob honored at import time (mirrors ``REPRO_TRACE_SYNC``)
 TRACE_ENV = "REPRO_TRACE"
@@ -46,10 +46,6 @@ DEFAULT_LIMIT = 262_144
 #: :class:`~repro.device.timeline.Timeline` op log (the exporter merges
 #: them; an unbounded serving run must not grow the log without limit)
 TIMELINE_OPS_LIMIT = 200_000
-
-
-def default_limit() -> int:
-    return env_positive_int(CAP_ENV, DEFAULT_LIMIT)
 
 
 class Span:
@@ -212,46 +208,12 @@ class Tracer:
 #: + ``is None`` when disarmed — the REPRO_TRACE_SYNC discipline.
 ACTIVE: Optional[Tracer] = None
 
-
-def arm(tracer: Optional[Tracer] = None) -> Tracer:
-    """Install ``tracer`` (or keep/create one) as :data:`ACTIVE`."""
-    global ACTIVE
-    if tracer is not None:
-        ACTIVE = tracer
-    elif ACTIVE is None:
-        ACTIVE = Tracer()
-    return ACTIVE
-
-
-def disarm() -> Optional[Tracer]:
-    """Disarm; returns the tracer that was active (for inspection)."""
-    global ACTIVE
-    tracer, ACTIVE = ACTIVE, None
-    return tracer
-
-
-def armed() -> bool:
-    return ACTIVE is not None
-
-
-def active_tracer() -> Optional[Tracer]:
-    return ACTIVE
-
-
-@contextmanager
-def capture(limit: Optional[int] = None,
-            clock: Callable[[], float] = monotonic) -> Iterator[Tracer]:
-    """Arm a fresh tracer for the block, restoring the prior state on
-    exit — the test-suite entry point."""
-    global ACTIVE
-    prev = ACTIVE
-    tracer = Tracer(clock=clock, limit=limit)
-    ACTIVE = tracer
-    try:
-        yield tracer
-    finally:
-        ACTIVE = prev
-
-
-if env_flag(TRACE_ENV):  # honor REPRO_TRACE=1 at import, like REPRO_TRACE_SYNC
-    arm()
+_SWITCH = ArmingSwitch(globals(), Tracer, trace_env=TRACE_ENV,
+                       cap_env=CAP_ENV, default_cap=DEFAULT_LIMIT)
+arm = _SWITCH.arm
+disarm = _SWITCH.disarm
+armed = _SWITCH.armed
+active_tracer = _SWITCH.active
+capture = _SWITCH.capture
+default_limit = _SWITCH.default_limit
+_SWITCH.arm_at_import()

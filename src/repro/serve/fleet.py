@@ -33,8 +33,12 @@ import numpy as np
 from repro.core.engine import Engine
 from repro.obs import trace as obs_trace
 from repro.obs.recorder import RECORDER
-from repro.serve.metrics import FleetMetrics
-from repro.serve.queue import RequestFuture, RequestRejected
+from repro.serve.metrics import FleetMetrics, render_slo_report
+from repro.serve.queue import (
+    RequestFuture,
+    RequestRejected,
+    validate_request,
+)
 from repro.serve.router import Router
 from repro.serve.server import InferenceServer
 
@@ -154,21 +158,14 @@ class ServingFleet:
         lane refused, records a fleet shed and raises
         :class:`RequestRejected` — the explicit backpressure signal.
         """
-        if self.concrete and data is None:
-            raise ValueError(
-                "a concrete fleet serves payload rows; pass data= "
-                "(size-only requests are for simulated fleets)")
-        if not self.concrete and data is not None:
-            raise ValueError(
-                "a simulated fleet holds no payloads; pass size= instead")
-        sample_shape = None
-        if data is not None:
-            data = np.asarray(data, dtype=np.float32)
-            size = data.shape[0]
-            sample_shape = data.shape[1:]
-        elif size is None:
-            raise ValueError("submit needs data rows or an explicit size")
+        data, size = validate_request(data, size, priority,
+                                      concrete=self.concrete)
+        sample_shape = None if data is None else data.shape[1:]
         tracer = obs_trace.ACTIVE
+        start = None if tracer is None else tracer.clock()
+        # raises when no lane serves the shape — like every other bad
+        # call, before the root opens
+        order = self.router.route(size, sample_shape)
         span = None
         if tracer is not None:
             # the fleet is the front door: one root span per offered
@@ -177,14 +174,12 @@ class ServingFleet:
             # failed + shed partition the roots.  The route child
             # covers only the router's ordering pass; it closes before
             # any lane can admit (so it can never outlive its root).
-            span = tracer.root("request", attrs={
+            span = tracer.root("request", start=start, attrs={
                 "size": size, "priority": priority})
-            route_span = span.child("route")
-            order = self.router.route(size, sample_shape)
-            route_span.finish(lanes=len(order),
-                              order=[name for name, _ in order])
-        else:
-            order = self.router.route(size, sample_shape)
+            tracer.emit("route", start=start, end=tracer.clock(),
+                        parent=span, attrs={
+                            "lanes": len(order),
+                            "order": [name for name, _ in order]})
         for probe, (name, server) in enumerate(order):
             future = server.try_submit(data=data, size=size,
                                        priority=priority,
@@ -218,7 +213,6 @@ class ServingFleet:
         :class:`~repro.obs.metrics.MetricsRegistry` — one shared SLO
         renderer for the rollup, per-lane server/executor probes under
         ``<prefix>.lane.<name>``."""
-        from repro.serve.metrics import render_slo_report
         registry.probe(f"{prefix}.slo", self.metrics.to_dict,
                        renderer=render_slo_report)
         for name, server in self.servers.items():

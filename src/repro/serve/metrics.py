@@ -17,9 +17,9 @@ Failed requests get their own ``failed_ms`` distribution (enqueue →
 fail) — they never pollute the success percentiles, and an error storm
 cannot silently *flatter* p95 by vanishing from every window either.
 Each request's latency is also bucketed by its priority class, so the
-SLO report reads per-class p50/p95/p99.  :class:`FleetMetrics` rolls N
-per-engine :class:`ServerMetrics` up into one fleet-wide report
-(routing counts, shed rate, merged percentiles).
+SLO report reads per-class p50/p95/p99.  One :class:`_Tally` holds all
+of it at every level — a worker's shard, a server's totals, the fleet's
+fold of its lanes — so every report is one builder over merged samples.
 """
 
 from __future__ import annotations
@@ -45,34 +45,33 @@ def _stats_ms(samples) -> Dict[str, float]:
         return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
                 "max": 0.0}
     arr = np.asarray(samples) * 1e3
-    return {
-        "mean": float(arr.mean()),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "p99": float(np.percentile(arr, 99)),
-        "max": float(arr.max()),
-    }
+    p50, p95, p99 = np.percentile(arr, (50, 95, 99))
+    return {"mean": float(arr.mean()), "p50": float(p50),
+            "p95": float(p95), "p99": float(p99), "max": float(arr.max())}
 
 
 class _Tally:
-    """Request/batch counters plus latency windows: a server's totals,
-    and each shard's share of them not yet folded in."""
+    """Request/batch/shed counters plus latency windows: a shard's
+    share not yet folded, a server's totals, a fleet's rollup.
+    ``window`` bounds each latency distribution; the fleet rollup passes
+    ``None`` because it holds every lane's (bounded) samples at once."""
 
     COUNTERS = ("completed", "failed", "samples", "batches", "rows",
-                "padded_rows", "split_slices")
+                "padded_rows", "split_slices", "shed", "shed_samples")
 
-    def __init__(self) -> None:
+    def __init__(self, window: Optional[int] = LATENCY_WINDOW) -> None:
         for name in self.COUNTERS:
             setattr(self, name, 0)
         self.compute_seconds = 0.0
-        # per priority class: completed/failed counts + latencies
+        # per priority class: completed/failed/shed counts + latencies
         self.class_completed: Dict[str, int] = dict.fromkeys(PRIORITIES, 0)
         self.class_failed: Dict[str, int] = dict.fromkeys(PRIORITIES, 0)
+        self.class_shed: Dict[str, int] = dict.fromkeys(PRIORITIES, 0)
         self.latency: Dict[str, deque] = {
-            k: deque(maxlen=LATENCY_WINDOW)
+            k: deque(maxlen=window)
             for k in ("total", "queue", "compute", "failed")}
         self.class_latency: Dict[str, deque] = {
-            c: deque(maxlen=LATENCY_WINDOW) for c in PRIORITIES}
+            c: deque(maxlen=window) for c in PRIORITIES}
 
     @property
     def fill_ratio(self) -> float:
@@ -111,23 +110,64 @@ class _Tally:
             self.latency["failed"].append(
                 req.complete_time - req.enqueue_time)
 
+    def add_shed(self, samples: int, priority: str) -> None:
+        """A request of ``samples`` rows was rejected at admission (its
+        priority was validated before admission was asked)."""
+        self.shed += 1
+        self.shed_samples += samples
+        self.class_shed[priority] += 1
+
     def absorb(self, other: "_Tally") -> None:
-        """Move everything ``other`` holds into this tally."""
+        """Add everything ``other`` holds to this tally (``other`` is
+        left as it was: a caller that *moves* drops it afterwards)."""
         for name in self.COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-            setattr(other, name, 0)
         self.compute_seconds += other.compute_seconds
-        other.compute_seconds = 0.0
         for mine, theirs in ((self.class_completed, other.class_completed),
-                             (self.class_failed, other.class_failed)):
+                             (self.class_failed, other.class_failed),
+                             (self.class_shed, other.class_shed)):
             for c in PRIORITIES:
                 mine[c] += theirs[c]
-                theirs[c] = 0
         for mine, theirs in ((self.latency, other.latency),
                              (self.class_latency, other.class_latency)):
             for key, window in theirs.items():
                 mine[key].extend(window)
-                window.clear()
+
+    def report(self) -> dict:
+        """The ``requests``/``classes``/``batches`` blocks of every
+        serving report — a server's and the fleet's alike."""
+        offered = self.completed + self.failed + self.shed
+        return {
+            "requests": {
+                "completed": self.completed,
+                "failed": self.failed,
+                "shed": self.shed,
+                "samples": self.samples,
+                "shed_samples": self.shed_samples,
+                "shed_rate": self.shed / offered if offered else 0.0,
+                "latency_ms": _stats_ms(self.latency["total"]),
+                "queue_ms": _stats_ms(self.latency["queue"]),
+                "compute_ms": _stats_ms(self.latency["compute"]),
+                "failed_ms": _stats_ms(self.latency["failed"]),
+            },
+            "classes": {
+                c: {
+                    "completed": self.class_completed[c],
+                    "failed": self.class_failed[c],
+                    "shed": self.class_shed[c],
+                    "latency_ms": _stats_ms(self.class_latency[c]),
+                }
+                for c in PRIORITIES
+            },
+            "batches": {
+                "count": self.batches,
+                "rows": self.rows,
+                "padded_rows": self.padded_rows,
+                "fill_ratio": self.fill_ratio,
+                "split_slices": self.split_slices,
+                "compute_seconds": self.compute_seconds,
+            },
+        }
 
 
 class MetricsShard:
@@ -176,11 +216,6 @@ class ServerMetrics:
         self._stopped_at: Optional[float] = None
         self._total = _Tally()
         self._shards: List[MetricsShard] = []
-        # admission sheds: never on a worker's path
-        self.shed = 0
-        self.shed_samples = 0
-        self._class_shed: Dict[str, int] = dict.fromkeys(PRIORITIES, 0)
-        # weight swaps
         self.swaps = 0
         self.weights_version = 0
 
@@ -209,10 +244,7 @@ class ServerMetrics:
         """A request of ``samples`` rows was rejected at admission."""
         with self._lock:
             trace_write(self, "serve.metrics.counters")
-            self.shed += 1
-            self.shed_samples += samples
-            if priority in self._class_shed:
-                self._class_shed[priority] += 1
+            self._total.add_shed(samples, priority)
 
     def note_swap(self, version: int) -> None:
         with self._lock:
@@ -230,6 +262,7 @@ class ServerMetrics:
             with shard._lock:
                 trace_write(shard, "serve.metrics.shard")
                 total.absorb(shard._tally)
+                shard._tally = _Tally()
         return total
 
     def _elapsed_unlocked(self) -> float:
@@ -258,12 +291,11 @@ class ServerMetrics:
         """One consistent ``(completed, failed, shed)`` snapshot."""
         with self._lock:
             t = self._folded()
-            return t.completed, t.failed, self.shed
+            return t.completed, t.failed, t.shed
 
     def latency_snapshot(self) -> Dict[str, list]:
-        """Copies of the raw latency windows (seconds) — what
-        :class:`FleetMetrics` merges across engines so fleet-wide
-        percentiles come from samples, not averaged percentiles."""
+        """Copies of the raw latency windows (seconds), for a reader
+        that computes its own statistics over the samples."""
         with self._lock:
             t = self._folded()
             snap = {k: list(d) for k, d in t.latency.items()}
@@ -271,68 +303,30 @@ class ServerMetrics:
                                for c, d in t.class_latency.items()}
             return snap
 
+    def _report(self) -> dict:
+        """``to_dict`` for a caller that holds ``_lock``."""
+        t = self._folded()
+        elapsed = self._elapsed_unlocked()
+        return {
+            **t.report(),
+            "throughput": {
+                "elapsed_seconds": elapsed,
+                "requests_per_second":
+                    t.completed / elapsed if elapsed else 0.0,
+                "samples_per_second":
+                    t.samples / elapsed if elapsed else 0.0,
+            },
+            "swaps": {
+                "count": self.swaps,
+                "weights_version": self.weights_version,
+            },
+        }
+
     def to_dict(self) -> dict:
         """JSON-serializable summary (the ``IterationResult.to_dict``
         contract: one flat dict the CLI/benchmarks print or gate on)."""
         with self._lock:
-            t = self._folded()
-            elapsed = self._elapsed_unlocked()
-            offered = t.completed + t.failed + self.shed
-            return {
-                "requests": {
-                    "completed": t.completed,
-                    "failed": t.failed,
-                    "shed": self.shed,
-                    "samples": t.samples,
-                    "shed_samples": self.shed_samples,
-                    "shed_rate":
-                        self.shed / offered if offered else 0.0,
-                    "latency_ms": _stats_ms(t.latency["total"]),
-                    "queue_ms": _stats_ms(t.latency["queue"]),
-                    "compute_ms": _stats_ms(t.latency["compute"]),
-                    "failed_ms": _stats_ms(t.latency["failed"]),
-                },
-                "classes": {
-                    c: {
-                        "completed": t.class_completed[c],
-                        "failed": t.class_failed[c],
-                        "shed": self._class_shed[c],
-                        "latency_ms": _stats_ms(t.class_latency[c]),
-                    }
-                    for c in PRIORITIES
-                },
-                "batches": {
-                    "count": t.batches,
-                    "rows": t.rows,
-                    "padded_rows": t.padded_rows,
-                    "fill_ratio": t.fill_ratio,
-                    "split_slices": t.split_slices,
-                    "compute_seconds": t.compute_seconds,
-                },
-                "throughput": {
-                    "elapsed_seconds": elapsed,
-                    "requests_per_second":
-                        t.completed / elapsed if elapsed else 0.0,
-                    "samples_per_second":
-                        t.samples / elapsed if elapsed else 0.0,
-                },
-                "swaps": {
-                    "count": self.swaps,
-                    "weights_version": self.weights_version,
-                },
-            }
-
-
-def _render_classes(classes: Dict[str, dict]) -> List[str]:
-    lines = []
-    for cls, c in classes.items():
-        if c["completed"] or c["failed"] or c["shed"]:
-            lines.append(
-                f"  {cls:<10} : {c['completed']} done, "
-                f"p95 {c['latency_ms']['p95']:.2f} ms, "
-                f"p99 {c['latency_ms']['p99']:.2f} ms, "
-                f"{c['shed']} shed")
-    return lines
+            return self._report()
 
 
 def render_slo_report(m: dict) -> str:
@@ -341,51 +335,39 @@ def render_slo_report(m: dict) -> str:
     single-server and ``--fleet`` branches) and the
     :class:`~repro.obs.metrics.MetricsRegistry` probe renderer.
 
-    Accepts either shape: :meth:`ServerMetrics.to_dict` (keys
-    ``requests``/``batches``/``throughput``) or
-    :meth:`FleetMetrics.to_dict` (key ``fleet`` plus per-engine
-    sub-dicts) — detected by the ``"fleet"`` key, so callers never
-    branch on which level they hold.
+    Accepts either shape: :meth:`ServerMetrics.to_dict` or
+    :meth:`FleetMetrics.to_dict` (whose ``fleet`` block holds the same
+    ``requests``/``classes``/``batches`` a server reports, so the
+    header is one code path) — detected by the ``"fleet"`` key, so
+    callers never branch on which level they hold.
     """
-    lines: List[str] = []
-    if "fleet" in m:
-        fl = m["fleet"]
-        req = fl["requests"]
-        offered = req["completed"] + req["failed"] + req["shed"]
-        lines.append(
-            f"requests     : {req['completed']} completed, "
-            f"{req['failed']} failed, {req['shed']} shed "
-            f"(rate {req['shed_rate']:.1%}) — offered {offered}")
-        lines.append(
-            f"latency      : p50 {req['latency_ms']['p50']:.2f} ms, "
-            f"p95 {req['latency_ms']['p95']:.2f} ms, "
-            f"p99 {req['latency_ms']['p99']:.2f} ms")
-        lines.extend(_render_classes(fl["classes"]))
-        lines.append(f"fill         : {fl['fill_ratio']:.1%} fleet-wide")
-        for lane, eng in m["engines"].items():
-            er, eb = eng["requests"], eng["batches"]
+    top = m.get("fleet", m)
+    req, bat = top["requests"], top["batches"]
+    offered = req["completed"] + req["failed"] + req["shed"]
+    lines = [
+        f"requests     : {req['completed']} completed, "
+        f"{req['failed']} failed, {req['shed']} shed "
+        f"(rate {req['shed_rate']:.1%}) — offered {offered}, "
+        f"{req['samples']} samples",
+        f"latency      : p50 {req['latency_ms']['p50']:.2f} ms, "
+        f"p95 {req['latency_ms']['p95']:.2f} ms, "
+        f"p99 {req['latency_ms']['p99']:.2f} ms, "
+        f"max {req['latency_ms']['max']:.2f} ms "
+        f"(queue p95 {req['queue_ms']['p95']:.2f} ms)"]
+    for cls, c in top["classes"].items():
+        if c["completed"] or c["failed"] or c["shed"]:
             lines.append(
-                f"  {lane:<12} : {fl['routed'][lane]} routed, "
-                f"{er['completed']} done, "
-                f"fill {eb['fill_ratio']:.1%}, "
-                f"p95 {er['latency_ms']['p95']:.2f} ms")
-    else:
-        req, bat = m["requests"], m["batches"]
+                f"  {cls:<10} : {c['completed']} done, "
+                f"p95 {c['latency_ms']['p95']:.2f} ms, "
+                f"p99 {c['latency_ms']['p99']:.2f} ms, "
+                f"{c['shed']} shed")
+    lines.append(
+        f"batches      : {bat['count']} steps, fill "
+        f"{bat['fill_ratio']:.1%}{'' if top is m else ' fleet-wide'}, "
+        f"{bat['padded_rows']} padded rows, "
+        f"{bat['split_slices']} split slices")
+    if top is m:
         thr = m["throughput"]
-        lines.append(
-            f"requests     : {req['completed']} completed, "
-            f"{req['failed']} failed, {req['samples']} samples"
-            + (f", {req['shed']} shed" if req["shed"] else ""))
-        lines.append(
-            f"latency      : p50 {req['latency_ms']['p50']:.2f} ms, "
-            f"p95 {req['latency_ms']['p95']:.2f} ms, "
-            f"max {req['latency_ms']['max']:.2f} ms "
-            f"(queue p95 {req['queue_ms']['p95']:.2f} ms)")
-        lines.extend(_render_classes(m["classes"]))
-        lines.append(
-            f"batches      : {bat['count']} steps, fill "
-            f"{bat['fill_ratio']:.1%}, {bat['padded_rows']} padded "
-            f"rows, {bat['split_slices']} split slices")
         lines.append(
             f"throughput   : {thr['requests_per_second']:.1f} req/s, "
             f"{thr['samples_per_second']:.1f} samples/s over "
@@ -394,31 +376,35 @@ def render_slo_report(m: dict) -> str:
             lines.append(
                 f"weight swaps : {m['swaps']['count']} "
                 f"(now v{m['swaps']['weights_version']})")
+    else:
+        for lane, eng in m["engines"].items():
+            er, eb = eng["requests"], eng["batches"]
+            lines.append(
+                f"  {lane:<12} : {top['routed'][lane]} routed, "
+                f"{er['completed']} done, "
+                f"fill {eb['fill_ratio']:.1%}, "
+                f"p95 {er['latency_ms']['p95']:.2f} ms")
     return "\n".join(lines)
 
 
 class FleetMetrics:
     """Fleet-wide SLO rollup over N per-engine :class:`ServerMetrics`.
 
-    The fleet owns only routing and shed counters; every per-request
-    number lives in the engine the request ran on.  ``to_dict`` merges
-    the engines' raw latency windows (via ``latency_snapshot``) so the
-    fleet percentiles are computed over samples — averaging per-engine
-    percentiles would be wrong.  Lock order is fleet → engine, and the
-    engine snapshots are taken *outside* the fleet lock, so the two
-    levels never nest.
+    The fleet owns only routing counters and its own sheds (every lane
+    refused); every other number lives in the lane the request ran on.
+    ``to_dict`` reads each lane once — its report and its totals under
+    one hold of the lane's lock — and folds the totals into a fresh
+    :class:`_Tally`, so the fleet blocks are the server's builder over
+    merged samples (averaging per-engine percentiles would be wrong).
+    The lanes are read *outside* the fleet lock, so the two levels
+    never nest.
     """
 
     def __init__(self, engines: Dict[str, ServerMetrics]):
         self._engines = dict(engines)
         self._lock = TracedLock("serve.fleet.metrics")
         self.routed: Dict[str, int] = {n: 0 for n in self._engines}
-        self.shed = 0
-        self.shed_samples = 0
-        self._class_shed: Dict[str, int] = {c: 0 for c in PRIORITIES}
-
-    def engine(self, name: str) -> ServerMetrics:
-        return self._engines[name]
+        self._sheds = _Tally()      # only its shed counters ever move
 
     # -- recording --------------------------------------------------------
     def record_routed(self, name: str) -> None:
@@ -430,73 +416,33 @@ class FleetMetrics:
         """Every lane rejected this request: a fleet-level shed."""
         with self._lock:
             trace_write(self, "serve.fleet.counters")
-            self.shed += 1
-            self.shed_samples += samples
-            if priority in self._class_shed:
-                self._class_shed[priority] += 1
+            self._sheds.add_shed(samples, priority)
 
     # -- export -----------------------------------------------------------
     def counts(self) -> tuple:
-        """Fleet ``(completed, failed, shed)``: engine sums + fleet
-        sheds (a fleet shed means *no* engine ever saw the request)."""
-        completed = failed = 0
+        """Fleet ``(completed, failed, shed)``: lane sums + fleet sheds
+        (a fleet shed means *no* lane ever admitted the request)."""
+        completed = failed = shed = 0
         for m in self._engines.values():
-            c, f, _ = m.counts()
-            completed += c
-            failed += f
+            c, f, s = m.counts()
+            completed, failed, shed = completed + c, failed + f, shed + s
         with self._lock:
             trace_read(self, "serve.fleet.counters")
-            return completed, failed, self.shed
+            return completed, failed, shed + self._sheds.shed
 
     def to_dict(self) -> dict:
-        engines = {n: m.to_dict() for n, m in self._engines.items()}
-        snaps = [m.latency_snapshot() for m in self._engines.values()]
+        total = _Tally(window=None)
+        engines = {}
+        for name, m in self._engines.items():
+            with m._lock:   # one read: the lane's counts and its windows
+                engines[name] = m._report()
+                total.absorb(m._total)
         with self._lock:
             trace_read(self, "serve.fleet.counters")
+            total.absorb(self._sheds)
             routed = dict(self.routed)
-            shed = self.shed
-            shed_samples = self.shed_samples
-            class_shed = dict(self._class_shed)
-        completed = sum(e["requests"]["completed"]
-                        for e in engines.values())
-        failed = sum(e["requests"]["failed"] for e in engines.values())
-        samples = sum(e["requests"]["samples"]
-                      for e in engines.values())
-        rows = sum(e["batches"]["rows"] for e in engines.values())
-        padded = sum(e["batches"]["padded_rows"]
-                     for e in engines.values())
-        offered = completed + failed + shed
-        merged = {k: [x for s in snaps for x in s[k]]
-                  for k in ("total", "queue", "compute", "failed")}
-        classes = {}
-        for c in PRIORITIES:
-            classes[c] = {
-                "completed": sum(e["classes"][c]["completed"]
-                                 for e in engines.values()),
-                "failed": sum(e["classes"][c]["failed"]
-                              for e in engines.values()),
-                "shed": class_shed[c],
-                "latency_ms": _stats_ms(
-                    [x for s in snaps for x in s["classes"][c]]),
-            }
         return {
             "engines": engines,
-            "fleet": {
-                "requests": {
-                    "completed": completed,
-                    "failed": failed,
-                    "shed": shed,
-                    "samples": samples,
-                    "shed_samples": shed_samples,
-                    "shed_rate": shed / offered if offered else 0.0,
-                    "latency_ms": _stats_ms(merged["total"]),
-                    "queue_ms": _stats_ms(merged["queue"]),
-                    "compute_ms": _stats_ms(merged["compute"]),
-                    "failed_ms": _stats_ms(merged["failed"]),
-                },
-                "classes": classes,
-                "routed": routed,
-                "fill_ratio":
-                    rows / (rows + padded) if rows + padded else 0.0,
-            },
+            "fleet": {**total.report(), "routed": routed,
+                      "fill_ratio": total.fill_ratio},
         }

@@ -56,6 +56,49 @@ class RequestRejected(RuntimeError):
     """
 
 
+def validate_request(data, size: Optional[int], priority: str,
+                     sample_shape: Optional[tuple] = None,
+                     concrete: Optional[bool] = None):
+    """Check one submit's arguments; returns ``(data, size)`` — the
+    payload as float32 rows (``None`` for simulated traffic) and its
+    row count.
+
+    Every front door (queue, server, fleet) calls this *first*: a bad
+    call raises ``ValueError`` before a span opens, before admission is
+    asked and before anything is counted, so it can neither leave an
+    open root in an armed trace nor be shed.  ``sample_shape`` is the
+    compiled per-sample shape when the caller serves exactly one;
+    ``concrete`` says whether payloads exist behind this door (``None``:
+    a bare queue, which takes either).
+    """
+    if priority not in PRIORITY_RANK:
+        raise ValueError(f"unknown priority {priority!r}; "
+                         f"expected one of {PRIORITIES}")
+    if concrete is not None and concrete != (data is not None):
+        raise ValueError(
+            "a concrete engine serves payload rows; pass data= "
+            "(size-only requests are for simulated engines)" if concrete
+            else "a simulated engine holds no payloads, so the rows "
+            "would be silently ignored; pass size= instead")
+    if data is not None:
+        data = np.asarray(data, dtype=np.float32)
+        if data.ndim < 1 or data.shape[0] < 1:
+            raise ValueError("request data needs a leading sample axis")
+        if size is not None and size != data.shape[0]:
+            raise ValueError(
+                f"size={size} disagrees with data rows {data.shape[0]}")
+        if sample_shape is not None and data.shape[1:] != sample_shape:
+            raise ValueError(
+                f"sample shape {data.shape[1:]} != compiled "
+                f"{sample_shape}")
+        size = data.shape[0]
+    elif size is None:
+        raise ValueError("submit needs data rows or an explicit size")
+    if size < 1:
+        raise ValueError(f"request needs >= 1 samples, got {size}")
+    return data, int(size)
+
+
 class RequestFuture:
     """Minimal future: the caller's handle to one in-flight request."""
 
@@ -110,11 +153,6 @@ class InferenceRequest:
                  data: Optional[np.ndarray], enqueue_time: float,
                  priority: str = "normal",
                  deadline: Optional[float] = None):
-        if size < 1:
-            raise ValueError(f"request needs >= 1 samples, got {size}")
-        if priority not in PRIORITY_RANK:
-            raise ValueError(f"unknown priority {priority!r}; "
-                             f"expected one of {PRIORITIES}")
         self.request_id = request_id
         self.size = size
         self.data = data
@@ -253,21 +291,8 @@ class RequestQueue:
         fleet front door); it attaches — and opens its queue-wait
         child — under the monitor, before any worker can see the
         request, so delivery can never race the attachment."""
-        if data is not None:
-            data = np.asarray(data, dtype=np.float32)
-            if data.ndim < 1 or data.shape[0] < 1:
-                raise ValueError("request data needs a leading sample axis")
-            if size is not None and size != data.shape[0]:
-                raise ValueError(
-                    f"size={size} disagrees with data rows {data.shape[0]}")
-            if self.sample_shape is not None \
-                    and data.shape[1:] != self.sample_shape:
-                raise ValueError(
-                    f"sample shape {data.shape[1:]} != compiled "
-                    f"{self.sample_shape}")
-            size = data.shape[0]
-        elif size is None:
-            raise ValueError("submit needs data rows or an explicit size")
+        data, size = validate_request(data, size, priority,
+                                      self.sample_shape)
         with self.cond:
             if self._closed:
                 raise RuntimeError("queue is closed; no new requests")

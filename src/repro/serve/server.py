@@ -33,12 +33,13 @@ from repro.core.engine import Engine
 from repro.obs import trace as obs_trace
 from repro.obs.recorder import RECORDER
 from repro.serve.batcher import DynamicBatcher
-from repro.serve.metrics import ServerMetrics
+from repro.serve.metrics import ServerMetrics, render_slo_report
 from repro.serve.queue import (
     BoundedRequestQueue,
     RequestFuture,
     RequestQueue,
     RequestRejected,
+    validate_request,
 )
 
 
@@ -173,21 +174,6 @@ class InferenceServer:
         self.stop(drain=exc_type is None)
 
     # -------------------------------------------------------------- serving
-    def _check_payload(self, data, size) -> int:
-        if self.engine.config.concrete and data is None:
-            raise ValueError(
-                "a concrete engine serves payload rows; pass data= "
-                "(size-only requests are for simulated engines)")
-        if not self.engine.config.concrete and data is not None:
-            raise ValueError(
-                "a simulated engine holds no payloads, so the rows "
-                "would be silently ignored; pass size= instead")
-        if data is not None:
-            return int(np.asarray(data).shape[0])
-        if size is None:
-            raise ValueError("submit needs data rows or an explicit size")
-        return int(size)
-
     def submit(self, data: Optional[np.ndarray] = None,
                size: Optional[int] = None,
                priority: str = "normal",
@@ -202,13 +188,15 @@ class InferenceServer:
         to ``None``).  On a bounded queue an over-cap submit records a
         shed and re-raises :class:`RequestRejected`.
         """
-        rows = self._check_payload(data, size)
+        data, rows = validate_request(
+            data, size, priority, self.queue.sample_shape,
+            self.engine.config.concrete)
         tracer = obs_trace.ACTIVE
         span = None if tracer is None else tracer.root(
             "request", attrs={"size": rows, "priority": priority,
                               "engine": self.engine.net.name})
         try:
-            req = self.queue.submit(data=data, size=size,
+            req = self.queue.submit(data=data, size=rows,
                                     priority=priority, deadline=deadline,
                                     span=span)
         except RequestRejected:
@@ -233,9 +221,11 @@ class InferenceServer:
         through to the queue on admission — the fleet owns root
         creation, so a probed-and-refused lane leaves no trace.
         """
-        self._check_payload(data, size)
+        data, rows = validate_request(
+            data, size, priority, self.queue.sample_shape,
+            self.engine.config.concrete)
         try:
-            req = self.queue.submit(data=data, size=size,
+            req = self.queue.submit(data=data, size=rows,
                                     priority=priority, deadline=deadline,
                                     span=span)
         except RequestRejected:
@@ -258,7 +248,6 @@ class InferenceServer:
         a rendered probe (the shared renderer, so CLI output and
         registry render never drift) plus each worker session's
         executor probes."""
-        from repro.serve.metrics import render_slo_report
         registry.probe(f"{prefix}.slo", self.metrics.to_dict,
                        renderer=render_slo_report)
 

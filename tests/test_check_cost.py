@@ -383,6 +383,28 @@ class TestCheckCostCLI:
         assert "recommended" in out
         assert "superneurons" in out
 
+    def test_advise_sweeps_once(self, monkeypatch, tmp_path, capsys):
+        """The advisor ranks the predictions the report already holds:
+        4 rungs x 2 modes are costed once, not once per consumer."""
+        from repro.check import advisor, cost_model
+        calls = []
+        real = cost_model.predict_compiled_mode
+
+        def counting(*args, **kw):
+            calls.append(kw.get("target"))
+            return real(*args, **kw)
+        monkeypatch.setattr(cost_model, "predict_compiled_mode", counting)
+        monkeypatch.setattr(advisor, "predict_compiled_mode", counting)
+        out_path = tmp_path / "cost.json"
+        rc = main(["check", "cost", "--net", "lenet", "--advise",
+                   "--format", "json", "--output", str(out_path)])
+        assert rc == 0 and "recommended" in capsys.readouterr().out
+        assert len(calls) == len(set(calls)) == 8
+        metrics = json.loads(out_path.read_text())["metrics"]
+        for rung in metrics["lenet/advice"]["ladder"]:
+            for mode, pred in rung["modes"].items():
+                assert pred == metrics[f"lenet/{mode}@{rung['rung']}"]
+
     def test_json_artifact_carries_metrics(self, tmp_path):
         out_path = tmp_path / "cost.json"
         rc = main(["check", "cost", "--net", "lenet", "--format",

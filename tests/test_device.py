@@ -1,4 +1,4 @@
-"""Tests for the timeline, DMA engine, and host pool."""
+"""Tests for the timeline and DMA engine."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.device import (
     CopyDirection,
     DeviceModel,
     DMAEngine,
-    HostMemory,
     Stream,
     Timeline,
 )
@@ -105,30 +104,3 @@ class TestDMAEngine:
         ev = dma.copy_async(1 << 30, CopyDirection.D2H)
         assert ev.stream is Stream.D2H
         assert tl.now(Stream.COMPUTE) == 0.0  # compute untouched
-
-
-class TestHostMemory:
-    def test_stash_and_evict(self):
-        host = HostMemory(capacity=1024)
-        host.stash(1, 512)
-        assert host.used_bytes == 512
-        assert host.contains(1)
-        host.evict(1)
-        assert host.used_bytes == 0
-
-    def test_idempotent_stash(self):
-        host = HostMemory(capacity=1024)
-        host.stash(1, 512)
-        host.stash(1, 512)  # tensor reoffloaded -> host copy reused
-        assert host.used_bytes == 512
-
-    def test_capacity_enforced(self):
-        host = HostMemory(capacity=100)
-        with pytest.raises(MemoryError):
-            host.stash(1, 200)
-
-    def test_peak(self):
-        host = HostMemory(capacity=1024)
-        host.stash(1, 500)
-        host.evict(1)
-        assert host.peak_bytes == 500

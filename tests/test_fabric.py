@@ -34,6 +34,7 @@ class TestFabricPlacement:
         fab = MemoryFabric([LOCAL_CPU])
         fab.stash(1, MiB)
         fab.stash(1, MiB)
+        assert fab.contains(1)
         assert fab.used_bytes() == MiB
 
     def test_evict_frees_the_right_pool(self):

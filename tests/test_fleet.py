@@ -154,6 +154,26 @@ class TestBoundedQueue:
         assert server.metrics.counts() == (0, 0, 1)
         assert server.metrics.to_dict()["classes"]["batch"]["shed"] == 1
 
+    def test_unknown_priority_is_never_a_shed(self):
+        """Validation runs before admission: a bad priority is a
+        ``ValueError`` one row below the cap and at it, so every shed
+        has a class."""
+        eng = make_engine(batch=4, concrete=False)
+        server = InferenceServer(eng, workers=1, max_pending_rows=4)
+        server.submit(size=3)                       # cap - 1
+        with pytest.raises(ValueError, match="unknown priority"):
+            server.submit(size=1, priority="urgent")
+        server.submit(size=1)                       # at the cap
+        for submit in (server.submit, server.queue.submit):
+            with pytest.raises(ValueError, match="unknown priority"):
+                submit(size=1, priority="urgent")
+        assert server.queue.shed == 0
+        with pytest.raises(RequestRejected):
+            server.submit(size=1, priority="critical")
+        d = server.metrics.to_dict()
+        assert d["requests"]["shed"] == server.queue.shed == 1
+        assert sum(c["shed"] for c in d["classes"].values()) == 1
+
     def test_try_submit_returns_none_without_shed(self):
         eng = make_engine(batch=4, concrete=False)
         server = InferenceServer(eng, workers=1, max_pending_rows=4)

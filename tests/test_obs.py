@@ -29,6 +29,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.config import RuntimeConfig
@@ -510,6 +511,46 @@ class TestServingSpans:
         assert statuses == ["open", "shed"]
         shed_root = next(r for r in roots if r.status == "shed")
         assert shed_root.attrs["probes"] == 1
+
+    @pytest.mark.parametrize("front", ["server", "fleet"])
+    def test_invalid_submit_opens_no_root(self, front, tmp_path):
+        """A bad call raises before its root opens: one left ``open``
+        would make the exporter refuse the whole trace."""
+        rows = np.zeros((2, 1, 28, 28), dtype=np.float32)
+        if front == "server":       # simulated: size-only traffic
+            door = InferenceServer(make_engine(), workers=1,
+                                   max_wait=0.001)
+            good = dict(size=2)
+            bad = [(dict(size=2, priority="urgent"), "unknown priority"),
+                   (dict(size=0), ">= 1 samples"),
+                   (dict(data=rows), "no payloads"),
+                   ({}, "data rows or an explicit size")]
+        else:                       # concrete: payload rows
+            door = ServingFleet(
+                [Engine(NETWORK_BUILDERS["lenet"](batch=4),
+                        RuntimeConfig.superneurons(concrete=True))],
+                workers=1, max_wait=0.001)
+            good = dict(data=rows)
+            bad = [(dict(data=rows, priority="urgent"), "unknown priority"),
+                   (dict(data=rows, size=3), "disagrees"),
+                   (dict(data=rows[:, :, :7]), "no lane serves"),
+                   (dict(size=2), "payload rows")]
+        with obs_trace.capture() as tr:
+            with door:
+                door.submit(**good)
+                for kwargs, why in bad:
+                    with pytest.raises(ValueError, match=why):
+                        door.submit(**kwargs)
+                assert door.drain(timeout=30)
+                timelines = door.session_timelines()
+            completed, failed, shed = door.metrics.counts()
+        assert (completed, failed, shed) == (1, 0, 0)
+        assert [r.status for r in tr.roots("request")] == ["ok"]
+        doc = export_chrome_trace(
+            tmp_path / "t.json", tr, timelines=timelines,
+            counts={"completed": completed, "failed": failed,
+                    "shed": shed})
+        assert validate_trace(doc) == []
 
     def test_probed_and_refused_lane_leaves_no_extra_roots(self):
         """Spilling to a second lane must not mint a second root."""

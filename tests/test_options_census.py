@@ -13,6 +13,11 @@ list a review has to justify (removals need no justification).
 against: what a ``MemoryPolicy`` may override and what a ``StepContext``
 lets it see and do.  Every name there is a promise the executor keeps
 on every iteration of every plan, so it grows the same way.
+
+``OBS_SURFACE`` pins the observability front: what ``repro.obs``
+exports and the arming names of the two tracers, which are bindings of
+one ``ArmingSwitch`` — a third hand-written scaffold (another writer of
+a module's ``ACTIVE``) fails ``test_one_writer_of_active``.
 """
 
 from __future__ import annotations
@@ -26,12 +31,15 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.obs
+from repro.check import instrument
 from repro.cli import build_parser
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
 from repro.core.policy import MemoryPolicy, StepContext
 from repro.core.runtime import Executor
 from repro.core.session import Session
+from repro.obs import trace as obs_trace
 from repro.serve import DynamicBatcher, InferenceServer, ServingFleet
 
 RULE = ("no new RuntimeConfig field, env var or CLI flag (or entry-point "
@@ -124,6 +132,17 @@ POLICY_PROTOCOL = {
         "submit_compute"]),
 }
 
+_ARMING = ["arm", "armed", "capture", "default_limit", "disarm"]
+OBS_SURFACE = {
+    "repro.obs": [
+        "FlightRecorder", "MetricsRegistry", "RECORDER", "Span", "Tracer",
+        "active_tracer", "arm", "armed", "build_chrome_trace", "capture",
+        "disarm", "export_chrome_trace", "validate_trace",
+        "validate_trace_file"],
+    "repro.check.instrument": _ARMING + ["active_log"],
+    "repro.obs.trace": _ARMING + ["active_tracer"],
+}
+
 
 def _same(found, table, what: str, name: str) -> None:
     found, table = sorted(found), sorted(table)
@@ -174,14 +193,33 @@ def _env_key(node: ast.AST):
     return None
 
 
+def source_trees() -> list:
+    return [ast.parse(p.read_text(encoding="utf-8"), str(p))
+            for p in sorted(Path(repro.__file__).parent.rglob("*.py"))]
+
+
+def _helper_key(node: ast.AST, helpers: dict):
+    """The key ``node`` looks up: directly, or as the first argument of
+    a call to one of ``helpers``."""
+    key = _env_key(node)
+    if key is None and isinstance(node, ast.Call) and node.args:
+        f = node.func
+        called = f.id if isinstance(f, ast.Name) else \
+            f.attr if isinstance(f, ast.Attribute) else None
+        if called in helpers:
+            key = node.args[0]
+    return key
+
+
 def environment_names_read() -> set:
     """Every name that reaches ``os.environ`` under ``src/repro``,
     found by walking the AST: a read whose key is a literal or a
     module-level string constant counts directly; a function that
     reads its own parameter (``env_flag(name)``) makes every call to
-    it a read of that call's first argument."""
-    trees = [ast.parse(p.read_text(encoding="utf-8"), str(p))
-             for p in sorted(Path(repro.__file__).parent.rglob("*.py"))]
+    it a read of that call's first argument, and one that reads its own
+    attribute (``env_flag(self.trace_env)``) makes every
+    ``trace_env=...`` keyword in the tree a read of that value."""
+    trees = source_trees()
     helpers = {}    # function name -> the parameter it looks up
     for tree in trees:
         for fn in ast.walk(tree):
@@ -191,6 +229,14 @@ def environment_names_read() -> set:
                     key = _env_key(node)
                     if isinstance(key, ast.Name) and key.id in params:
                         helpers[fn.name] = key.id
+    fields = set()  # attributes of self that are looked up
+    for tree in trees:
+        for node in ast.walk(tree):
+            key = _helper_key(node, helpers)
+            if isinstance(key, ast.Attribute) \
+                    and isinstance(key.value, ast.Name) \
+                    and key.value.id == "self":
+                fields.add(key.attr)
     names = set()
     for tree in trees:
         constants = {
@@ -199,23 +245,24 @@ def environment_names_read() -> set:
             and isinstance(node.value, ast.Constant)
             for target in node.targets if isinstance(target, ast.Name)}
         for node in ast.walk(tree):
-            key = _env_key(node)
-            if key is None and isinstance(node, ast.Call) and node.args:
-                f = node.func
-                called = f.id if isinstance(f, ast.Name) else \
-                    f.attr if isinstance(f, ast.Attribute) else None
-                if called in helpers:
-                    key = node.args[0]
-            if isinstance(key, ast.Constant):
-                names.add(key.value)
-            elif isinstance(key, ast.Name) and key.id in constants:
-                names.add(constants[key.id])
-            elif key is not None:
-                # only a helper's own parameter may stay unresolved
-                # (its callers are counted above)
-                assert isinstance(key, ast.Name) \
-                    and key.id in helpers.values(), \
-                    f"cannot resolve the environment key {ast.dump(key)}"
+            keys = [_helper_key(node, helpers)]
+            if isinstance(node, ast.Call):
+                keys += [kw.value for kw in node.keywords
+                         if kw.arg in fields]
+            for key in keys:
+                if isinstance(key, ast.Constant):
+                    names.add(key.value)
+                elif isinstance(key, ast.Name) and key.id in constants:
+                    names.add(constants[key.id])
+                elif isinstance(key, ast.Attribute):
+                    # a looked-up field: its keywords are counted above
+                    assert key.attr in fields, ast.dump(key)
+                elif key is not None:
+                    # only a helper's own parameter may stay unresolved
+                    # (its callers are counted above)
+                    assert isinstance(key, ast.Name) \
+                        and key.id in helpers.values(), \
+                        f"cannot resolve the environment key {ast.dump(key)}"
     return names
 
 
@@ -224,6 +271,49 @@ def test_environment_variables():
     assert all(n.startswith("REPRO_") for n in found), found
     _same(found, ENV_VARS, "the environment variables src/repro reads",
           "ENV_VARS")
+
+
+# -------------------------------------------------------- observability
+def test_obs_exports():
+    _same(repro.obs.__all__, OBS_SURFACE["repro.obs"],
+          "repro.obs's exports", "OBS_SURFACE['repro.obs']")
+    # a by-value re-export would stay None after arm()
+    assert not hasattr(repro.obs, "ACTIVE")
+
+
+@pytest.mark.parametrize("module", [instrument, obs_trace],
+                         ids=lambda m: m.__name__)
+def test_arming_names_are_one_switch(module):
+    table = OBS_SURFACE[module.__name__]
+    found = [n for n, v in vars(module).items()
+             if isinstance(getattr(v, "__self__", None),
+                           instrument.ArmingSwitch)]
+    _same(found, table, f"{module.__name__}'s arming names",
+          f"OBS_SURFACE[{module.__name__!r}]")
+    assert "ACTIVE" in vars(module)     # a plain global hot paths read
+
+
+def _writes_active(node: ast.AST) -> bool:
+    """``global ACTIVE`` (what a function needs to rebind it),
+    ``x["ACTIVE"] = ...`` or ``setattr(x, "ACTIVE", ...)``."""
+    if isinstance(node, ast.Global):
+        return "ACTIVE" in node.names
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.ctx, ast.Store) \
+            and isinstance(node.slice, ast.Constant) \
+            and node.slice.value == "ACTIVE"
+    return isinstance(node, ast.Call) \
+        and isinstance(node.func, ast.Name) and node.func.id == "setattr" \
+        and len(node.args) > 1 and isinstance(node.args[1], ast.Constant) \
+        and node.args[1].value == "ACTIVE"
+
+
+def test_one_writer_of_active():
+    writers = [node.lineno for tree in source_trees()
+               for node in ast.walk(tree) if _writes_active(node)]
+    assert len(writers) == 1, (
+        f"{len(writers)} places write a tracer's ACTIVE (lines "
+        f"{writers}); ArmingSwitch._install is the one that may")
 
 
 # ------------------------------------------------------------------ CLI

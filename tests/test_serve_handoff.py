@@ -403,6 +403,80 @@ class TestShardFolding:
             assert got[key] == pytest.approx(want[key], rel=1e-9), key
 
 
+class TestFleetFold:
+    """The fleet report is a fold of the tallies its lanes already
+    fold: one read per lane, the server's own builder over the sum."""
+
+    @staticmethod
+    def lanes(names):
+        out = {}
+        for lane in names:
+            m = ServerMetrics(clock=lambda: 0.0)
+            drive(random.Random(lane), m, [m.shard() for _ in range(2)],
+                  Reference(), 200)
+            out[lane] = m
+        return out
+
+    def test_one_lane_fleet_reports_what_the_lane_reports(self):
+        lanes = self.lanes(["a"])
+        fleet = FleetMetrics(lanes)
+        d = fleet.to_dict()
+        want = lanes["a"].to_dict()
+        assert d["engines"]["a"] == want
+        for block in ("requests", "classes", "batches"):
+            assert d["fleet"][block] == want[block]
+        assert d["fleet"]["fill_ratio"] == want["batches"]["fill_ratio"]
+        assert fleet.counts() == lanes["a"].counts()
+        # fleet sheds (no lane admitted the request) add on top
+        fleet.record_shed(3, "batch")
+        got = fleet.to_dict()["fleet"]
+        assert got["requests"]["shed"] == want["requests"]["shed"] + 1
+        assert got["requests"]["shed_samples"] \
+            == want["requests"]["shed_samples"] + 3
+        assert got["classes"]["batch"]["shed"] \
+            == want["classes"]["batch"]["shed"] + 1
+        assert fleet.counts()[2] == lanes["a"].counts()[2] + 1
+
+    def test_three_lane_percentiles_are_over_merged_samples(self):
+        from repro.serve.metrics import _stats_ms
+        lanes = self.lanes(["a", "b", "c"])
+        snaps = [m.latency_snapshot() for m in lanes.values()]
+        d = FleetMetrics(lanes).to_dict()["fleet"]
+        for key, block in (("total", "latency_ms"), ("queue", "queue_ms"),
+                           ("compute", "compute_ms"),
+                           ("failed", "failed_ms")):
+            merged = [x for s in snaps for x in s[key]]
+            assert d["requests"][block] == _stats_ms(merged)
+        for cls in PRIORITIES:
+            merged = [x for s in snaps for x in s["classes"][cls]]
+            assert d["classes"][cls]["latency_ms"] == _stats_ms(merged)
+        # and not an average of the lanes' percentiles
+        p95s = [m.to_dict()["requests"]["latency_ms"]["p95"]
+                for m in lanes.values()]
+        assert d["requests"]["latency_ms"]["p95"] != sum(p95s) / 3
+
+    def test_to_dict_takes_each_lane_lock_once(self):
+        """Counts and windows from one read: a request completing
+        between two reads would be in one and not the other."""
+        lanes = self.lanes(["a", "b"])
+
+        class CountingLock:
+            def __init__(self, lock):
+                self.lock, self.entered = lock, 0
+
+            def __enter__(self):
+                self.entered += 1
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        for m in lanes.values():
+            m._lock = CountingLock(m._lock)
+        FleetMetrics(lanes).to_dict()
+        assert [m._lock.entered for m in lanes.values()] == [1, 1]
+
+
 # -------------------------------------------------- failures mid-scatter
 class TestFailureAccounting:
     def test_exception_mid_scatter_resolves_each_request_once(
