@@ -3,7 +3,7 @@
 Four pillars (see DESIGN.md "Static checks" and "Concurrency model"):
 
 * the **plan verifier** symbolically replays a compiled mode's frozen
-  schedules and proves the memory-safety invariants (PLAN001-PLAN006)
+  schedules and proves the memory-safety invariants (PLAN001-PLAN007)
   before any session executes them;
 * the **architecture linter** encodes the ownership/concurrency rules
   the parallel-session design relies on (LINT001-LINT005) as AST checks
@@ -14,7 +14,7 @@ Four pillars (see DESIGN.md "Static checks" and "Concurrency model"):
   bit-identity tests can miss by lucky scheduling;
 * the **cost model** records one payload-free iteration of the
   simulated executor itself — iteration time, DMA traffic, stalls and
-  peak memory — and flags performance pathologies (PERF001-PERF006)
+  peak memory — and flags performance pathologies (PERF001-PERF007)
   — with a policy advisor that recommends the cheapest ablation rung
   fitting a memory budget.
 

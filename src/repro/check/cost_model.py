@@ -38,6 +38,11 @@ shared :class:`~repro.check.diagnostics.CheckReport` machinery:
 * **PERF006 serving-padding-waste** — a compiled batch shape whose
   expected lone-request fill is below threshold: the serving path would
   pad most of every batch (see :func:`serving_fill_check`).
+* **PERF007 exposed-dma** — the iteration as a whole spends more than a
+  threshold share of its time stalled on copies, although no single
+  stall is large enough for PERF001/PERF004: the aggregate form of the
+  paper's overlap claim, with the overlap floor (the iteration if every
+  copy hid under compute) and the top stalled tensors as evidence.
 """
 
 from __future__ import annotations
@@ -80,6 +85,19 @@ class CostThresholds:
     overlap_stall_frac: float = 0.10
     #: PERF006: minimum expected lone-request batch fill.
     serve_fill_min: float = 0.5
+    #: PERF007: largest share of the iteration that may be compute
+    #: stalled on copies, all stalls summed.  On-demand eviction with
+    #: nothing overlapped read 0.47 on resnet50 b32 at 1 GiB; with
+    #: write-behind and the return trip it reads 0.25 — D2H-bound in
+    #: forward — and still fires.
+    exposed_dma_share: float = 0.15
+    #: PERF007: ... and only when those stalls sum to this many seconds.
+    #: The eager-offload rung is exposed at every batch size (its
+    #: prefetch is issued when the kernel it should hide under has
+    #: ended: 0.15-0.32 across the zoo at b8, at most 97 ms), a known
+    #: property of that ablation rung; the floor keeps CI's b8 sweep
+    #: quiet about it, and eager resnet50 b32 (177 ms) fires.
+    exposed_dma_min_seconds: float = 0.1
 
 
 @dataclass
@@ -102,7 +120,8 @@ class StallEvent:
     step: int
     op: str
     tensor: str
-    kind: str                      # "prefetch" | "fetch" | "reap" | "evict"
+    #: "prefetch" | "fetch" | "reap" | "evict" | "clean"
+    kind: str
     seconds: float
     #: how long the copy's stream sat idle immediately before the copy
     #: started — idle >= stall means an earlier issue would have hidden it
@@ -196,6 +215,19 @@ class CostPrediction:
     stalls: List[StallEvent] = field(default_factory=list)
 
     @property
+    def overlap_floor_s(self) -> float:
+        """The iteration if every copy hid under compute: the busiest
+        of the three streams (allocator ticks not counted)."""
+        return max(self.compute_seconds, self.h2d_busy_seconds,
+                   self.d2h_busy_seconds)
+
+    @property
+    def exposed_dma_share(self) -> float:
+        """Fraction of the iteration compute spent stalled on copies."""
+        return self.stall_seconds / self.sim_time if self.sim_time > 0 \
+            else 0.0
+
+    @property
     def dma_occupancy(self) -> float:
         """Fraction of the iteration either copy stream was busy."""
         if self.sim_time <= 0:
@@ -215,6 +247,8 @@ class CostPrediction:
             "d2h_bytes": self.d2h_bytes,
             "h2d_bytes": self.h2d_bytes,
             "dma_occupancy": self.dma_occupancy,
+            "overlap_floor_ms": self.overlap_floor_s * 1e3,
+            "exposed_dma_share": self.exposed_dma_share,
             "peak_gpu_bytes": self.peak_gpu_bytes,
             "activation_peak_bytes": self.activation_peak_bytes,
             "param_bytes": self.param_bytes,
@@ -250,8 +284,9 @@ class IterationRecorder:
     on a fresh executor, before the first iteration links a plan, so
     that :func:`~repro.core.plan.link_iteration_plan` appends
     :meth:`step_op` to every step.  The executor then calls
-    :meth:`copied` / :meth:`waited` / :meth:`released` at its four copy
-    sites, four stall sites and the offload-release site, and the
+    :meth:`copied` / :meth:`waited` / :meth:`released` at its five copy
+    sites (``evict``, ``clean``, ``offload``, ``prefetch``, ``fetch``),
+    five stall sites and the offload-release site, and the
     recompute policy calls :meth:`rebuild_begins` / :meth:`recomputed`.
     Every method only reads the executor — attaching a recorder never
     changes an ``IterationResult`` (``tests/test_check_cost.py`` holds
@@ -445,7 +480,7 @@ def analyze_prediction(pred: CostPrediction,
                        budget: Optional[int] = None,
                        thresholds: Optional[CostThresholds] = None
                        ) -> List[Diagnostic]:
-    """Apply the PERF001-005 rules to one prediction."""
+    """Apply the PERF001-005 and PERF007 rules to one prediction."""
     th = thresholds or CostThresholds()
     target = pred.target
     diags: List[Diagnostic] = []
@@ -500,6 +535,23 @@ def analyze_prediction(pred: CostPrediction,
                         f"stream sat idle {s.copy_idle_gap * 1e3:.2f} ms "
                         f"beforehand — issuing the copy earlier would "
                         f"hide the stall entirely"))
+
+    if pred.exposed_dma_share > th.exposed_dma_share \
+            and pred.stall_seconds > th.exposed_dma_min_seconds:
+        top = sorted(pred.stalls, key=lambda s: -s.seconds)
+        named = "; ".join(
+            f"{s.tensor!r} {s.kind} {s.seconds * 1e3:.2f} ms at {s.op} "
+            f"(stream idle {s.copy_idle_gap * 1e3:.2f} ms before)"
+            for s in top[:3])
+        diags.append(Diagnostic(
+            rule="PERF007", severity="warning", target=target,
+            message=f"compute stalls on copies for "
+                    f"{pred.stall_seconds * 1e3:.1f} ms of a "
+                    f"{pred.sim_time * 1e3:.1f} ms iteration "
+                    f"({pred.exposed_dma_share:.0%}) over {len(top)} "
+                    f"stalls; with every copy hidden it would take "
+                    f"{pred.overlap_floor_s * 1e3:.1f} ms.  Largest: "
+                    f"{named}"))
 
     if budget is not None and pred.peak_gpu_bytes > budget:
         diags.append(Diagnostic(

@@ -44,6 +44,7 @@ PLAN_RULES: Dict[str, str] = {
     "PLAN004": "unrecoverable-recompute",
     "PLAN005": "capacity-overflow",
     "PLAN006": "double-free",
+    "PLAN007": "return-trip-disorder",
 }
 
 #: Architecture-linter rules: repo discipline encoded as checks.
@@ -74,6 +75,7 @@ PERF_RULES: Dict[str, str] = {
     "PERF004": "missed-overlap-window",
     "PERF005": "over-memory-budget",
     "PERF006": "serving-padding-waste",
+    "PERF007": "exposed-dma",
 }
 
 ALL_RULES: Dict[str, str] = {**PLAN_RULES, **LINT_RULES, **RACE_RULES,

@@ -34,6 +34,13 @@ the schedule symbolically, with a per-tensor placement machine mirroring
 * **PLAN006 double-free** — no schedule frees a tensor twice (freeing a
   never-materialized tensor is the documented no-op edge and stays
   legal, mirroring ``ALLOWED_TRANSITIONS``).
+* **PLAN007 return-trip-disorder** — the tensor cache's need order (the
+  deadlines its return trip times evicted lines against) is sorted by
+  first backward use, holds each tensor once, and names for each the
+  backward step that first needs it — a kernel read or a recompute
+  chain's outside input.  A wrong deadline is not unsafe (the reader
+  fetches on demand) but it lands a copy late, or early into bytes the
+  running step wants.
 
 The symbolic model is the paper's *just-in-time arrival* model: DMA
 copies complete exactly when the schedule needs them to — an eagerly
@@ -57,6 +64,7 @@ from repro.core.config import RuntimeConfig
 from repro.core.plan import plans_by_key
 from repro.graph.route import Phase
 from repro.layers.data import DataLayer
+from repro.tensors.tensor import TensorKind
 
 MiB = 1024 * 1024
 
@@ -121,6 +129,11 @@ class SymStep:
     discards: Tuple[SymTensor, ...] = ()
     #: settled-phase prefetch candidates (fetched only if host-resident)
     prefetches: Tuple[SymTensor, ...] = ()
+    #: data tensors a backward step needs resident from outside: its
+    #: kernel reads minus the recompute-covered ones, plus the outside
+    #: inputs of the chains it can trigger (``LivenessAnalysis.reads_at``;
+    #: extracted only where a need order is there to check against it)
+    needs: Tuple[SymTensor, ...] = ()
     workspace_bytes: int = 0
 
 
@@ -137,6 +150,8 @@ class PlanTrace:
     overflow_is_error: bool = True
     #: registry keys of dynamic policies the verifier cannot replay
     unverified_policies: Tuple[str, ...] = ()
+    #: the cache-mode UTP's need order: ``(step index, tensor)``
+    return_trip: Tuple[Tuple[int, SymTensor], ...] = ()
 
 
 # --------------------------------------------------------------------------- #
@@ -198,6 +213,8 @@ def extract_trace(net, compiled, config: RuntimeConfig,
     rec_plan = plans.get("recompute")
     ws_plan = plans.get("workspace")
 
+    need_order = off_plan.return_trip if off_plan is not None else ()
+
     steps: List[SymStep] = []
     for step in route.steps:
         i = step.index
@@ -233,6 +250,9 @@ def extract_trace(net, compiled, config: RuntimeConfig,
             discards=syms(rec_plan.step_discards.get(i, ())
                           if rec_plan is not None else ()),
             prefetches=tuple(prefetches),
+            needs=tuple(sym(t) for t in compiled.liveness.reads_at(i)
+                        if t.kind is TensorKind.DATA)
+            if need_order and not is_fw else (),
             workspace_bytes=pick.assigned_ws if pick is not None else 0,
         ))
 
@@ -246,6 +266,7 @@ def extract_trace(net, compiled, config: RuntimeConfig,
         overflow_is_error=not cache_mode,
         unverified_policies=tuple(
             g.key for g in compiled.gathered if g.plan is None),
+        return_trip=tuple((i, sym(t)) for i, t in need_order),
     )
 
 
@@ -439,6 +460,36 @@ def verify_trace(trace: PlanTrace) -> List[Diagnostic]:
                         f"{held} lock(s) at the iteration barrier — it "
                         f"could never be evicted again",
             ))
+
+    # -- the return trip's need order: a derived schedule, so checked
+    #    against the steps alone
+    first_need: Dict[int, int] = {}
+    if trace.return_trip:
+        for step in trace.steps:
+            if step.phase == "backward":
+                for t in step.needs:
+                    first_need.setdefault(t.tensor_id, step.index)
+    seen: Dict[int, int] = {}
+    after = -1
+    for i, t in trace.return_trip:
+        step = trace.steps[i] if 0 <= i < len(trace.steps) else None
+        if t.tensor_id in seen:
+            emit("PLAN007", step,
+                 f"tensor {t.name!r} is in the need order twice (steps "
+                 f"{seen[t.tensor_id]} and {i}) — only its first "
+                 f"backward use is a deadline", t)
+        elif i < after:
+            emit("PLAN007", step,
+                 f"need order is not sorted by first backward use: "
+                 f"{t.name!r} at step {i} follows an entry at step "
+                 f"{after}", t)
+        elif first_need.get(t.tensor_id) != i:
+            emit("PLAN007", step,
+                 f"need order names step {i} as the first backward "
+                 f"step to need {t.name!r}; the route says "
+                 f"{first_need.get(t.tensor_id, 'none does')}", t)
+        seen.setdefault(t.tensor_id, i)
+        after = max(after, i)
 
     if trace.capacity is not None and st.peak > trace.capacity:
         diags.append(Diagnostic(

@@ -16,13 +16,13 @@ Commands
 ``check``   — program analysis: ``check plan`` compiles nets across the
               ablation ladder (plus serve-shaped batch configs under
               ``--all``) and verifies every schedule's memory-safety
-              invariants (PLAN001-PLAN006); ``check lint`` runs the
+              invariants (PLAN001-PLAN007); ``check lint`` runs the
               architecture linter (LINT001-LINT005) over ``src/repro``;
               ``check race`` drives the instrumented stress scenarios
               through the happens-before race detector (RACE001-RACE005);
               ``check cost`` replays compiled schedules against the
               device latency model, predicts per-iteration time and
-              peaks, and flags performance pathologies (PERF001-PERF006;
+              peaks, and flags performance pathologies (PERF001-PERF007;
               ``--budget N --advise`` additionally recommends the
               cheapest ladder rung that fits N GiB).  All emit one JSON
               schema via ``--format json`` for CI artifacts and support
@@ -862,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     cc = csub.add_parser(
         "cost",
         help="static performance & memory cost model over compiled "
-             "schedules (PERF001-PERF006)")
+             "schedules (PERF001-PERF007)")
     cc.add_argument("--net", choices=sorted(NETWORK_BUILDERS), default=None)
     cc.add_argument("--all", action="store_true",
                     help="cost every zoo network")

@@ -12,10 +12,12 @@ Operations mirror Alg. 2:
 * ``insert`` = ``LRU.in``  — place an (unlocked) tensor at the MRU front;
 * ``evict_for`` = ``LRU.out`` — offload least-recently-used *unlocked*
   tensors until enough bytes are freed;
-* ``touch`` = the hit path of ``Check`` — move to the MRU front.
+* ``touch`` = the hit path of ``Check`` — move to the MRU front;
+* ``clean_ahead`` — write-behind: name the lines the *next* ``LRU.out``
+  would take, so their D2H copies can run under compute.
 
-Eviction itself (the D2H copy + allocator free) is the executor's job;
-the cache only decides *which* tensors go, through the callback.
+Movement itself (the D2H copy + allocator free) is the executor's job;
+the cache only decides *which* tensors go, through the callbacks.
 
 The paper notes "there are other sophisticated cache replacement
 policies [that] might better fit the scenario" and leaves them out of
@@ -120,6 +122,24 @@ class TensorCache:
             freed += offload_cb(t)
             self.evictions += 1
         return freed
+
+    def clean_ahead(self, nbytes: int,
+                    clean_cb: Callable[[Tensor], None]) -> None:
+        """Write-behind, one pressure event ahead: hand ``clean_cb``
+        the unlocked lines an ``evict_for(nbytes)`` issued now would
+        take, in victim order, removing nothing.  The callback starts a
+        D2H copy of the dirty ones, so the event that does evict them
+        finds clean lines and drops them for free."""
+        locked = self._state.locked
+        order = reversed(self._entries.values()) if self.policy == "lru" \
+            else self._sorted_order()
+        passed = 0
+        for t in order:
+            if passed >= nbytes:
+                break
+            if not locked(t):
+                clean_cb(t)
+                passed += t.nbytes
 
     def _victims(self) -> Iterator[Tensor]:
         """Unlocked entries, first out first, found lazily.

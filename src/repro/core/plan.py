@@ -13,9 +13,9 @@ is one of the op builders below, the only code that frees, offloads,
 prefetches or provisions scratch on a built-in policy's behalf:
 
 * a **derived** schedule follows from the route alone — the liveness
-  free lists, the UTP's eager offload and prefetch-ahead steps — so its
-  policy has a plan at the first link and runs compiled from
-  iteration 0;
+  free lists, the UTP's eager offload and prefetch-ahead steps, the
+  tensor cache's return-trip need order — so its policy has a plan at
+  the first link and runs compiled from iteration 0;
 * an **observed** schedule needs one look at a running iteration — the
   workspace picks, the steps where recompute cleanup found work — so
   its policy answers ``None`` at the first link, has its hooks
@@ -44,10 +44,13 @@ not planning.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.workspace import WorkspaceChoice
+from repro.device.dma import CopyDirection
 from repro.graph.route import Phase, Step
 from repro.layers.data import DataLayer
 from repro.tensors.tensor import Tensor
@@ -107,6 +110,13 @@ class PolicyPlan:
         step index -> the next step's reads, in read order: the tensors
         prefetch-ahead considers once the step's frees settle (each is
         fetched only if host-resident at that moment — a live guard).
+        Eager UTP only.
+    return_trip:
+        the tensor cache's *need order*: ``(step index, tensor)`` for
+        every data tensor a backward step reads, at its first backward
+        reader (kernel read or recompute-chain input), sorted by that
+        step.  Which of them are on the host at the turn is pressure's
+        call; :func:`_make_return_trip_ops` times the copies back.
     workspace_picks:
         step index -> the recorded :class:`WorkspaceChoice` (pre
         -fallback); replay re-runs the scratch allocation and its
@@ -124,6 +134,7 @@ class PolicyPlan:
     step_discards: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     step_offloads: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     step_prefetch: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
+    return_trip: Tuple[Tuple[int, Tensor], ...] = ()
     workspace_picks: Mapping[int, WorkspaceChoice] = field(default_factory=dict)
     keep_hooks: Tuple[str, ...] = ()
 
@@ -262,6 +273,67 @@ def _make_prefetch_op(ex, tensors: Tuple[Tensor, ...]) -> StepOp:
     return op
 
 
+def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
+                         steps: List[CompiledStep]
+                         ) -> Tuple[StepOp, StepOp]:
+    """The just-in-time return trip of evicted lines: ``(turn, drain)``.
+
+    ``turn`` runs once, when the last forward step has settled.  It
+    takes the host-resident subset of the need order and schedules
+    backwards from each deadline, latest first, on a stall-free compute
+    clock (the prefix sum of the steps' kernel durations)::
+
+        start_k = min(T[first_use_k], start_{k+1}) - copy_time_k
+
+    so that every copy lands as its reader starts and the H2D stream
+    never has two at once — then queues each tensor, in need order,
+    with the backward step whose settle precedes ``start_k``.  ``drain``
+    runs as every backward step settles (and at the turn) and issues
+    the copies that have come due through ``_prefetch_async``, which
+    allocates without evicting.  A copy is issued only while it leaves
+    ``l_peak`` — the bytes the running step may still ask for — free;
+    one that is refused waits at the head of the queue for the next
+    step's settle, and past its reader it has come back on demand.  An
+    iteration that evicted nothing pays one emptiness test at the turn
+    and one per step.
+    """
+    starts = list(accumulate((cs.duration for cs in steps), initial=0.0))
+    entry = {t.tensor_id: (k, i, t) for k, (i, t) in enumerate(need)}
+    state, fabric, allocator = ex.state, ex.fabric, ex.allocator
+    copy_time = ex.dma.copy_time
+    prefetch = ex._prefetch_async
+    queue = ex._due_back
+    reserve = ex.recompute_plan.l_peak  # = net.max_layer_bytes()
+
+    def drain(ctx, step):
+        while queue and queue[0][0] <= step.index:
+            t = queue[0][1]
+            if state.on_host(t) and not (
+                    allocator.free_bytes - t.nbytes >= reserve
+                    and prefetch(t)):
+                return  # deferred, and everything needed after it
+            queue.popleft()
+
+    def turn(ctx, step):
+        queue.clear()  # an aborted iteration's leftovers
+        hosted = state.host_ids()
+        if not hosted:
+            return
+        start = starts[-1]
+        for _k, first_use, t in sorted(
+                (entry[tid] for tid in hosted if tid in entry),
+                reverse=True):
+            if not state.on_host(t):
+                continue  # a clean line: valid host copy, GPU-resident
+            pool = fabric.pool_of(t.tensor_id)
+            start = min(starts[first_use], start) - copy_time(
+                t.nbytes, CopyDirection.H2D, pool.h2d_scale if pool else 1.0)
+            # settle of step j is the start of j + 1
+            queue.appendleft((bisect_right(starts, start) - 2, t))
+        drain(ctx, step)
+    return turn, drain
+
+
 def make_workspace_op(model, selector, step: Step, pick: WorkspaceChoice
                       ) -> StepOp:
     """Provision one conv execution's algorithm pick: reserve its
@@ -390,16 +462,22 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
     ]
     reap_op = _make_reap_op(ex)
 
-    steps: List[CompiledStep] = []
-    for step in ex.route.steps:
-        cs = CompiledStep(step, ex.model, ex.route)
+    steps = [CompiledStep(step, ex.model, ex.route)
+             for step in ex.route.steps]
+    turn_index = ex.route.num_layers - 1  # the last forward step
+    # stack position -> its (turn, drain) pair
+    trips = {n: _make_return_trip_ops(ex, pp.return_trip, steps)
+             for n, pp in enumerate(plans)
+             if pp is not None and pp.return_trip}
+    for cs in steps:
+        step = cs.step
         i = step.index
         before: List[StepOp] = []
         compute: List[StepOp] = []
         after: List[StepOp] = []
         settled: List[StepOp] = []
         sites = (before, compute, after, settled)  # STEP_HOOKS order
-        for p, pp, hooks in stack:
+        for n, (p, pp, hooks) in enumerate(stack):
             if pp is not None:
                 if pp.reap_before_step:
                     before.append(reap_op)
@@ -415,6 +493,8 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
                 prefetch = pp.step_prefetch.get(i)
                 if prefetch:
                     settled.append(_make_prefetch_op(ex, prefetch))
+                if n in trips and i >= turn_index:
+                    settled.append(trips[n][i > turn_index])
                 pick = pp.workspace_picks.get(i)
                 if pick is not None:
                     compute.append(make_workspace_op(
@@ -428,7 +508,6 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
         cs.compute_ops = tuple(compute)
         cs.after_ops = tuple(after)
         cs.settled_ops = tuple(settled)
-        steps.append(cs)
     return IterationPlan(
         steps=steps,
         compiled_keys=tuple(g.key for g in gathered if g.plan is not None),

@@ -33,9 +33,10 @@ Hook protocol (all optional; the base class no-ops everything):
                           reclamation order: offload registration must precede
                           liveness frees, which precede recompute cleanup)
 ``on_step_settled``       after every policy's ``after_step`` — the step's
-                          frees have landed; prefetch-ahead is issued here so
-                          tensors arrive just-in-time and the measured peak
-                          stays at the paper's l_peak
+                          frees have landed; prefetch-ahead and the tensor
+                          cache's return trip are issued here so tensors
+                          arrive just-in-time and the measured peak stays at
+                          the paper's l_peak
 ``on_tensor_dead``        a tensor was fully discarded (GPU + host + payload)
 ``on_tensor_released``    a tensor lost its GPU copy but survives in host RAM
 ``on_tensor_resident``    a tensor just gained a GPU allocation
@@ -247,6 +248,12 @@ class StepContext:
     def submit_compute(self, duration: float, label: str = ""):
         return self._ex.timeline.submit(Stream.COMPUTE, duration, label)
 
+    def _clean_behind(self, t: Tensor) -> None:
+        """Write-behind: start the D2H copy of a dirty cached line and
+        keep its GPU copy.  The tensor cache's, not part of the policy
+        protocol: only a cache's victim order says which lines to clean."""
+        self._ex._clean_async(t)
+
 
 class MemoryPolicy:
     """Base class: a named bundle of lifecycle hooks (all no-ops).
@@ -442,6 +449,11 @@ class OffloadCachePolicy(MemoryPolicy):
       step's host-resident reads on the H2D stream.
     * **cache** (``cache="lru"|"fifo"|"lfu"``) — tensors stay on the GPU
       while room remains; Alg. 2's ``LRU.out`` evicts under pressure.
+      Both halves of the traffic that follows hide under compute:
+      write-behind starts the D2H copies of the lines the *next*
+      pressure event will take, and evicted lines come back on a
+      just-in-time return trip timed against their first backward
+      reader (:func:`~repro.core.plan._make_return_trip_ops`).
     """
 
     key = "offload"
@@ -530,10 +542,16 @@ class OffloadCachePolicy(MemoryPolicy):
         # so keep evicting (coalescing merges holes) until the request
         # fits or nothing evictable remains.
         if self.cache_mode:
+            evicted = 0
             while True:
                 freed = self.cache.evict_for(nbytes, ctx.evict_to_host)
+                evicted += freed
                 a = retry()
                 if a is not None:
+                    # write-behind, one pressure event ahead: the copies
+                    # of the lines the next event will take start now,
+                    # under compute, so it finds them clean
+                    self.cache.clean_ahead(evicted, ctx._clean_behind)
                     return a
                 if freed == 0:
                     return None
@@ -545,42 +563,50 @@ class OffloadCachePolicy(MemoryPolicy):
     # -- the step schedule ---------------------------------------------------
     def compile_plan(self, ctx: StepContext) -> PolicyPlan:
         # Both modes have a static *step* schedule, derived from the
-        # route.  Eager: a checkpoint output's D2H copy starts right
-        # after its forward kernel (ordered after the kernel's event, so
-        # it overlaps the following forward compute, and registered
-        # before the liveness frees run so they skip it), and completed
-        # copies are reaped before every step.  Both: prefetch-ahead
-        # (paper §3.3.1) — each backward step names the next step's
-        # reads, and the ones on the host at that moment start their H2D
-        # fetch so it overlaps this step's compute.  Issued after the
-        # step's frees: identical overlap on the timeline, but tensors
-        # land just-in-time so the measured peak stays at l_peak — which
-        # the paper's own Fig. 10c peak (exactly max(l_i)) requires.
+        # route.
         steps = ctx.route.steps
-        offloads = {}
-        prefetch = {}
-        for step in steps:
-            if step.phase is Phase.FORWARD:
-                if not self.cache_mode \
-                        and step.layer.ltype in OFFLOAD_TYPES:
-                    offloads[step.index] = (step.layer.output,)
-                continue
-            nxt = step.index + 1
-            if nxt >= len(steps):
-                continue
-            reads = tuple(ctx.reads_at(nxt, include_synthetic=False))
-            if reads:
-                prefetch[step.index] = reads
+        backward = [s for s in steps if s.phase is Phase.BACKWARD]
         if self.cache_mode:
-            # no eager copies ⇒ nothing to reap before steps, nothing
-            # to register after them.  The tensor hooks stay live: LRU
-            # order, hit/miss counters and pressure-driven eviction
-            # only exist by observing every residency event.
+            # What is on the host at the turn is whatever pressure put
+            # there, so the schedule is the *need order*: each data
+            # tensor's first backward reader, recompute anchors
+            # included (a chain re-run reads them from outside).  The
+            # return-trip ops time each evicted line's H2D copy against
+            # that deadline.  No eager copies ⇒ nothing to reap before
+            # steps, nothing to register after them.  The tensor hooks
+            # stay live: LRU order, hit/miss counters and
+            # pressure-driven eviction only exist by observing every
+            # residency event.
+            first_reader = {}
+            for step in backward:
+                for t in ctx.reads_at(step.index):
+                    if t.kind is TensorKind.DATA:
+                        first_reader.setdefault(t.tensor_id, (step.index, t))
             return PolicyPlan(
-                key=self.key, step_prefetch=prefetch,
+                key=self.key, return_trip=tuple(first_reader.values()),
                 keep_hooks=("on_tensor_resident", "on_tensor_access",
                             "on_tensor_dead", "on_tensor_released"),
             )
+        # Eager: a checkpoint output's D2H copy starts right after its
+        # forward kernel (ordered after the kernel's event, so it
+        # overlaps the following forward compute, and registered before
+        # the liveness frees run so they skip it), and completed copies
+        # are reaped before every step.  Prefetch-ahead (paper §3.3.1)
+        # — each backward step names the next step's reads, and the
+        # ones on the host at that moment start their H2D fetch so it
+        # overlaps this step's compute.  Issued after the step's frees:
+        # identical overlap on the timeline, but tensors land
+        # just-in-time so the measured peak stays at l_peak — which the
+        # paper's own Fig. 10c peak (exactly max(l_i)) requires.
+        offloads = {s.index: (s.layer.output,) for s in steps
+                    if s.phase is Phase.FORWARD
+                    and s.layer.ltype in OFFLOAD_TYPES}
+        prefetch = {}
+        for step in backward[:-1]:
+            reads = tuple(ctx.reads_at(step.index + 1,
+                                       include_synthetic=False))
+            if reads:
+                prefetch[step.index] = reads
         return PolicyPlan(key=self.key, reap_before_step=True,
                           step_offloads=offloads, step_prefetch=prefetch)
 

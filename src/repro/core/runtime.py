@@ -32,8 +32,9 @@ used for 12 GB-scale capacity and speed benchmarks).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -302,6 +303,11 @@ class Executor:
         self._closed = False
         self._alloc_of: Dict[int, Allocation] = {}
         self._pending: List[_PendingOffload] = []
+        #: the return trip's queue, in need order: (backward step whose
+        #: settle the H2D copy is due at, host tensor) — filled at the
+        #: turn, drained from the head as steps settle (see
+        #: ``plan._make_return_trip_ops``)
+        self._due_back: Deque[Tuple[int, Tensor]] = deque()
         self._stall = 0.0
         self._clean_evictions = 0
         self.param_bytes = 0
@@ -460,6 +466,10 @@ class Executor:
         ctx = self._ctx
         for fn in self._listeners["on_tensor_released"]:
             fn(ctx, t)
+        if state.pop_cleaning(t) is not None:
+            # the bytes go without an eviction: a write-behind copy of
+            # them is moot, and so is its reservation
+            self.fabric.evict(t.tensor_id)
         if state.host_resident(t):
             # keep the bytes: they may still be device-side if the D2H
             # copy that made the host reservation has not been reaped
@@ -486,8 +496,10 @@ class Executor:
             self.fabric.evict(t.tensor_id)
             state.set_host_resident(t, False)
         self.store.drop(t)
-        if state.any_arrivals:
-            state.pop_arrival(t)
+        if state.retire_in_flight(t) is not None:
+            # a cleaning line died before pressure reached it: its
+            # copy's event is retired, and so is the reservation
+            self.fabric.evict(t.tensor_id)
         state.set_placement(t, Placement.FREED)
         state.discard_live(t)
 
@@ -495,10 +507,10 @@ class Executor:
     def _copy(self, t: Tensor, kind: str,
               after: Optional[List[Event]] = None) -> Event:
         """Submit one DMA copy of ``t``.  ``kind`` names the call site
-        and fixes the direction: ``evict``/``offload`` stash the tensor
-        in the fabric and go D2H, ``prefetch``/``fetch`` come back H2D
-        from whichever pool holds it, at that pool's rate."""
-        if kind in ("evict", "offload"):
+        and fixes the direction: ``evict``/``offload``/``clean`` stash
+        the tensor in the fabric and go D2H, ``prefetch``/``fetch`` come
+        back H2D from whichever pool holds it, at that pool's rate."""
+        if kind in ("evict", "offload", "clean"):
             direction = CopyDirection.D2H
             scale = self.fabric.stash(t.tensor_id, t.nbytes).d2h_scale
         else:
@@ -527,12 +539,20 @@ class Executor:
         once per (re)materialisation and ``_discard`` retires its host
         copy, so a GPU copy whose host copy is still valid is a *clean
         line* and drops with no copy and no stall — between two uses an
-        evicted tensor crosses PCIe at most once per direction."""
-        if self.state.host_resident(t):
+        evicted tensor crosses PCIe at most once per direction.  A line
+        write-behind is *cleaning* is waited on for what is left of its
+        copy (nothing, once it has landed) instead of copied again."""
+        state = self.state
+        ev = state.pop_cleaning(t)
+        if ev is not None:
+            self._wait(t, "clean", ev)
+            state.set_host_resident(t, True)
+            self._clean_evictions += 1
+        elif state.host_resident(t):
             self._clean_evictions += 1
         else:
             self._wait(t, "evict", self._copy(t, "evict"))
-            self.state.set_host_resident(t, True)
+            state.set_host_resident(t, True)
         self.store.move_to_host(t)
         a = self._alloc_of.pop(t.tensor_id, None)
         freed = 0
@@ -541,6 +561,14 @@ class Executor:
             freed = a.nbytes
         self.state.set_placement(t, Placement.HOST)
         return freed
+
+    def _clean_async(self, t: Tensor) -> None:
+        """Write-behind: start the D2H copy of a dirty cached line and
+        keep using its GPU copy.  The event is the line's *cleaning*
+        state; ``_evict_to_host`` consumes it, ``_discard`` retires it."""
+        state = self.state
+        if not (state.host_resident(t) or state.cleaning(t)):
+            state.set_cleaning(t, self._copy(t, "clean"))
 
     def _offload_async(self, t: Tensor, after: Optional[List[Event]] = None) -> None:
         """Eager UTP offload: D2H overlaps following forward compute."""
@@ -866,8 +894,11 @@ class Executor:
                 self._discard(t)
         # prefetch arrival events are all complete after the barrier;
         # drop them so no stale entry can satisfy a later iteration's
-        # in-flight check without a copy actually running
+        # in-flight check without a copy actually running; every
+        # cleaning line was discarded above, its event with it
         state.clear_arrivals()
+        state.clear_cleaning()
+        self._due_back.clear()
         residual = self.allocator.used_bytes - self.param_bytes
         if residual != 0:
             raise RuntimeError(

@@ -15,6 +15,8 @@ owned by exactly one :class:`~repro.core.runtime.Executor`:
 * the LRU-cache lock bit (paper Alg. 2 ``T.Lock``);
 * host-copy residency (a valid copy exists in host RAM);
 * prefetch-arrival membership (H2D copies in flight);
+* write-behind cleaning membership (D2H copies of cached lines in
+  flight or landed, the GPU copy kept);
 * the live-descriptor set reported in step traces.
 
 ``Tensor`` keeps only immutable identity (shape, dtype, nbytes, name,
@@ -84,11 +86,12 @@ class SessionTensorState:
 
     Methods take :class:`Tensor` descriptors (identity only) and key
     the tables by ``tensor_id``.  Absent entries mean the default:
-    ``UNALLOCATED``, unlocked, no host copy, no arrival in flight.
+    ``UNALLOCATED``, unlocked, no host copy, no arrival in flight, not
+    being cleaned.
     """
 
     __slots__ = ("_placement", "_locked", "_host", "_live", "_arrivals",
-                 "validate")
+                 "_cleaning", "validate")
 
     def __init__(self, validate: Optional[bool] = None) -> None:
         self._placement: Dict[int, Placement] = {}
@@ -96,6 +99,7 @@ class SessionTensorState:
         self._host: Set[int] = set()
         self._live: Set[int] = set()      # DATA/GRAD ids with GPU allocs
         self._arrivals: Dict[int, object] = {}  # tensor_id -> DMA Event
+        self._cleaning: Dict[int, object] = {}  # tensor_id -> DMA Event
         self.validate = _ins.env_flag(VALIDATE_ENV) if validate is None \
             else validate
 
@@ -164,6 +168,10 @@ class SessionTensorState:
         else:
             self._host.discard(t.tensor_id)
 
+    def host_ids(self) -> Set[int]:
+        """Ids with a valid host copy — the live set, not a snapshot."""
+        return self._host
+
     # -- live-descriptor accounting (step-trace statistic) -----------------
     def add_live(self, t: Tensor) -> None:
         self._live.add(t.tensor_id)
@@ -192,6 +200,37 @@ class SessionTensorState:
     def clear_arrivals(self) -> None:
         self._arrivals.clear()
 
+    # -- write-behind cleaning (D2H copies of lines still cached) ----------
+    # The third residency state of a cached line, beside clean and
+    # dirty: its D2H copy has been started (and may have landed) but
+    # the GPU copy is still the one in use.  ``host_resident`` stays
+    # False until an eviction consumes the event.
+    def set_cleaning(self, t: Tensor, event) -> None:
+        self._cleaning[t.tensor_id] = event
+
+    def cleaning(self, t: Tensor) -> bool:
+        return t.tensor_id in self._cleaning
+
+    def pop_cleaning(self, t: Tensor):
+        """Remove and return the write-behind copy's event (or None)."""
+        return self._cleaning.pop(t.tensor_id, None)
+
+    def retire_in_flight(self, t: Tensor):
+        """``t`` is dying: forget its arrival, and remove and return
+        its write-behind copy's event (or None).  The one call
+        ``_discard`` pays for both tables, empty most of the time."""
+        if self._arrivals or self._cleaning:
+            tid = t.tensor_id
+            self._arrivals.pop(tid, None)
+            return self._cleaning.pop(tid, None)
+        return None
+
+    def cleaning_count(self) -> int:
+        return len(self._cleaning)
+
+    def clear_cleaning(self) -> None:
+        self._cleaning.clear()
+
     # -- introspection ------------------------------------------------------
     def snapshot(self, tensors: Iterable[Tensor]
                  ) -> Tuple[Placement, ...]:
@@ -203,4 +242,5 @@ class SessionTensorState:
     def describe(self, t: Tensor) -> str:
         return (f"{t.name}: {self.placement(t).value}"
                 f"{' locked' if self.locked(t) else ''}"
-                f"{' host' if self.host_resident(t) else ''}")
+                f"{' host' if self.host_resident(t) else ''}"
+                f"{' cleaning' if self.cleaning(t) else ''}")

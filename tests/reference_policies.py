@@ -59,8 +59,12 @@ class ReferenceOffloadCachePolicy(OffloadCachePolicy):
         # Prefetch-ahead (paper §3.3.1): start the H2D fetch of the next
         # backward step's host-resident reads so it overlaps this step's
         # compute.  Issued after the step's frees, so tensors land
-        # just-in-time and the measured peak stays at l_peak.
-        if step.phase is Phase.BACKWARD:
+        # just-in-time and the measured peak stays at l_peak.  Eager
+        # mode only, like the shipped schedule it mirrors: PR 24 gave
+        # cache mode the return trip (``core/plan.py``), which has no
+        # hook body to keep — this twin fetches on demand there, and
+        # ``test_overlap_sweep.py`` pins what pressure then costs.
+        if step.phase is Phase.BACKWARD and not self.cache_mode:
             self._prefetch_ahead(ctx, step)
 
     def _prefetch_ahead(self, ctx, step):

@@ -22,9 +22,11 @@ from repro.check import (
 from repro.check.plan_verifier import PlanTrace, SymStep, SymTensor
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
+from repro.core.plan import plans_by_key
 from repro.core.session import Session
 from repro.core.tensor_state import SessionTensorState
 from repro.zoo import alexnet, lenet
+from tests.test_graph import fan_net
 
 LADDER = {
     "baseline": RuntimeConfig.baseline,
@@ -206,6 +208,67 @@ def test_offloaded_read_without_prefetch_is_flagged():
     # ... and scheduling the prefetch cures it
     tr.steps[1].prefetches = (t,)
     assert verify_trace(tr) == []
+
+
+# --------------------------------------------------------------------------- #
+# PLAN007: the tensor cache's need order (the return trip's deadlines)
+# --------------------------------------------------------------------------- #
+
+def _need_order_trace(net_builder):
+    eng = Engine(net_builder(), RuntimeConfig.superneurons(concrete=False))
+    cm = eng.compiled("train")
+    return eng, cm, extract_trace(eng.net, cm, eng.config.for_mode("train"))
+
+
+@pytest.mark.parametrize("net_builder", [lambda: alexnet(batch=8), fan_net],
+                         ids=["alexnet", "fan"])
+def test_need_order_is_each_tensors_first_backward_reader(net_builder):
+    """Derived from the route alone: sorted by first backward use, each
+    data tensor once, and the named step reads it — as a kernel operand
+    or as an outside input of a recompute chain it can trigger."""
+    eng, cm, tr = _need_order_trace(net_builder)
+    need = plans_by_key(cm.gathered)["offload"].return_trip
+    assert need and verify_trace(tr) == []
+    steps = [i for i, _ in need]
+    assert steps == sorted(steps)
+    assert len({t.tensor_id for _, t in need}) == len(need)
+    n = eng.compiled("train").route.num_layers
+    readers = {}  # tensor id -> backward steps that need it, ascending
+    for step in cm.route.steps[n:]:
+        for t in cm.liveness.reads_at(step.index):
+            readers.setdefault(t.tensor_id, []).append(step.index)
+    for i, t in need:
+        assert t.kind.value == "data" and readers[t.tensor_id][0] == i
+    # nothing a backward step needs is missing, anchors included
+    anchors = {seg.anchor.output.tensor_id
+               for seg in cm.recompute_plan.segments
+               if seg.anchor.output is not None and seg.dropped}
+    named = {t.tensor_id for _, t in need}
+    assert anchors and anchors <= named
+
+
+def test_need_order_tampering_is_rejected():
+    _, _, tr = _need_order_trace(lambda: alexnet(batch=8))
+    good = tr.return_trip
+    (i0, t0), (i1, t1) = good[0], good[-1]
+    assert i0 < i1
+    for bad, says in (
+            (good + (good[0],), "twice"),
+            ((good[-1],) + good[:-1], "not sorted"),
+            (((i0 + 1, t0),) + good[1:], "first backward step"),
+            (((0, t0),) + good[1:], "first backward step")):
+        tr.return_trip = bad
+        diags = verify_trace(tr)
+        assert _rules(diags) == ["PLAN007"], says
+        assert says in diags[0].message
+        assert all(d.severity == "error" for d in diags)
+    tr.return_trip = good
+    assert verify_trace(tr) == []
+
+
+def test_eager_mode_has_no_need_order():
+    tr = _trace(rung="liveness_offload")
+    assert tr.return_trip == () and any(s.prefetches for s in tr.steps)
 
 
 # --------------------------------------------------------------------------- #

@@ -5,8 +5,10 @@ per direction.*
 A GPU-resident tensor whose host copy is valid is a clean line — an
 eviction drops it with no copy — and under an armed cache a recompute
 anchor stays resident as one instead of being released after every
-chain.  Both halves are held here on the unhappy path: under pressure,
-down to the smallest capacity that runs at all.
+chain.  A dirty line write-behind has started copying is *cleaning*:
+its eviction waits out the copy instead of issuing another.  All of it
+is held here on the unhappy path: under pressure, down to the smallest
+capacity that runs at all.
 """
 
 import functools
@@ -36,38 +38,82 @@ H2D = ("fetch", "prefetch")
 
 def watch(ex):
     """Log ``(kind, tensor name)`` for every eviction (``"drop"``, clean
-    or not) and every DMA copy of ``ex``, wrapping from the test as
-    ``benchmarks/ledger`` wraps the allocator."""
+    or not), every DMA copy and every death of a line write-behind was
+    cleaning (``"dead"``), plus ``("event", bytes freed)`` per
+    ``LRU.out`` call — wrapping from the test, before the first
+    iteration links its plan, as ``benchmarks/ledger`` wraps the
+    allocator."""
     log = []
-    copy, evict = ex._copy, ex._evict_to_host
+    copy, evict, discard = ex._copy, ex._evict_to_host, ex._discard
+    evict_for = ex.cache.evict_for
 
     def logged_copy(t, kind, after=None):
         log.append((kind, t.name))
         return copy(t, kind, after=after)
 
     def logged_evict(t):
+        # a stale arrival would make the next prefetch answer "already
+        # pending" and skip the copy
+        assert not ex.state.arrival_pending(t), \
+            f"{t.name} evicted while its arrival is pending"
         log.append(("drop", t.name))
         return evict(t)
 
-    ex._copy, ex._evict_to_host = logged_copy, logged_evict
+    def logged_discard(t):
+        if ex.state.cleaning(t):
+            log.append(("dead", t.name))
+        return discard(t)
+
+    def logged_evict_for(nbytes, offload_cb):
+        freed = evict_for(nbytes, offload_cb)
+        log.append(("event", freed))
+        return freed
+
+    ex._copy, ex._evict_to_host, ex._discard = \
+        logged_copy, logged_evict, logged_discard
+    ex.cache.evict_for = logged_evict_for
     return log
 
 
 def assert_once_per_direction(log, res):
-    """No tensor comes back twice between two of its evictions, and the
-    bytes reconcile: D2H copies == evictions - clean drops."""
+    """No tensor comes back twice between two of its evictions or goes
+    out twice between two of its materialisations, and the copies
+    reconcile: ``evict`` + ``clean`` copies == dirty evictions + lines
+    cleaned and kept.  Returns ``(lines cleaned and kept, re-evictions
+    of a line that had come back)``."""
     fetched = set()                      # back on the GPU since its drop
+    cleaning = set()                     # write-behind copy started
+    cleaned_drops = kept = again = 0
     for kind, name in log:
         if kind == "drop":
+            again += name in fetched
             fetched.discard(name)
+            cleaned_drops += name in cleaning
+            cleaning.discard(name)
+        elif kind == "dead":
+            cleaning.remove(name)
+            kept += 1
+        elif kind == "clean":
+            assert name not in cleaning and name not in fetched, \
+                f"{name} crossed D2H twice between two uses"
+            cleaning.add(name)
+        elif kind == "evict":
+            assert name not in cleaning, \
+                f"{name} copied again while write-behind was cleaning it"
         elif kind in H2D:
             assert name not in fetched, \
                 f"{name} crossed H2D twice between two evictions"
             fetched.add(name)
+    assert not cleaning, "the barrier discards every cleaning line"
     kinds = [kind for kind, _ in log]
     assert kinds.count("drop") == res.cache_evictions
+    # an eviction either copies then, or finds the line clean or cleaning
+    dirty_evictions = kinds.count("evict") + cleaned_drops
     assert kinds.count("evict") \
         == res.cache_evictions - res.cache_clean_evictions
+    assert kinds.count("evict") + kinds.count("clean") \
+        == dirty_evictions + kept
+    return kept, again
 
 
 class TestPressuredResnet50:
@@ -84,12 +130,18 @@ class TestPressuredResnet50:
             for i in (1, 2):
                 del log[:]
                 res = sess.run_iteration(i)
-                # parent: 2,723,610,624 back for 1,534,902,272 out —
-                # anchors released after every chain, re-fetched five times
-                assert res.h2d_bytes == res.d2h_bytes == 1_534_902_272
+                # PR 19's parent: 2,723,610,624 back for 1,534,902,272
+                # out — anchors released after every chain, re-fetched
+                # five times
+                assert res.h2d_bytes == 1_534_902_272
                 assert res.peak_bytes == 1_048_305_824
                 assert res.cache_evictions == 28
-                assert_once_per_direction(log, res)
+                kept, _ = assert_once_per_direction(log, res)
+                # write-behind runs one pressure event ahead, so what it
+                # cleaned and never evicted is at most one event's worth
+                ahead = res.d2h_bytes - res.h2d_bytes
+                assert kept > 0 and 0 < ahead <= max(
+                    freed for kind, freed in log if kind == "event")
             assert sess.executor.replayed_iterations == (3 if replay else 0)
 
     def test_deep_pressure_re_evicts_clean_lines_for_free(self):
@@ -104,9 +156,13 @@ class TestPressuredResnet50:
         with Engine(resnet50(batch=32), cfg).session("train") as sess:
             log = watch(sess.executor)
             res = sess.run_iteration(0)
-            assert (res.cache_evictions, res.cache_clean_evictions) == (46, 5)
-            assert_once_per_direction(log, res)
-            assert res.to_dict()["cache"]["clean_evictions"] == 5
+            # 7 re-evictions of a line that had come back (5 of 46
+            # before the return trip brought lines back early), and
+            # write-behind has cleaned all but 3 first-time victims
+            assert (res.cache_evictions, res.cache_clean_evictions) == (48, 45)
+            _, again = assert_once_per_direction(log, res)
+            assert again == 7
+            assert res.to_dict()["cache"]["clean_evictions"] == 45
 
 
 # -- the small concrete net: every capacity that runs -------------------------
@@ -117,20 +173,21 @@ def small_resnet():
 
 #: capacity range of :func:`small_resnet` under the superneurons stack:
 #: the roomy peak, and the smallest capacity that runs (one byte less
-#: is OOM) — where 3 of each iteration's 17 evictions are clean
+#: is OOM) — where 3 of each iteration's 17 evictions are re-evictions
+#: of a clean line
 ROOMY_PEAK = 6_441_256
 SMALLEST = 4_269_056
 ITERS = 3
 
 
 def train_small(capacity):
-    """``ITERS`` SGD iterations; returns losses, updated parameters and
-    per-iteration results, holding the settled-state invariants after
-    every iteration."""
+    """``ITERS`` SGD iterations; returns losses, updated parameters,
+    per-iteration results and re-eviction counts, holding the
+    settled-state invariants after every iteration."""
     net = small_resnet()
     params = {p.tensor_id for l in net.layers for p in l.params}
     opt = SGD(0.05)
-    results = []
+    results, re_evictions = [], []
     with Session(net, RuntimeConfig.superneurons(
             gpu_capacity=capacity)).executor as ex:
         assert ex.state.validate, "the suite arms the placement validator"
@@ -139,13 +196,15 @@ def train_small(capacity):
             del log[:]
             res = ex.run_iteration(i, optimizer=opt)
             results.append(res)
-            assert_once_per_direction(log, res)
+            _, again = assert_once_per_direction(log, res)
+            re_evictions.append(again)
             assert ex.allocator.used_bytes == ex.param_bytes
             assert ex.fabric.count == 0 and ex.fabric.used_bytes() == 0
+            assert ex.state.cleaning_count() == 0 and not ex._due_back
             assert ex.state.locked_ids() == params
     weights = [l.param_values[p.tensor_id]
                for l in net.layers for p in l.params]
-    return [r.loss for r in results], weights, results
+    return [r.loss for r in results], weights, results, re_evictions
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,7 +214,7 @@ def roomy_small():
 
 class TestEveryCapacityThatRuns:
     def test_the_range_is_what_it_says(self):
-        _, _, results = roomy_small()
+        _, _, results, _ = roomy_small()
         assert results[0].peak_bytes == ROOMY_PEAK
         assert results[0].cache_evictions == 0
         with pytest.raises(OutOfMemoryError):
@@ -165,17 +224,113 @@ class TestEveryCapacityThatRuns:
     @given(capacity=st.integers(SMALLEST, ROOMY_PEAK))
     @example(capacity=SMALLEST)
     def test_pressure_changes_traffic_never_values(self, capacity):
-        ref_losses, ref_weights, _ = roomy_small()
-        losses, weights, results = train_small(capacity)
+        ref_losses, ref_weights, _, _ = roomy_small()
+        losses, weights, results, re_evictions = train_small(capacity)
         assert losses == ref_losses
         assert all(np.array_equal(w, r)
                    for w, r in zip(weights, ref_weights))
         for res in results:
             assert res.peak_bytes <= capacity
         if capacity == SMALLEST:
-            # the re-eviction of a host-valid payload, reached
-            assert [r.cache_clean_evictions for r in results] == [3] * ITERS
+            # the re-eviction of a host-valid payload, reached; another
+            # 9 of the 17 evictions found write-behind there first
+            assert re_evictions == [3] * ITERS
+            assert [r.cache_clean_evictions for r in results] == [12] * ITERS
             assert [r.cache_evictions for r in results] == [17] * ITERS
+
+
+# -- the third state: cleaning -------------------------------------------------
+
+def settled(ex):
+    """What must be empty once an iteration has completed."""
+    return (ex.state.cleaning_count(), len(ex._due_back), ex.fabric.count,
+            ex.fabric.used_bytes(), ex.state.any_arrivals,
+            ex.allocator.used_bytes - ex.param_bytes)
+
+
+SETTLED = (0, 0, 0, 0, False, 0)
+
+
+def abort_then_recover(mk_session, at_step, stranded):
+    """PR 14's saboteur under pressure: raise from ``before_step`` of
+    step ``at_step`` in iteration 1, assert ``stranded(executor)``, then
+    run on.  Every completed iteration must leave the tables empty, and
+    from the iteration after the recovery one nothing may differ from
+    an undisturbed twin."""
+
+    class Saboteur(MemoryPolicy):
+        key = "saboteur"
+        armed = False
+
+        def before_step(self, ctx, step):
+            if self.armed and step.index == at_step:
+                raise ValueError("injected")
+
+    def signature(res):
+        return (round(res.sim_time, 9), res.peak_bytes, res.d2h_bytes,
+                res.h2d_bytes, res.cache_evictions,
+                res.cache_clean_evictions)
+
+    with mk_session() as twin:
+        expect = [signature(twin.run_iteration(i)) for i in range(4)]
+    saboteur = Saboteur()
+    with mk_session().with_policy(saboteur) as sess:
+        ex = sess.executor
+        assert signature(sess.run_iteration(0)) == expect[0]
+        assert settled(ex) == SETTLED
+        saboteur.armed = True
+        with pytest.raises(ValueError, match="injected"):
+            sess.run_iteration(1)
+        assert stranded(ex) and settled(ex) != SETTLED
+        saboteur.armed = False
+        got = []
+        for i in range(1, 4):
+            got.append(signature(sess.run_iteration(i)))
+            assert settled(ex) == SETTLED
+        # the recovery iteration carries what was stranded
+        assert got[1:] == expect[2:]
+
+
+class TestCleaningState:
+    def test_a_cleaning_line_that_dies_first_retires_its_copy(self):
+        """At 6,000,000 B every line write-behind cleans is freed by
+        liveness before pressure comes back for it: the copies were
+        moot, and each one's event and fabric reservation go at the
+        discard, not at the barrier."""
+        cfg = RuntimeConfig.superneurons(concrete=False,
+                                         gpu_capacity=6_000_000)
+        with Session(small_resnet(), cfg).executor as ex:
+            log = watch(ex)
+            discard, died = ex._discard, []
+
+            def checked_discard(t):
+                was_cleaning = ex.state.cleaning(t)
+                discard(t)
+                if was_cleaning:
+                    died.append(t.name)
+                    assert not ex.state.cleaning(t)
+                    assert not ex.fabric.contains(t.tensor_id)
+
+            ex._discard = checked_discard
+            res = ex.run_iteration(0)
+            kept, _ = assert_once_per_direction(log, res)
+            cleaned = [name for kind, name in log if kind == "clean"]
+            assert kept == len(cleaned) == len(died) == 3
+            assert sorted(cleaned) == sorted(died)
+            assert res.cache_clean_evictions == 0
+            assert settled(ex) == SETTLED
+
+    def test_tables_are_empty_after_an_aborted_iteration_and_a_clean_one(
+            self):
+        """An exception mid-backward strands cleaning lines and their
+        reservations (as it strands tensors); the next iteration
+        retires them."""
+        cfg = RuntimeConfig.superneurons(concrete=False,
+                                         gpu_capacity=5_000_000)
+        abort_then_recover(
+            lambda: Session(small_resnet(), cfg), at_step=38,
+            stranded=lambda ex: ex.state.cleaning_count() > 0
+            and ex.fabric.count > 0)
 
 
 # -- what the clean bit rests on ----------------------------------------------

@@ -70,10 +70,12 @@ def test_simulated_alexnet(rung):
                         ABLATION[rung](concrete=False))
 
 
-#: rung -> a capacity below its roomy peak (6,441,256 / 5,134,632) that
-#: still runs: the cache rung evicts, the eager rung blocks on copies
-#: in flight.  The other rungs have nothing to give and OOM instead.
-PRESSURED = {"superneurons": 4_508_879, "superneurons-eager": 5_000_000}
+#: rung -> a capacity below its roomy peak (5,134,632) that still runs:
+#: the eager rung blocks on copies in flight.  Eager only — under
+#: pressure the cache rung's schedule is the return trip, which never
+#: was a hook body (the twin fetches on demand there), and the rungs
+#: without offload have nothing to give and OOM instead.
+PRESSURED = {"superneurons-eager": 5_000_000}
 
 
 @pytest.mark.parametrize("rung", list(PRESSURED))
@@ -83,7 +85,4 @@ def test_pressured_resnet(rung):
                                   num_classes=10),
         ABLATION[rung](concrete=False, gpu_capacity=PRESSURED[rung]))
     for d in dicts:
-        if rung == "superneurons":
-            assert d["cache"]["evictions"] > 0
-        else:
-            assert d["stall_seconds"] > 0 and d["d2h_bytes"] > 0
+        assert d["stall_seconds"] > 0 and d["d2h_bytes"] > 0
