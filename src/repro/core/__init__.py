@@ -30,7 +30,6 @@ from repro.core.policy import (
     OffloadCachePolicy,
     RecomputePolicy,
     StepContext,
-    describe_stack,
     register_policy,
     resolve_policies,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "POLICY_REGISTRY",
     "register_policy",
     "resolve_policies",
-    "describe_stack",
     "LivenessPolicy",
     "OffloadCachePolicy",
     "RecomputePolicy",

@@ -114,10 +114,6 @@ class StepContext:
         return self._ex.state
 
     @property
-    def config(self) -> RuntimeConfig:
-        return self._ex.config
-
-    @property
     def net(self):
         return self._ex.net
 
@@ -128,10 +124,6 @@ class StepContext:
     @property
     def model(self):
         return self._ex.model
-
-    @property
-    def timeline(self):
-        return self._ex.timeline
 
     @property
     def store(self):
@@ -384,11 +376,6 @@ def resolve_policies(config: RuntimeConfig) -> List[MemoryPolicy]:
         stack.append(RecomputePolicy.from_config(config))
     stack.append(WorkspacePolicy.from_config(config))
     return stack
-
-
-def describe_stack(config: RuntimeConfig) -> List[str]:
-    """One summary string per policy in the resolved stack."""
-    return [p.describe() for p in resolve_policies(config)]
 
 
 # --------------------------------------------------------------------------- #

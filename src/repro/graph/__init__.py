@@ -8,11 +8,6 @@
 """
 
 from repro.graph.network import Net
-from repro.graph.route import (
-    ExecutionRoute,
-    Phase,
-    Step,
-    build_route,
-)
+from repro.graph.route import ExecutionRoute, Phase, Step
 
-__all__ = ["Net", "ExecutionRoute", "Phase", "Step", "build_route"]
+__all__ = ["Net", "ExecutionRoute", "Phase", "Step"]

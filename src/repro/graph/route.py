@@ -165,8 +165,3 @@ class ExecutionRoute:
         for s in self.steps:
             rows.append(f"{s.index:4d} {s.phase.value:8s} {s.layer.name}")
         return "\n".join(rows)
-
-
-def build_route(net: Net) -> ExecutionRoute:
-    """Convenience: build the route for an already-built net."""
-    return ExecutionRoute(net)

@@ -195,6 +195,10 @@ def build_chrome_trace(tracer: Optional[Tracer] = None,
             other["spans_truncated"] = True
     if timelines:
         events.extend(_timeline_events(timelines))
+        dropped = {label: tl.dropped_ops for label, tl in
+                   sorted(timelines.items()) if tl.dropped_ops}
+        if dropped:     # a clipped op log says so; a whole one is silent
+            other["timeline_ops_dropped"] = dropped
     if counts is not None:
         other["requests"] = {k: int(v) for k, v in counts.items()}
     doc: Dict[str, Any] = {"traceEvents": events,

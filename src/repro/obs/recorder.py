@@ -13,8 +13,10 @@ and snapshots itself automatically when something goes wrong:
 * ``engine.parallel_run`` timed out;
 * ``InferenceServer.stop`` found stuck workers.
 
-A dump captures the ring plus the most recent spans of the armed
-tracer (if any).  Dumps are kept in a bounded in-memory deque for
+A dump captures the ring plus the last retained spans of the armed
+tracer (if any) and its ``spans_truncated`` flag: a tracer keeps its
+*first* ``limit`` spans, so a truncated dump holds the newest of those
+— the run's early spans, not its most recent.  Dumps are kept in a bounded in-memory deque for
 post-mortem inspection (``RECORDER.dumps``); set ``REPRO_FLIGHT_DIR``
 (or :attr:`FlightRecorder.dump_dir`) to also write each one to a JSON
 file.
@@ -84,9 +86,10 @@ class FlightRecorder:
     # -- dumping ----------------------------------------------------------
     def dump(self, reason: str,
              tracer: Optional["obs_trace.Tracer"] = None) -> dict:
-        """Snapshot the ring (+ recent spans of the active tracer) into
-        ``self.dumps``; also writes ``flight-<n>-<reason>.json`` when a
-        dump directory is configured."""
+        """Snapshot the ring (+ the active tracer's last retained spans
+        and ``spans_truncated``; when that is true they are not the most
+        recent ones) into ``self.dumps``; also writes
+        ``flight-<n>-<reason>.json`` when a dump directory is configured."""
         tracer = tracer if tracer is not None else obs_trace.ACTIVE
         with self._lock:
             events = list(self._ring)
@@ -105,6 +108,7 @@ class FlightRecorder:
                  "attrs": s.attrs}
                 for s in tracer.spans()[-DUMP_SPANS:]
             ]
+            record["spans_truncated"] = tracer.truncated
         self.dumps.append(record)
         if self.dump_dir:
             try:

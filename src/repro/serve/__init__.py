@@ -8,8 +8,8 @@ variable-sized request traffic:
 * :mod:`repro.serve.queue` — a thread-safe :class:`RequestQueue` of
   inference requests (1..K samples each, with id, priority class,
   optional deadline, enqueue timestamp and a :class:`RequestFuture`
-  handle); :class:`BoundedRequestQueue` caps pending rows and sheds
-  with an explicit :class:`RequestRejected`;
+  handle), optionally capping pending rows and shedding with an
+  explicit :class:`RequestRejected`;
 * :mod:`repro.serve.batcher` — a :class:`DynamicBatcher` that coalesces
   queued requests into the engine's *compiled* batch shape, padding
   short batches and splitting oversized requests across steps, under a
@@ -44,7 +44,6 @@ from repro.serve.fleet import ServingFleet
 from repro.serve.metrics import FleetMetrics, ServerMetrics
 from repro.serve.queue import (
     PRIORITIES,
-    BoundedRequestQueue,
     InferenceRequest,
     RequestFuture,
     RequestQueue,
@@ -56,7 +55,6 @@ from repro.serve.server import InferenceServer
 __all__ = [
     "AssembledBatch",
     "BatchSlice",
-    "BoundedRequestQueue",
     "CoalescePolicy",
     "COALESCER_REGISTRY",
     "DynamicBatcher",

@@ -6,10 +6,11 @@ A :class:`ServingFleet` stands up one
 :class:`~repro.serve.router.Router` that orders lanes per request by
 predicted padding waste + queue depth, and one
 :class:`~repro.serve.metrics.FleetMetrics` rollup.  The submit path
-walks the router's ordering and probes each lane with ``try_submit``;
-a lane's bounded queue may refuse (backpressure), in which case the
-request spills to the next-best lane.  Only when *every* lane refused
-does the fleet shed — recorded, then raised as
+validates once, then walks the router's ordering and asks each lane's
+queue to ``admit``; a bounded queue may refuse (backpressure), in
+which case the request spills to the next-best lane and the refused
+probe records nothing.  Only when *every* lane refused does the fleet
+shed — recorded, then raised as
 :class:`~repro.serve.queue.RequestRejected` so the caller learns
 synchronously.
 
@@ -43,16 +44,8 @@ from repro.serve.router import Router
 from repro.serve.server import InferenceServer
 
 
-def _lane_names(engines: Sequence[Engine],
-                names: Optional[Sequence[str]]) -> List[str]:
-    if names is not None:
-        names = [str(n) for n in names]
-        if len(names) != len(engines):
-            raise ValueError(
-                f"{len(names)} names for {len(engines)} engines")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate lane names: {sorted(names)}")
-        return names
+def _lane_names(engines: Sequence[Engine]) -> List[str]:
+    """``net@bN``, with ``#k`` appended to repeats of one shape."""
     out: List[str] = []
     for eng in engines:
         base = f"{eng.net.name}@b{eng.batch_size}"
@@ -77,12 +70,10 @@ class ServingFleet:
     """
 
     def __init__(self, engines: Sequence[Engine],
-                 names: Optional[Sequence[str]] = None,
                  workers: int = 1,
                  max_pending_rows: Optional[int] = None,
                  policy="greedy-fill",
                  max_wait: float = 0.002,
-                 depth_weight: float = 1.0,
                  clock: Callable[[], float] = monotonic):
         if not engines:
             raise ValueError("a fleet needs at least one engine")
@@ -93,15 +84,14 @@ class ServingFleet:
                 "mode (payloads either exist everywhere or nowhere)")
         self.concrete = concrete.pop()
         self.clock = clock
-        names = _lane_names(engines, names)
         max_capacity = max(e.batch_size for e in engines)
         self.servers: Dict[str, InferenceServer] = {}
-        for name, eng in zip(names, engines):
+        for name, eng in zip(_lane_names(engines), engines):
             self.servers[name] = InferenceServer(
                 eng, workers=workers, policy=policy,
                 max_wait=max_wait * eng.batch_size / max_capacity,
                 max_pending_rows=max_pending_rows, clock=clock)
-        self.router = Router(self.servers, depth_weight=depth_weight)
+        self.router = Router(self.servers)
         self.metrics = FleetMetrics(
             {name: s.metrics for name, s in self.servers.items()})
         self._started = False
@@ -158,8 +148,8 @@ class ServingFleet:
         lane refused, records a fleet shed and raises
         :class:`RequestRejected` — the explicit backpressure signal.
         """
-        data, size = validate_request(data, size, priority,
-                                      concrete=self.concrete)
+        data, size, deadline = validate_request(
+            data, size, priority, deadline, concrete=self.concrete)
         sample_shape = None if data is None else data.shape[1:]
         tracer = obs_trace.ACTIVE
         start = None if tracer is None else tracer.clock()
@@ -181,16 +171,17 @@ class ServingFleet:
                             "lanes": len(order),
                             "order": [name for name, _ in order]})
         for probe, (name, server) in enumerate(order):
-            future = server.try_submit(data=data, size=size,
-                                       priority=priority,
-                                       deadline=deadline, span=span)
-            if future is not None:
-                self.metrics.record_routed(name)
-                if span is not None:
-                    # benign post-hoc annotation (never a timing edge)
-                    span.attrs["lane"] = name
-                    span.attrs["probe"] = probe
-                return future
+            try:
+                req = server.queue.admit(data, size, priority, deadline,
+                                         span)
+            except RequestRejected:
+                continue        # a refused probe records nothing
+            self.metrics.record_routed(name)
+            if span is not None:
+                # benign post-hoc annotation (never a timing edge)
+                span.attrs["lane"] = name
+                span.attrs["probe"] = probe
+            return req.future
         self.metrics.record_shed(size, priority)
         if span is not None:
             span.finish(status="shed", probes=len(order))

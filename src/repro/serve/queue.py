@@ -13,15 +13,22 @@ second lock or a polling loop.
 Every request carries a **priority class** (:data:`PRIORITIES`) and an
 optional absolute **deadline** — the deadline coalescing policy orders
 assembly rounds by them and the metrics report SLO percentiles per
-class.  :class:`BoundedRequestQueue` adds backpressure: admission is
-capped at ``max_pending_rows`` pending sample rows, and an over-cap
-``submit`` raises :class:`RequestRejected` *synchronously* instead of
+class.  A queue built with ``max_pending_rows`` adds backpressure:
+admission is capped at that many pending sample rows, and an over-cap
+admission raises :class:`RequestRejected` *synchronously* instead of
 growing the backlog — the caller knows at once, and a shed request
 never owns a future that could dangle.
+
+Admission has one path: :func:`validate_request` checks a submit's
+arguments and :meth:`RequestQueue.admit` is the one admission body.
+The server and the fleet validate once and call ``admit``;
+:meth:`RequestQueue.submit` is both steps for direct queue callers.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import deque
 from time import monotonic
 from typing import Callable, List, Optional
@@ -46,9 +53,9 @@ PRIORITY_RANK = {name: rank for rank, name in enumerate(PRIORITIES)}
 
 
 class RequestRejected(RuntimeError):
-    """A bounded queue shed this request at submit time.
+    """A bounded queue shed this request at admission.
 
-    Raised synchronously from ``submit`` — the request never entered
+    Raised synchronously from ``admit`` — the request never entered
     the backlog and no future exists for it.  Explicit shedding is the
     backpressure contract: a saturated server answers *now* with a
     rejection the caller can retry elsewhere, instead of accepting work
@@ -57,23 +64,32 @@ class RequestRejected(RuntimeError):
 
 
 def validate_request(data, size: Optional[int], priority: str,
+                     deadline: Optional[float] = None,
                      sample_shape: Optional[tuple] = None,
                      concrete: Optional[bool] = None):
-    """Check one submit's arguments; returns ``(data, size)`` — the
-    payload as float32 rows (``None`` for simulated traffic) and its
-    row count.
+    """Check one submit's arguments; returns ``(data, size, deadline)``
+    — the payload as float32 rows (``None`` for simulated traffic), its
+    row count and the deadline as a float (or ``None``).
 
-    Every front door (queue, server, fleet) calls this *first*: a bad
-    call raises ``ValueError`` before a span opens, before admission is
-    asked and before anything is counted, so it can neither leave an
-    open root in an armed trace nor be shed.  ``sample_shape`` is the
-    compiled per-sample shape when the caller serves exactly one;
-    ``concrete`` says whether payloads exist behind this door (``None``:
-    a bare queue, which takes either).
+    Every front door (queue, server, fleet) calls this once, *first*: a
+    bad call raises ``ValueError`` before a span opens, before
+    admission is asked and before anything is counted, so it can
+    neither leave an open root in an armed trace nor be shed.
+    ``deadline`` must be ``None`` or a finite real number (a NaN sort
+    key would leave the deadline coalescer's order undefined).
+    ``sample_shape`` is the compiled per-sample shape when the caller
+    serves exactly one; ``concrete`` says whether payloads exist behind
+    this door (``None``: a bare queue, which takes either).
     """
     if priority not in PRIORITY_RANK:
         raise ValueError(f"unknown priority {priority!r}; "
                          f"expected one of {PRIORITIES}")
+    if deadline is not None:
+        if not isinstance(deadline, numbers.Real) \
+                or not math.isfinite(deadline):
+            raise ValueError(f"deadline must be None or a finite "
+                             f"number, got {deadline!r}")
+        deadline = float(deadline)
     if concrete is not None and concrete != (data is not None):
         raise ValueError(
             "a concrete engine serves payload rows; pass data= "
@@ -96,7 +112,7 @@ def validate_request(data, size: Optional[int], priority: str,
         raise ValueError("submit needs data rows or an explicit size")
     if size < 1:
         raise ValueError(f"request needs >= 1 samples, got {size}")
-    return data, int(size)
+    return data, int(size), deadline
 
 
 class RequestFuture:
@@ -158,7 +174,7 @@ class InferenceRequest:
         self.data = data
         self.enqueue_time = enqueue_time
         self.priority = priority
-        self.deadline = None if deadline is None else float(deadline)
+        self.deadline = deadline
         self.future = RequestFuture()
         self.dispatch_time: Optional[float] = None   # first slice started
         self.complete_time: Optional[float] = None
@@ -255,9 +271,12 @@ class InferenceRequest:
 class RequestQueue:
     """FIFO of pending requests, one condition variable, a monotonic id.
 
-    ``submit`` validates the payload against the sample shape (when
-    given one) and stamps the enqueue time from the injected ``clock``
+    ``admit`` stamps the enqueue time from the injected ``clock``
     (tests drive a fake clock; production uses ``time.monotonic``).
+    With ``max_pending_rows`` admission is bounded: an admit that would
+    put more sample rows than that in the backlog raises
+    :class:`RequestRejected` and changes nothing — the caller that
+    asked counts the shed, the queue does not.
     ``take_pending`` atomically hands the whole backlog to the batcher
     — one assembly round owns a consistent snapshot, so every slice of
     a split request is planned together (the property the weight-swap
@@ -265,10 +284,16 @@ class RequestQueue:
     """
 
     def __init__(self, sample_shape: Optional[tuple] = None,
-                 clock: Callable[[], float] = monotonic):
+                 clock: Callable[[], float] = monotonic,
+                 max_pending_rows: Optional[int] = None):
+        if max_pending_rows is not None and max_pending_rows < 1:
+            raise ValueError(
+                f"max_pending_rows must be >= 1, got {max_pending_rows}")
         self.sample_shape = None if sample_shape is None \
             else tuple(int(d) for d in sample_shape)
         self.clock = clock
+        self.max_pending_rows = None if max_pending_rows is None \
+            else int(max_pending_rows)
         self.cond = TracedCondition("serve.queue")
         self._items: deque = deque()
         self._rows = 0          # sample rows in _items, kept under cond
@@ -282,21 +307,32 @@ class RequestQueue:
                priority: str = "normal",
                deadline: Optional[float] = None,
                span=None) -> InferenceRequest:
-        """Enqueue a request of ``data`` rows (concrete) or a bare
-        ``size`` (simulated traffic); returns the request, whose
-        ``.future`` the caller blocks on.  ``priority`` is one of
-        :data:`PRIORITIES`; ``deadline`` is an absolute clock time the
+        """Validate, then :meth:`admit`: enqueue a request of ``data``
+        rows (concrete) or a bare ``size`` (simulated traffic); returns
+        the request, whose ``.future`` the caller blocks on."""
+        data, size, deadline = validate_request(
+            data, size, priority, deadline, self.sample_shape)
+        return self.admit(data, size, priority, deadline, span)
+
+    def admit(self, data: Optional[np.ndarray], size: int, priority: str,
+              deadline: Optional[float], span=None) -> InferenceRequest:
+        """The one admission body, for arguments
+        :func:`validate_request` already checked.  ``priority`` is one
+        of :data:`PRIORITIES`; ``deadline`` is an absolute clock time the
         deadline coalescing policy orders urgent work by.  ``span`` is
         the request's root observability span (created by the server/
         fleet front door); it attaches — and opens its queue-wait
         child — under the monitor, before any worker can see the
-        request, so delivery can never race the attachment."""
-        data, size = validate_request(data, size, priority,
-                                      self.sample_shape)
+        request, so delivery can never race the attachment.  Raises
+        :class:`RequestRejected` past ``max_pending_rows``."""
         with self.cond:
             if self._closed:
                 raise RuntimeError("queue is closed; no new requests")
-            self._admit(size)    # bounded subclass may RequestRejected
+            if self.max_pending_rows is not None \
+                    and self._rows + size > self.max_pending_rows:
+                raise RequestRejected(
+                    f"queue full: {self._rows} pending rows + {size} > "
+                    f"max_pending_rows={self.max_pending_rows}")
             req = InferenceRequest(self._next_id, size, data, self.clock(),
                                    priority=priority, deadline=deadline)
             if span is not None:
@@ -313,10 +349,6 @@ class RequestQueue:
             channel_send(f"req:{req.request_id}", "queue.put")
             self.cond.notify_all()
         return req
-
-    def _admit(self, size: int) -> None:
-        """Admission control hook (caller holds ``cond``); the unbounded
-        base queue admits everything."""
 
     def close(self) -> None:
         """Reject further submits; pending requests still drain."""
@@ -347,35 +379,3 @@ class RequestQueue:
             channel_recv(f"req:{r.request_id}", "queue.take")
         return items
 
-
-class BoundedRequestQueue(RequestQueue):
-    """A :class:`RequestQueue` with bounded admission: at most
-    ``max_pending_rows`` sample rows may wait for assembly.
-
-    An over-cap ``submit`` raises :class:`RequestRejected` before a
-    request (or its future) is ever created — the backpressure is
-    synchronous and explicit, so a saturating burst produces rejections
-    the caller can route elsewhere, never an unbounded backlog.  The
-    ``shed``/``shed_rows`` counters are maintained under ``cond`` and
-    make the fleet accounting identity
-    ``completed + failed + shed == offered`` checkable exactly.
-    """
-
-    def __init__(self, max_pending_rows: int,
-                 sample_shape: Optional[tuple] = None,
-                 clock: Callable[[], float] = monotonic):
-        if max_pending_rows < 1:
-            raise ValueError(
-                f"max_pending_rows must be >= 1, got {max_pending_rows}")
-        super().__init__(sample_shape=sample_shape, clock=clock)
-        self.max_pending_rows = int(max_pending_rows)
-        self.shed = 0          # requests rejected at admission
-        self.shed_rows = 0     # sample rows those requests carried
-
-    def _admit(self, size: int) -> None:
-        if self.pending_rows() + size > self.max_pending_rows:
-            self.shed += 1
-            self.shed_rows += size
-            raise RequestRejected(
-                f"queue full: {self.pending_rows()} pending rows + "
-                f"{size} > max_pending_rows={self.max_pending_rows}")

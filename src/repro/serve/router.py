@@ -15,12 +15,11 @@ wastes 1 padded row on a compiled batch of 4 but 13 on a batch of 16.
 The second term is the live load — a lane's backlog measured in
 batches, so a deep queue on the perfectly-shaped engine loses to an
 idle engine with slightly worse fit.  ``depth_weight`` trades the two
-off (0 routes on shape alone).
+off (0 routes on shape alone); a fleet uses the default.
 
 The router only *orders* lanes; admission stays with each lane's
-bounded queue, so the fleet submit path walks the ordered lanes and
-spills to the next on rejection — explicit shed only when every lane
-refused.
+queue, so the fleet submit path walks the ordered lanes and spills to
+the next on rejection — explicit shed only when every lane refused.
 """
 
 from __future__ import annotations
@@ -84,16 +83,6 @@ class Router:
              for name, server in candidates),
             key=lambda t: (t[0], t[1]))
         return [(name, server) for _, name, server in scored]
-
-    def scores(self, size: int,
-               sample_shape: Optional[tuple] = None
-               ) -> List[Tuple[str, float]]:
-        """The routing decision made transparent: ``(name, score)``
-        best-first, same filter and tie-break as :meth:`route` — what
-        a trace consumer (or a test) reads to see *why* a request
-        landed where it did."""
-        return [(name, self.score(server, size))
-                for name, server in self.route(size, sample_shape)]
 
     def describe(self) -> str:
         return (f"Router({len(self.lanes)} lanes, "

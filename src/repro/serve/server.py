@@ -35,7 +35,6 @@ from repro.obs.recorder import RECORDER
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.metrics import ServerMetrics, render_slo_report
 from repro.serve.queue import (
-    BoundedRequestQueue,
     RequestFuture,
     RequestQueue,
     RequestRejected,
@@ -66,13 +65,9 @@ class InferenceServer:
         self.engine = engine
         self.workers = workers
         self.clock = clock
-        sample_shape = engine.input_shape[1:]
-        if max_pending_rows is None:
-            self.queue = RequestQueue(sample_shape=sample_shape,
-                                      clock=clock)
-        else:
-            self.queue = BoundedRequestQueue(
-                max_pending_rows, sample_shape=sample_shape, clock=clock)
+        self.queue = RequestQueue(sample_shape=engine.input_shape[1:],
+                                  clock=clock,
+                                  max_pending_rows=max_pending_rows)
         self.batcher = DynamicBatcher(self.queue, engine.batch_size,
                                       policy=policy, max_wait=max_wait,
                                       clock=clock)
@@ -188,17 +183,15 @@ class InferenceServer:
         to ``None``).  On a bounded queue an over-cap submit records a
         shed and re-raises :class:`RequestRejected`.
         """
-        data, rows = validate_request(
-            data, size, priority, self.queue.sample_shape,
+        data, rows, deadline = validate_request(
+            data, size, priority, deadline, self.queue.sample_shape,
             self.engine.config.concrete)
         tracer = obs_trace.ACTIVE
         span = None if tracer is None else tracer.root(
             "request", attrs={"size": rows, "priority": priority,
                               "engine": self.engine.net.name})
         try:
-            req = self.queue.submit(data=data, size=rows,
-                                    priority=priority, deadline=deadline,
-                                    span=span)
+            req = self.queue.admit(data, rows, priority, deadline, span)
         except RequestRejected:
             self.metrics.record_shed(rows, priority)
             if span is not None:
@@ -206,30 +199,6 @@ class InferenceServer:
             RECORDER.note_shed(rows, priority,
                                f"server:{self.engine.net.name}")
             raise
-        return req.future
-
-    def try_submit(self, data: Optional[np.ndarray] = None,
-                   size: Optional[int] = None,
-                   priority: str = "normal",
-                   deadline: Optional[float] = None,
-                   span=None) -> Optional[RequestFuture]:
-        """Like :meth:`submit`, but an admission rejection returns
-        ``None`` and records nothing — the spillover probe the fleet
-        router uses while it still has other lanes to try (only a
-        fleet-wide rejection is a real shed, and the fleet records it).
-        ``span`` is the fleet's root span for the request, passed
-        through to the queue on admission — the fleet owns root
-        creation, so a probed-and-refused lane leaves no trace.
-        """
-        data, rows = validate_request(
-            data, size, priority, self.queue.sample_shape,
-            self.engine.config.concrete)
-        try:
-            req = self.queue.submit(data=data, size=rows,
-                                    priority=priority, deadline=deadline,
-                                    span=span)
-        except RequestRejected:
-            return None
         return req.future
 
     def drain(self, timeout: Optional[float] = None) -> bool:
@@ -301,7 +270,7 @@ class InferenceServer:
         return installed
 
     def describe(self) -> str:
-        bound = "" if not isinstance(self.queue, BoundedRequestQueue) \
+        bound = "" if self.queue.max_pending_rows is None \
             else f", max_pending_rows={self.queue.max_pending_rows}"
         return (f"InferenceServer({self.engine.net.name}, "
                 f"{self.workers} workers, {self.batcher.describe()}{bound}, "

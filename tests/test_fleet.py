@@ -25,9 +25,9 @@ from repro.check.cost_model import (
 )
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
+from repro.obs import trace as obs_trace
 from repro.serve import (
     COALESCER_REGISTRY,
-    BoundedRequestQueue,
     InferenceServer,
     RequestQueue,
     RequestRejected,
@@ -38,6 +38,7 @@ from repro.serve.batcher import DeadlineCoalescer
 from repro.serve.metrics import FleetMetrics, ServerMetrics, _stats_ms
 from repro.serve.queue import InferenceRequest
 from repro.zoo import NETWORK_BUILDERS
+from tests import faults
 
 
 def make_engine(batch=8, concrete=False, net="lenet") -> Engine:
@@ -120,29 +121,29 @@ class TestFailedSplitDoubleCount:
 # --------------------------------------------------------------------------
 class TestBoundedQueue:
     def test_rejects_past_row_cap(self):
-        q = BoundedRequestQueue(10)
+        q = RequestQueue(max_pending_rows=10)
         q.submit(size=6)
         q.submit(size=4)        # exactly at the cap: admitted
         with pytest.raises(RequestRejected):
             q.submit(size=1)
         assert q.submitted == 2             # accepted only
-        assert q.shed == 1 and q.shed_rows == 1
+        assert not hasattr(q, "shed")       # the caller counts sheds
         with q.cond:
             assert q.pending_rows() == 10   # backlog never grew
 
     def test_admits_again_after_drain(self):
-        q = BoundedRequestQueue(4)
+        q = RequestQueue(max_pending_rows=4)
         q.submit(size=4)
         with pytest.raises(RequestRejected):
             q.submit(size=1)
         with q.cond:
             q.take_pending()
         q.submit(size=4)                    # room again
-        assert q.submitted == 2 and q.shed == 1
+        assert q.submitted == 2
 
     def test_validates_cap(self):
         with pytest.raises(ValueError):
-            BoundedRequestQueue(0)
+            RequestQueue(max_pending_rows=0)
 
     def test_server_submit_records_shed(self):
         eng = make_engine(batch=4, concrete=False)
@@ -167,19 +168,95 @@ class TestBoundedQueue:
         for submit in (server.submit, server.queue.submit):
             with pytest.raises(ValueError, match="unknown priority"):
                 submit(size=1, priority="urgent")
-        assert server.queue.shed == 0
+        assert server.metrics.counts() == (0, 0, 0)
         with pytest.raises(RequestRejected):
             server.submit(size=1, priority="critical")
         d = server.metrics.to_dict()
-        assert d["requests"]["shed"] == server.queue.shed == 1
+        assert d["requests"]["shed"] == 1
         assert sum(c["shed"] for c in d["classes"].values()) == 1
 
-    def test_try_submit_returns_none_without_shed(self):
+    @pytest.mark.parametrize("front", ["server", "fleet1", "fleet2"])
+    def test_admission_boundary(self, front):
+        """cap-1 rows, the cap, one row past it — on a server, a
+        one-lane fleet and a two-lane fleet whose preferred lane fills.
+        Past the cap the server and the one-lane fleet shed; the
+        two-lane fleet spills, and its refused probe records nothing.
+        Every invalid call, below the cap and at it, is a ``ValueError``
+        that opens no root and sheds nothing; afterwards the front
+        drains to rest with a trace that validates."""
+        cap = 4
+        engines = [make_engine(batch=cap, concrete=True)
+                   for _ in range(2 if front == "fleet2" else 1)]
+        shape = engines[0].input_shape[1:]
+        sheds = 0 if front == "fleet2" else 1
+
+        def rows(n):
+            return np.ones((n,) + shape, dtype=np.float32)
+        bad = [(dict(data=rows(1), priority="urgent"), "unknown priority"),
+               (dict(data=np.ones((1, 1, 28, 7), np.float32)),
+                "sample shape|no lane serves"),
+               (dict(data=rows(1), size=2), "disagrees"),
+               (dict(data=rows(1), deadline="soon"), "finite"),
+               (dict(data=rows(1), deadline=float("nan")), "finite")]
+        with obs_trace.capture() as tracer:
+            if front == "server":
+                door = InferenceServer(engines[0], workers=1,
+                                       max_pending_rows=cap, max_wait=0.0)
+            else:
+                door = ServingFleet(engines, workers=1,
+                                    max_pending_rows=cap, max_wait=0.0)
+                door.router.depth_weight = 0.0    # fill lanes in order
+            futures = []
+
+            def invalid_calls_are_value_errors():
+                for kwargs, why in bad:
+                    with pytest.raises(ValueError, match=why):
+                        door.submit(**kwargs)
+                assert door.metrics.counts()[2] == 0
+
+            futures.append(door.submit(data=rows(cap - 1)))
+            invalid_calls_are_value_errors()            # at cap - 1
+            futures.append(door.submit(data=rows(1), deadline=1e9))
+            invalid_calls_are_value_errors()            # at the cap
+            first = faults.lanes(door)[0].queue
+            assert first.pending_rows() == cap
+            if front == "fleet2":
+                futures.append(door.submit(data=rows(1)))   # spills
+                second = faults.lanes(door)[1].queue
+                assert (first.pending_rows(), second.pending_rows()) \
+                    == (cap, 1)
+                assert door.metrics.counts() == (0, 0, 0)
+                assert door.metrics.to_dict()["fleet"]["routed"] == {
+                    "lenet@b4": 2, "lenet@b4#2": 1}
+            else:
+                with pytest.raises(RequestRejected):
+                    door.submit(data=rows(1))
+                assert first.pending_rows() == cap
+                assert door.metrics.counts() == (0, 0, 1)
+            door.start()
+            assert door.drain(timeout=30.0)
+            door.stop()
+        faults.assert_quiescent(door, futures, tracer)
+        assert sorted(r.status for r in tracer.roots("request")) == \
+            ["ok"] * len(futures) + ["shed"] * sheds
+
+    @pytest.mark.parametrize("front", ["server", "fleet", "queue"])
+    def test_one_validation_per_offered_request(self, monkeypatch, front):
+        from repro.serve import fleet, queue, server
+        real, calls = queue.validate_request, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        for module in (queue, server, fleet):
+            monkeypatch.setattr(module, "validate_request", counting)
         eng = make_engine(batch=4, concrete=False)
-        server = InferenceServer(eng, workers=1, max_pending_rows=4)
-        server.queue.submit(size=4)
-        assert server.try_submit(size=2) is None
-        assert server.metrics.counts() == (0, 0, 0)   # fleet's call
+        door = {"server": lambda: InferenceServer(eng, workers=1),
+                "fleet": lambda: ServingFleet([eng], workers=1),
+                "queue": RequestQueue}[front]()
+        for size in (1, 3, 5):
+            door.submit(size=size)
+        assert len(calls) == 3
 
 
 # --------------------------------------------------------------------------
@@ -315,6 +392,16 @@ class TestDeadlineCoalescer:
         with pytest.raises(ValueError, match="unknown priority"):
             RequestQueue().submit(size=1, priority="vip")
 
+    @pytest.mark.parametrize("deadline", ["soon", float("nan"),
+                                          float("inf"), [1.0]])
+    def test_queue_validates_deadline(self, deadline):
+        with pytest.raises(ValueError, match="finite"):
+            RequestQueue().submit(size=1, deadline=deadline)
+
+    def test_deadline_stored_as_float(self):
+        req = RequestQueue().submit(size=1, deadline=np.int64(7))
+        assert req.deadline == 7.0 and type(req.deadline) is float
+
 
 # --------------------------------------------------------------------------
 # metrics
@@ -412,8 +499,9 @@ class TestServingFleet:
 
     def test_routes_spread_by_shape(self):
         engines = [make_engine(batch=b, concrete=False) for b in (4, 16)]
-        with ServingFleet(engines, workers=1, max_wait=0.0,
-                          depth_weight=0.0) as fleet:
+        fleet = ServingFleet(engines, workers=1, max_wait=0.0)
+        fleet.router.depth_weight = 0.0
+        with fleet:
             for _ in range(4):
                 fleet.submit(size=3)        # waste 1 on b4, 13 on b16
                 fleet.submit(size=16)       # waste 0 on b16
@@ -427,7 +515,7 @@ class TestServingFleet:
         RequestRejected (never an unbounded backlog) and
         completed + failed + shed == offered exactly."""
         engines = [make_engine(batch=4, concrete=False) for _ in range(2)]
-        fleet = ServingFleet(engines, names=["a", "b"], workers=1,
+        fleet = ServingFleet(engines, workers=1,
                              max_pending_rows=8, max_wait=0.0)
         offered, shed = 200, 0
         with fleet:
@@ -442,7 +530,7 @@ class TestServingFleet:
                 f.result(timeout=30.0)
             # per-lane backlog never exceeded the cap
             for server in fleet.servers.values():
-                assert isinstance(server.queue, BoundedRequestQueue)
+                assert server.queue.max_pending_rows == 8
         assert shed > 0, "a 200-request burst must saturate 16 rows"
         completed, failed, fleet_shed = fleet.metrics.counts()
         assert fleet_shed == shed
@@ -456,9 +544,6 @@ class TestServingFleet:
                    make_engine(batch=8, concrete=True)]
         with pytest.raises(ValueError, match="concrete"):
             ServingFleet(engines)
-        sims = [make_engine(batch=4, concrete=False)]
-        with pytest.raises(ValueError, match="names"):
-            ServingFleet(sims, names=["a", "b"])
 
     def test_lane_names_deduplicate(self):
         engines = [make_engine(batch=4, concrete=False) for _ in range(2)]

@@ -198,6 +198,18 @@ class TestFlightRecorder:
         record = rec.dump("worker-exception", tracer=tr)
         assert record["events"][-1]["kind"] == "worker.exception"
         assert record["spans"][0]["name"] == "compute.slice"
+        assert record["spans_truncated"] is False
+
+    def test_dump_of_truncated_tracer_says_so(self):
+        """A tracer keeps its *first* ``limit`` spans: past the cap the
+        dump's spans are the oldest of the run, and it must say so."""
+        tr = Tracer(limit=4)
+        for i in range(10):
+            tr.emit(f"s{i}", start=float(i), end=i + 0.5)
+        record = FlightRecorder().dump("test", tracer=tr)
+        assert [s["name"] for s in record["spans"]] == \
+            ["s0", "s1", "s2", "s3"]
+        assert record["spans_truncated"] is True
 
     def test_dump_dir_writes_json_file(self, tmp_path):
         rec = FlightRecorder()
@@ -265,6 +277,17 @@ class TestChromeExport:
         assert validate_trace(doc) == []
         cats = {e.get("cat") for e in doc["traceEvents"]}
         assert "sim.compute" in cats and "sim.d2h" in cats
+        assert "otherData" not in doc       # nothing clipped, nothing said
+
+    def test_clipped_timeline_is_flagged(self):
+        from repro.device.timeline import Stream, Timeline
+        clipped, whole = Timeline(max_ops=2), Timeline(max_ops=2)
+        for i in range(5):
+            clipped.submit(Stream.COMPUTE, 0.1, f"op{i}")
+        whole.submit(Stream.COMPUTE, 0.1, "op")
+        doc = build_chrome_trace(timelines={"s": clipped, "w": whole})
+        assert validate_trace(doc) == []
+        assert doc["otherData"] == {"timeline_ops_dropped": {"s": 3}}
 
     def test_unreadable_file_reports_not_raises(self, tmp_path):
         assert validate_trace_file(tmp_path / "missing.json")
@@ -557,8 +580,8 @@ class TestServingSpans:
         with obs_trace.capture() as tr:
             full = make_engine(batch=4)
             spare = make_engine(batch=4)
-            fleet = ServingFleet([full, spare], names=["a", "b"],
-                                 workers=1, max_pending_rows=4)
+            fleet = ServingFleet([full, spare], workers=1,
+                                 max_pending_rows=4)
             fleet.submit(size=4)     # fills one lane
             fleet.submit(size=4)     # spills to the other
         assert len(tr.roots("request")) == 2

@@ -59,8 +59,8 @@ PARAMETERS = {
         "engine", "workers", "policy", "max_wait", "max_pending_rows",
         "clock"]),
     "ServingFleet": (ServingFleet, [
-        "engines", "names", "workers", "max_pending_rows", "policy",
-        "max_wait", "depth_weight", "clock"]),
+        "engines", "workers", "max_pending_rows", "policy", "max_wait",
+        "clock"]),
     "DynamicBatcher": (DynamicBatcher, [
         "queue", "capacity", "policy", "max_wait", "clock"]),
     "Engine": (Engine, ["net", "config", "verify", "cost_report"]),
@@ -121,10 +121,9 @@ POLICY_PROTOCOL = {
         "on_memory_pressure"]),
     "StepContext": (StepContext, [
         # views
-        "state", "config", "net", "route", "model", "timeline", "store",
-        "concrete", "plan", "recompute_plan", "free_bytes", "recorder",
-        "recorded", "cache_armed", "pending_offloads", "offload_in_flight",
-        "reads_at",
+        "state", "net", "route", "model", "store", "concrete", "plan",
+        "recompute_plan", "free_bytes", "recorder", "recorded",
+        "cache_armed", "pending_offloads", "offload_in_flight", "reads_at",
         # operations
         "alloc_tensor", "alloc_scratch", "set_duration", "set_workspace",
         "discard", "release_gpu", "make_resident", "offload", "prefetch",

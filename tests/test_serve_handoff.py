@@ -26,7 +26,6 @@ from repro.check import instrument
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
 from repro.serve import (
-    BoundedRequestQueue,
     DynamicBatcher,
     InferenceServer,
     RequestQueue,
@@ -75,7 +74,7 @@ class TestPendingRows:
         assert q.pending_rows() == 4
 
     def test_rejection_leaves_the_count_alone(self):
-        q = BoundedRequestQueue(10)
+        q = RequestQueue(max_pending_rows=10)
         q.submit(size=6)
         with pytest.raises(RequestRejected, match="6 pending rows"):
             q.submit(size=5)
