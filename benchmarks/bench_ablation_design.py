@@ -17,7 +17,7 @@ from repro.core.session import Session
 from repro.device.fabric import LOCAL_CPU, PEER_GPU, REMOTE_RDMA
 from repro.zoo import alexnet, resnet50
 
-from benchmarks.common import GiB, img_per_sec, once, write_result
+from benchmarks.common import GiB, img_per_sec, once, steady_run, write_result
 
 
 # --- 1. eviction policy ------------------------------------------------------
@@ -26,13 +26,10 @@ def _policy_run(policy: str):
     """ResNet50 squeezed enough that the cache must evict constantly."""
     net = resnet50(batch=64)
     cap = net.total_param_bytes() + 2 * GiB
-    ex = Session(net, RuntimeConfig.superneurons(
+    r = steady_run(net, RuntimeConfig.superneurons(
         concrete=False, cache_policy=policy, gpu_capacity=cap,
-        workspace_policy=WorkspacePolicy.NONE)).executor
-    r = ex.run_iteration(0)
-    out = (img_per_sec(net, r), r.d2h_bytes + r.h2d_bytes, r.cache_evictions)
-    ex.close()
-    return out
+        workspace_policy=WorkspacePolicy.NONE))
+    return (img_per_sec(net, r), r.d2h_bytes + r.h2d_bytes, r.cache_evictions)
 
 
 def _measure_policies():

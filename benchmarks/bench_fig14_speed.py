@@ -9,9 +9,15 @@ computation per image).
 from repro.analysis.report import series_to_text
 from repro.device.model import TITANXP_MODEL
 from repro.frameworks import framework_config
-from repro.frameworks.probe import try_run
 
-from benchmarks.common import FRAMEWORK_ORDER, PAPER_NETWORKS, once, write_result
+from benchmarks.common import (
+    FRAMEWORK_ORDER,
+    PAPER_NETWORKS,
+    img_per_sec,
+    once,
+    steady_run,
+    write_result,
+)
 
 SWEEPS = {
     "alexnet": [128, 256, 512, 1024, 1408],
@@ -28,10 +34,7 @@ def _speed(net_name: str, batch: int, fw: str):
     kw = {k: v for k, v in kw.items() if k != "batch"}
     net = builder(batch=batch, **kw)
     cfg = framework_config(fw, concrete=False, device=TITANXP_MODEL)
-    res = try_run(net, cfg)
-    if res is None or res.sim_time <= 0:
-        return None
-    return batch / res.sim_time
+    return img_per_sec(net, steady_run(net, cfg))
 
 
 def _measure():

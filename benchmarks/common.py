@@ -22,6 +22,8 @@ from typing import Callable, Dict, Optional
 
 from repro.core.config import RuntimeConfig
 from repro.core.runtime import IterationResult
+from repro.core.session import Session
+from repro.device.gpu import OutOfMemoryError
 from repro.frameworks import FRAMEWORKS, framework_config
 from repro.frameworks.probe import max_batch, max_resnet_depth
 from repro.zoo import (
@@ -64,6 +66,19 @@ def img_per_sec(net, res: Optional[IterationResult]) -> Optional[float]:
     if res is None or res.sim_time <= 0:
         return None
     return net.data_layer.shape[0] / res.sim_time
+
+
+def steady_run(net, config: RuntimeConfig) -> Optional[IterationResult]:
+    """A session's second iteration; None when the device OOMs.  Under
+    pressure the first iteration records the tensor cache's victims and
+    every later one cleans them early, so the second is the iteration a
+    training run repeats."""
+    try:
+        with Session(net, config) as sess:
+            sess.run_iteration(0)
+            return sess.run_iteration(1)
+    except (OutOfMemoryError, MemoryError):
+        return None
 
 
 def once(benchmark, fn: Callable, *args, **kwargs):

@@ -476,6 +476,13 @@ def record_iteration(executor, target: Optional[str] = None
 # rule analysis: CostPrediction -> diagnostics
 # --------------------------------------------------------------------------- #
 
+#: A prediction under cache pressure is a first iteration: it has no
+#: victim record to clean from, so every later iteration stalls less.
+FIRST_ITERATION_NOTE = (
+    "  (a first iteration: from the second on, the tensor cache cleans "
+    "the victims it recorded at their producers and stalls less)")
+
+
 def analyze_prediction(pred: CostPrediction,
                        budget: Optional[int] = None,
                        thresholds: Optional[CostThresholds] = None
@@ -551,7 +558,8 @@ def analyze_prediction(pred: CostPrediction,
                     f"({pred.exposed_dma_share:.0%}) over {len(top)} "
                     f"stalls; with every copy hidden it would take "
                     f"{pred.overlap_floor_s * 1e3:.1f} ms.  Largest: "
-                    f"{named}"))
+                    f"{named}" + (FIRST_ITERATION_NOTE
+                                  if pred.pressure_evictions else "")))
 
     if budget is not None and pred.peak_gpu_bytes > budget:
         diags.append(Diagnostic(

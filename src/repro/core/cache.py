@@ -14,7 +14,13 @@ Operations mirror Alg. 2:
   tensors until enough bytes are freed;
 * ``touch`` = the hit path of ``Check`` — move to the MRU front;
 * ``clean_ahead`` — write-behind: name the lines the *next* ``LRU.out``
-  would take, so their D2H copies can run under compute.
+  would take, so their D2H copies can run under compute (only in an
+  iteration that is not ``recorded``);
+* ``due_clean`` — recorded victims: the lines ``LRU.out`` took in the
+  last completed iteration, in eviction order.  Pressure repeats from
+  one iteration to the next, so a derived op
+  (``core/plan.py::_make_recorded_clean_op``) starts each one's D2H copy
+  as soon as its producer has run, long before pressure reaches it.
 
 Movement itself (the D2H copy + allocator free) is the executor's job;
 the cache only decides *which* tensors go, through the callbacks.
@@ -27,9 +33,9 @@ interface so the ablation bench can quantify the choice.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from itertools import islice
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Deque, Dict, Iterator, List, Tuple
 
 from repro.tensors.tensor import Tensor
 
@@ -55,6 +61,14 @@ class TensorCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: this iteration's victims so far, in eviction order
+        self._record: List[Tensor] = []
+        #: the last completed iteration's victims
+        self._predicted: Tuple[Tensor, ...] = ()
+        #: the predicted victims not yet handed to the recorded-clean op
+        #: this iteration, head first (one deque per cache: the op binds
+        #: it at link)
+        self.due_clean: Deque[Tensor] = deque()
         # lock bits are session state, not descriptor state: the victim
         # filter consults the owning session's SessionTensorState
         self._state = state
@@ -121,7 +135,28 @@ class TensorCache:
             self.remove(t)
             freed += offload_cb(t)
             self.evictions += 1
+            self._record.append(t)
         return freed
+
+    def begin_iteration(self) -> None:
+        """The last completed iteration's victims fall due, in eviction
+        order.  What an aborted iteration recorded is dropped: a half
+        record would predict a different iteration."""
+        self._record.clear()
+        self.due_clean.clear()
+        self.due_clean.extend(self._predicted)
+
+    @property
+    def recorded(self) -> bool:
+        """Whether this iteration has victims predicted from the last
+        one (the recorded-clean op is cleaning them)."""
+        return bool(self._predicted)
+
+    def end_iteration(self) -> None:
+        """The iteration completed: its victims are the next one's
+        prediction."""
+        self._predicted = tuple(self._record)
+        self._record.clear()
 
     def clean_ahead(self, nbytes: int,
                     clean_cb: Callable[[Tensor], None]) -> None:

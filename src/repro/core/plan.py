@@ -14,8 +14,9 @@ prefetches or provisions scratch on a built-in policy's behalf:
 
 * a **derived** schedule follows from the route alone — the liveness
   free lists, the UTP's eager offload and prefetch-ahead steps, the
-  tensor cache's return-trip need order — so its policy has a plan at
-  the first link and runs compiled from iteration 0;
+  tensor cache's return-trip need order and its victims' producer
+  steps — so its policy has a plan at the first link and runs compiled
+  from iteration 0;
 * an **observed** schedule needs one look at a running iteration — the
   workspace picks, the steps where recompute cleanup found work — so
   its policy answers ``None`` at the first link, has its hooks
@@ -117,6 +118,12 @@ class PolicyPlan:
         reader (kernel read or recompute-chain input), sorted by that
         step.  Which of them are on the host at the turn is pressure's
         call; :func:`_make_return_trip_ops` times the copies back.
+    producers:
+        tensor id -> the forward step that produces it, for every data
+        tensor the tensor cache may evict: where
+        :func:`_make_recorded_clean_op` may start a recorded victim's
+        clean copy.  Which tensors are victims is the session's own
+        record, read at run time.
     workspace_picks:
         step index -> the recorded :class:`WorkspaceChoice` (pre
         -fallback); replay re-runs the scratch allocation and its
@@ -135,6 +142,7 @@ class PolicyPlan:
     step_offloads: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     step_prefetch: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     return_trip: Tuple[Tuple[int, Tensor], ...] = ()
+    producers: Mapping[int, int] = field(default_factory=dict)
     workspace_picks: Mapping[int, WorkspaceChoice] = field(default_factory=dict)
     keep_hooks: Tuple[str, ...] = ()
 
@@ -315,7 +323,6 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
             queue.popleft()
 
     def turn(ctx, step):
-        queue.clear()  # an aborted iteration's leftovers
         hosted = state.host_ids()
         if not hosted:
             return
@@ -332,6 +339,37 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
             queue.appendleft((bisect_right(starts, start) - 2, t))
         drain(ctx, step)
     return turn, drain
+
+
+def _make_recorded_clean_op(ex, producers: Mapping[int, int]) -> StepOp:
+    """Clean what pressure will take, as soon as it exists.
+
+    Runs as every forward step settles.  ``due`` is the last completed
+    iteration's victims in eviction order (``TensorCache.begin_iteration``
+    refills it): the op walks it from the head, starting the D2H copy
+    of each victim whose producer has run and that is still on the GPU,
+    ordered after the kernel just submitted.  It stops at the first
+    victim whose producer has not run yet, so the FIFO D2H stream
+    carries the copies in the order pressure will consume them.  A
+    prediction that does not come true costs a copy, never a byte of
+    peak: the line stays cached and ``_discard`` retires the copy.  An
+    iteration after one that evicted nothing pays one emptiness test
+    per forward step.
+    """
+    due = ex.cache.due_clean  # the linked executor's, never the scout's
+    on_gpu = ex.state.on_gpu
+    clean = ex._clean_async
+
+    def op(ctx, step):
+        if not due:
+            return
+        i = step.index
+        after = [ctx.last_compute_event]
+        while due and producers[due[0].tensor_id] <= i:
+            t = due.popleft()
+            if on_gpu(t):
+                clean(t, after=after)
+    return op
 
 
 def make_workspace_op(model, selector, step: Step, pick: WorkspaceChoice
@@ -469,6 +507,9 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
     trips = {n: _make_return_trip_ops(ex, pp.return_trip, steps)
              for n, pp in enumerate(plans)
              if pp is not None and pp.return_trip}
+    cleans = {n: _make_recorded_clean_op(ex, pp.producers)
+              for n, pp in enumerate(plans)
+              if pp is not None and pp.producers}
     for cs in steps:
         step = cs.step
         i = step.index
@@ -493,6 +534,8 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
                 prefetch = pp.step_prefetch.get(i)
                 if prefetch:
                     settled.append(_make_prefetch_op(ex, prefetch))
+                if n in cleans and i <= turn_index:
+                    settled.append(cleans[n])
                 if n in trips and i >= turn_index:
                     settled.append(trips[n][i > turn_index])
                 pick = pp.workspace_picks.get(i)

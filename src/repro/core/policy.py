@@ -96,11 +96,6 @@ class StepContext:
         self.last_compute_event = None
         self.step_duration = None
         self.step_workspace = None
-        if self._scratch:
-            # only a step that raised leaves scratch behind (the kernel
-            # path releases it); return it, or every later iteration
-            # fails its leak check
-            self._ex._free_step_scratch(self)
 
     # -- read-only views ----------------------------------------------------
     @property
@@ -436,11 +431,14 @@ class OffloadCachePolicy(MemoryPolicy):
       step's host-resident reads on the H2D stream.
     * **cache** (``cache="lru"|"fifo"|"lfu"``) — tensors stay on the GPU
       while room remains; Alg. 2's ``LRU.out`` evicts under pressure.
-      Both halves of the traffic that follows hide under compute:
-      write-behind starts the D2H copies of the lines the *next*
-      pressure event will take, and evicted lines come back on a
-      just-in-time return trip timed against their first backward
-      reader (:func:`~repro.core.plan._make_return_trip_ops`).
+      Both halves of the traffic that follows hide under compute.  Out:
+      each line the last iteration evicted starts its D2H copy as soon
+      as its producer has run (:func:`~repro.core.plan.
+      _make_recorded_clean_op`); in an iteration with no record,
+      write-behind starts those of the lines the *next* pressure event
+      will take instead.  Back: evicted lines
+      return on a just-in-time return trip timed against their first
+      backward reader (:func:`~repro.core.plan._make_return_trip_ops`).
     """
 
     key = "offload"
@@ -485,6 +483,18 @@ class OffloadCachePolicy(MemoryPolicy):
     def bind(self, ctx: StepContext) -> None:
         # the cache's victim filter consults this session's lock bits
         self.cache.bind_state(ctx.state)
+
+    # -- the victim record ---------------------------------------------------
+    # Pressure evicts the same lines in the same order every iteration,
+    # so each session's cache records them and the next iteration
+    # cleans them early.  Committed only when an iteration completes.
+    def on_iteration_start(self, ctx: StepContext) -> None:
+        if self.cache_mode:
+            self.cache.begin_iteration()
+
+    def on_iteration_end(self, ctx: StepContext) -> None:
+        if self.cache_mode:
+            self.cache.end_iteration()
 
     # -- cache membership ----------------------------------------------------
     # Every membership/counter hook is gated on cache_mode: in eager
@@ -535,17 +545,20 @@ class OffloadCachePolicy(MemoryPolicy):
                 evicted += freed
                 a = retry()
                 if a is not None:
-                    # write-behind, one pressure event ahead: the copies
-                    # of the lines the next event will take start now,
-                    # under compute, so it finds them clean
-                    self.cache.clean_ahead(evicted, ctx._clean_behind)
+                    if not self.cache.recorded:
+                        # write-behind, one pressure event ahead, for an
+                        # iteration with no victim record: the copies of
+                        # the lines the next event will take start now,
+                        # under compute, so it finds them clean
+                        self.cache.clean_ahead(evicted, ctx._clean_behind)
                     return a
                 if freed == 0:
                     return None
         return None
-    # (No on_iteration_end: the executor owns the iteration barrier and
-    # drains in-flight copies itself, so a stack without this policy —
-    # or a custom one that offloads directly — can never leak pendings.)
+    # (The executor, not on_iteration_end, owns the iteration barrier
+    # and drains in-flight copies itself, so a stack without this
+    # policy — or a custom one that offloads directly — can never leak
+    # pendings.)
 
     # -- the step schedule ---------------------------------------------------
     def compile_plan(self, ctx: StepContext) -> PolicyPlan:
@@ -563,14 +576,20 @@ class OffloadCachePolicy(MemoryPolicy):
             # steps, nothing to register after them.  The tensor hooks
             # stay live: LRU order, hit/miss counters and
             # pressure-driven eviction only exist by observing every
-            # residency event.
+            # residency event.  Which lines pressure takes is the
+            # session's record; where each one's clean copy may start,
+            # its producer's forward step, is the route's.
             first_reader = {}
             for step in backward:
                 for t in ctx.reads_at(step.index):
                     if t.kind is TensorKind.DATA:
                         first_reader.setdefault(t.tensor_id, (step.index, t))
+            producers = {s.layer.output.tensor_id: s.index for s in steps
+                         if s.phase is Phase.FORWARD
+                         and s.layer.output is not None}
             return PolicyPlan(
                 key=self.key, return_trip=tuple(first_reader.values()),
+                producers=producers,
                 keep_hooks=("on_tensor_resident", "on_tensor_access",
                             "on_tensor_dead", "on_tensor_released"),
             )

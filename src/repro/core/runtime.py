@@ -443,17 +443,28 @@ class Executor:
         return a
 
     def _alloc_under_pressure(self, nbytes: int, tag: str) -> Allocation:
-        """The slow path: each policy in stack order may free bytes."""
+        """The slow path: each policy in stack order may free bytes.  A
+        policy that raises after its retry succeeded (write-behind
+        copies after it) never hands the bytes over; they go back."""
+        got: List[Allocation] = []
+
         def retry() -> Optional[Allocation]:
             try:
-                return self.allocator.alloc(nbytes, tag)
+                a = self.allocator.alloc(nbytes, tag)
             except OutOfMemoryError:
                 return None
+            got.append(a)
+            return a
 
-        for p in self.policies:
-            a = p.on_memory_pressure(self._ctx, nbytes, tag, retry)
-            if a is not None:
-                return a
+        try:
+            for p in self.policies:
+                a = p.on_memory_pressure(self._ctx, nbytes, tag, retry)
+                if a is not None:
+                    return a
+        except BaseException:
+            for a in got:
+                self.allocator.free(a)
+            raise
         raise OutOfMemoryError(nbytes, self.allocator.free_bytes,
                                self.gpu.capacity)
 
@@ -562,13 +573,14 @@ class Executor:
         self.state.set_placement(t, Placement.HOST)
         return freed
 
-    def _clean_async(self, t: Tensor) -> None:
+    def _clean_async(self, t: Tensor,
+                     after: Optional[List[Event]] = None) -> None:
         """Write-behind: start the D2H copy of a dirty cached line and
         keep using its GPU copy.  The event is the line's *cleaning*
         state; ``_evict_to_host`` consumes it, ``_discard`` retires it."""
         state = self.state
         if not (state.host_resident(t) or state.cleaning(t)):
-            state.set_cleaning(t, self._copy(t, "clean"))
+            state.set_cleaning(t, self._copy(t, "clean", after=after))
 
     def _offload_async(self, t: Tensor, after: Optional[List[Event]] = None) -> None:
         """Eager UTP offload: D2H overlaps following forward compute."""
@@ -724,7 +736,11 @@ class Executor:
         stall0 = self._stall
         ws_start = len(self._workspace_choices())
 
-        traces = self._run_steps(plan, ctx, optimizer)
+        try:
+            traces = self._run_steps(plan, ctx, optimizer)
+        except BaseException:
+            self._abort_iteration()
+            raise
         if self._replaying:
             self.replayed_iterations += 1
         else:
@@ -883,6 +899,19 @@ class Executor:
         self._free_step_scratch(ctx)
         state.unlock_all(cs.pinned)
         return ctx.step_workspace
+
+    def _abort_iteration(self) -> None:
+        """A step raised: leave the session as a completed iteration's
+        barrier leaves it, so the next iteration runs exactly as an
+        undisturbed one would.  The raising step's pins and scratch go,
+        copies in flight are dropped with their tensors, and every
+        activation is discarded.  ``on_iteration_end`` is not
+        dispatched: a half iteration commits nothing a policy records."""
+        self._free_step_scratch(self._ctx)
+        self.state.unlock_all(self._cleanup_tensors)
+        self._pending.clear()
+        self.timeline.sync_all()
+        self._end_of_iteration_cleanup()
 
     def _end_of_iteration_cleanup(self) -> None:
         state = self.state

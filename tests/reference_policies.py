@@ -11,11 +11,19 @@ stack built from them decides everything live, per step, through the
 ``StepContext`` operations alone, on every iteration.  They are slow and
 obviously right, which is what a reference is for;
 ``test_reference_policies.py`` holds the compiled stack to them.
+
+:class:`WriteBehindCachePolicy` is the other kind of twin: not a hook
+body but a retired schedule.  It is the cache mode that cleaned only one
+pressure event ahead, before the tensor cache recorded its victims;
+``test_overlap_sweep.py`` holds the shipped cache mode to it.
 """
+
+from dataclasses import replace
 
 from repro.core.config import OFFLOAD_TYPES
 from repro.core.policy import (
     LivenessPolicy,
+    MemoryPolicy,
     OffloadCachePolicy,
     RecomputePolicy,
     WorkspacePolicy,
@@ -114,6 +122,19 @@ class ReferenceWorkspacePolicy(WorkspacePolicy):
         ctx.set_workspace(choice)
 
 
+class WriteBehindCachePolicy(OffloadCachePolicy):
+    """Cache mode without recorded victims: write-behind cleans the lines
+    the next pressure event will take and nothing earlier.  It records
+    nothing and links no recorded-clean op; the return trip is the
+    shipped one."""
+
+    on_iteration_start = MemoryPolicy.on_iteration_start
+    on_iteration_end = MemoryPolicy.on_iteration_end
+
+    def compile_plan(self, ctx):
+        return replace(super().compile_plan(ctx), producers={})
+
+
 REFERENCE_OF = {
     LivenessPolicy: ReferenceLivenessPolicy,
     OffloadCachePolicy: ReferenceOffloadCachePolicy,
@@ -126,4 +147,12 @@ def reference_stack(config):
     """The stack ``config`` denotes, position for position, built from
     the dispatching references."""
     return [REFERENCE_OF[type(p)].from_config(config)
+            for p in resolve_policies(config)]
+
+
+def write_behind_stack(config):
+    """The shipped stack ``config`` denotes, with its cache-mode offload
+    policy swapped for :class:`WriteBehindCachePolicy`."""
+    return [WriteBehindCachePolicy.from_config(config)
+            if type(p) is OffloadCachePolicy else p
             for p in resolve_policies(config)]

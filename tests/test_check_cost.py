@@ -19,6 +19,7 @@ import pytest
 import repro
 from repro.check.advisor import advise, assess_ladder, recommend
 from repro.check.cost_model import (
+    FIRST_ITERATION_NOTE,
     CostThresholds,
     IterationRecorder,
     analyze_prediction,
@@ -100,10 +101,28 @@ class TestCalibration:
             self, net, rung, kw):
         """LRU eviction order, first-fit fragmentation, lock sets and
         the fabric's per-pool copy rates: where a second implementation
-        of the residency machine used to drift by 3-6%."""
+        of the residency machine used to drift by 3-6%.  The prediction
+        is a recorded first iteration.  From the second on, the tensor
+        cache cleans the last iteration's victims at their producers and
+        write-behind stands down: only the clock, the stalls and the
+        write-behind copies move, and only under cache pressure."""
         engine = _engine(net, rung, batch=32, **kw)
         pred = _predict(engine)
-        meas = _measure(engine, iters=2)
+        with engine.session() as sess:
+            meas, steady = sess.run_iteration(0), sess.run_iteration(1)
+        assert steady.peak_bytes == pred.peak_gpu_bytes
+        assert steady.h2d_bytes == pred.h2d_bytes
+        assert steady.cache_evictions == pred.pressure_evictions
+        assert steady.extra_forwards == pred.extra_forwards
+        if "gpu_capacity" in kw:
+            assert steady.d2h_bytes < pred.d2h_bytes
+            assert steady.sim_time < pred.sim_time
+        else:
+            assert steady.d2h_bytes == pred.d2h_bytes
+            assert steady.sim_time == pytest.approx(pred.sim_time,
+                                                    rel=1e-9)
+            assert steady.stall_seconds == pytest.approx(
+                pred.stall_seconds, rel=1e-9)
         assert pred.sim_time == pytest.approx(meas.sim_time, rel=1e-9)
         assert pred.peak_gpu_bytes == meas.peak_bytes
         assert pred.d2h_bytes == meas.d2h_bytes
@@ -268,6 +287,8 @@ class TestRules:
         top = max(pred.stalls, key=lambda s: s.seconds)
         assert repr(top.tensor) in diags[0].message
         assert "stream idle" in diags[0].message
+        # every later iteration cleans the recorded victims early
+        assert diags[0].message.endswith(FIRST_ITERATION_NOTE)
         data = pred.to_dict()
         assert data["exposed_dma_share"] == pred.exposed_dma_share
         assert data["overlap_floor_ms"] == pred.overlap_floor_s * 1e3
@@ -281,8 +302,10 @@ class TestRules:
             assert pred.exposed_dma_share > 0.3
             assert ("PERF007" in _rules(analyze_prediction(pred))) is fires
         everywhere = CostThresholds(exposed_dma_min_seconds=0.0)
-        assert "PERF007" in _rules(
-            analyze_prediction(pred, thresholds=everywhere))
+        diags = analyze_prediction(pred, thresholds=everywhere)
+        assert "PERF007" in _rules(diags)
+        # nothing is evicted, so iteration 0 is every iteration
+        assert not any(FIRST_ITERATION_NOTE in d.message for d in diags)
 
     def test_thresholds_are_tunable(self):
         """A zero stall threshold flags even the clean ladder's known
@@ -348,6 +371,13 @@ class TestAdvisor:
         assert "recommended" in text
         assert adv.recommended is not None
         assert adv.to_dict()["net"] == "lenet"
+        assert FIRST_ITERATION_NOTE not in text
+
+    def test_advise_marks_pressured_times_as_first_iterations(self):
+        adv = advise(lambda: NETWORK_BUILDERS["resnet50"](batch=32),
+                     "resnet50", modes=("train",), rungs=("superneurons",),
+                     gpu_capacity=1 << 30)
+        assert adv.render().endswith(FIRST_ITERATION_NOTE)
 
     def test_advise_reports_no_fit(self):
         adv = advise(lambda: NETWORK_BUILDERS["lenet"](batch=8),

@@ -1,21 +1,27 @@
 """Overlap under pressure, pinned across capacities (DESIGN.md "Clean and
-dirty lines", "Return trip").
+dirty lines", "Recorded victims", "Return trip").
 
-Write-behind cleaning and the just-in-time return trip hide the tensor
-cache's DMA under compute; they may move *when* bytes cross PCIe, never
-how many come back, how high the peak goes, or what a roomy run does.
-This is the tier-1 subset of the 5 x 5 capacity sweep in EXPERIMENTS.md
-("PR 24"): simulated img/s at least the parent's at every pressured
-capacity, peaks and eviction counts as measured, and the two mechanisms'
-tables empty after every iteration.
+Recorded victims, write-behind cleaning and the just-in-time return trip
+hide the tensor cache's DMA under compute; they may move *when* bytes
+cross PCIe, never how many come back, how high the peak goes, or what a
+roomy run does.  Pinned here: simulated img/s at least on-demand
+eviction's (every copy exposed) at four pressured capacities, peaks and
+eviction counts as measured, the mechanisms' tables empty after every
+iteration, and the whole 5 x 5 capacity sweep of EXPERIMENTS.md against
+the write-behind-only twin in ``tests/reference_policies.py``.
 """
 
 import pytest
 
 from repro import Engine, RuntimeConfig, Session
-from repro.zoo import inception_v4, resnet50
+from repro.core.policy import resolve_policies
+from repro.device.gpu import OutOfMemoryError
+from repro.zoo import NETWORK_BUILDERS, inception_v4, resnet50
 
-from tests.test_clean_lines import SETTLED, abort_then_recover, settled
+from tests.conftest import hand_stacked_executor
+from tests.reference_policies import write_behind_stack
+from tests.faults import assert_quiescent
+from tests.test_clean_lines import abort_then_recover
 
 GiB = 1 << 30
 MiB = 1 << 20
@@ -46,35 +52,63 @@ def test_no_capacity_is_slower_than_on_demand(net, gib):
     with Engine(*pressured(net, gib)).session("train") as sess:
         for i in range(2):
             res = sess.run_iteration(i)
-            assert settled(sess.executor) == SETTLED
+            assert_quiescent(sess)
     assert BATCH / res.sim_time > parent_ips
     assert res.peak_bytes == peak
     assert res.cache_evictions == evictions
-    # most evictions find write-behind there first
+    # most evictions find their recorded victim's copy started
     assert res.cache_clean_evictions >= evictions - 8
 
 
 def test_train_pressured_claim():
     """The ledger workload's figures: what moved and what must not."""
     with Engine(*pressured()).session("train") as sess:
-        sess.run_iteration(0)
+        first = sess.run_iteration(0)
         res = sess.run_iteration(1)
-    assert BATCH / res.sim_time >= 50            # 39.435 at the parent
-    assert res.stall_seconds <= 0.200            # 0.3843
+    assert BATCH / first.sim_time >= 56          # 39.435 before the overlap
+    assert BATCH / res.sim_time >= 60            # 56.055 without the record
+    assert res.stall_seconds <= 0.110            # 0.1437 without it
+    # every eviction finds its recorded victim's copy started
+    assert res.cache_clean_evictions == res.cache_evictions == 28
     assert res.h2d_bytes == 1_534_902_272        # unchanged
-    assert res.h2d_bytes < res.d2h_bytes <= 1543 * MiB
+    # write-behind stands down: what crosses out is exactly what is
+    # evicted, 78.8 MiB less than iteration 0
+    assert res.d2h_bytes == res.h2d_bytes < first.d2h_bytes <= 1543 * MiB
     assert (res.peak_bytes, res.cache_evictions) == (1_048_305_824, 28)
+
+
+def test_the_ledger_equality_check_holds_under_the_record():
+    """The ledger's in-command gate at ``train_pressured``: an engine
+    lane, a standalone session and a session that never replays report
+    the same iterations.  The victim record is each session's own and
+    the recorded-clean op is linked before iteration 0, so the three
+    agree from the first iteration on."""
+    runs = []
+    for mk in (lambda: Engine(*pressured()).session("train"),
+               lambda: Session(*pressured()),
+               lambda: Session(*pressured(steady_state_replay=False))):
+        with mk() as sess:
+            runs.append([sess.run_iteration(i).to_dict() for i in range(3)])
+    lane, solo, live = runs
+    assert lane == solo == live
+    for d in lane[1:]:
+        cache = d["cache"]
+        assert cache["clean_evictions"] == cache["evictions"] == 28
+        assert d["stall_seconds"] <= 0.110
+        assert d["d2h_bytes"] <= 1543 * MiB
 
 
 def test_a_roomy_run_never_cleans_and_never_comes_back():
     net, cfg = pressured(gib=12)
     with Engine(net, cfg).session("train") as sess:
         ex = sess.executor
-        ex._clean_async = lambda t: pytest.fail(f"cleaned {t.name}")
+        ex._clean_async = lambda t, after=None: pytest.fail(
+            f"cleaned {t.name}")
         for i in range(2):
             res = sess.run_iteration(i)
             assert res.d2h_bytes == res.h2d_bytes == 0
-            assert res.stall_seconds == 0 and settled(ex) == SETTLED
+            assert res.stall_seconds == 0
+            assert_quiescent(ex)
 
 
 def test_engine_lane_equals_standalone_session_from_iteration_zero():
@@ -93,6 +127,48 @@ def test_engine_lane_equals_standalone_session_from_iteration_zero():
 
 def test_an_aborted_return_trip_leaves_no_queue_behind():
     """Mid-backward at 1 GiB: copies are due, lines are being cleaned.
-    The next iteration's turn starts from an empty queue."""
+    The abort empties the queue, so the next iteration's turn starts
+    from an empty one."""
     abort_then_recover(lambda: Session(*pressured()), at_step=280,
                        stranded=lambda ex: len(ex._due_back) > 0)
+
+
+#: the 5 x 5 capacity sweep (EXPERIMENTS.md): net -> batch, by capacity
+SWEEP_NETS = {"resnet50": 32, "resnet101": 32, "resnet152": 32,
+              "inception_v4": 32, "alexnet": 128}
+SWEEP_GIB = (0.75, 1.0, 1.5, 2.0, 12)
+#: the two points that run out of memory under either cache mode
+SWEEP_OOM = {("inception_v4", 0.75), ("alexnet", 0.75)}
+
+
+def sweep_iterations(net, gib, stack_of, iters=3):
+    cfg = RuntimeConfig.superneurons(concrete=False,
+                                     gpu_capacity=int(gib * GiB))
+    mk = NETWORK_BUILDERS[net]
+    with hand_stacked_executor(mk(batch=SWEEP_NETS[net]), cfg,
+                               stack_of(cfg.for_mode("train"))) as ex:
+        return [ex.run_iteration(i) for i in range(iters)]
+
+
+@pytest.mark.parametrize("net,gib", [(n, g) for n in SWEEP_NETS
+                                     for g in SWEEP_GIB],
+                         ids=[f"{n}@{g}GiB" for n in SWEEP_NETS
+                              for g in SWEEP_GIB])
+def test_recorded_victims_against_the_write_behind_twin(net, gib):
+    """Cleaning the last iteration's victims at their producers moves
+    no eviction, no peak byte and no H2D byte; it adds no D2H byte and
+    costs no time, on every iteration."""
+    if (net, gib) in SWEEP_OOM:
+        for stack_of in (resolve_policies, write_behind_stack):
+            with pytest.raises(OutOfMemoryError):
+                sweep_iterations(net, gib, stack_of, iters=1)
+        return
+    shipped = sweep_iterations(net, gib, resolve_policies)
+    twin = sweep_iterations(net, gib, write_behind_stack)
+    for new, old in zip(shipped, twin):
+        assert (new.cache_evictions, new.peak_bytes, new.h2d_bytes) == \
+            (old.cache_evictions, old.peak_bytes, old.h2d_bytes)
+        assert new.d2h_bytes <= old.d2h_bytes
+        assert new.sim_time <= old.sim_time
+    # iteration 0 has no record: the two are the same iteration there
+    assert shipped[0].to_dict() == twin[0].to_dict()

@@ -73,8 +73,9 @@ def test_simulated_alexnet(rung):
 #: rung -> a capacity below its roomy peak (5,134,632) that still runs:
 #: the eager rung blocks on copies in flight.  Eager only — under
 #: pressure the cache rung's schedule is the return trip, which never
-#: was a hook body (the twin fetches on demand there), and the rungs
-#: without offload have nothing to give and OOM instead.
+#: was a hook body (the twin fetches on demand there; its pressured twin
+#: is ``WriteBehindCachePolicy``, in ``test_overlap_sweep.py``), and
+#: the rungs without offload have nothing to give and OOM instead.
 PRESSURED = {"superneurons-eager": 5_000_000}
 
 

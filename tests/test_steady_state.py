@@ -199,15 +199,23 @@ class TestAddressPlan:
             assert not pool.replaying, "nothing recorded yet"
             if capacity is not None:
                 assert first.cache_evictions > 0
+            steady = None
             for i in range(1, 4):
                 res = sess.run_iteration(i)
                 assert pool.replaying, \
                     "address plan never engaged — iterations run live"
-                assert self.signature(res) == self.signature(first)
+                # from iteration 1 the recorded victims clean earlier
+                # and write-behind stands down: only the clock and the
+                # D2H of lines cleaned but never evicted move
+                steady = steady or res
+                sig, sig0 = self.signature(res), self.signature(first)
+                assert sig[3:] == sig0[3:] and sig[1] == sig0[1]
+                assert sig[2] <= sig0[2]
+                assert self.signature(res) == self.signature(steady)
             pool.check_invariants()            # rebuilds from the record
             assert not pool.replaying
             assert self.signature(sess.run_iteration(4)) \
-                == self.signature(first)
+                == self.signature(steady)
             assert pool.replaying              # and is back on it
 
     def test_non_replay_executor_plans_addresses_too(self):
@@ -223,11 +231,11 @@ class TestAddressPlan:
             assert ex.allocator.pool.replaying
 
     def test_aborted_iteration_leaves_the_next_one_correct(self):
-        """An exception mid-iteration strands tensors — and, raised
-        between a conv's workspace reservation and its kernel, the
-        step's scratch — and stops the pool part-way through its
-        record; the following iterations must clean up and report
-        exactly what an undisturbed run does."""
+        """An exception mid-iteration would strand tensors — and,
+        raised between a conv's workspace reservation and its kernel,
+        the step's scratch — and stops the pool part-way through its
+        record; the aborted iteration cleans up, and the following ones
+        report exactly what an undisturbed run does."""
 
         class Saboteur(MemoryPolicy):
             key = "saboteur"
@@ -269,7 +277,7 @@ class TestAddressPlan:
                 saboteur.armed = True
                 with pytest.raises(ValueError, match="injected"):
                     sess.run_iteration(2)
-                assert ex.allocator.used_bytes > ex.param_bytes  # stranded
+                assert ex.allocator.used_bytes == ex.param_bytes
                 saboteur.armed = False
                 got += [self.signature(sess.run_iteration(i))
                         for i in range(2, 5)]
@@ -278,9 +286,9 @@ class TestAddressPlan:
                 assert pool.replaying              # found its way back
                 pool.check_invariants()
             assert got[:2] == expect[:2]
-            # the recovery iteration's peak carries what was stranded;
-            # from the one after it nothing differs
-            assert got[3:] == expect[3:]
+            # nothing was stranded: from the recovery iteration on
+            # nothing differs
+            assert got[2:] == expect[2:]
 
 
 class TestReplayOptOut:
