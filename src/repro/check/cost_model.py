@@ -477,10 +477,12 @@ def record_iteration(executor, target: Optional[str] = None
 # --------------------------------------------------------------------------- #
 
 #: A prediction under cache pressure is a first iteration: it has no
-#: victim record to clean from, so every later iteration stalls less.
+#: victim record to clean from or drop, so every later iteration stalls
+#: less.
 FIRST_ITERATION_NOTE = (
     "  (a first iteration: from the second on, the tensor cache cleans "
-    "the victims it recorded at their producers and stalls less)")
+    "the victims it recorded at their producers, drops those cheaper to "
+    "rebuild than to copy, and stalls less)")
 
 
 def analyze_prediction(pred: CostPrediction,

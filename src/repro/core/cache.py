@@ -20,7 +20,13 @@ Operations mirror Alg. 2:
   last completed iteration, in eviction order.  Pressure repeats from
   one iteration to the next, so a derived op
   (``core/plan.py::_make_recorded_clean_op``) starts each one's D2H copy
-  as soon as its producer has run, long before pressure reaches it.
+  as soon as its producer has run, long before pressure reaches it;
+* ``drops`` — dropped victims: the recorded conv outputs whose rebuild
+  costs less than the copies they would expose, chosen once from the
+  first record (:func:`choose_drops`).  ``LRU.out`` still takes them,
+  but they are discarded with no copy either way, their chain sources
+  fall due on the return trip at ``sources_due``, and recomputation
+  rebuilds them when backward asks.
 
 Movement itself (the D2H copy + allocator free) is the executor's job;
 the cache only decides *which* tensors go, through the callbacks.
@@ -34,8 +40,9 @@ interface so the ablation bench can quantify the choice.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from itertools import islice
-from typing import Callable, Deque, Dict, Iterator, List, Tuple
+from itertools import accumulate, islice
+from typing import (Callable, Deque, Dict, FrozenSet, Iterator, List,
+                    Mapping, NamedTuple, Optional, Sequence, Set, Tuple)
 
 from repro.tensors.tensor import Tensor
 
@@ -61,14 +68,31 @@ class TensorCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: this iteration's victims so far, in eviction order
-        self._record: List[Tensor] = []
+        #: of those, dropped victims discarded with no copy
+        self.dropped = 0
+        #: this iteration's victims so far, in eviction order, each with
+        #: the step that evicted it
+        self._record: List[Tuple[Tensor, int]] = []
         #: the last completed iteration's victims
-        self._predicted: Tuple[Tensor, ...] = ()
+        self._predicted: Tuple[Tuple[Tensor, int], ...] = ()
         #: the predicted victims not yet handed to the recorded-clean op
         #: this iteration, head first (one deque per cache: the op binds
         #: it at link)
         self.due_clean: Deque[Tensor] = deque()
+        #: id of each victim discarded instead of evicted -> its last
+        #: forward reader (before that it is evicted as usual); fixed
+        #: once chosen (:func:`choose_drops`)
+        self.drops: Mapping[int, int] = {}
+        #: chain source id -> the backward step it is due back by: the
+        #: first backward reader of a dropped victim it rebuilds (the
+        #: return trip binds this dict at link)
+        self.sources_due: Dict[int, int] = {}
+        #: until the drop set is chosen, what the return trip saw in the
+        #: last iteration it brought lines back: the step each line was
+        #: due to go out at, and the steps it was refused room at
+        self.choosing = True
+        self.trip_planned: Dict[int, int] = {}
+        self.trip_refused: Set[int] = set()
         # lock bits are session state, not descriptor state: the victim
         # filter consults the owning session's SessionTensorState
         self._state = state
@@ -112,12 +136,14 @@ class TensorCache:
         self,
         nbytes: int,
         offload_cb: Callable[[Tensor], int],
+        step: int = -1,
     ) -> int:
         """LRU.out: offload unlocked LRU tensors until >= nbytes freed.
 
         ``offload_cb`` performs the actual movement and returns the GPU
         bytes it released.  Returns total bytes freed (may fall short if
         everything left is locked — caller decides whether that is OOM).
+        ``step`` is the route step under pressure, kept in the record.
         """
         if self._state is None:
             # Alg. 2's lock check is load-bearing: evicting a tensor a
@@ -135,16 +161,19 @@ class TensorCache:
             self.remove(t)
             freed += offload_cb(t)
             self.evictions += 1
-            self._record.append(t)
+            self._record.append((t, step))
         return freed
 
     def begin_iteration(self) -> None:
         """The last completed iteration's victims fall due, in eviction
-        order.  What an aborted iteration recorded is dropped: a half
-        record would predict a different iteration."""
+        order, except the dropped ones: they are never copied.  What an
+        aborted iteration recorded is dropped: a half record would
+        predict a different iteration."""
         self._record.clear()
         self.due_clean.clear()
-        self.due_clean.extend(self._predicted)
+        drops = self.drops
+        self.due_clean.extend(t for t, _ in self._predicted
+                              if t.tensor_id not in drops)
 
     @property
     def recorded(self) -> bool:
@@ -152,11 +181,27 @@ class TensorCache:
         one (the recorded-clean op is cleaning them)."""
         return bool(self._predicted)
 
+    @property
+    def predicted(self) -> Tuple[Tuple[Tensor, int], ...]:
+        """The last completed iteration's victims, in eviction order,
+        each with the step that evicted it."""
+        return self._predicted
+
     def end_iteration(self) -> None:
         """The iteration completed: its victims are the next one's
         prediction."""
         self._predicted = tuple(self._record)
         self._record.clear()
+
+    def drop(self, drops: Mapping[int, int],
+             sources_due: Mapping[int, int]) -> None:
+        """Fix the drop set and its sources' return-trip deadlines (once
+        per session: the ops bind ``sources_due``, so it is filled in
+        place)."""
+        self.drops = dict(drops)
+        self.sources_due.update(sources_due)
+        self.choosing = False
+        self.trip_planned, self.trip_refused = {}, set()
 
     def clean_ahead(self, nbytes: int,
                     clean_cb: Callable[[Tensor], None]) -> None:
@@ -215,3 +260,113 @@ class TensorCache:
     def lru_order(self) -> List[Tensor]:
         """MRU-first snapshot (for tests)."""
         return list(self._entries.values())
+
+
+# --------------------------------------------------------------------------- #
+# drop or evict: the per-victim choice
+# --------------------------------------------------------------------------- #
+
+class Victim(NamedTuple):
+    """One recorded eviction, as :func:`choose_drops` models it: route
+    steps, and copy times in seconds."""
+
+    tensor_id: int
+    evicted_at: int
+    produced_at: int
+    d2h: float
+    #: its H2D copy where that is exposed — the return trip was refused
+    #: room while it was due back, or never carried it — else 0
+    h2d: float
+    #: the first backward step that reads it (recompute chains
+    #: included), or None if backward never does
+    first_use: Optional[int]
+
+
+def d2h_waits(victims: Sequence[Victim], kept: Set[int],
+              starts: Sequence[float]) -> List[float]:
+    """Modelled compute stall on each victim's D2H copy in an iteration
+    with a record, by position (0 for one not in ``kept``).
+
+    ``starts[i]`` is step ``i``'s kernel start if nothing stalls.  The
+    recorded-clean op starts a kept victim's copy when its producer — and
+    every earlier kept victim's — has run; the stream is FIFO; an
+    eviction waits for what is left of its line's copy, and the wait
+    delays every later step.  A victim evicted again is a clean line the
+    second time and copies nothing.
+    """
+    stall = shift = 0.0
+    out, ready, j = 0.0, -1, 0
+    waits: List[Tuple[int, float]] = []      # (step, seconds)
+    at = [0.0] * len(victims)
+    seen: Set[int] = set()
+    for n, v in enumerate(victims):
+        if v.tensor_id not in kept or v.tensor_id in seen:
+            continue
+        seen.add(v.tensor_id)
+        if v.produced_at > ready:
+            ready = v.produced_at
+            while j < len(waits) and waits[j][0] <= ready:
+                shift += waits[j][1]
+                j += 1
+        out = max(out, starts[ready + 1] + shift) + v.d2h
+        wait = out - starts[v.evicted_at] - stall
+        if wait > 0:
+            stall += wait
+            waits.append((v.evicted_at, wait))
+            at[n] = wait
+    return at
+
+
+def choose_drops(victims: Sequence[Victim], starts: Sequence[float],
+                 rebuild: Mapping[int, Tuple[float, FrozenSet[int]]]
+                 ) -> Tuple[FrozenSet[int], Dict[int, int]]:
+    """Which recorded victims to drop instead of evict.
+
+    ``rebuild`` names the candidates: tensor id -> (seconds to rebuild
+    it, ids of its chain sources).  A candidate's exposed copy time is
+    what its D2H copy adds to the stall :func:`d2h_waits` models plus
+    its exposed H2D copy; it is dropped when its rebuild costs less.
+    Candidates go most profitable first, and each one's D2H share is
+    taken again against the victims still kept.  A candidate that is a
+    chain source of a dropped victim, or whose chain sources include
+    one, is refused: a rebuild never waits on another.  Returns the
+    drop set and each chain source's deadline — the earliest first
+    backward reader among the dropped victims it rebuilds.
+    """
+    first = {}
+    for n, v in enumerate(victims):
+        first.setdefault(v.tensor_id, n)
+    kept = set(first)
+    drops: Set[int] = set()
+    sourcing: Set[int] = set()   # chain sources of the dropped
+    due: Dict[int, int] = {}
+
+    def model() -> Tuple[float, List[float]]:
+        """The stall, and the stall from each position on: no later
+        wait means removing a copy there saves nothing."""
+        waits = d2h_waits(victims, kept, starts)
+        return sum(waits), list(accumulate(reversed(waits)))[::-1]
+
+    def exposed(v: Victim) -> float:
+        if not tail[first[v.tensor_id]]:
+            return v.h2d
+        return base - sum(d2h_waits(victims, kept - {v.tensor_id}, starts)) \
+            + v.h2d
+
+    base, tail = model()
+    order = sorted((victims[n] for n in first.values()
+                    if victims[n].tensor_id in rebuild),
+                   key=lambda v: rebuild[v.tensor_id][0] - exposed(v))
+    for v in order:
+        tid = v.tensor_id
+        seconds, sources = rebuild[tid]
+        if sources & drops or tid in sourcing or seconds >= exposed(v):
+            continue
+        drops.add(tid)
+        sourcing |= sources
+        kept.discard(tid)
+        base, tail = model()
+        if v.first_use is not None:
+            for s in sources:
+                due[s] = min(due.get(s, v.first_use), v.first_use)
+    return frozenset(drops), due

@@ -48,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.workspace import WorkspaceChoice
 from repro.device.dma import CopyDirection
@@ -147,6 +147,24 @@ class PolicyPlan:
     keep_hooks: Tuple[str, ...] = ()
 
 
+def kernel_seconds(step: Step, model) -> float:
+    """A step's kernel at the default algorithm (the data layer's
+    backward runs none)."""
+    layer = step.layer
+    if step.phase is Phase.FORWARD:
+        return layer.sim_time_forward(model)
+    return 0.0 if isinstance(layer, DataLayer) \
+        else layer.sim_time_backward(model)
+
+
+def kernel_clock(steps: Sequence[Step], model) -> List[float]:
+    """The stall-free compute clock: entry ``i`` is when step ``i``'s
+    kernel starts if nothing ever waits, the last entry when the
+    iteration ends."""
+    return list(accumulate((kernel_seconds(s, model) for s in steps),
+                           initial=0.0))
+
+
 class CompiledStep:
     """Everything the step loop needs for one step, precomputed."""
 
@@ -169,9 +187,9 @@ class CompiledStep:
         self.compute_ops: Tuple[StepOp, ...] = ()
         self.after_ops: Tuple[StepOp, ...] = ()
         self.settled_ops: Tuple[StepOp, ...] = ()
+        self.duration = kernel_seconds(step, model)
         if self.is_forward:
             self.submit_label = f"fw:{layer.name}"
-            self.duration = layer.sim_time_forward(model)
             self.reads = tuple(route.forward_reads(layer))
             self.output = layer.output
             self.has_running_stats = hasattr(layer, "update_running_stats")
@@ -181,8 +199,6 @@ class CompiledStep:
             pinned = self.reads + (layer.output,)
         else:
             self.submit_label = f"bw:{layer.name}"
-            self.duration = 0.0 if self.is_data \
-                else layer.sim_time_backward(model)
             self.reads = tuple(route.backward_reads(layer))
             self.output = layer.output
             self.has_running_stats = False
@@ -295,7 +311,9 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
 
     so that every copy lands as its reader starts and the H2D stream
     never has two at once — then queues each tensor, in need order,
-    with the backward step whose settle precedes ``start_k``.  ``drain``
+    with the backward step whose settle precedes ``start_k``.  A chain
+    source of a dropped victim is needed by that victim's first backward
+    reader if that comes first (the cache's ``sources_due``).  ``drain``
     runs as every backward step settles (and at the turn) and issues
     the copies that have come due through ``_prefetch_async``, which
     allocates without evicting.  A copy is issued only while it leaves
@@ -303,15 +321,20 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
     one that is refused waits at the head of the queue for the next
     step's settle, and past its reader it has come back on demand.  An
     iteration that evicted nothing pays one emptiness test at the turn
-    and one per step.
+    and one per step.  Until the cache has chosen its drop set, the turn
+    records each line's queued step and the drain every step it refused
+    a copy at (``TensorCache.trip_planned``, ``trip_refused``).
     """
     starts = list(accumulate((cs.duration for cs in steps), initial=0.0))
-    entry = {t.tensor_id: (k, i, t) for k, (i, t) in enumerate(need)}
+    entry = {t.tensor_id: (i, k, t) for k, (i, t) in enumerate(need)}
     state, fabric, allocator = ex.state, ex.fabric, ex.allocator
     copy_time = ex.dma.copy_time
     prefetch = ex._prefetch_async
     queue = ex._due_back
+    cache = ex.cache  # the linked executor's: its drops are its own
+    sooner = cache.sources_due  # filled in place, once
     reserve = ex.recompute_plan.l_peak  # = net.max_layer_bytes()
+    refused = None  # while the drop set is open: the steps short of room
 
     def drain(ctx, step):
         while queue and queue[0][0] <= step.index:
@@ -319,24 +342,37 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
             if state.on_host(t) and not (
                     allocator.free_bytes - t.nbytes >= reserve
                     and prefetch(t)):
+                if refused is not None:
+                    refused.add(step.index)
                 return  # deferred, and everything needed after it
             queue.popleft()
 
     def turn(ctx, step):
+        nonlocal refused
         hosted = state.host_ids()
+        refused = planned = None
         if not hosted:
             return
+        if cache.choosing:  # the drop choice reads what this trip meets
+            planned = cache.trip_planned = {}
+            refused = cache.trip_refused = set()
+        need_order = []
+        for tid in hosted:
+            if tid in entry:
+                i, k, t = entry[tid]
+                need_order.append((min(i, sooner.get(tid, i)), k, t))
         start = starts[-1]
-        for _k, first_use, t in sorted(
-                (entry[tid] for tid in hosted if tid in entry),
-                reverse=True):
+        for first_use, _k, t in sorted(need_order, reverse=True):
             if not state.on_host(t):
                 continue  # a clean line: valid host copy, GPU-resident
             pool = fabric.pool_of(t.tensor_id)
             start = min(starts[first_use], start) - copy_time(
                 t.nbytes, CopyDirection.H2D, pool.h2d_scale if pool else 1.0)
             # settle of step j is the start of j + 1
-            queue.appendleft((bisect_right(starts, start) - 2, t))
+            due = bisect_right(starts, start) - 2
+            queue.appendleft((due, t))
+            if planned is not None:
+                planned[t.tensor_id] = due
         drain(ctx, step)
     return turn, drain
 

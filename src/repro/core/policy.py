@@ -52,17 +52,21 @@ Hook protocol (all optional; the base class no-ops everything):
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 
 from repro.core import config as _config
-from repro.core.cache import TensorCache
+from repro.core.cache import TensorCache, Victim, choose_drops
 from repro.core.config import OFFLOAD_TYPES, RecomputeStrategy, RuntimeConfig
-from repro.core.plan import PolicyPlan, make_workspace_op
+from repro.core.plan import PolicyPlan, kernel_clock, make_workspace_op
+from repro.core.recompute import chain_of
 from repro.core.workspace import WorkspaceChoice, WorkspaceSelector
+from repro.device.dma import CopyDirection
 from repro.device.gpu import OutOfMemoryError
 from repro.device.timeline import Stream
 from repro.graph.route import Phase, Step
-from repro.layers.base import Layer, LayerContext
+from repro.layers.base import Layer, LayerContext, LayerType
 from repro.layers.conv import Conv2D
 from repro.mempool.allocator import Allocation
 from repro.tensors.tensor import Tensor, TensorKind
@@ -235,11 +239,27 @@ class StepContext:
     def submit_compute(self, duration: float, label: str = ""):
         return self._ex.timeline.submit(Stream.COMPUTE, duration, label)
 
+    # -- the tensor cache's, not part of the policy protocol --------------
     def _clean_behind(self, t: Tensor) -> None:
         """Write-behind: start the D2H copy of a dirty cached line and
-        keep its GPU copy.  The tensor cache's, not part of the policy
-        protocol: only a cache's victim order says which lines to clean."""
+        keep its GPU copy (only a cache's victim order says which lines
+        to clean)."""
         self._ex._clean_async(t)
+
+    def _copy_seconds(self, t: Tensor, direction: CopyDirection) -> float:
+        """One copy of ``t`` between the GPU and the first external
+        pool, where an eviction goes while it has room."""
+        pool = self._ex.fabric.pools[0]
+        scale = pool.h2d_scale if direction is CopyDirection.H2D \
+            else pool.d2h_scale
+        return self._ex.dma.copy_time(t.nbytes, direction, scale)
+
+    def _observe_again(self) -> None:
+        """A drop set moves the free bytes the observed schedules
+        (workspace picks, recompute cleanup) were recorded against: the
+        next iteration records them again, and this session links its
+        own plans after it."""
+        self._ex._record_again = True
 
 
 class MemoryPolicy:
@@ -439,6 +459,10 @@ class OffloadCachePolicy(MemoryPolicy):
       will take instead.  Back: evicted lines
       return on a just-in-time return trip timed against their first
       backward reader (:func:`~repro.core.plan._make_return_trip_ops`).
+      Neither way: from the first record on, the recorded conv outputs
+      whose rebuild costs less than the copy time they expose are
+      discarded instead (:func:`~repro.core.cache.choose_drops`) and
+      recomputation rebuilds them on backward demand.
     """
 
     key = "offload"
@@ -447,6 +471,7 @@ class OffloadCachePolicy(MemoryPolicy):
     def __init__(self, cache_policy: Optional[str] = "lru") -> None:
         self.cache_mode = cache_policy is not None
         self.cache = TensorCache(policy=cache_policy or "lru")
+        self._ctx: Optional[StepContext] = None
 
     @classmethod
     def from_config(cls, config: RuntimeConfig) -> "OffloadCachePolicy":
@@ -483,6 +508,7 @@ class OffloadCachePolicy(MemoryPolicy):
     def bind(self, ctx: StepContext) -> None:
         # the cache's victim filter consults this session's lock bits
         self.cache.bind_state(ctx.state)
+        self._ctx = ctx
 
     # -- the victim record ---------------------------------------------------
     # Pressure evicts the same lines in the same order every iteration,
@@ -494,7 +520,72 @@ class OffloadCachePolicy(MemoryPolicy):
 
     def on_iteration_end(self, ctx: StepContext) -> None:
         if self.cache_mode:
-            self.cache.end_iteration()
+            cache = self.cache
+            cache.end_iteration()
+            if cache.recorded and cache.choosing:
+                drops, due = self._choose_drops(ctx)
+                cache.drop(drops, due)
+                if drops:
+                    ctx._observe_again()
+
+    # -- drop or evict -------------------------------------------------------
+    # The first record is also when the session decides, once, which
+    # victims to discard instead of copying: a conv output whose rebuild
+    # costs less than the copy time it would expose (``choose_drops``).
+    # Decided here, not at a re-link, because a session that never
+    # replays never re-links.
+    def _choose_drops(self, ctx: StepContext
+                      ) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """The drop set (each victim's last forward reader) and its chain
+        sources' return-trip deadlines."""
+        plan = ctx.recompute_plan
+        if not plan.enabled:
+            return {}, {}  # nothing would rebuild a dropped victim
+        route, model, cache = ctx.route, ctx.model, self.cache
+        turn = route.num_layers
+        first_use = {t.tensor_id: i for i, t in self._need_order(ctx)}
+        refused = sorted(cache.trip_refused)
+        evictions = Counter(t.tensor_id for t, _ in cache.predicted)
+        victims, rebuild, last_read = [], {}, {}
+        for t, at in cache.predicted:
+            tid = t.tensor_id
+            layer = ctx.net.layers[t.producer]
+            made = route.fstep_of[layer.layer_id]
+            read = max((route.fstep_of[c.layer_id] for c in layer.next),
+                       default=made)
+            use = first_use.get(tid)
+            # the H2D copy hides if the return trip brought it back and
+            # was never refused room between the step it was due out at
+            # and its reader; else it holds others back, or is fetched
+            due_out = cache.trip_planned.get(tid)
+            hidden = use is None or due_out is not None \
+                and bisect_left(refused, due_out) == bisect_left(refused, use)
+            victims.append(Victim(
+                tid, at, made, ctx._copy_seconds(t, CopyDirection.D2H),
+                0.0 if hidden else ctx._copy_seconds(t, CopyDirection.H2D),
+                use))
+            if layer.ltype is LayerType.CONV and evictions[tid] == 1 \
+                    and read < at < (turn if use is None else use):
+                members, sources = chain_of(layer, plan.dropped_layers)
+                rebuild[tid] = (
+                    sum(m.sim_time_forward(model) for m in (layer, *members))
+                    if use is not None else 0.0,
+                    sources)
+                last_read[tid] = read
+        drops, due = choose_drops(
+            victims, kernel_clock(route.steps, model), rebuild)
+        return {tid: last_read[tid] for tid in drops}, due
+
+    def _evict(self, t: Tensor) -> int:
+        """``LRU.out``'s movement: a dropped victim goes with no copy
+        once its forward readers have run; anything else to the host."""
+        ctx = self._ctx
+        read = self.cache.drops.get(t.tensor_id)
+        if read is not None and ctx.step.index > read:
+            ctx.discard(t)
+            self.cache.dropped += 1
+            return t.nbytes
+        return ctx.evict_to_host(t)
 
     # -- cache membership ----------------------------------------------------
     # Every membership/counter hook is gated on cache_mode: in eager
@@ -541,7 +632,8 @@ class OffloadCachePolicy(MemoryPolicy):
         if self.cache_mode:
             evicted = 0
             while True:
-                freed = self.cache.evict_for(nbytes, ctx.evict_to_host)
+                freed = self.cache.evict_for(nbytes, self._evict,
+                                             ctx.step.index)
                 evicted += freed
                 a = retry()
                 if a is not None:
@@ -579,16 +671,11 @@ class OffloadCachePolicy(MemoryPolicy):
             # residency event.  Which lines pressure takes is the
             # session's record; where each one's clean copy may start,
             # its producer's forward step, is the route's.
-            first_reader = {}
-            for step in backward:
-                for t in ctx.reads_at(step.index):
-                    if t.kind is TensorKind.DATA:
-                        first_reader.setdefault(t.tensor_id, (step.index, t))
             producers = {s.layer.output.tensor_id: s.index for s in steps
                          if s.phase is Phase.FORWARD
                          and s.layer.output is not None}
             return PolicyPlan(
-                key=self.key, return_trip=tuple(first_reader.values()),
+                key=self.key, return_trip=self._need_order(ctx),
                 producers=producers,
                 keep_hooks=("on_tensor_resident", "on_tensor_access",
                             "on_tensor_dead", "on_tensor_released"),
@@ -616,6 +703,17 @@ class OffloadCachePolicy(MemoryPolicy):
         return PolicyPlan(key=self.key, reap_before_step=True,
                           step_offloads=offloads, step_prefetch=prefetch)
 
+    @staticmethod
+    def _need_order(ctx: StepContext) -> Tuple[Tuple[int, Tensor], ...]:
+        """Each data tensor backward reads, at its first backward reader
+        (kernel read or recompute-chain input), in that order."""
+        first_reader = {}
+        for step in ctx.route.steps[ctx.route.num_layers:]:
+            for t in ctx.reads_at(step.index):
+                if t.kind is TensorKind.DATA:
+                    first_reader.setdefault(t.tensor_id, (step.index, t))
+        return tuple(first_reader.values())
+
 
 @register_policy
 class RecomputePolicy(MemoryPolicy):
@@ -625,7 +723,8 @@ class RecomputePolicy(MemoryPolicy):
     freed recomputable tensor, the segment is re-run forward from its
     checkpoint anchor — once per segment keeping results
     (speed-centric), or chain-per-layer dropping intermediates
-    (memory-centric); the cost-aware plan picks per segment.
+    (memory-centric); the cost-aware plan picks per segment.  A conv
+    output the tensor cache dropped is re-run from its producer.
     """
 
     key = "recompute"
@@ -725,6 +824,9 @@ class RecomputePolicy(MemoryPolicy):
             if ctx.state.is_live(t):
                 continue
             producer = ctx.net.layers[t.producer]
+            if producer.ltype is LayerType.CONV:
+                self._rebuild(ctx, producer)  # a victim the cache dropped
+                continue
             if not producer.is_recomputable:
                 raise RuntimeError(
                     f"tensor {t.name} was freed but its producer "
@@ -739,6 +841,21 @@ class RecomputePolicy(MemoryPolicy):
                 self._materialize_segment(ctx, seg)
             else:
                 self._chain_to(ctx, producer, targets={t.tensor_id})
+
+    def _rebuild(self, ctx: StepContext, conv: Layer) -> None:
+        """Re-run a conv whose output the tensor cache dropped.  An input
+        that is gone too comes back as a transient memory-centric chain
+        and goes again as soon as the conv has run."""
+        state = ctx.state
+        transient = []
+        for p in conv.prev:
+            if p.is_recomputable and not state.is_live(p.output):
+                self._chain_to(ctx, p, targets={p.output.tensor_id})
+                transient.append(p.output)
+        self._run_forward(ctx, conv)
+        for t in transient:
+            if state.is_live(t):
+                ctx.discard(t)
 
     def _materialize_segment(self, ctx: StepContext, seg) -> None:
         """Speed-centric: re-run every member once, keep the results."""

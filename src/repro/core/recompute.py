@@ -25,7 +25,7 @@ The plan is static (shapes are static); the executor's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.config import RecomputeStrategy
 from repro.graph.route import ExecutionRoute
@@ -113,6 +113,28 @@ class RecomputePlan:
             if seg.strategy is RecomputeStrategy.SPEED_CENTRIC and seg.members:
                 peak = max(peak, seg.mem_cost())
         return peak
+
+
+def chain_of(layer: Layer, dropped_layers: Set[int]
+             ) -> Tuple[List[Layer], FrozenSet[int]]:
+    """What rebuilding ``layer``'s output takes besides ``layer``: the
+    recompute-dropped layers its inputs come through, and the *chain
+    sources* — the tensor ids of the first kept outputs behind them."""
+    members: List[Layer] = []
+    sources = set()
+    seen = set()
+    stack = list(layer.prev)
+    while stack:
+        p = stack.pop()
+        if p.layer_id in seen:
+            continue
+        seen.add(p.layer_id)
+        if p.layer_id in dropped_layers:
+            members.append(p)
+            stack.extend(p.prev)
+        else:
+            sources.add(p.output.tensor_id)
+    return members, frozenset(sources)
 
 
 def plan_segments(

@@ -15,7 +15,8 @@ lifecycle hooks:
   forward pass (eager mode) or evicted on pressure (cache mode);
   backward steps prefetch upcoming host-resident reads on H2D;
 * **recomputation** (``RecomputePolicy``) — backward steps that need a
-  freed recomputable tensor re-run the segment forward from its anchor;
+  freed recomputable tensor re-run the segment forward from its anchor
+  (and a conv output the tensor cache dropped, its producer);
 * **dynamic workspaces** (``WorkspacePolicy``) — every conv execution
   picks the fastest algorithm whose workspace fits the bytes free.
 
@@ -102,6 +103,8 @@ class IterationResult:
     cache_evictions: int = 0
     #: of those, clean lines dropped with no copy (host copy still valid)
     cache_clean_evictions: int = 0
+    #: and those discarded with no copy either way, rebuilt on demand
+    cache_dropped: int = 0
     workspace_choices: List[WorkspaceChoice] = field(default_factory=list)
     # terminal layer's concrete output, kept only when the iteration ran
     # with capture_output (the serving path); excluded from to_dict —
@@ -127,7 +130,8 @@ class IterationResult:
             "stall_seconds": self.stall_seconds,
             "cache": {"hits": self.cache_hits, "misses": self.cache_misses,
                       "evictions": self.cache_evictions,
-                      "clean_evictions": self.cache_clean_evictions},
+                      "clean_evictions": self.cache_clean_evictions,
+                      "dropped": self.cache_dropped},
             "workspaces": {
                 "executions": len(ws),
                 "at_max_speed": at_max,
@@ -287,6 +291,10 @@ class Executor:
         #: has a recording iteration completed here?  (What
         #: ``StepContext.recorded`` shows the policies.)
         self._recorded = False
+        #: must the next iteration record again?  (Set through
+        #: ``StepContext._observe_again`` when a policy changes what the
+        #: observed schedules were recorded against.)
+        self._record_again = False
         self._replay_enabled = cfg.steady_state_replay
         self._collect_traces = cfg.collect_traces
         self.replayed_iterations = 0
@@ -358,9 +366,10 @@ class Executor:
 
     def _cache_counters(self):
         if self._offload_policy is None:
-            return 0, 0, 0, 0
+            return 0, 0, 0, 0, 0
         c = self._offload_policy.cache
-        return c.hits, c.misses, c.evictions, self._clean_evictions
+        return c.hits, c.misses, c.evictions, self._clean_evictions, \
+            c.dropped
 
     def _extra_forwards(self) -> int:
         return self._recompute_policy.extra_forwards \
@@ -383,7 +392,7 @@ class Executor:
             "peak_bytes": self.allocator.peak_bytes,
         })
         registry.probe(f"{prefix}.cache", lambda: dict(zip(
-            ("hits", "misses", "evictions", "clean_evictions"),
+            ("hits", "misses", "evictions", "clean_evictions", "dropped"),
             self._cache_counters())))
         registry.probe(f"{prefix}.timeline", lambda: {
             "elapsed": self.timeline.elapsed,
@@ -719,6 +728,11 @@ class Executor:
                 "would never step; drop it or use a train-mode session")
         ctx = self._ctx
         plan = self._plan
+        if self._record_again:
+            # what the observers saw no longer holds: they observe one
+            # more iteration, then this session compiles its own plans
+            self._record_again = self._recorded = False
+            self._shared_gathered = plan = None
         if plan is None:
             plan = self._link_plan()
         ctx._begin_iteration(iteration, LayerContext(
@@ -731,7 +745,7 @@ class Executor:
         d2h0, h2d0 = self.dma.stats.d2h_bytes, self.dma.stats.h2d_bytes
         calls0 = self.allocator.stats.calls
         ovh0 = self.allocator.stats.overhead_seconds
-        hits0, miss0, ev0, clean0 = self._cache_counters()
+        hits0, miss0, ev0, clean0, drop0 = self._cache_counters()
         extra0 = self._extra_forwards()
         stall0 = self._stall
         ws_start = len(self._workspace_choices())
@@ -760,7 +774,7 @@ class Executor:
         # the loss travels through the per-session LayerContext (shared
         # SoftmaxLoss objects would race under concurrent sessions)
         loss = ctx.layer_ctx.last_loss
-        hits1, miss1, ev1, clean1 = self._cache_counters()
+        hits1, miss1, ev1, clean1, drop1 = self._cache_counters()
         return IterationResult(
             iteration=iteration,
             loss=loss,
@@ -779,6 +793,7 @@ class Executor:
             cache_misses=miss1 - miss0,
             cache_evictions=ev1 - ev0,
             cache_clean_evictions=clean1 - clean0,
+            cache_dropped=drop1 - drop0,
             workspace_choices=self._workspace_choices()[ws_start:],
             output=ctx.layer_ctx.final_output,
         )

@@ -7,9 +7,11 @@ question, asked the same way for a :class:`~repro.core.session.Session`
 (or its executor), an :class:`~repro.serve.server.InferenceServer` and
 a :class:`~repro.serve.fleet.ServingFleet`.
 
-A :class:`FaultPlan` makes one executor seam raise at its *k*-th call.
-The seams are wrapped from outside, as ``benchmarks/ledger`` wraps the
-allocator: ``src/`` has no injection point.  The simulator is
+A :class:`FaultPlan` makes one executor seam raise at its *k*-th call:
+a DMA copy, an eviction, an allocation, or a forward re-run inside the
+rebuild of a victim the tensor cache dropped.  The seams are wrapped
+from outside, as ``benchmarks/ledger`` wraps the allocator: ``src/`` has
+no injection point.  The simulator is
 deterministic, so ``(seam, k)`` names one call of one iteration on every
 run — a failing example is its own seed.
 """
@@ -184,3 +186,37 @@ def _evict_seam(ex: Executor, plan: FaultPlan) -> None:
         plan.trip(t.name)
         return freed
     ex._evict_to_host = faulty
+
+
+@seam("alloc")
+def _alloc_seam(ex: Executor, plan: FaultPlan) -> None:
+    """Every allocation the executor asks for — tensors, scratch, return
+    -trip lines, pressure retries; the faulting one is never made."""
+    alloc = ex.allocator.alloc
+
+    def faulty(nbytes, tag=""):
+        plan.trip(tag)
+        return alloc(nbytes, tag)
+    ex.allocator.alloc = faulty
+
+
+@seam("rebuild")
+def _rebuild_seam(ex: Executor, plan: FaultPlan) -> None:
+    """Every forward a dropped victim's rebuild re-runs: its chain, then
+    the conv itself; the faulting one runs nothing."""
+    policy = ex._recompute_policy
+    rebuild, run = policy._rebuild, policy._run_forward
+    rebuilding = []
+
+    def faulty_rebuild(ctx, conv):
+        rebuilding.append(conv)
+        try:
+            return rebuild(ctx, conv)
+        finally:
+            rebuilding.pop()
+
+    def faulty_run(ctx, layer):
+        if rebuilding:
+            plan.trip(f"{layer.name} for {rebuilding[-1].name}")
+        return run(ctx, layer)
+    policy._rebuild, policy._run_forward = faulty_rebuild, faulty_run

@@ -12,10 +12,12 @@ stack built from them decides everything live, per step, through the
 obviously right, which is what a reference is for;
 ``test_reference_policies.py`` holds the compiled stack to them.
 
-:class:`WriteBehindCachePolicy` is the other kind of twin: not a hook
-body but a retired schedule.  It is the cache mode that cleaned only one
-pressure event ahead, before the tensor cache recorded its victims;
-``test_overlap_sweep.py`` holds the shipped cache mode to it.
+:class:`WriteBehindCachePolicy` and :class:`CopyEveryVictimPolicy` are
+the other kind of twin: not hook bodies but retired schedules.  The
+first is the cache mode that cleaned only one pressure event ahead,
+before the tensor cache recorded its victims; the second records and
+cleans them but copies every one, before the cache dropped any.
+``test_overlap_sweep.py`` holds the shipped cache mode to both.
 """
 
 from dataclasses import replace
@@ -135,6 +137,14 @@ class WriteBehindCachePolicy(OffloadCachePolicy):
         return replace(super().compile_plan(ctx), producers={})
 
 
+class CopyEveryVictimPolicy(OffloadCachePolicy):
+    """Cache mode with recorded victims that drops none: every victim is
+    copied out and brought back."""
+
+    def _choose_drops(self, ctx):
+        return {}, {}
+
+
 REFERENCE_OF = {
     LivenessPolicy: ReferenceLivenessPolicy,
     OffloadCachePolicy: ReferenceOffloadCachePolicy,
@@ -150,9 +160,15 @@ def reference_stack(config):
             for p in resolve_policies(config)]
 
 
-def write_behind_stack(config):
-    """The shipped stack ``config`` denotes, with its cache-mode offload
-    policy swapped for :class:`WriteBehindCachePolicy`."""
-    return [WriteBehindCachePolicy.from_config(config)
-            if type(p) is OffloadCachePolicy else p
-            for p in resolve_policies(config)]
+def cache_twin_stack(twin):
+    """``stack(config)``: the shipped stack ``config`` denotes, with its
+    offload policy swapped for ``twin``."""
+    def stack(config):
+        return [twin.from_config(config)
+                if type(p) is OffloadCachePolicy else p
+                for p in resolve_policies(config)]
+    return stack
+
+
+write_behind_stack = cache_twin_stack(WriteBehindCachePolicy)
+copy_every_victim_stack = cache_twin_stack(CopyEveryVictimPolicy)
