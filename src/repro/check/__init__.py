@@ -2,9 +2,10 @@
 
 Four pillars (see DESIGN.md "Static checks" and "Concurrency model"):
 
-* the **plan verifier** symbolically replays a compiled mode's frozen
-  schedules and proves the memory-safety invariants (PLAN001-PLAN007)
-  before any session executes them;
+* the **plan verifier** runs one iteration of a compiled mode on the
+  simulated executor, placement validator armed, and turns what the run
+  refuses or records into memory-safety findings (PLAN001-PLAN007)
+  before any session replays the plan;
 * the **architecture linter** encodes the ownership/concurrency rules
   the parallel-session design relies on (LINT001-LINT005) as AST checks
   over ``src/repro/``;
@@ -28,9 +29,9 @@ arm the synchronization trace (capacity via ``REPRO_TRACE_SYNC_CAP`` /
 ``capture(limit=)``).
 
 Attribute resolution is lazy (PEP 562): ``repro.check.instrument`` is
-imported by core modules (engine, tensor_state) whose own import chain
-reaches back into the plan verifier's dependencies — an eager import
-here would be a cycle.  ``instrument`` itself depends only on stdlib.
+imported by core modules (engine, tensor_state) that the plan verifier
+and the cost model import — an eager import here would be a cycle.
+``instrument`` itself depends only on stdlib.
 """
 
 from __future__ import annotations
@@ -55,14 +56,9 @@ _EXPORTS: Dict[str, str] = {
     "lint_source": "lint",
     "lint_tree": "lint",
     # plan verifier
-    "PlanTrace": "plan_verifier",
     "PlanVerificationError": "plan_verifier",
-    "SymStep": "plan_verifier",
-    "SymTensor": "plan_verifier",
-    "extract_trace": "plan_verifier",
     "verify_compiled_mode": "plan_verifier",
     "verify_engine": "plan_verifier",
-    "verify_trace": "plan_verifier",
     # instrumentation
     "EventLog": "instrument",
     "SyncEvent": "instrument",

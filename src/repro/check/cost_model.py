@@ -317,7 +317,7 @@ class IterationRecorder:
     def _now(self) -> float:
         return self.ex.timeline.now(Stream.COMPUTE) - self.t0
 
-    def _where(self) -> Tuple[int, str]:
+    def where(self) -> Tuple[int, str]:
         """(step index, op) of the step in flight; past the last step
         the iteration barrier is draining copies."""
         steps = self.ex.route.steps
@@ -364,7 +364,7 @@ class IterationRecorder:
                     else start - self.t0
 
     def waited(self, kind: str, t, ev, stall: float) -> None:
-        index, op = self._where()
+        index, op = self.where()
         if kind == "prefetch":
             rec = self._prefetch_of.pop(t.tensor_id)
             rec.consumer_step, rec.consumer_op = index, op
@@ -384,7 +384,7 @@ class IterationRecorder:
 
     # -- recompute policy sites ----------------------------------------------
     def rebuild_begins(self, seg) -> None:
-        index, op = self._where()
+        index, op = self.where()
         self._rebuild_of[id(seg)] = RecomputeRecord(
             anchor=seg.anchor.name, strategy=seg.strategy.value,
             trigger_step=index, trigger_op=op)

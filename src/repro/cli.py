@@ -547,9 +547,12 @@ def _parse_serve_batches(args):
 
 @_check_cmd
 def cmd_check_plan(args) -> int:
-    """Compile and statically verify plans across the ablation ladder."""
+    """Compile every target with the plan verifier armed; a target the
+    verifier refuses reports its findings and the sweep goes on."""
+    from dataclasses import replace
+
     from repro.core.config import RuntimeConfig
-    from repro.check import CheckReport, verify_compiled_mode
+    from repro.check import CheckReport, PlanVerificationError
 
     nets = sorted(NETWORK_BUILDERS) if args.all else [_net_name(args)]
     rungs = _parse_rungs(args)
@@ -558,17 +561,23 @@ def cmd_check_plan(args) -> int:
     modes = args.modes.split(",") if args.modes else ["train", "infer"]
     serve_batches = _parse_serve_batches(args)
     report = CheckReport(tool="plan-verifier")
+
+    def verify(engine, mode, target):
+        report.checked.append(target)
+        try:
+            engine.compiled(mode)
+        except PlanVerificationError as exc:
+            report.extend(replace(d, target=target)
+                          for d in exc.report.diagnostics)
+
     for name in nets:
         for rung in rungs:
             cfg = getattr(RuntimeConfig, rung)(
                 concrete=False, gpu_capacity=int(args.gpu_gb * GiB))
-            engine = Engine(NETWORK_BUILDERS[name](batch=args.batch), cfg)
+            engine = Engine(NETWORK_BUILDERS[name](batch=args.batch), cfg,
+                            verify=True)
             for mode in modes:
-                target = f"{name}/{mode}@{rung}"
-                report.checked.append(target)
-                report.extend(verify_compiled_mode(
-                    engine.net, engine.compiled(mode),
-                    engine.config.for_mode(mode), target=target))
+                verify(engine, mode, f"{name}/{mode}@{rung}")
         # serve-shaped sweep: the infer plans a serving deployment would
         # actually replay — DynamicBatcher pads/splits every request
         # burst to the engine's compiled batch, so each serve batch size
@@ -576,12 +585,9 @@ def cmd_check_plan(args) -> int:
         for b in serve_batches:
             cfg = RuntimeConfig.superneurons(
                 concrete=False, gpu_capacity=int(args.gpu_gb * GiB))
-            engine = Engine(NETWORK_BUILDERS[name](batch=b), cfg)
-            target = f"{name}/serve@b{b}"
-            report.checked.append(target)
-            report.extend(verify_compiled_mode(
-                engine.net, engine.compiled("infer"),
-                engine.config.for_mode("infer"), target=target))
+            engine = Engine(NETWORK_BUILDERS[name](batch=b), cfg,
+                            verify=True)
+            verify(engine, "infer", f"{name}/serve@b{b}")
     return _emit_report(report, args)
 
 

@@ -181,8 +181,9 @@ class Engine:
         # later caller-side mutation must not desync them from workers
         self.config = replace(config) if config is not None \
             else RuntimeConfig()
-        #: run the static plan verifier (repro.check) on every mode
-        #: before caching it; violations raise PlanVerificationError
+        #: judge every mode's scout iteration with the plan verifier
+        #: (repro.check) before caching it; a finding raises
+        #: PlanVerificationError
         self.verify_plans = verify
         #: build a cost-model report (repro.check.cost_model) per
         #: compiled mode — purely advisory, never raises
@@ -218,8 +219,6 @@ class Engine:
             cm = self._compiled.get(mode)
             if cm is None:
                 cm, prediction = self._compile_mode(planning)
-                if self.verify_plans:
-                    self._verify_mode(mode, cm)
                 if prediction is not None:
                     self._cost_mode(mode, prediction)
                 trace_write(self, f"engine.compiled[{mode}]")
@@ -227,31 +226,13 @@ class Engine:
                 self.mode_compile_count += 1
         return cm
 
-    def _verify_mode(self, mode: str, cm: CompiledMode) -> None:
-        """Statically verify one compiled mode (before it is cached).
-
-        Raises :class:`~repro.check.plan_verifier.PlanVerificationError`
-        on any error-severity finding, so a memory-unsafe plan can never
-        be replayed by a session.  Lazy import: engines that never arm
-        verification never load the checker.
-        """
-        from repro.check.diagnostics import CheckReport
-        from repro.check.plan_verifier import (
-            PlanVerificationError, verify_compiled_mode)
-        target = f"{self.net.name}/{mode}"
-        report = CheckReport(tool="plan-verifier", checked=[target])
-        report.extend(verify_compiled_mode(
-            self.net, cm, self.config.for_mode(mode), target=target))
-        if not report.ok:
-            raise PlanVerificationError(report)
-
     def _cost_mode(self, mode: str, prediction) -> None:
         """Analyze one compiled mode's cost and stash the report.
 
         ``prediction`` is the scout iteration itself, recorded (see
-        :meth:`_compile_mode`).  Advisory, unlike :meth:`_verify_mode`:
-        PERF findings are warnings about *speed*, not safety — the mode
-        still caches and runs.
+        :meth:`_compile_mode`).  Advisory, unlike verification: PERF
+        findings are warnings about *speed*, not safety — the mode still
+        caches and runs.
         """
         self._assert_compile_locked()
         from repro.check.cost_model import analyze_prediction
@@ -313,26 +294,43 @@ class Engine:
         # offload/prefetch schedules, and recompute cleanup are
         # identical to a concrete run's, but no payload is ever touched.
         # It runs over the mode's cached planning, like every other
-        # recording executor of this engine.  With
-        # cost reporting armed the same iteration is also the cost
-        # prediction: it runs under the cost model's recorder (lazy
-        # import, same contract as verification) — a recording
-        # iteration 0 and a replayed iteration 0 are the same machine
-        # doing the same thing, so costing needs no second run.
+        # recording executor of this engine.  The same iteration is the
+        # verdict of the plan verifier and the cost prediction: with
+        # either armed it runs under the cost model's recorder (lazy
+        # imports: engines that arm neither never load the checkers) —
+        # a recording iteration 0 and a replayed iteration 0 are the
+        # same machine doing the same thing, so neither needs a second
+        # run.  A plan the verifier refuses raises
+        # PlanVerificationError and is never cached.
         mode = planning.mode
+        target = f"{self.net.name}/{mode}"
         scout_cfg = replace(self.config.for_mode(mode),
                             concrete=False, collect_traces=False,
                             steady_state_replay=True)
-        with Executor(self.net, scout_cfg, resolve_policies(scout_cfg),
-                      planning) as scout:
-            prediction = None
-            if self.cost_report:
-                from repro.check.cost_model import record_iteration
-                prediction = record_iteration(
-                    scout, f"{self.net.name}/{mode}")
-            else:
-                scout.run_iteration(0)
-            gathered = gather_plans(scout)
+
+        def scout() -> Executor:
+            return Executor(self.net, scout_cfg,
+                            resolve_policies(scout_cfg), planning)
+
+        if self.verify_plans:
+            from repro.check.diagnostics import CheckReport
+            from repro.check.plan_verifier import (
+                PlanVerificationError, verify_run)
+            diags, gathered, prediction = verify_run(
+                scout, target, cost=self.cost_report)
+            if diags:
+                raise PlanVerificationError(CheckReport(
+                    tool="plan-verifier", diagnostics=diags,
+                    checked=[target]))
+        else:
+            with scout() as ex:
+                prediction = None
+                if self.cost_report:
+                    from repro.check.cost_model import record_iteration
+                    prediction = record_iteration(ex, target)
+                else:
+                    ex.run_iteration(0)
+                gathered = gather_plans(ex)
         return CompiledMode(planning=planning, gathered=gathered), prediction
 
     # -------------------------------------------------------------- spawning
@@ -618,8 +616,9 @@ def compile(net: Net, config: Optional[RuntimeConfig] = None,
 
     ``modes`` eagerly compiles the named execution modes; by default
     compilation happens lazily when the first session of a mode runs.
-    ``verify=True`` runs the static plan verifier on every compiled
-    mode and refuses to cache one that fails (see :mod:`repro.check`);
+    ``verify=True`` has the plan verifier judge every mode's scout
+    iteration and refuses to cache one that fails (see
+    :mod:`repro.check`);
     ``cost_report=True`` additionally predicts every compiled mode's
     cost and stashes the advisory report on ``engine.cost_reports``.
     """

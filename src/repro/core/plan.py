@@ -468,9 +468,9 @@ class GatheredPolicy:
 def plans_by_key(gathered: Tuple["GatheredPolicy", ...]
                  ) -> Dict[str, PolicyPlan]:
     """The compiled positions' schedules, keyed by registry name.  The
-    static plan verifier (:mod:`repro.check.plan_verifier`) reads the
-    frozen schedules through this instead of touching stack positions,
-    so policy order stays an executor concern."""
+    plan verifier (:mod:`repro.check.plan_verifier`) reads the frozen
+    need order through this instead of touching stack positions, so
+    policy order stays an executor concern."""
     return {g.key: g.plan for g in gathered if g.plan is not None}
 
 

@@ -61,6 +61,7 @@ from repro.core.cache import TensorCache, Victim, choose_drops
 from repro.core.config import OFFLOAD_TYPES, RecomputeStrategy, RuntimeConfig
 from repro.core.plan import PolicyPlan, kernel_clock, make_workspace_op
 from repro.core.recompute import chain_of
+from repro.core.tensor_state import ResidencyError
 from repro.core.workspace import WorkspaceChoice, WorkspaceSelector
 from repro.device.dma import CopyDirection
 from repro.device.gpu import OutOfMemoryError
@@ -147,7 +148,8 @@ class StepContext:
 
     @property
     def recorder(self):
-        """The executor's iteration observer (None unless costing)."""
+        """The executor's iteration observer (None unless costing or
+        verifying)."""
         return self._ex.recorder
 
     @property
@@ -253,6 +255,11 @@ class StepContext:
         scale = pool.h2d_scale if direction is CopyDirection.H2D \
             else pool.d2h_scale
         return self._ex.dma.copy_time(t.nbytes, direction, scale)
+
+    def _dropped(self, t: Tensor) -> bool:
+        """Is ``t`` a victim the tensor cache discards instead of
+        evicting (its rebuild is recomputation's job)?"""
+        return t.tensor_id in self._ex.cache.drops
 
     def _observe_again(self) -> None:
         """A drop set moves the free bytes the observed schedules
@@ -824,17 +831,16 @@ class RecomputePolicy(MemoryPolicy):
             if ctx.state.is_live(t):
                 continue
             producer = ctx.net.layers[t.producer]
-            if producer.ltype is LayerType.CONV:
-                self._rebuild(ctx, producer)  # a victim the cache dropped
+            if ctx._dropped(t):
+                self._rebuild(ctx, producer)
                 continue
-            if not producer.is_recomputable:
-                raise RuntimeError(
-                    f"tensor {t.name} was freed but its producer "
-                    f"{producer.name} is not recomputable — scheduling bug"
-                )
-            seg = plan.segment_of.get(producer.layer_id)
+            seg = plan.segment_of.get(producer.layer_id) \
+                if producer.is_recomputable else None
             if seg is None:
-                raise RuntimeError(f"{producer.name} not in any segment")
+                raise ResidencyError(
+                    f"tensor {t.name} was freed but its producer "
+                    f"{producer.name} is not recomputable — scheduling bug",
+                    t, "PLAN004")
             if ctx.recorder is not None:
                 ctx.recorder.rebuild_begins(seg)
             if seg.strategy is RecomputeStrategy.SPEED_CENTRIC:

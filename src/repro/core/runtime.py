@@ -50,7 +50,7 @@ from repro.core.plan import (
     listener_table,
 )
 from repro.core.policy import MemoryPolicy, StepContext
-from repro.core.tensor_state import SessionTensorState
+from repro.core.tensor_state import ResidencyError, SessionTensorState
 from repro.core.workspace import WorkspaceChoice
 from repro.device.dma import CopyDirection, DMAEngine
 from repro.device.fabric import MemoryFabric
@@ -303,8 +303,9 @@ class Executor:
         #: releases and recompute forwards (the cost model's
         #: ``IterationRecorder``).  It must be attached before the first
         #: iteration links a plan, reads state and never writes it, and
-        #: is None everywhere except costing: each site pays one
-        #: ``is not None`` test, none of them on the no-DMA hot path.
+        #: is None everywhere except costing and plan verification: each
+        #: site pays one ``is not None`` test, none of them on the
+        #: no-DMA hot path.
         self.recorder = None
 
         # runtime state
@@ -593,11 +594,14 @@ class Executor:
 
     def _offload_async(self, t: Tensor, after: Optional[List[Event]] = None) -> None:
         """Eager UTP offload: D2H overlaps following forward compute."""
-        ev = self._copy(t, "offload", after=after)
-        self.state.set_host_resident(t, True)
         a = self._alloc_of.get(t.tensor_id)
         if a is None:
-            return
+            raise ResidencyError(
+                f"offload of {t.name} which is "
+                f"{self.state.placement(t).value}, not GPU-resident",
+                t, "PLAN006")
+        ev = self._copy(t, "offload", after=after)
+        self.state.set_host_resident(t, True)
         self._pending.append(_PendingOffload(t, ev, a))
 
     def _reap_offloads(self) -> None:
@@ -668,9 +672,9 @@ class Executor:
             self.store.move_to_gpu(t)
             state.set_placement(t, Placement.GPU)
             return
-        raise RuntimeError(
-            f"tensor {t.name} is {placement.value}; cannot make resident"
-        )
+        raise ResidencyError(
+            f"tensor {t.name} is {placement.value}; cannot make resident",
+            t, "PLAN001")
 
     # ------------------------------------------------------------------- grads
     def _ensure_grad(self, t: Tensor) -> None:
@@ -884,10 +888,10 @@ class Executor:
             self._dispatch("on_backward_need", cs.step, missing)
             still = [t for t in missing if not state.is_live(t)]
             if still:
-                raise RuntimeError(
+                raise ResidencyError(
                     f"backward of {layer.name} needs freed tensors "
-                    f"{[t.name for t in still]} but recomputation is off"
-                )
+                    f"{[t.name for t in still]} but recomputation is off",
+                    still[0], "PLAN001")
         for t in cs.reads:
             self._make_gpu_resident(t)
             state.lock(t)

@@ -68,15 +68,28 @@ ALLOWED_TRANSITIONS: FrozenSet[Tuple[Placement, Placement]] = frozenset({
 })
 
 
-class IllegalPlacementTransition(RuntimeError):
-    """A ``set_placement`` violated the placement state machine."""
+class ResidencyError(RuntimeError):
+    """The executor refused a residency move its schedule asked for.
+
+    ``tensor`` is the descriptor it refused and ``rule`` the plan rule
+    (``PLAN001``...) the schedule broke, so the plan verifier maps a
+    refusal to its finding without reading the message.
+    """
+
+    def __init__(self, message: str, tensor: Tensor, rule: str):
+        super().__init__(message)
+        self.tensor = tensor
+        self.rule = rule
+
+
+class IllegalPlacementTransition(ResidencyError):
+    """A ``set_placement`` violated the placement state machine: the
+    schedule moved or freed a tensor that is not there."""
 
     def __init__(self, t: Tensor, old: Placement, new: Placement):
         super().__init__(
             f"illegal placement transition {old.value} -> {new.value} "
-            f"for tensor {t.name!r} (id={t.tensor_id})"
-        )
-        self.tensor = t
+            f"for tensor {t.name!r} (id={t.tensor_id})", t, "PLAN006")
         self.old = old
         self.new = new
 
@@ -91,7 +104,7 @@ class SessionTensorState:
     """
 
     __slots__ = ("_placement", "_locked", "_host", "_live", "_arrivals",
-                 "_cleaning", "validate")
+                 "_cleaning", "validate", "strict")
 
     def __init__(self, validate: Optional[bool] = None) -> None:
         self._placement: Dict[int, Placement] = {}
@@ -102,6 +115,12 @@ class SessionTensorState:
         self._cleaning: Dict[int, object] = {}  # tensor_id -> DMA Event
         self.validate = _ins.env_flag(VALIDATE_ENV) if validate is None \
             else validate
+        #: with ``validate``, also refuse FREED -> FREED.  No session's
+        #: first iteration frees a tensor twice, so the plan verifier,
+        #: which judges one, arms it; from the second iteration on the
+        #: liveness lists free the data layer's grad (which no step
+        #: materialises) again, so nothing else does.
+        self.strict = False
 
     # -- placement --------------------------------------------------------
     def placement(self, t: Tensor) -> Placement:
@@ -110,7 +129,8 @@ class SessionTensorState:
     def set_placement(self, t: Tensor, p: Placement) -> None:
         if self.validate:
             old = self._placement.get(t.tensor_id, Placement.UNALLOCATED)
-            if old is not p and (old, p) not in ALLOWED_TRANSITIONS:
+            if (old is not p or self.strict and p is Placement.FREED) \
+                    and (old, p) not in ALLOWED_TRANSITIONS:
                 raise IllegalPlacementTransition(t, old, p)
         if _ins.ACTIVE is not None:  # a foreign-thread write here IS a race
             _ins.trace_write(self, "tensor_state.placement", t.name)

@@ -8,8 +8,9 @@ question, asked the same way for a :class:`~repro.core.session.Session`
 a :class:`~repro.serve.fleet.ServingFleet`.
 
 A :class:`FaultPlan` makes one executor seam raise at its *k*-th call:
-a DMA copy, an eviction, an allocation, or a forward re-run inside the
-rebuild of a victim the tensor cache dropped.  The seams are wrapped
+a DMA copy, an eviction, an allocation, a forward re-run inside the
+rebuild of a victim the tensor cache dropped, or a layer's forward or
+backward step.  The seams are wrapped
 from outside, as ``benchmarks/ledger`` wraps the allocator: ``src/`` has
 no injection point.  The simulator is
 deterministic, so ``(seam, k)`` names one call of one iteration on every
@@ -220,3 +221,32 @@ def _rebuild_seam(ex: Executor, plan: FaultPlan) -> None:
             plan.trip(f"{layer.name} for {rebuilding[-1].name}")
         return run(ctx, layer)
     policy._rebuild, policy._run_forward = faulty_rebuild, faulty_run
+
+
+def _layer_seam(phase: str):
+    """The step loop's ``_forward`` / ``_backward``: the faulting step
+    raises once its kernel is submitted — operands resident and pinned,
+    output allocated, workspace scratch held.  The data layer's backward
+    runs no kernel and is no call."""
+    def install(ex: Executor, plan: FaultPlan) -> None:
+        run, free_scratch = getattr(ex, f"_{phase}"), ex._free_step_scratch
+        running = []
+
+        def faulty_run(cs, ctx, *args):
+            running.append(cs)
+            try:
+                return run(cs, ctx, *args)
+            finally:
+                running.pop()
+
+        def faulty_free(ctx):
+            if running:
+                plan.trip(running[-1].trace_label)
+            return free_scratch(ctx)
+        setattr(ex, f"_{phase}", faulty_run)
+        ex._free_step_scratch = faulty_free
+    return install
+
+
+seam("forward")(_layer_seam("forward"))
+seam("backward")(_layer_seam("backward"))

@@ -1,31 +1,38 @@
-"""Static plan verifier: known-good zoo plans pass, seeded-bad plans fail.
+"""Plan verifier: known-good zoo plans pass, seeded-bad plans fail.
 
-The known-bad fixtures tamper *real* extracted traces (or hand-build
-symbolic steps), so each PLAN rule is proven against the same schedule
-shapes the verifier sees in production, not synthetic strawmen.
+The verifier runs one iteration of the plan on the simulated executor,
+so every known-bad fixture seeds its corruption where a buggy policy
+would put it — into the gathered policy plans, into the planning inputs
+they are compiled from, or into the linked iteration plan — and each
+PLAN rule is proven through both entry points: ``Engine(verify=True)``
+judging its scout, and ``verify_compiled_mode`` replaying a compiled
+mode on a throwaway executor.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 import repro
+import repro.core.runtime as runtime
 from repro.check import (
-    CheckReport,
-    Diagnostic,
     PlanVerificationError,
-    extract_trace,
     verify_compiled_mode,
     verify_engine,
-    verify_trace,
 )
-from repro.check.plan_verifier import PlanTrace, SymStep, SymTensor
+from repro.cli import main as cli_main
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
-from repro.core.plan import plans_by_key
+from repro.core.plan import GatheredPolicy, plans_by_key
+from repro.core.policy import POLICY_REGISTRY, LivenessPolicy
+from repro.core.runtime import Executor
 from repro.core.session import Session
-from repro.core.tensor_state import SessionTensorState
-from repro.zoo import alexnet, lenet
+from repro.core.tensor_state import ResidencyError, SessionTensorState
+from repro.tensors.tensor import TensorKind
+from repro.zoo import NETWORK_BUILDERS, alexnet, lenet
+from repro.zoo.resnet import resnet_from_units
+from tests.test_clean_lines import SMALLEST
 from tests.test_graph import fan_net
 
 LADDER = {
@@ -36,19 +43,17 @@ LADDER = {
 }
 
 
-def _engine(net_builder, rung, **kw):
-    return Engine(net_builder(batch=8), LADDER[rung](concrete=False, **kw))
-
-
-def _trace(net_builder=alexnet, rung="liveness_offload", mode="train"):
-    eng = _engine(net_builder, rung)
-    cm = eng.compiled(mode)
-    return extract_trace(eng.net, cm, eng.config.for_mode(mode),
-                        target=f"{eng.net.name}/{mode}")
+def _engine(net_builder, rung, verify=False, **kw):
+    return Engine(net_builder(batch=8), LADDER[rung](concrete=False, **kw),
+                  verify=verify)
 
 
 def _rules(diags):
     return sorted({d.rule for d in diags})
+
+
+def _layer(eng, name):
+    return next(layer for layer in eng.net.layers if layer.name == name)
 
 
 # --------------------------------------------------------------------------- #
@@ -73,151 +78,216 @@ def test_report_shape():
     assert "lenet/train" in data["checked"]
 
 
+def test_free_before_creation_is_the_legal_noop():
+    """The UNALLOCATED -> FREED edge (a liveness list may name a tensor
+    no step has materialised yet) stays legal under the verifier's
+    strict validator: the tensor is simply created later."""
+    def bad(eng):
+        late = _layer(eng, "conv2").output
+        return "liveness", lambda p: _with(p, "step_frees", 0, late)
+    assert both_entry_points(alexnet, "liveness_only", bad) == ([], [])
+
+
 # --------------------------------------------------------------------------- #
-# known-bad: each seeded corruption must be rejected with its rule
+# known-bad: each seeded corruption is refused with its rule, both ways
 # --------------------------------------------------------------------------- #
 
-def _first_producer_consumer_gap(tr):
+def _with(plan, field, i, t):
+    """``plan`` with ``t`` appended to schedule ``field`` at step ``i``."""
+    sched = getattr(plan, field)
+    return dataclasses.replace(plan, **{field: {**sched,
+                                                i: sched.get(i, ()) + (t,)}})
+
+
+def _retouch(gathered, key, bad):
+    return tuple(GatheredPolicy(g.key, bad(g.plan)) if g.key == key else g
+                 for g in gathered)
+
+
+def both_entry_points(builder, rung, seed, mode="train"):
+    """Run the corruption ``seed(engine) -> (policy key, bad)`` — where
+    ``bad`` rewrites that policy's gathered plan — through both entry
+    points; returns ``(scout findings, replay findings)``.  A refusing
+    engine must leave the mode uncompiled and compile it cleanly once
+    the corruption is gone."""
+    eng = _engine(builder, rung, verify=True)
+    key, bad = seed(eng)
+    cls = POLICY_REGISTRY[key]
+    real = cls.compile_plan
+    scout = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cls, "compile_plan", lambda p, ctx: (
+            lambda plan: plan if plan is None else bad(plan))(real(p, ctx)))
+        try:
+            eng.compiled(mode)
+        except PlanVerificationError as exc:
+            scout = exc.report.diagnostics
+            assert eng.compiled_modes == ()
+    eng.compiled(mode)
+    assert eng.compiled_modes == (mode,)
+
+    clean = _engine(builder, rung)
+    key, bad = seed(clean)
+    cm = clean.compiled(mode)
+    cm = dataclasses.replace(cm, gathered=_retouch(cm.gathered, key, bad))
+    return scout, verify_compiled_mode(clean.net, cm,
+                                       clean.config.for_mode(mode))
+
+
+def _first_producer_consumer_gap(route):
     """(step j, tensor) where the tensor is written before step j and
     read at step j — the slot to seed a premature free into."""
     written = {}
-    for s in tr.steps:
-        for t in s.writes:
+    for s in route.steps:
+        for t in route.step_writes(s):
             written.setdefault(t.tensor_id, s.index)
-        for t in s.reads:
+        for t in route.step_reads(s):
             w = written.get(t.tensor_id)
-            if w is not None and s.index > w and t.kind == "data" \
-                    and t.anchor_id is None:
+            if w is not None and s.index > w and t.kind is TensorKind.DATA:
                 return s.index, t
     raise AssertionError("no producer/consumer gap found")
 
 
 def test_premature_free_rejected_as_use_after_free():
-    tr = _trace(rung="liveness_only")
-    j, t = _first_producer_consumer_gap(tr)
-    tr.steps[j - 1].frees = tr.steps[j - 1].frees + (t,)
-    diags = verify_trace(tr)
-    assert "PLAN001" in _rules(diags)
-    hit = next(d for d in diags if d.rule == "PLAN001")
-    assert hit.tensor == t.name
-    assert hit.step == j
-    assert hit.severity == "error"
+    def seed(eng):
+        j, t = _first_producer_consumer_gap(
+            eng.planning("train").route)
+        return "liveness", lambda p: _with(p, "step_frees", j - 1, t)
+
+    for diags in both_entry_points(alexnet, "liveness_only", seed):
+        assert _rules(diags) == ["PLAN001"]
+        (hit,) = diags
+        assert (hit.step, hit.tensor, hit.severity) == \
+            (1, "data:out", "error")
 
 
 def test_dropped_prefetch_rejected_as_missing_prefetch():
-    tr = _trace(rung="liveness_offload")
-    assert any(s.prefetches for s in tr.steps), "fixture needs prefetches"
-    for s in tr.steps:
-        s.prefetches = ()
-    diags = verify_trace(tr)
-    assert _rules(diags) == ["PLAN002"]
-    # provenance points at the stalled consumer step
-    assert all(d.step is not None and d.op for d in diags)
+    def seed(eng):
+        return "offload", lambda p: dataclasses.replace(p, step_prefetch={})
+
+    for diags in both_entry_points(alexnet, "liveness_offload", seed):
+        assert diags and _rules(diags) == ["PLAN002"]
+        # provenance points at the stalled consumer step
+        assert all(d.step is not None and d.op and d.tensor for d in diags)
 
 
-def test_unbalanced_lock_rejected():
-    tr = _trace(rung="liveness_only")
-    victim = next(s for s in tr.steps if s.unlocks)
-    victim.unlocks = ()
-    diags = verify_trace(tr)
-    assert "PLAN003" in _rules(diags)
-    assert any("barrier" in d.message for d in diags)
+def test_unbalanced_lock_rejected(monkeypatch):
+    """Seeded into the linked iteration plan: conv1's backward step, the
+    last to pin its output gradient, no longer releases that pin."""
+    real = runtime.link_iteration_plan
 
+    def leaky(ex, gathered):
+        plan = real(ex, gathered)
+        cs = plan.steps[-2]
+        grad = cs.layer.grad_output
+        cs.pinned = tuple(t for t in cs.pinned if t is not grad)
+        return plan
 
-def test_unlock_without_lock_rejected():
-    tr = _trace(rung="liveness_only")
-    victim = next(s for s in tr.steps if s.locks)
-    victim.locks = ()
-    diags = verify_trace(tr)
-    assert "PLAN003" in _rules(diags)
+    clean = _engine(alexnet, "liveness_only")
+    cm = clean.compiled("train")
+    eng = _engine(alexnet, "liveness_only", verify=True)
+    monkeypatch.setattr(runtime, "link_iteration_plan", leaky)
+    with pytest.raises(PlanVerificationError) as exc:
+        eng.compiled("train")
+    replayed = verify_compiled_mode(clean.net, cm,
+                                    clean.config.for_mode("train"))
+    monkeypatch.undo()
+    assert eng.compiled_modes == ()
+    eng.compiled("train")
+    for diags in (exc.value.report.diagnostics, replayed):
+        assert [(d.rule, d.tensor) for d in diags] == \
+            [("PLAN003", "conv1:grad")]
+        assert "barrier" in diags[0].message
 
 
 def test_dead_recompute_anchor_rejected():
-    tr = _trace(rung="superneurons")
-    covered = next(t for s in tr.steps for t in s.reads
-                   if t.anchor_id is not None)
-    demand = next(s.index for s in tr.steps
-                  if any(t.tensor_id == covered.tensor_id
-                         for t in s.reads))
-    anchor = next(t for s in tr.steps for t in s.writes + s.reads
-                  if t.tensor_id == covered.anchor_id)
-    tr.steps[demand - 1].frees = tr.steps[demand - 1].frees + (anchor,)
-    diags = verify_trace(tr)
-    assert "PLAN004" in _rules(diags)
+    """conv1's output anchors the relu1/lrn1/pool1 recompute segment;
+    freed after pool1's backward, relu1's backward cannot be served.
+    Before the fix recomputation re-ran conv1 as if the tensor cache had
+    dropped it, and the run went on with 15 extra forwards."""
+    def seed(eng):
+        anchor = _layer(eng, "conv1").output
+        return "liveness", lambda p: _with(p, "step_frees", 43, anchor)
+
+    for diags in both_entry_points(alexnet, "superneurons", seed):
+        assert [(d.rule, d.step, d.op, d.tensor) for d in diags] == \
+            [("PLAN004", 45, "relu1:b", "conv1:out")]
+
+    # unverified, the same corruption is a scheduling bug, not a rebuild
+    eng = _engine(alexnet, "superneurons")
+    eng.planning("train").liveness_plan.free_after.setdefault(43, []).append(
+        _layer(eng, "conv1").output)
+    with pytest.raises(ResidencyError, match="scheduling bug") as exc:
+        with eng.session("train") as sess:
+            sess.run_iteration(0)
+    assert exc.value.rule == "PLAN004"
 
 
 def test_over_capacity_rejected():
-    tr = _trace(rung="liveness_only")
-    tr.capacity = 1024  # nothing fits in 1 KiB
-    diags = verify_trace(tr)
-    assert _rules(diags) == ["PLAN005"]
-    assert all(d.severity == "error" for d in diags)
+    eng = _engine(alexnet, "liveness_only")
+    # the parameters alone; then room for them and no activation
+    params = sum(p.nbytes for layer in eng.net.layers for p in layer.params)
+    for capacity, step in ((1024, None), (params + (1 << 20), 0)):
+        cfg = dataclasses.replace(eng.config.for_mode("train"),
+                                  gpu_capacity=capacity)
+        replayed = verify_compiled_mode(eng.net, eng.compiled("train"), cfg)
+        bad = Engine(eng.net, cfg, verify=True)
+        with pytest.raises(PlanVerificationError) as exc:
+            bad.compiled("train")
+        assert bad.compiled_modes == ()
+        for diags in (exc.value.report.diagnostics, replayed):
+            assert [(d.rule, d.severity, d.step) for d in diags] == \
+                [("PLAN005", "error", step)]
+        bad.config.gpu_capacity = None
+        bad.compiled("train")
 
 
-def test_over_capacity_is_warning_under_pressure_eviction():
-    # cache-mode UTP can shed bytes at runtime the static model keeps,
-    # so the same overflow downgrades to a warning there
-    tr = _trace(rung="superneurons")
-    assert tr.overflow_is_error is False
-    tr.capacity = 1024
-    diags = verify_trace(tr)
-    assert _rules(diags) == ["PLAN005"]
-    assert all(d.severity == "warning" for d in diags)
-    report = CheckReport(tool="plan-verifier", diagnostics=diags)
-    assert report.ok  # warnings do not fail the check
+def test_cache_mode_overflow_is_judged_by_the_run():
+    """The tensor cache sheds what its static peak keeps: at the
+    smallest capacity the small resnet trains in, the scout evicts and
+    the plan verifies; below what eviction can reach it is an error."""
+    def engine(capacity):
+        return Engine(
+            resnet_from_units((1, 1, 0, 0), batch=4, image=32,
+                              num_classes=10),
+            RuntimeConfig.superneurons(concrete=False, gpu_capacity=capacity),
+            verify=True, cost_report=True)
+
+    eng = engine(SMALLEST)
+    eng.compiled("train")
+    assert eng.cost_reports["train"].metrics[
+        f"{eng.net.name}/train"]["pressure_evictions"] > 0
+    with pytest.raises(PlanVerificationError) as exc:
+        engine(SMALLEST // 2).compiled("train")
+    assert _rules(exc.value.report.errors) == ["PLAN005"]
 
 
 def test_double_free_rejected():
-    tr = _trace(rung="liveness_only")
-    victim = next(s for s in tr.steps if s.frees)
-    nxt = tr.steps[victim.index + 1]
-    nxt.frees = nxt.frees + victim.frees
-    diags = verify_trace(tr)
-    assert "PLAN006" in _rules(diags)
+    def freed_twice(eng):
+        live = eng.planning("train").liveness_plan
+        k = min(i for i, ts in live.free_after.items() if ts)
+        t = live.free_after[k][0]
+        return "liveness", lambda p: _with(p, "step_frees", k + 1, t)
 
+    def offloaded_before_made(eng):
+        late = _layer(eng, "conv5").output
+        return "offload", lambda p: _with(p, "step_offloads", 0, late)
 
-def test_free_before_creation_is_the_legal_noop():
-    # the UNALLOCATED -> FREED edge (liveness lists may name tensors no
-    # step materializes); the verifier must not cry wolf over it
-    t = SymTensor(tensor_id=1, name="ghost", nbytes=64)
-    out = SymTensor(tensor_id=2, name="out", nbytes=64)
-    tr = PlanTrace(target="handmade/train", steps=[
-        SymStep(index=0, op="a:f", frees=(t,)),
-        SymStep(index=1, op="b:f", writes=(out,)),
-    ])
-    assert verify_trace(tr) == []
-
-
-def test_handmade_use_after_free():
-    t = SymTensor(tensor_id=1, name="x", nbytes=64)
-    tr = PlanTrace(target="handmade/train", steps=[
-        SymStep(index=0, op="a:f", writes=(t,), frees=(t,)),
-        SymStep(index=1, op="b:f", reads=(t,)),
-    ])
-    assert _rules(verify_trace(tr)) == ["PLAN001"]
-
-
-def test_offloaded_read_without_prefetch_is_flagged():
-    t = SymTensor(tensor_id=1, name="x", nbytes=64)
-    tr = PlanTrace(target="handmade/train", steps=[
-        SymStep(index=0, op="a:f", writes=(t,), offloads=((t, 0),)),
-        SymStep(index=1, op="b:f"),
-        SymStep(index=2, op="c:b", reads=(t,)),  # host-resident, no fetch
-    ])
-    assert _rules(verify_trace(tr)) == ["PLAN002"]
-    # ... and scheduling the prefetch cures it
-    tr.steps[1].prefetches = (t,)
-    assert verify_trace(tr) == []
+    for rung, seed in (("liveness_only", freed_twice),
+                       ("liveness_offload", offloaded_before_made)):
+        for diags in both_entry_points(alexnet, rung, seed):
+            assert _rules(diags) == ["PLAN006"]
+            assert diags[0].tensor and diags[0].step is not None
 
 
 # --------------------------------------------------------------------------- #
 # PLAN007: the tensor cache's need order (the return trip's deadlines)
 # --------------------------------------------------------------------------- #
 
-def _need_order_trace(net_builder):
+def _need_order(net_builder):
     eng = Engine(net_builder(), RuntimeConfig.superneurons(concrete=False))
     cm = eng.compiled("train")
-    return eng, cm, extract_trace(eng.net, cm, eng.config.for_mode("train"))
+    return eng, cm, plans_by_key(cm.gathered)["offload"].return_trip
 
 
 @pytest.mark.parametrize("net_builder", [lambda: alexnet(batch=8), fan_net],
@@ -226,13 +296,13 @@ def test_need_order_is_each_tensors_first_backward_reader(net_builder):
     """Derived from the route alone: sorted by first backward use, each
     data tensor once, and the named step reads it — as a kernel operand
     or as an outside input of a recompute chain it can trigger."""
-    eng, cm, tr = _need_order_trace(net_builder)
-    need = plans_by_key(cm.gathered)["offload"].return_trip
-    assert need and verify_trace(tr) == []
+    eng, cm, need = _need_order(net_builder)
+    assert need and verify_compiled_mode(
+        eng.net, cm, eng.config.for_mode("train")) == []
     steps = [i for i, _ in need]
     assert steps == sorted(steps)
     assert len({t.tensor_id for _, t in need}) == len(need)
-    n = eng.compiled("train").route.num_layers
+    n = cm.route.num_layers
     readers = {}  # tensor id -> backward steps that need it, ascending
     for step in cm.route.steps[n:]:
         for t in cm.liveness.reads_at(step.index):
@@ -248,31 +318,38 @@ def test_need_order_is_each_tensors_first_backward_reader(net_builder):
 
 
 def test_need_order_tampering_is_rejected():
-    _, _, tr = _need_order_trace(lambda: alexnet(batch=8))
-    good = tr.return_trip
+    eng, cm, good = _need_order(lambda: alexnet(batch=8))
     (i0, t0), (i1, t1) = good[0], good[-1]
     assert i0 < i1
+    cfg = eng.config.for_mode("train")
     for bad, says in (
             (good + (good[0],), "twice"),
             ((good[-1],) + good[:-1], "not sorted"),
             (((i0 + 1, t0),) + good[1:], "first backward step"),
             (((0, t0),) + good[1:], "first backward step")):
-        tr.return_trip = bad
-        diags = verify_trace(tr)
+        tampered = dataclasses.replace(cm, gathered=_retouch(
+            cm.gathered, "offload",
+            lambda p: dataclasses.replace(p, return_trip=bad)))
+        diags = verify_compiled_mode(eng.net, tampered, cfg)
         assert _rules(diags) == ["PLAN007"], says
         assert says in diags[0].message
         assert all(d.severity == "error" for d in diags)
-    tr.return_trip = good
-    assert verify_trace(tr) == []
+
+    def twice(eng):
+        return "offload", lambda p: dataclasses.replace(
+            p, return_trip=p.return_trip + p.return_trip[:1])
+    for diags in both_entry_points(alexnet, "superneurons", twice):
+        assert _rules(diags) == ["PLAN007"]
 
 
 def test_eager_mode_has_no_need_order():
-    tr = _trace(rung="liveness_offload")
-    assert tr.return_trip == () and any(s.prefetches for s in tr.steps)
+    cm = _engine(alexnet, "liveness_offload").compiled("train")
+    off = plans_by_key(cm.gathered)["offload"]
+    assert off.return_trip == () and off.step_prefetch
 
 
 # --------------------------------------------------------------------------- #
-# engine wiring: verify=True gates the compile cache
+# engine wiring: verify=True judges the scout and gates the compile cache
 # --------------------------------------------------------------------------- #
 
 def test_engine_verify_accepts_good_plans():
@@ -292,23 +369,20 @@ def test_config_knob_arms_verification():
     assert not Engine(lenet(batch=8), cfg).verify_plans
 
 
-def test_engine_verify_refuses_bad_plan(monkeypatch):
-    import repro.check.plan_verifier as pv
-
-    def bad_verify(net, cm, cfg, target=None):
-        return [Diagnostic(rule="PLAN001", message="seeded", target=target)]
-
-    monkeypatch.setattr(pv, "verify_compiled_mode", bad_verify)
-    eng = Engine(lenet(batch=8),
-                 RuntimeConfig.superneurons(concrete=False), verify=True)
+def test_engine_verify_refuses_bad_plan():
+    """A premature free seeded into the planning inputs — the liveness
+    plan the scout's free lists are compiled from — is refused with its
+    rule, and the mode is not cached until the plan is fixed."""
+    eng = _engine(alexnet, "liveness_only", verify=True)
+    frees = eng.planning("train").liveness_plan.free_after
+    j, t = _first_producer_consumer_gap(eng.planning("train").route)
+    frees.setdefault(j - 1, []).append(t)
     with pytest.raises(PlanVerificationError) as exc:
         eng.compiled("train")
     assert "PLAN001" in str(exc.value)
     assert exc.value.report.errors
-    # the failing mode was NOT cached: fixing the verifier lets the
-    # same engine compile it cleanly
     assert eng.compiled_modes == ()
-    monkeypatch.undo()
+    frees[j - 1].remove(t)
     eng.compiled("train")
     assert eng.compiled_modes == ("train",)
 
@@ -319,6 +393,56 @@ def test_verify_compiled_mode_matches_verify_engine():
                                   eng.config.for_mode("train"),
                                   target="alexnet/train")
     assert direct == []
+
+
+def test_verified_scout_is_the_unverified_scout(monkeypatch):
+    """Judging the scout changes nothing it computes: its iteration, the
+    plans it gathers, the cost prediction and the planning count."""
+    results = []
+    real = Executor.run_iteration
+
+    def spy(ex, *args, **kw):
+        res = real(ex, *args, **kw)
+        results.append(res.to_dict())
+        return res
+    monkeypatch.setattr(Executor, "run_iteration", spy)
+    net = alexnet(batch=8)
+    runs = []
+    for verify in (False, True):
+        del results[:]
+        eng = Engine(net, RuntimeConfig.superneurons(concrete=False),
+                     verify=verify, cost_report=True)
+        gathered = [eng.compiled(mode).gathered for mode in ("train", "infer")]
+        runs.append((list(results), gathered, eng.compile_count,
+                     {m: r.metrics for m, r in eng.cost_reports.items()}))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 2
+
+
+# --------------------------------------------------------------------------- #
+# check plan: one target's findings never stop the sweep
+# --------------------------------------------------------------------------- #
+
+def test_check_plan_reports_each_target(monkeypatch, tmp_path):
+    real = LivenessPolicy.compile_plan
+
+    def corrupt_alexnet(self, ctx):
+        plan = real(self, ctx)
+        if ctx.net.name != "alexnet":
+            return plan
+        j, t = _first_producer_consumer_gap(ctx.route)
+        return _with(plan, "step_frees", j - 1, t)
+    monkeypatch.setattr(LivenessPolicy, "compile_plan", corrupt_alexnet)
+    out = tmp_path / "plan.json"
+    code = cli_main(["check", "plan", "--all", "--batch", "2",
+                     "--configs", "liveness_only", "--modes", "train",
+                     "--serve-batches", "", "--format", "json",
+                     "--output", str(out)])
+    report = json.loads(out.read_text())
+    assert code == 1
+    assert len(report["checked"]) == len(NETWORK_BUILDERS)
+    assert [(d["target"], d["rule"]) for d in report["diagnostics"]] == \
+        [("alexnet/train@liveness_only", "PLAN001")]
 
 
 # --------------------------------------------------------------------------- #
@@ -343,4 +467,3 @@ def test_state_validation_env_resolution(monkeypatch):
     monkeypatch.delenv("REPRO_VALIDATE_STATE")
     assert SessionTensorState().validate is False
     assert SessionTensorState(validate=True).validate is True
-

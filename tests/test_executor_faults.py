@@ -1,6 +1,6 @@
-"""Executor faults under pressure: after a DMA, an eviction, an allocation
-or a rebuild fails, the next iteration is the one an undisturbed session
-runs.
+"""Executor faults under pressure: after a DMA, an eviction, an allocation,
+a rebuild or a layer's forward or backward step fails, the next
+iteration is the one an undisturbed session runs.
 
 The pressured path holds the most in-flight state when it raises: pinned
 tensors, cleaning lines (recorded and write-behind), a half-walked LRU
@@ -28,8 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.engine
 from repro import Engine, RuntimeConfig
-from repro.zoo import resnet50
+from repro.zoo import lenet, resnet50
 from repro.zoo.resnet import resnet_from_units
 
 from tests.faults import (
@@ -135,3 +136,35 @@ def test_any_failing_call_leaves_the_next_iteration_exact(name, seam, data):
     calls = twin(name)[1][1][seam]
     k = data.draw(st.integers(1, len(calls)), label="k")
     assert fail_once(name, seam, k) == calls[k - 1]
+
+
+@settings(max_examples=4, deadline=None)
+@given(name=st.sampled_from(sorted(CONFIGS)),
+       seam=st.sampled_from(["backward", "forward"]), data=st.data())
+def test_a_layer_fails_in_forward_or_backward(name, seam, data):
+    """The raising step holds its operands pinned, its output allocated
+    and its workspace scratch; the concrete net has half-written
+    gradients when a backward step raises."""
+    calls = twin(name)[1][1][seam]
+    k = data.draw(st.integers(1, len(calls)), label="k")
+    assert fail_once(name, seam, k) == calls[k - 1]
+
+
+def test_a_fault_in_a_verified_scout_is_not_a_finding(monkeypatch):
+    """The plan verifier judges refusals, not faults: a layer raising in
+    the scout propagates as itself and the mode stays uncompiled."""
+    build = repro.core.engine.Executor
+
+    def faulty(*args):
+        ex = build(*args)
+        FaultPlan("forward", 3).install(ex).arm()
+        return ex
+    eng = Engine(lenet(batch=8), RuntimeConfig.superneurons(concrete=False),
+                 verify=True)
+    monkeypatch.setattr(repro.core.engine, "Executor", faulty)
+    with pytest.raises(InjectedFault, match="forward #3"):
+        eng.compiled("train")
+    assert eng.compiled_modes == ()
+    monkeypatch.undo()
+    eng.compiled("train")
+    assert eng.compiled_modes == ("train",)
