@@ -10,7 +10,7 @@ recommended entry point:
 ...     result = s.run_iteration(0)
 
 Serving workloads compile once and spawn lightweight sessions — each
-worker gets its own device substrate but shares the compiled plans:
+worker gets its own device substrate but shares the compiled planning:
 
 >>> import repro
 >>> engine = repro.compile(net, repro.RuntimeConfig.superneurons())

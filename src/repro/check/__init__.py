@@ -5,7 +5,7 @@ Four pillars (see DESIGN.md "Static checks" and "Concurrency model"):
 * the **plan verifier** runs one iteration of a compiled mode on the
   simulated executor, placement validator armed, and turns what the run
   refuses or records into memory-safety findings (PLAN001-PLAN007)
-  before any session replays the plan;
+  before any session runs the plan;
 * the **architecture linter** encodes the ownership/concurrency rules
   the parallel-session design relies on (LINT001-LINT005) as AST checks
   over ``src/repro/``;

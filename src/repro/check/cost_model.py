@@ -11,8 +11,8 @@ timeline — so a prediction is one of its iterations, *recorded*: an
 copy, stall, offload release and recompute forward, and the counters
 come from the iteration's own ``IterationResult``.  Two callers: the
 engine's ``cost_report`` hook records the scout iteration it runs
-anyway, and :func:`predict_compiled_mode` records one replay iteration
-on a throwaway executor.  Both are iteration 0 of the same
+anyway, and :func:`predict_compiled_mode` records the first iteration
+of a throwaway executor.  Both are iteration 0 of the same
 deterministic machine, so they agree with each other and with any
 measured iteration exactly.
 
@@ -629,12 +629,12 @@ def serving_fill_check(batch: int, max_request: int,
 
 def predict_compiled_mode(net, compiled, config: RuntimeConfig,
                           target: Optional[str] = None) -> CostPrediction:
-    """One recorded replay iteration of a compiled mode on a throwaway
+    """One recorded first iteration of a compiled mode on a throwaway
     simulated executor (no payloads; an executor emits no spans).
 
     ``config`` must be the *effective* mode config
-    (``RuntimeConfig.for_mode``) — the one whose policy stack produced
-    ``compiled.gathered``, exactly as the plan verifier requires.
+    (``RuntimeConfig.for_mode``) the mode was planned under, exactly as
+    the plan verifier requires.
     """
     sim = replace(config, concrete=False, collect_traces=False,
                   steady_state_replay=True)
@@ -645,17 +645,14 @@ def predict_compiled_mode(net, compiled, config: RuntimeConfig,
 def cost_compiled_mode(net, compiled, config: RuntimeConfig,
                        target: Optional[str] = None,
                        budget: Optional[int] = None,
-                       thresholds: Optional[CostThresholds] = None,
                        ) -> Tuple[CostPrediction, List[Diagnostic]]:
     """Predict + analyze one compiled mode."""
     pred = predict_compiled_mode(net, compiled, config, target=target)
-    return pred, analyze_prediction(pred, budget=budget,
-                                    thresholds=thresholds)
+    return pred, analyze_prediction(pred, budget=budget)
 
 
 def cost_engine(engine, modes: Sequence[str] = ("train", "infer"),
-                budget: Optional[int] = None,
-                thresholds: Optional[CostThresholds] = None) -> CheckReport:
+                budget: Optional[int] = None) -> CheckReport:
     """Cost-check every requested mode of an engine (compiling on
     demand); per-target prediction summaries land in the report's
     ``metrics`` so one JSON artifact carries numbers + findings."""
@@ -666,8 +663,7 @@ def cost_engine(engine, modes: Sequence[str] = ("train", "infer"),
         target = f"{engine.net.name}/{mode}"
         report.checked.append(target)
         pred, diags = cost_compiled_mode(
-            engine.net, cm, eff, target=target, budget=budget,
-            thresholds=thresholds)
+            engine.net, cm, eff, target=target, budget=budget)
         report.extend(diags)
         report.metrics[target] = pred.to_dict()
     return report

@@ -1,14 +1,15 @@
 """Plan verifier: prove a compiled schedule memory-safe by running it once.
 
-A compiled :class:`~repro.core.engine.CompiledMode` is a promise: the
-executor will replay the frozen liveness frees, eager offload/prefetch
-schedule, recompute discards, and workspace picks bit-identically on
-every steady-state iteration.  A buggy policy therefore cannot crash
-"sometimes" — it emits a plan that is *deterministically* wrong, and one
-iteration shows every way it is wrong.  So the verifier keeps no model
-of its own: it runs that iteration on a real simulated
-:class:`~repro.core.runtime.Executor`, the machine every session replays
-the plan on, with the placement validator armed (strict: a first
+A compiled mode is a promise: every session links the same liveness
+frees, eager offload/prefetch schedule and return-trip need order, and
+decides the workspace picks and recompute cleanup from the same
+landscape, bit-identically on every iteration.  A buggy policy
+therefore cannot crash "sometimes" — it emits a plan that is
+*deterministically* wrong, and one iteration shows every way it is
+wrong.  So the verifier keeps no model of its own: it runs that
+iteration on a real simulated :class:`~repro.core.runtime.Executor`,
+the machine every session runs the plan on, with the placement
+validator armed (strict: a first
 iteration frees nothing twice) and the cost model's
 :class:`~repro.check.cost_model.IterationRecorder` attached.  What the
 run refuses or records becomes a PLAN finding with step, op and tensor
@@ -35,14 +36,14 @@ provenance:
   by first backward use, holds a tensor twice, or names a step that is
   not the first backward step to need it (a kernel read or a recompute
   chain's outside input, ``LivenessAnalysis.reads_at``).  A sort check
-  over the gathered plan, not a residency rule: a wrong deadline is
+  over the linked plan, not a residency rule: a wrong deadline is
   not unsafe, it lands a copy late or early.
 
 Two callers share :func:`verify_run`: ``Engine(verify=True)`` hands it
 the scout iteration compiling runs anyway, and
-:func:`verify_compiled_mode` a throwaway executor that replays a
-compiled mode from iteration 0.  An exception that is not a refusal —
-a fault — propagates as itself.
+:func:`verify_compiled_mode` a throwaway executor over a compiled
+mode's planning.  An exception that is not a refusal — a fault —
+propagates as itself.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.check.cost_model import CostPrediction, IterationRecorder
 from repro.check.diagnostics import CheckReport, Diagnostic
 from repro.core.config import RuntimeConfig
-from repro.core.plan import GatheredPolicy, gather_plans, plans_by_key
 from repro.core.runtime import Executor
 from repro.core.tensor_state import ResidencyError
 from repro.device.gpu import OutOfMemoryError
@@ -125,20 +125,18 @@ def _need_order_findings(need, ex, target: str) -> List[Diagnostic]:
 
 def verify_run(build: Callable[[], Executor], target: str,
                cost: bool = False
-               ) -> Tuple[List[Diagnostic],
-                          Optional[Tuple[GatheredPolicy, ...]],
-                          Optional[CostPrediction]]:
+               ) -> Tuple[List[Diagnostic], Optional[CostPrediction]]:
     """Build an executor, run its first iteration armed, judge it.
 
-    Returns the findings, the policy plans the executor ran (its own,
-    gathered after the iteration, or the compiled ones it linked) and,
-    with ``cost``, the iteration's :class:`CostPrediction`; the last two
-    are None when the run was refused.
+    Returns the findings and, with ``cost``, the iteration's
+    :class:`CostPrediction` (None when the run was refused).  The
+    executor must replay (``steady_state_replay``): the need order is
+    read off the plan it linked.
     """
     try:
         ex = build()
     except OutOfMemoryError as exc:
-        return [_overflow(exc, target, "for the parameters")], None, None
+        return [_overflow(exc, target, "for the parameters")], None
     with ex:
         state = ex.state
         state.validate = state.strict = True
@@ -149,10 +147,10 @@ def verify_run(build: Callable[[], Executor], target: str,
             step, op = recorder.where()
             if isinstance(exc, OutOfMemoryError):
                 return [_overflow(exc, target, f"at step {step}", step, op)
-                        ], None, None
+                        ], None
             return [Diagnostic(
                 rule=exc.rule, message=str(exc), target=target, step=step,
-                op=op, tensor=exc.tensor.name)], None, None
+                op=op, tensor=exc.tensor.name)], None
         diags: List[Diagnostic] = []
         if not (ex.config.use_offload and ex.config.use_tensor_cache):
             diags.extend(Diagnostic(
@@ -169,14 +167,11 @@ def verify_run(build: Callable[[], Executor], target: str,
             for layer in ex.net.layers
             for t in (layer.output, layer.grad_output, *layer.param_grads)
             if t is not None and state.locked(t))
-        gathered = ex._shared_gathered
-        if gathered is None:
-            gathered = gather_plans(ex)
-        offload = plans_by_key(gathered).get("offload")
+        offload = ex.iteration_plan.plans.get("offload")
         if offload is not None:
             diags.extend(_need_order_findings(offload.return_trip, ex, target))
         prediction = recorder.prediction(result, target) if cost else None
-    return diags, gathered, prediction
+    return diags, prediction
 
 
 # --------------------------------------------------------------------------- #
@@ -185,12 +180,11 @@ def verify_run(build: Callable[[], Executor], target: str,
 
 def verify_compiled_mode(net, compiled, config: RuntimeConfig,
                          target: Optional[str] = None) -> List[Diagnostic]:
-    """Verify one compiled mode by replaying it from iteration 0 on a
+    """Verify one compiled mode by running its first iteration on a
     throwaway simulated executor; returns its diagnostics.
 
     ``config`` must be the *effective* mode config
-    (``RuntimeConfig.for_mode``), the one whose policy stack produced
-    ``compiled.gathered``.
+    (``RuntimeConfig.for_mode``) the mode was planned under.
     """
     sim = replace(config, concrete=False, collect_traces=False,
                   steady_state_replay=True)

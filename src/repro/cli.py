@@ -20,7 +20,7 @@ Commands
               architecture linter (LINT001-LINT005) over ``src/repro``;
               ``check race`` drives the instrumented stress scenarios
               through the happens-before race detector (RACE001-RACE005);
-              ``check cost`` replays compiled schedules against the
+              ``check cost`` runs compiled schedules against the
               device latency model, predicts per-iteration time and
               peaks, and flags performance pathologies (PERF001-PERF007;
               ``--budget N --advise`` additionally recommends the

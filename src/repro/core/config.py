@@ -73,13 +73,11 @@ class RuntimeConfig:
     # performance
     workspace_policy: WorkspacePolicy = WorkspacePolicy.DYNAMIC
 
-    # steady-state iteration replay: after the first iteration of a
-    # fixed topology the executor links its IterationPlan again, and
-    # the policies whose schedules had to be observed (workspace
-    # picks, recompute cleanup) compile like the derived ones did
-    # before iteration 0 — no hook dispatch from then on, bit-identical
-    # results.  False never links again: the observers' hooks dispatch
-    # on every iteration (what the ledger's gates compare replay with).
+    # steady-state iteration replay: the executor links its
+    # IterationPlan once, at its first iteration, and reuses it.
+    # False re-links before every iteration (fresh closures, fresh
+    # workspace memos): the reference the ledger's gates compare the
+    # linked-once plan with, bit for bit.
     steady_state_replay: bool = True
     # per-step StepTrace records (Fig. 10).  Long training runs can
     # switch them off so result objects hold O(1) memory per iteration.

@@ -4,7 +4,7 @@ The paper's central observation — memory-management decisions are
 deterministic per topology (§3) — already powers the steady-state
 replay of :mod:`repro.core.plan`.  This module lifts the same idea to
 the top-level API: *compiling* a network (route construction, liveness
-analysis, recompute segmentation, policy-plan recording) and *running*
+analysis, recompute segmentation, one scout iteration) and *running*
 it are different lifecycles with different sharing.
 
 :func:`compile` (also ``Engine(net, config)``) produces an immutable
@@ -14,16 +14,18 @@ compiled artifact.  Per execution mode it owns:
   N forward-only steps for infer);
 * the compiled :class:`~repro.core.liveness.LivenessPlan` and
   :class:`~repro.core.recompute.RecomputePlan`;
-* the gathered per-policy :class:`~repro.core.plan.PolicyPlan`
-  decisions, recorded by running one *scout* iteration in simulated
-  mode (descriptor-only, so compiling a concrete engine never touches
-  payloads, parameter values, or BN running statistics).
+* the verdict of one *scout* iteration run over them in simulated mode
+  (descriptor-only, so compiling a concrete engine never touches
+  payloads, parameter values, or BN running statistics): a mode that
+  cannot run fails at compile time, and the scout is what
+  ``verify=True`` and ``cost_report=True`` judge.
 
 ``engine.session(mode=...)`` then spawns cheap workers: each gets its
 own device substrate — GPU ledger, timeline/clock, DMA engine,
-allocator, tensor store — but links the shared plans into its executor
-and replays them from iteration 0.  N serving sessions pay the
-planning cost exactly once (``engine.compile_count`` proves it), and
+allocator, tensor store — and an executor over the shared planning
+that links its policies' plans once, at its first iteration.  N
+serving sessions pay the planning cost exactly once
+(``engine.compile_count`` proves it), and
 the mode-independent groundwork — the Alg. 1 topological order, the
 expensive graph walk of route construction — is shared even *across*
 modes: compiling ``train`` and ``infer`` runs one base planning pass
@@ -34,11 +36,12 @@ What is shared vs per-session
 Shared (read-only after compile): the built net topology, its tensor
 *descriptors* (immutable identity: shape, bytes, name), parameter
 *values* (serving replicas share weights), routes, liveness/recompute
-plans, gathered policy decisions.  Per-session: the entire device
+plans.  Per-session: the entire device
 substrate, every piece of mutable tensor state — placement, locks,
 host residency, prefetch arrivals — which lives in the executor's
 :class:`~repro.core.tensor_state.SessionTensorState` table, policy
-instances (LRU cache state, workspace selectors), iteration results,
+instances (LRU cache state, workspace selectors), the linked iteration
+plan, iteration results,
 activation payloads, and the per-iteration label/loss flow (threaded
 through each session's own ``LayerContext``).
 
@@ -79,7 +82,6 @@ from repro.check.instrument import (
 )
 from repro.core.config import RuntimeConfig
 from repro.core.liveness import LivenessAnalysis, LivenessPlan
-from repro.core.plan import GatheredPolicy, gather_plans
 from repro.core.policy import MemoryPolicy, resolve_policies
 from repro.core.recompute import RecomputePlan, plan_segments
 from repro.core.runtime import Executor, IterationResult
@@ -115,54 +117,15 @@ class PlanningBase:
 
 @dataclass(frozen=True)
 class ModePlanning:
-    """One mode's pre-scout planning artifacts (route + analyses).
-
-    The subset of :class:`CompiledMode` that exists *before* the scout
-    iteration runs.  An :class:`~repro.core.runtime.Executor` built
-    over it (the scout itself, every standalone ``Session``) records
-    its own first iteration; one built over the :class:`CompiledMode`
-    replays the scout's.
-    """
+    """One mode's immutable planning artifacts (route + analyses),
+    shared by every executor of the mode — the scout, every engine
+    session and every standalone ``Session``."""
 
     mode: str
     route: ExecutionRoute
     recompute_plan: RecomputePlan
     liveness: LivenessAnalysis
     liveness_plan: LivenessPlan
-
-    #: no scout has run over bare planning (``CompiledMode`` fills it)
-    gathered = None
-
-
-@dataclass(frozen=True)
-class CompiledMode:
-    """One mode's immutable planning artifacts, shared by all sessions:
-    the pre-scout :class:`ModePlanning` plus the scout-gathered policy
-    plans.  The delegating properties keep one artifact list — adding a
-    planning field touches ``ModePlanning`` alone."""
-
-    planning: ModePlanning
-    gathered: Tuple[GatheredPolicy, ...]
-
-    @property
-    def mode(self) -> str:
-        return self.planning.mode
-
-    @property
-    def route(self) -> ExecutionRoute:
-        return self.planning.route
-
-    @property
-    def recompute_plan(self) -> RecomputePlan:
-        return self.planning.recompute_plan
-
-    @property
-    def liveness(self) -> LivenessAnalysis:
-        return self.planning.liveness
-
-    @property
-    def liveness_plan(self) -> LivenessPlan:
-        return self.planning.liveness_plan
 
 
 class Engine:
@@ -199,7 +162,8 @@ class Engine:
         self.mode_compile_count = 0
         self._base: Optional[PlanningBase] = None
         self._planning: Dict[str, ModePlanning] = {}
-        self._compiled: Dict[str, CompiledMode] = {}
+        #: the modes whose scout has run (their planning, once judged)
+        self._compiled: Dict[str, ModePlanning] = {}
         # sessions may be driven from user threads that trigger the
         # lazy compile concurrently; the lock keeps "one planning pass"
         # true under races instead of letting two threads plan twice
@@ -208,8 +172,9 @@ class Engine:
         self.weights_version = 0
 
     # ------------------------------------------------------------- compiling
-    def compiled(self, mode: str = "train") -> CompiledMode:
-        """The (cached) compiled artifacts for one execution mode."""
+    def compiled(self, mode: str = "train") -> ModePlanning:
+        """One execution mode's :meth:`planning`, once its scout has run
+        (and, when armed, been verified and costed)."""
         trace_read(self, f"engine.compiled[{mode}]")
         cm = self._compiled.get(mode)
         if cm is not None:  # fast path: no lock once compiled
@@ -218,11 +183,11 @@ class Engine:
         with self._compile_lock:
             cm = self._compiled.get(mode)
             if cm is None:
-                cm, prediction = self._compile_mode(planning)
+                prediction = self._scout(planning)
                 if prediction is not None:
                     self._cost_mode(mode, prediction)
                 trace_write(self, f"engine.compiled[{mode}]")
-                self._compiled[mode] = cm
+                self._compiled[mode] = cm = planning
                 self.mode_compile_count += 1
         return cm
 
@@ -230,7 +195,7 @@ class Engine:
         """Analyze one compiled mode's cost and stash the report.
 
         ``prediction`` is the scout iteration itself, recorded (see
-        :meth:`_compile_mode`).  Advisory, unlike verification: PERF
+        :meth:`_scout`).  Advisory, unlike verification: PERF
         findings are warnings about *speed*, not safety — the mode still
         caches and runs.
         """
@@ -259,9 +224,9 @@ class Engine:
         return self._base
 
     def planning(self, mode: str = "train") -> ModePlanning:
-        """The (cached) pre-scout planning artifacts for one mode: what
-        the scout, every recording executor and the compiled mode all
-        share, derived by the one :meth:`_mode_planning` pass."""
+        """The (cached) planning artifacts for one mode: what the scout
+        and every executor of the mode share, derived by the one
+        :meth:`_mode_planning` pass."""
         _check_mode(mode)
         mp = self._planning.get(mode)
         if mp is None:
@@ -285,23 +250,19 @@ class Engine:
                             liveness=liveness,
                             liveness_plan=liveness.compile())
 
-    def _compile_mode(self, planning: ModePlanning
-                      ) -> Tuple[CompiledMode, object]:
-        """One mode's compiled artifacts, plus the scout iteration's
-        ``CostPrediction`` when cost reporting is armed (else None)."""
-        # The scout records one iteration in simulated mode: the
-        # allocator landscape (hence workspace picks), liveness frees,
-        # offload/prefetch schedules, and recompute cleanup are
-        # identical to a concrete run's, but no payload is ever touched.
-        # It runs over the mode's cached planning, like every other
-        # recording executor of this engine.  The same iteration is the
-        # verdict of the plan verifier and the cost prediction: with
-        # either armed it runs under the cost model's recorder (lazy
-        # imports: engines that arm neither never load the checkers) —
-        # a recording iteration 0 and a replayed iteration 0 are the
-        # same machine doing the same thing, so neither needs a second
-        # run.  A plan the verifier refuses raises
-        # PlanVerificationError and is never cached.
+    def _scout(self, planning: ModePlanning):
+        """Run one mode's scout iteration; returns its ``CostPrediction``
+        when cost reporting is armed (else None)."""
+        # The scout runs one iteration in simulated mode over the mode's
+        # cached planning: the allocator landscape, frees, copies and
+        # rebuilds are identical to a concrete run's, but no payload is
+        # ever touched.  The same iteration is the verdict of the plan
+        # verifier and the cost prediction: with either armed it runs
+        # under the cost model's recorder (lazy imports: engines that
+        # arm neither never load the checkers) — every session's
+        # iteration 0 is the same machine doing the same thing, so
+        # neither needs a second run.  A plan the verifier refuses
+        # raises PlanVerificationError and the mode is never cached.
         mode = planning.mode
         target = f"{self.net.name}/{mode}"
         scout_cfg = replace(self.config.for_mode(mode),
@@ -316,44 +277,30 @@ class Engine:
             from repro.check.diagnostics import CheckReport
             from repro.check.plan_verifier import (
                 PlanVerificationError, verify_run)
-            diags, gathered, prediction = verify_run(
+            diags, prediction = verify_run(
                 scout, target, cost=self.cost_report)
             if diags:
                 raise PlanVerificationError(CheckReport(
                     tool="plan-verifier", diagnostics=diags,
                     checked=[target]))
-        else:
-            with scout() as ex:
-                prediction = None
-                if self.cost_report:
-                    from repro.check.cost_model import record_iteration
-                    prediction = record_iteration(ex, target)
-                else:
-                    ex.run_iteration(0)
-                gathered = gather_plans(ex)
-        return CompiledMode(planning=planning, gathered=gathered), prediction
+            return prediction
+        with scout() as ex:
+            if self.cost_report:
+                from repro.check.cost_model import record_iteration
+                return record_iteration(ex, target)
+            ex.run_iteration(0)
+        return None
 
     # -------------------------------------------------------------- spawning
-    def executor(self, mode: str = "train", precompiled: bool = True,
+    def executor(self, mode: str = "train",
                  extra_policies: Tuple[MemoryPolicy, ...] = ()) -> Executor:
-        """A fresh executor over this engine's net — the one place a
-        run's executor is built.
-
-        With ``precompiled`` (the default when replay is enabled and no
-        custom policy instances ride along), the worker links the
-        shared compiled plan and replays from iteration 0; otherwise it
-        runs over the same cached :meth:`planning` but records its own
-        first iteration — what a standalone
-        :class:`~repro.core.session.Session` asks for, so building one
-        never pays for a scout.
-        """
+        """A fresh executor over this engine's cached :meth:`planning` —
+        the one place a run's executor is built.  It runs no scout: an
+        engine-bound :class:`~repro.core.session.Session` asks for
+        :meth:`compiled` first, a standalone one never pays for it."""
         eff = self.config.for_mode(mode)
         stack = resolve_policies(eff) + list(extra_policies)
-        if precompiled and eff.steady_state_replay and not extra_policies:
-            plan = self.compiled(mode)
-        else:
-            plan = self.planning(mode)
-        return Executor(self.net, eff, stack, plan)
+        return Executor(self.net, eff, stack, self.planning(mode))
 
     def session(self, mode: str = "train"):
         """Spawn a lightweight session sharing this engine's plans."""

@@ -10,29 +10,25 @@ the same free-byte landscape — every iteration.
 So a policy *decides* and this module *acts*.  A decision is a schedule,
 a :class:`PolicyPlan` the policy returns from ``compile_plan``; an act
 is one of the op builders below, the only code that frees, offloads,
-prefetches or provisions scratch on a built-in policy's behalf:
+prefetches or provisions scratch on a built-in policy's behalf.  Every
+built-in schedule follows from the route alone — the liveness free
+lists, the UTP's eager offload and prefetch-ahead steps, the tensor
+cache's return-trip need order and its victims' producer steps, the
+conv steps whose workspace is picked — so every built-in policy answers
+before iteration 0.  What depends on the moment is decided at the step:
+a workspace op picks its algorithm from the bytes free then (memoised
+on them), and recomputation's cleanup sweep stays a kept ``after_step``
+hook.  A policy that returns ``None`` (the base default: every custom
+policy that does not opt in) keeps receiving every hook through
+bound-method lists in its original stack position.
 
-* a **derived** schedule follows from the route alone — the liveness
-  free lists, the UTP's eager offload and prefetch-ahead steps, the
-  tensor cache's return-trip need order and its victims' producer
-  steps — so its policy has a plan at the first link and runs compiled
-  from iteration 0;
-* an **observed** schedule needs one look at a running iteration — the
-  workspace picks, the steps where recompute cleanup found work — so
-  its policy answers ``None`` at the first link, has its hooks
-  dispatched for that *recording* iteration, and compiles at the next;
-* a policy that never returns a plan (the base default: every custom
-  policy that does not opt in) keeps receiving every hook through
-  bound-method lists in its original stack position.
-
-:func:`gather_plans` asks each stack position
-(executor-independent answers, so a compile-once engine can share them)
-and :func:`link_iteration_plan` merges them, *in stack order*, into one
-:class:`IterationPlan`: an array of :class:`CompiledStep` records whose
-hook sites are prebound closure lists, plus the dispatch table for the
-hooks that are never compiled away.  The executor has one step loop and
-it always runs a linked plan; "recording" is a plan whose observers
-still dispatch.
+:func:`link_iteration_plan` asks each stack position for its plan and
+merges them, *in stack order*, into one :class:`IterationPlan`: an
+array of :class:`CompiledStep` records whose hook sites are prebound
+closure lists, plus the dispatch table for the hooks that are never
+compiled away.  The executor has one step loop and it always runs a
+linked plan, linked once, before its first iteration (with
+``steady_state_replay=False``, before every iteration).
 
 The ops keep every dynamic guard (offload-in-flight checks,
 host-residency checks before prefetch, the workspace fragmentation
@@ -48,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.workspace import WorkspaceChoice
 from repro.device.dma import CopyDirection
@@ -100,10 +96,6 @@ class PolicyPlan:
     step_frees:
         step index -> tensors to discard after the step (skipping any
         with an offload copy in flight) — the liveness free lists.
-    step_discards:
-        step index -> tensors to discard after the step *if still
-        live* — the recomputation cleanup schedule (transients and
-        expired speed-centric persistents, in recorded discard order).
     step_offloads:
         step index -> checkpoint outputs whose eager D2H copy starts
         right after the step's kernel.
@@ -124,26 +116,25 @@ class PolicyPlan:
         :func:`_make_recorded_clean_op` may start a recorded victim's
         clean copy.  Which tensors are victims is the session's own
         record, read at run time.
-    workspace_picks:
-        step index -> the recorded :class:`WorkspaceChoice` (pre
-        -fallback); replay re-runs the scratch allocation and its
-        fragmentation fallback, skipping only the algorithm selection.
+    workspace_steps:
+        the conv steps, in route order: each gets a workspace op
+        (:func:`make_workspace_op`) that picks its algorithm live.
     keep_hooks:
         step or tensor hooks this policy must KEEP receiving although it
         is compiled — the cache-mode UTP compiles its step schedule but
         its tensor hooks maintain the LRU order and hit/miss counters,
-        which only exist by observing every event.
+        which only exist by observing every event; recomputation keeps
+        its ``after_step`` cleanup sweep.
     """
 
     key: str = ""
     reap_before_step: bool = False
     step_frees: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
-    step_discards: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     step_offloads: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     step_prefetch: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     return_trip: Tuple[Tuple[int, Tensor], ...] = ()
     producers: Mapping[int, int] = field(default_factory=dict)
-    workspace_picks: Mapping[int, WorkspaceChoice] = field(default_factory=dict)
+    workspace_steps: Tuple[int, ...] = ()
     keep_hooks: Tuple[str, ...] = ()
 
 
@@ -220,11 +211,16 @@ class IterationPlan:
     """The merged, executor-ready schedule for one full iteration."""
 
     steps: List[CompiledStep]
-    #: registry names of the compiled stack positions
-    compiled_keys: Tuple[str, ...]
+    #: registry name -> plan, for the compiled stack positions
+    plans: Dict[str, PolicyPlan]
     #: hook name -> bound methods, in stack order, for the hooks no
     #: hook site carries (see :func:`listener_table`)
     listeners: Dict[str, tuple]
+
+    @property
+    def compiled_keys(self) -> Tuple[str, ...]:
+        """Registry names of the compiled stack positions."""
+        return tuple(self.plans)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -262,17 +258,6 @@ def _make_frees_op(ex, frees: Tuple[Tensor, ...]) -> StepOp:
             if pending and any(p.tensor is t for p in pending):
                 continue  # eager offload in flight; reap handles it
             discard(t)
-    return op
-
-
-def _make_discards_op(ex, tensors: Tuple[Tensor, ...]) -> StepOp:
-    discard = ex._discard
-    state = ex.state
-
-    def op(ctx, step):
-        for t in tensors:
-            if state.is_live(t):
-                discard(t)
     return op
 
 
@@ -331,7 +316,7 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
     copy_time = ex.dma.copy_time
     prefetch = ex._prefetch_async
     queue = ex._due_back
-    cache = ex.cache  # the linked executor's: its drops are its own
+    cache = ex.cache  # this session's: its drops are its own
     sooner = cache.sources_due  # filled in place, once
     reserve = ex.recompute_plan.l_peak  # = net.max_layer_bytes()
     refused = None  # while the drop set is open: the steps short of room
@@ -392,7 +377,7 @@ def _make_recorded_clean_op(ex, producers: Mapping[int, int]) -> StepOp:
     iteration after one that evicted nothing pays one emptiness test
     per forward step.
     """
-    due = ex.cache.due_clean  # the linked executor's, never the scout's
+    due = ex.cache.due_clean  # this session's victim record
     on_gpu = ex.state.on_gpu
     clean = ex._clean_async
 
@@ -408,83 +393,47 @@ def _make_recorded_clean_op(ex, producers: Mapping[int, int]) -> StepOp:
     return op
 
 
-def make_workspace_op(model, selector, step: Step, pick: WorkspaceChoice
-                      ) -> StepOp:
-    """Provision one conv execution's algorithm pick: reserve its
-    scratch, fall back to the zero-workspace algorithm when
-    fragmentation defeats the reservation, set the step's duration.
+def make_workspace_op(model, selector, step: Step) -> StepOp:
+    """Provision one conv execution: pick the fastest algorithm whose
+    workspace fits the bytes free now, reserve its scratch, fall back to
+    the zero-workspace algorithm when fragmentation defeats the
+    reservation, set the step's duration.
 
-    ``op(ctx, step)`` replays a frozen pick — selection is skipped and
-    the pick is logged against the bytes free now.  The recording hook
-    has just selected (and logged) ``pick`` itself, and passes it as the
-    third argument."""
+    The pick is a pure function of the free bytes, so the op memoises
+    it on them: a fixed topology shows each step the same free bytes
+    every iteration, and then the selector only logs the pick again."""
     layer = step.layer
-    phase = pick.phase
-    algo, best = pick.algo, pick.max_speed_algo
-    sim_time = layer.sim_time_forward if phase == "forward" \
+    phase = step.phase.value
+    sim_time = layer.sim_time_forward if step.phase is Phase.FORWARD \
         else layer.sim_time_backward
-    dur_pick = sim_time(model, algo)
     tag = f"ws:{layer.name}"
-    name = layer.name
-    ws_bytes = algo.workspace_bytes
+    seen, pick, duration = -1, None, 0.0  # free bytes -> pick, its time
 
-    def op(ctx, step, choice=None):
-        if choice is None:
-            choice = selector.record(
-                WorkspaceChoice(name, phase, algo, ctx.free_bytes, best))
-        duration = dur_pick
+    def op(ctx, step):
+        nonlocal seen, pick, duration
+        free = ctx.free_bytes
+        if free == seen:
+            choice = selector.record(pick)
+        else:
+            choice = pick = selector.select(layer, free, phase)
+            seen, duration = free, sim_time(model, pick.algo)
+        dur = duration
+        ws_bytes = choice.assigned_ws
         if ws_bytes > 0 and ctx.alloc_scratch(ws_bytes, tag=tag) is None:
             # fragmentation: fall back to the zero-workspace algo
             zero_algo = layer.algorithms(model)[0]
             choice = selector.replace_last(WorkspaceChoice(
-                name, phase, zero_algo, ctx.free_bytes, best))
-            duration = sim_time(model, zero_algo)
-        ctx.set_duration(duration)
+                layer.name, phase, zero_algo, ctx.free_bytes,
+                choice.max_speed_algo))
+            dur = sim_time(model, zero_algo)
+        ctx.set_duration(dur)
         ctx.set_workspace(choice)
     return op
 
 
 # --------------------------------------------------------------------------- #
-# plan compilation: gather (shareable) + link (per-executor closures)
+# plan compilation: one link per executor, closures over its substrate
 # --------------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class GatheredPolicy:
-    """One stack position's answer to ``compile_plan``, executor
-    -independent: its schedule, or ``None`` while its hooks dispatch.
-
-    The tuple of these — aligned with the resolved policy stack — is
-    what a compile-once :class:`~repro.core.engine.Engine` shares across
-    sessions: it references tensors of the shared net and frozen
-    decisions, never a particular executor's substrate.  Linking it
-    against another executor (same config → same stack keys) rebuilds
-    the closure-bound :class:`IterationPlan` without re-planning.
-    """
-
-    key: str
-    plan: Optional[PolicyPlan]
-
-
-def plans_by_key(gathered: Tuple["GatheredPolicy", ...]
-                 ) -> Dict[str, PolicyPlan]:
-    """The compiled positions' schedules, keyed by registry name.  The
-    plan verifier (:mod:`repro.check.plan_verifier`) reads the frozen
-    need order through this instead of touching stack positions, so
-    policy order stays an executor concern."""
-    return {g.key: g.plan for g in gathered if g.plan is not None}
-
-
-def gather_plans(ex) -> Tuple["GatheredPolicy", ...]:
-    """Ask every stack position for its schedule.
-
-    Before a recording iteration has completed only the derived
-    schedules exist; policies whose plans are observed (workspace
-    picks, recompute activity) answer ``None`` until then.
-    """
-    ctx = ex._ctx
-    return tuple(GatheredPolicy(p.key, p.compile_plan(ctx))
-                 for p in ex.policies)
-
 
 def listener_table(ex, plans) -> Dict[str, tuple]:
     """Bound-method dispatch lists for the hooks no hook site carries:
@@ -507,23 +456,12 @@ def listener_table(ex, plans) -> Dict[str, tuple]:
     return table
 
 
-def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
-                        ) -> IterationPlan:
-    """Bind gathered policy plans to ``ex``'s substrate as closures.
-
-    ``gathered`` may come from this executor's own policies or from an
-    engine's scout executor — the stacks must resolve to the same keys
-    in the same order (guaranteed when both come from the same config),
-    and dispatching policies dispatch to *this* executor's instances.
-    """
-    keys = [p.key for p in ex.policies]
-    if keys != [g.key for g in gathered]:
-        raise ValueError(
-            f"policy stack {keys} does not match the compiled plan's "
-            f"stack {[g.key for g in gathered]}"
-        )
+def link_iteration_plan(ex) -> IterationPlan:
+    """Ask ``ex``'s policies for their plans and bind them to its
+    substrate as closures."""
+    ctx = ex._ctx
+    plans = [p.compile_plan(ctx) for p in ex.policies]
     overrides = ex._overrides  # one override-detection rule, one place
-    plans = [g.plan for g in gathered]
     # a dispatching policy rides every step hook it overrides; a
     # compiled one only those its plan explicitly kept live, after its
     # compiled actions — same stack position either way
@@ -546,6 +484,9 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
     cleans = {n: _make_recorded_clean_op(ex, pp.producers)
               for n, pp in enumerate(plans)
               if pp is not None and pp.producers}
+    # stack position -> the steps its workspace ops provision
+    workspace = {n: set(pp.workspace_steps) for n, pp in enumerate(plans)
+                 if pp is not None and pp.workspace_steps}
     for cs in steps:
         step = cs.step
         i = step.index
@@ -564,9 +505,6 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
                 frees = pp.step_frees.get(i)
                 if frees:
                     after.append(_make_frees_op(ex, frees))
-                discards = pp.step_discards.get(i)
-                if discards:
-                    after.append(_make_discards_op(ex, discards))
                 prefetch = pp.step_prefetch.get(i)
                 if prefetch:
                     settled.append(_make_prefetch_op(ex, prefetch))
@@ -574,10 +512,9 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
                     settled.append(cleans[n])
                 if n in trips and i >= turn_index:
                     settled.append(trips[n][i > turn_index])
-                pick = pp.workspace_picks.get(i)
-                if pick is not None:
+                if n in workspace and i in workspace[n]:
                     compute.append(make_workspace_op(
-                        ex.model, p.selector, step, pick))
+                        ex.model, p.selector, step))
             for site, fn in hooks:
                 sites[site].append(fn)
         if ex.recorder is not None:
@@ -589,5 +526,6 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
         cs.settled_ops = tuple(settled)
     return IterationPlan(
         steps=steps,
-        compiled_keys=tuple(g.key for g in gathered if g.plan is not None),
+        plans={p.key: pp for p, pp in zip(ex.policies, plans)
+               if pp is not None},
         listeners=listener_table(ex, plans))

@@ -13,10 +13,10 @@ adding a new eviction schedule or prefetch heuristic is a new policy
 class plus a :func:`register_policy` line, never an edit to the loop.
 
 A policy *decides*: ``compile_plan`` hands its per-step schedule to the
-executor, whose plan ops then run in the policy's stack position in
-place of its step and tensor hooks.  Liveness and offload derive theirs
-from the route and override no step hook; workspace and recompute
-observe one recording iteration through the hooks below, then compile.
+executor, once per link, whose plan ops then run in the policy's stack
+position in place of its step and tensor hooks.  Every built-in policy
+answers from the route alone; what depends on the moment — the
+workspace pick, recomputation's cleanup — is decided at the step.
 
 Hook protocol (all optional; the base class no-ops everything):
 
@@ -59,7 +59,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 from repro.core import config as _config
 from repro.core.cache import TensorCache, Victim, choose_drops
 from repro.core.config import OFFLOAD_TYPES, RecomputeStrategy, RuntimeConfig
-from repro.core.plan import PolicyPlan, kernel_clock, make_workspace_op
+from repro.core.plan import PolicyPlan, kernel_clock
 from repro.core.recompute import chain_of
 from repro.core.tensor_state import ResidencyError
 from repro.core.workspace import WorkspaceChoice, WorkspaceSelector
@@ -151,14 +151,6 @@ class StepContext:
         """The executor's iteration observer (None unless costing or
         verifying)."""
         return self._ex.recorder
-
-    @property
-    def recorded(self) -> bool:
-        """Has a whole iteration run with every not-yet-compiled
-        policy's hooks dispatching?  From then on an observed schedule
-        (workspace picks, recompute cleanup) is complete, and
-        ``compile_plan`` may return it."""
-        return self._ex._recorded
 
     @property
     def cache_armed(self) -> bool:
@@ -259,14 +251,8 @@ class StepContext:
     def _dropped(self, t: Tensor) -> bool:
         """Is ``t`` a victim the tensor cache discards instead of
         evicting (its rebuild is recomputation's job)?"""
-        return t.tensor_id in self._ex.cache.drops
-
-    def _observe_again(self) -> None:
-        """A drop set moves the free bytes the observed schedules
-        (workspace picks, recompute cleanup) were recorded against: the
-        next iteration records them again, and this session links its
-        own plans after it."""
-        self._ex._record_again = True
+        cache = self._ex.cache
+        return cache is not None and t.tensor_id in cache.drops
 
 
 class MemoryPolicy:
@@ -325,10 +311,9 @@ class MemoryPolicy:
     def compile_plan(self, ctx: StepContext) -> Optional[PolicyPlan]:
         """This policy's per-step decisions as schedules, or ``None``.
 
-        Asked whenever the executor links a plan: before iteration 0
-        (a schedule derived from the route can be returned at once) and
-        again once a recording iteration has completed (one that must
-        be observed returns ``None`` until ``ctx.recorded``).  Returning
+        Asked once per link: an executor links its plan before its first
+        iteration and reuses it (with ``steady_state_replay=False``, it
+        links before every iteration).  Returning
         a :class:`~repro.core.plan.PolicyPlan` compiles the policy: the
         plan's ops run in its stack position and its step and tensor
         hooks are *no longer dispatched*, except those the plan names
@@ -530,17 +515,14 @@ class OffloadCachePolicy(MemoryPolicy):
             cache = self.cache
             cache.end_iteration()
             if cache.recorded and cache.choosing:
-                drops, due = self._choose_drops(ctx)
-                cache.drop(drops, due)
-                if drops:
-                    ctx._observe_again()
+                cache.drop(*self._choose_drops(ctx))
 
     # -- drop or evict -------------------------------------------------------
     # The first record is also when the session decides, once, which
     # victims to discard instead of copying: a conv output whose rebuild
     # costs less than the copy time it would expose (``choose_drops``).
-    # Decided here, not at a re-link, because a session that never
-    # replays never re-links.
+    # The linked plan reads the drop set at run time, so nothing links
+    # again when it is chosen.
     def _choose_drops(self, ctx: StepContext
                       ) -> Tuple[Dict[int, int], Dict[int, int]]:
         """The drop set (each victim's last forward reader) and its chain
@@ -741,14 +723,11 @@ class RecomputePolicy(MemoryPolicy):
                  RecomputeStrategy.COST_AWARE) -> None:
         self.strategy = strategy
         self.extra_forwards = 0
-        # speed-centric persistents: tensor_id -> (tensor, free_after_step)
-        self._kept: Dict[int, Tuple[Tensor, int]] = {}
+        # speed-centric persistents by the step whose sweep frees them:
+        # their backward step, or the step that rebuilt them if later
+        self._due: Dict[int, List[Tensor]] = {}
         self._materialized: Set[int] = set()  # id(segment anchors) done
         self._transient: List[Tensor] = []
-        # step index -> tensors the cleanup sweep discarded there (last
-        # recording iteration, in discard order) — the schedule replay
-        # runs instead of dispatching after_step at all
-        self._cleanup_by_step: Dict[int, List[Tensor]] = {}
         self._release_anchors = True  # decided once, at bind
 
     @classmethod
@@ -778,51 +757,34 @@ class RecomputePolicy(MemoryPolicy):
 
     # -- hooks ---------------------------------------------------------------
     def on_iteration_start(self, ctx: StepContext) -> None:
-        self._kept.clear()
+        self._due.clear()
         self._materialized.clear()
         self._transient.clear()
-        # fresh dict, never mutate one a compiled plan may have frozen
-        self._cleanup_by_step = {}
 
     def on_backward_need(self, ctx: StepContext, step: Step,
                          missing: List[Tensor]) -> None:
         self.ensure(ctx, missing)
 
     def after_step(self, ctx: StepContext, step: Step) -> None:
-        """Free transients and expired speed-centric persistents."""
-        if not self._transient and not self._kept:
+        """Free this step's transients and the persistents due at it."""
+        due = self._due.pop(step.index, ()) if self._due else ()
+        if not self._transient and not due:
             return
         state = ctx.state
-        dropped: List[Tensor] = []
         for t in self._transient:
             if state.is_live(t):
                 ctx.discard(t)
-                dropped.append(t)
         self._transient.clear()
-        expired = [tid for tid, (_t, fa) in self._kept.items()
-                   if fa <= step.index]
-        for tid in expired:
-            t, _fa = self._kept.pop(tid)
+        for t in due:
             if state.is_live(t):
                 ctx.discard(t)
-                dropped.append(t)
-        if dropped:
-            self._cleanup_by_step[step.index] = dropped
 
-    def compile_plan(self, ctx: StepContext) -> Optional[PolicyPlan]:
+    def compile_plan(self, ctx: StepContext) -> PolicyPlan:
         # Segment re-execution is demand-driven mechanics (triggered by
-        # ``on_backward_need``, which always dispatches); the only
-        # per-step hook is the cleanup sweep, whose discard schedule is
-        # fixed by the recompute plan but observed, not derived: it
-        # exists once an iteration has been swept.  Replay then runs the
-        # recorded discards (still guarded by liveness), no dispatch.
-        if not ctx.recorded:
-            return None
-        return PolicyPlan(
-            key=self.key,
-            step_discards={i: tuple(ts)
-                           for i, ts in self._cleanup_by_step.items()},
-        )
+        # ``on_backward_need``, which always dispatches); the cleanup
+        # sweep is the one step hook, kept: it frees what this step's
+        # demand rebuilt, so it does the work of the rebuilds, no more.
+        return PolicyPlan(key=self.key, keep_hooks=("after_step",))
 
     def ensure(self, ctx: StepContext, missing: List[Tensor]) -> None:
         """Make every tensor in ``missing`` resident by recomputation."""
@@ -874,8 +836,8 @@ class RecomputePolicy(MemoryPolicy):
             if member.output is not None and ctx.state.is_live(member.output):
                 continue
             self._run_forward(ctx, member)
-            bstep = ctx.route.bstep_of[member.layer_id]
-            self._kept[member.output.tensor_id] = (member.output, bstep)
+            due = max(ctx.route.bstep_of[member.layer_id], ctx.step.index)
+            self._due.setdefault(due, []).append(member.output)
         self._release_offloaded_anchor(ctx, seg)
 
     def _release_offloaded_anchor(self, ctx: StepContext, seg) -> None:
@@ -984,9 +946,6 @@ class WorkspacePolicy(MemoryPolicy):
     def __init__(self, mode: Optional[_config.WorkspacePolicy] = None) -> None:
         self.mode = mode if mode is not None else _config.WorkspacePolicy.DYNAMIC
         self.selector: Optional[WorkspaceSelector] = None
-        # step index -> the selection of the last recording iteration
-        # (pre-fallback), frozen into the IterationPlan on compile
-        self._pick_by_step: Dict[int, WorkspaceChoice] = {}
 
     @classmethod
     def from_config(cls, config: RuntimeConfig) -> "WorkspacePolicy":
@@ -1014,26 +973,8 @@ class WorkspacePolicy(MemoryPolicy):
         # without bound across run_iteration calls on one executor.
         self.selector.reset()
 
-    def before_compute(self, ctx: StepContext, step: Step) -> None:
-        layer = step.layer
-        if not isinstance(layer, Conv2D):
-            return
-        phase = "forward" if step.phase is Phase.FORWARD else "backward"
-        choice = self.selector.select(layer, ctx.free_bytes, phase)
-        self._pick_by_step[step.index] = choice
-        # selecting is this hook's whole job; provisioning the pick is
-        # the op replay runs
-        make_workspace_op(ctx.model, self.selector, step, choice)(
-            ctx, step, choice)
-
-    def compile_plan(self, ctx: StepContext) -> Optional[PolicyPlan]:
-        # The free-byte landscape at each step is identical on every
-        # iteration of a fixed topology (the allocator returns to
-        # params-only at the barrier), so the per-step selection
-        # repeats — once one whole iteration has shown it.  Replay
-        # reuses the recorded pick but re-runs the scratch reservation
-        # and its fragmentation fallback live.
-        if not ctx.recorded:
-            return None
-        return PolicyPlan(key=self.key,
-                          workspace_picks=dict(self._pick_by_step))
+    def compile_plan(self, ctx: StepContext) -> PolicyPlan:
+        # The conv steps are the route's; each one's algorithm is picked
+        # by its workspace op from the bytes free when it runs.
+        return PolicyPlan(key=self.key, workspace_steps=tuple(
+            s.index for s in ctx.route.steps if isinstance(s.layer, Conv2D)))

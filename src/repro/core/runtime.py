@@ -45,7 +45,6 @@ from repro.core.liveness import LivenessPlan
 from repro.core.plan import (
     CompiledStep,
     IterationPlan,
-    gather_plans,
     link_iteration_plan,
     listener_table,
 )
@@ -181,13 +180,10 @@ class Executor:
         the resolved, ordered policy stack (plus any custom instances a
         session appended);
     ``plan``
-        the engine's planning artifacts for one execution mode: a
-        :class:`~repro.core.engine.CompiledMode` (route, liveness and
-        recompute plans plus the scout-gathered policy plans — the
-        executor links them and replays from iteration 0) or a bare
-        :class:`~repro.core.engine.ModePlanning` (the same route and
-        analyses; the executor gathers its own policies' plans, and
-        the ones that must observe an iteration record its first).
+        the engine's planning artifacts for one execution mode, a
+        :class:`~repro.core.engine.ModePlanning`: route, liveness and
+        recompute plans.  The executor asks its own policies for their
+        plans and links them at its first iteration.
 
     ``plan.mode`` is the execution mode: ``"train"`` runs the 2N-step
     forward+backward route; ``"infer"`` runs the forward-only N-step
@@ -256,9 +252,6 @@ class Executor:
         self.recompute_plan = plan.recompute_plan
         self.liveness = plan.liveness
         self.plan: LivenessPlan = plan.liveness_plan
-        #: the scout-gathered policy plans (None over bare planning:
-        #: this executor gathers its own)
-        self._shared_gathered = plan.gathered
 
         # ALL executor-mutated tensor state is session-local: this table
         # (placement, locks, host residency, arrivals, live set) is what
@@ -273,11 +266,10 @@ class Executor:
         self._offload_policy = self._find_policy("offload")
         self._recompute_policy = self._find_policy("recompute")
         self._workspace_policy = self._find_policy("workspace")
-        self._fallback_cache: Optional[TensorCache] = None
         for p in self.policies:
             p.bind(self._ctx)
 
-        # the linked plan (None = link before the next iteration, see
+        # the linked plan (None until the first iteration links it, see
         # :meth:`_link_plan`) and its dispatch table.  The four tensor
         # hooks fire once or twice per tensor per step, so their sites
         # loop over the table's tuple in place; ``_dispatch`` serves the
@@ -285,16 +277,6 @@ class Executor:
         # overrider listens.
         self._plan: Optional[IterationPlan] = None
         self._listeners = listener_table(self, [None] * len(self.policies))
-        #: were ``_plan``'s schedules gathered after a whole recording
-        #: iteration (this executor's, or the engine scout's)?
-        self._replaying = False
-        #: has a recording iteration completed here?  (What
-        #: ``StepContext.recorded`` shows the policies.)
-        self._recorded = False
-        #: must the next iteration record again?  (Set through
-        #: ``StepContext._observe_again`` when a policy changes what the
-        #: observed schedules were recorded against.)
-        self._record_again = False
         self._replay_enabled = cfg.steady_state_replay
         self._collect_traces = cfg.collect_traces
         self.replayed_iterations = 0
@@ -349,15 +331,10 @@ class Executor:
             fn(ctx, *args)
 
     @property
-    def cache(self) -> TensorCache:
-        """The offload policy's tensor cache (dormant one otherwise)."""
-        if self._offload_policy is not None:
-            return self._offload_policy.cache
-        if self._fallback_cache is None:
-            # bound to this session's state so evict_for on the dormant
-            # cache stays a harmless no-op instead of raising unbound
-            self._fallback_cache = TensorCache(state=self.state)
-        return self._fallback_cache
+    def cache(self) -> Optional[TensorCache]:
+        """The offload policy's tensor cache (None without one)."""
+        p = self._offload_policy
+        return p.cache if p is not None else None
 
     @property
     def selector(self):
@@ -687,21 +664,16 @@ class Executor:
     # ------------------------------------------------- steady-state replay
     @property
     def iteration_plan(self) -> Optional[IterationPlan]:
-        """The compiled replay plan (None until one steady-state
-        iteration has been requested after a recording one)."""
-        return self._plan if self._replaying else None
+        """The plan every iteration reuses (None before the first
+        iteration links it, and with ``steady_state_replay=False``)."""
+        return self._plan if self._replay_enabled else None
 
     def _link_plan(self) -> IterationPlan:
-        """The one link step: take the engine-shared policy plans or ask
-        this stack for its own, and bind them to this substrate.  Before
-        a recording iteration only derived schedules exist, so the
-        observers' hooks ride the plan as bound methods in their stack
-        positions — the same step loop, recording."""
-        gathered = self._shared_gathered
-        self._replaying = gathered is not None or self._recorded
-        if gathered is None:
-            gathered = gather_plans(self)
-        self._plan = plan = link_iteration_plan(self, gathered)
+        """The one link step: ask this stack for its plans and bind them
+        to this substrate.  A policy that answers ``None`` rides the
+        plan as bound hook methods in its stack position — the same
+        step loop."""
+        self._plan = plan = link_iteration_plan(self)
         self._listeners = plan.listeners
         return plan
 
@@ -732,12 +704,10 @@ class Executor:
                 "would never step; drop it or use a train-mode session")
         ctx = self._ctx
         plan = self._plan
-        if self._record_again:
-            # what the observers saw no longer holds: they observe one
-            # more iteration, then this session compiles its own plans
-            self._record_again = self._recorded = False
-            self._shared_gathered = plan = None
-        if plan is None:
+        # linked once, at the first iteration; re-linked before every
+        # one with replay off (fresh closures, fresh memos)
+        replayed = plan is not None and self._replay_enabled
+        if not replayed:
             plan = self._link_plan()
         ctx._begin_iteration(iteration, LayerContext(
             iteration=iteration, training=self.training,
@@ -759,14 +729,8 @@ class Executor:
         except BaseException:
             self._abort_iteration()
             raise
-        if self._replaying:
+        if replayed:
             self.replayed_iterations += 1
-        else:
-            # the observers have seen one whole iteration; with replay
-            # on, the next one links again and they compile
-            self._recorded = True
-            if self._replay_enabled:
-                self._plan = None
 
         # iteration barrier: drain copies, free whatever is left
         self._dispatch("on_iteration_end")
@@ -804,10 +768,9 @@ class Executor:
 
     def _run_steps(self, plan: IterationPlan, ctx: StepContext, optimizer
                    ) -> List[StepTrace]:
-        """The one step loop.  What differs between a recording and a
-        steady-state iteration is the plan's hook-site ops — which
-        positions are bound policy hooks and which compiled closures —
-        never the mechanics."""
+        """The one step loop.  What differs between policy stacks is the
+        plan's hook-site ops — which positions are bound policy hooks
+        and which compiled closures — never the mechanics."""
         traces: List[StepTrace] = []
         collect = self._collect_traces
         allocator = self.allocator

@@ -22,10 +22,11 @@ resolved stack, observing every hook without any executor edits.
 ``Session`` is a thin facade over the compile-once
 :class:`~repro.core.engine.Engine`, which plans every run and builds
 every executor: a standalone session lazily wraps its net+config in a
-private engine and asks it for a *recording* executor (the engine's
-cached planning, no scout — iteration 0 records, iteration 1 on
-replays), while ``engine.session(mode=...)`` workers share one
-engine's compiled plans and replay them from iteration 0.
+private engine and asks it for an executor (the engine's cached
+planning, no scout), while ``engine.session(mode=...)`` workers share
+one engine's planning once its scout has run.  Either way the executor
+links its plan at iteration 0 and reuses it from iteration 1 on, so
+the two paths run the same iterations.
 ``mode="infer"`` selects the forward-only serving loop on either path.
 """
 
@@ -198,20 +199,20 @@ class Session:
     def executor(self) -> Executor:
         """The lazily built executor (building it freezes the config).
 
-        Engine-bound workers link the shared compiled plan and replay
-        from iteration 0; a standalone session wraps its net+config in
-        a private engine and asks it for a *recording* executor —
-        iteration 0 records, later ones replay.
+        An engine-bound worker's engine compiles the mode first (its
+        scout runs once per engine, so a mode that cannot run fails
+        here); a standalone session wraps its net+config in a private
+        engine and runs no scout.
         """
         if self._executor is None:
             if self._engine_bound:
+                self._engine.compiled(self._mode)
                 self._executor = self._engine.executor(self._mode)
             else:
                 from repro.core.engine import Engine  # lazy: avoid cycle
                 self._engine = Engine(self._net, self._config)
                 self._executor = self._engine.executor(
-                    self._mode, precompiled=False,
-                    extra_policies=tuple(self._extra_policies))
+                    self._mode, extra_policies=tuple(self._extra_policies))
         return self._executor
 
     def _resolved_stack(self) -> List[MemoryPolicy]:

@@ -63,8 +63,8 @@ class WorkspaceSelector:
         return choice
 
     def record(self, choice: WorkspaceChoice) -> WorkspaceChoice:
-        """Log a choice made outside :meth:`select` (the compiled
-        replay path applies frozen picks without re-selecting)."""
+        """Log a choice made outside :meth:`select` (a workspace op's
+        memoised pick, logged again without re-selecting)."""
         self.choices.append(choice)
         return choice
 

@@ -9,8 +9,9 @@ a :class:`~repro.serve.fleet.ServingFleet`.
 
 A :class:`FaultPlan` makes one executor seam raise at its *k*-th call:
 a DMA copy, an eviction, an allocation, a forward re-run inside the
-rebuild of a victim the tensor cache dropped, or a layer's forward or
-backward step.  The seams are wrapped
+rebuild of a victim the tensor cache dropped, one outside any such
+rebuild (a segment's recomputation), or a layer's forward or backward
+step.  The seams are wrapped
 from outside, as ``benchmarks/ledger`` wraps the allocator: ``src/`` has
 no injection point.  The simulator is
 deterministic, so ``(seam, k)`` names one call of one iteration on every
@@ -201,26 +202,35 @@ def _alloc_seam(ex: Executor, plan: FaultPlan) -> None:
     ex.allocator.alloc = faulty
 
 
-@seam("rebuild")
-def _rebuild_seam(ex: Executor, plan: FaultPlan) -> None:
-    """Every forward a dropped victim's rebuild re-runs: its chain, then
-    the conv itself; the faulting one runs nothing."""
-    policy = ex._recompute_policy
-    rebuild, run = policy._rebuild, policy._run_forward
-    rebuilding = []
+def _recompute_seam(in_rebuild: bool):
+    """``RecomputePolicy._run_forward``, the forwards a dropped victim's
+    rebuild re-runs (``in_rebuild``: its chain, then the conv itself)
+    or every other one (a speed-centric segment's members, a
+    memory-centric chain); the faulting one runs nothing."""
+    def install(ex: Executor, plan: FaultPlan) -> None:
+        policy = ex._recompute_policy
+        rebuild, run = policy._rebuild, policy._run_forward
+        rebuilding = []
 
-    def faulty_rebuild(ctx, conv):
-        rebuilding.append(conv)
-        try:
-            return rebuild(ctx, conv)
-        finally:
-            rebuilding.pop()
+        def faulty_rebuild(ctx, conv):
+            rebuilding.append(conv)
+            try:
+                return rebuild(ctx, conv)
+            finally:
+                rebuilding.pop()
 
-    def faulty_run(ctx, layer):
-        if rebuilding:
-            plan.trip(f"{layer.name} for {rebuilding[-1].name}")
-        return run(ctx, layer)
-    policy._rebuild, policy._run_forward = faulty_rebuild, faulty_run
+        def faulty_run(ctx, layer):
+            if rebuilding and in_rebuild:
+                plan.trip(f"{layer.name} for {rebuilding[-1].name}")
+            elif not rebuilding and not in_rebuild:
+                plan.trip(layer.name)
+            return run(ctx, layer)
+        policy._rebuild, policy._run_forward = faulty_rebuild, faulty_run
+    return install
+
+
+seam("rebuild")(_recompute_seam(in_rebuild=True))
+seam("recompute")(_recompute_seam(in_rebuild=False))
 
 
 def _layer_seam(phase: str):

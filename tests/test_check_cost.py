@@ -193,11 +193,14 @@ class TestRecorder:
         cfg = RuntimeConfig.superneurons(concrete=concrete)
         engine = Engine(NETWORK_BUILDERS[net](batch=8), cfg)
 
+        if plan == "compiled":
+            engine.compiled("train")  # the scout has run: no difference
+
         def run(record):
-            with engine.executor(precompiled=plan == "compiled") as ex:
+            with engine.executor() as ex:
                 recorder = IterationRecorder(ex) if record else None
                 res = ex.run_iteration(0)
-                assert ex.replayed_iterations == (plan == "compiled")
+                assert ex.replayed_iterations == 0
                 if record:
                     assert len(recorder.steps) == len(ex.route.steps)
                     pred = recorder.prediction(res)
@@ -333,11 +336,12 @@ class TestRules:
         fired = set()
         dev = replace(K40_MODEL, pcie_h2d=2e9, pcie_d2h=2e9)
         engine = _engine("alexnet", "liveness_offload", device=dev)
-        _, diags = cost_compiled_mode(
+        pred = predict_compiled_mode(
             engine.net, engine.compiled("train"),
-            engine.config.for_mode("train"), budget=100 * MiB,
-            thresholds=CostThresholds(exposed_dma_min_seconds=0.0))
-        fired.update(_rules(diags))
+            engine.config.for_mode("train"))
+        fired.update(_rules(analyze_prediction(
+            pred, budget=100 * MiB,
+            thresholds=CostThresholds(exposed_dma_min_seconds=0.0))))
         dev = replace(K40_MODEL, compute_tflops=1e10, mem_bandwidth=1e9)
         engine = _engine("alexnet", "superneurons", device=dev)
         _, diags = cost_compiled_mode(

@@ -2,11 +2,12 @@
 
 The verifier runs one iteration of the plan on the simulated executor,
 so every known-bad fixture seeds its corruption where a buggy policy
-would put it — into the gathered policy plans, into the planning inputs
-they are compiled from, or into the linked iteration plan — and each
-PLAN rule is proven through both entry points: ``Engine(verify=True)``
-judging its scout, and ``verify_compiled_mode`` replaying a compiled
-mode on a throwaway executor.
+would put it, before the executor links its plan — into a policy's
+``compile_plan`` answer, into the planning inputs it is compiled from,
+or into the linked iteration plan — and each PLAN rule is proven
+through both entry points: ``Engine(verify=True)`` judging its scout,
+and ``verify_compiled_mode`` running a compiled mode's planning on a
+throwaway executor.
 """
 
 import dataclasses
@@ -24,7 +25,6 @@ from repro.check import (
 from repro.cli import main as cli_main
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
-from repro.core.plan import GatheredPolicy, plans_by_key
 from repro.core.policy import POLICY_REGISTRY, LivenessPolicy
 from repro.core.runtime import Executor
 from repro.core.session import Session
@@ -99,25 +99,26 @@ def _with(plan, field, i, t):
                                                 i: sched.get(i, ()) + (t,)}})
 
 
-def _retouch(gathered, key, bad):
-    return tuple(GatheredPolicy(g.key, bad(g.plan)) if g.key == key else g
-                 for g in gathered)
+def _corrupted(m, key, bad):
+    """Have policy ``key``'s ``compile_plan`` answer ``bad(its plan)``
+    from now on (``m`` is a monkeypatch): the corruption reaches every
+    executor that links after this."""
+    cls = POLICY_REGISTRY[key]
+    real = cls.compile_plan
+    m.setattr(cls, "compile_plan", lambda p, ctx: bad(real(p, ctx)))
 
 
 def both_entry_points(builder, rung, seed, mode="train"):
     """Run the corruption ``seed(engine) -> (policy key, bad)`` — where
-    ``bad`` rewrites that policy's gathered plan — through both entry
-    points; returns ``(scout findings, replay findings)``.  A refusing
-    engine must leave the mode uncompiled and compile it cleanly once
-    the corruption is gone."""
+    ``bad`` rewrites that policy's ``compile_plan`` answer — through
+    both entry points; returns ``(scout findings, replay findings)``.
+    A refusing engine must leave the mode uncompiled and compile it
+    cleanly once the corruption is gone."""
     eng = _engine(builder, rung, verify=True)
     key, bad = seed(eng)
-    cls = POLICY_REGISTRY[key]
-    real = cls.compile_plan
     scout = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cls, "compile_plan", lambda p, ctx: (
-            lambda plan: plan if plan is None else bad(plan))(real(p, ctx)))
+        _corrupted(m, key, bad)
         try:
             eng.compiled(mode)
         except PlanVerificationError as exc:
@@ -128,10 +129,11 @@ def both_entry_points(builder, rung, seed, mode="train"):
 
     clean = _engine(builder, rung)
     key, bad = seed(clean)
-    cm = clean.compiled(mode)
-    cm = dataclasses.replace(cm, gathered=_retouch(cm.gathered, key, bad))
-    return scout, verify_compiled_mode(clean.net, cm,
-                                       clean.config.for_mode(mode))
+    cm = clean.compiled(mode)  # a clean scout, then a corrupted link
+    with pytest.MonkeyPatch.context() as m:
+        _corrupted(m, key, bad)
+        return scout, verify_compiled_mode(clean.net, cm,
+                                           clean.config.for_mode(mode))
 
 
 def _first_producer_consumer_gap(route):
@@ -176,8 +178,8 @@ def test_unbalanced_lock_rejected(monkeypatch):
     last to pin its output gradient, no longer releases that pin."""
     real = runtime.link_iteration_plan
 
-    def leaky(ex, gathered):
-        plan = real(ex, gathered)
+    def leaky(ex):
+        plan = real(ex)
         cs = plan.steps[-2]
         grad = cs.layer.grad_output
         cs.pinned = tuple(t for t in cs.pinned if t is not grad)
@@ -284,10 +286,16 @@ def test_double_free_rejected():
 # PLAN007: the tensor cache's need order (the return trip's deadlines)
 # --------------------------------------------------------------------------- #
 
+def _offload_plan(eng):
+    """The offload policy's plan, as a session of ``eng`` links it."""
+    with eng.session("train") as sess:
+        sess.run_iteration(0)
+        return sess.executor.iteration_plan.plans["offload"]
+
+
 def _need_order(net_builder):
     eng = Engine(net_builder(), RuntimeConfig.superneurons(concrete=False))
-    cm = eng.compiled("train")
-    return eng, cm, plans_by_key(cm.gathered)["offload"].return_trip
+    return eng, eng.compiled("train"), _offload_plan(eng).return_trip
 
 
 @pytest.mark.parametrize("net_builder", [lambda: alexnet(batch=8), fan_net],
@@ -327,10 +335,10 @@ def test_need_order_tampering_is_rejected():
             ((good[-1],) + good[:-1], "not sorted"),
             (((i0 + 1, t0),) + good[1:], "first backward step"),
             (((0, t0),) + good[1:], "first backward step")):
-        tampered = dataclasses.replace(cm, gathered=_retouch(
-            cm.gathered, "offload",
-            lambda p: dataclasses.replace(p, return_trip=bad)))
-        diags = verify_compiled_mode(eng.net, tampered, cfg)
+        with pytest.MonkeyPatch.context() as m:
+            _corrupted(m, "offload", lambda p, bad=bad: dataclasses.replace(
+                p, return_trip=bad))
+            diags = verify_compiled_mode(eng.net, cm, cfg)
         assert _rules(diags) == ["PLAN007"], says
         assert says in diags[0].message
         assert all(d.severity == "error" for d in diags)
@@ -343,8 +351,7 @@ def test_need_order_tampering_is_rejected():
 
 
 def test_eager_mode_has_no_need_order():
-    cm = _engine(alexnet, "liveness_offload").compiled("train")
-    off = plans_by_key(cm.gathered)["offload"]
+    off = _offload_plan(_engine(alexnet, "liveness_offload"))
     assert off.return_trip == () and off.step_prefetch
 
 
@@ -397,7 +404,7 @@ def test_verify_compiled_mode_matches_verify_engine():
 
 def test_verified_scout_is_the_unverified_scout(monkeypatch):
     """Judging the scout changes nothing it computes: its iteration, the
-    plans it gathers, the cost prediction and the planning count."""
+    planning it compiles, the cost prediction and the planning count."""
     results = []
     real = Executor.run_iteration
 
@@ -412,8 +419,9 @@ def test_verified_scout_is_the_unverified_scout(monkeypatch):
         del results[:]
         eng = Engine(net, RuntimeConfig.superneurons(concrete=False),
                      verify=verify, cost_report=True)
-        gathered = [eng.compiled(mode).gathered for mode in ("train", "infer")]
-        runs.append((list(results), gathered, eng.compile_count,
+        for mode in ("train", "infer"):
+            assert eng.compiled(mode) is eng.planning(mode)
+        runs.append((list(results), eng.compile_count,
                      {m: r.metrics for m, r in eng.cost_reports.items()}))
     assert runs[0] == runs[1]
     assert len(runs[0][0]) == 2

@@ -167,8 +167,8 @@ class TestPressuredResnet50:
                     assert res.cache_dropped == 11
                     assert res.h2d_bytes == 862_912_512
                     assert kept == ahead == 0
-            # iteration 1 is the first to drop: it records the observed
-            # schedules again instead of replaying the engine's
+            # iteration 0 links the plan; replay reuses it from there,
+            # the first iteration that drops included
             assert sess.executor.replayed_iterations == (2 if replay else 0)
 
     def test_deep_pressure_re_evicts_clean_lines_for_free(self):

@@ -24,7 +24,6 @@ import pytest
 import repro
 from repro import Engine, RuntimeConfig, SGD, Session, Trainer
 from repro.core.liveness import LivenessAnalysis
-from repro.core.plan import plans_by_key
 from repro.core.policy import POLICY_REGISTRY, MemoryPolicy
 from repro.core.runtime import Executor
 from repro.graph.route import ExecutionRoute
@@ -48,8 +47,9 @@ class TestEngineTrainRoundTrip:
         with engine.session(mode="train") as worker:
             shared = [worker.run_iteration(i, optimizer=SGD(0.05)).to_dict()
                       for i in range(ITERS)]
-            # the worker replays the engine plan from iteration 0
-            assert worker.executor.replayed_iterations == ITERS
+            # the worker links its plan at iteration 0, as the
+            # standalone session does, and reuses it from iteration 1
+            assert worker.executor.replayed_iterations == ITERS - 1
         assert shared == solo
 
     def test_fluent_with_policy_path_matches_engine(self):
@@ -312,12 +312,12 @@ class TestFrontDoor:
             planning = private.planning("train")
             assert solo.executor.route is planning.route
             assert solo.executor.plan is planning.liveness_plan
-            assert private.compiled("train").planning is planning
+            assert private.compiled("train") is planning
 
         engine = Engine(net, cfg)
         with engine.session("train") as a, engine.session("train") as b, \
                 engine.session("infer") as c, \
-                engine.executor("train", precompiled=False) as recording:
+                engine.executor("train") as recording:
             for s in (a, b, c):
                 s.run_iteration(0)
             recording.run_iteration(0)
@@ -335,7 +335,9 @@ class TestFrontDoor:
     def test_step_prefetch_is_a_tuple_of_tensors(self, preset):
         cfg = getattr(RuntimeConfig, preset)(concrete=False)
         engine = Engine(alexnet(batch=2, image=67, num_classes=10), cfg)
-        plan = plans_by_key(engine.compiled("train").gathered)["offload"]
+        with engine.session("train") as sess:
+            sess.run_iteration(0)
+            plan = sess.executor.iteration_plan.plans["offload"]
         schedule = plan.step_prefetch
         if cfg.use_tensor_cache:
             # cache mode has no next-step schedule: its return trip is

@@ -1,15 +1,17 @@
 """Executor faults under pressure: after a DMA, an eviction, an allocation,
-a rebuild or a layer's forward or backward step fails, the next
-iteration is the one an undisturbed session runs.
+a rebuild, a segment's recomputation or a layer's forward or backward
+step fails, the next iteration is the one an undisturbed session runs.
 
 The pressured path holds the most in-flight state when it raises: pinned
 tensors, cleaning lines (recorded and write-behind), a half-walked LRU
-tail, return-trip entries, fabric stashes, a half-recorded victim list
-and a dropped victim's half-built chain.  A
+tail, return-trip entries, fabric stashes, a half-recorded victim list,
+a dropped victim's half-built chain and recomputation's half-swept
+persistents and transients.  A
 :class:`~tests.faults.FaultPlan` makes one seam raise at the *k*-th call
 of iteration 1, with *k* drawn by ``hypothesis`` over every call that
 iteration makes.  After the raise the session is quiescent, its drop set
-is the one iteration 0 chose, and iterations 1 and 2 run again exactly
+is the one iteration 0 chose, the next iteration starts recomputation's
+cleanup sweep empty, and iterations 1 and 2 run again exactly
 as an undisturbed twin's.  The aborted iteration's victims are never
 committed, so the rerun cleans iteration 0's.  Write-behind runs only in
 an iteration with no victim record, so its copy is failed in iteration
@@ -77,6 +79,15 @@ def fail_once(name, seam, k, at=1):
     with engine(name).session("train") as sess:
         ex = sess.executor
         plan = FaultPlan(seam, k).install(ex)
+        # what recomputation's cleanup sweep holds as each iteration
+        # starts (wrapped before the plan links the bound method)
+        recompute, swept = ex._recompute_policy, []
+        start = recompute.on_iteration_start
+
+        def on_iteration_start(ctx):
+            start(ctx)
+            swept.append((dict(recompute._due), list(recompute._transient)))
+        recompute.on_iteration_start = on_iteration_start
         for i in range(at):
             assert sess.run_iteration(i).to_dict() == expect[i]
         plan.arm()
@@ -87,6 +98,7 @@ def fail_once(name, seam, k, at=1):
             assert sess.run_iteration(i).to_dict() == clockless(expect[i])
         assert_quiescent(sess)
         assert ex.cache.drops == drops
+    assert swept == [({}, [])] * (at + 3)
     return plan.seen[-1]
 
 
@@ -136,6 +148,18 @@ def test_any_failing_call_leaves_the_next_iteration_exact(name, seam, data):
     calls = twin(name)[1][1][seam]
     k = data.draw(st.integers(1, len(calls)), label="k")
     assert fail_once(name, seam, k) == calls[k - 1]
+
+
+@settings(max_examples=6, deadline=None)
+@given(name=st.sampled_from(sorted(CONFIGS)), data=st.data())
+def test_a_recomputation_fails_outside_a_rebuild(name, data):
+    """A segment's re-run raises part-way: speed-centric members already
+    kept (due at a later step's sweep) or a memory-centric chain's
+    transients still live; none of it survives into the next
+    iteration."""
+    calls = twin(name)[1][1]["recompute"]
+    k = data.draw(st.integers(1, len(calls)), label="k")
+    assert fail_once(name, "recompute", k) == calls[k - 1]
 
 
 @settings(max_examples=4, deadline=None)

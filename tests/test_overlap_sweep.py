@@ -92,12 +92,12 @@ def test_train_pressured_claim():
 
 def test_the_ledger_equality_check_holds_under_the_record():
     """The ledger's in-command gate at ``train_pressured``: an engine
-    lane, a standalone session and a session that never replays report
-    the same iterations.  The victim record is each session's own and
-    the recorded-clean op is linked before iteration 0, so the three
-    agree from the first iteration on; the drop set is chosen at the end
-    of iteration 0 by each alike, and iteration 1 records again on all
-    three."""
+    lane, a standalone session and a session that re-links before every
+    iteration report the same iterations.  The victim record is each
+    session's own and the recorded-clean op is linked before iteration
+    0, so the three agree from the first iteration on; the drop set is
+    chosen at the end of iteration 0 by each alike, and the plans read
+    it at run time."""
     runs = []
     for mk in (lambda: Engine(*pressured()).session("train"),
                lambda: Session(*pressured()),
@@ -128,17 +128,16 @@ def test_a_roomy_run_never_cleans_and_never_comes_back():
 
 
 def test_engine_lane_equals_standalone_session_from_iteration_zero():
-    """The need order is a derived schedule: a lane that links the
-    engine's shared plans and a standalone session that gathers its own
-    run the same return trip, the recording iteration included.  Both
-    record iteration 1 — the first to drop victims — and replay their
-    own plans after it."""
+    """A lane of a compiled engine and a standalone session each link
+    their own plan at iteration 0 and reuse it from iteration 1 — the
+    first to drop victims — on: the same return trip, the same
+    iterations."""
     with Engine(*pressured()).session("train") as lane:
         shared = [lane.run_iteration(i).to_dict() for i in range(3)]
         assert lane.executor.replayed_iterations == 2
     with Session(*pressured()) as solo:
         own = [solo.run_iteration(i).to_dict() for i in range(3)]
-        assert solo.executor.replayed_iterations == 1
+        assert solo.executor.replayed_iterations == 2
     assert shared == own
     assert shared[0]["cache"]["evictions"] == 28
 
@@ -185,7 +184,6 @@ def test_recorded_victims_against_the_write_behind_twin(net, gib):
             with pytest.raises(OutOfMemoryError):
                 sweep_iterations(net, gib, stack_of, iters=1)
         return
-    # a twin's iteration 1 repeats; the shipped stack first replays at 2
     shipped = sweep_iterations(net, gib, resolve_policies)
     recorded, twin = (sweep_iterations(net, gib, stack_of, iters=2)
                       for stack_of in stacks[1:])

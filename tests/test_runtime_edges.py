@@ -86,18 +86,20 @@ class TestPressurePaths:
     def test_missing_tensor_without_recompute_is_loud(self):
         """A freed tensor needed by backward without recomputation armed
         must raise a scheduling-bug error, not compute garbage."""
+        with Session(lenet(batch=2, image=12),
+                     RuntimeConfig.liveness_only()) as warm:
+            warm.run_iteration(0)  # proves the net itself is fine
+
         net = lenet(batch=2, image=12)
         ex = Session(net, RuntimeConfig.liveness_only()).executor
-        # sabotage: free a tensor the backward needs
+        # sabotage, before the executor links its plan: a hostile
+        # planning tweak frees a tensor the backward needs
         pool1 = net.layer_by_name("pool1")
-        ex.run_iteration(0)  # warm-up proves the net itself is fine
-
-        # manually discard mid-iteration via a hostile plan tweak
         ex.plan.free_after.setdefault(
             ex.route.fstep_of[pool1.layer_id], []
         ).append(pool1.output)
         with pytest.raises(RuntimeError, match="recomputation is off|freed"):
-            ex.run_iteration(1)
+            ex.run_iteration(0)
         ex.close()
 
 

@@ -11,12 +11,15 @@ long-running regime: per-iteration accumulators must not grow without
 bound across ``run_iteration`` calls on one executor.
 """
 
+import functools
+
 import pytest
 
+import repro.core.runtime as runtime
 from repro import Engine, RuntimeConfig, SGD, Session, Trainer
 from repro.core.plan import PolicyPlan
 from repro.core.policy import MemoryPolicy
-from repro.zoo import alexnet, lenet, resnet50
+from repro.zoo import NETWORK_BUILDERS, alexnet, lenet, resnet50
 
 ITERS = 5
 
@@ -103,19 +106,19 @@ class TestReplayEquivalence:
         assert probe.per_iteration[2] == probe.per_iteration[0]
 
     def test_custom_compiled_policy_keeps_only_the_hooks_it_names(self):
-        """The one-method protocol from a custom policy's side: while
-        ``compile_plan`` answers None every hook dispatches; once it
-        answers a ``PolicyPlan`` the step hooks and the tensor hooks
-        stop, except those ``keep_hooks`` names — which still fire in
-        the policy's stack position."""
-        log = []
+        """The one-method protocol from a custom policy's side:
+        ``compile_plan`` is asked once per link — once in a replaying
+        executor's life, before every iteration of one that never
+        replays — and a ``PolicyPlan`` answer stops its step and tensor
+        hooks from iteration 0, except those ``keep_hooks`` names,
+        which still fire in the policy's stack position."""
+        log, asked = [], []
 
         class Observer(MemoryPolicy):
             key = "observer"
 
             def compile_plan(self, ctx):
-                if not ctx.recorded:
-                    return None
+                asked.append(ctx.iteration)
                 return PolicyPlan(key=self.key,
                                   keep_hooks=("on_tensor_dead",))
 
@@ -140,25 +143,27 @@ class TestReplayEquivalence:
             def on_tensor_dead(self, ctx, t):
                 log[-1].append(("dead", self.key, t.name))
 
-        with Session(lenet(batch=2, image=12),
-                     RuntimeConfig.superneurons()) \
-                .with_policy(Observer()).with_policy(Trailing()) as sess:
-            for i in range(3):
-                sess.run_iteration(i, optimizer=SGD(0.05))
-            keys = sess.executor.iteration_plan.compiled_keys
-        assert "observer" in keys and "trailing" not in keys
-        recording, *compiled = log
-        n_steps = sum(1 for e in recording if e[0] == "step")
-        assert n_steps and any(e[0] == "resident" for e in recording)
-        deaths = [e for e in recording if e[0] == "dead"]
-        # each death reaches the observer first, then the policy
-        # stacked behind it
-        assert deaths[0::2] == [("dead", "observer", name)
-                                for _, _, name in deaths[1::2]]
-        assert deaths[1::2] == [("dead", "trailing", name)
-                                for _, _, name in deaths[0::2]]
-        for entries in compiled:
-            assert entries == deaths  # nothing else arrives, same order
+        for replay, links in ((True, 1), (False, 3)):
+            del log[:], asked[:]
+            cfg = RuntimeConfig.superneurons(steady_state_replay=replay)
+            with Session(lenet(batch=2, image=12), cfg) \
+                    .with_policy(Observer()).with_policy(Trailing()) \
+                    as sess:
+                for i in range(3):
+                    sess.run_iteration(i, optimizer=SGD(0.05))
+                plan = sess.executor._plan
+            assert len(asked) == links
+            assert "observer" in plan.compiled_keys
+            assert "trailing" not in plan.compiled_keys
+            deaths = log[0]
+            assert deaths and {e[0] for e in deaths} == {"dead"}
+            # each death reaches the observer first, then the policy
+            # stacked behind it
+            assert deaths[0::2] == [("dead", "observer", name)
+                                    for _, _, name in deaths[1::2]]
+            assert deaths[1::2] == [("dead", "trailing", name)
+                                    for _, _, name in deaths[0::2]]
+            assert log == [deaths] * 3  # nothing else arrives, ever
 
     def test_plan_reports_stable_policies(self):
         with Session(lenet(batch=2, image=12),
@@ -439,3 +444,47 @@ class TestAccumulatorHygiene:
             r = ex.run_iteration(0)
         assert r.traces == []
         assert r.loss is not None
+
+
+class TestLinkOnce:
+    """An executor links its plan once in its life — at its first
+    iteration, before anything a later iteration could change (the
+    tensor cache's drop set lands at the end of iteration 0) — and
+    one that never replays links before every iteration."""
+
+    GiB = 1 << 30
+
+    @staticmethod
+    def links(monkeypatch, mk_net, cfg, iters=5):
+        linked = []
+        real = runtime.link_iteration_plan
+
+        def spy(ex):
+            linked.append(ex)
+            return real(ex)
+        monkeypatch.setattr(runtime, "link_iteration_plan", spy)
+        with Session(mk_net(), cfg) as sess:
+            results = sess.run(iters)
+            assert set(linked) == {sess.executor}
+        return len(linked), results
+
+    @pytest.mark.parametrize("net", ["lenet", "resnet50", "inception_v4"])
+    def test_a_replaying_executor_links_once(self, monkeypatch, net):
+        if net == "lenet":
+            mk, cfg = (lambda: lenet(batch=4, image=12),
+                       RuntimeConfig.superneurons())
+        else:
+            mk = functools.partial(NETWORK_BUILDERS[net], batch=32)
+            cfg = RuntimeConfig.superneurons(concrete=False,
+                                             gpu_capacity=self.GiB)
+        links, results = self.links(monkeypatch, mk, cfg)
+        assert links == 1
+        if net == "resnet50":  # the drop set lands at iteration 1
+            assert [r.cache_dropped for r in results[:2]] == [0, 11]
+
+    def test_a_never_replaying_executor_links_every_iteration(
+            self, monkeypatch):
+        cfg = RuntimeConfig.superneurons(steady_state_replay=False)
+        links, _ = self.links(monkeypatch,
+                              lambda: lenet(batch=4, image=12), cfg)
+        assert links == 5
