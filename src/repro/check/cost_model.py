@@ -636,8 +636,7 @@ def predict_compiled_mode(net, compiled, config: RuntimeConfig,
     (``RuntimeConfig.for_mode``) the mode was planned under, exactly as
     the plan verifier requires.
     """
-    sim = replace(config, concrete=False, collect_traces=False,
-                  steady_state_replay=True)
+    sim = replace(config, concrete=False, collect_traces=False)
     with Executor(net, sim, sim.policy_stack(), compiled) as ex:
         return record_iteration(ex, target)
 

@@ -129,9 +129,8 @@ def verify_run(build: Callable[[], Executor], target: str,
     """Build an executor, run its first iteration armed, judge it.
 
     Returns the findings and, with ``cost``, the iteration's
-    :class:`CostPrediction` (None when the run was refused).  The
-    executor must replay (``steady_state_replay``): the need order is
-    read off the plan it linked.
+    :class:`CostPrediction` (None when the run was refused).  The need
+    order is read off the plan the iteration linked.
     """
     try:
         ex = build()
@@ -186,8 +185,7 @@ def verify_compiled_mode(net, compiled, config: RuntimeConfig,
     ``config`` must be the *effective* mode config
     (``RuntimeConfig.for_mode``) the mode was planned under.
     """
-    sim = replace(config, concrete=False, collect_traces=False,
-                  steady_state_replay=True)
+    sim = replace(config, concrete=False, collect_traces=False)
     return verify_run(
         lambda: Executor(net, sim, sim.policy_stack(), compiled),
         target or f"{net.name}/{compiled.mode}")[0]

@@ -168,7 +168,12 @@ class TensorCache:
         """The last completed iteration's victims fall due, in eviction
         order, except the dropped ones: they are never copied.  What an
         aborted iteration recorded is dropped: a half record would
-        predict a different iteration."""
+        predict a different iteration.  So is any line it left cached:
+        a completed iteration's barrier discards every line, but one
+        whose removal a raising hook skipped would outlive it."""
+        self._entries.clear()
+        self._freq.clear()
+        self._arrival.clear()
         self._record.clear()
         self.due_clean.clear()
         drops = self.drops

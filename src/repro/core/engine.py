@@ -266,8 +266,7 @@ class Engine:
         mode = planning.mode
         target = f"{self.net.name}/{mode}"
         scout_cfg = replace(self.config.for_mode(mode),
-                            concrete=False, collect_traces=False,
-                            steady_state_replay=True)
+                            concrete=False, collect_traces=False)
 
         def scout() -> Executor:
             return Executor(self.net, scout_cfg,

@@ -6,17 +6,15 @@ result by a single pass that records each tensor's *last reader*
 (O(total dependency edges)): ``out(s) = in(s) − {t : last_use(t) = s}``.
 :class:`LivenessAnalysis` exposes the in/out sets (used by tests and the
 Fig. 10 traces); :class:`LivenessPlan` is the compiled artifact the
-executor consumes — for each step, which tensors stop needing GPU
-residency after it.
+executor consumes — for each step, the tensors no later step reads.
 
-Interaction with the other optimizations changes *which reads count*:
-
-* recomputation ON → backward reads of recomputable tensors are served
-  by recomputation, so those reads don't extend GPU liveness; instead
-  the *anchor checkpoints* gain backward uses (they feed the re-runs);
-* offloading ON → checkpoint outputs lose GPU residency after their
-  last forward read (the host copy covers the backward), and regain it
-  at prefetch — the plan reports those "gpu-release" points separately.
+Recomputation changes *which reads count*: backward reads of
+recomputable tensors are served by recomputation, so those reads don't
+extend GPU liveness; instead the *anchor checkpoints* gain backward
+uses (they feed the re-runs).  Offloading changes no free list: a
+checkpoint output's GPU copy goes when its eager D2H copy is reaped
+(or when the tensor cache evicts it), which is the UTP's business, not
+this plan's.
 
 Inference mode needs no special casing here: the executor hands this
 analysis the forward-only route (``ExecutionRoute(net,
@@ -31,42 +29,28 @@ both.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.config import OFFLOAD_TYPES, RecomputeStrategy, RuntimeConfig
-from repro.graph.route import ExecutionRoute, Phase, Step
-from repro.layers.base import Layer, LayerType
+from repro.graph.route import ExecutionRoute, Phase
 from repro.tensors.tensor import Tensor
 
 
 @dataclass
 class LivenessPlan:
-    """Compiled per-step schedules the executor follows.
+    """The per-step free lists the executor follows.
 
     Attributes
     ----------
     free_after:
         step index -> tensors whose GPU allocation (and payload) can be
         dropped entirely after the step executes.
-    gpu_release_after:
-        step index -> offloaded tensors whose *GPU copy* becomes
-        droppable after the step (host copy retained for backward).
-    last_use:
-        tensor_id -> last step index that reads it (whole iteration).
-    recompute_covered:
-        tensor ids whose backward reads are satisfied by recomputation.
     """
 
     free_after: Dict[int, List[Tensor]] = field(default_factory=dict)
-    gpu_release_after: Dict[int, List[Tensor]] = field(default_factory=dict)
-    last_use: Dict[int, int] = field(default_factory=dict)
-    recompute_covered: Set[int] = field(default_factory=set)
 
     def frees(self, step_index: int) -> List[Tensor]:
         return self.free_after.get(step_index, [])
-
-    def releases(self, step_index: int) -> List[Tensor]:
-        return self.gpu_release_after.get(step_index, [])
 
     def freeze(self) -> Dict[int, tuple]:
         """Immutable per-step free lists for the compiled IterationPlan.
@@ -218,27 +202,17 @@ class LivenessAnalysis:
         plan = LivenessPlan()
         cfg = self.config
         route = self.route
-        last = self.last_use_map()
-        plan.last_use = dict(last)
-
-        if self._recompute_on() and self.recompute_plan is not None:
-            for layer in route.net.layers:
-                if layer.layer_id in self.recompute_plan.dropped_layers \
-                        and layer.output is not None:
-                    plan.recompute_covered.add(layer.output.tensor_id)
-
         if not cfg.use_liveness:
             # Baseline: nothing is freed mid-iteration; the executor
             # frees everything at iteration end.
             return plan
 
+        last = self.last_use_map()
         n_steps = len(route.steps)
         seen: Dict[int, Tensor] = {}
         for step in route.steps:
             for t in self._writes[step.index] + self._reads[step.index]:
                 seen.setdefault(t.tensor_id, t)
-
-        offloadable = self._offloadable_ids() if cfg.use_offload else set()
 
         from repro.tensors.tensor import TensorKind  # local: avoid cycle
 
@@ -248,32 +222,9 @@ class LivenessAnalysis:
                                              TensorKind.PARAM_GRAD):
                 continue
             last_step = last[tid]
-            if cfg.use_offload and tid in offloadable and not cfg.use_tensor_cache:
-                # eager offload: the GPU copy is droppable after the last
-                # *forward* read; backward reads hit the host copy via
-                # prefetch.  The full free still happens at last_use.
-                lf = self._last_forward_use(t)
-                if lf is not None and lf < last_step:
-                    plan.gpu_release_after.setdefault(lf, []).append(t)
             if last_step < n_steps:
                 plan.free_after.setdefault(last_step, []).append(t)
         return plan
-
-    def _offloadable_ids(self) -> Set[int]:
-        ids: Set[int] = set()
-        for layer in self.route.net.layers:
-            if layer.ltype in OFFLOAD_TYPES and layer.output is not None:
-                ids.add(layer.output.tensor_id)
-        return ids
-
-    def _last_forward_use(self, t: Tensor) -> Optional[int]:
-        n = self.route.num_layers
-        best: Optional[int] = None
-        for step in self.route.steps[:n]:
-            if any(r.tensor_id == t.tensor_id
-                   for r in self._reads[step.index] + self._writes[step.index]):
-                best = step.index
-        return best
 
     # -- peak predictions (the paper's closed forms) ----------------------------------
     def predicted_peak_liveness(self) -> int:

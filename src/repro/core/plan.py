@@ -17,26 +17,23 @@ cache's return-trip need order and its victims' producer steps, the
 conv steps whose workspace is picked — so every built-in policy answers
 before iteration 0.  What depends on the moment is decided at the step:
 a workspace op picks its algorithm from the bytes free then (memoised
-on them), and recomputation's cleanup sweep stays a kept ``after_step``
-hook.  A policy that returns ``None`` (the base default: every custom
-policy that does not opt in) keeps receiving every hook through
-bound-method lists in its original stack position.
+on them), and recomputation's cleanup sweep is its ``after_step`` hook.
 
-:func:`link_iteration_plan` asks each stack position for its plan and
-merges them, *in stack order*, into one :class:`IterationPlan`: an
-array of :class:`CompiledStep` records whose hook sites are prebound
-closure lists, plus the dispatch table for the hooks that are never
-compiled away.  The executor has one step loop and it always runs a
-linked plan, linked once, before its first iteration (with
-``steady_state_replay=False``, before every iteration).
+One dispatch rule holds for every policy, built-in or custom: every
+hook a policy overrides fires, in its stack position, on every
+iteration, and its plan only adds ops — at a hook site, a position's
+plan ops run before its own hook.  :func:`link_iteration_plan` asks
+each stack position for its plan and merges them, *in stack order*,
+into one :class:`IterationPlan`: an array of :class:`CompiledStep`
+records whose hook sites are prebound closure lists.  The executor has
+one step loop and it always runs a linked plan, linked once, before its
+first iteration (with ``steady_state_replay=False``, before every
+iteration).
 
 The ops keep every dynamic guard (offload-in-flight checks,
 host-residency checks before prefetch, the workspace fragmentation
 fallback); ``tests/reference_policies.py`` holds the hook-dispatch
 bodies they replaced, and a differential test holds the two equal.
-Demand-driven hooks (``on_backward_need``, ``on_memory_pressure``) and
-the iteration brackets are never compiled away — they are mechanics,
-not planning.
 """
 
 from __future__ import annotations
@@ -55,28 +52,30 @@ from repro.tensors.tensor import Tensor
 #: A hook-site closure: ``op(ctx, step)``, prebound to executor internals.
 StepOp = Callable[[object, Step], None]
 
-#: The hooks a compiled policy stops receiving (unless its plan names
-#: them in ``keep_hooks``).  The step hooks become a
-#: :class:`CompiledStep`'s hook-site ops; the tensor hooks fire from
-#: the executor's residency moves, through :attr:`IterationPlan.listeners`.
+#: The step hooks, in hook-site order: each is a :class:`CompiledStep`
+#: site, where a stack position's plan ops run before its own hook.
 STEP_HOOKS = (
     "before_step",
     "before_compute",
     "after_step",
     "on_step_settled",
 )
-TENSOR_HOOKS = (
+
+#: The hooks no step site carries: the tensor hooks fire from the
+#: executor's residency moves, the iteration brackets and the
+#: recomputation trigger from its iteration, each through
+#: :func:`listener_table`.  (``on_memory_pressure`` walks the stack
+#: itself, because each policy's answer decides whether the next is
+#: asked.)
+LISTENER_HOOKS = (
     "on_tensor_dead",
     "on_tensor_released",
     "on_tensor_resident",
     "on_tensor_access",
+    "on_iteration_start",
+    "on_iteration_end",
+    "on_backward_need",
 )
-
-#: Never compiled away: the iteration brackets and the recomputation
-#: trigger dispatch to every overrider on every iteration
-#: (``on_memory_pressure`` too, which walks the stack itself because
-#: each policy's answer decides whether the next is asked).
-ALWAYS_HOOKS = ("on_iteration_start", "on_iteration_end", "on_backward_need")
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,7 @@ class PolicyPlan:
 
     Returned by :meth:`~repro.core.policy.MemoryPolicy.compile_plan`.
     Every field is optional; a policy fills only the schedules it owns.
-    An empty ``PolicyPlan`` says the policy does nothing per step and is
-    elided entirely; ``None`` in its place says "not compiled — keep
-    dispatching my hooks".
+    The empty ``PolicyPlan`` (the default answer) adds no op.
 
     Attributes
     ----------
@@ -119,15 +116,8 @@ class PolicyPlan:
     workspace_steps:
         the conv steps, in route order: each gets a workspace op
         (:func:`make_workspace_op`) that picks its algorithm live.
-    keep_hooks:
-        step or tensor hooks this policy must KEEP receiving although it
-        is compiled — the cache-mode UTP compiles its step schedule but
-        its tensor hooks maintain the LRU order and hit/miss counters,
-        which only exist by observing every event; recomputation keeps
-        its ``after_step`` cleanup sweep.
     """
 
-    key: str = ""
     reap_before_step: bool = False
     step_frees: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     step_offloads: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
@@ -135,7 +125,6 @@ class PolicyPlan:
     return_trip: Tuple[Tuple[int, Tensor], ...] = ()
     producers: Mapping[int, int] = field(default_factory=dict)
     workspace_steps: Tuple[int, ...] = ()
-    keep_hooks: Tuple[str, ...] = ()
 
 
 def kernel_seconds(step: Step, model) -> float:
@@ -211,16 +200,8 @@ class IterationPlan:
     """The merged, executor-ready schedule for one full iteration."""
 
     steps: List[CompiledStep]
-    #: registry name -> plan, for the compiled stack positions
+    #: registry name -> plan, for every stack position
     plans: Dict[str, PolicyPlan]
-    #: hook name -> bound methods, in stack order, for the hooks no
-    #: hook site carries (see :func:`listener_table`)
-    listeners: Dict[str, tuple]
-
-    @property
-    def compiled_keys(self) -> Tuple[str, ...]:
-        """Registry names of the compiled stack positions."""
-        return tuple(self.plans)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -233,7 +214,7 @@ class IterationPlan:
             if not ops
         )
         return (f"IterationPlan({len(self.steps)} steps, "
-                f"compiled={list(self.compiled_keys)}, "
+                f"plans={list(self.plans)}, "
                 f"{elided} empty hook sites elided)")
 
 
@@ -435,25 +416,15 @@ def make_workspace_op(model, selector, step: Step) -> StepOp:
 # plan compilation: one link per executor, closures over its substrate
 # --------------------------------------------------------------------------- #
 
-def listener_table(ex, plans) -> Dict[str, tuple]:
+def listener_table(ex) -> Dict[str, tuple]:
     """Bound-method dispatch lists for the hooks no hook site carries:
     per hook, the policies that actually override it, in stack order —
     a hook nobody implements costs one empty-tuple loop, not a stack
-    walk.  ``plans`` aligns with ``ex.policies``; a compiled position
-    (plan not ``None``) loses its tensor hooks unless the plan keeps
-    them, and nobody ever loses an :data:`ALWAYS_HOOKS` entry."""
+    walk."""
     overrides = ex._overrides
-    pairs = list(zip(ex.policies, plans))
-    table = {
-        hook: tuple(getattr(p, hook) for p, pp in pairs
-                    if overrides(p, hook)
-                    and (pp is None or hook in pp.keep_hooks))
-        for hook in TENSOR_HOOKS
-    }
-    for hook in ALWAYS_HOOKS:
-        table[hook] = tuple(getattr(p, hook) for p in ex.policies
-                            if overrides(p, hook))
-    return table
+    return {hook: tuple(getattr(p, hook) for p in ex.policies
+                        if overrides(p, hook))
+            for hook in LISTENER_HOOKS}
 
 
 def link_iteration_plan(ex) -> IterationPlan:
@@ -462,16 +433,10 @@ def link_iteration_plan(ex) -> IterationPlan:
     ctx = ex._ctx
     plans = [p.compile_plan(ctx) for p in ex.policies]
     overrides = ex._overrides  # one override-detection rule, one place
-    # a dispatching policy rides every step hook it overrides; a
-    # compiled one only those its plan explicitly kept live, after its
-    # compiled actions — same stack position either way
-    stack = [
-        (p, pp, [(site, getattr(p, hook))
-                 for site, hook in enumerate(STEP_HOOKS)
-                 if hook in (STEP_HOOKS if pp is None else pp.keep_hooks)
-                 and overrides(p, hook)])
-        for p, pp in zip(ex.policies, plans)
-    ]
+    # stack position -> every step hook it overrides, as (site, method)
+    hooks = [[(site, getattr(p, hook))
+              for site, hook in enumerate(STEP_HOOKS) if overrides(p, hook)]
+             for p in ex.policies]
     reap_op = _make_reap_op(ex)
 
     steps = [CompiledStep(step, ex.model, ex.route)
@@ -479,14 +444,12 @@ def link_iteration_plan(ex) -> IterationPlan:
     turn_index = ex.route.num_layers - 1  # the last forward step
     # stack position -> its (turn, drain) pair
     trips = {n: _make_return_trip_ops(ex, pp.return_trip, steps)
-             for n, pp in enumerate(plans)
-             if pp is not None and pp.return_trip}
+             for n, pp in enumerate(plans) if pp.return_trip}
     cleans = {n: _make_recorded_clean_op(ex, pp.producers)
-              for n, pp in enumerate(plans)
-              if pp is not None and pp.producers}
+              for n, pp in enumerate(plans) if pp.producers}
     # stack position -> the steps its workspace ops provision
     workspace = {n: set(pp.workspace_steps) for n, pp in enumerate(plans)
-                 if pp is not None and pp.workspace_steps}
+                 if pp.workspace_steps}
     for cs in steps:
         step = cs.step
         i = step.index
@@ -495,27 +458,25 @@ def link_iteration_plan(ex) -> IterationPlan:
         after: List[StepOp] = []
         settled: List[StepOp] = []
         sites = (before, compute, after, settled)  # STEP_HOOKS order
-        for n, (p, pp, hooks) in enumerate(stack):
-            if pp is not None:
-                if pp.reap_before_step:
-                    before.append(reap_op)
-                offloads = pp.step_offloads.get(i)
-                if offloads:
-                    after.append(_make_offload_op(ex, offloads))
-                frees = pp.step_frees.get(i)
-                if frees:
-                    after.append(_make_frees_op(ex, frees))
-                prefetch = pp.step_prefetch.get(i)
-                if prefetch:
-                    settled.append(_make_prefetch_op(ex, prefetch))
-                if n in cleans and i <= turn_index:
-                    settled.append(cleans[n])
-                if n in trips and i >= turn_index:
-                    settled.append(trips[n][i > turn_index])
-                if n in workspace and i in workspace[n]:
-                    compute.append(make_workspace_op(
-                        ex.model, p.selector, step))
-            for site, fn in hooks:
+        for n, (p, pp) in enumerate(zip(ex.policies, plans)):
+            if pp.reap_before_step:
+                before.append(reap_op)
+            offloads = pp.step_offloads.get(i)
+            if offloads:
+                after.append(_make_offload_op(ex, offloads))
+            frees = pp.step_frees.get(i)
+            if frees:
+                after.append(_make_frees_op(ex, frees))
+            prefetch = pp.step_prefetch.get(i)
+            if prefetch:
+                settled.append(_make_prefetch_op(ex, prefetch))
+            if n in cleans and i <= turn_index:
+                settled.append(cleans[n])
+            if n in trips and i >= turn_index:
+                settled.append(trips[n][i > turn_index])
+            if n in workspace and i in workspace[n]:
+                compute.append(make_workspace_op(ex.model, p.selector, step))
+            for site, fn in hooks[n]:
                 sites[site].append(fn)
         if ex.recorder is not None:
             # the observer rides last: it sees the step fully settled
@@ -526,6 +487,4 @@ def link_iteration_plan(ex) -> IterationPlan:
         cs.settled_ops = tuple(settled)
     return IterationPlan(
         steps=steps,
-        plans={p.key: pp for p, pp in zip(ex.policies, plans)
-               if pp is not None},
-        listeners=listener_table(ex, plans))
+        plans={p.key: pp for p, pp in zip(ex.policies, plans)})

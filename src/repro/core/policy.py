@@ -13,10 +13,12 @@ adding a new eviction schedule or prefetch heuristic is a new policy
 class plus a :func:`register_policy` line, never an edit to the loop.
 
 A policy *decides*: ``compile_plan`` hands its per-step schedule to the
-executor, once per link, whose plan ops then run in the policy's stack
-position in place of its step and tensor hooks.  Every built-in policy
-answers from the route alone; what depends on the moment — the
-workspace pick, recomputation's cleanup — is decided at the step.
+executor, once per link, and the plan's ops run in the policy's stack
+position, before its own hook at each hook site.  Every hook a policy
+overrides fires, in its stack position, on every iteration; a plan
+only adds ops.  Every built-in policy answers from the route alone;
+what depends on the moment — the workspace pick, recomputation's
+cleanup — is decided at the step.
 
 Hook protocol (all optional; the base class no-ops everything):
 
@@ -308,22 +310,17 @@ class MemoryPolicy:
         """Called once when the executor is built (plans exist)."""
 
     # -- plan compilation -----------------------------------------------------
-    def compile_plan(self, ctx: StepContext) -> Optional[PolicyPlan]:
-        """This policy's per-step decisions as schedules, or ``None``.
+    def compile_plan(self, ctx: StepContext) -> PolicyPlan:
+        """This policy's per-step decisions as schedules.
 
         Asked once per link: an executor links its plan before its first
         iteration and reuses it (with ``steady_state_replay=False``, it
-        links before every iteration).  Returning
-        a :class:`~repro.core.plan.PolicyPlan` compiles the policy: the
-        plan's ops run in its stack position and its step and tensor
-        hooks are *no longer dispatched*, except those the plan names
-        in ``keep_hooks``.  Demand hooks (``on_backward_need``,
-        ``on_memory_pressure``) and the iteration brackets are always
-        dispatched regardless.
-
-        Default ``None``: unknown policies keep full hook dispatch.
+        links before every iteration).  The plan's ops run in the
+        policy's stack position, before its own hook at each hook site;
+        every hook the policy overrides is dispatched whatever it
+        answers.  Default: the empty plan, which adds no op.
         """
-        return None
+        return PolicyPlan()
 
     # -- lifecycle hooks ----------------------------------------------------
     def on_iteration_start(self, ctx: StepContext) -> None: ...
@@ -429,7 +426,7 @@ class LivenessPolicy(MemoryPolicy):
     def compile_plan(self, ctx: StepContext) -> PolicyPlan:
         # The free lists come straight from the compiled LivenessPlan:
         # per-topology by construction (paper §3.2).
-        return PolicyPlan(key=self.key, step_frees=ctx.plan.freeze())
+        return PolicyPlan(step_frees=ctx.plan.freeze())
 
 
 @register_policy
@@ -654,21 +651,15 @@ class OffloadCachePolicy(MemoryPolicy):
             # included (a chain re-run reads them from outside).  The
             # return-trip ops time each evicted line's H2D copy against
             # that deadline.  No eager copies ⇒ nothing to reap before
-            # steps, nothing to register after them.  The tensor hooks
-            # stay live: LRU order, hit/miss counters and
-            # pressure-driven eviction only exist by observing every
-            # residency event.  Which lines pressure takes is the
-            # session's record; where each one's clean copy may start,
-            # its producer's forward step, is the route's.
+            # steps, nothing to register after them.  Which lines
+            # pressure takes is the session's record; where each one's
+            # clean copy may start, its producer's forward step, is the
+            # route's.
             producers = {s.layer.output.tensor_id: s.index for s in steps
                          if s.phase is Phase.FORWARD
                          and s.layer.output is not None}
-            return PolicyPlan(
-                key=self.key, return_trip=self._need_order(ctx),
-                producers=producers,
-                keep_hooks=("on_tensor_resident", "on_tensor_access",
-                            "on_tensor_dead", "on_tensor_released"),
-            )
+            return PolicyPlan(return_trip=self._need_order(ctx),
+                              producers=producers)
         # Eager: a checkpoint output's D2H copy starts right after its
         # forward kernel (ordered after the kernel's event, so it
         # overlaps the following forward compute, and registered before
@@ -689,7 +680,7 @@ class OffloadCachePolicy(MemoryPolicy):
                                        include_synthetic=False))
             if reads:
                 prefetch[step.index] = reads
-        return PolicyPlan(key=self.key, reap_before_step=True,
+        return PolicyPlan(reap_before_step=True,
                           step_offloads=offloads, step_prefetch=prefetch)
 
     @staticmethod
@@ -778,13 +769,6 @@ class RecomputePolicy(MemoryPolicy):
         for t in due:
             if state.is_live(t):
                 ctx.discard(t)
-
-    def compile_plan(self, ctx: StepContext) -> PolicyPlan:
-        # Segment re-execution is demand-driven mechanics (triggered by
-        # ``on_backward_need``, which always dispatches); the cleanup
-        # sweep is the one step hook, kept: it frees what this step's
-        # demand rebuilt, so it does the work of the rebuilds, no more.
-        return PolicyPlan(key=self.key, keep_hooks=("after_step",))
 
     def ensure(self, ctx: StepContext, missing: List[Tensor]) -> None:
         """Make every tensor in ``missing`` resident by recomputation."""
@@ -976,5 +960,5 @@ class WorkspacePolicy(MemoryPolicy):
     def compile_plan(self, ctx: StepContext) -> PolicyPlan:
         # The conv steps are the route's; each one's algorithm is picked
         # by its workspace op from the bytes free when it runs.
-        return PolicyPlan(key=self.key, workspace_steps=tuple(
+        return PolicyPlan(workspace_steps=tuple(
             s.index for s in ctx.route.steps if isinstance(s.layer, Conv2D)))

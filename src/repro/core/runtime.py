@@ -270,13 +270,13 @@ class Executor:
             p.bind(self._ctx)
 
         # the linked plan (None until the first iteration links it, see
-        # :meth:`_link_plan`) and its dispatch table.  The four tensor
-        # hooks fire once or twice per tensor per step, so their sites
-        # loop over the table's tuple in place; ``_dispatch`` serves the
-        # per-iteration and demand hooks.  Until the first link every
-        # overrider listens.
+        # :meth:`_link_plan`) and the dispatch table, tabled again at
+        # every link.  The four tensor hooks fire once or twice per
+        # tensor per step, so their sites loop over the table's tuple
+        # in place; ``_dispatch`` serves the per-iteration and demand
+        # hooks.
         self._plan: Optional[IterationPlan] = None
-        self._listeners = listener_table(self, [None] * len(self.policies))
+        self._listeners = listener_table(self)
         self._replay_enabled = cfg.steady_state_replay
         self._collect_traces = cfg.collect_traces
         self.replayed_iterations = 0
@@ -461,9 +461,6 @@ class Executor:
         a = self._alloc_of.pop(t.tensor_id, None)
         if a is not None:
             self.allocator.free(a)
-        ctx = self._ctx
-        for fn in self._listeners["on_tensor_released"]:
-            fn(ctx, t)
         if state.pop_cleaning(t) is not None:
             # the bytes go without an eviction: a write-behind copy of
             # them is moot, and so is its reservation
@@ -478,6 +475,9 @@ class Executor:
             state.set_placement(t, Placement.FREED)
         if not state.is_live(t):
             state.discard_live(t)
+        ctx = self._ctx
+        for fn in self._listeners["on_tensor_released"]:
+            fn(ctx, t)
 
     def _discard(self, t: Tensor) -> None:
         """Free a tensor everywhere (GPU, host, payloads)."""
@@ -487,9 +487,6 @@ class Executor:
         a = self._alloc_of.pop(t.tensor_id, None)
         if a is not None:
             self.allocator.free(a)
-        ctx = self._ctx
-        for fn in self._listeners["on_tensor_dead"]:
-            fn(ctx, t)
         if state.host_resident(t):
             self.fabric.evict(t.tensor_id)
             state.set_host_resident(t, False)
@@ -500,6 +497,9 @@ class Executor:
             self.fabric.evict(t.tensor_id)
         state.set_placement(t, Placement.FREED)
         state.discard_live(t)
+        ctx = self._ctx
+        for fn in self._listeners["on_tensor_dead"]:
+            fn(ctx, t)
 
     # ---------------------------------------------------------------- movement
     def _copy(self, t: Tensor, kind: str,
@@ -607,10 +607,10 @@ class Executor:
         if a is not None:
             self.allocator.free(a)
         self.store.move_to_host(t)
+        self.state.set_placement(t, Placement.HOST)
         ctx = self._ctx
         for fn in self._listeners["on_tensor_released"]:
             fn(ctx, t)
-        self.state.set_placement(t, Placement.HOST)
 
     def _prefetch_async(self, t: Tensor) -> bool:
         """Start bringing a host tensor back; returns False if no room."""
@@ -664,17 +664,16 @@ class Executor:
     # ------------------------------------------------- steady-state replay
     @property
     def iteration_plan(self) -> Optional[IterationPlan]:
-        """The plan every iteration reuses (None before the first
-        iteration links it, and with ``steady_state_replay=False``)."""
-        return self._plan if self._replay_enabled else None
+        """The plan linked last (None before the first iteration links
+        it)."""
+        return self._plan
 
     def _link_plan(self) -> IterationPlan:
-        """The one link step: ask this stack for its plans and bind them
-        to this substrate.  A policy that answers ``None`` rides the
-        plan as bound hook methods in its stack position — the same
-        step loop."""
+        """The one link step: ask this stack for its plans, bind them to
+        this substrate, and table the overridden hooks no step site
+        carries."""
         self._plan = plan = link_iteration_plan(self)
-        self._listeners = plan.listeners
+        self._listeners = listener_table(self)
         return plan
 
     # ------------------------------------------------------------------ stepping
@@ -726,18 +725,17 @@ class Executor:
 
         try:
             traces = self._run_steps(plan, ctx, optimizer)
+            self._dispatch("on_iteration_end")
+            # iteration barrier: drain copies, free whatever is left
+            while self._pending:
+                self._force_reap_one()
+            self.timeline.sync_all()
+            self._end_of_iteration_cleanup()
         except BaseException:
             self._abort_iteration()
             raise
         if replayed:
             self.replayed_iterations += 1
-
-        # iteration barrier: drain copies, free whatever is left
-        self._dispatch("on_iteration_end")
-        while self._pending:
-            self._force_reap_one()
-        self.timeline.sync_all()
-        self._end_of_iteration_cleanup()
 
         # the loss travels through the per-session LayerContext (shared
         # SoftmaxLoss objects would race under concurrent sessions)
@@ -883,12 +881,13 @@ class Executor:
         return ctx.step_workspace
 
     def _abort_iteration(self) -> None:
-        """A step raised: leave the session as a completed iteration's
-        barrier leaves it, so the next iteration runs exactly as an
-        undisturbed one would.  The raising step's pins and scratch go,
-        copies in flight are dropped with their tensors, and every
-        activation is discarded.  ``on_iteration_end`` is not
-        dispatched: a half iteration commits nothing a policy records."""
+        """A step or the barrier raised: leave the session as a
+        completed iteration's barrier leaves it, so the next iteration
+        runs exactly as an undisturbed one would.  The raising step's
+        pins and scratch go, copies in flight are dropped with their
+        tensors, and every activation is discarded.  A step that raised
+        never reaches ``on_iteration_end``: a half iteration commits
+        nothing a policy records."""
         self._free_step_scratch(self._ctx)
         self.state.unlock_all(self._cleanup_tensors)
         self._pending.clear()

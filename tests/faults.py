@@ -10,8 +10,9 @@ a :class:`~repro.serve.fleet.ServingFleet`.
 A :class:`FaultPlan` makes one executor seam raise at its *k*-th call:
 a DMA copy, an eviction, an allocation, a forward re-run inside the
 rebuild of a victim the tensor cache dropped, one outside any such
-rebuild (a segment's recomputation), or a layer's forward or backward
-step.  The seams are wrapped
+rebuild (a segment's recomputation), a layer's forward or backward
+step, or a hook the executor calls on a stack policy.  The seams are
+wrapped
 from outside, as ``benchmarks/ledger`` wraps the allocator: ``src/`` has
 no injection point.  The simulator is
 deterministic, so ``(seam, k)`` names one call of one iteration on every
@@ -26,6 +27,7 @@ from typing import Callable, Dict, List
 import pytest
 
 from repro import Session
+from repro.core.plan import LISTENER_HOOKS, STEP_HOOKS
 from repro.core.runtime import Executor
 from repro.obs.export import build_chrome_trace, validate_trace
 
@@ -260,3 +262,25 @@ def _layer_seam(phase: str):
 
 seam("forward")(_layer_seam("forward"))
 seam("backward")(_layer_seam("backward"))
+
+
+@seam("hook")
+def _hook_seam(ex: Executor, plan: FaultPlan) -> None:
+    """Every call the executor makes to a stack policy's hooks: the
+    step-site hooks, the tensor hooks, the iteration brackets,
+    ``on_backward_need`` and ``on_memory_pressure`` (asked of each
+    policy in turn until one answers); the faulting call runs nothing.
+    The hooks are wrapped on the policy instances, so the seam goes in
+    before the executor's first link binds them."""
+    for p in ex.policies:
+        for hook in (*STEP_HOOKS, *LISTENER_HOOKS, "on_memory_pressure"):
+            def faulty(ctx, *args, call=getattr(p, hook),
+                       what=f"{p.key}.{hook}"):
+                if args:  # named by its tensor, step or byte count
+                    subject = args[0]
+                    name = getattr(subject, "name", None) \
+                        or getattr(subject, "index", subject)
+                    what += f" {name}"
+                plan.trip(what)
+                return call(ctx, *args)
+            setattr(p, hook, faulty)

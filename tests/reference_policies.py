@@ -6,7 +6,8 @@ as a hook body that ran on recording iterations and as a
 later one.  The shipped policies now only produce schedules and the ops
 are the one place that acts.  These subclasses are the hook bodies that
 were deleted, moved here unchanged: each answers ``compile_plan`` with
-``None`` — the custom-policy default, "keep dispatching my hooks" — so a
+the empty ``PolicyPlan()`` — the custom-policy default, which adds no
+op — and, like every policy, receives every hook it overrides, so a
 stack built from them decides everything live, per step, through the
 ``StepContext`` operations alone, on every iteration.  They are slow and
 obviously right, which is what a reference is for;
@@ -23,6 +24,7 @@ cleans them but copies every one, before the cache dropped any.
 from dataclasses import replace
 
 from repro.core.config import OFFLOAD_TYPES
+from repro.core.plan import PolicyPlan
 from repro.core.policy import (
     LivenessPolicy,
     MemoryPolicy,
@@ -38,7 +40,7 @@ from repro.layers.conv import Conv2D
 
 class ReferenceLivenessPolicy(LivenessPolicy):
     def compile_plan(self, ctx):
-        return None
+        return PolicyPlan()
 
     def after_step(self, ctx, step):
         for t in ctx.plan.frees(step.index):
@@ -49,7 +51,7 @@ class ReferenceLivenessPolicy(LivenessPolicy):
 
 class ReferenceOffloadCachePolicy(OffloadCachePolicy):
     def compile_plan(self, ctx):
-        return None
+        return PolicyPlan()
 
     def before_step(self, ctx, step):
         ctx.reap_offloads()
@@ -88,16 +90,13 @@ class ReferenceOffloadCachePolicy(OffloadCachePolicy):
 
 
 class ReferenceRecomputePolicy(RecomputePolicy):
-    """The cleanup sweep is the shipped ``after_step``; the reference
-    simply never trades it for the recorded discard schedule."""
-
-    def compile_plan(self, ctx):
-        return None
+    """The shipped policy: it answers the empty plan, and its cleanup
+    sweep is its ``after_step``."""
 
 
 class ReferenceWorkspacePolicy(WorkspacePolicy):
     def compile_plan(self, ctx):
-        return None
+        return PolicyPlan()
 
     def before_compute(self, ctx, step):
         layer = step.layer

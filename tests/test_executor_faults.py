@@ -1,12 +1,15 @@
 """Executor faults under pressure: after a DMA, an eviction, an allocation,
-a rebuild, a segment's recomputation or a layer's forward or backward
-step fails, the next iteration is the one an undisturbed session runs.
+a rebuild, a segment's recomputation, a layer's forward or backward step
+or a policy's hook fails, the next iteration is the one an undisturbed
+session runs.
 
 The pressured path holds the most in-flight state when it raises: pinned
 tensors, cleaning lines (recorded and write-behind), a half-walked LRU
 tail, return-trip entries, fabric stashes, a half-recorded victim list,
 a dropped victim's half-built chain and recomputation's half-swept
-persistents and transients.  A
+persistents and transients; a raising hook leaves its policy short of
+one event — a cache line never removed, a sweep never run, a record
+never committed.  A
 :class:`~tests.faults.FaultPlan` makes one seam raise at the *k*-th call
 of iteration 1, with *k* drawn by ``hypothesis`` over every call that
 iteration makes.  After the raise the session is quiescent, its drop set
@@ -31,7 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.engine
-from repro import Engine, RuntimeConfig
+from repro import Engine, RuntimeConfig, Session
+from repro.core.policy import MemoryPolicy
 from repro.zoo import lenet, resnet50
 from repro.zoo.resnet import resnet_from_units
 
@@ -98,7 +102,13 @@ def fail_once(name, seam, k, at=1):
             assert sess.run_iteration(i).to_dict() == clockless(expect[i])
         assert_quiescent(sess)
         assert ex.cache.drops == drops
-    assert swept == [({}, [])] * (at + 3)
+        # a fault in the iteration bracket at or before recomputation's
+        # position keeps that iteration from asking it to start
+        keys = [p.key for p in ex.policies]
+        key, _, hook = plan.seen[-1].split(" ")[0].partition(".")
+        started = at + 3 - (hook == "on_iteration_start" and
+                            keys.index(key) <= keys.index("recompute"))
+    assert swept == [({}, [])] * started
     return plan.seen[-1]
 
 
@@ -172,6 +182,58 @@ def test_a_layer_fails_in_forward_or_backward(name, seam, data):
     calls = twin(name)[1][1][seam]
     k = data.draw(st.integers(1, len(calls)), label="k")
     assert fail_once(name, seam, k) == calls[k - 1]
+
+
+@settings(max_examples=8, deadline=None)
+@given(name=st.sampled_from(sorted(CONFIGS)), data=st.data())
+def test_a_policy_hook_fails(name, data):
+    """A step-site hook, a tensor hook, an iteration bracket, the
+    recomputation trigger or a pressure answer raises before its
+    policy has seen the call."""
+    calls = twin(name)[1][1]["hook"]
+    k = data.draw(st.integers(1, len(calls)), label="k")
+    assert fail_once(name, "hook", k) == calls[k - 1]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_the_iteration_end_hook_fails(name):
+    """Every step has run when the bracket raises: the barrier still
+    frees the iteration, and the tensor cache commits no record."""
+    calls = twin(name)[1][1]["hook"]
+    assert calls[-1] == "offload.on_iteration_end"
+    assert fail_once(name, "hook", len(calls)) == calls[-1]
+
+
+class RaiseAtIterationEnd(MemoryPolicy):
+    """Last in the stack: raises once, in ``on_iteration_end``."""
+
+    key = "raise_at_end"
+    armed = False
+
+    def on_iteration_end(self, ctx):
+        if self.armed:
+            self.armed = False
+            raise InjectedFault("on_iteration_end")
+
+
+@pytest.mark.parametrize("rung", ["baseline", "liveness_offload",
+                                  "superneurons"])
+def test_a_raising_iteration_end_still_meets_the_barrier(rung):
+    """The barrier runs whatever the last policy's bracket does: copies
+    in flight are retired and every activation goes, so the session is
+    at rest and its next iteration is an undisturbed one's."""
+    cfg = getattr(RuntimeConfig, rung)(concrete=False)
+    with Session(resnet50(batch=32), cfg) as sess:
+        expect = [sess.run_iteration(i).to_dict() for i in range(2)]
+    policy = RaiseAtIterationEnd()
+    with Session(resnet50(batch=32), cfg).with_policy(policy) as sess:
+        assert sess.run_iteration(0).to_dict() == expect[0]
+        policy.armed = True
+        with pytest.raises(InjectedFault, match="on_iteration_end"):
+            sess.run_iteration(1)
+        assert_quiescent(sess)
+        assert sess.run_iteration(1).to_dict() == clockless(expect[1])
+        assert_quiescent(sess)
 
 
 def test_a_fault_in_a_verified_scout_is_not_a_finding(monkeypatch):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import Engine
+from repro.check.cost_model import predict_compiled_mode
 from repro.core import LivenessAnalysis, RuntimeConfig
 from repro.core.config import RecomputeStrategy
 from repro.graph import ExecutionRoute
@@ -110,29 +112,34 @@ class TestPlan:
             plain.last_use_map()[lrn1.output.tensor_id]
 
     def test_eager_offload_releases_gpu_early(self):
+        """An eager run copies every conv output to the host and frees
+        its GPU bytes once the copy has landed."""
         net = alexnet(batch=2, image=67, num_classes=10)
-        route = _route(net)
-        cfg = RuntimeConfig.liveness_offload()
-        la = LivenessAnalysis(route, cfg)
-        plan = la.compile()
-        released = {t.tensor_id for ts in plan.gpu_release_after.values()
-                    for t in ts}
+        engine = Engine(net, RuntimeConfig.liveness_offload(concrete=False))
+        pred = predict_compiled_mode(engine.net, engine.compiled("train"),
+                                     engine.config.for_mode("train"))
+        released = {off.tensor for off in pred.offloads
+                    if off.release_time is not None}
         for l in net.layers:
             if l.ltype is LayerType.CONV:
-                assert l.output.tensor_id in released, l.name
+                assert l.output.name in released, l.name
 
-    def test_recompute_covered_marks_recomputables(self):
+    def test_recompute_serves_the_dropped_layers_backward_reads(self):
         net = lenet(batch=1, image=12)
         route = _route(net)
         la = LivenessAnalysis(
             route,
             RuntimeConfig(recompute=RecomputeStrategy.SPEED_CENTRIC),
         )
-        plan = la.compile()
+        dropped = {l.output.tensor_id for l in net.layers
+                   if l.layer_id in la.recompute_plan.dropped_layers}
+        read = {t.tensor_id for step in route.steps[route.num_layers:]
+                for t in la.reads_at(step.index)}
         pool1 = net.layer_by_name("pool1")
         conv1 = net.layer_by_name("conv1")
-        assert pool1.output.tensor_id in plan.recompute_covered
-        assert conv1.output.tensor_id not in plan.recompute_covered
+        assert pool1.output.tensor_id in dropped
+        assert not dropped & read
+        assert conv1.output.tensor_id in read
 
 
 class TestPeakFormulas:

@@ -110,13 +110,15 @@ POLICY_PROTOCOL = {
         # identity and config mapping
         "key", "backward_only", "from_config", "configure", "disarm",
         "describe", "bind",
-        # decide: the schedule (None = keep dispatching the hooks below)
+        # decide: the schedule, whose ops only add to the hooks below
         "compile_plan",
-        # step hooks and tensor hooks (compiled away by a PolicyPlan)
+        # every hook below that a policy overrides is dispatched:
+        # step hooks (at hook sites, after the policy's plan ops) ...
         "before_step", "before_compute", "after_step", "on_step_settled",
+        # ... tensor hooks (from the executor's residency moves) ...
         "on_tensor_dead", "on_tensor_released", "on_tensor_resident",
         "on_tensor_access",
-        # always dispatched
+        # ... and the iteration brackets and demand hooks
         "on_iteration_start", "on_iteration_end", "on_backward_need",
         "on_memory_pressure"]),
     "StepContext": (StepContext, [

@@ -1,11 +1,10 @@
 """The compiled policy stack against its hook-dispatching references.
 
 ``core/plan.py``'s op builders are the only code that frees, offloads,
-prefetches and provisions workspaces for the built-in policies — from
-iteration 0 for the schedules derived from the route (liveness,
-offload), after one recording iteration for the observed ones
-(workspace, recompute).  ``tests/reference_policies.py`` keeps the hook
-bodies those ops replaced; a stack of them never compiles anything.
+prefetches and provisions workspaces for the built-in policies, from
+iteration 0.  ``tests/reference_policies.py`` keeps the hook bodies
+those ops replaced; a stack of them answers the empty plan everywhere
+and does all its work in hooks.
 Both stacks must report the same iterations, bit for bit: every
 ``IterationResult.to_dict()`` field (peaks, traces, DMA bytes, stalls,
 cache counters, workspace picks) and, on real payloads, every loss.
@@ -14,6 +13,7 @@ cache counters, workspace picks) and, on real payloads, every loss.
 import pytest
 
 from repro import Engine, RuntimeConfig, SGD
+from repro.core.plan import PolicyPlan
 from repro.core.policy import resolve_policies
 from repro.core.runtime import Executor
 from repro.zoo import alexnet, lenet, resnet_from_units
@@ -35,8 +35,8 @@ ABLATION = {
 def run(mk_net, config, stack_of):
     """``ITERS`` iterations under the stack ``stack_of(effective
     config)`` builds, over an engine's planning as ``Engine.executor``
-    hands it over; returns the result dicts and the plan's compiled
-    keys after the last iteration."""
+    hands it over; returns the result dicts and the plans linked for
+    the last iteration."""
     engine = Engine(mk_net(), config)
     eff = engine.config.for_mode("train")
     opt = SGD(0.05) if eff.concrete else None
@@ -44,15 +44,18 @@ def run(mk_net, config, stack_of):
                   engine.planning("train")) as ex:
         dicts = [ex.run_iteration(i, optimizer=opt).to_dict()
                  for i in range(ITERS)]
-        return dicts, ex.iteration_plan.compiled_keys
+        return dicts, ex.iteration_plan.plans
 
 
 def assert_stacks_agree(mk_net, config):
     shipped, compiled = run(mk_net, config, resolve_policies)
     reference, dispatching = run(mk_net, config, reference_stack)
-    # the comparison is between the two implementations, not one twice
-    assert compiled == tuple(p.key for p in resolve_policies(config))
-    assert dispatching == ()
+    # the comparison is between the two implementations, not one twice:
+    # the shipped plans carry ops, the reference plans none
+    keys = [p.key for p in resolve_policies(config)]
+    assert list(compiled) == list(dispatching) == keys
+    assert any(plan != PolicyPlan() for plan in compiled.values())
+    assert all(plan == PolicyPlan() for plan in dispatching.values())
     assert shipped == reference
     return shipped
 

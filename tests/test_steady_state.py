@@ -105,31 +105,32 @@ class TestReplayEquivalence:
         assert probe.per_iteration[1] == probe.per_iteration[0]
         assert probe.per_iteration[2] == probe.per_iteration[0]
 
-    def test_custom_compiled_policy_keeps_only_the_hooks_it_names(self):
-        """The one-method protocol from a custom policy's side:
+    def test_custom_policy_with_a_plan_receives_every_hook_it_overrides(
+            self):
+        """The one dispatch rule from a custom policy's side:
         ``compile_plan`` is asked once per link — once in a replaying
         executor's life, before every iteration of one that never
-        replays — and a ``PolicyPlan`` answer stops its step and tensor
-        hooks from iteration 0, except those ``keep_hooks`` names,
-        which still fire in the policy's stack position."""
+        replays — and a ``PolicyPlan`` answer only adds ops.  Every hook
+        the policy overrides still fires from iteration 0, in its stack
+        position, after its plan's ops at the same site."""
         log, asked = [], []
+        plan_of_observer = PolicyPlan(reap_before_step=True)
 
         class Observer(MemoryPolicy):
             key = "observer"
 
             def compile_plan(self, ctx):
                 asked.append(ctx.iteration)
-                return PolicyPlan(key=self.key,
-                                  keep_hooks=("on_tensor_dead",))
+                return plan_of_observer
 
             def on_iteration_start(self, ctx):
                 log.append([])
 
             def before_step(self, ctx, step):
-                log[-1].append(("step", step.index))
+                log[-1].append(("before", step.index))
 
             def on_step_settled(self, ctx, step):
-                log[-1].append(("step", step.index))
+                log[-1].append(("settled", step.index))
 
             def on_tensor_resident(self, ctx, t, source):
                 log[-1].append(("resident", t.name))
@@ -151,19 +152,30 @@ class TestReplayEquivalence:
                     as sess:
                 for i in range(3):
                     sess.run_iteration(i, optimizer=SGD(0.05))
-                plan = sess.executor._plan
+                ex = sess.executor
+                plan = ex.iteration_plan
             assert len(asked) == links
-            assert "observer" in plan.compiled_keys
-            assert "trailing" not in plan.compiled_keys
-            deaths = log[0]
-            assert deaths and {e[0] for e in deaths} == {"dead"}
+            assert plan.plans["observer"] is plan_of_observer
+            assert plan.plans["trailing"] == PolicyPlan()
+            observer = ex.policies[-2]
+            for cs in plan.steps:
+                # the plan's reap op, then the observer's own hook
+                assert cs.before_ops[-1] == observer.before_step
+                assert not hasattr(cs.before_ops[-2], "__self__")
+                assert cs.settled_ops[-1] == observer.on_step_settled
+            steps = [e for e in log[0] if e[0] in ("before", "settled")]
+            assert steps == [(site, cs.step.index) for cs in plan.steps
+                             for site in ("before", "settled")]
+            assert any(e[0] == "resident" for e in log[0])
+            deaths = [e for e in log[0] if e[0] == "dead"]
+            assert deaths
             # each death reaches the observer first, then the policy
             # stacked behind it
             assert deaths[0::2] == [("dead", "observer", name)
                                     for _, _, name in deaths[1::2]]
             assert deaths[1::2] == [("dead", "trailing", name)
                                     for _, _, name in deaths[0::2]]
-            assert log == [deaths] * 3  # nothing else arrives, ever
+            assert log == [log[0]] * 3  # the same stream every iteration
 
     def test_plan_reports_stable_policies(self):
         with Session(lenet(batch=2, image=12),
@@ -173,9 +185,69 @@ class TestReplayEquivalence:
             ex.run_iteration(1)
             plan = ex.iteration_plan
             assert plan is not None
-            assert set(plan.compiled_keys) == \
+            assert set(plan.plans) == \
                 {"offload", "liveness", "recompute", "workspace"}
+            # recomputation answers the empty plan: its work is its hooks
+            assert plan.plans["recompute"] == PolicyPlan()
             assert len(plan.steps) == len(ex.route.steps)
+
+
+#: hook -> the policy methods it dispatches, in stack order
+_BRACKETS = {
+    "on_iteration_start": ("workspace",),
+}
+_OFFLOAD = {
+    "on_iteration_start": ("offload", "workspace"),
+    "on_iteration_end": ("offload",),
+    "on_tensor_access": ("offload",),
+    "on_tensor_dead": ("offload",),
+    "on_tensor_released": ("offload",),
+    "on_tensor_resident": ("offload",),
+}
+_SUPERNEURONS = {
+    **_OFFLOAD,
+    "on_iteration_start": ("offload", "recompute", "workspace"),
+    "on_backward_need": ("recompute",),
+}
+#: rung -> (listener table, step-site hooks).  Every hook a stack
+#: position overrides is dispatched; the eager rungs dispatch the
+#: offload policy's four tensor hooks too, which return at once there.
+DISPATCH = {
+    "baseline": (_BRACKETS, {}),
+    "liveness": (_BRACKETS, {}),
+    "liveness+utp": (_OFFLOAD, {}),
+    "superneurons": (_SUPERNEURONS, {"after": ("recompute.after_step",)}),
+    "superneurons-eager": (_SUPERNEURONS,
+                           {"after": ("recompute.after_step",)}),
+}
+
+
+class TestDispatch:
+    """The bound policy methods each rung's executor dispatches."""
+
+    @staticmethod
+    def name(fn):
+        return f"{fn.__self__.key}.{fn.__name__}"
+
+    @pytest.mark.parametrize("rung", list(ABLATION))
+    def test_rung_dispatches_every_overridden_hook(self, rung):
+        table, sites = DISPATCH[rung]
+        with Session(lenet(batch=2, image=12), ABLATION[rung]()) as sess:
+            sess.run_iteration(0)
+            ex = sess.executor
+            got_table = {hook: tuple(self.name(fn) for fn in fns)
+                         for hook, fns in ex._listeners.items() if fns}
+            # a bound method is a policy's hook; everything else an op
+            got_sites = {
+                site: tuple(sorted({
+                    self.name(fn) for cs in ex.iteration_plan.steps
+                    for fn in getattr(cs, f"{site}_ops")
+                    if hasattr(fn, "__self__")}))
+                for site in ("before", "compute", "after", "settled")}
+        assert got_table == {hook: tuple(f"{key}.{hook}" for key in keys)
+                             for hook, keys in table.items()}
+        assert {site: hooks for site, hooks in got_sites.items()
+                if hooks} == sites
 
 
 class TestAddressPlan:
@@ -305,10 +377,14 @@ class TestReplayOptOut:
     def test_session_with_replay_false(self):
         with Session(lenet(batch=2, image=12)).with_config(
                 steady_state_replay=False) as sess:
+            plans = []
             for i in range(3):
                 sess.run_iteration(i)
+                plans.append(sess.executor.iteration_plan)
             assert sess.executor.replayed_iterations == 0
-            assert sess.executor.iteration_plan is None
+            # each iteration linked a plan of its own
+            assert len({id(plan) for plan in plans}) == 3
+            assert set(plans[-1].plans) == {"liveness", "workspace"}
 
     def test_replay_is_the_default(self):
         with Session(lenet(batch=2, image=12)) as sess:
