@@ -29,8 +29,9 @@ provenance:
   (a segment anchor, say) the tensor cache did not drop.
 * **PLAN005 capacity-overflow** — an allocation fails with nothing left
   to reap, evict or drop, at parameter allocation or mid-iteration.
-* **PLAN006 double-free** — the schedule frees a freed tensor, or
-  offloads one that is not GPU-resident.
+* **PLAN006 double-free** — the schedule frees a freed tensor,
+  offloads one that is not GPU-resident, or releases the GPU copy of
+  one with no host copy.
 * **PLAN007 return-trip-disorder** — the tensor cache's need order (the
   deadlines its return trip times evicted lines against) is not sorted
   by first backward use, holds a tensor twice, or names a step that is

@@ -61,7 +61,11 @@ class TensorCache:
         if policy not in ("lru", "fifo", "lfu"):
             raise ValueError(f"unknown cache policy {policy!r}")
         self.policy = policy
-        self._entries: "OrderedDict[int, Tensor]" = OrderedDict()
+        #: tensor id -> line, MRU first; cleared in place, never rebound
+        #: (an offload policy moves its lines itself under "lru")
+        self.lines: "OrderedDict[int, Tensor]" = OrderedDict()
+        # touch counts and arrival ticks: only "fifo" and "lfu" read them
+        self._counting = policy != "lru"
         self._freq: Dict[int, int] = {}
         self._arrival: Dict[int, int] = {}
         self._tick = 0
@@ -104,32 +108,37 @@ class TensorCache:
     # -- membership ------------------------------------------------------
     def insert(self, t: Tensor) -> None:
         """LRU.in: register a tensor that just landed on the GPU."""
-        self._entries[t.tensor_id] = t
-        self._entries.move_to_end(t.tensor_id, last=False)
-        self._freq.setdefault(t.tensor_id, 0)
-        self._tick += 1
-        self._arrival.setdefault(t.tensor_id, self._tick)
+        tid = t.tensor_id
+        self.lines[tid] = t
+        self.lines.move_to_end(tid, last=False)
+        if self._counting:
+            self._freq.setdefault(tid, 0)
+            self._tick += 1
+            self._arrival.setdefault(tid, self._tick)
 
     def touch(self, t: Tensor) -> bool:
         """Check-hit: move to MRU.  Returns True when present."""
-        if t.tensor_id in self._entries:
-            self._entries.move_to_end(t.tensor_id, last=False)
-            self._freq[t.tensor_id] = self._freq.get(t.tensor_id, 0) + 1
+        tid = t.tensor_id
+        if tid in self.lines:
+            self.lines.move_to_end(tid, last=False)
+            if self._counting:
+                self._freq[tid] = self._freq.get(tid, 0) + 1
             self.hits += 1
             return True
         self.misses += 1
         return False
 
     def remove(self, t: Tensor) -> None:
-        self._entries.pop(t.tensor_id, None)
-        self._freq.pop(t.tensor_id, None)
-        self._arrival.pop(t.tensor_id, None)
+        self.lines.pop(t.tensor_id, None)
+        if self._counting:
+            self._freq.pop(t.tensor_id, None)
+            self._arrival.pop(t.tensor_id, None)
 
     def __contains__(self, t: Tensor) -> bool:
-        return t.tensor_id in self._entries
+        return t.tensor_id in self.lines
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.lines)
 
     # -- eviction --------------------------------------------------------
     def evict_for(
@@ -171,7 +180,7 @@ class TensorCache:
         predict a different iteration.  So is any line it left cached:
         a completed iteration's barrier discards every line, but one
         whose removal a raising hook skipped would outlive it."""
-        self._entries.clear()
+        self.lines.clear()
         self._freq.clear()
         self._arrival.clear()
         self._record.clear()
@@ -216,7 +225,7 @@ class TensorCache:
         D2H copy of the dirty ones, so the event that does evict them
         finds clean lines and drops them for free."""
         locked = self._state.locked
-        order = reversed(self._entries.values()) if self.policy == "lru" \
+        order = reversed(self.lines.values()) if self.policy == "lru" \
             else self._sorted_order()
         passed = 0
         for t in order:
@@ -242,7 +251,7 @@ class TensorCache:
             return
         skip = 0
         while True:
-            for t in islice(reversed(self._entries.values()), skip, None):
+            for t in islice(reversed(self.lines.values()), skip, None):
                 if not locked(t):
                     break
                 skip += 1
@@ -253,18 +262,18 @@ class TensorCache:
     def _sorted_order(self) -> List[Tensor]:
         """Eviction order (first = first out) under ``fifo``/``lfu``."""
         if self.policy == "fifo":
-            order = sorted(self._entries, key=lambda tid: self._arrival[tid])
-            return [self._entries[tid] for tid in order]
+            order = sorted(self.lines, key=lambda tid: self._arrival[tid])
+            return [self.lines[tid] for tid in order]
         # lfu: fewest touches first; arrival breaks ties (older first)
         order = sorted(
-            self._entries,
+            self.lines,
             key=lambda tid: (self._freq.get(tid, 0), self._arrival[tid]),
         )
-        return [self._entries[tid] for tid in order]
+        return [self.lines[tid] for tid in order]
 
     def lru_order(self) -> List[Tensor]:
         """MRU-first snapshot (for tests)."""
-        return list(self._entries.values())
+        return list(self.lines.values())
 
 
 # --------------------------------------------------------------------------- #

@@ -151,7 +151,7 @@ class CompiledStep:
     __slots__ = (
         "step", "layer", "is_forward", "is_data", "trace_label",
         "phase_value", "submit_label", "duration", "reads", "output",
-        "has_running_stats", "has_grad_in", "grad_targets", "param_grads",
+        "has_running_stats", "grads", "param_grads",
         "pinned", "before_ops", "compute_ops", "after_ops", "settled_ops",
     )
 
@@ -173,8 +173,7 @@ class CompiledStep:
             self.reads = tuple(route.forward_reads(layer))
             self.output = layer.output
             self.has_running_stats = hasattr(layer, "update_running_stats")
-            self.has_grad_in = False
-            self.grad_targets = ()
+            self.grads = ()
             self.param_grads = ()
             pinned = self.reads + (layer.output,)
         else:
@@ -182,13 +181,13 @@ class CompiledStep:
             self.reads = tuple(route.backward_reads(layer))
             self.output = layer.output
             self.has_running_stats = False
-            self.has_grad_in = bool(layer.next)
-            self.grad_targets = tuple(
-                p for p in layer.prev if not isinstance(p, DataLayer))
+            #: the gradient read (if a later layer feeds one back), then
+            #: the input gradients this step accumulates into
+            self.grads = ((layer.grad_output,) if layer.next else ()) \
+                + tuple(p.grad_output for p in layer.prev
+                        if not isinstance(p, DataLayer))
             self.param_grads = tuple(layer.param_grads)
-            pinned = self.reads \
-                + ((layer.grad_output,) if self.has_grad_in else ()) \
-                + tuple(p.grad_output for p in self.grad_targets)
+            pinned = self.reads + self.grads
         #: every tensor the step locks (one by one, as each becomes
         #: resident — lock order decides eviction victims); released in
         #: one sweep once the kernel is submitted

@@ -83,8 +83,16 @@ class StepContext:
     free to change its bookkeeping without breaking policy code.
     """
 
+    #: This session's :class:`~repro.core.tensor_state.SessionTensorState`:
+    #: the ONE place policies read/write per-tensor scheduling state
+    #: (placement, locks, host residency).  Descriptors are shared by
+    #: every session of an engine; this table is not.  A plain attribute,
+    #: set per instance: residency checks read it on every step.
+    state = None
+
     def __init__(self, executor) -> None:
         self._ex = executor
+        self.state = executor.state
         self.iteration: int = 0
         self.layer_ctx: Optional[LayerContext] = None
         self.step: Optional[Step] = None
@@ -105,16 +113,6 @@ class StepContext:
         self.step_workspace = None
 
     # -- read-only views ----------------------------------------------------
-    @property
-    def state(self):
-        """This session's :class:`~repro.core.tensor_state.SessionTensorState`.
-
-        The ONE place policies read/write per-tensor scheduling state
-        (placement, locks, host residency).  Descriptors are shared by
-        every session of an engine; this table is not.
-        """
-        return self._ex.state
-
     @property
     def net(self):
         return self._ex.net
@@ -205,7 +203,8 @@ class StepContext:
         self._ex._discard(t)
 
     def release_gpu(self, t: Tensor) -> None:
-        """Drop the GPU copy only; the host copy keeps ``t`` live."""
+        """Drop the GPU copy only; the host copy keeps ``t`` live.  A
+        tensor with no host copy is refused (``ResidencyError``)."""
         self._ex._free_gpu_only(t)
 
     def make_resident(self, t: Tensor) -> None:
@@ -460,6 +459,10 @@ class OffloadCachePolicy(MemoryPolicy):
     def __init__(self, cache_policy: Optional[str] = "lru") -> None:
         self.cache_mode = cache_policy is not None
         self.cache = TensorCache(policy=cache_policy or "lru")
+        #: an armed cache in the paper's order: a line's position is all
+        #: there is to keep, and the hooks move it themselves
+        self._lru = cache_policy == "lru"
+        self._lines = self.cache.lines
         self._ctx: Optional[StepContext] = None
 
     @classmethod
@@ -574,25 +577,41 @@ class OffloadCachePolicy(MemoryPolicy):
         return ctx.evict_to_host(t)
 
     # -- cache membership ----------------------------------------------------
-    # Every membership/counter hook is gated on cache_mode: in eager
-    # mode the cache is dormant and must stay silent — previously
-    # ``touch`` ticked a miss per tensor access, so eager runs reported
-    # a meaningless, ever-growing miss count.
+    # One membership move per hook.  Under "lru" it is made here, in the
+    # hook's own frame: ``LRU.in``/``Check``/removal are an OrderedDict
+    # move each (``TensorCache.insert``/``touch``/``remove``, inlined).
+    # The ablation orders also count arrivals and touches, through the
+    # cache's methods.  In eager mode the cache is dormant and every
+    # hook returns at once — a touch there would tick a miss per access.
     def on_tensor_resident(self, ctx: StepContext, t: Tensor,
                            source: str) -> None:
-        if self.cache_mode and t.kind is TensorKind.DATA:
-            self.cache.insert(t)
+        if t.kind is TensorKind.DATA:
+            if self._lru:
+                self._lines[t.tensor_id] = t
+                self._lines.move_to_end(t.tensor_id, last=False)
+            elif self.cache_mode:
+                self.cache.insert(t)
 
     def on_tensor_access(self, ctx: StepContext, t: Tensor) -> None:
-        if self.cache_mode:
+        if self._lru:
+            if t.tensor_id in self._lines:
+                self._lines.move_to_end(t.tensor_id, last=False)
+                self.cache.hits += 1
+            else:
+                self.cache.misses += 1
+        elif self.cache_mode:
             self.cache.touch(t)
 
     def on_tensor_dead(self, ctx: StepContext, t: Tensor) -> None:
-        if self.cache_mode:
+        if self._lru:
+            self._lines.pop(t.tensor_id, None)
+        elif self.cache_mode:
             self.cache.remove(t)
 
     def on_tensor_released(self, ctx: StepContext, t: Tensor) -> None:
-        if self.cache_mode:
+        if self._lru:
+            self._lines.pop(t.tensor_id, None)
+        elif self.cache_mode:
             self.cache.remove(t)
 
     # -- pressure cascade ----------------------------------------------------
@@ -720,6 +739,8 @@ class RecomputePolicy(MemoryPolicy):
         self._materialized: Set[int] = set()  # id(segment anchors) done
         self._transient: List[Tensor] = []
         self._release_anchors = True  # decided once, at bind
+        #: layer id -> (forward seconds, label) of a re-run, per device
+        self._kernels: Dict[int, Tuple[float, str]] = {}
 
     @classmethod
     def from_config(cls, config: RuntimeConfig) -> "RecomputePolicy":
@@ -745,6 +766,7 @@ class RecomputePolicy(MemoryPolicy):
         # pressure retires it for free.  Eager mode has nothing else
         # to retire the copy, and Fig. 10c's l_peak rests on it going.
         self._release_anchors = not ctx.cache_armed
+        self._kernels = {}
 
     # -- hooks ---------------------------------------------------------------
     def on_iteration_start(self, ctx: StepContext) -> None:
@@ -895,10 +917,11 @@ class RecomputePolicy(MemoryPolicy):
             state.lock(p.output)
         ctx.alloc_tensor(layer.output)
         state.lock(layer.output)
-        ctx.submit_compute(
-            layer.sim_time_forward(ctx.model),
-            f"recompute:{layer.name}",
-        )
+        kernel = self._kernels.get(layer.layer_id)
+        if kernel is None:
+            kernel = self._kernels[layer.layer_id] = (
+                layer.sim_time_forward(ctx.model), f"recompute:{layer.name}")
+        ctx.submit_compute(*kernel)
         if ctx.concrete:
             ins = [ctx.store.get_required(p.output) for p in layer.prev]
             out = layer.forward(ins, ctx.layer_ctx)

@@ -388,7 +388,7 @@ class Executor:
             for p in layer.params:
                 a = self.allocator.alloc(p.nbytes, tag=p.name)
                 self._alloc_of[p.tensor_id] = a
-                state.set_placement(p, Placement.GPU)
+                state.to_gpu(p)
                 state.lock(p)  # params are never evictable
                 self.param_bytes += p.nbytes
 
@@ -411,19 +411,23 @@ class Executor:
         self.close()
 
     # ------------------------------------------------------------- allocation
+    # Each residency move below is one ``SessionTensorState`` transition
+    # and one dispatch of the matching tensor hook, fired once the move
+    # is complete.  Payload moves run only in concrete mode: the
+    # simulated store holds nothing to move.
     def _gpu_alloc_tensor(self, t: Tensor) -> Allocation:
         """Allocate GPU bytes for ``t``, reaping/evicting under pressure."""
-        if t.tensor_id in self._alloc_of:
-            return self._alloc_of[t.tensor_id]
+        tid = t.tensor_id
+        a = self._alloc_of.get(tid)
+        if a is not None:
+            return a
+        nbytes = t.nbytes
         try:  # fast path first: pressure handling costs a call per alloc
-            a = self.allocator.alloc(t.nbytes, t.name)
+            a = self.allocator.alloc(nbytes, t.name)
         except OutOfMemoryError:
-            a = self._alloc_under_pressure(t.nbytes, t.name)
-        self._alloc_of[t.tensor_id] = a
-        self.state.set_placement(t, Placement.GPU)
-        kind = t.kind
-        if kind is TensorKind.DATA or kind is TensorKind.GRAD:
-            self.state.add_live(t)
+            a = self._alloc_under_pressure(nbytes, t.name)
+        self._alloc_of[tid] = a
+        self.state.to_gpu(t)
         ctx = self._ctx
         for fn in self._listeners["on_tensor_resident"]:
             fn(ctx, t, "alloc")
@@ -456,25 +460,23 @@ class Executor:
                                self.gpu.capacity)
 
     def _free_gpu_only(self, t: Tensor) -> None:
-        """Drop the GPU copy; host copy (if any) keeps the tensor live."""
-        state = self.state
+        """Drop the GPU copy of a tensor whose host copy keeps it live.
+        A tensor with no host copy is refused before anything moves:
+        dropping its GPU copy would free it, which is ``_discard``'s
+        move, and the next reader would fail far from the cause."""
+        if not self.state.host_resident(t):
+            raise ResidencyError(
+                f"release of {t.name}, which has no host copy; only a "
+                "tensor offloaded or evicted to host RAM can drop its GPU "
+                "copy", t, "PLAN006")
         a = self._alloc_of.pop(t.tensor_id, None)
         if a is not None:
             self.allocator.free(a)
-        if state.pop_cleaning(t) is not None:
-            # the bytes go without an eviction: a write-behind copy of
-            # them is moot, and so is its reservation
-            self.fabric.evict(t.tensor_id)
-        if state.host_resident(t):
-            # keep the bytes: they may still be device-side if the D2H
-            # copy that made the host reservation has not been reaped
+        self.state.to_host(t)
+        if self.concrete:
+            # the bytes may still be device-side if the D2H copy that
+            # made the host reservation has not been reaped
             self.store.move_to_host(t)
-            state.set_placement(t, Placement.HOST)
-        else:
-            self.store.drop_device(t)
-            state.set_placement(t, Placement.FREED)
-        if not state.is_live(t):
-            state.discard_live(t)
         ctx = self._ctx
         for fn in self._listeners["on_tensor_released"]:
             fn(ctx, t)
@@ -483,20 +485,15 @@ class Executor:
         """Free a tensor everywhere (GPU, host, payloads)."""
         if t.kind is TensorKind.PARAM:
             return
-        state = self.state
+        if self.state.to_freed(t):
+            # its host copy goes, or a cleaning line died before
+            # pressure reached it: either way the reservation does
+            self.fabric.evict(t.tensor_id)
         a = self._alloc_of.pop(t.tensor_id, None)
         if a is not None:
             self.allocator.free(a)
-        if state.host_resident(t):
-            self.fabric.evict(t.tensor_id)
-            state.set_host_resident(t, False)
-        self.store.drop(t)
-        if state.retire_in_flight(t) is not None:
-            # a cleaning line died before pressure reached it: its
-            # copy's event is retired, and so is the reservation
-            self.fabric.evict(t.tensor_id)
-        state.set_placement(t, Placement.FREED)
-        state.discard_live(t)
+        if self.concrete:
+            self.store.drop(t)
         ctx = self._ctx
         for fn in self._listeners["on_tensor_dead"]:
             fn(ctx, t)
@@ -541,23 +538,22 @@ class Executor:
         write-behind is *cleaning* is waited on for what is left of its
         copy (nothing, once it has landed) instead of copied again."""
         state = self.state
-        ev = state.pop_cleaning(t)
+        clean = state.host_resident(t)
+        ev = state.to_host(t)
         if ev is not None:
             self._wait(t, "clean", ev)
-            state.set_host_resident(t, True)
             self._clean_evictions += 1
-        elif state.host_resident(t):
+        elif clean:
             self._clean_evictions += 1
         else:
             self._wait(t, "evict", self._copy(t, "evict"))
-            state.set_host_resident(t, True)
-        self.store.move_to_host(t)
+        if self.concrete:
+            self.store.move_to_host(t)
         a = self._alloc_of.pop(t.tensor_id, None)
         freed = 0
         if a is not None:
             self.allocator.free(a)
             freed = a.nbytes
-        self.state.set_placement(t, Placement.HOST)
         return freed
 
     def _clean_async(self, t: Tensor,
@@ -578,7 +574,7 @@ class Executor:
                 f"{self.state.placement(t).value}, not GPU-resident",
                 t, "PLAN006")
         ev = self._copy(t, "offload", after=after)
-        self.state.set_host_resident(t, True)
+        self.state.offload_started(t)
         self._pending.append(_PendingOffload(t, ev, a))
 
     def _reap_offloads(self) -> None:
@@ -600,31 +596,25 @@ class Executor:
         self._complete_offload(p)
 
     def _complete_offload(self, p: _PendingOffload) -> None:
-        t = p.tensor
         if self.recorder is not None:
-            self.recorder.released(t)
-        a = self._alloc_of.pop(t.tensor_id, None)
-        if a is not None:
-            self.allocator.free(a)
-        self.store.move_to_host(t)
-        self.state.set_placement(t, Placement.HOST)
-        ctx = self._ctx
-        for fn in self._listeners["on_tensor_released"]:
-            fn(ctx, t)
+            self.recorder.released(p.tensor)
+        self._free_gpu_only(p.tensor)
 
     def _prefetch_async(self, t: Tensor) -> bool:
         """Start bringing a host tensor back; returns False if no room."""
         state = self.state
-        if not state.on_host(t) or state.arrival_pending(t):
-            return state.arrival_pending(t)
+        if t.tensor_id in state.arrivals:
+            return True
+        if not state.on_host(t):
+            return False
         try:
             a = self.allocator.alloc(t.nbytes, tag=f"prefetch:{t.name}")
         except OutOfMemoryError:
             return False
         self._alloc_of[t.tensor_id] = a
-        state.set_arrival(t, self._copy(t, "prefetch"))
-        state.set_placement(t, Placement.GPU)
-        self.store.move_to_gpu(t)
+        state.to_gpu(t, arrival=self._copy(t, "prefetch"))
+        if self.concrete:
+            self.store.move_to_gpu(t)
         ctx = self._ctx
         for fn in self._listeners["on_tensor_resident"]:
             fn(ctx, t, "prefetch")
@@ -635,8 +625,9 @@ class Executor:
         state = self.state
         placement = state.placement(t)
         if placement is Placement.GPU:
-            if state.any_arrivals:
-                ev = state.pop_arrival(t)
+            arrivals = state.arrivals
+            if arrivals:
+                ev = arrivals.pop(t.tensor_id, None)
                 if ev is not None:
                     self._wait(t, "prefetch", ev)
             ctx = self._ctx
@@ -646,17 +637,16 @@ class Executor:
         if placement is Placement.HOST:
             self._gpu_alloc_tensor(t)  # may evict/reap
             self._wait(t, "fetch", self._copy(t, "fetch"))
-            self.store.move_to_gpu(t)
-            state.set_placement(t, Placement.GPU)
+            if self.concrete:
+                self.store.move_to_gpu(t)
             return
         raise ResidencyError(
             f"tensor {t.name} is {placement.value}; cannot make resident",
             t, "PLAN001")
 
     # ------------------------------------------------------------------- grads
-    def _ensure_grad(self, t: Tensor) -> None:
-        if t.tensor_id in self._alloc_of:
-            return
+    def _alloc_grad(self, t: Tensor) -> None:
+        """A gradient's first writer this iteration: zeroed bytes."""
         self._gpu_alloc_tensor(t)
         if self.concrete:
             self.store.put(t, np.zeros(t.shape, dtype=np.float32))
@@ -844,10 +834,10 @@ class Executor:
             return None
         layer = cs.layer
         state = self.state
-        missing = [t for t in cs.reads if not state.is_live(t)]
+        missing = state.not_live(cs.reads)
         if missing:
             self._dispatch("on_backward_need", cs.step, missing)
-            still = [t for t in missing if not state.is_live(t)]
+            still = state.not_live(missing)
             if still:
                 raise ResidencyError(
                     f"backward of {layer.name} needs freed tensors "
@@ -857,12 +847,11 @@ class Executor:
             self._make_gpu_resident(t)
             state.lock(t)
 
-        if cs.has_grad_in:
-            self._ensure_grad(layer.grad_output)
-            state.lock(layer.grad_output)
-        for p in cs.grad_targets:
-            self._ensure_grad(p.grad_output)
-            state.lock(p.grad_output)
+        alloc_of = self._alloc_of
+        for g in cs.grads:
+            if g.tensor_id not in alloc_of:
+                self._alloc_grad(g)
+            state.lock(g)
         for g in cs.param_grads:
             self._gpu_alloc_tensor(g)
 
@@ -899,14 +888,16 @@ class Executor:
         for t in self._cleanup_tensors:
             if t.tensor_id in self._alloc_of:
                 self._discard(t)
-        for t in self._hosted_candidates:
-            if state.host_resident(t):
-                self._discard(t)
+        hosted = state.host_ids()
+        if hosted:
+            for t in self._hosted_candidates:
+                if t.tensor_id in hosted:
+                    self._discard(t)
         # prefetch arrival events are all complete after the barrier;
         # drop them so no stale entry can satisfy a later iteration's
         # in-flight check without a copy actually running; every
         # cleaning line was discarded above, its event with it
-        state.clear_arrivals()
+        state.arrivals.clear()
         state.clear_cleaning()
         self._due_back.clear()
         residual = self.allocator.used_bytes - self.param_bytes

@@ -33,20 +33,21 @@ placements and locks (proven by ``tests/test_parallel_sessions.py``).
                             ^                             |
                             +-------(recompute re-allocs)-+
 
-Every ``set_placement`` is then checked against the legal edges (plus
-same-state no-ops).  The runtime leaves validation off on the hot path;
-``validate=None`` (the default) defers to the ``REPRO_VALIDATE_STATE``
-environment variable, which the test suite and the CI serving jobs
-set — so every suite runs the full ablation ladder through the
-armed state machine while production runs pay nothing.
+Every placement transition (``to_gpu``, ``to_host``, ``to_freed``) is
+then checked against the legal edges (plus same-state no-ops).  The
+runtime leaves validation off on the hot path; ``validate=None`` (the
+default) defers to the ``REPRO_VALIDATE_STATE`` environment variable,
+which the test suite and the CI serving jobs set — so every suite runs
+the full ablation ladder through the armed state machine while
+production runs pay nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.check import instrument as _ins
-from repro.tensors.tensor import Placement, Tensor
+from repro.tensors.tensor import Placement, Tensor, TensorKind
 
 #: Environment switch consulted when ``SessionTensorState(validate=None)``
 #: (see :func:`repro.check.instrument.env_flag`): arms the placement
@@ -83,7 +84,7 @@ class ResidencyError(RuntimeError):
 
 
 class IllegalPlacementTransition(ResidencyError):
-    """A ``set_placement`` violated the placement state machine: the
+    """A residency transition violated the placement state machine: the
     schedule moved or freed a tensor that is not there."""
 
     def __init__(self, t: Tensor, old: Placement, new: Placement):
@@ -101,17 +102,27 @@ class SessionTensorState:
     the tables by ``tensor_id``.  Absent entries mean the default:
     ``UNALLOCATED``, unlocked, no host copy, no arrival in flight, not
     being cleaned.
+
+    Each residency move is ONE transition call — :meth:`to_gpu`,
+    :meth:`to_host`, :meth:`to_freed`, :meth:`offload_started`,
+    :meth:`set_cleaning` — that updates every table the move touches.
+    The validator and the race trace run inside it, each behind one
+    flag test, so a disarmed move costs one frame.
     """
 
-    __slots__ = ("_placement", "_locked", "_host", "_live", "_arrivals",
+    __slots__ = ("_placement", "_locked", "_host", "_live", "arrivals",
                  "_cleaning", "validate", "strict")
 
     def __init__(self, validate: Optional[bool] = None) -> None:
         self._placement: Dict[int, Placement] = {}
         self._locked: Set[int] = set()
         self._host: Set[int] = set()
-        self._live: Set[int] = set()      # DATA/GRAD ids with GPU allocs
-        self._arrivals: Dict[int, object] = {}  # tensor_id -> DMA Event
+        #: DATA/GRAD ids allocated and not discarded since: live on the
+        #: GPU *or* only in host RAM (``StepTrace.live_tensors``, Fig. 10)
+        self._live: Set[int] = set()
+        #: tensor_id -> the H2D copy event of a prefetch in flight; the
+        #: read path pops it, the iteration barrier clears it
+        self.arrivals: Dict[int, object] = {}
         self._cleaning: Dict[int, object] = {}  # tensor_id -> DMA Event
         self.validate = _ins.env_flag(VALIDATE_ENV) if validate is None \
             else validate
@@ -126,16 +137,6 @@ class SessionTensorState:
     def placement(self, t: Tensor) -> Placement:
         return self._placement.get(t.tensor_id, Placement.UNALLOCATED)
 
-    def set_placement(self, t: Tensor, p: Placement) -> None:
-        if self.validate:
-            old = self._placement.get(t.tensor_id, Placement.UNALLOCATED)
-            if (old is not p or self.strict and p is Placement.FREED) \
-                    and (old, p) not in ALLOWED_TRANSITIONS:
-                raise IllegalPlacementTransition(t, old, p)
-        if _ins.ACTIVE is not None:  # a foreign-thread write here IS a race
-            _ins.trace_write(self, "tensor_state.placement", t.name)
-        self._placement[t.tensor_id] = p
-
     def on_gpu(self, t: Tensor) -> bool:
         return self._placement.get(t.tensor_id) is Placement.GPU
 
@@ -146,6 +147,89 @@ class SessionTensorState:
         """True while the tensor holds meaningful data somewhere."""
         p = self._placement.get(t.tensor_id)
         return p is Placement.GPU or p is Placement.HOST
+
+    def not_live(self, tensors: Iterable[Tensor]) -> List[Tensor]:
+        """The tensors among ``tensors`` that hold data nowhere, in
+        order (one call per backward step, not one per read)."""
+        get = self._placement.get
+        out = []
+        for t in tensors:
+            p = get(t.tensor_id)
+            if p is not Placement.GPU and p is not Placement.HOST:
+                out.append(t)
+        return out
+
+    # -- residency transitions: one call per move -------------------------
+    def _check(self, t: Tensor, new: Placement) -> None:
+        """The armed validator: refuse an edge the state machine lacks."""
+        old = self._placement.get(t.tensor_id, Placement.UNALLOCATED)
+        if (old is not new or self.strict and new is Placement.FREED) \
+                and (old, new) not in ALLOWED_TRANSITIONS:
+            raise IllegalPlacementTransition(t, old, new)
+
+    def to_gpu(self, t: Tensor, arrival=None) -> None:
+        """``t`` gained a GPU allocation — a first alloc, a fetch, a
+        recompute re-alloc or, with ``arrival`` (its H2D copy's event),
+        a prefetch whose bytes are still in flight."""
+        tid = t.tensor_id
+        if self.validate:
+            self._check(t, Placement.GPU)
+        if _ins.ACTIVE is not None:  # a foreign-thread write here IS a race
+            _ins.trace_write(self, "tensor_state.placement", t.name)
+        self._placement[tid] = Placement.GPU
+        if arrival is not None:
+            self.arrivals[tid] = arrival
+        kind = t.kind
+        if kind is TensorKind.DATA or kind is TensorKind.GRAD:
+            self._live.add(tid)
+
+    def offload_started(self, t: Tensor) -> None:
+        """An eager offload's D2H copy of ``t`` started: its host copy is
+        valid from here on, and its GPU copy stays until the copy is
+        reaped.  The copy supersedes a write-behind one, so a line is
+        never host-valid and cleaning at once."""
+        tid = t.tensor_id
+        if _ins.ACTIVE is not None:
+            _ins.trace_write(self, "tensor_state.host", t.name)
+        self._host.add(tid)
+        if self._cleaning:
+            self._cleaning.pop(tid, None)
+
+    def to_host(self, t: Tensor):
+        """``t``'s GPU copy goes and its host copy keeps it — an
+        eviction, a reaped offload, a release.  Returns the write-behind
+        copy's event, retired (None if the line was not cleaning)."""
+        tid = t.tensor_id
+        if self.validate:
+            self._check(t, Placement.HOST)
+        if _ins.ACTIVE is not None:
+            _ins.trace_write(self, "tensor_state.placement", t.name)
+            _ins.trace_write(self, "tensor_state.host", t.name)
+        self._placement[tid] = Placement.HOST
+        self._host.add(tid)
+        return self._cleaning.pop(tid, None) if self._cleaning else None
+
+    def to_freed(self, t: Tensor) -> bool:
+        """``t`` is discarded everywhere.  Returns whether it held a
+        host reservation — a valid host copy, or a write-behind copy
+        whose event is retired here — for the caller to release; an
+        arrival in flight is forgotten."""
+        tid = t.tensor_id
+        if self.validate:
+            self._check(t, Placement.FREED)
+        if _ins.ACTIVE is not None:
+            _ins.trace_write(self, "tensor_state.placement", t.name)
+            _ins.trace_write(self, "tensor_state.host", t.name)
+        self._placement[tid] = Placement.FREED
+        self._live.discard(tid)
+        hosted = tid in self._host
+        if hosted:
+            self._host.discard(tid)
+        if self.arrivals or self._cleaning:
+            self.arrivals.pop(tid, None)
+            if self._cleaning.pop(tid, None) is not None:
+                hosted = True
+        return hosted
 
     # -- cache lock (paper Alg. 2) ----------------------------------------
     def lock(self, t: Tensor) -> None:
@@ -180,70 +264,24 @@ class SessionTensorState:
     def host_resident(self, t: Tensor) -> bool:
         return t.tensor_id in self._host
 
-    def set_host_resident(self, t: Tensor, resident: bool) -> None:
-        if _ins.ACTIVE is not None:
-            _ins.trace_write(self, "tensor_state.host", t.name)
-        if resident:
-            self._host.add(t.tensor_id)
-        else:
-            self._host.discard(t.tensor_id)
-
     def host_ids(self) -> Set[int]:
         """Ids with a valid host copy — the live set, not a snapshot."""
         return self._host
 
     # -- live-descriptor accounting (step-trace statistic) -----------------
-    def add_live(self, t: Tensor) -> None:
-        self._live.add(t.tensor_id)
-
-    def discard_live(self, t: Tensor) -> None:
-        self._live.discard(t.tensor_id)
-
     def live_count(self) -> int:
         return len(self._live)
-
-    # -- prefetch arrivals (H2D copies in flight) --------------------------
-    @property
-    def any_arrivals(self) -> bool:
-        return bool(self._arrivals)
-
-    def set_arrival(self, t: Tensor, event) -> None:
-        self._arrivals[t.tensor_id] = event
-
-    def arrival_pending(self, t: Tensor) -> bool:
-        return t.tensor_id in self._arrivals
-
-    def pop_arrival(self, t: Tensor):
-        """Remove and return the in-flight arrival event (or None)."""
-        return self._arrivals.pop(t.tensor_id, None)
-
-    def clear_arrivals(self) -> None:
-        self._arrivals.clear()
 
     # -- write-behind cleaning (D2H copies of lines still cached) ----------
     # The third residency state of a cached line, beside clean and
     # dirty: its D2H copy has been started (and may have landed) but
     # the GPU copy is still the one in use.  ``host_resident`` stays
-    # False until an eviction consumes the event.
+    # False until an eviction consumes the event (``to_host``).
     def set_cleaning(self, t: Tensor, event) -> None:
         self._cleaning[t.tensor_id] = event
 
     def cleaning(self, t: Tensor) -> bool:
         return t.tensor_id in self._cleaning
-
-    def pop_cleaning(self, t: Tensor):
-        """Remove and return the write-behind copy's event (or None)."""
-        return self._cleaning.pop(t.tensor_id, None)
-
-    def retire_in_flight(self, t: Tensor):
-        """``t`` is dying: forget its arrival, and remove and return
-        its write-behind copy's event (or None).  The one call
-        ``_discard`` pays for both tables, empty most of the time."""
-        if self._arrivals or self._cleaning:
-            tid = t.tensor_id
-            self._arrivals.pop(tid, None)
-            return self._cleaning.pop(tid, None)
-        return None
 
     def cleaning_count(self) -> int:
         return len(self._cleaning)
@@ -258,9 +296,3 @@ class SessionTensorState:
         get = self._placement.get
         U = Placement.UNALLOCATED
         return tuple(get(t.tensor_id, U) for t in tensors)
-
-    def describe(self, t: Tensor) -> str:
-        return (f"{t.name}: {self.placement(t).value}"
-                f"{' locked' if self.locked(t) else ''}"
-                f"{' host' if self.host_resident(t) else ''}"
-                f"{' cleaning' if self.cleaning(t) else ''}")

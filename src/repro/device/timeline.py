@@ -26,6 +26,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, NamedTuple, Optional
 
+_tuple_new = tuple.__new__
+
 
 class Stream(enum.Enum):
     """The three hardware engines the paper's runtime drives."""
@@ -41,6 +43,8 @@ class Event(NamedTuple):
     A NamedTuple, not a dataclass: events are minted on every kernel
     and copy submission, and frozen-dataclass construction (one
     ``object.__setattr__`` per field) is measurable on that path.
+    :meth:`Timeline.submit` mints them with ``tuple.__new__``, which
+    skips the generated Python ``__new__`` frame.
     """
 
     event_id: int
@@ -64,6 +68,15 @@ class Timeline:
     :class:`Event`; waiting on an event via :meth:`sync` models a CUDA
     ``cudaStreamWaitEvent`` + host sync.  :attr:`elapsed` is the
     wall-clock of the whole simulation (max over stream clocks).
+
+    ``clock`` and ``busy`` map each stream's ``value`` to its clock and
+    its busy seconds.  Both are updated in place, never rebound.  An
+    allocator charges its serialized latency (mallocs/frees) by adding
+    to the compute entries of both: the same arithmetic as a
+    dependency-free :meth:`submit` whose event nobody waits on, with no
+    event, no op record and no call.  Streams are looked up by
+    ``_value_``, the member's plain attribute: ``Stream.value`` is a
+    descriptor, two Python frames per read.
     """
 
     def __init__(self, record_ops: bool = True,
@@ -77,11 +90,11 @@ class Timeline:
         the evictions so an exported trace can say it was clipped."""
         # keyed by Stream.value: str hashes are cached in the object,
         # enum hashing is not — these dicts sit on the hottest path
-        self._clock: Dict[str, float] = {s.value: 0.0 for s in Stream}
+        self.clock: Dict[str, float] = {s.value: 0.0 for s in Stream}
         self._events = itertools.count(0)
         self._ops: Deque[_OpRecord] = deque() if max_ops is None \
             else deque(maxlen=max_ops)
-        self._busy: Dict[str, float] = {s.value: 0.0 for s in Stream}
+        self.busy: Dict[str, float] = {s.value: 0.0 for s in Stream}
         self.record_ops = record_ops
         self.max_ops = max_ops
         self.dropped_ops = 0
@@ -106,8 +119,8 @@ class Timeline:
         """
         if duration < 0:
             raise ValueError(f"negative duration {duration} for {label!r}")
-        key = stream.value
-        start = self._clock[key]
+        key = stream._value_
+        start = self.clock[key]
         if not_before > start:
             start = not_before
         if after:
@@ -115,52 +128,42 @@ class Timeline:
                 if ev.time > start:
                     start = ev.time
         end = start + duration
-        self._clock[key] = end
-        self._busy[key] += duration
+        self.clock[key] = end
+        self.busy[key] += duration
         if self.record_ops:
             if self.max_ops is not None \
                     and len(self._ops) == self.max_ops:
                 self.dropped_ops += 1
             self._ops.append(_OpRecord(label, stream, start, end))
-        return Event(next(self._events), stream, end, label)
-
-    def tick_compute(self, duration: float) -> None:
-        """Serialized host-side latency (mallocs/frees): advance the
-        compute stream's clock and busy-time without minting an event
-        or an op record.  Identical clock arithmetic to a
-        dependency-free :meth:`submit` whose event nobody waits on —
-        just cheaper (not even the enum ``value`` descriptor), for the
-        two-calls-per-allocation hot path."""
-        self._clock["compute"] += duration
-        self._busy["compute"] += duration
+        return _tuple_new(Event, (next(self._events), stream, end, label))
 
     def sync(self, stream: Stream, event: Event) -> float:
         """Block ``stream`` until ``event`` completes; returns stall time."""
-        key = stream.value
-        now = self._clock[key]
+        key = stream._value_
+        now = self.clock[key]
         if event.time > now:
-            self._clock[key] = event.time
+            self.clock[key] = event.time
             return event.time - now
         return 0.0
 
     def sync_all(self) -> float:
         """Join every stream (end-of-iteration barrier); returns new now."""
-        t = max(self._clock.values())
-        for s in self._clock:
-            self._clock[s] = t
+        t = max(self.clock.values())
+        for s in self.clock:
+            self.clock[s] = t
         return t
 
     # -- introspection ------------------------------------------------------
     def now(self, stream: Stream = Stream.COMPUTE) -> float:
-        return self._clock[stream.value]
+        return self.clock[stream._value_]
 
     @property
     def elapsed(self) -> float:
-        return max(self._clock.values())
+        return max(self.clock.values())
 
     def busy_time(self, stream: Stream) -> float:
         """Total work submitted to ``stream`` (ignores gaps)."""
-        return self._busy[stream.value]
+        return self.busy[stream._value_]
 
     def ops(self, stream: Optional[Stream] = None) -> List[_OpRecord]:
         if stream is None:
@@ -168,6 +171,6 @@ class Timeline:
         return [op for op in self._ops if op.stream is stream]
 
     def reset(self) -> None:
-        self._clock = {s.value: 0.0 for s in Stream}
-        self._busy = {s.value: 0.0 for s in Stream}
+        for key in self.clock:
+            self.clock[key] = self.busy[key] = 0.0
         self._ops.clear()

@@ -16,10 +16,14 @@ from repro.device.timeline import Timeline
 from repro.mempool.heap_pool import HeapPool, PoolExhaustedError
 from repro.mempool.stats import AllocatorStats
 
+_tuple_new = tuple.__new__
+
 
 class Allocation(NamedTuple):
     """Handle for one live allocation (a NamedTuple: one is minted per
-    alloc on the hot path, where frozen-dataclass construction costs)."""
+    alloc on the hot path, where frozen-dataclass construction costs;
+    :meth:`Allocator.alloc` mints it with ``tuple.__new__``, which skips
+    the generated Python ``__new__`` frame)."""
 
     handle: int
     nbytes: int
@@ -34,7 +38,10 @@ class Allocator:
     backing store's own bound methods, called straight from
     :meth:`alloc`/:meth:`free` — there are two of these calls per
     tensor per step, and a forwarding method between the bookkeeping
-    and the store is a Python frame on each.
+    and the store is a Python frame on each.  For the same reason
+    ``used_bytes`` is a plain attribute, and the per-call latency is
+    added to the timeline's compute clock and busy time in place
+    (:class:`~repro.device.timeline.Timeline`), not through a call.
     """
 
     def __init__(self, gpu: SimulatedGPU, timeline: Optional[Timeline],
@@ -45,7 +52,8 @@ class Allocator:
         self.stats = AllocatorStats()
         self._reserve = reserve
         self._release = release
-        self._used = 0
+        #: bytes held by live allocations
+        self.used_bytes = 0
         self._peak = 0
         # the latencies are device-model constants; resolve the
         # subclass properties once instead of twice per alloc/free
@@ -71,8 +79,8 @@ class Allocator:
             # uniformly.
             raise OutOfMemoryError(
                 nbytes, self.free_bytes, self.slab_bytes) from exc
-        used = self._used + nbytes
-        self._used = used
+        used = self.used_bytes + nbytes
+        self.used_bytes = used
         if used > self._peak:
             self._peak = used
         stats = self.stats
@@ -80,29 +88,29 @@ class Allocator:
         stats.allocs += 1
         stats.alloc_bytes += nbytes
         stats.overhead_seconds += latency
-        if self.timeline is not None:
-            self.timeline.tick_compute(latency)
-        return Allocation(handle, nbytes, tag)
+        timeline = self.timeline
+        if timeline is not None:
+            timeline.clock["compute"] += latency
+            timeline.busy["compute"] += latency
+        return _tuple_new(Allocation, (handle, nbytes, tag))
 
     def free(self, allocation: Allocation) -> None:
         self._release(allocation.handle)
-        self._used -= allocation.nbytes
+        self.used_bytes -= allocation.nbytes
         latency = self._free_latency
         stats = self.stats
         stats.frees += 1
         stats.overhead_seconds += latency
-        if self.timeline is not None:
-            self.timeline.tick_compute(latency)
+        timeline = self.timeline
+        if timeline is not None:
+            timeline.clock["compute"] += latency
+            timeline.busy["compute"] += latency
 
     def begin_epoch(self) -> None:
         """The executor's iteration-start mark: what follows repeats
         what followed the previous mark.  Only a heap pool uses it."""
 
     # -- usage accounting --------------------------------------------------------
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
     @property
     def peak_bytes(self) -> int:
         return self._peak
@@ -112,7 +120,7 @@ class Allocator:
         raise NotImplementedError
 
     def reset_peak(self) -> None:
-        self._peak = self._used
+        self._peak = self.used_bytes
 
 
 class CudaAllocator(Allocator):

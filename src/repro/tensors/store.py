@@ -90,10 +90,6 @@ class ArrayStore:
         self._device.pop(t.tensor_id, None)
         self._host.pop(t.tensor_id, None)
 
-    def drop_device(self, t: Tensor) -> None:
-        """Drop only the device copy (host copy, if any, survives)."""
-        self._device.pop(t.tensor_id, None)
-
     # -- introspection ----------------------------------------------------
     @property
     def device_count(self) -> int:
@@ -126,9 +122,6 @@ class NullStore:
         pass
 
     def drop(self, t: Tensor) -> None:
-        pass
-
-    def drop_device(self, t: Tensor) -> None:
         pass
 
     @property

@@ -98,21 +98,16 @@ class Tensor:
             raise ValueError(f"tensor dims must be positive, got {self.shape}")
         self.shape = tuple(int(d) for d in self.shape)
         self.dtype = np.dtype(self.dtype)
-        # shape/dtype are fixed for life; cache the hot size queries
+        # shape/dtype are fixed for life, so the size queries are plain
+        # attributes: every residency move reads ``nbytes``, and a
+        # property would be a Python frame each time
         n = 1
         for d in self.shape:
             n *= d
-        self._numel = n
-        self._nbytes = n * self.dtype.itemsize
-
-    # -- size accounting -------------------------------------------------
-    @property
-    def numel(self) -> int:
-        return self._numel
-
-    @property
-    def nbytes(self) -> int:
-        return self._nbytes
+        #: element count
+        self.numel: int = n
+        #: payload bytes
+        self.nbytes: int = n * self.dtype.itemsize
 
     def __hash__(self) -> int:
         return self.tensor_id

@@ -90,8 +90,8 @@ def _assert_executor_quiescent(ex: Executor) -> None:
     params = {p.tensor_id for layer in ex.net.layers for p in layer.params}
     assert ex.state.locked_ids() == params, "pins beyond the parameters"
     state = ex.state
-    assert (state.cleaning_count(), state.any_arrivals, len(ex._due_back),
-            len(ex._pending)) == (0, False, 0, 0), "copies still tracked"
+    assert (state.cleaning_count(), len(state.arrivals), len(ex._due_back),
+            len(ex._pending)) == (0, 0, 0, 0), "copies still tracked"
     assert (ex.fabric.count, ex.fabric.used_bytes()) == (0, 0), \
         "host stashes left"
 

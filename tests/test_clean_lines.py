@@ -24,11 +24,14 @@ from repro.core.policy import (
     LivenessPolicy,
     OffloadCachePolicy,
     RecomputePolicy,
+    StepContext,
     WorkspacePolicy,
     resolve_policies,
 )
+from repro.core.tensor_state import ResidencyError
 from repro.device.gpu import OutOfMemoryError
-from repro.zoo import lenet, resnet50
+from repro.tensors.tensor import Placement
+from repro.zoo import alexnet, lenet, resnet50
 from repro.zoo.resnet import resnet_from_units
 
 from tests.conftest import hand_stacked_executor
@@ -57,7 +60,7 @@ def watch(ex):
     def logged_evict(t):
         # a stale arrival would make the next prefetch answer "already
         # pending" and skip the copy
-        assert not ex.state.arrival_pending(t), \
+        assert t.tensor_id not in ex.state.arrivals, \
             f"{t.name} evicted while its arrival is pending"
         log.append(("drop", t.name))
         return evict(t)
@@ -394,7 +397,7 @@ class TestCleanBitSoundness:
     def test_forward_write_over_a_host_valid_output_is_an_error(self):
         net = lenet(batch=4, image=12)
         with Session(net, RuntimeConfig.superneurons()).executor as ex:
-            ex.state.set_host_resident(net.layers[1].output, True)
+            ex.state.offload_started(net.layers[1].output)
             with pytest.raises(AssertionError, match="valid host copy"):
                 ex.run_iteration(0)
 
@@ -405,7 +408,7 @@ class TestCleanBitSoundness:
 
             def on_backward_need(self, ctx, step, missing):
                 for t in missing:
-                    ctx.state.set_host_resident(t, True)
+                    ctx.state.offload_started(t)
 
         cfg = RuntimeConfig.superneurons()
         stack = [Spoiler()] + resolve_policies(cfg)
@@ -437,3 +440,55 @@ class TestAnchorRelease:
             concrete=False, use_tensor_cache=cache is not None)
         with Session(net, cfg).executor as ex:
             assert ex._recompute_policy._release_anchors is releases
+
+    def test_eager_anchors_are_released_after_their_chains(self, monkeypatch):
+        """Eager mode releases each segment's offloaded anchor once its
+        chain has run: the five conv outputs of alexnet, at the same
+        backward steps every iteration."""
+        released = []
+        release = StepContext.release_gpu
+
+        def spy(ctx, t):
+            released.append((ctx.iteration, ctx.step.index, t.name))
+            return release(ctx, t)
+        monkeypatch.setattr(StepContext, "release_gpu", spy)
+        with Session(alexnet(batch=2, image=67, num_classes=10),
+                     RuntimeConfig.superneurons(
+                         use_tensor_cache=False)) as sess:
+            sess.run(iters=2)
+            assert_quiescent(sess)
+        assert released == [
+            (i, step, f"conv{n}:out") for i in range(2)
+            for step, n in ((31, 5), (34, 4), (36, 3), (38, 2), (42, 1))]
+
+    def test_a_release_without_a_host_copy_is_refused_at_the_call(self):
+        """Dropping the only copy of a tensor is a discard, not a
+        release: the call raises, naming the tensor, before its
+        placement moves or any hook fires, and the aborted iteration
+        leaves the session at rest."""
+        class Releaser(MemoryPolicy):
+            key = "releaser"
+
+            def __init__(self, t):
+                self.t, self.log = t, []
+
+            def after_step(self, ctx, step):
+                if step.index == 0:
+                    try:
+                        ctx.release_gpu(self.t)
+                    finally:
+                        self.log.append(ctx.state.placement(self.t))
+
+            def on_tensor_released(self, ctx, t):
+                self.log.append(f"released {t.name}")
+
+        net = lenet(batch=2, image=12)
+        data = net.build().layers[0].output
+        releaser = Releaser(data)
+        with Session(net, RuntimeConfig.superneurons()
+                     ).with_policy(releaser) as sess:
+            with pytest.raises(ResidencyError, match="data:out") as exc:
+                sess.run_iteration(0)
+            assert exc.value.tensor is data
+            assert releaser.log == [Placement.GPU]
+            assert_quiescent(sess)

@@ -419,6 +419,47 @@ class TestDisarmedCost:
         assert entered == []
 
 
+class TestFrameBudget:
+    """What a replayed train iteration costs the host, in frames: every
+    ``repro.*`` function it enters, with both tracers and the placement
+    validator disarmed, as every ledger figure and user run has them.
+    Each residency move is one transition and one cache move, so the
+    counts are pinned at most 2% above what they landed at.  Python
+    3.12+ inlines comprehensions and only counts lower."""
+
+    @pytest.mark.parametrize("net,gpu_capacity,landed", [
+        ("alexnet", None, 2_098),         # from 3,320
+        ("resnet50", None, 16_542),       # from 26,236
+        ("resnet50", 1 << 30, 18_771),    # from 29,464
+    ])
+    def test_replayed_iteration_frames(self, monkeypatch, net, gpu_capacity,
+                                       landed):
+        from repro.check import instrument
+        monkeypatch.setattr(instrument, "ACTIVE", None)
+        monkeypatch.setattr(obs_trace, "ACTIVE", None)
+        monkeypatch.setenv("REPRO_VALIDATE_STATE", "0")
+        frames = 0
+
+        def profiler(frame, event, arg):
+            nonlocal frames
+            if event == "call" and frame.f_globals.get(
+                    "__name__", "").startswith("repro."):
+                frames += 1
+
+        with Session(NETWORK_BUILDERS[net](batch=32),
+                     RuntimeConfig.superneurons(
+                         concrete=False,
+                         gpu_capacity=gpu_capacity)) as sess:
+            assert not sess.executor.state.validate
+            sess.run(iters=3)
+            sys.setprofile(profiler)
+            try:
+                sess.run_iteration(3)
+            finally:
+                sys.setprofile(None)
+        assert frames <= landed * 1.02, f"{frames} frames, landed {landed}"
+
+
 # --------------------------------------------------------------------------
 # serving integration: the span/request identity
 # --------------------------------------------------------------------------

@@ -207,9 +207,9 @@ class TestStateIsolation:
         with Session(net, cfg, mode="infer").executor as a, \
                 Session(net, cfg, mode="infer").executor as b:
             t = net.layers[1].output
-            a.state.set_placement(t, Placement.GPU)
+            a.state.to_gpu(t)
             a.state.lock(t)
-            a.state.set_host_resident(t, True)
+            a.state.offload_started(t)
             assert b.state.placement(t) is Placement.UNALLOCATED
             assert not b.state.locked(t)
             assert not b.state.host_resident(t)

@@ -20,6 +20,7 @@ from repro import Engine, RuntimeConfig, SGD, Session, Trainer
 from repro.core.plan import PolicyPlan
 from repro.core.policy import MemoryPolicy
 from repro.zoo import NETWORK_BUILDERS, alexnet, lenet, resnet50
+from repro.zoo.resnet import resnet_from_units
 
 ITERS = 5
 
@@ -250,6 +251,43 @@ class TestDispatch:
                 if hooks} == sites
 
 
+class TestValidatorIsAnObserver:
+    """Every residency transition has an armed branch (the placement
+    validator, which the suite turns on everywhere) and a disarmed one
+    (every ledger figure and every user run).  Both must make the same
+    moves: same results, and after each iteration the same placements,
+    pins and host copies."""
+
+    @staticmethod
+    def runs(net, config, validate, iters=3):
+        with Session(net, config) as sess:
+            state = sess.executor.state
+            state.validate = validate
+            tensors = [t for layer in sess.executor.net.layers
+                       for t in (layer.output, layer.grad_output,
+                                 *layer.params, *layer.param_grads)
+                       if t is not None]
+            return [(sess.run_iteration(i).to_dict(),
+                     state.snapshot(tensors), state.locked_ids(),
+                     frozenset(state.host_ids()))
+                    for i in range(iters)]
+
+    @pytest.mark.parametrize("rung", list(ABLATION))
+    def test_small_concrete_residual_net(self, rung):
+        net = resnet_from_units((1, 1, 0, 0), batch=4, image=32,
+                                num_classes=10)
+        cfg = ABLATION[rung]()
+        assert self.runs(net, cfg, True) == self.runs(net, cfg, False)
+
+    def test_resnet50_at_one_gib(self):
+        net = resnet50(batch=32)
+        cfg = RuntimeConfig.superneurons(concrete=False,
+                                         gpu_capacity=1 << 30)
+        armed = self.runs(net, cfg, True)
+        assert armed == self.runs(net, cfg, False)
+        assert all(res["cache"]["evictions"] > 0 for res, *_ in armed)
+
+
 class TestAddressPlan:
     """Under a fixed topology the heap pool answers every alloc/free of
     an iteration from its recorded address plan — and nothing the
@@ -471,7 +509,7 @@ class TestAccumulatorHygiene:
             for i in range(3):
                 ex.run_iteration(i)
                 assert ex._pending == []
-                assert not ex.state.any_arrivals
+                assert not ex.state.arrivals
                 assert ex.state.live_count() == 0
 
     def test_eager_mode_cache_counters_stay_silent(self):

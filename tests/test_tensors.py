@@ -57,7 +57,7 @@ class TestTensor:
 
         t = Tensor((1, 1, 1, 1))
         a, b = SessionTensorState(), SessionTensorState()
-        a.set_placement(t, Placement.GPU)
+        a.to_gpu(t)
         a.lock(t)
         assert b.placement(t) is Placement.UNALLOCATED
         assert not b.locked(t)
@@ -70,13 +70,16 @@ class TestTensor:
 
         t = Tensor((1, 1, 1, 1))
         st = SessionTensorState(validate=True)
-        st.set_placement(t, Placement.GPU)       # UNALLOCATED -> GPU
-        st.set_placement(t, Placement.GPU)       # same-state no-op ok
-        st.set_placement(t, Placement.HOST)      # offload
-        st.set_placement(t, Placement.FREED)     # discard
-        st.set_placement(t, Placement.GPU)       # recompute re-alloc
         with pytest.raises(IllegalPlacementTransition):
-            st.set_placement(t, Placement.UNALLOCATED)
+            st.to_host(t)                        # UNALLOCATED -> HOST
+        st.to_gpu(t)                             # UNALLOCATED -> GPU
+        st.to_gpu(t)                             # same-state no-op ok
+        st.to_host(t)                            # offload
+        st.to_freed(t)                           # discard
+        with pytest.raises(IllegalPlacementTransition):
+            st.to_host(t)                        # FREED -> HOST
+        assert st.placement(t) is Placement.FREED  # refused, not moved
+        st.to_gpu(t)                             # recompute re-alloc
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
