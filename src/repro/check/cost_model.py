@@ -113,6 +113,10 @@ class StepCost:
     stall: float                   # compute stall absorbed before it
 
 
+#: the copies compute can stall on, as :class:`StallEvent` names them
+STALL_KINDS = ("fetch", "prefetch", "clean", "evict", "reap")
+
+
 @dataclass
 class StallEvent:
     """One compute stall on a copy, with the evidence PERF004 needs."""
@@ -120,7 +124,7 @@ class StallEvent:
     step: int
     op: str
     tensor: str
-    #: "prefetch" | "fetch" | "reap" | "evict" | "clean"
+    #: one of :data:`STALL_KINDS`
     kind: str
     seconds: float
     #: how long the copy's stream sat idle immediately before the copy
@@ -228,6 +232,15 @@ class CostPrediction:
             else 0.0
 
     @property
+    def stall_seconds_by_kind(self) -> Dict[str, float]:
+        """The stall, split by the copy compute waited on; the kinds sum
+        to ``stall_seconds``."""
+        by = dict.fromkeys(STALL_KINDS, 0.0)
+        for s in self.stalls:
+            by[s.kind] += s.seconds
+        return by
+
+    @property
     def dma_occupancy(self) -> float:
         """Fraction of the iteration either copy stream was busy."""
         if self.sim_time <= 0:
@@ -242,6 +255,8 @@ class CostPrediction:
             "sim_time_ms": self.sim_time * 1e3,
             "compute_ms": self.compute_seconds * 1e3,
             "stall_ms": self.stall_seconds * 1e3,
+            "stall_ms_by_kind": {kind: seconds * 1e3 for kind, seconds
+                                 in self.stall_seconds_by_kind.items()},
             "alloc_overhead_ms": self.alloc_overhead_seconds * 1e3,
             "alloc_calls": self.alloc_calls,
             "d2h_bytes": self.d2h_bytes,
@@ -406,7 +421,10 @@ class IterationRecorder:
     # -- the step loop -------------------------------------------------------
     def step_op(self, cs):
         """The settled-site op for one compiled step (runs after every
-        policy's, so the step's stalls and kernel are final)."""
+        policy's, so the step's stalls and kernel are final).  It keeps
+        what it reads of ``cs``, not ``cs``: the step holds the op."""
+        label, phase, default = cs.trace_label, cs.phase_value, cs.duration
+
         def op(ctx, step):
             ev = ctx.last_compute_event
             if ev is None:                 # data-layer backward: no kernel
@@ -414,9 +432,9 @@ class IterationRecorder:
             else:
                 end = ev.time - self.t0
                 duration = ctx.step_duration \
-                    if ctx.step_duration is not None else cs.duration
+                    if ctx.step_duration is not None else default
             self.steps.append(StepCost(
-                index=step.index, op=cs.trace_label, phase=cs.phase_value,
+                index=step.index, op=label, phase=phase,
                 start=end - duration, end=end, duration=duration,
                 stall=self._step_stall))
             self._settled = step.index

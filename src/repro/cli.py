@@ -652,6 +652,12 @@ def cmd_check_cost(args) -> int:
                 report.checked.append(pred.target)
                 report.extend(analyze_prediction(pred, budget=budget))
                 report.metrics[pred.target] = pred.to_dict()
+                if pred.stall_seconds > 0 and args.format == "text":
+                    kinds = " + ".join(
+                        f"{kind} {seconds * 1e3:.1f}" for kind, seconds
+                        in pred.stall_seconds_by_kind.items())
+                    print(f"{pred.target}: stall "
+                          f"{pred.stall_seconds * 1e3:.1f} ms = {kinds}")
         # the serving path pads every batch to the compiled shape:
         # check the expected fill of this batch size (PERF006)
         target = f"{name}/serve@b{args.batch}"

@@ -107,6 +107,12 @@ class PolicyPlan:
         reader (kernel read or recompute-chain input), sorted by that
         step.  Which of them are on the host at the turn is pressure's
         call; :func:`_make_return_trip_ops` times the copies back.
+    readers:
+        tensor id -> every backward step that reads it, in route order,
+        for every tensor in ``return_trip``: where
+        :func:`_make_return_trip_ops` finds a line's *next* reader when
+        it plans the trip again after a later eviction.  Empty: the turn
+        is the only plan.
     producers:
         tensor id -> the forward step that produces it, for every data
         tensor the tensor cache may evict: where
@@ -123,6 +129,7 @@ class PolicyPlan:
     step_offloads: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     step_prefetch: Mapping[int, Tuple[Tensor, ...]] = field(default_factory=dict)
     return_trip: Tuple[Tuple[int, Tensor], ...] = ()
+    readers: Mapping[int, Tuple[int, ...]] = field(default_factory=dict)
     producers: Mapping[int, int] = field(default_factory=dict)
     workspace_steps: Tuple[int, ...] = ()
 
@@ -263,16 +270,18 @@ def _make_prefetch_op(ex, tensors: Tuple[Tensor, ...]) -> StepOp:
 
 
 def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
-                         steps: List[CompiledStep]
-                         ) -> Tuple[StepOp, StepOp]:
+                          readers: Mapping[int, Tuple[int, ...]],
+                          steps: List[CompiledStep]
+                          ) -> Tuple[StepOp, StepOp]:
     """The just-in-time return trip of evicted lines: ``(turn, drain)``.
 
-    ``turn`` runs once, when the last forward step has settled.  It
-    takes the host-resident subset of the need order and schedules
-    backwards from each deadline, latest first, on a stall-free compute
-    clock (the prefix sum of the steps' kernel durations)::
+    ``turn`` runs once, when the last forward step has settled, and
+    plans the trip: it takes the host-resident lines and schedules
+    backwards from each one's deadline, its next backward reader,
+    latest first, on a stall-free compute clock (the prefix sum of the
+    steps' kernel durations)::
 
-        start_k = min(T[first_use_k], start_{k+1}) - copy_time_k
+        start_k = min(T[use_k], start_{k+1}) - copy_time_k
 
     so that every copy lands as its reader starts and the H2D stream
     never has two at once — then queues each tensor, in need order,
@@ -284,11 +293,18 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
     allocates without evicting.  A copy is issued only while it leaves
     ``l_peak`` — the bytes the running step may still ask for — free;
     one that is refused waits at the head of the queue for the next
-    step's settle, and past its reader it has come back on demand.  An
+    step's settle, and past its reader it has come back on demand.
+
+    Pressure in backward evicts too.  Once the drop set is chosen, a
+    drain that finds the cache has evicted since the last plan plans
+    the trip again, from the step that settled, for every line on the
+    host: each against its next reader in ``readers`` (none: it stays
+    there).  With ``readers`` empty the turn is the only plan.  An
     iteration that evicted nothing pays one emptiness test at the turn
-    and one per step.  Until the cache has chosen its drop set, the turn
-    records each line's queued step and the drain every step it refused
-    a copy at (``TensorCache.trip_planned``, ``trip_refused``).
+    and one counter test per step.  Until the cache has chosen its drop
+    set, the turn records each line's queued step and the drain every
+    step it refused a copy at (``TensorCache.trip_planned``,
+    ``trip_refused``).
     """
     starts = list(accumulate((cs.duration for cs in steps), initial=0.0))
     entry = {t.tensor_id: (i, k, t) for k, (i, t) in enumerate(need)}
@@ -300,8 +316,46 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
     sooner = cache.sources_due  # filled in place, once
     reserve = ex.recompute_plan.l_peak  # = net.max_layer_bytes()
     refused = None  # while the drop set is open: the steps short of room
+    seen = 0  # the cache's evictions when the trip was last planned
+
+    def plan(after: int, planned) -> None:
+        """Queue every host line against its first reader past step
+        ``after`` (at the turn: its first backward reader), or its
+        dropped victim's first reader if that comes first."""
+        nonlocal seen
+        seen = cache.evictions
+        queue.clear()
+        need_order = []
+        for tid in state.host_ids():
+            if tid not in entry:
+                continue
+            use, k, t = entry[tid]
+            if use <= after:
+                later = readers[tid]
+                j = bisect_right(later, after)
+                if j == len(later):
+                    continue  # backward reads it no more
+                use = later[j]
+            src = sooner.get(tid)
+            if src is not None and after < src < use:
+                use = src
+            need_order.append((use, k, t))
+        start = starts[-1]
+        for use, _k, t in sorted(need_order, reverse=True):
+            if not state.on_host(t):
+                continue  # a clean line: valid host copy, GPU-resident
+            pool = fabric.pool_of(t.tensor_id)
+            start = min(starts[use], start) - copy_time(
+                t.nbytes, CopyDirection.H2D, pool.h2d_scale if pool else 1.0)
+            # settle of step j is the start of j + 1
+            due = bisect_right(starts, start) - 2
+            queue.appendleft((due, t))
+            if planned is not None:
+                planned[t.tensor_id] = due
 
     def drain(ctx, step):
+        if readers and cache.evictions != seen and not cache.choosing:
+            plan(step.index, None)
         while queue and queue[0][0] <= step.index:
             t = queue[0][1]
             if state.on_host(t) and not (
@@ -313,31 +367,15 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
             queue.popleft()
 
     def turn(ctx, step):
-        nonlocal refused
-        hosted = state.host_ids()
+        nonlocal refused, seen
         refused = planned = None
-        if not hosted:
+        seen = cache.evictions
+        if not state.host_ids():
             return
         if cache.choosing:  # the drop choice reads what this trip meets
             planned = cache.trip_planned = {}
             refused = cache.trip_refused = set()
-        need_order = []
-        for tid in hosted:
-            if tid in entry:
-                i, k, t = entry[tid]
-                need_order.append((min(i, sooner.get(tid, i)), k, t))
-        start = starts[-1]
-        for first_use, _k, t in sorted(need_order, reverse=True):
-            if not state.on_host(t):
-                continue  # a clean line: valid host copy, GPU-resident
-            pool = fabric.pool_of(t.tensor_id)
-            start = min(starts[first_use], start) - copy_time(
-                t.nbytes, CopyDirection.H2D, pool.h2d_scale if pool else 1.0)
-            # settle of step j is the start of j + 1
-            due = bisect_right(starts, start) - 2
-            queue.appendleft((due, t))
-            if planned is not None:
-                planned[t.tensor_id] = due
+        plan(step.index, planned)
         drain(ctx, step)
     return turn, drain
 
@@ -401,14 +439,21 @@ def make_workspace_op(model, selector, step: Step) -> StepOp:
         ws_bytes = choice.assigned_ws
         if ws_bytes > 0 and ctx.alloc_scratch(ws_bytes, tag=tag) is None:
             # fragmentation: fall back to the zero-workspace algo
-            zero_algo = layer.algorithms(model)[0]
-            choice = selector.replace_last(WorkspaceChoice(
-                layer.name, phase, zero_algo, ctx.free_bytes,
-                choice.max_speed_algo))
-            dur = sim_time(model, zero_algo)
+            choice = zero_workspace(model, selector, layer, choice,
+                                    ctx.free_bytes)
+            dur = sim_time(model, choice.algo)
         ctx.set_duration(dur)
         ctx.set_workspace(choice)
     return op
+
+
+def zero_workspace(model, selector, layer, choice: WorkspaceChoice,
+                   free: int) -> WorkspaceChoice:
+    """The fallback when a pick's scratch cannot be reserved: log the
+    zero-workspace algorithm in its place."""
+    return selector.replace_last(WorkspaceChoice(
+        layer.name, choice.phase, layer.algorithms(model)[0], free,
+        choice.max_speed_algo))
 
 
 # --------------------------------------------------------------------------- #
@@ -442,7 +487,8 @@ def link_iteration_plan(ex) -> IterationPlan:
              for step in ex.route.steps]
     turn_index = ex.route.num_layers - 1  # the last forward step
     # stack position -> its (turn, drain) pair
-    trips = {n: _make_return_trip_ops(ex, pp.return_trip, steps)
+    trips = {n: _make_return_trip_ops(ex, pp.return_trip,
+                                         pp.readers, steps)
              for n, pp in enumerate(plans) if pp.return_trip}
     cleans = {n: _make_recorded_clean_op(ex, pp.producers)
               for n, pp in enumerate(plans) if pp.producers}

@@ -61,7 +61,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 from repro.core import config as _config
 from repro.core.cache import TensorCache, Victim, choose_drops
 from repro.core.config import OFFLOAD_TYPES, RecomputeStrategy, RuntimeConfig
-from repro.core.plan import PolicyPlan, kernel_clock
+from repro.core.plan import PolicyPlan, kernel_clock, zero_workspace
 from repro.core.recompute import chain_of
 from repro.core.tensor_state import ResidencyError
 from repro.core.workspace import WorkspaceChoice, WorkspaceSelector
@@ -70,7 +70,7 @@ from repro.device.gpu import OutOfMemoryError
 from repro.device.timeline import Stream
 from repro.graph.route import Phase, Step
 from repro.layers.base import Layer, LayerContext, LayerType
-from repro.layers.conv import Conv2D
+from repro.layers.conv import Conv2D, ConvAlgo
 from repro.mempool.allocator import Allocation
 from repro.tensors.tensor import Tensor, TensorKind
 
@@ -100,6 +100,8 @@ class StepContext:
         self.step_duration: Optional[float] = None
         self.step_workspace: Optional[WorkspaceChoice] = None
         self._scratch: List[Allocation] = []
+        #: conv layer id -> its last rebuild's pick
+        self._rebuild_picks: Dict[int, WorkspaceChoice] = {}
 
     # -- iteration/step bookkeeping (driven by the executor) ----------------
     def _begin_iteration(self, iteration: int, layer_ctx: LayerContext) -> None:
@@ -254,6 +256,48 @@ class StepContext:
         evicting (its rebuild is recomputation's job)?"""
         cache = self._ex.cache
         return cache is not None and t.tensor_id in cache.drops
+
+    # -- recomputation's, not part of the policy protocol -----------------
+    def _rebuild_workspace(self, conv: Conv2D
+                           ) -> Tuple[Optional[ConvAlgo],
+                                      Optional[Allocation]]:
+        """Provision the re-run of a dropped victim's conv: the workspace
+        selector picks the fastest algorithm whose workspace fits the
+        bytes free below the iteration's high-water mark so far, so a
+        rebuild never raises the peak, and its scratch is reserved; the
+        zero-workspace algorithm when the reservation fails.  Returns
+        the algorithm (None without a workspace policy: the default)
+        and the scratch, for :meth:`_release_scratch` once the kernel
+        is submitted."""
+        ex = self._ex
+        selector = ex.selector
+        if selector is None:
+            return None, None
+        allocator = ex.allocator
+        budget = min(allocator.free_bytes,
+                     allocator.peak_bytes - allocator.used_bytes)
+        # the pick is a pure function of the budget: memoised on it, as
+        # a workspace op's is on the free bytes
+        seen = self._rebuild_picks.get(conv.layer_id)
+        if seen is not None and seen.budget_bytes == budget:
+            choice = selector.record(seen)
+        else:
+            choice = self._rebuild_picks[conv.layer_id] = selector.select(
+                conv, budget, "forward")
+        ws_bytes = choice.assigned_ws
+        if ws_bytes == 0:
+            return choice.algo, None
+        if ws_bytes <= budget:
+            try:
+                return choice.algo, allocator.alloc(ws_bytes,
+                                                    f"ws:{conv.name}")
+            except OutOfMemoryError:
+                pass
+        return zero_workspace(self.model, selector, conv, choice,
+                              budget).algo, None
+
+    def _release_scratch(self, scratch: Allocation) -> None:
+        self._ex.allocator.free(scratch)
 
 
 class MemoryPolicy:
@@ -532,7 +576,8 @@ class OffloadCachePolicy(MemoryPolicy):
             return {}, {}  # nothing would rebuild a dropped victim
         route, model, cache = ctx.route, ctx.model, self.cache
         turn = route.num_layers
-        first_use = {t.tensor_id: i for i, t in self._need_order(ctx)}
+        first_use = {tid: at[0] for tid, (_, at)
+                     in self._backward_readers(ctx).items()}
         refused = sorted(cache.trip_refused)
         evictions = Counter(t.tensor_id for t, _ in cache.predicted)
         victims, rebuild, last_read = [], {}, {}
@@ -677,8 +722,11 @@ class OffloadCachePolicy(MemoryPolicy):
             producers = {s.layer.output.tensor_id: s.index for s in steps
                          if s.phase is Phase.FORWARD
                          and s.layer.output is not None}
-            return PolicyPlan(return_trip=self._need_order(ctx),
-                              producers=producers)
+            readers = self._backward_readers(ctx)
+            return PolicyPlan(
+                return_trip=tuple((at[0], t) for t, at in readers.values()),
+                readers={tid: tuple(at) for tid, (_, at) in readers.items()},
+                producers=producers)
         # Eager: a checkpoint output's D2H copy starts right after its
         # forward kernel (ordered after the kernel's event, so it
         # overlaps the following forward compute, and registered before
@@ -703,15 +751,20 @@ class OffloadCachePolicy(MemoryPolicy):
                           step_offloads=offloads, step_prefetch=prefetch)
 
     @staticmethod
-    def _need_order(ctx: StepContext) -> Tuple[Tuple[int, Tensor], ...]:
-        """Each data tensor backward reads, at its first backward reader
-        (kernel read or recompute-chain input), in that order."""
-        first_reader = {}
+    def _backward_readers(ctx: StepContext
+                          ) -> Dict[int, Tuple[Tensor, List[int]]]:
+        """Each data tensor backward reads -> the backward steps that
+        read it (kernel read or recompute-chain input), in route order;
+        the tensors in the order of their first reader."""
+        readers: Dict[int, Tuple[Tensor, List[int]]] = {}
         for step in ctx.route.steps[ctx.route.num_layers:]:
-            for t in ctx.reads_at(step.index):
+            i = step.index
+            for t in ctx.reads_at(i):
                 if t.kind is TensorKind.DATA:
-                    first_reader.setdefault(t.tensor_id, (step.index, t))
-        return tuple(first_reader.values())
+                    at = readers.setdefault(t.tensor_id, (t, []))[1]
+                    if not at or at[-1] != i:
+                        at.append(i)
+        return readers
 
 
 @register_policy
@@ -739,8 +792,10 @@ class RecomputePolicy(MemoryPolicy):
         self._materialized: Set[int] = set()  # id(segment anchors) done
         self._transient: List[Tensor] = []
         self._release_anchors = True  # decided once, at bind
-        #: layer id -> (forward seconds, label) of a re-run, per device
-        self._kernels: Dict[int, Tuple[float, str]] = {}
+        #: (layer id, algorithm name or None for the default) ->
+        #: (forward seconds, label) of a re-run, per device
+        self._kernels: Dict[Tuple[int, Optional[str]],
+                            Tuple[float, str]] = {}
 
     @classmethod
     def from_config(cls, config: RuntimeConfig) -> "RecomputePolicy":
@@ -917,11 +972,21 @@ class RecomputePolicy(MemoryPolicy):
             state.lock(p.output)
         ctx.alloc_tensor(layer.output)
         state.lock(layer.output)
-        kernel = self._kernels.get(layer.layer_id)
+        # a dropped victim's conv runs at the algorithm its workspace
+        # fits; every other re-run at its layer's default
+        algo, scratch = ctx._rebuild_workspace(layer) \
+            if layer.ltype is LayerType.CONV and ctx._dropped(layer.output) \
+            else (None, None)
+        key = layer.layer_id, algo.name if algo else None
+        kernel = self._kernels.get(key)
         if kernel is None:
-            kernel = self._kernels[layer.layer_id] = (
-                layer.sim_time_forward(ctx.model), f"recompute:{layer.name}")
+            kernel = self._kernels[key] = (
+                layer.sim_time_forward(ctx.model, algo) if algo
+                else layer.sim_time_forward(ctx.model),
+                f"recompute:{layer.name}")
         ctx.submit_compute(*kernel)
+        if scratch is not None:
+            ctx._release_scratch(scratch)
         if ctx.concrete:
             ins = [ctx.store.get_required(p.output) for p in layer.prev]
             out = layer.forward(ins, ctx.layer_ctx)

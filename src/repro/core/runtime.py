@@ -394,7 +394,13 @@ class Executor:
 
     def close(self) -> None:
         """Free everything (tests create many executors).  Closing
-        twice is harmless; running a closed executor is an error."""
+        twice is harmless; running a closed executor is an error.
+
+        Closing also cuts the reference cycles through the executor —
+        the linked plan's ops, the policies' context and the observer
+        each hold it — so dropping the last reference to a closed
+        executor frees it at once, with no work for the cycle
+        collector.  The plan itself stays whole for whoever holds it."""
         if self._closed:
             return
         self._closed = True
@@ -403,6 +409,9 @@ class Executor:
         self._alloc_of.clear()
         if isinstance(self.allocator, PoolAllocator):
             self.allocator.close()
+        self._plan = None
+        self._ctx._ex = None
+        self.recorder = None
 
     def __enter__(self) -> "Executor":
         return self
@@ -655,7 +664,7 @@ class Executor:
     @property
     def iteration_plan(self) -> Optional[IterationPlan]:
         """The plan linked last (None before the first iteration links
-        it)."""
+        it, and once the executor is closed)."""
         return self._plan
 
     def _link_plan(self) -> IterationPlan:

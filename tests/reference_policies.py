@@ -13,12 +13,15 @@ stack built from them decides everything live, per step, through the
 obviously right, which is what a reference is for;
 ``test_reference_policies.py`` holds the compiled stack to them.
 
-:class:`WriteBehindCachePolicy` and :class:`CopyEveryVictimPolicy` are
-the other kind of twin: not hook bodies but retired schedules.  The
-first is the cache mode that cleaned only one pressure event ahead,
-before the tensor cache recorded its victims; the second records and
-cleans them but copies every one, before the cache dropped any.
-``test_overlap_sweep.py`` holds the shipped cache mode to both.
+:class:`TurnOnlyCachePolicy`, :class:`WriteBehindCachePolicy` and
+:class:`CopyEveryVictimPolicy` are the other kind of twin: not hook
+bodies but retired schedules.  The first plans the return trip at the
+turn and never again, before a line evicted later joined it; the
+second, on that trip, is the cache mode that cleaned only one pressure
+event ahead, before the tensor cache recorded its victims; the third,
+on it too, records and cleans them but copies every one, before the
+cache dropped any.  ``test_overlap_sweep.py`` holds the shipped cache
+mode to all three.
 """
 
 from dataclasses import replace
@@ -123,11 +126,19 @@ class ReferenceWorkspacePolicy(WorkspacePolicy):
         ctx.set_workspace(choice)
 
 
-class WriteBehindCachePolicy(OffloadCachePolicy):
+class TurnOnlyCachePolicy(OffloadCachePolicy):
+    """Cache mode whose return trip is planned at the turn and never
+    again: a line evicted later comes back when its reader asks."""
+
+    def compile_plan(self, ctx):
+        return replace(super().compile_plan(ctx), readers={})
+
+
+class WriteBehindCachePolicy(TurnOnlyCachePolicy):
     """Cache mode without recorded victims: write-behind cleans the lines
     the next pressure event will take and nothing earlier.  It records
     nothing and links no recorded-clean op; the return trip is the
-    shipped one."""
+    turn-only one."""
 
     on_iteration_start = MemoryPolicy.on_iteration_start
     on_iteration_end = MemoryPolicy.on_iteration_end
@@ -136,9 +147,9 @@ class WriteBehindCachePolicy(OffloadCachePolicy):
         return replace(super().compile_plan(ctx), producers={})
 
 
-class CopyEveryVictimPolicy(OffloadCachePolicy):
+class CopyEveryVictimPolicy(TurnOnlyCachePolicy):
     """Cache mode with recorded victims that drops none: every victim is
-    copied out and brought back."""
+    copied out and brought back on the turn-only return trip."""
 
     def _choose_drops(self, ctx):
         return {}, {}
@@ -169,5 +180,6 @@ def cache_twin_stack(twin):
     return stack
 
 
+turn_only_stack = cache_twin_stack(TurnOnlyCachePolicy)
 write_behind_stack = cache_twin_stack(WriteBehindCachePolicy)
 copy_every_victim_stack = cache_twin_stack(CopyEveryVictimPolicy)

@@ -305,6 +305,13 @@ class TestRules:
         data = pred.to_dict()
         assert data["exposed_dma_share"] == pred.exposed_dma_share
         assert data["overlap_floor_ms"] == pred.overlap_floor_s * 1e3
+        # the stall by copy kind: every kind named, summing to the whole
+        by_kind = data["stall_ms_by_kind"]
+        assert list(by_kind) == ["fetch", "prefetch", "clean", "evict",
+                                 "reap"]
+        assert by_kind["reap"] == 0.0  # cache mode offloads nothing eagerly
+        assert sum(by_kind.values()) == pytest.approx(data["stall_ms"])
+        assert all(ms > 0 for kind, ms in by_kind.items() if kind != "reap")
 
     def test_perf007_eager_offload_fires_at_b32_not_in_the_b8_sweep(self):
         """The eager rung's prefetch hides nothing at any batch size;
@@ -449,6 +456,18 @@ class TestCheckCostCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "0 error(s)" in out
+
+    def test_prints_the_stall_by_kind(self, capsys):
+        rc = main(["check", "cost", "--net", "resnet50", "--batch", "32",
+                   "--gpu-gb", "1", "--configs", "superneurons",
+                   "--modes", "train"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        (line,) = [ln for ln in out.splitlines()
+                   if ln.startswith("resnet50/train@superneurons: stall ")]
+        assert line == ("resnet50/train@superneurons: stall 143.7 ms = "
+                        "fetch 11.1 + prefetch 32.2 + clean 85.1 + "
+                        "evict 15.3 + reap 0.0")
 
     def test_budget_violation_exits_one(self, capsys):
         rc = main(["check", "cost", "--net", "alexnet",

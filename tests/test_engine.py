@@ -19,6 +19,9 @@ Contracts under test:
   scout — runs over the one cached ``_mode_planning`` result.
 """
 
+import gc
+import weakref
+
 import pytest
 
 import repro
@@ -28,7 +31,7 @@ from repro.core.policy import POLICY_REGISTRY, MemoryPolicy
 from repro.core.runtime import Executor
 from repro.graph.route import ExecutionRoute
 from repro.tensors.tensor import Tensor
-from repro.zoo import NETWORK_BUILDERS, alexnet, lenet
+from repro.zoo import NETWORK_BUILDERS, alexnet, lenet, resnet50
 
 ITERS = 4
 
@@ -264,6 +267,41 @@ class TestConcurrentSessions:
         assert engine.compile_count == 1
         assert engine.mode_compile_count == 2
         assert train.route.forward_layers is infer.route.forward_layers
+
+
+class TestClosedExecutors:
+    """Closing an executor cuts the reference cycles through it — the
+    linked plan's ops, its policies' context and its observer each hold
+    it — so a closed executor is freed by reference counting alone."""
+
+    def test_a_verified_costed_compile_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            engine = Engine(resnet50(batch=8),
+                            RuntimeConfig.superneurons(concrete=False),
+                            verify=True, cost_report=True)
+            for mode in ("train", "infer"):
+                engine.compiled(mode)
+            gc.collect()
+            garbage = [type(o).__name__ for o in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert set(engine.cost_reports) == {"train", "infer"}
+        assert garbage == []
+
+    def test_a_dropped_session_is_freed_at_once(self):
+        net = lenet(batch=2, image=12)
+        gc.disable()
+        try:
+            with Session(net, RuntimeConfig.superneurons()) as sess:
+                sess.run_iteration(0)
+                ex = weakref.ref(sess.executor)
+            del sess
+            assert ex() is None
+        finally:
+            gc.enable()
 
 
 class TestFrontDoor:
