@@ -299,19 +299,28 @@ class IterationRecorder:
     on a fresh executor, before the first iteration links a plan, so
     that :func:`~repro.core.plan.link_iteration_plan` appends
     :meth:`step_op` to every step.  The executor then calls
-    :meth:`copied` / :meth:`waited` / :meth:`released` at its five copy
-    sites (``evict``, ``clean``, ``offload``, ``prefetch``, ``fetch``),
-    five stall sites and the offload-release site, and the
-    recompute policy calls :meth:`rebuild_begins` / :meth:`recomputed`.
-    Every method only reads the executor — attaching a recorder never
-    changes an ``IterationResult`` (``tests/test_check_cost.py`` holds
-    that).  Recorded times are relative to the iteration's start.
+    :meth:`begin_iteration` as each iteration starts, which forgets the
+    last one, and :meth:`copied` / :meth:`waited` / :meth:`released` at
+    its five copy sites (``evict``, ``clean``, ``offload``,
+    ``prefetch``, ``fetch``), six stall sites and the offload-release
+    site, and the recompute policy calls :meth:`rebuild_begins` /
+    :meth:`recomputed`.  Every method only reads the executor —
+    attaching a recorder never changes an ``IterationResult``
+    (``tests/test_check_cost.py`` holds that, and
+    ``tests/test_overlap_sweep.py`` across a pressured session's steady
+    iterations).  Recorded times are relative to the iteration's start, and
+    :meth:`prediction` reads the iteration that ran last.
     """
 
     def __init__(self, executor) -> None:
         self.ex = executor
         executor.recorder = self
-        tl = executor.timeline
+        self.begin_iteration()
+
+    def begin_iteration(self) -> None:
+        """Start recording afresh: nothing of an earlier iteration is
+        carried into the next one's records."""
+        tl = self.ex.timeline
         self.t0 = tl.elapsed
         self._busy0 = {s: tl.busy_time(s) for s in Stream}
         # when each copy stream last went idle: a copy's idle gap is
@@ -320,7 +329,8 @@ class IterationRecorder:
         self._gap: Dict[int, float] = {}          # tensor id -> last copy
         self._offload_of: Dict[int, OffloadRecord] = {}
         self._prefetch_of: Dict[int, PrefetchRecord] = {}
-        self._rebuild_of: Dict[int, RecomputeRecord] = {}  # id(segment)
+        #: layer id -> the record of the rebuild that re-runs it
+        self._rebuild_of: Dict[int, RecomputeRecord] = {}
         self._settled = -1                        # last finished step
         self._step_stall = 0.0                    # stall since then
         self.steps: List[StepCost] = []
@@ -398,21 +408,28 @@ class IterationRecorder:
             off.release_time = self._now()
 
     # -- recompute policy sites ----------------------------------------------
-    def rebuild_begins(self, seg) -> None:
+    def rebuild_begins(self, anchor, strategy: str, layers) -> None:
+        """A rebuild starts: a segment's re-run from its ``anchor``, or a
+        dropped victim's conv (its own anchor, ``strategy`` "dropped")
+        with the chains that bring its inputs back.  ``layers`` are the
+        layers it may re-run; each one's re-run is priced on it."""
         index, op = self.where()
-        self._rebuild_of[id(seg)] = RecomputeRecord(
-            anchor=seg.anchor.name, strategy=seg.strategy.value,
-            trigger_step=index, trigger_op=op)
+        rec = RecomputeRecord(anchor=anchor.name, strategy=strategy,
+                              trigger_step=index, trigger_op=op)
+        for layer in layers:
+            self._rebuild_of[layer.layer_id] = rec
 
-    def recomputed(self, layer) -> None:
+    def recomputed(self, layer, seconds: float) -> None:
+        """``layer`` re-ran forward, its kernel ``seconds`` long (at the
+        algorithm the rebuild picked)."""
         ex = self.ex
-        rec = self._rebuild_of[id(ex.recompute_plan.segment_of[layer.layer_id])]
+        rec = self._rebuild_of[layer.layer_id]
         if not rec.members:
             self.recomputes.append(rec)
         nbytes = layer.output.nbytes
         swap = ex.fabric.pools[0]   # where an offload would have gone
         rec.members += 1
-        rec.rebuild_seconds += layer.sim_time_forward(ex.model)
+        rec.rebuild_seconds += seconds
         rec.recovered_bytes += nbytes
         rec.transfer_seconds += (
             ex.dma.copy_time(nbytes, CopyDirection.D2H, swap.d2h_scale)

@@ -46,6 +46,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 from repro.core.workspace import WorkspaceChoice
 from repro.device.dma import CopyDirection
 from repro.graph.route import Phase, Step
+from repro.layers.base import Layer
 from repro.layers.data import DataLayer
 from repro.tensors.tensor import Tensor
 
@@ -269,6 +270,35 @@ def _make_prefetch_op(ex, tensors: Tuple[Tensor, ...]) -> StepOp:
     return op
 
 
+def head_room(layers: Sequence[Layer]
+              ) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """The return trip's reserve table over the route's steps, given by
+    their layers; tabled at most once per link.
+
+    ``sizes[j]`` is step ``j``'s working set ``l_j`` (its layer's
+    ``working_set_bytes()``, the paper's ``l_i``).  For the route's
+    suffix from step ``s`` on, ``top[s]`` is its largest ``l_j``,
+    ``only[s]`` the one step that holds it (-1 when two do) and
+    ``rest[s]`` its largest with that step left out — so the largest
+    working set past a step, one step's excepted, is one lookup::
+
+        rest[s] if only[s] == u else top[s]     # max l_j, j >= s, j != u
+    """
+    sizes = [layer.working_set_bytes() for layer in layers]
+    n = len(sizes)
+    top, only, rest = [0] * (n + 1), [-1] * (n + 1), [0] * (n + 1)
+    for s in range(n - 1, -1, -1):
+        size, after = sizes[s], top[s + 1]
+        if size > after:
+            top[s], only[s], rest[s] = size, s, after
+        elif size == after:
+            top[s], rest[s] = size, size
+        else:
+            top[s], only[s] = after, only[s + 1]
+            rest[s] = max(rest[s + 1], size)
+    return sizes, top, only, rest
+
+
 def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
                           readers: Mapping[int, Tuple[int, ...]],
                           steps: List[CompiledStep]
@@ -290,9 +320,21 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
     reader if that comes first (the cache's ``sources_due``).  ``drain``
     runs as every backward step settles (and at the turn) and issues
     the copies that have come due through ``_prefetch_async``, which
-    allocates without evicting.  A copy is issued only while it leaves
-    ``l_peak`` — the bytes the running step may still ask for — free;
-    one that is refused waits at the head of the queue for the next
+    allocates without evicting.  A copy for reader ``u``, checked as
+    step ``i`` settles, is issued only while the bytes left free cover
+    every working set still to come, the line's own counted in its
+    reader's::
+
+        free - nbytes >= max(max l_j for i < j != u, l_u - nbytes)
+
+    (:func:`head_room`), which is never above ``l_peak``: after each copy
+    the free bytes still cover every step to come.  A line still on the
+    host past a reader that did not read it (a recompute chain's input
+    the chain did not need) is held to the rule as it stood at that
+    reader, ``max(l_u - nbytes, max l_j for j > u)``.  Iteration 0,
+    whose trip the drop choice reads, reserves ``l_peak`` itself; the
+    exact reserve applies once the executor has completed an iteration.
+    A copy that is refused waits at the head of the queue for the next
     step's settle, and past its reader it has come back on demand.
 
     Pressure in backward evicts too.  Once the drop set is chosen, a
@@ -314,7 +356,12 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
     queue = ex._due_back
     cache = ex.cache  # this session's: its drops are its own
     sooner = cache.sources_due  # filled in place, once
-    reserve = ex.recompute_plan.l_peak  # = net.max_layer_bytes()
+    l_peak = ex.recompute_plan.l_peak  # = net.max_layer_bytes()
+    # the steps' layers, not the steps: an op must not hold the steps
+    # that hold it, or a closed executor would leave a cycle behind
+    layers = [cs.layer for cs in steps]
+    exact = False  # this iteration reserves per copy, not l_peak
+    room = None  # head_room(layers), tabled when a trip first needs it
     refused = None  # while the drop set is open: the steps short of room
     seen = 0  # the cache's evictions when the trip was last planned
 
@@ -322,7 +369,9 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
         """Queue every host line against its first reader past step
         ``after`` (at the turn: its first backward reader), or its
         dropped victim's first reader if that comes first."""
-        nonlocal seen
+        nonlocal seen, room
+        if exact and room is None:
+            room = head_room(layers)
         seen = cache.evictions
         queue.clear()
         need_order = []
@@ -349,25 +398,38 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
                 t.nbytes, CopyDirection.H2D, pool.h2d_scale if pool else 1.0)
             # settle of step j is the start of j + 1
             due = bisect_right(starts, start) - 2
-            queue.appendleft((due, t))
+            queue.appendleft((due, t, use))
             if planned is not None:
                 planned[t.tensor_id] = due
 
     def drain(ctx, step):
         if readers and cache.evictions != seen and not cache.choosing:
             plan(step.index, None)
-        while queue and queue[0][0] <= step.index:
-            t = queue[0][1]
-            if state.on_host(t) and not (
-                    allocator.free_bytes - t.nbytes >= reserve
-                    and prefetch(t)):
-                if refused is not None:
-                    refused.add(step.index)
-                return  # deferred, and everything needed after it
+        s = step.index + 1  # the steps still to come
+        while queue and queue[0][0] < s:
+            _due, t, use = queue[0]
+            if state.on_host(t):
+                nbytes = t.nbytes
+                if not exact:
+                    reserve = l_peak
+                else:
+                    sizes, top, only, rest = room
+                    if use < s:  # past a reader that did not read it
+                        reserve = max(top[use + 1], sizes[use] - nbytes)
+                    elif only[s] == use:
+                        reserve = max(rest[s], sizes[use] - nbytes)
+                    else:
+                        reserve = top[s]
+                if not (allocator.free_bytes - nbytes >= reserve
+                        and prefetch(t)):
+                    if refused is not None:
+                        refused.add(step.index)
+                    return  # deferred, and everything needed after it
             queue.popleft()
 
     def turn(ctx, step):
-        nonlocal refused, seen
+        nonlocal exact, refused, seen
+        exact = ex._completed > 0
         refused = planned = None
         seen = cache.evictions
         if not state.host_ids():

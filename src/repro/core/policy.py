@@ -865,7 +865,8 @@ class RecomputePolicy(MemoryPolicy):
                     f"{producer.name} is not recomputable — scheduling bug",
                     t, "PLAN004")
             if ctx.recorder is not None:
-                ctx.recorder.rebuild_begins(seg)
+                ctx.recorder.rebuild_begins(seg.anchor, seg.strategy.value,
+                                            seg.members)
             if seg.strategy is RecomputeStrategy.SPEED_CENTRIC:
                 self._materialize_segment(ctx, seg)
             else:
@@ -876,6 +877,11 @@ class RecomputePolicy(MemoryPolicy):
         that is gone too comes back as a transient memory-centric chain
         and goes again as soon as the conv has run."""
         state = ctx.state
+        if ctx.recorder is not None:
+            ctx.recorder.rebuild_begins(conv, "dropped", [conv, *(
+                m for p in conv.prev
+                if p.is_recomputable and not state.is_live(p.output)
+                for m in self._chain_layers(ctx, p))])
         transient = []
         for p in conv.prev:
             if p.is_recomputable and not state.is_live(p.output):
@@ -998,7 +1004,7 @@ class RecomputePolicy(MemoryPolicy):
         state.unlock(layer.output)
         self.extra_forwards += 1
         if ctx.recorder is not None:
-            ctx.recorder.recomputed(layer)
+            ctx.recorder.recomputed(layer, kernel[0])
 
 
 @register_policy

@@ -280,6 +280,9 @@ class Executor:
         self._replay_enabled = cfg.steady_state_replay
         self._collect_traces = cfg.collect_traces
         self.replayed_iterations = 0
+        #: iterations that reached the barrier (an aborted one does not
+        #: count): the return trip reserves ``l_peak`` until one has
+        self._completed = 0
 
         #: optional observer of this executor's copies, stalls, offload
         #: releases and recompute forwards (the cost model's
@@ -295,10 +298,10 @@ class Executor:
         self._alloc_of: Dict[int, Allocation] = {}
         self._pending: List[_PendingOffload] = []
         #: the return trip's queue, in need order: (backward step whose
-        #: settle the H2D copy is due at, host tensor) — filled at the
-        #: turn, drained from the head as steps settle (see
-        #: ``plan._make_return_trip_ops``)
-        self._due_back: Deque[Tuple[int, Tensor]] = deque()
+        #: settle the H2D copy is due at, host tensor, the step that
+        #: reads it) — filled at the turn, drained from the head as
+        #: steps settle (see ``plan._make_return_trip_ops``)
+        self._due_back: Deque[Tuple[int, Tensor, int]] = deque()
         self._stall = 0.0
         self._clean_evictions = 0
         self.param_bytes = 0
@@ -545,8 +548,16 @@ class Executor:
         line* and drops with no copy and no stall — between two uses an
         evicted tensor crosses PCIe at most once per direction.  A line
         write-behind is *cleaning* is waited on for what is left of its
-        copy (nothing, once it has landed) instead of copied again."""
+        copy (nothing, once it has landed) instead of copied again.  A
+        line whose prefetch is still landing is clean too, but its bytes
+        are not free until the H2D copy has written them: that copy is
+        waited out and its arrival retired, so the line's next prefetch
+        copies again."""
         state = self.state
+        if state.arrivals:
+            arrival = state.arrivals.pop(t.tensor_id, None)
+            if arrival is not None:
+                self._wait(t, "prefetch", arrival)
         clean = state.host_resident(t)
         ev = state.to_host(t)
         if ev is not None:
@@ -710,6 +721,8 @@ class Executor:
         ctx._begin_iteration(iteration, LayerContext(
             iteration=iteration, training=self.training,
             feed=feed, capture_final=capture_output))
+        if self.recorder is not None:
+            self.recorder.begin_iteration()
         self._dispatch("on_iteration_start")
         self.allocator.reset_peak()
         self.allocator.begin_epoch()
@@ -733,6 +746,7 @@ class Executor:
         except BaseException:
             self._abort_iteration()
             raise
+        self._completed += 1
         if replayed:
             self.replayed_iterations += 1
 

@@ -20,7 +20,9 @@ last two on the turn-only trip too).
 import pytest
 
 from repro import Engine, RuntimeConfig, Session
+from repro.check.cost_model import IterationRecorder
 from repro.core.config import RecomputeStrategy
+from repro.core.plan import head_room
 from repro.core.policy import resolve_policies
 from repro.device.gpu import OutOfMemoryError
 from repro.zoo import NETWORK_BUILDERS, inception_v4, resnet50
@@ -79,9 +81,10 @@ def test_train_pressured_claim():
     assert BATCH / first.sim_time >= 56          # 39.435 before the overlap
     # 60.065 without drops, 69.213 with them before the return trip
     # planned again after later evictions and rebuilt convs got a
-    # workspace
-    assert BATCH / res.sim_time >= 70
-    assert res.stall_seconds <= 0.0105           # 0.1056 without drops
+    # workspace, 70.282 while every copy back reserved l_peak
+    assert BATCH / res.sim_time >= 70.7
+    # 0.1056 without drops, 0.0104 at the l_peak reserve
+    assert res.stall_seconds <= 0.0077
     # every eviction finds its recorded victim's copy started, or is one
     # of the 11 dropped conv outputs, which copy nothing
     assert res.cache_clean_evictions + res.cache_dropped \
@@ -214,13 +217,29 @@ SWEEP_GIB = (0.75, 1.0, 1.5, 2.0, 12)
 SWEEP_OOM = {("inception_v4", 0.75), ("alexnet", 0.75)}
 
 
+#: (net, GiB) -> the shipped stack's three iterations, from the first
+#: twin test that runs the point until the second one reads them
+_SHIPPED = {}
+
+
 def sweep_iterations(net, gib, stack_of, iters=3, **kw):
+    """The iterations of one sweep point under one stack, a pure
+    function of the arguments.  Both twin tests read the shipped stack's
+    three iterations of every point, so they are run once: the first
+    read keeps them and the second takes them back out (kept any longer,
+    every later cycle collection of the session would walk them)."""
+    shipped = stack_of is resolve_policies and iters == 3 and not kw
+    if shipped and (net, gib) in _SHIPPED:
+        return _SHIPPED.pop((net, gib))
     cfg = RuntimeConfig.superneurons(concrete=False,
                                      gpu_capacity=int(gib * GiB), **kw)
     mk = NETWORK_BUILDERS[net]
     with hand_stacked_executor(mk(batch=SWEEP_NETS[net]), cfg,
                                stack_of(cfg.for_mode("train"))) as ex:
-        return [ex.run_iteration(i) for i in range(iters)]
+        runs = tuple(ex.run_iteration(i) for i in range(iters))
+    if shipped:
+        _SHIPPED[net, gib] = runs
+    return runs
 
 
 @pytest.mark.parametrize("net,gib", [(n, g) for n in SWEEP_NETS
@@ -303,3 +322,98 @@ def test_resnet50_at_2gib_trains_at_the_roomy_speed():
     assert res.stall_seconds == 0
     assert BATCH / res.sim_time >= 75.6
     assert res.sim_time == pytest.approx(roomy.sim_time, rel=1e-4)
+
+
+def test_the_copy_reserve_is_never_above_l_peak():
+    """The return trip's per-copy reserve over every zoo net's train
+    route: for each drain step ``i``, line and reader ``u``, the largest
+    working set still to come with the line's own counted in its
+    reader's, ``max(l_j for i < j != u, l_u - nbytes)``, looked up in
+    :func:`head_room` as the drain does — and never above ``l_peak``.
+    The table is checked against its definition first, and at the turn
+    every lookup against the rule written term by term; past a reader
+    that did not read it, a line is held to the rule at that reader."""
+    for name in sorted(NETWORK_BUILDERS):
+        with Session(NETWORK_BUILDERS[name](batch=8),
+                     RuntimeConfig.superneurons(concrete=False)) as sess:
+            ex = sess.executor
+            trip = ex._offload_policy.compile_plan(ex._ctx)
+            steps, l_peak = ex.route.steps, ex.net.max_layer_bytes()
+            turn = ex.route.num_layers - 1
+        sizes, top, only, rest = head_room([s.layer for s in steps])
+        for s in range(turn + 1, len(steps)):
+            after = sizes[s:]
+            assert top[s] == max(after)
+            if after.count(top[s]) > 1:
+                assert only[s] == -1 and rest[s] == top[s]
+            else:
+                assert sizes[only[s]] == top[s]
+                assert rest[s] == max(after[:only[s] - s]
+                                      + after[only[s] - s + 1:], default=0)
+
+        def reserve(s, u, nbytes):
+            """The drain's lookup as step ``s - 1`` settles."""
+            if u < s:
+                return max(top[u + 1], sizes[u] - nbytes)
+            if only[s] == u:
+                return max(rest[s], sizes[u] - nbytes)
+            return top[s]
+
+        drains = range(turn + 1, len(steps) + 1)
+        for u, nbytes in {(u, t.nbytes) for _, t in trip.return_trip
+                          for u in trip.readers[t.tensor_id]}:
+            assert max(reserve(s, u, nbytes) for s in drains) <= l_peak
+            # at the turn, the rule as written, term by term
+            assert reserve(turn + 1, u, nbytes) == max(
+                max(sizes[turn + 1:u], default=0), sizes[u] - nbytes,
+                max(sizes[u + 1:], default=0))
+
+
+def test_the_cost_recorder_reads_a_steady_iteration():
+    """``IterationRecorder`` kept across iterations records each one
+    afresh — a dropped victim's rebuild is a record of its own, priced
+    at the algorithm its workspace pick ran — and changes none of them:
+    iterations 0-2 equal an unrecorded run's.  Iteration 1's stall, by
+    copy kind, is the per-copy reserve's: 5.36 ms of late prefetches
+    (8.09 ms at the l_peak reserve) and 2.33 ms of forward clean
+    waits."""
+    def executor():
+        net, cfg = pressured()
+        return hand_stacked_executor(net, cfg,
+                                     resolve_policies(cfg.for_mode("train")))
+
+    with executor() as ex:
+        unrecorded = [ex.run_iteration(i).to_dict() for i in range(3)]
+    with executor() as ex:
+        recorder = IterationRecorder(ex)
+        preds = []
+        for i, want in enumerate(unrecorded):
+            res = ex.run_iteration(i)
+            assert res.to_dict() == want
+            preds.append(recorder.prediction(res))
+        model, layers = ex.model, {l.name: l for l in ex.net.layers}
+    # iteration 2 repeats iteration 1, and nothing of it is recorded twice
+    by_kind = preds[1].stall_seconds_by_kind
+    assert preds[2].stall_seconds_by_kind == pytest.approx(by_kind)
+    assert [len(p.steps) for p in preds] == [len(ex.route.steps)] * 3
+    assert [(len(p.stalls), len(p.recomputes), len(p.prefetches))
+            for p in preds[1:]] == [(len(preds[1].stalls),
+                                     len(preds[1].recomputes),
+                                     len(preds[1].prefetches))] * 2
+    assert sum(by_kind.values()) == pytest.approx(preds[1].stall_seconds)
+    assert by_kind["prefetch"] == pytest.approx(5.359e-3, abs=1e-6)
+    assert by_kind["clean"] == pytest.approx(2.329e-3, abs=1e-6)
+    assert by_kind["fetch"] == by_kind["evict"] == by_kind["reap"] == 0
+    dropped = [r for r in preds[1].recomputes if r.strategy == "dropped"]
+    assert len(dropped) == res.cache_dropped == 11
+    assert not any(r.strategy == "dropped" for r in preds[0].recomputes)
+    # a conv rebuilt with no chain: its record is its kernel at its pick
+    picks = {w.layer_name: w.algo for w in res.workspace_choices
+             if w.layer_name in {r.anchor for r in dropped}}
+    alone = [r for r in dropped if r.members == 1]
+    assert alone
+    for r in alone:
+        conv = layers[r.anchor]
+        assert r.rebuild_seconds == conv.sim_time_forward(model,
+                                                          picks[r.anchor])
+        assert r.rebuild_seconds != conv.sim_time_forward(model)

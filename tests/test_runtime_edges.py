@@ -72,6 +72,42 @@ class TestPressurePaths:
         ex._discard(big)
         ex.close()
 
+    def test_an_eviction_waits_out_a_prefetch_still_landing(self):
+        """Pressure may take a line whose prefetch is still writing it.
+        The line is clean, but its bytes are not free until the H2D copy
+        lands: the eviction waits the copy out (a ``prefetch`` stall,
+        so the stall kinds still sum to the stall), retires the arrival,
+        and the line's next prefetch copies it again instead of
+        answering "already pending" with no copy."""
+        from repro.check.cost_model import IterationRecorder
+        from repro.tensors.tensor import Tensor
+
+        net = lenet(batch=8, image=16)
+        ex = Session(net, RuntimeConfig.superneurons(concrete=False)).executor
+        recorder = IterationRecorder(ex)
+        line = Tensor((1, 1, 1, 64 * MiB // 4), name="line")
+        ex._gpu_alloc_tensor(line)
+        ex._evict_to_host(line)              # dirty: copied out
+        assert ex._prefetch_async(line)
+        landing = ex.state.arrivals[line.tensor_id]
+        assert ex.timeline.now(Stream.COMPUTE) < landing.time
+        stall, clean = ex._stall, ex._clean_evictions
+        assert ex._evict_to_host(line) == line.nbytes
+        # (the free itself then ticks the allocator's overhead)
+        assert ex.timeline.now(Stream.COMPUTE) >= landing.time
+        assert ex._stall > stall
+        assert ex._clean_evictions == clean + 1
+        assert line.tensor_id not in ex.state.arrivals
+        waited = recorder.stalls[-1]
+        assert waited.kind == "prefetch"
+        assert waited.seconds == pytest.approx(ex._stall - stall)
+        h2d = ex.dma.stats.h2d_bytes
+        assert ex._prefetch_async(line)
+        assert ex.dma.stats.h2d_bytes == h2d + line.nbytes
+        assert ex.state.arrivals[line.tensor_id] is not landing
+        ex._discard(line)
+        ex.close()
+
     def test_oom_error_carries_numbers(self):
         net = lenet(batch=64, image=28)
         tiny = net.total_param_bytes() + 256 * 1024
