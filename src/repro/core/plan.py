@@ -28,7 +28,9 @@ into one :class:`IterationPlan`: an array of :class:`CompiledStep`
 records whose hook sites are prebound closure lists.  The executor has
 one step loop and it always runs a linked plan, linked once, before its
 first iteration (with ``steady_state_replay=False``, before every
-iteration).
+iteration).  The rule's one exception is the :class:`ResidencyTable`:
+an iteration run from one applies the recorded effect of a built-in
+stack's hooks instead of dispatching them.
 
 The ops keep every dynamic guard (offload-in-flight checks,
 host-residency checks before prefetch, the workspace fragmentation
@@ -531,6 +533,41 @@ def listener_table(ex) -> Dict[str, tuple]:
     return {hook: tuple(getattr(p, hook) for p in ex.policies
                         if overrides(p, hook))
             for hook in LISTENER_HOOKS}
+
+
+#: A residency table's moves, each one ``(op, a, b)``:
+#: ``ALLOC``/``FREE``/``READ`` a tensor ``a``; ``SCRATCH`` reserve ``a``
+#: bytes tagged ``b`` as step scratch, ``UNSCRATCH`` free the step's
+#: scratch; ``SUBMIT`` a compute kernel of ``a`` seconds labelled ``b``.
+ALLOC, FREE, SUBMIT, READ, SCRATCH, UNSCRATCH = range(6)
+
+
+class ResidencyTable:
+    """One pressure-free iteration of a linked plan, recorded flat.
+
+    A built-in stack's hooks and ops decide the same moves every
+    iteration that meets no pressure (paper §3), so the executor records
+    one such iteration and runs the next ones from the record: the
+    moves in order (``ops``, see :data:`ALLOC`), then the step trace
+    rows, the workspace picks and the counter deltas the policies'
+    hooks would have made.  ``start`` is the allocator's
+    :meth:`~repro.mempool.allocator.Allocator.signature` the record
+    began at; the table runs only from there, under ``plan``.
+    """
+
+    __slots__ = ("plan", "start", "ops", "traces", "choices",
+                 "hits", "misses", "extra_forwards")
+
+    def __init__(self, plan: IterationPlan, start: tuple, ops: list,
+                 result) -> None:
+        self.plan = plan
+        self.start = start
+        self.ops = ops
+        self.traces = tuple(result.traces)
+        self.choices = tuple(result.workspace_choices)
+        self.hits = result.cache_hits
+        self.misses = result.cache_misses
+        self.extra_forwards = result.extra_forwards
 
 
 def link_iteration_plan(ex) -> IterationPlan:

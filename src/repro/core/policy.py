@@ -61,7 +61,8 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 from repro.core import config as _config
 from repro.core.cache import TensorCache, Victim, choose_drops
 from repro.core.config import OFFLOAD_TYPES, RecomputeStrategy, RuntimeConfig
-from repro.core.plan import PolicyPlan, kernel_clock, zero_workspace
+from repro.core.plan import (
+    SCRATCH, SUBMIT, PolicyPlan, kernel_clock, zero_workspace)
 from repro.core.recompute import chain_of
 from repro.core.tensor_state import ResidencyError
 from repro.core.workspace import WorkspaceChoice, WorkspaceSelector
@@ -185,8 +186,11 @@ class StepContext:
         is best-effort by design: it may shrink the speed, never break
         the training.
         """
+        ex = self._ex
+        if ex._rec is not None:
+            ex._rec.append((SCRATCH, nbytes, tag))
         try:
-            a = self._ex.allocator.alloc(nbytes, tag)
+            a = ex.allocator.alloc(nbytes, tag)
         except OutOfMemoryError:
             return None
         self._scratch.append(a)
@@ -234,7 +238,10 @@ class StepContext:
         self._ex._force_reap_one()
 
     def submit_compute(self, duration: float, label: str = ""):
-        return self._ex.timeline.submit(Stream.COMPUTE, duration, label)
+        ex = self._ex
+        if ex._rec is not None:
+            ex._rec.append((SUBMIT, duration, label))
+        return ex.timeline.submit(Stream.COMPUTE, duration, label)
 
     # -- the tensor cache's, not part of the policy protocol --------------
     def _clean_behind(self, t: Tensor) -> None:

@@ -28,7 +28,10 @@ new classes, not new branches here.
 
 The executor runs identically in concrete mode (NumPy payloads, used to
 prove numerical equivalence) and simulated mode (byte/time ledger only,
-used for 12 GB-scale capacity and speed benchmarks).
+used for 12 GB-scale capacity and speed benchmarks).  A simulated run of
+a built-in stack whose iterations meet no pressure records one of them
+as a :class:`~repro.core.plan.ResidencyTable` and runs the next ones
+from it (:meth:`Executor._run_table`).
 """
 
 from __future__ import annotations
@@ -43,12 +46,19 @@ from repro.core.cache import TensorCache
 from repro.core.config import RuntimeConfig
 from repro.core.liveness import LivenessPlan
 from repro.core.plan import (
+    ALLOC,
+    FREE,
+    READ,
+    SCRATCH,
+    SUBMIT,
+    UNSCRATCH,
     CompiledStep,
     IterationPlan,
+    ResidencyTable,
     link_iteration_plan,
     listener_table,
 )
-from repro.core.policy import MemoryPolicy, StepContext
+from repro.core.policy import MemoryPolicy, StepContext, resolve_policies
 from repro.core.tensor_state import ResidencyError, SessionTensorState
 from repro.core.workspace import WorkspaceChoice
 from repro.device.dma import CopyDirection, DMAEngine
@@ -283,6 +293,21 @@ class Executor:
         #: iterations that reached the barrier (an aborted one does not
         #: count): the return trip reserves ``l_peak`` until one has
         self._completed = 0
+        #: the residency table (:meth:`_run_table`): the moves being
+        #: recorded (None when not recording), the table recorded last
+        #: (None until a calm iteration records one, and once anything
+        #: raises) and the iterations it ran.  An iteration is *calm* if
+        #: it copies nothing and asks no policy to relieve pressure
+        #: (an eviction and a stall each need one or the other):
+        #: ``_pressure`` counts both, ``_calm`` says the last completed
+        #: iteration was, and ``_tabled`` (decided at the first record)
+        #: whether the stack is exactly the config's built-in one.
+        self._rec: Optional[list] = None
+        self._table: Optional[ResidencyTable] = None
+        self.table_iterations = 0
+        self._pressure = 0
+        self._calm = False
+        self._tabled: Optional[bool] = None
 
         #: optional observer of this executor's copies, stalls, offload
         #: releases and recompute forwards (the cost model's
@@ -412,7 +437,7 @@ class Executor:
         self._alloc_of.clear()
         if isinstance(self.allocator, PoolAllocator):
             self.allocator.close()
-        self._plan = None
+        self._plan = self._table = None
         self._ctx._ex = None
         self.recorder = None
 
@@ -440,6 +465,8 @@ class Executor:
             a = self._alloc_under_pressure(nbytes, t.name)
         self._alloc_of[tid] = a
         self.state.to_gpu(t)
+        if self._rec is not None:
+            self._rec.append((ALLOC, t, None))
         ctx = self._ctx
         for fn in self._listeners["on_tensor_resident"]:
             fn(ctx, t, "alloc")
@@ -449,6 +476,7 @@ class Executor:
         """The slow path: each policy in stack order may free bytes.  A
         policy that raises after its retry succeeded (write-behind
         copies after it) never hands the bytes over; they go back."""
+        self._pressure += 1
         got: List[Allocation] = []
 
         def retry() -> Optional[Allocation]:
@@ -506,6 +534,8 @@ class Executor:
             self.allocator.free(a)
         if self.concrete:
             self.store.drop(t)
+        if self._rec is not None:
+            self._rec.append((FREE, t, None))
         ctx = self._ctx
         for fn in self._listeners["on_tensor_dead"]:
             fn(ctx, t)
@@ -517,6 +547,7 @@ class Executor:
         and fixes the direction: ``evict``/``offload``/``clean`` stash
         the tensor in the fabric and go D2H, ``prefetch``/``fetch`` come
         back H2D from whichever pool holds it, at that pool's rate."""
+        self._pressure += 1
         if kind in ("evict", "offload", "clean"):
             direction = CopyDirection.D2H
             scale = self.fabric.stash(t.tensor_id, t.nbytes).d2h_scale
@@ -650,6 +681,8 @@ class Executor:
                 ev = arrivals.pop(t.tensor_id, None)
                 if ev is not None:
                     self._wait(t, "prefetch", ev)
+            if self._rec is not None and state.validate:
+                self._rec.append((READ, t, None))
             ctx = self._ctx
             for fn in self._listeners["on_tensor_access"]:
                 fn(ctx, t)
@@ -718,12 +751,26 @@ class Executor:
         replayed = plan is not None and self._replay_enabled
         if not replayed:
             plan = self._link_plan()
+        # the table runs only where it was recorded: same plan, no
+        # observer, the allocator where the record began
+        table = self._table
+        if table is not None and not (
+                table.plan is plan and self.recorder is None
+                and table.start == self.allocator.signature()):
+            table = self._table = None
+        start = None
+        if table is None and replayed and self._calm and self._may_table():
+            start = self.allocator.signature()
+            self._rec = []
         ctx._begin_iteration(iteration, LayerContext(
             iteration=iteration, training=self.training,
             feed=feed, capture_final=capture_output))
         if self.recorder is not None:
             self.recorder.begin_iteration()
-        self._dispatch("on_iteration_start")
+        if table is None:
+            self._dispatch("on_iteration_start")
+        else:
+            self._workspace_choices().clear()
         self.allocator.reset_peak()
         self.allocator.begin_epoch()
         t0 = self.timeline.elapsed
@@ -734,10 +781,15 @@ class Executor:
         extra0 = self._extra_forwards()
         stall0 = self._stall
         ws_start = len(self._workspace_choices())
+        pressure0 = self._pressure
 
         try:
-            traces = self._run_steps(plan, ctx, optimizer)
-            self._dispatch("on_iteration_end")
+            if table is None:
+                traces = self._run_steps(plan, ctx, optimizer)
+                self._dispatch("on_iteration_end")
+            else:
+                traces = self._run_table(table, ctx)
+            rec, self._rec = self._rec, None  # the barrier always runs live
             # iteration barrier: drain copies, free whatever is left
             while self._pending:
                 self._force_reap_one()
@@ -747,14 +799,17 @@ class Executor:
             self._abort_iteration()
             raise
         self._completed += 1
+        self._calm = self._pressure == pressure0
         if replayed:
             self.replayed_iterations += 1
+        if table is not None:
+            self.table_iterations += 1
 
         # the loss travels through the per-session LayerContext (shared
         # SoftmaxLoss objects would race under concurrent sessions)
         loss = ctx.layer_ctx.last_loss
         hits1, miss1, ev1, clean1, drop1 = self._cache_counters()
-        return IterationResult(
+        res = IterationResult(
             iteration=iteration,
             loss=loss,
             sim_time=self.timeline.elapsed - t0,
@@ -776,6 +831,66 @@ class Executor:
             workspace_choices=self._workspace_choices()[ws_start:],
             output=ctx.layer_ctx.final_output,
         )
+        if rec is not None and self._calm:
+            self._table = ResidencyTable(plan, start, rec, res)
+        return res
+
+    def _may_table(self) -> bool:
+        """May this executor record a residency table at all?  Only a
+        simulated run of exactly the config's built-in stack, observed
+        by no recorder: a concrete run moves payloads, and a custom
+        policy's hooks are its own."""
+        if self._tabled is None:
+            self._tabled = [type(p) for p in self.policies] \
+                == [type(p) for p in resolve_policies(self.config)]
+        return self._tabled and not self.concrete and self.recorder is None
+
+    def _run_table(self, table: ResidencyTable, ctx: StepContext
+                   ) -> List[StepTrace]:
+        """Run an iteration from its residency table: the recorded
+        moves, in order, through the allocator, the state table and the
+        timeline (each looked up now, so a seam installed since is
+        called), then the hooks' recorded effect — the workspace picks
+        and the cache and recomputation counters.  No hook is
+        dispatched and nothing is locked: the table holds what they
+        decided."""
+        alloc, free = self.allocator.alloc, self.allocator.free
+        submit, compute = self.timeline.submit, Stream.COMPUTE
+        state = self.state
+        to_gpu, to_freed = state.to_gpu, state.to_freed
+        alloc_of, scratch = self._alloc_of, ctx._scratch
+        for op, a, b in table.ops:
+            if op == ALLOC:
+                alloc_of[a.tensor_id] = alloc(a.nbytes, a.name)
+                to_gpu(a)
+            elif op == FREE:
+                to_freed(a)  # a calm iteration holds no host copy
+                held = alloc_of.pop(a.tensor_id, None)
+                if held is not None:
+                    free(held)
+            elif op == SUBMIT:
+                submit(compute, a, b)
+            elif op == READ:
+                if not state.on_gpu(a):
+                    raise ResidencyError(
+                        f"tensor {a.name} is {state.placement(a).value}; "
+                        "the residency table reads it on the GPU",
+                        a, "PLAN001")
+            elif op == SCRATCH:
+                try:
+                    scratch.append(alloc(a, b))
+                except OutOfMemoryError:
+                    pass  # the recorded workspace fallback follows
+            else:
+                self._free_step_scratch(ctx)
+        self._workspace_choices().extend(table.choices)
+        if self._offload_policy is not None:
+            cache = self._offload_policy.cache
+            cache.hits += table.hits
+            cache.misses += table.misses
+        if self._recompute_policy is not None:
+            self._recompute_policy.extra_forwards += table.extra_forwards
+        return list(table.traces)
 
     def _run_steps(self, plan: IterationPlan, ctx: StepContext, optimizer
                    ) -> List[StepTrace]:
@@ -835,6 +950,8 @@ class Executor:
             else cs.duration
         ev = self.timeline.submit(Stream.COMPUTE, duration, cs.submit_label)
         ctx.last_compute_event = ev
+        if self._rec is not None:
+            self._rec.append((SUBMIT, duration, cs.submit_label))
 
         if self.concrete:
             ins = [self.store.get_required(p.output) for p in layer.prev]
@@ -884,6 +1001,8 @@ class Executor:
             else cs.duration
         ev = self.timeline.submit(Stream.COMPUTE, duration, cs.submit_label)
         ctx.last_compute_event = ev
+        if self._rec is not None:
+            self._rec.append((SUBMIT, duration, cs.submit_label))
 
         if self.concrete:
             self._backward_values(layer, ctx.layer_ctx, optimizer)
@@ -899,7 +1018,9 @@ class Executor:
         pins and scratch go, copies in flight are dropped with their
         tensors, and every activation is discarded.  A step that raised
         never reaches ``on_iteration_end``: a half iteration commits
-        nothing a policy records."""
+        nothing a policy records, and the residency table goes: the
+        next iteration runs live."""
+        self._rec = self._table = None
         self._free_step_scratch(self._ctx)
         self.state.unlock_all(self._cleanup_tensors)
         self._pending.clear()
@@ -931,6 +1052,10 @@ class Executor:
 
     # -- step mechanics (policy-free) -----------------------------------------
     def _free_step_scratch(self, ctx: StepContext) -> None:
+        if not ctx._scratch:
+            return
+        if self._rec is not None:
+            self._rec.append((UNSCRATCH, None, None))
         for a in ctx._scratch:
             self.allocator.free(a)
         ctx._scratch.clear()

@@ -243,6 +243,7 @@ class Session:
         if tracer is not None:
             wall0 = tracer.clock()
             replayed0 = ex.replayed_iterations
+            table0 = ex.table_iterations
         res = ex.run_iteration(iteration, optimizer=optimizer, feed=feed,
                                capture_output=capture_output)
         if tracer is not None:
@@ -252,6 +253,7 @@ class Session:
                 attrs={"net": self._net.name, "mode": self._mode,
                        "iteration": iteration,
                        "replayed": ex.replayed_iterations > replayed0,
+                       "table": ex.table_iterations > table0,
                        "sim_time": round(res.sim_time, 9),
                        "peak_bytes": res.peak_bytes})
         self.results.append(res)

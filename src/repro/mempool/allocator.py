@@ -122,6 +122,11 @@ class Allocator:
     def reset_peak(self) -> None:
         self._peak = self.used_bytes
 
+    def signature(self) -> tuple:
+        """The state an epoch begun now starts at: two epochs that start
+        at one signature get the same answers to the same calls."""
+        return self.used_bytes, self.gpu.free_bytes
+
 
 class CudaAllocator(Allocator):
     """Native cudaMalloc/cudaFree baseline: one device segment per call."""
@@ -162,6 +167,9 @@ class PoolAllocator(Allocator):
 
     def begin_epoch(self) -> None:
         self.pool.begin_epoch()
+
+    def signature(self) -> tuple:
+        return self.used_bytes, self.pool.signature()
 
     @property
     def alloc_latency(self) -> float:

@@ -159,6 +159,14 @@ class HeapPool:
         else:
             self._rec, self._rec_start = [], start
 
+    def signature(self) -> tuple:
+        """The free list an epoch begun now starts at, as
+        :meth:`begin_epoch` keys its address plan on it."""
+        if self._replay is not None and self._pos == self._plan.length:
+            return self._plan.start
+        self._materialize()  # what begin_epoch would do first
+        return tuple((n.addr, n.blocks) for n in self._free)
+
     @property
     def replaying(self) -> bool:
         """True while every call since :meth:`begin_epoch` has been

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 import repro.core.engine
 from repro import Engine, RuntimeConfig, Session
 from repro.core.policy import MemoryPolicy
-from repro.zoo import lenet, resnet50
+from repro.zoo import alexnet, lenet, resnet50
 from repro.zoo.resnet import resnet_from_units
 
 from tests.faults import (
@@ -228,6 +228,41 @@ def test_the_iteration_end_hook_fails(name):
     calls = twin(name)[1][1]["hook"]
     assert calls[-1] == "offload.on_iteration_end"
     assert fail_once(name, "hook", len(calls)) == calls[-1]
+
+
+def test_every_allocation_of_a_table_run_iteration_fails():
+    """A roomy session runs iteration 2 from its residency table.  An
+    allocation failing there, at any of its calls, drops the table and
+    leaves the session at rest; iteration 2 then runs live (recording
+    again) and iteration 3 from the new table, both exactly as an
+    undisturbed twin's."""
+    roomy = Engine(alexnet(batch=32),
+                   RuntimeConfig.superneurons(concrete=False))
+    with roomy.session("train") as sess:
+        plan = FaultPlan("alloc", 0).install(sess.executor)
+        expect = [sess.run_iteration(i).to_dict() for i in range(2)]
+        plan.arm()
+        expect += [sess.run_iteration(i).to_dict() for i in (2, 3)]
+        assert sess.executor.table_iterations == 2
+    calls = plan.seen[:len(plan.seen) // 2]  # iteration 2's
+    assert len(calls) == expect[2]["alloc_calls"] // 2
+    for k in range(1, len(calls) + 1):
+        with roomy.session("train") as sess:
+            ex = sess.executor
+            plan = FaultPlan("alloc", k).install(ex)
+            for i in (0, 1):
+                assert sess.run_iteration(i).to_dict() == expect[i]
+            assert ex._table is not None
+            plan.arm()
+            with pytest.raises(InjectedFault):
+                sess.run_iteration(2)
+            assert plan.seen[-1] == calls[k - 1]
+            assert_quiescent(sess)
+            assert ex._table is None and ex.table_iterations == 0
+            for i in (2, 3):
+                assert sess.run_iteration(i).to_dict() == clockless(expect[i])
+            assert_quiescent(sess)
+            assert ex.table_iterations == 1
 
 
 class RaiseAtIterationEnd(MemoryPolicy):

@@ -302,14 +302,17 @@ class TestEngineTracing:
         with obs_trace.capture() as tr:
             with Session(net, RuntimeConfig.superneurons(
                     concrete=False)) as sess:
-                results = sess.run(iters=2)
+                results = sess.run(iters=4)
         spans = iteration_spans(tr)
-        assert len(spans) == 2
+        assert len(spans) == 4
         assert spans[0].cat == "engine"
         assert spans[0].attrs["net"] == "lenet"
         assert spans[0].attrs["mode"] == "train"
-        assert [s.attrs["iteration"] for s in spans] == [0, 1]
-        assert [s.attrs["replayed"] for s in spans] == [False, True]
+        assert [s.attrs["iteration"] for s in spans] == [0, 1, 2, 3]
+        assert [s.attrs["replayed"] for s in spans] == [False] + [True] * 3
+        # the first replayed iteration records the residency table, the
+        # next ones run from it
+        assert [s.attrs["table"] for s in spans] == [False, False, True, True]
         for span, res in zip(spans, results):
             assert span.attrs["sim_time"] == round(res.sim_time, 9) > 0
             assert span.attrs["peak_bytes"] == res.peak_bytes
@@ -420,17 +423,21 @@ class TestDisarmedCost:
 
 
 class TestFrameBudget:
-    """What a replayed train iteration costs the host, in frames: every
+    """What a steady iteration costs the host, in frames: every
     ``repro.*`` function it enters, with both tracers and the placement
     validator disarmed, as every ledger figure and user run has them.
-    Each residency move is one transition and one cache move, so the
-    counts are pinned at most 2% above what they landed at.  Python
-    3.12+ inlines comprehensions and only counts lower."""
+    A roomy iteration runs from the residency table: one allocator call,
+    one state transition or one kernel submit per recorded move.  A
+    pressured one runs live: each residency move is one transition and
+    one cache move.  The counts are pinned at most 2% above what they
+    landed at.  Python 3.12+ inlines comprehensions and only counts
+    lower."""
 
     @pytest.mark.parametrize("net,gpu_capacity,landed", [
-        ("alexnet", None, 2_098),         # from 3,320
-        ("resnet50", None, 16_542),       # from 26,236
+        ("alexnet", None, 606),           # from 2,098
+        ("resnet50", None, 4_763),        # from 16,542
         ("resnet50", 1 << 30, 18_771),    # from 29,464
+        ("lenet", None, 139),             # b8 infer, the serving step
     ])
     def test_replayed_iteration_frames(self, monkeypatch, net, gpu_capacity,
                                        landed):
@@ -446,10 +453,11 @@ class TestFrameBudget:
                     "__name__", "").startswith("repro."):
                 frames += 1
 
-        with Session(NETWORK_BUILDERS[net](batch=32),
+        batch, mode = (8, "infer") if net == "lenet" else (32, "train")
+        with Session(NETWORK_BUILDERS[net](batch=batch),
                      RuntimeConfig.superneurons(
-                         concrete=False,
-                         gpu_capacity=gpu_capacity)) as sess:
+                         concrete=False, gpu_capacity=gpu_capacity),
+                     mode=mode) as sess:
             assert not sess.executor.state.validate
             sess.run(iters=3)
             sys.setprofile(profiler)
@@ -457,6 +465,8 @@ class TestFrameBudget:
                 sess.run_iteration(3)
             finally:
                 sys.setprofile(None)
+            assert sess.executor.table_iterations == \
+                (0 if gpu_capacity else 2)
         assert frames <= landed * 1.02, f"{frames} frames, landed {landed}"
 
 

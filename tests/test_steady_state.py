@@ -17,6 +17,7 @@ import pytest
 
 import repro.core.runtime as runtime
 from repro import Engine, RuntimeConfig, SGD, Session, Trainer
+from repro.check.cost_model import IterationRecorder
 from repro.core.plan import PolicyPlan
 from repro.core.policy import MemoryPolicy
 from repro.zoo import NETWORK_BUILDERS, alexnet, lenet, resnet50
@@ -44,6 +45,28 @@ def run_dicts(mk_net, config, iters=ITERS, lr=0.05):
     return out, replayed
 
 
+def substrate(ex, tensors) -> tuple:
+    """What an iteration leaves in the executor besides its result."""
+    a, tl = ex.allocator, ex.timeline
+    return (a.used_bytes, a.peak_bytes, vars(a.stats).copy(),
+            dict(tl.clock), dict(tl.busy), vars(ex.dma.stats).copy(),
+            ex.state.snapshot(tensors))
+
+
+def run_observed(mk_net, config, mode, iters=ITERS):
+    """Each iteration's ``to_dict()`` and :func:`substrate`, and the
+    iterations replayed and run from the residency table."""
+    with Engine(mk_net(), config).session(mode) as sess:
+        ex = sess.executor
+        tensors = [t for layer in ex.net.layers
+                   for t in (layer.output, layer.grad_output,
+                             *layer.params, *layer.param_grads)
+                   if t is not None]
+        out = [(sess.run_iteration(i).to_dict(), substrate(ex, tensors))
+               for i in range(iters)]
+        return out, ex.replayed_iterations, ex.table_iterations
+
+
 class TestReplayEquivalence:
     """Replay must be bit-identical to the fresh-plan path."""
 
@@ -57,13 +80,76 @@ class TestReplayEquivalence:
 
     @pytest.mark.parametrize("name", list(ABLATION))
     def test_simulated_alexnet_bit_identical(self, name):
-        mk = lambda: alexnet(batch=4, image=67, num_classes=10)
-        fresh, _ = run_dicts(
-            mk, ABLATION[name](concrete=False, steady_state_replay=False),
-            iters=3)
-        replay, r = run_dicts(mk, ABLATION[name](concrete=False), iters=3)
-        assert r == 2
+        """Simulated replay, and from iteration 2 on the residency
+        table of every rung whose iterations are calm, equals the fresh
+        planning path: every result and, after each iteration, what the
+        substrate holds.  The eager rungs copy every iteration and never
+        table one."""
+        tabled = name not in ("liveness+utp", "superneurons-eager")
+        self.check_sim(lambda: alexnet(batch=4, image=67, num_classes=10),
+                       "train", ABLATION[name], tabled)
+
+    @pytest.mark.parametrize("shape", ["resnet50-train", "lenet-infer"])
+    def test_ledger_shapes_bit_identical(self, shape):
+        """The same on ``train_roomy``'s resnet50 b32 and on the serving
+        workloads' lenet b8 infer step."""
+        mk = {"resnet50-train": lambda: resnet50(batch=32),
+              "lenet-infer": lambda: lenet(batch=8)}[shape]
+        self.check_sim(mk, shape.split("-")[1], RuntimeConfig.superneurons,
+                       True)
+
+    @staticmethod
+    def check_sim(mk, mode, make, tabled):
+        fresh, r0, t0 = run_observed(
+            mk, make(concrete=False, steady_state_replay=False), mode)
+        replay, r1, t1 = run_observed(mk, make(concrete=False), mode)
+        assert (r0, t0) == (0, 0)
+        assert (r1, t1) == (ITERS - 1, ITERS - 2 if tabled else 0)
         assert replay == fresh
+
+    def test_a_shrunk_device_drops_the_table(self):
+        """The table runs only from the allocator state it was recorded
+        at: shrink the device under a cudaMalloc-allocated session after
+        iteration 2 ran from the table, and iteration 3 evicts, live,
+        exactly as a session that never replays does."""
+        def run(replay):
+            cfg = RuntimeConfig.superneurons(
+                concrete=False, use_pool_allocator=False,
+                steady_state_replay=replay)
+            with Session(alexnet(batch=32), cfg) as sess:
+                ex = sess.executor
+                res = sess.run(iters=3)[-1]
+                ex.gpu.capacity = res.param_bytes \
+                    + int(0.7 * res.activation_peak_bytes)
+                out = [sess.run_iteration(i).to_dict() for i in (3, 4)]
+                return out, ex.table_iterations
+
+        (replay, tabled), (fresh, _) = run(True), run(False)
+        assert replay == fresh and tabled == 1
+        assert replay[0]["cache"]["evictions"] > 0
+
+    @pytest.mark.parametrize("case", [
+        "pressured", "concrete", "custom policy", "recorder"])
+    def test_the_table_stays_off(self, case):
+        """A pressured session, a concrete one, a stack with a custom
+        policy and an executor with a recorder attached run every
+        iteration live."""
+        if case == "pressured":
+            session = Session(resnet50(batch=32), RuntimeConfig.superneurons(
+                concrete=False, gpu_capacity=1 << 30))
+        else:
+            session = Session(lenet(batch=8), RuntimeConfig.superneurons(
+                concrete=case == "concrete"))
+        if case == "custom policy":
+            session = session.with_policy(type(
+                "Idle", (MemoryPolicy,), {"key": "idle"})())
+        with session:
+            ex = session.executor
+            if case == "recorder":
+                IterationRecorder(ex)
+            session.run(iters=ITERS)
+            assert ex.replayed_iterations == ITERS - 1
+            assert ex.table_iterations == 0
 
     def test_custom_dynamic_policy_keeps_full_dispatch(self):
         """A policy that does not opt into plan stability must observe
