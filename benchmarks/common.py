@@ -69,10 +69,10 @@ def img_per_sec(net, res: Optional[IterationResult]) -> Optional[float]:
 
 
 def steady_run(net, config: RuntimeConfig) -> Optional[IterationResult]:
-    """A session's second iteration; None when the device OOMs.  Under
-    pressure the first iteration records the tensor cache's victims and
-    every later one cleans them early, so the second is the iteration a
-    training run repeats."""
+    """A session's second iteration, the iteration a training run
+    repeats; None when the device OOMs.  (Under pressure a session
+    starts from its engine's scout record, so its first iteration is
+    that one too.)"""
     try:
         with Session(net, config) as sess:
             sess.run_iteration(0)

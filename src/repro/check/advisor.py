@@ -21,11 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.check.cost_model import (
-    FIRST_ITERATION_NOTE,
-    CostPrediction,
-    predict_compiled_mode,
-)
+from repro.check.cost_model import CostPrediction, predict_compiled_mode
 from repro.core.config import RuntimeConfig
 
 MiB = 1024 * 1024
@@ -94,9 +90,6 @@ class Advice:
                 f"  {a.rung:18s} {times}  "
                 f"peak={a.peak_bytes / MiB:8.1f} MiB"
                 + ("  " + ", ".join(marks) if marks else ""))
-        if any(p.pressure_evictions for a in self.ladder
-               for p in a.predictions.values()):
-            lines.append(FIRST_ITERATION_NOTE)
         if self.recommended is None:
             lines.append(
                 "  no rung fits the budget — the net needs a smaller "

@@ -10,11 +10,10 @@ timeline — so a prediction is one of its iterations, *recorded*: an
 :class:`IterationRecorder` attached to the executor is told about every
 copy, stall, offload release and recompute forward, and the counters
 come from the iteration's own ``IterationResult``.  Two callers: the
-engine's ``cost_report`` hook records the scout iteration it runs
-anyway, and :func:`predict_compiled_mode` records the first iteration
-of a throwaway executor.  Both are iteration 0 of the same
-deterministic machine, so they agree with each other and with any
-measured iteration exactly.
+engine's ``cost_report`` hook and :func:`predict_compiled_mode`.  Both
+record a session's first iteration — from the scout's record where it
+left one, as every session starts — so they agree with each other and
+with any measured iteration exactly.
 
 On top of the recording it emits PERF-rule diagnostics through the
 shared :class:`~repro.check.diagnostics.CheckReport` machinery:
@@ -87,9 +86,8 @@ class CostThresholds:
     serve_fill_min: float = 0.5
     #: PERF007: largest share of the iteration that may be compute
     #: stalled on copies, all stalls summed.  On-demand eviction with
-    #: nothing overlapped read 0.47 on resnet50 b32 at 1 GiB; with
-    #: write-behind and the return trip it reads 0.25 — D2H-bound in
-    #: forward — and still fires.
+    #: nothing overlapped read 0.47 on resnet50 b32 at 1 GiB (0.25 with
+    #: no victim record, 0.017 from the scout's).
     exposed_dma_share: float = 0.15
     #: PERF007: ... and only when those stalls sum to this many seconds.
     #: The eager-offload rung is exposed at every batch size (its
@@ -511,15 +509,6 @@ def record_iteration(executor, target: Optional[str] = None
 # rule analysis: CostPrediction -> diagnostics
 # --------------------------------------------------------------------------- #
 
-#: A prediction under cache pressure is a first iteration: it has no
-#: victim record to clean from or drop, so every later iteration stalls
-#: less.
-FIRST_ITERATION_NOTE = (
-    "  (a first iteration: from the second on, the tensor cache cleans "
-    "the victims it recorded at their producers, drops those cheaper to "
-    "rebuild than to copy, and stalls less)")
-
-
 def analyze_prediction(pred: CostPrediction,
                        budget: Optional[int] = None,
                        thresholds: Optional[CostThresholds] = None
@@ -595,8 +584,7 @@ def analyze_prediction(pred: CostPrediction,
                     f"({pred.exposed_dma_share:.0%}) over {len(top)} "
                     f"stalls; with every copy hidden it would take "
                     f"{pred.overlap_floor_s * 1e3:.1f} ms.  Largest: "
-                    f"{named}" + (FIRST_ITERATION_NOTE
-                                  if pred.pressure_evictions else "")))
+                    f"{named}"))
 
     if budget is not None and pred.peak_gpu_bytes > budget:
         diags.append(Diagnostic(
@@ -665,7 +653,8 @@ def serving_fill_check(batch: int, max_request: int,
 def predict_compiled_mode(net, compiled, config: RuntimeConfig,
                           target: Optional[str] = None) -> CostPrediction:
     """One recorded first iteration of a compiled mode on a throwaway
-    simulated executor (no payloads; an executor emits no spans).
+    simulated executor (no payloads; an executor emits no spans): the
+    iteration a session repeats, since both start from the scout's.
 
     ``config`` must be the *effective* mode config
     (``RuntimeConfig.for_mode``) the mode was planned under, exactly as

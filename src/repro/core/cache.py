@@ -13,9 +13,6 @@ Operations mirror Alg. 2:
 * ``evict_for`` = ``LRU.out`` — offload least-recently-used *unlocked*
   tensors until enough bytes are freed;
 * ``touch`` = the hit path of ``Check`` — move to the MRU front;
-* ``clean_ahead`` — write-behind: name the lines the *next* ``LRU.out``
-  would take, so their D2H copies can run under compute (only in an
-  iteration that is not ``recorded``);
 * ``due_clean`` — recorded victims: the lines ``LRU.out`` took in the
   last completed iteration, in eviction order.  Pressure repeats from
   one iteration to the next, so a derived op
@@ -26,7 +23,9 @@ Operations mirror Alg. 2:
   first record (:func:`choose_drops`).  ``LRU.out`` still takes them,
   but they are discarded with no copy either way, their chain sources
   fall due on the return trip at ``sources_due``, and recomputation
-  rebuilds them when backward asks.
+  rebuilds them when backward asks;
+* ``outcome`` / ``seed`` — all three, once chosen, handed to a fresh
+  cache (the engine's scout chooses them once per compiled mode).
 
 Movement itself (the D2H copy + allocator free) is the executor's job;
 the cache only decides *which* tensors go, through the callbacks.
@@ -190,12 +189,6 @@ class TensorCache:
                               if t.tensor_id not in drops)
 
     @property
-    def recorded(self) -> bool:
-        """Whether this iteration has victims predicted from the last
-        one (the recorded-clean op is cleaning them)."""
-        return bool(self._predicted)
-
-    @property
     def predicted(self) -> Tuple[Tuple[Tensor, int], ...]:
         """The last completed iteration's victims, in eviction order,
         each with the step that evicted it."""
@@ -217,23 +210,17 @@ class TensorCache:
         self.choosing = False
         self.trip_planned, self.trip_refused = {}, set()
 
-    def clean_ahead(self, nbytes: int,
-                    clean_cb: Callable[[Tensor], None]) -> None:
-        """Write-behind, one pressure event ahead: hand ``clean_cb``
-        the unlocked lines an ``evict_for(nbytes)`` issued now would
-        take, in victim order, removing nothing.  The callback starts a
-        D2H copy of the dirty ones, so the event that does evict them
-        finds clean lines and drops them for free."""
-        locked = self._state.locked
-        order = reversed(self.lines.values()) if self.policy == "lru" \
-            else self._sorted_order()
-        passed = 0
-        for t in order:
-            if passed >= nbytes:
-                break
-            if not locked(t):
-                clean_cb(t)
-                passed += t.nbytes
+    def outcome(self) -> Optional["CacheSeed"]:
+        """The victims, drop set and deadlines, for a fresh cache to
+        :meth:`seed` from (None while the drop set is not chosen)."""
+        return None if self.choosing else CacheSeed(
+            self._predicted, self.drops, dict(self.sources_due))
+
+    def seed(self, seed: "CacheSeed") -> None:
+        """Start from another cache's :meth:`outcome` (:meth:`drop`
+        copies: the ops fill ``sources_due`` in place)."""
+        self._predicted = seed.predicted
+        self.drop(seed.drops, seed.sources_due)
 
     def _victims(self) -> Iterator[Tensor]:
         """Unlocked entries, first out first, found lazily.
@@ -274,6 +261,15 @@ class TensorCache:
     def lru_order(self) -> List[Tensor]:
         """MRU-first snapshot (for tests)."""
         return list(self.lines.values())
+
+
+class CacheSeed(NamedTuple):
+    """:meth:`TensorCache.outcome`: the victims in eviction order, the
+    drop set and its chain sources' return-trip deadlines."""
+
+    predicted: Tuple[Tuple[Tensor, int], ...]
+    drops: Mapping[int, int]
+    sources_due: Mapping[int, int]
 
 
 # --------------------------------------------------------------------------- #

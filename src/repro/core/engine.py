@@ -18,7 +18,10 @@ compiled artifact.  Per execution mode it owns:
   (descriptor-only, so compiling a concrete engine never touches
   payloads, parameter values, or BN running statistics): a mode that
   cannot run fails at compile time, and the scout is what
-  ``verify=True`` and ``cost_report=True`` judge.
+  ``verify=True`` judges;
+* the scout's tensor cache record where pressure evicted (victims, drop
+  set, deadlines): the one residency decision the graph does not fix,
+  made once per mode, which every executor of the mode starts from.
 
 ``engine.session(mode=...)`` then spawns cheap workers: each gets its
 own device substrate — GPU ledger, timeline/clock, DMA engine,
@@ -80,6 +83,7 @@ from repro.check.instrument import (
     trace_read,
     trace_write,
 )
+from repro.core.cache import CacheSeed
 from repro.core.config import RuntimeConfig
 from repro.core.liveness import LivenessAnalysis, LivenessPlan
 from repro.core.policy import MemoryPolicy, resolve_policies
@@ -126,6 +130,8 @@ class ModePlanning:
     recompute_plan: RecomputePlan
     liveness: LivenessAnalysis
     liveness_plan: LivenessPlan
+    #: the scout's tensor cache record (:meth:`Engine.compiled`)
+    cache_seed: Optional[CacheSeed] = None
 
 
 class Engine:
@@ -174,7 +180,8 @@ class Engine:
     # ------------------------------------------------------------- compiling
     def compiled(self, mode: str = "train") -> ModePlanning:
         """One execution mode's :meth:`planning`, once its scout has run
-        (and, when armed, been verified and costed)."""
+        (and, when armed, been verified and costed), with the scout's
+        tensor cache record where it evicted."""
         trace_read(self, f"engine.compiled[{mode}]")
         cm = self._compiled.get(mode)
         if cm is not None:  # fast path: no lock once compiled
@@ -183,25 +190,34 @@ class Engine:
         with self._compile_lock:
             cm = self._compiled.get(mode)
             if cm is None:
-                prediction = self._scout(planning)
-                if prediction is not None:
-                    self._cost_mode(mode, prediction)
+                seed, prediction = self._scout(planning)
+                cm = planning if seed is None \
+                    else replace(planning, cache_seed=seed)
+                if self.cost_report:
+                    self._cost_mode(cm, prediction)
                 trace_write(self, f"engine.compiled[{mode}]")
-                self._compiled[mode] = cm = planning
+                self._compiled[mode] = cm
                 self.mode_compile_count += 1
         return cm
 
-    def _cost_mode(self, mode: str, prediction) -> None:
+    def _cost_mode(self, compiled: ModePlanning, prediction) -> None:
         """Analyze one compiled mode's cost and stash the report.
 
         ``prediction`` is the scout iteration itself, recorded (see
-        :meth:`_scout`).  Advisory, unlike verification: PERF
-        findings are warnings about *speed*, not safety — the mode still
-        caches and runs.
+        :meth:`_scout`): every executor's first, unless the scout seeded
+        the mode — then a seeded one is recorded.  Advisory, unlike
+        verification: PERF findings are warnings about *speed*, not
+        safety — the mode still caches and runs.
         """
         self._assert_compile_locked()
-        from repro.check.cost_model import analyze_prediction
+        from repro.check.cost_model import (
+            analyze_prediction, predict_compiled_mode)
         from repro.check.diagnostics import CheckReport
+        mode = compiled.mode
+        if compiled.cache_seed is not None:
+            prediction = predict_compiled_mode(
+                self.net, compiled, self.config.for_mode(mode),
+                target=prediction.target)
         report = CheckReport(tool="cost-model", checked=[prediction.target])
         report.extend(analyze_prediction(prediction))
         report.metrics[prediction.target] = prediction.to_dict()
@@ -250,28 +266,31 @@ class Engine:
                             liveness=liveness,
                             liveness_plan=liveness.compile())
 
-    def _scout(self, planning: ModePlanning):
-        """Run one mode's scout iteration; returns its ``CostPrediction``
-        when cost reporting is armed (else None)."""
+    def _scout(self, planning: ModePlanning
+               ) -> Tuple[Optional[CacheSeed], object]:
+        """Run one mode's scout iteration; returns its tensor cache's
+        outcome and, when cost reporting is armed, its
+        ``CostPrediction`` (each None where there is none)."""
         # The scout runs one iteration in simulated mode over the mode's
         # cached planning: the allocator landscape, frees, copies and
         # rebuilds are identical to a concrete run's, but no payload is
         # ever touched.  The same iteration is the verdict of the plan
         # verifier and the cost prediction: with either armed it runs
         # under the cost model's recorder (lazy imports: engines that
-        # arm neither never load the checkers) — every session's
-        # iteration 0 is the same machine doing the same thing, so
-        # neither needs a second run.  A plan the verifier refuses
-        # raises PlanVerificationError and the mode is never cached.
+        # arm neither never load the checkers) — where it seeds nothing,
+        # every session's iteration 0 is the same machine doing the
+        # same thing.  A plan the verifier refuses raises
+        # PlanVerificationError and the mode is never cached.
         mode = planning.mode
         target = f"{self.net.name}/{mode}"
         scout_cfg = replace(self.config.for_mode(mode),
                             concrete=False, collect_traces=False)
+        stack = resolve_policies(scout_cfg)
 
         def scout() -> Executor:
-            return Executor(self.net, scout_cfg,
-                            resolve_policies(scout_cfg), planning)
+            return Executor(self.net, scout_cfg, stack, planning)
 
+        prediction = None
         if self.verify_plans:
             from repro.check.diagnostics import CheckReport
             from repro.check.plan_verifier import (
@@ -282,24 +301,26 @@ class Engine:
                 raise PlanVerificationError(CheckReport(
                     tool="plan-verifier", diagnostics=diags,
                     checked=[target]))
-            return prediction
-        with scout() as ex:
-            if self.cost_report:
-                from repro.check.cost_model import record_iteration
-                return record_iteration(ex, target)
-            ex.run_iteration(0)
-        return None
+        else:
+            with scout() as ex:
+                if self.cost_report:
+                    from repro.check.cost_model import record_iteration
+                    prediction = record_iteration(ex, target)
+                else:
+                    ex.run_iteration(0)
+        return next((p.cache.outcome() for p in stack
+                     if p.key == "offload"), None), prediction
 
     # -------------------------------------------------------------- spawning
     def executor(self, mode: str = "train",
                  extra_policies: Tuple[MemoryPolicy, ...] = ()) -> Executor:
-        """A fresh executor over this engine's cached :meth:`planning` —
-        the one place a run's executor is built.  It runs no scout: an
-        engine-bound :class:`~repro.core.session.Session` asks for
-        :meth:`compiled` first, a standalone one never pays for it."""
+        """A fresh executor over this engine's cached planning — the one
+        place a run's executor is built — and once the mode is
+        :meth:`compiled`, from its scout's record.  It runs no scout."""
         eff = self.config.for_mode(mode)
         stack = resolve_policies(eff) + list(extra_policies)
-        return Executor(self.net, eff, stack, self.planning(mode))
+        planning = self._compiled.get(mode) or self.planning(mode)
+        return Executor(self.net, eff, stack, planning)
 
     def session(self, mode: str = "train"):
         """Spawn a lightweight session sharing this engine's plans."""

@@ -333,9 +333,9 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
     the free bytes still cover every step to come.  A line still on the
     host past a reader that did not read it (a recompute chain's input
     the chain did not need) is held to the rule as it stood at that
-    reader, ``max(l_u - nbytes, max l_j for j > u)``.  Iteration 0,
-    whose trip the drop choice reads, reserves ``l_peak`` itself; the
-    exact reserve applies once the executor has completed an iteration.
+    reader, ``max(l_u - nbytes, max l_j for j > u)``.  The iteration
+    whose trip the drop choice reads reserves ``l_peak`` itself; the
+    exact reserve applies once the drop set is chosen.
     A copy that is refused waits at the head of the queue for the next
     step's settle, and past its reader it has come back on demand.
 
@@ -431,7 +431,7 @@ def _make_return_trip_ops(ex, need: Tuple[Tuple[int, Tensor], ...],
 
     def turn(ctx, step):
         nonlocal exact, refused, seen
-        exact = ex._completed > 0
+        exact = not cache.choosing
         refused = planned = None
         seen = cache.evictions
         if not state.host_ids():

@@ -244,12 +244,6 @@ class StepContext:
         return ex.timeline.submit(Stream.COMPUTE, duration, label)
 
     # -- the tensor cache's, not part of the policy protocol --------------
-    def _clean_behind(self, t: Tensor) -> None:
-        """Write-behind: start the D2H copy of a dirty cached line and
-        keep its GPU copy (only a cache's victim order says which lines
-        to clean)."""
-        self._ex._clean_async(t)
-
     def _copy_seconds(self, t: Tensor, direction: CopyDirection) -> float:
         """One copy of ``t`` between the GPU and the first external
         pool, where an eviction goes while it has room."""
@@ -493,15 +487,16 @@ class OffloadCachePolicy(MemoryPolicy):
       Both halves of the traffic that follows hide under compute.  Out:
       each line the last iteration evicted starts its D2H copy as soon
       as its producer has run (:func:`~repro.core.plan.
-      _make_recorded_clean_op`); in an iteration with no record,
-      write-behind starts those of the lines the *next* pressure event
-      will take instead.  Back: evicted lines
+      _make_recorded_clean_op`).  Back: evicted lines
       return on a just-in-time return trip timed against their first
       backward reader (:func:`~repro.core.plan._make_return_trip_ops`).
       Neither way: from the first record on, the recorded conv outputs
       whose rebuild costs less than the copy time they expose are
       discarded instead (:func:`~repro.core.cache.choose_drops`) and
-      recomputation rebuilds them on backward demand.
+      recomputation rebuilds them on backward demand.  The engine's
+      scout runs the one iteration with no record; every executor of a
+      compiled mode starts from its outcome (``ModePlanning.
+      cache_seed``), so its first iteration runs on the record too.
     """
 
     key = "offload"
@@ -565,15 +560,17 @@ class OffloadCachePolicy(MemoryPolicy):
         if self.cache_mode:
             cache = self.cache
             cache.end_iteration()
-            if cache.recorded and cache.choosing:
+            if cache.choosing and cache.predicted:
                 cache.drop(*self._choose_drops(ctx))
 
     # -- drop or evict -------------------------------------------------------
-    # The first record is also when the session decides, once, which
+    # The first record is also when the cache decides, once, which
     # victims to discard instead of copying: a conv output whose rebuild
     # costs less than the copy time it would expose (``choose_drops``).
-    # The linked plan reads the drop set at run time, so nothing links
-    # again when it is chosen.
+    # A compiled mode's scout decides for every executor of the mode;
+    # an unseeded executor decides for itself.  The linked plan reads
+    # the drop set at run time, so nothing links again when it is
+    # chosen.
     def _choose_drops(self, ctx: StepContext
                       ) -> Tuple[Dict[int, int], Dict[int, int]]:
         """The drop set (each victim's last forward reader) and its chain
@@ -687,22 +684,12 @@ class OffloadCachePolicy(MemoryPolicy):
         # so keep evicting (coalescing merges holes) until the request
         # fits or nothing evictable remains.
         if self.cache_mode:
-            evicted = 0
             while True:
                 freed = self.cache.evict_for(nbytes, self._evict,
                                              ctx.step.index)
-                evicted += freed
                 a = retry()
-                if a is not None:
-                    if not self.cache.recorded:
-                        # write-behind, one pressure event ahead, for an
-                        # iteration with no victim record: the copies of
-                        # the lines the next event will take start now,
-                        # under compute, so it finds them clean
-                        self.cache.clean_ahead(evicted, ctx._clean_behind)
+                if a is not None or freed == 0:
                     return a
-                if freed == 0:
-                    return None
         return None
     # (The executor, not on_iteration_end, owns the iteration barrier
     # and drains in-flight copies itself, so a stack without this

@@ -192,8 +192,10 @@ class Executor:
     ``plan``
         the engine's planning artifacts for one execution mode, a
         :class:`~repro.core.engine.ModePlanning`: route, liveness and
-        recompute plans.  The executor asks its own policies for their
-        plans and links them at its first iteration.
+        recompute plans (and a compiled mode's scout record, which an
+        armed tensor cache starts from).  The executor asks its own
+        policies for their plans and links them at its first
+        iteration.
 
     ``plan.mode`` is the execution mode: ``"train"`` runs the 2N-step
     forward+backward route; ``"infer"`` runs the forward-only N-step
@@ -278,6 +280,8 @@ class Executor:
         self._workspace_policy = self._find_policy("workspace")
         for p in self.policies:
             p.bind(self._ctx)
+        if plan.cache_seed is not None and self._ctx.cache_armed:
+            self.cache.seed(plan.cache_seed)  # the scout's record
 
         # the linked plan (None until the first iteration links it, see
         # :meth:`_link_plan`) and the dispatch table, tabled again at
@@ -290,9 +294,6 @@ class Executor:
         self._replay_enabled = cfg.steady_state_replay
         self._collect_traces = cfg.collect_traces
         self.replayed_iterations = 0
-        #: iterations that reached the barrier (an aborted one does not
-        #: count): the return trip reserves ``l_peak`` until one has
-        self._completed = 0
         #: the residency table (:meth:`_run_table`): the moves being
         #: recorded (None when not recording), the table recorded last
         #: (None until a calm iteration records one, and once anything
@@ -474,8 +475,8 @@ class Executor:
 
     def _alloc_under_pressure(self, nbytes: int, tag: str) -> Allocation:
         """The slow path: each policy in stack order may free bytes.  A
-        policy that raises after its retry succeeded (write-behind
-        copies after it) never hands the bytes over; they go back."""
+        policy that raises after its retry succeeded never hands the
+        bytes over; they go back."""
         self._pressure += 1
         got: List[Allocation] = []
 
@@ -578,7 +579,7 @@ class Executor:
         copy, so a GPU copy whose host copy is still valid is a *clean
         line* and drops with no copy and no stall — between two uses an
         evicted tensor crosses PCIe at most once per direction.  A line
-        write-behind is *cleaning* is waited on for what is left of its
+        being cleaned (*cleaning*) is waited on for what is left of its
         copy (nothing, once it has landed) instead of copied again.  A
         line whose prefetch is still landing is clean too, but its bytes
         are not free until the H2D copy has written them: that copy is
@@ -609,7 +610,7 @@ class Executor:
 
     def _clean_async(self, t: Tensor,
                      after: Optional[List[Event]] = None) -> None:
-        """Write-behind: start the D2H copy of a dirty cached line and
+        """Clean a line: start the D2H copy of a dirty cached line and
         keep using its GPU copy.  The event is the line's *cleaning*
         state; ``_evict_to_host`` consumes it, ``_discard`` retires it."""
         state = self.state
@@ -798,7 +799,6 @@ class Executor:
         except BaseException:
             self._abort_iteration()
             raise
-        self._completed += 1
         self._calm = self._pressure == pressure0
         if replayed:
             self.replayed_iterations += 1

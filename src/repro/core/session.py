@@ -22,9 +22,11 @@ resolved stack, observing every hook without any executor edits.
 ``Session`` is a thin facade over the compile-once
 :class:`~repro.core.engine.Engine`, which plans every run and builds
 every executor: a standalone session lazily wraps its net+config in a
-private engine and asks it for an executor (the engine's cached
-planning, no scout), while ``engine.session(mode=...)`` workers share
-one engine's planning once its scout has run.  Either way the executor
+private engine and asks it for an executor, while
+``engine.session(mode=...)`` workers share one engine's planning once
+its scout has run.  A standalone session whose stack arms the tensor
+cache compiles its private engine's mode first, as a worker does, so
+both start from the scout's cache outcome; either way the executor
 links its plan at iteration 0 and reuses it from iteration 1 on, so
 the two paths run the same iterations.
 ``mode="infer"`` selects the forward-only serving loop on either path.
@@ -201,18 +203,21 @@ class Session:
 
         An engine-bound worker's engine compiles the mode first (its
         scout runs once per engine, so a mode that cannot run fails
-        here); a standalone session wraps its net+config in a private
-        engine and runs no scout.
+        here).  A standalone session wraps its net+config in a private
+        engine and compiles the mode too where the stack arms the tensor
+        cache: the scout's cache outcome is what the executor starts
+        from.  Elsewhere it has nothing to give, and no scout runs.
         """
         if self._executor is None:
-            if self._engine_bound:
-                self._engine.compiled(self._mode)
-                self._executor = self._engine.executor(self._mode)
-            else:
+            if self._engine is None:
                 from repro.core.engine import Engine  # lazy: avoid cycle
                 self._engine = Engine(self._net, self._config)
-                self._executor = self._engine.executor(
-                    self._mode, extra_policies=tuple(self._extra_policies))
+            eff = self._config.for_mode(self._mode)
+            if self._engine_bound or (eff.use_offload
+                                      and eff.use_tensor_cache):
+                self._engine.compiled(self._mode)
+            self._executor = self._engine.executor(
+                self._mode, extra_policies=tuple(self._extra_policies))
         return self._executor
 
     def _resolved_stack(self) -> List[MemoryPolicy]:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 from repro.core.config import RuntimeConfig
+from repro.core.engine import Engine
 from repro.core.runtime import IterationResult
-from repro.core.session import Session
 from repro.device.gpu import OutOfMemoryError
 from repro.graph.network import Net
 
@@ -20,14 +20,16 @@ from repro.graph.network import Net
 def try_run(net: Net, config: RuntimeConfig) -> Optional[IterationResult]:
     """One simulated iteration; None when the device OOMs.
 
-    The context manager guarantees the session's pool slab goes back to
-    the device ledger on every exit path (probes build hundreds of
-    sessions, so a leak here compounds fast).  A standalone session
-    records its one iteration — no compile scout runs per probe.
+    The iteration is the mode's record-less one, the iteration an
+    engine's scout runs, on an executor of a private engine: the peak
+    and the fit answer are the scout's, and no scout runs before it.
+    The context manager guarantees the executor's pool slab goes back
+    to the device ledger on every exit path (probes build hundreds of
+    executors, so a leak here compounds fast).
     """
     try:
-        with Session(net, config) as sess:
-            return sess.run_iteration(0)
+        with Engine(net, config).executor() as ex:
+            return ex.run_iteration(0)
     except (OutOfMemoryError, MemoryError):
         return None
 

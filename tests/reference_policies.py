@@ -16,12 +16,14 @@ obviously right, which is what a reference is for;
 :class:`TurnOnlyCachePolicy`, :class:`WriteBehindCachePolicy` and
 :class:`CopyEveryVictimPolicy` are the other kind of twin: not hook
 bodies but retired schedules.  The first plans the return trip at the
-turn and never again, before a line evicted later joined it; the
-second, on that trip, is the cache mode that cleaned only one pressure
-event ahead, before the tensor cache recorded its victims; the third,
-on it too, records and cleans them but copies every one, before the
-cache dropped any.  ``test_overlap_sweep.py`` holds the shipped cache
-mode to all three.
+turn and never again, before a line evicted later joined it, and in an
+iteration with no victim record it cleans write-behind, one pressure
+event ahead, as every first iteration did before each executor started
+from its mode's scout; the second, on that trip, is the cache mode that
+only ever cleaned that way, before the tensor cache recorded its
+victims; the third, on it too, records and cleans them but copies every
+one, before the cache dropped any.  ``test_overlap_sweep.py`` holds the
+shipped cache mode to all three.
 """
 
 from dataclasses import replace
@@ -128,10 +130,53 @@ class ReferenceWorkspacePolicy(WorkspacePolicy):
 
 class TurnOnlyCachePolicy(OffloadCachePolicy):
     """Cache mode whose return trip is planned at the turn and never
-    again: a line evicted later comes back when its reader asks."""
+    again: a line evicted later comes back when its reader asks.  With
+    no victim record, each pressure event that evicted also starts the
+    D2H copies of the lines the next one will take (write-behind)."""
 
     def compile_plan(self, ctx):
         return replace(super().compile_plan(ctx), readers={})
+
+    def on_memory_pressure(self, ctx, nbytes, tag, retry):
+        ctx.reap_offloads()
+        a = retry()
+        if a is not None:
+            return a
+        while ctx.pending_offloads:
+            ctx.force_reap_one()
+            a = retry()
+            if a is not None:
+                return a
+        evicted = 0
+        while True:
+            freed = self.cache.evict_for(nbytes, self._evict,
+                                         ctx.step.index)
+            evicted += freed
+            a = retry()
+            if a is not None:
+                if not self.cache.predicted:
+                    clean_ahead(self.cache, evicted, ctx._ex._clean_async)
+                return a
+            if freed == 0:
+                return None
+
+
+def clean_ahead(cache, nbytes, clean):
+    """Write-behind, one pressure event ahead: hand ``clean`` the
+    unlocked lines an ``evict_for(nbytes)`` issued now would take, in
+    victim order, removing nothing.  It starts a D2H copy of the dirty
+    ones, so the event that does evict them finds clean lines and drops
+    them for free."""
+    locked = cache._state.locked
+    order = reversed(cache.lines.values()) if cache.policy == "lru" \
+        else cache._sorted_order()
+    passed = 0
+    for t in order:
+        if passed >= nbytes:
+            break
+        if not locked(t):
+            clean(t)
+            passed += t.nbytes
 
 
 class WriteBehindCachePolicy(TurnOnlyCachePolicy):
@@ -141,7 +186,11 @@ class WriteBehindCachePolicy(TurnOnlyCachePolicy):
     turn-only one."""
 
     on_iteration_start = MemoryPolicy.on_iteration_start
-    on_iteration_end = MemoryPolicy.on_iteration_end
+
+    def on_iteration_end(self, ctx):
+        # no record and no drop set, but the choice is over: the return
+        # trip reserves per copy from the second iteration on
+        self.cache.choosing = False
 
     def compile_plan(self, ctx):
         return replace(super().compile_plan(ctx), producers={})

@@ -6,7 +6,7 @@ all.
 A GPU-resident tensor whose host copy is valid is a clean line — an
 eviction drops it with no copy — and under an armed cache a recompute
 anchor stays resident as one instead of being released after every
-chain.  A dirty line write-behind has started copying is *cleaning*:
+chain.  A dirty line whose copy started early is *cleaning*:
 its eviction waits out the copy instead of issuing another.  All of it
 is held here on the unhappy path: under pressure, down to the smallest
 capacity that runs at all.
@@ -36,6 +36,7 @@ from repro.zoo.resnet import resnet_from_units
 
 from tests.conftest import hand_stacked_executor
 from tests.faults import assert_quiescent, clockless
+from tests.reference_policies import turn_only_stack
 
 GiB = 1 << 30
 H2D = ("fetch", "prefetch")
@@ -45,7 +46,7 @@ def watch(ex):
     """Log ``(kind, tensor name)`` for every eviction to the host
     (``"drop"``, clean or not), every dropped victim discarded instead
     (``"dropped"``), every DMA copy and every death of a line
-    write-behind was cleaning (``"dead"``), plus ``("event", bytes
+    being cleaned (``"dead"``), plus ``("event", bytes
     freed)`` per ``LRU.out`` call — wrapping from the test, before the
     first iteration links its plan, as ``benchmarks/ledger`` wraps the
     allocator."""
@@ -94,7 +95,7 @@ def assert_once_per_direction(log, res):
     ``(lines cleaned and kept, re-evictions of a line that had come
     back)``."""
     fetched = set()                      # back on the GPU since its drop
-    cleaning = set()                     # write-behind copy started
+    cleaning = set()                     # clean copy started
     cleaned_drops = kept = again = 0
     dropped = set()
     for kind, name in log:
@@ -116,7 +117,7 @@ def assert_once_per_direction(log, res):
             cleaning.add(name)
         elif kind == "evict":
             assert name not in cleaning, \
-                f"{name} copied again while write-behind was cleaning it"
+                f"{name} copied again while it was being cleaned"
         elif kind in H2D:
             assert name not in fetched, \
                 f"{name} crossed H2D twice between two evictions"
@@ -151,25 +152,14 @@ class TestPressuredResnet50:
                 assert res.peak_bytes == 1_048_305_824
                 assert res.cache_evictions == 28
                 kept, _ = assert_once_per_direction(log, res)
-                ahead = res.d2h_bytes - res.h2d_bytes
-                if i == 0:
-                    # before clean lines: 2,723,610,624 back for
-                    # 1,534,902,272 out — anchors released after every
-                    # chain, re-fetched five times
-                    assert res.h2d_bytes == 1_534_902_272
-                    assert res.cache_dropped == 0
-                    # write-behind runs one pressure event ahead, so
-                    # what it cleaned and never evicted is at most one
-                    # event's worth
-                    assert kept > 0 and 0 < ahead <= max(
-                        freed for kind, freed in log if kind == "event")
-                else:
-                    # the recorded victims are exactly what pressure
-                    # takes, and write-behind stands down; the 11
-                    # dropped ones (640.9 MiB) cross neither way
-                    assert res.cache_dropped == 11
-                    assert res.h2d_bytes == 862_912_512
-                    assert kept == ahead == 0
+                # from iteration 0, which starts from the scout's
+                # record: the recorded victims are exactly what pressure
+                # takes, and the 11 dropped ones (640.9 MiB) cross
+                # neither way (with no record: 1,534,902,272 B back, and
+                # 2,723,610,624 before clean lines)
+                assert res.cache_dropped == 11
+                assert res.h2d_bytes == 862_912_512
+                assert kept == res.d2h_bytes - res.h2d_bytes == 0
             # iteration 0 links the plan; replay reuses it from there,
             # the first iteration that drops included
             assert sess.executor.replayed_iterations == (2 if replay else 0)
@@ -186,13 +176,16 @@ class TestPressuredResnet50:
         with Engine(resnet50(batch=32), cfg).session("train") as sess:
             log = watch(sess.executor)
             res = sess.run_iteration(0)
-            # 7 re-evictions of a line that had come back (5 of 46
-            # before the return trip brought lines back early), and
-            # write-behind has cleaned all but 3 first-time victims
-            assert (res.cache_evictions, res.cache_clean_evictions) == (48, 45)
+            # 6 re-evictions of a line that had come back (7 of 48 in
+            # a first iteration with no record, 5 of 46 before the
+            # return trip brought lines back early); 13 of the 49
+            # victims are dropped, and every other one but 3 found its
+            # recorded copy started
+            assert (res.cache_evictions, res.cache_clean_evictions,
+                    res.cache_dropped) == (49, 33, 13)
             _, again = assert_once_per_direction(log, res)
-            assert again == 7
-            assert res.to_dict()["cache"]["clean_evictions"] == 45
+            assert again == 6
+            assert res.to_dict()["cache"]["clean_evictions"] == 33
 
 
 # -- the small concrete net: every capacity that runs -------------------------
@@ -258,13 +251,14 @@ class TestEveryCapacityThatRuns:
         for res in results:
             assert res.peak_bytes <= capacity
         if capacity == SMALLEST:
-            # the re-eviction of a host-valid payload, reached; another
-            # 9 of the 17 evictions found write-behind there first, and
-            # from iteration 1 on (write-behind standing down) 7 found a
-            # recorded victim's copy and 3 dropped a conv output
+            # the re-eviction of a host-valid payload, reached; of the
+            # other 14 evictions, 7 found a recorded victim's copy and 3
+            # dropped a conv output, from iteration 0 on (the first
+            # iteration with no record found 9 write-behind copies and
+            # dropped none)
             assert re_evictions == [3] * ITERS
-            assert [r.cache_clean_evictions for r in results] == [12, 10, 10]
-            assert [r.cache_dropped for r in results] == [0, 3, 3]
+            assert [r.cache_clean_evictions for r in results] == [10] * ITERS
+            assert [r.cache_dropped for r in results] == [3] * ITERS
             assert [r.cache_evictions for r in results] == [17] * ITERS
 
 
@@ -299,12 +293,13 @@ def roomy_four():
 def test_dropped_victims_rebuild_bit_for_bit(fraction):
     """A dropped conv output comes back by re-running its producer (and
     the chain behind it), not by a copy: the losses and the trained
-    parameters are the roomy run's, bit for bit."""
+    parameters are the roomy run's, bit for bit, from iteration 0 (the
+    scout's drop set) on."""
     results, weights = train_four(fraction)
     roomy, roomy_weights = roomy_four()
     assert [r.loss for r in results] == [r.loss for r in roomy]
     assert all(np.array_equal(w, r) for w, r in zip(weights, roomy_weights))
-    assert [r.cache_dropped > 0 for r in results] == [False, True, True, True]
+    assert all(r.cache_dropped > 0 for r in results)
     assert all(r.peak_bytes <= r.param_bytes + int(
         fraction * roomy[0].activation_peak_bytes) for r in results)
 
@@ -348,13 +343,15 @@ def abort_then_recover(mk_session, at_step, stranded):
 
 class TestCleaningState:
     def test_a_cleaning_line_that_dies_first_retires_its_copy(self):
-        """At 6,000,000 B every line write-behind cleans is freed by
-        liveness before pressure comes back for it: the copies were
-        moot, and each one's event and fabric reservation go at the
-        discard, not at the barrier."""
+        """At 6,000,000 B every line the write-behind twin cleans in its
+        first iteration is freed by liveness before pressure comes back
+        for it: the copies were moot, and each one's event and fabric
+        reservation go at the discard, not at the barrier.  (A recorded
+        victim the iteration does not evict would be one too.)"""
         cfg = RuntimeConfig.superneurons(concrete=False,
                                          gpu_capacity=6_000_000)
-        with Session(small_resnet(), cfg).executor as ex:
+        with hand_stacked_executor(small_resnet(), cfg,
+                                   turn_only_stack(cfg)) as ex:
             log = watch(ex)
             discard, died = ex._discard, []
 

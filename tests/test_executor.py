@@ -5,6 +5,8 @@ of memory optimizations is numerically identical to the unoptimized
 baseline — same losses, same parameters, bit for bit.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -42,29 +44,42 @@ ALL_CONFIGS = {
 }
 
 
+#: the nets the equivalence tests train, by name
+NETS = {
+    "lenet": lambda: lenet(batch=4, image=12),
+    "alexnet": lambda: alexnet(batch=2, image=67, num_classes=10),
+    "resnet": lambda: resnet_from_units((1, 1, 1, 1), batch=2, image=32,
+                                        num_classes=4),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def baseline_losses(net, iters):
+    """The unoptimized baseline's losses, the reference every
+    equivalence test on ``net`` compares against (trained once)."""
+    return run_losses(NETS[net], ALL_CONFIGS["baseline"], iters=iters)
+
+
 class TestNumericalEquivalence:
     """Optimizations must not change the computation."""
 
     @pytest.mark.parametrize("name", list(ALL_CONFIGS))
     def test_lenet_losses_identical(self, name):
-        ref = run_losses(lambda: lenet(batch=4, image=12), ALL_CONFIGS["baseline"])
-        got = run_losses(lambda: lenet(batch=4, image=12), ALL_CONFIGS[name])
+        ref = baseline_losses("lenet", 3)
+        got = run_losses(NETS["lenet"], ALL_CONFIGS[name])
         assert got == ref, f"{name} diverged: {got} vs {ref}"
 
     @pytest.mark.parametrize("name", ["superneurons", "recompute_memory",
                                       "offload_cache"])
     def test_alexnet_losses_identical(self, name):
-        mk = lambda: alexnet(batch=2, image=67, num_classes=10)
-        ref = run_losses(mk, ALL_CONFIGS["baseline"], iters=2)
-        got = run_losses(mk, ALL_CONFIGS[name], iters=2)
+        ref = baseline_losses("alexnet", 2)
+        got = run_losses(NETS["alexnet"], ALL_CONFIGS[name], iters=2)
         assert got == ref
 
     @pytest.mark.parametrize("name", ["superneurons", "recompute_speed"])
     def test_resnet_losses_identical(self, name):
-        mk = lambda: resnet_from_units((1, 1, 1, 1), batch=2, image=32,
-                                       num_classes=4)
-        ref = run_losses(mk, ALL_CONFIGS["baseline"], iters=2)
-        got = run_losses(mk, ALL_CONFIGS[name], iters=2)
+        ref = baseline_losses("resnet", 2)
+        got = run_losses(NETS["resnet"], ALL_CONFIGS[name], iters=2)
         assert got == ref
 
     @pytest.mark.parametrize("name", ["superneurons"])
@@ -80,39 +95,49 @@ class TestNumericalEquivalence:
         assert losses[-1] < losses[0]
 
 
+#: alexnet b2 configurations the peak and recompute tests run
+ALEXNET_RUNGS = {
+    "baseline": lambda: RuntimeConfig.baseline(
+        workspace_policy=WorkspacePolicy.NONE),
+    "liveness": lambda: RuntimeConfig.liveness_only(
+        workspace_policy=WorkspacePolicy.NONE),
+    "offload": lambda: RuntimeConfig.liveness_offload(
+        workspace_policy=WorkspacePolicy.NONE),
+    "recompute": lambda: RuntimeConfig.superneurons(
+        use_tensor_cache=False, workspace_policy=WorkspacePolicy.NONE),
+    "speed": lambda: RuntimeConfig.liveness_only(
+        recompute=RecomputeStrategy.SPEED_CENTRIC),
+    "memory": lambda: RuntimeConfig.liveness_only(
+        recompute=RecomputeStrategy.MEMORY_CENTRIC),
+    "cost": lambda: RuntimeConfig.liveness_only(
+        recompute=RecomputeStrategy.COST_AWARE),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def alexnet_iteration(rung):
+    """Iteration 0 of alexnet b2 under one of :data:`ALEXNET_RUNGS`, as
+    ``(activation peak bytes, extra forwards)`` (run once)."""
+    with Session(NETS["alexnet"](), ALEXNET_RUNGS[rung]()).executor as ex:
+        r = ex.run_iteration(0)
+    return r.activation_peak_bytes, r.extra_forwards
+
+
 class TestPeakMemoryOrdering:
     """The paper's §3 peak chain on a real execution."""
 
-    def _peak(self, net_fn, config):
-        net = net_fn()
-        ex = Session(net, config).executor
-        r = ex.run_iteration(0)
-        ex.close()
-        return r.activation_peak_bytes
+    @staticmethod
+    def _peak(rung):
+        return alexnet_iteration(rung)[0]
 
     def test_liveness_below_baseline(self):
-        mk = lambda: alexnet(batch=2, image=67, num_classes=10)
-        base = self._peak(mk, RuntimeConfig.baseline(
-            workspace_policy=WorkspacePolicy.NONE))
-        live = self._peak(mk, RuntimeConfig.liveness_only(
-            workspace_policy=WorkspacePolicy.NONE))
-        assert live < base
+        assert self._peak("liveness") < self._peak("baseline")
 
     def test_offload_below_liveness(self):
-        mk = lambda: alexnet(batch=2, image=67, num_classes=10)
-        live = self._peak(mk, RuntimeConfig.liveness_only(
-            workspace_policy=WorkspacePolicy.NONE))
-        off = self._peak(mk, RuntimeConfig.liveness_offload(
-            workspace_policy=WorkspacePolicy.NONE))
-        assert off < live
+        assert self._peak("offload") < self._peak("liveness")
 
     def test_recompute_below_offload(self):
-        mk = lambda: alexnet(batch=2, image=67, num_classes=10)
-        off = self._peak(mk, RuntimeConfig.liveness_offload(
-            workspace_policy=WorkspacePolicy.NONE))
-        full = self._peak(mk, RuntimeConfig.superneurons(
-            use_tensor_cache=False, workspace_policy=WorkspacePolicy.NONE))
-        assert full < off
+        assert self._peak("recompute") < self._peak("offload")
 
     def test_baseline_matches_formula(self):
         """Baseline peak == Σ l_f + Σ l_b exactly (no ws, no opts)."""
@@ -127,12 +152,7 @@ class TestPeakMemoryOrdering:
 class TestRecomputeCounts:
     def test_alexnet_speed_centric_matches_paper(self):
         """Paper Table 1: AlexNet speed-centric does 14 extra forwards."""
-        net = alexnet(batch=2, image=67, num_classes=10)
-        ex = Session(net, RuntimeConfig.liveness_only(
-            recompute=RecomputeStrategy.SPEED_CENTRIC)).executor
-        r = ex.run_iteration(0)
-        ex.close()
-        assert r.extra_forwards == 14
+        assert alexnet_iteration("speed")[1] == 14
 
     def test_alexnet_segment_structure(self):
         """Paper's segment sizes for AlexNet: 3,3,1,1,2,2,2."""
@@ -153,28 +173,13 @@ class TestRecomputeCounts:
         assert plan.total_extra_forwards() == 6 + 6 + 1 + 1 + 3 + 3 + 3  # 23
 
     def test_memory_centric_does_more_work_than_speed(self):
-        net_fn = lambda: alexnet(batch=2, image=67, num_classes=10)
-        counts = {}
-        for name, strat in [("speed", RecomputeStrategy.SPEED_CENTRIC),
-                            ("memory", RecomputeStrategy.MEMORY_CENTRIC)]:
-            ex = Session(net_fn(), RuntimeConfig.liveness_only(
-                recompute=strat)).executor
-            counts[name] = ex.run_iteration(0).extra_forwards
-            ex.close()
-        assert counts["memory"] > counts["speed"]
+        assert alexnet_iteration("memory")[1] > alexnet_iteration("speed")[1]
 
     def test_cost_aware_extra_close_to_speed_centric(self):
         """Table 1's headline: cost-aware ≈ speed-centric extras."""
-        net_fn = lambda: alexnet(batch=2, image=67, num_classes=10)
-        res = {}
-        for name, strat in [("speed", RecomputeStrategy.SPEED_CENTRIC),
-                            ("memory", RecomputeStrategy.MEMORY_CENTRIC),
-                            ("cost", RecomputeStrategy.COST_AWARE)]:
-            ex = Session(net_fn(), RuntimeConfig.liveness_only(
-                recompute=strat)).executor
-            res[name] = ex.run_iteration(0).extra_forwards
-            ex.close()
-        assert res["speed"] <= res["cost"] <= res["memory"]
+        extra = {rung: alexnet_iteration(rung)[1]
+                 for rung in ("speed", "memory", "cost")}
+        assert extra["speed"] <= extra["cost"] <= extra["memory"]
 
 
 class TestOffloadMechanics:

@@ -4,7 +4,7 @@ or a policy's hook fails, the next iteration is the one an undisturbed
 session runs.
 
 The pressured path holds the most in-flight state when it raises: pinned
-tensors, cleaning lines (recorded and write-behind), a half-walked LRU
+tensors, cleaning lines, a half-walked LRU
 tail, return-trip entries, fabric stashes, a half-recorded victim list,
 a dropped victim's half-built chain and recomputation's half-swept
 persistents and transients; a raising hook leaves its policy short of
@@ -12,13 +12,15 @@ one event — a cache line never removed, a sweep never run, a record
 never committed.  A
 :class:`~tests.faults.FaultPlan` makes one seam raise at the *k*-th call
 of iteration 1, with *k* drawn by ``hypothesis`` over every call that
-iteration makes.  After the raise the session is quiescent, its drop set
-is the one iteration 0 chose, the next iteration starts recomputation's
-cleanup sweep empty, and iterations 1 and 2 run again exactly
-as an undisturbed twin's.  The aborted iteration's victims are never
-committed, so the rerun cleans iteration 0's.  Write-behind runs only in
-an iteration with no victim record, so its copy is failed in iteration
-0; the iteration after that is a first iteration again.
+iteration makes.  After the raise the session is quiescent, its seed —
+the drop set and the victims its engine's scout chose — is intact, the
+next iteration starts recomputation's cleanup sweep empty, and
+iterations 1 and 2 run again exactly as an undisturbed twin's.  The
+aborted iteration's victims are never committed, so the rerun cleans
+iteration 0's.  Iteration 0 starts from the scout's record and runs as
+iteration 1 does; every call of its ``alloc`` and ``copy`` seams is
+failed on the small net (without payloads; ``hypothesis`` draws calls
+with them), and iteration 0 then runs again as the undisturbed one.
 
 Two configurations: a one-unit-per-stage resnet with real payloads at
 the smallest capacity it runs in, where iteration 1 issues every kind of
@@ -52,9 +54,14 @@ CONFIGS = {
 }
 
 
+#: the small net without payloads: the concrete run's seam calls at a
+#: tenth of the host time, where every call of a seam is failed
+SIMULATED = {"small-sim": lambda: CONFIGS["small"]()[:2] + (False,)}
+
+
 @functools.lru_cache(maxsize=None)
 def engine(name):
-    net, capacity, concrete = CONFIGS[name]()
+    net, capacity, concrete = {**CONFIGS, **SIMULATED}[name]()
     return Engine(net, RuntimeConfig.superneurons(
         concrete=concrete, gpu_capacity=capacity))
 
@@ -62,7 +69,8 @@ def engine(name):
 @functools.lru_cache(maxsize=None)
 def twin(name):
     """An undisturbed session's four iterations, the calls each seam
-    makes in iterations 0 and 1 (``seen[i][seam]``), and its drop set."""
+    makes in iterations 0 and 1 (``seen[i][seam]``), its drop set and
+    its victim record."""
     with engine(name).session("train") as sess:
         plans = [FaultPlan(s, 0).install(sess.executor) for s in SEAMS]
         dicts, seen = [], []
@@ -71,15 +79,21 @@ def twin(name):
                 plan.arm()
             dicts.append(sess.run_iteration(i).to_dict())
             seen.append({p.seam: tuple(p.seen) for p in plans})
-        return dicts, seen[:2], dict(sess.executor.cache.drops)
+        cache = sess.executor.cache
+        return dicts, seen[:2], dict(cache.drops), victims(cache)
 
 
-def fail_once(name, seam, k, at=1):
+def victims(cache):
+    """A tensor cache's victim record, by tensor id."""
+    return [(t.tensor_id, at) for t, at in cache.predicted]
+
+
+def fail_once(name, seam, k, at=1, reruns=2):
     """Iteration ``at`` raises at seam ``seam``'s ``k``-th call; returns
     the name of that call.  The aborted iteration commits nothing, so
-    iterations ``at`` and ``at + 1``, run again, are the undisturbed
-    ones."""
-    expect, _, drops = twin(name)
+    the ``reruns`` iterations from ``at`` on, run again, are the
+    undisturbed ones."""
+    expect, _, drops, predicted = twin(name)
     with engine(name).session("train") as sess:
         ex = sess.executor
         plan = FaultPlan(seam, k).install(ex)
@@ -97,7 +111,8 @@ def fail_once(name, seam, k, at=1):
         plan.arm()
         with pytest.raises(InjectedFault):
             sess.run_iteration(at)
-        for i in (at, at + 1):
+        assert (ex.cache.drops, victims(ex.cache)) == (drops, predicted)
+        for i in range(at, at + reruns):
             assert_quiescent(sess)
             assert sess.run_iteration(i).to_dict() == clockless(expect[i])
         assert_quiescent(sess)
@@ -106,8 +121,9 @@ def fail_once(name, seam, k, at=1):
         # position keeps that iteration from asking it to start
         keys = [p.key for p in ex.policies]
         key, _, hook = plan.seen[-1].split(" ")[0].partition(".")
-        started = at + 3 - (hook == "on_iteration_start" and
-                            keys.index(key) <= keys.index("recompute"))
+        started = at + 1 + reruns - (
+            hook == "on_iteration_start"
+            and keys.index(key) <= keys.index("recompute"))
     assert swept == [({}, [])] * started
     return plan.seen[-1]
 
@@ -117,16 +133,16 @@ def kinds(calls):
 
 
 def test_iterations_zero_and_one_issue_every_kind_of_copy():
-    """Write-behind cleans only while the cache has no victim record:
-    in iteration 0.  From iteration 1 the dropped victims cross neither
-    way, and on the small net the return trip, which reserves only the
-    working sets still to come, brings half the lines back before their
-    readers ask; the other half are fetched on demand."""
+    """From iteration 0, which starts from the scout's record, the
+    recorded victims are cleaned at their producers and the dropped
+    ones cross neither way, and on the small net the return trip, which
+    reserves only the working sets still to come, brings half the lines
+    back before their readers ask; the other half are fetched on
+    demand."""
     seen = twin("small")[1]
-    assert kinds(seen[0]["copy"]) == {"write-behind clean", "evict",
-                                      "prefetch", "fetch"}
-    assert kinds(seen[1]["copy"]) == {"recorded clean", "evict",
-                                      "prefetch", "fetch"}
+    for i in (0, 1):
+        assert kinds(seen[i]["copy"]) == {"recorded clean", "evict",
+                                          "prefetch", "fetch"}
     assert len(twin("small")[2]) == 3
     # resnet50 at 1 GiB: 28 evictions, 11 of them dropped
     assert len(twin("resnet50")[1][1]["evict"]) == 28 - 11
@@ -136,15 +152,16 @@ def test_iterations_zero_and_one_issue_every_kind_of_copy():
 #: seam -> name -> the calls it makes in iterations 0 and 1 of an
 #: undisturbed session: the fault points the sweeps below explore.  A
 #: change that routes a move around a seam shrinks that set silently;
-#: here it fails.
+#: here it fails.  Iteration 0 starts from the scout's record, so it
+#: makes iteration 1's calls.
 SEAM_CALLS = {
-    "alloc": {"resnet50": (790, 816), "small": (158, 165)},
+    "alloc": {"resnet50": (816, 816), "small": (165, 165)},
     "backward": {"resnet50": (175, 175), "small": (31, 31)},
-    "copy": {"resnet50": (59, 34), "small": (29, 24)},
-    "evict": {"resnet50": (28, 17), "small": (17, 14)},
+    "copy": {"resnet50": (34, 34), "small": (24, 24)},
+    "evict": {"resnet50": (17, 17), "small": (14, 14)},
     "forward": {"resnet50": (176, 176), "small": (32, 32)},
-    "hook": {"resnet50": (2226, 2296), "small": (394, 422)},
-    "rebuild": {"resnet50": (0, 26), "small": (0, 7)},
+    "hook": {"resnet50": (2296, 2296), "small": (422, 422)},
+    "rebuild": {"resnet50": (26, 26), "small": (7, 7)},
     "recompute": {"resnet50": (111, 111), "small": (18, 18)},
 }
 
@@ -158,13 +175,34 @@ def test_every_seam_makes_the_calls_it_always_made(name):
 
 
 @pytest.mark.parametrize("kind,at", [
-    ("recorded clean", 1), ("write-behind clean", 0), ("evict", 1),
-    ("prefetch", 0), ("fetch", 1)])
+    ("recorded clean", 1), ("evict", 1), ("prefetch", 0), ("fetch", 1)])
 def test_the_first_copy_of_each_kind_fails(kind, at):
     calls = twin("small")[1][at]["copy"]
     k = 1 + next(i for i, call in enumerate(calls)
                  if call.startswith(kind + " "))
     assert fail_once("small", "copy", k, at).startswith(kind)
+
+
+@pytest.mark.parametrize("seam", ["alloc", "copy"])
+def test_every_call_of_a_seeded_iteration_zero_fails(seam):
+    """Iteration 0 runs on the scout's record: whichever of its
+    allocations or copies raises, the session is left at rest with the
+    seed intact, and iteration 0 runs again as the undisturbed one.
+    Every call, on the small net without payloads — the calls the
+    concrete run makes."""
+    calls = twin("small-sim")[1][0][seam]
+    assert calls == twin("small")[1][0][seam]
+    for k in range(1, len(calls) + 1):
+        assert fail_once("small-sim", seam, k, at=0, reruns=1) \
+            == calls[k - 1]
+
+
+@settings(max_examples=8, deadline=None)
+@given(seam=st.sampled_from(["alloc", "copy"]), data=st.data())
+def test_a_seeded_iteration_zero_fails_with_payloads(seam, data):
+    calls = twin("small")[1][0][seam]
+    k = data.draw(st.integers(1, len(calls)), label="k")
+    assert fail_once("small", seam, k, at=0, reruns=1) == calls[k - 1]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

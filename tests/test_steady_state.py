@@ -391,10 +391,10 @@ class TestAddressPlan:
     def test_plan_engages_on_resnet50(self, capacity):
         """The ledger's two sim workloads.  At 1 GiB every iteration
         makes failed probes and evictions; they are part of the record,
-        so the whole iteration still replays — from iteration 2 there:
-        iteration 1 is the first to drop victims instead of evicting
-        them, so its allocations differ from iteration 0's and the pool
-        records them."""
+        so the whole iteration still replays — from iteration 1 there
+        too: iteration 0 starts from the scout's drop set, so its
+        allocations are iteration 1's (from iteration 2 while the first
+        iteration had no record)."""
         cfg = RuntimeConfig.superneurons(concrete=False,
                                          gpu_capacity=capacity)
         with Engine(resnet50(batch=32), cfg).session("train") as sess:
@@ -404,20 +404,15 @@ class TestAddressPlan:
             if capacity is not None:
                 assert first.cache_evictions > 0
             steady = sess.run_iteration(1)
-            assert pool.replaying is (capacity is None)
+            assert pool.replaying
             for i in range(2, 4):
                 res = sess.run_iteration(i)
                 assert pool.replaying, \
                     "address plan never engaged — iterations run live"
                 assert self.signature(res) == self.signature(steady)
-            # from iteration 1 the recorded victims clean earlier,
-            # write-behind stands down and dropped victims cross PCIe
-            # neither way: the peak and the eviction count hold, the
-            # bytes either way can only fall
-            sig, sig0 = self.signature(steady), self.signature(first)
-            assert (sig[1], sig[5]) == (sig0[1], sig0[5])
-            assert sig[2] <= sig0[2] and sig[3] <= sig0[3]
-            assert (sig[1:] == sig0[1:]) is (capacity is None)
+            # iteration 0 cleans the scout's victims early and drops
+            # the ones it dropped, as every later iteration does
+            assert self.signature(first)[1:] == self.signature(steady)[1:]
             pool.check_invariants()            # rebuilds from the record
             assert not pool.replaying
             assert self.signature(sess.run_iteration(4)) \
@@ -648,9 +643,9 @@ class TestAccumulatorHygiene:
 
 class TestLinkOnce:
     """An executor links its plan once in its life — at its first
-    iteration, before anything a later iteration could change (the
-    tensor cache's drop set lands at the end of iteration 0) — and
-    one that never replays links before every iteration."""
+    iteration, before anything a later iteration could change (an
+    unseeded tensor cache's drop set lands at the end of iteration 0) —
+    and one that never replays links before every iteration."""
 
     GiB = 1 << 30
 
@@ -665,8 +660,10 @@ class TestLinkOnce:
         monkeypatch.setattr(runtime, "link_iteration_plan", spy)
         with Session(mk_net(), cfg) as sess:
             results = sess.run(iters)
-            assert set(linked) == {sess.executor}
-        return len(linked), results
+            mine = [ex for ex in linked if ex is sess.executor]
+            # the private engine's scout links its own plan, once
+            assert len(set(linked)) == len(linked) - len(mine) + 1 == 2
+        return len(mine), results
 
     @pytest.mark.parametrize("net", ["lenet", "resnet50", "inception_v4"])
     def test_a_replaying_executor_links_once(self, monkeypatch, net):
@@ -679,8 +676,8 @@ class TestLinkOnce:
                                              gpu_capacity=self.GiB)
         links, results = self.links(monkeypatch, mk, cfg)
         assert links == 1
-        if net == "resnet50":  # the drop set lands at iteration 1
-            assert [r.cache_dropped for r in results[:2]] == [0, 11]
+        if net == "resnet50":  # the scout's drop set, from iteration 0
+            assert [r.cache_dropped for r in results[:2]] == [11, 11]
 
     def test_a_never_replaying_executor_links_every_iteration(
             self, monkeypatch):
