@@ -45,8 +45,9 @@ from repro.check.advisor import DEFAULT_LADDER as ABLATION_LADDER
 from repro.core.engine import Engine
 from repro.core.policy import POLICY_REGISTRY
 from repro.core.session import Session
+from repro.device.gpu import OutOfMemoryError
 from repro.frameworks import FRAMEWORKS, framework_config
-from repro.frameworks.probe import max_batch, max_resnet_depth, try_run
+from repro.frameworks.probe import max_batch, max_resnet_depth
 from repro.zoo import NETWORK_BUILDERS
 
 MiB = 1024 * 1024
@@ -123,9 +124,15 @@ def _config(args):
 
 
 def cmd_report(args) -> int:
+    """Iteration 0 of a session: the iteration users run, from the
+    scout's record where the stack arms the tensor cache."""
     name = _net_name(args)
     net = NETWORK_BUILDERS[name](batch=args.batch)
-    res = try_run(net, _config(args))
+    try:
+        with Session(net, _config(args)) as sess:
+            res = sess.run_iteration(0)
+    except (OutOfMemoryError, MemoryError):
+        res = None
     if res is None:
         print(f"{name} (batch {args.batch}) does NOT fit "
               f"{args.gpu_gb:g} GiB under {args.framework}")

@@ -90,15 +90,6 @@ class RecomputePlan:
     def enabled(self) -> bool:
         return self.strategy is not RecomputeStrategy.NONE
 
-    def anchor_output_of(self, layer_id: int):
-        """The checkpoint output a re-run of ``layer_id``'s segment
-        starts from (None when the layer is in no segment or the anchor
-        produces nothing) — the tensor prefetch-ahead warms up."""
-        seg = self.segment_of.get(layer_id)
-        if seg is None:
-            return None
-        return seg.anchor.output
-
     def total_extra_forwards(self) -> int:
         return sum(seg.extra_forwards() for seg in self.segments)
 

@@ -15,7 +15,10 @@ import os
 
 os.environ.setdefault("REPRO_VALIDATE_STATE", "1")
 
+from dataclasses import replace  # noqa: E402
+
 from repro.core.engine import Engine  # noqa: E402  (after the env default)
+from repro.core.policy import resolve_policies  # noqa: E402
 from repro.core.runtime import Executor  # noqa: E402
 
 
@@ -27,8 +30,17 @@ def hand_stacked_executor(net, config, stack, mode="train"):
     append-at-the-end case; this is the only other way in, and it plans
     nothing itself: route, segments and liveness come from an
     :class:`Engine`, exactly as ``Engine.executor`` takes them.  The
-    suite constructs an executor nowhere else.
+    suite constructs an executor nowhere else than in this module.
     """
     engine = Engine(net, config)
     return Executor(engine.net, engine.config.for_mode(mode), stack,
                     engine.planning(mode))
+
+
+def compiled_executor(engine, mode="train", **overrides):
+    """A lane of ``engine``'s compiled ``mode`` (its scout's record, no
+    scout of its own) over the config with ``overrides`` the record does
+    not depend on, such as ``steady_state_replay=False``."""
+    config = replace(engine.config.for_mode(mode), **overrides)
+    return Executor(engine.net, config, resolve_policies(config),
+                    engine.compiled(mode))

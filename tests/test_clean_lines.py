@@ -204,36 +204,29 @@ ITERS = 3
 
 
 def train_small(capacity):
-    """``ITERS`` SGD iterations; returns losses, updated parameters,
-    per-iteration results and re-eviction counts, holding the
-    executor quiescent after every iteration."""
-    net = small_resnet()
-    opt = SGD(0.05)
+    """``ITERS`` simulated iterations; returns the per-iteration results
+    and re-eviction counts, holding the executor quiescent after every
+    iteration.  Payloads move no byte of it
+    (``tests/test_equivalence_matrix.py::test_sim_concrete``), and the
+    values they carry at every capacity are ``test_capacity``'s."""
     results, re_evictions = [], []
-    with Session(net, RuntimeConfig.superneurons(
-            gpu_capacity=capacity)).executor as ex:
+    with Session(small_resnet(), RuntimeConfig.superneurons(
+            concrete=False, gpu_capacity=capacity)).executor as ex:
         assert ex.state.validate, "the suite arms the placement validator"
         log = watch(ex)
         for i in range(ITERS):
             del log[:]
-            res = ex.run_iteration(i, optimizer=opt)
+            res = ex.run_iteration(i)
             results.append(res)
             _, again = assert_once_per_direction(log, res)
             re_evictions.append(again)
             assert_quiescent(ex)
-    weights = [l.param_values[p.tensor_id]
-               for l in net.layers for p in l.params]
-    return [r.loss for r in results], weights, results, re_evictions
-
-
-@functools.lru_cache(maxsize=None)
-def roomy_small():
-    return train_small(None)
+    return results, re_evictions
 
 
 class TestEveryCapacityThatRuns:
     def test_the_range_is_what_it_says(self):
-        _, _, results, _ = roomy_small()
+        results, _ = train_small(None)
         assert results[0].peak_bytes == ROOMY_PEAK
         assert results[0].cache_evictions == 0
         with pytest.raises(OutOfMemoryError):
@@ -242,12 +235,10 @@ class TestEveryCapacityThatRuns:
     @settings(max_examples=20, deadline=None)
     @given(capacity=st.integers(SMALLEST, ROOMY_PEAK))
     @example(capacity=SMALLEST)
-    def test_pressure_changes_traffic_never_values(self, capacity):
-        ref_losses, ref_weights, _, _ = roomy_small()
-        losses, weights, results, re_evictions = train_small(capacity)
-        assert losses == ref_losses
-        assert all(np.array_equal(w, r)
-                   for w, r in zip(weights, ref_weights))
+    def test_pressure_changes_traffic(self, capacity):
+        """What pressure moves; that it moves no value is
+        ``tests/test_equivalence_matrix.py::test_capacity``."""
+        results, re_evictions = train_small(capacity)
         for res in results:
             assert res.peak_bytes <= capacity
         if capacity == SMALLEST:

@@ -13,6 +13,17 @@ class TestCLI:
         assert "peak memory" in out
         assert "img/s" in out
 
+    def test_report_runs_the_iteration_users_run(self, capsys):
+        """Under pressure the report is a session's iteration 0, which
+        starts from the scout's record (the scout's own record-less
+        iteration runs 48.3 img/s and stalls 235.47 ms here)."""
+        rc = main(["report", "--net", "resnet50", "--batch", "32",
+                   "--gpu-gb", "1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "(70.7 img/s)" in out
+        assert "822.9 MiB out, 822.9 MiB back, stall 7.69 ms" in out
+
     def test_report_oom_exit_code(self, capsys):
         rc = main(["report", "--net", "vgg16", "--batch", "512",
                    "--framework", "caffe", "--gpu-gb", "1"])

@@ -1,15 +1,13 @@
 """The compile-once Engine API and the inference execution mode (ISSUE 3).
 
-Contracts under test:
+Contracts under test (that a standalone session, an engine worker
+and interleaved workers run the same iterations, and that an infer loss
+is train's forward half, is ``tests/test_equivalence_matrix.py``'s):
 
-* the standalone ``Session(net).with_policy(...).run(...)`` path and an
-  ``engine.session(mode="train")`` worker return bit-identical
-  ``IterationResult.to_dict()`` output (the facade round-trip);
-* infer-mode forward losses are bit-identical to train-mode's forward
-  half, and infer peak memory is strictly lower on every zoo net;
-* N sessions sharing one engine compile the plan exactly once and
-  produce results identical to N sequential fresh sessions, even when
-  their iterations interleave (determinism under sharing);
+* infer peak memory is strictly lower on every zoo net, and infer mode
+  arms no backward-only policy;
+* N sessions sharing one engine compile the plan exactly once, each
+  over a substrate of its own;
 * ``Session.without_policy`` is driven by the policy registry: its
   accepted names and error listing match ``with_policy``, and
   disarming offload disarms the tensor cache with it;
@@ -33,71 +31,8 @@ from repro.graph.route import ExecutionRoute
 from repro.tensors.tensor import Tensor
 from repro.zoo import NETWORK_BUILDERS, alexnet, lenet, resnet50
 
-ITERS = 4
-
-
-class TestEngineTrainRoundTrip:
-    """The facade: standalone Session output == engine worker output."""
-
-    def test_session_path_matches_engine_worker_bit_identical(self):
-        def mk():
-            return lenet(batch=4, image=12)
-
-        with Session(mk(), RuntimeConfig.superneurons()) as sess:
-            solo = [sess.run_iteration(i, optimizer=SGD(0.05)).to_dict()
-                    for i in range(ITERS)]
-        engine = repro.compile(mk(), RuntimeConfig.superneurons())
-        with engine.session(mode="train") as worker:
-            shared = [worker.run_iteration(i, optimizer=SGD(0.05)).to_dict()
-                      for i in range(ITERS)]
-            # the worker links its plan at iteration 0, as the
-            # standalone session does, and reuses it from iteration 1
-            assert worker.executor.replayed_iterations == ITERS - 1
-        assert shared == solo
-
-    def test_fluent_with_policy_path_matches_engine(self):
-        def mk():
-            return lenet(batch=4, image=12)
-
-        with Session(mk()).with_policy("offload", cache="lru") \
-                          .with_policy("recompute", strategy="cost_aware") \
-                as sess:
-            solo = [r.to_dict() for r in
-                    sess.run(iters=3, optimizer=SGD(0.05))]
-        cfg = RuntimeConfig()
-        POLICY_REGISTRY["offload"].configure(cfg, cache="lru")
-        POLICY_REGISTRY["recompute"].configure(cfg, strategy="cost_aware")
-        with repro.compile(mk(), cfg).session() as worker:
-            shared = [r.to_dict() for r in
-                      worker.run(iters=3, optimizer=SGD(0.05))]
-        assert shared == solo
-
-    def test_simulated_alexnet_round_trip(self):
-        def mk():
-            return alexnet(batch=4, image=67, num_classes=10)
-
-        cfg = RuntimeConfig.superneurons(concrete=False)
-        with Session(mk(), cfg) as sess:
-            solo = [sess.run_iteration(i).to_dict() for i in range(3)]
-        with repro.compile(mk(), cfg).session() as worker:
-            shared = [worker.run_iteration(i).to_dict() for i in range(3)]
-        assert shared == solo
-
 
 class TestInferMode:
-    def test_forward_loss_bit_identical_to_train_forward_half(self):
-        """Same params, same batches, no optimizer: the infer loss at
-        iteration i equals the train loss at iteration i exactly."""
-        engine = repro.compile(lenet(batch=4, image=12),
-                               RuntimeConfig.superneurons())
-        with engine.session(mode="infer") as inf:
-            infer_losses = [inf.run_iteration(i).loss for i in range(3)]
-        with Session(lenet(batch=4, image=12),
-                     RuntimeConfig.superneurons()) as train:
-            train_losses = [train.run_iteration(i).loss for i in range(3)]
-        assert infer_losses == train_losses
-        assert all(l is not None for l in infer_losses)
-
     @pytest.mark.parametrize("name", sorted(NETWORK_BUILDERS))
     def test_infer_peak_strictly_below_train_peak(self, name):
         net = NETWORK_BUILDERS[name](batch=8)
@@ -208,31 +143,6 @@ class TestConcurrentSessions:
         assert engine.compiled_modes == ("infer",)
         for s in sessions:
             s.close()
-
-    def test_interleaved_sessions_match_sequential_fresh_sessions(self):
-        """Two workers sharing one engine, iterations interleaved,
-        reproduce two sequential standalone sessions bit for bit."""
-        def mk():
-            return lenet(batch=4, image=12)
-
-        engine = repro.compile(mk(), RuntimeConfig.superneurons())
-        a = engine.session(mode="infer")
-        b = engine.session(mode="infer")
-        got_a, got_b = [], []
-        for i in range(3):  # interleave at iteration granularity
-            got_a.append(a.run_iteration(i).to_dict())
-            got_b.append(b.run_iteration(i).to_dict())
-        a.close()
-        b.close()
-
-        want = []
-        for _ in range(2):
-            with Session(mk(), RuntimeConfig.superneurons(),
-                         mode="infer") as s:
-                want.append([s.run_iteration(i).to_dict()
-                             for i in range(3)])
-        assert got_a == want[0]
-        assert got_b == want[1]
 
     def test_each_session_gets_its_own_substrate(self):
         engine = repro.compile(lenet(batch=4, image=12))
@@ -421,16 +331,5 @@ class TestWithoutPolicyRegistry:
         assert not sess.config.use_offload
         assert not sess.config.use_tensor_cache  # previously left armed
         sess.close()
-
-    def test_disarmed_equals_never_armed(self):
-        def mk():
-            return lenet(batch=4, image=12)
-
-        with Session(mk()) as plain:
-            want = [r.to_dict() for r in plain.run(iters=2,
-                                                   optimizer=SGD(0.05))]
-        with Session(mk()).with_policy("offload", cache="lru") \
-                          .without_policy("offload") as round_trip:
-            got = [r.to_dict() for r in round_trip.run(iters=2,
-                                                       optimizer=SGD(0.05))]
-        assert got == want
+        # disarmed runs as never armed:
+        # tests/test_equivalence_matrix.py::test_facade[lenet-liveness]

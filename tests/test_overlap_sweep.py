@@ -29,7 +29,7 @@ from repro.core.policy import resolve_policies
 from repro.device.gpu import OutOfMemoryError
 from repro.zoo import NETWORK_BUILDERS, inception_v4, resnet50
 
-from tests.conftest import hand_stacked_executor
+from tests.conftest import compiled_executor, hand_stacked_executor
 from tests.reference_policies import (
     copy_every_victim_stack, turn_only_stack, write_behind_stack)
 from tests.faults import assert_quiescent, clockless
@@ -222,12 +222,16 @@ SWEEP_OOM = {("inception_v4", 0.75), ("alexnet", 0.75)}
 SWEEP_RUNS = [(n, g) for n in SWEEP_NETS for g in SWEEP_GIB
               if (n, g) not in SWEEP_OOM]
 
+#: the config override of the lane that never replays
+LIVE = (("steady_state_replay", False),)
 #: (net, GiB, config overrides) -> how many tests read the shipped
 #: stack's three iterations there: both twin tests at every point that
-#: runs, and on top the claims read off the ledger's and CI's points
+#: runs, and on top the claims read off the ledger's and CI's points;
+#: the write-behind twin test reads the never-replaying lane too
 READS = Counter({(n, g, ()): 2 for n, g in SWEEP_RUNS})
+READS.update({(n, g, LIVE): 1 for n, g in SWEEP_RUNS})
 READS["resnet50", 1.0, ()] += 2
-READS["resnet50", 1.0, (("steady_state_replay", False),)] += 2
+READS["resnet50", 1.0, LIVE] += 1
 READS["resnet50", 2.0, ()] += 1
 READS["resnet50", 12, ()] += 1
 
@@ -239,9 +243,10 @@ def sweep_iterations(net, gib, stack_of=resolve_policies, iters=3, **kw):
     """The iterations of one sweep point under one stack, a pure
     function of the arguments.  The shipped stack runs as an engine
     lane, from its scout's record; a twin runs hand-stacked, from none.
-    A shipped run that several tests read (:data:`READS`) is run once
-    and kept until its last reader takes it (kept any longer, every
-    later cycle collection of the session would walk it)."""
+    A shipped run that tests read (:data:`READS`) is kept until its
+    last reader takes it (kept any longer, every later cycle collection
+    of the session would walk it); the never-replaying lane is run
+    with it, from the same compiled mode."""
     key = (net, gib, tuple(sorted(kw.items())))
     shipped = stack_of is resolve_policies
     if shipped and iters == 3 and key in _KEPT:
@@ -255,6 +260,12 @@ def sweep_iterations(net, gib, stack_of=resolve_policies, iters=3, **kw):
     if shipped:
         with Engine(mk, cfg).session("train") as sess:
             runs = tuple(sess.run_iteration(i) for i in range(iters))
+        live = (net, gib, LIVE)
+        if not kw and iters == 3 and READS[live]:
+            with compiled_executor(sess.engine,
+                                   steady_state_replay=False) as ex:
+                _KEPT[live] = (tuple(ex.run_iteration(i)
+                                     for i in range(iters)), READS[live])
     else:
         with hand_stacked_executor(mk, cfg,
                                    stack_of(cfg.for_mode("train"))) as ex:

@@ -17,10 +17,9 @@ that restriction:
 * **replay** — a compiled IterationPlan replays the exact per-session
   placement trace the fresh path records;
 * **true parallelism** — ``engine.parallel_run`` drives thread-per-
-  session execution whose losses, peaks, and DMA counters are
-  bit-identical to sequential execution (the acceptance criterion),
-  including an N-session × M-iteration stress smoke with a hard
-  timeout.
+  session execution (that it equals sequential execution is
+  ``tests/test_equivalence_matrix.py::test_drive``), including an
+  N-session × M-iteration stress smoke with a hard timeout.
 """
 
 import random
@@ -387,46 +386,6 @@ class TestScheduleProperties:
 # --------------------------------------------------------------------------- #
 
 class TestParallelRun:
-    def test_two_infer_sessions_bit_identical_to_sequential(self):
-        """THE acceptance test: two concurrently driven infer sessions
-        produce losses, peak-memory, and DMA counters bit-identical to
-        the same sessions run sequentially."""
-        engine = repro.compile(lenet(batch=4, image=12),
-                               RuntimeConfig.superneurons())
-        par_sessions = [engine.session(mode="infer") for _ in range(2)]
-        par = engine.parallel_run(par_sessions, iters=4,
-                                  timeout=HARD_TIMEOUT)
-        seq_sessions = [engine.session(mode="infer") for _ in range(2)]
-        seq = [[s.run_iteration(i) for i in range(4)]
-               for s in seq_sessions]
-        for s in par_sessions + seq_sessions:
-            s.close()
-
-        for par_rs, seq_rs in zip(par, seq):
-            assert [r.loss for r in par_rs] == [r.loss for r in seq_rs]
-            assert [r.peak_bytes for r in par_rs] \
-                == [r.peak_bytes for r in seq_rs]
-            assert [(r.d2h_bytes, r.h2d_bytes) for r in par_rs] \
-                == [(r.d2h_bytes, r.h2d_bytes) for r in seq_rs]
-            assert [r.to_dict() for r in par_rs] \
-                == [r.to_dict() for r in seq_rs]
-        assert all(r.loss is not None for rs in par for r in rs)
-        assert engine.compile_count == 1
-
-    def test_parallel_train_sessions_simulated_ok(self):
-        """Sim-mode train sessions never touch parameter values, so
-        thread-per-session training capacity probes are legal."""
-        engine = repro.compile(lenet(batch=4, image=12),
-                               RuntimeConfig.superneurons(concrete=False))
-        sessions = [engine.session(mode="train") for _ in range(2)]
-        par = engine.parallel_run(sessions, iters=2, timeout=HARD_TIMEOUT)
-        with engine.session(mode="train") as solo:
-            want = [solo.run_iteration(i).to_dict() for i in range(2)]
-        for s in sessions:
-            s.close()
-        for rs in par:
-            assert [r.to_dict() for r in rs] == want
-
     def test_rejects_concrete_train_sessions(self):
         engine = repro.compile(lenet(batch=2, image=12),
                                RuntimeConfig.superneurons())

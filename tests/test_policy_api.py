@@ -1,14 +1,11 @@
 """Tests for the pluggable MemoryPolicy API.
 
-Three layers of guarantees:
+Two layers of guarantees (that ``Session(net).with_policy(...)`` is
+the run of the preset config it resolves to is
+``tests/test_equivalence_matrix.py::test_facade``'s):
 
 * **hook ordering** — a recording probe policy appended to the stack
   sees the lifecycle hooks in the documented order, for every step;
-* **fluent ≡ preset** — ``Session(net).with_policy(...)`` resolves to
-  the exact same run as ``Session(net, RuntimeConfig.<preset>())``:
-  identical ``IterationResult.to_dict()`` output (losses, peaks,
-  traces, times) for lenet/alexnet under all four ablation-ladder
-  configs;
 * **registry/config plumbing** — stacks resolve from configs, framework
   models describe their stacks, custom policies ride along.
 """
@@ -27,7 +24,7 @@ from repro.core.policy import (
 )
 from repro.core.policy import WorkspacePolicy as WorkspacePlugin
 from repro.frameworks import FRAMEWORKS
-from repro.zoo import alexnet, lenet
+from repro.zoo import lenet
 
 
 class RecordingPolicy(MemoryPolicy):
@@ -58,31 +55,6 @@ class RecordingPolicy(MemoryPolicy):
 
     def on_iteration_end(self, ctx):
         self.log.append(("iteration_end", ctx.iteration))
-
-
-# the paper's ablation ladder: baseline -> +liveness -> +UTP -> +recompute
-ABLATION = {
-    "baseline": RuntimeConfig.baseline,
-    "liveness": RuntimeConfig.liveness_only,
-    "liveness+utp": RuntimeConfig.liveness_offload,
-    "superneurons": RuntimeConfig.superneurons,
-}
-
-
-def build_session(net, name):
-    """The same four configs expressed through the fluent builder."""
-    if name == "baseline":
-        return Session(net).without_policy("liveness")
-    if name == "liveness":
-        return Session(net).with_policy("liveness")
-    if name == "liveness+utp":
-        return Session(net).with_policy("liveness") \
-                           .with_policy("offload", cache=None)
-    if name == "superneurons":
-        return Session(net).with_policy("liveness") \
-                           .with_policy("offload", cache="lru") \
-                           .with_policy("recompute", strategy="cost_aware")
-    raise KeyError(name)
 
 
 class TestHookOrdering:
@@ -171,45 +143,6 @@ class TestStackResolution:
         assert "cache=lru" in FRAMEWORKS["superneurons"].describe_policies()
         assert "eager" in FRAMEWORKS["tensorflow"].describe_policies()
         assert "grads_only" in FRAMEWORKS["caffe"].describe_policies()
-
-
-class TestSessionExecutorEquivalence:
-    """The fluent builder against the preset configs.  (The class and
-    test names predate PR 21, when the preset side was the retired
-    bare-``Executor`` entry; both sides are sessions now, so what is
-    left to prove is the ``with_policy`` -> config mapping.
-    lenet carries the payload check; alexnet runs descriptor-only.)"""
-
-    @pytest.mark.parametrize("name", list(ABLATION))
-    def test_lenet_identical_reports(self, name):
-        mk = lambda: lenet(batch=4, image=12)
-        preset, fluent = [], []
-        with Session(mk(), ABLATION[name]()) as sess:
-            opt = SGD(lr=0.05)
-            for i in range(3):
-                preset.append(sess.run_iteration(i, optimizer=opt).to_dict())
-        with build_session(mk(), name) as sess:
-            opt = SGD(lr=0.05)
-            for i in range(3):
-                fluent.append(sess.run_iteration(i, optimizer=opt).to_dict())
-        assert fluent == preset
-
-    @pytest.mark.parametrize("name", list(ABLATION))
-    def test_alexnet_identical_reports(self, name):
-        mk = lambda: alexnet(batch=2, image=67, num_classes=10)
-        with Session(mk(), ABLATION[name](concrete=False)) as sess:
-            preset = sess.run_iteration(0).to_dict()
-        with build_session(mk(), name).with_config(concrete=False) as sess:
-            fluent = sess.run_iteration(0).to_dict()
-        assert fluent == preset
-
-    def test_session_peak_and_loss_match_executor_exactly(self):
-        mk = lambda: lenet(batch=4, image=12)
-        with Session(mk(), RuntimeConfig.superneurons()) as sess:
-            a = sess.run_iteration(0, optimizer=SGD(0.1))
-        with build_session(mk(), "superneurons") as sess:
-            b = sess.run_iteration(0, optimizer=SGD(0.1))
-        assert (a.loss, a.peak_bytes) == (b.loss, b.peak_bytes)
 
 
 class TestSessionBehaviour:

@@ -4,7 +4,8 @@ The load-bearing guarantees:
 
 * per-request outputs from the server — padded, split, coalesced, over
   N parallel workers — are **bit-identical** to running each request
-  alone through a solo infer session;
+  alone through a solo infer session (random traces:
+  ``tests/test_equivalence_matrix.py::test_served``);
 * ``swap_weights`` never tears a request across weight versions: the
   second half of a split request computes on the *old* weights.
 """
@@ -255,25 +256,6 @@ class TestDynamicBatcher:
 
 # --------------------------------------------------- acceptance: identity
 class TestServingBitIdentical:
-    @pytest.mark.parametrize("policy", ["fifo", "greedy-fill"])
-    def test_random_trace_matches_solo_sessions(self, engine, policy):
-        rng = np.random.default_rng(42)
-        sizes = [int(s) for s in
-                 rng.integers(1, int(2.5 * BATCH) + 1, size=20)]
-        datas = make_requests(engine, sizes, seed=3)
-        refs = [solo_outputs(engine, d) for d in datas]
-        with InferenceServer(engine, workers=3, policy=policy,
-                             max_wait=0.002) as server:
-            futures = []
-            for d in datas:
-                futures.append(server.submit(d))
-                if rng.random() < 0.3:   # ragged arrivals
-                    time.sleep(0.001)
-            outs = [f.result(timeout=60.0) for f in futures]
-        for ref, out in zip(refs, outs):
-            assert out.dtype == np.float32
-            assert np.array_equal(ref, out)   # bit-identical
-
     def test_burst_backlog_coalesces_before_workers_start(self, engine):
         # queue first, then start: the first assembly round sees the
         # whole backlog, so coalescing (not just per-request padding)

@@ -5,8 +5,9 @@ The contract under test: after the first iteration of a fixed topology
 the executor replays a compiled :class:`~repro.core.plan.IterationPlan`
 instead of dispatching policy hooks — and the replayed iterations are
 **bit-identical** to the fresh planning path in every observable
-(losses, peaks, traces, DMA bytes, counters) across the ablation
-ladder.  Plus the state-hygiene fixes that only matter in exactly this
+(``tests/test_equivalence_matrix.py::test_replay``).  Here: links,
+dispatch, the residency table's off switches, the heap pool's address
+plan, and the state-hygiene fixes that only matter in exactly this
 long-running regime: per-iteration accumulators must not grow without
 bound across ``run_iteration`` calls on one executor.
 """
@@ -45,67 +46,9 @@ def run_dicts(mk_net, config, iters=ITERS, lr=0.05):
     return out, replayed
 
 
-def substrate(ex, tensors) -> tuple:
-    """What an iteration leaves in the executor besides its result."""
-    a, tl = ex.allocator, ex.timeline
-    return (a.used_bytes, a.peak_bytes, vars(a.stats).copy(),
-            dict(tl.clock), dict(tl.busy), vars(ex.dma.stats).copy(),
-            ex.state.snapshot(tensors))
-
-
-def run_observed(mk_net, config, mode, iters=ITERS):
-    """Each iteration's ``to_dict()`` and :func:`substrate`, and the
-    iterations replayed and run from the residency table."""
-    with Engine(mk_net(), config).session(mode) as sess:
-        ex = sess.executor
-        tensors = [t for layer in ex.net.layers
-                   for t in (layer.output, layer.grad_output,
-                             *layer.params, *layer.param_grads)
-                   if t is not None]
-        out = [(sess.run_iteration(i).to_dict(), substrate(ex, tensors))
-               for i in range(iters)]
-        return out, ex.replayed_iterations, ex.table_iterations
-
-
 class TestReplayEquivalence:
-    """Replay must be bit-identical to the fresh-plan path."""
-
-    @pytest.mark.parametrize("name", list(ABLATION))
-    def test_concrete_lenet_bit_identical(self, name):
-        mk = lambda: lenet(batch=4, image=12)
-        fresh, r0 = run_dicts(mk, ABLATION[name](steady_state_replay=False))
-        replay, r1 = run_dicts(mk, ABLATION[name]())
-        assert r0 == 0 and r1 == ITERS - 1  # the fast path actually ran
-        assert replay == fresh  # losses, peaks, traces, DMA, counters
-
-    @pytest.mark.parametrize("name", list(ABLATION))
-    def test_simulated_alexnet_bit_identical(self, name):
-        """Simulated replay, and from iteration 2 on the residency
-        table of every rung whose iterations are calm, equals the fresh
-        planning path: every result and, after each iteration, what the
-        substrate holds.  The eager rungs copy every iteration and never
-        table one."""
-        tabled = name not in ("liveness+utp", "superneurons-eager")
-        self.check_sim(lambda: alexnet(batch=4, image=67, num_classes=10),
-                       "train", ABLATION[name], tabled)
-
-    @pytest.mark.parametrize("shape", ["resnet50-train", "lenet-infer"])
-    def test_ledger_shapes_bit_identical(self, shape):
-        """The same on ``train_roomy``'s resnet50 b32 and on the serving
-        workloads' lenet b8 infer step."""
-        mk = {"resnet50-train": lambda: resnet50(batch=32),
-              "lenet-infer": lambda: lenet(batch=8)}[shape]
-        self.check_sim(mk, shape.split("-")[1], RuntimeConfig.superneurons,
-                       True)
-
-    @staticmethod
-    def check_sim(mk, mode, make, tabled):
-        fresh, r0, t0 = run_observed(
-            mk, make(concrete=False, steady_state_replay=False), mode)
-        replay, r1, t1 = run_observed(mk, make(concrete=False), mode)
-        assert (r0, t0) == (0, 0)
-        assert (r1, t1) == (ITERS - 1, ITERS - 2 if tabled else 0)
-        assert replay == fresh
+    """Where the residency table must not run, and what custom policies
+    see (replay == fresh is ``test_equivalence_matrix::test_replay``)."""
 
     def test_a_shrunk_device_drops_the_table(self):
         """The table runs only from the allocator state it was recorded
@@ -520,24 +463,8 @@ class TestReplayOptOut:
 
 
 class TestFiveIterationDeterminism:
-    """Same seed ⇒ identical loss sequence; allocator back at
-    params-only after every iteration; replay ≡ fresh byte-for-byte."""
-
-    def test_loss_sequence_and_ledger(self):
-        def losses(replay):
-            cfg = RuntimeConfig.superneurons(steady_state_replay=replay)
-            out = []
-            with Session(lenet(batch=4, image=12), cfg).executor as ex:
-                opt = SGD(0.05)
-                for i in range(ITERS):
-                    out.append(ex.run_iteration(i, optimizer=opt).loss)
-                    assert ex.allocator.used_bytes == ex.param_bytes
-            return out
-
-        a, b, c = losses(True), losses(True), losses(False)
-        assert a == b  # same seed, same sequence — run to run
-        assert a == c  # replay path ≡ fresh path
-        assert len(set(a)) > 1  # training actually moves
+    """Replay ≡ fresh byte for byte where every iteration draws new
+    masks and batches."""
 
     def test_dropout_net_replays_fresh_rng_per_iteration(self):
         """Seeded per-(iteration, layer) RNG means dropout masks and
