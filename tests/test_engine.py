@@ -1,9 +1,13 @@
 """The compile-once Engine API and the inference execution mode (ISSUE 3).
 
-Contracts under test (that a standalone session, an engine worker
-and interleaved workers run the same iterations, and that an infer loss
-is train's forward half, is ``tests/test_equivalence_matrix.py``'s):
+Contracts under test (the full matrix of a standalone session, an
+engine worker and interleaved workers running the same iterations, and
+of an infer loss being train's forward half, is
+``tests/test_equivalence_matrix.py``'s):
 
+* the standalone ``Session(net).with_policy(...).run(...)`` path and an
+  ``engine.session(mode="train")`` worker return bit-identical
+  ``IterationResult.to_dict()`` output (the facade round-trip);
 * infer peak memory is strictly lower on every zoo net, and infer mode
   arms no backward-only policy;
 * N sessions sharing one engine compile the plan exactly once, each
@@ -30,6 +34,56 @@ from repro.core.runtime import Executor
 from repro.graph.route import ExecutionRoute
 from repro.tensors.tensor import Tensor
 from repro.zoo import NETWORK_BUILDERS, alexnet, lenet, resnet50
+
+ITERS = 4
+
+
+class TestEngineTrainRoundTrip:
+    """The facade: standalone Session output == engine worker output."""
+
+    def test_session_path_matches_engine_worker_bit_identical(self):
+        def mk():
+            return lenet(batch=4, image=12)
+
+        with Session(mk(), RuntimeConfig.superneurons()) as sess:
+            solo = [sess.run_iteration(i, optimizer=SGD(0.05)).to_dict()
+                    for i in range(ITERS)]
+        engine = repro.compile(mk(), RuntimeConfig.superneurons())
+        with engine.session(mode="train") as worker:
+            shared = [worker.run_iteration(i, optimizer=SGD(0.05)).to_dict()
+                      for i in range(ITERS)]
+            # the worker links its plan at iteration 0, as the
+            # standalone session does, and reuses it from iteration 1
+            assert worker.executor.replayed_iterations == ITERS - 1
+        assert shared == solo
+
+    def test_fluent_with_policy_path_matches_engine(self):
+        def mk():
+            return lenet(batch=4, image=12)
+
+        with Session(mk()).with_policy("offload", cache="lru") \
+                          .with_policy("recompute", strategy="cost_aware") \
+                as sess:
+            solo = [r.to_dict() for r in
+                    sess.run(iters=3, optimizer=SGD(0.05))]
+        cfg = RuntimeConfig()
+        POLICY_REGISTRY["offload"].configure(cfg, cache="lru")
+        POLICY_REGISTRY["recompute"].configure(cfg, strategy="cost_aware")
+        with repro.compile(mk(), cfg).session() as worker:
+            shared = [r.to_dict() for r in
+                      worker.run(iters=3, optimizer=SGD(0.05))]
+        assert shared == solo
+
+    def test_simulated_alexnet_round_trip(self):
+        def mk():
+            return alexnet(batch=4, image=67, num_classes=10)
+
+        cfg = RuntimeConfig.superneurons(concrete=False)
+        with Session(mk(), cfg) as sess:
+            solo = [sess.run_iteration(i).to_dict() for i in range(3)]
+        with repro.compile(mk(), cfg).session() as worker:
+            shared = [worker.run_iteration(i).to_dict() for i in range(3)]
+        assert shared == solo
 
 
 class TestInferMode:
@@ -331,5 +385,16 @@ class TestWithoutPolicyRegistry:
         assert not sess.config.use_offload
         assert not sess.config.use_tensor_cache  # previously left armed
         sess.close()
-        # disarmed runs as never armed:
-        # tests/test_equivalence_matrix.py::test_facade[lenet-liveness]
+
+    def test_disarmed_equals_never_armed(self):
+        def mk():
+            return lenet(batch=4, image=12)
+
+        with Session(mk()) as plain:
+            want = [r.to_dict() for r in plain.run(iters=2,
+                                                   optimizer=SGD(0.05))]
+        with Session(mk()).with_policy("offload", cache="lru") \
+                          .without_policy("offload") as round_trip:
+            got = [r.to_dict() for r in round_trip.run(iters=2,
+                                                       optimizer=SGD(0.05))]
+        assert got == want

@@ -15,6 +15,7 @@ from repro.core.config import RecomputeStrategy, WorkspacePolicy
 from repro.device.gpu import OutOfMemoryError
 from repro.zoo import alexnet, lenet, resnet_from_units
 
+MB = 1024 * 1024
 
 def run_losses(net_fn, config, iters=3, lr=0.05):
     with Session(net_fn(), config) as sess:
@@ -157,6 +158,21 @@ class TestOffloadMechanics:
         assert r.cache_evictions > 0
         assert r.d2h_bytes > 0
 
+    def test_offload_preserves_values(self):
+        """Concrete mode: a tensor that round-trips through host RAM comes
+        back bit-identical (the equivalence matrix also covers this; here
+        on a capped device, though lenet b4 never fills the cap)."""
+        net = lenet(batch=4, image=12)
+        cap = net.baseline_peak_bytes() // 2 + net.total_param_bytes() + MB
+        ref = run_losses(lambda: lenet(batch=4, image=12),
+                         RuntimeConfig.baseline(), iters=2)
+        got = run_losses(
+            lambda: lenet(batch=4, image=12),
+            RuntimeConfig.liveness_offload(
+                use_tensor_cache=True, gpu_capacity=cap,
+                workspace_policy=WorkspacePolicy.NONE),
+            iters=2)
+        assert got == ref
 
 
 class TestCapacityProbing:

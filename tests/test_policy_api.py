@@ -145,6 +145,23 @@ class TestStackResolution:
         assert "grads_only" in FRAMEWORKS["caffe"].describe_policies()
 
 
+class TestSessionExecutorEquivalence:
+    """The fluent builder against a preset config, on iteration 0's loss
+    and peak (every ladder rung, bit for bit, over several iterations is
+    ``tests/test_equivalence_matrix.py::test_facade``)."""
+
+    def test_session_peak_and_loss_match_executor_exactly(self):
+        mk = lambda: lenet(batch=4, image=12)
+        with Session(mk(), RuntimeConfig.superneurons()) as sess:
+            a = sess.run_iteration(0, optimizer=SGD(0.1))
+        with Session(mk()).with_policy("liveness") \
+                          .with_policy("offload", cache="lru") \
+                          .with_policy("recompute", strategy="cost_aware") \
+                as sess:
+            b = sess.run_iteration(0, optimizer=SGD(0.1))
+        assert (a.loss, a.peak_bytes) == (b.loss, b.peak_bytes)
+
+
 class TestSessionBehaviour:
     def test_custom_policy_rides_along(self):
         probe = RecordingPolicy()
