@@ -19,7 +19,7 @@ and ``check plan --all`` sweep; each rung maps to the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.cost_model import CostPrediction, predict_compiled_mode
 from repro.core.config import RuntimeConfig
@@ -34,10 +34,15 @@ DEFAULT_LADDER = ("baseline", "liveness_only", "liveness_offload",
 
 @dataclass
 class RungAssessment:
-    """One ladder rung's predictions across the requested modes."""
+    """One ladder rung's predictions across the requested modes, and
+    per mode the victims its tensor cache drops instead of copying:
+    (tensor, modelled rebuild seconds, modelled exposed copy seconds),
+    as :func:`~repro.core.cache.choose_drops` weighed them."""
 
     rung: str
     predictions: Dict[str, CostPrediction] = field(default_factory=dict)
+    dropped: Dict[str, List[Tuple[str, float, float]]] = field(
+        default_factory=dict)
 
     @property
     def peak_bytes(self) -> int:
@@ -55,6 +60,10 @@ class RungAssessment:
             "rung": self.rung,
             "peak_bytes": self.peak_bytes,
             "modes": {m: p.to_dict() for m, p in self.predictions.items()},
+            "dropped": {m: [{"tensor": name, "rebuild_ms": rebuild * 1e3,
+                             "exposed_copy_ms": copies * 1e3}
+                            for name, rebuild, copies in rows]
+                        for m, rows in self.dropped.items()},
         }
 
 
@@ -96,6 +105,20 @@ class Advice:
                 "batch or a larger device")
         return "\n".join(lines)
 
+    def render_drops(self) -> str:
+        """One row per victim a rung's tensor cache drops, with the two
+        modelled costs the choice weighed ("" when none drops)."""
+        lines = []
+        for a in self.ladder:
+            for mode, rows in sorted(a.dropped.items()):
+                title = f"dropped by {a.rung} ({mode}), modelled"
+                lines.append(f"  {title:38s} {'rebuild':>10s} "
+                             f"{'exposed copy':>13s}")
+                lines.extend(f"    {name:36s} {rebuild * 1e3:7.2f} ms "
+                             f"{copies * 1e3:10.2f} ms"
+                             for name, rebuild, copies in rows)
+        return "\n".join(lines)
+
     def to_dict(self) -> dict:
         return {
             "net": self.net,
@@ -122,11 +145,17 @@ def assess_ladder(make_net: Callable[[], object],
         cfg = getattr(RuntimeConfig, rung)(concrete=False, **config_kw)
         engine = Engine(make_net(), cfg)
         a = RungAssessment(rung=rung)
+        names = {l.output.tensor_id: l.output.name
+                 for l in engine.net.layers if l.output is not None}
         for mode in modes:
             cm = engine.compiled(mode)
             a.predictions[mode] = predict_compiled_mode(
                 engine.net, cm, engine.config.for_mode(mode),
                 target=f"{engine.net.name}/{mode}@{rung}")
+            if cm.cache_seed is not None and cm.cache_seed.drop_costs:
+                a.dropped[mode] = [
+                    (names[tid], *costs)
+                    for tid, costs in cm.cache_seed.drop_costs.items()]
         out.append(a)
     return out
 

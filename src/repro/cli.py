@@ -677,6 +677,9 @@ def cmd_check_cost(args) -> int:
                 rank_mode="train" if "train" in modes else modes[0])
             report.metrics[f"{name}/advice"] = adv.to_dict()
             print(adv.render())
+            drops = adv.render_drops()
+            if drops:
+                print(drops)
     return _emit_report(report, args)
 
 
@@ -899,7 +902,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "it is a PERF005 error")
     cc.add_argument("--advise", action="store_true",
                     help="rank the ladder per net and recommend the "
-                         "fastest rung that fits --budget")
+                         "fastest rung that fits --budget; list each "
+                         "victim a rung drops with its modelled rebuild "
+                         "and exposed copy time")
     cc.add_argument("--max-request", type=int, default=None,
                     help="largest serving request size for the PERF006 "
                          "padding check (default 2x batch)")

@@ -25,7 +25,11 @@ Operations mirror Alg. 2:
   fall due on the return trip at ``sources_due``, and recomputation
   rebuilds them when backward asks;
 * ``outcome`` / ``seed`` — all three, once chosen, handed to a fresh
-  cache (the engine's scout chooses them once per compiled mode).
+  cache with the modelled costs the drop set was chosen on (the
+  engine's scout chooses them once per compiled mode);
+* ``settled`` — the last completed iteration evicted the victims it
+  was predicted to, under a drop set chosen before it: a fixed point,
+  from which the executor records a residency table.
 
 Movement itself (the D2H copy + allocator free) is the executor's job;
 the cache only decides *which* tensors go, through the callbacks.
@@ -90,12 +94,19 @@ class TensorCache:
         #: first backward reader of a dropped victim it rebuilds (the
         #: return trip binds this dict at link)
         self.sources_due: Dict[int, int] = {}
+        #: id of each dropped victim -> the modelled seconds the choice
+        #: weighed: its rebuild's and its copies' exposed time
+        self.drop_costs: Mapping[int, Tuple[float, float]] = {}
         #: until the drop set is chosen, what the return trip saw in the
         #: last iteration it brought lines back: the step each line was
         #: due to go out at, and the steps it was refused room at
         self.choosing = True
         self.trip_planned: Dict[int, int] = {}
         self.trip_refused: Set[int] = set()
+        #: the last completed iteration left the victims, the drop set
+        #: and ``sources_due`` as it found them: a fixed point, from
+        #: which the next iteration makes the same moves
+        self.settled = False
         # lock bits are session state, not descriptor state: the victim
         # filter consults the owning session's SessionTensorState
         self._state = state
@@ -196,17 +207,24 @@ class TensorCache:
 
     def end_iteration(self) -> None:
         """The iteration completed: its victims are the next one's
-        prediction."""
-        self._predicted = tuple(self._record)
+        prediction.  It left the cache :attr:`settled` if the drop set
+        was chosen before it began and it evicted the lines it was
+        predicted to."""
+        record = tuple(self._record)
+        self.settled = not self.choosing and record == self._predicted
+        self._predicted = record
         self._record.clear()
 
     def drop(self, drops: Mapping[int, int],
-             sources_due: Mapping[int, int]) -> None:
-        """Fix the drop set and its sources' return-trip deadlines (once
-        per session: the ops bind ``sources_due``, so it is filled in
-        place)."""
+             sources_due: Mapping[int, int],
+             costs: Optional[Mapping[int, Tuple[float, float]]] = None
+             ) -> None:
+        """Fix the drop set, its sources' return-trip deadlines and the
+        costs it was chosen on (once per session: the ops bind
+        ``sources_due``, so it is filled in place)."""
         self.drops = dict(drops)
         self.sources_due.update(sources_due)
+        self.drop_costs = dict(costs or {})
         self.choosing = False
         self.trip_planned, self.trip_refused = {}, set()
 
@@ -214,13 +232,14 @@ class TensorCache:
         """The victims, drop set and deadlines, for a fresh cache to
         :meth:`seed` from (None while the drop set is not chosen)."""
         return None if self.choosing else CacheSeed(
-            self._predicted, self.drops, dict(self.sources_due))
+            self._predicted, self.drops, dict(self.sources_due),
+            self.drop_costs)
 
     def seed(self, seed: "CacheSeed") -> None:
         """Start from another cache's :meth:`outcome` (:meth:`drop`
         copies: the ops fill ``sources_due`` in place)."""
         self._predicted = seed.predicted
-        self.drop(seed.drops, seed.sources_due)
+        self.drop(seed.drops, seed.sources_due, seed.drop_costs)
 
     def _victims(self) -> Iterator[Tensor]:
         """Unlocked entries, first out first, found lazily.
@@ -265,11 +284,13 @@ class TensorCache:
 
 class CacheSeed(NamedTuple):
     """:meth:`TensorCache.outcome`: the victims in eviction order, the
-    drop set and its chain sources' return-trip deadlines."""
+    drop set, its chain sources' return-trip deadlines and the costs it
+    was chosen on."""
 
     predicted: Tuple[Tuple[Tensor, int], ...]
     drops: Mapping[int, int]
     sources_due: Mapping[int, int]
+    drop_costs: Mapping[int, Tuple[float, float]]
 
 
 # --------------------------------------------------------------------------- #
@@ -329,7 +350,7 @@ def d2h_waits(victims: Sequence[Victim], kept: Set[int],
 
 def choose_drops(victims: Sequence[Victim], starts: Sequence[float],
                  rebuild: Mapping[int, Tuple[float, FrozenSet[int]]]
-                 ) -> Tuple[FrozenSet[int], Dict[int, int]]:
+                 ) -> Tuple[Dict[int, Tuple[float, float]], Dict[int, int]]:
     """Which recorded victims to drop instead of evict.
 
     ``rebuild`` names the candidates: tensor id -> (seconds to rebuild
@@ -339,15 +360,16 @@ def choose_drops(victims: Sequence[Victim], starts: Sequence[float],
     Candidates go most profitable first, and each one's D2H share is
     taken again against the victims still kept.  A candidate that is a
     chain source of a dropped victim, or whose chain sources include
-    one, is refused: a rebuild never waits on another.  Returns the
-    drop set and each chain source's deadline — the earliest first
-    backward reader among the dropped victims it rebuilds.
+    one, is refused: a rebuild never waits on another.  Returns each
+    dropped victim's (rebuild, exposed copy) seconds as weighed, keyed
+    by the drop set, and each chain source's deadline — the earliest
+    first backward reader among the dropped victims it rebuilds.
     """
     first = {}
     for n, v in enumerate(victims):
         first.setdefault(v.tensor_id, n)
     kept = set(first)
-    drops: Set[int] = set()
+    drops: Dict[int, Tuple[float, float]] = {}
     sourcing: Set[int] = set()   # chain sources of the dropped
     due: Dict[int, int] = {}
 
@@ -370,13 +392,16 @@ def choose_drops(victims: Sequence[Victim], starts: Sequence[float],
     for v in order:
         tid = v.tensor_id
         seconds, sources = rebuild[tid]
-        if sources & drops or tid in sourcing or seconds >= exposed(v):
+        if not sources.isdisjoint(drops) or tid in sourcing:
             continue
-        drops.add(tid)
+        copies = exposed(v)
+        if seconds >= copies:
+            continue
+        drops[tid] = seconds, copies
         sourcing |= sources
         kept.discard(tid)
         base, tail = model()
         if v.first_use is not None:
             for s in sources:
                 due[s] = min(due.get(s, v.first_use), v.first_use)
-    return frozenset(drops), due
+    return drops, due

@@ -535,28 +535,42 @@ def listener_table(ex) -> Dict[str, tuple]:
             for hook in LISTENER_HOOKS}
 
 
-#: A residency table's moves, each one ``(op, a, b)``:
-#: ``ALLOC``/``FREE``/``READ`` a tensor ``a``; ``SCRATCH`` reserve ``a``
-#: bytes tagged ``b`` as step scratch, ``UNSCRATCH`` free the step's
-#: scratch; ``SUBMIT`` a compute kernel of ``a`` seconds labelled ``b``.
-ALLOC, FREE, SUBMIT, READ, SCRATCH, UNSCRATCH = range(6)
+#: A residency table's moves, each one ``(op, a, b)``.  A calm
+#: iteration makes the first six: ``ALLOC``/``FREE``/``READ`` a tensor
+#: ``a``; ``SCRATCH`` reserve ``a`` bytes tagged ``b`` as step scratch,
+#: ``UNSCRATCH`` free the step's scratch; ``SUBMIT`` a compute kernel of
+#: ``a`` seconds labelled ``b``.  Pressure adds the rest: ``EXHAUSTED``
+#: an allocation of ``a`` bytes tagged ``b`` that fails; ``PREFETCH``
+#: allocate tensor ``a``'s bytes tagged ``b`` for the H2D copy that
+#: follows; ``COPY`` tensor ``a``, ``b`` = (kind, the ordinals of its
+#: ``after`` events), a ``clean`` copy making the line cleaning and a
+#: ``prefetch`` one its arrival; ``WAIT`` for a copy of ``a``, ``b`` =
+#: (kind, its event's ordinal), a ``prefetch`` wait retiring the
+#: arrival; ``TO_HOST`` move ``a`` to its host copy and free its GPU
+#: bytes.  An event's ordinal counts the iteration's ``SUBMIT`` and
+#: ``COPY`` moves before it.
+ALLOC, FREE, SUBMIT, READ, SCRATCH, UNSCRATCH, \
+    EXHAUSTED, PREFETCH, COPY, WAIT, TO_HOST = range(11)
 
 
 class ResidencyTable:
-    """One pressure-free iteration of a linked plan, recorded flat.
+    """One steady iteration of a linked plan, recorded flat.
 
     A built-in stack's hooks and ops decide the same moves every
-    iteration that meets no pressure (paper §3), so the executor records
-    one such iteration and runs the next ones from the record: the
-    moves in order (``ops``, see :data:`ALLOC`), then the step trace
-    rows, the workspace picks and the counter deltas the policies'
-    hooks would have made.  ``start`` is the allocator's
-    :meth:`~repro.mempool.allocator.Allocator.signature` the record
-    began at; the table runs only from there, under ``plan``.
+    iteration that starts where the last one started (paper §3): one
+    that meets no pressure, or one whose tensor cache is at a fixed
+    point.  So the executor records one such iteration and runs the next
+    ones from the record: the moves in order (``ops``, see
+    :data:`ALLOC`), then the step trace rows, the workspace picks and
+    the counter deltas the policies' hooks would have made.  ``start``
+    is the allocator's :meth:`~repro.mempool.allocator.Allocator.
+    signature` the record began at; the table runs only from there,
+    under ``plan``.
     """
 
-    __slots__ = ("plan", "start", "ops", "traces", "choices",
-                 "hits", "misses", "extra_forwards")
+    __slots__ = ("plan", "start", "ops", "traces", "choices", "hits",
+                 "misses", "evictions", "clean_evictions", "dropped",
+                 "extra_forwards")
 
     def __init__(self, plan: IterationPlan, start: tuple, ops: list,
                  result) -> None:
@@ -567,6 +581,9 @@ class ResidencyTable:
         self.choices = tuple(result.workspace_choices)
         self.hits = result.cache_hits
         self.misses = result.cache_misses
+        self.evictions = result.cache_evictions
+        self.clean_evictions = result.cache_clean_evictions
+        self.dropped = result.cache_dropped
         self.extra_forwards = result.extra_forwards
 
 

@@ -62,7 +62,7 @@ from repro.core import config as _config
 from repro.core.cache import TensorCache, Victim, choose_drops
 from repro.core.config import OFFLOAD_TYPES, RecomputeStrategy, RuntimeConfig
 from repro.core.plan import (
-    SCRATCH, SUBMIT, PolicyPlan, kernel_clock, zero_workspace)
+    SCRATCH, SUBMIT, UNSCRATCH, PolicyPlan, kernel_clock, zero_workspace)
 from repro.core.recompute import chain_of
 from repro.core.tensor_state import ResidencyError
 from repro.core.workspace import WorkspaceChoice, WorkspaceSelector
@@ -239,9 +239,11 @@ class StepContext:
 
     def submit_compute(self, duration: float, label: str = ""):
         ex = self._ex
+        ev = ex.timeline.submit(Stream.COMPUTE, duration, label)
         if ex._rec is not None:
             ex._rec.append((SUBMIT, duration, label))
-        return ex.timeline.submit(Stream.COMPUTE, duration, label)
+            ex._rec_events[ev] = len(ex._rec_events)
+        return ev
 
     # -- the tensor cache's, not part of the policy protocol --------------
     def _copy_seconds(self, t: Tensor, direction: CopyDirection) -> float:
@@ -289,16 +291,21 @@ class StepContext:
         if ws_bytes == 0:
             return choice.algo, None
         if ws_bytes <= budget:
+            tag = f"ws:{conv.name}"
+            if ex._rec is not None:  # a table holds it as step scratch
+                ex._rec.append((SCRATCH, ws_bytes, tag))
             try:
-                return choice.algo, allocator.alloc(ws_bytes,
-                                                    f"ws:{conv.name}")
+                return choice.algo, allocator.alloc(ws_bytes, tag)
             except OutOfMemoryError:
                 pass
         return zero_workspace(self.model, selector, conv, choice,
                               budget).algo, None
 
     def _release_scratch(self, scratch: Allocation) -> None:
-        self._ex.allocator.free(scratch)
+        ex = self._ex
+        if ex._rec is not None:
+            ex._rec.append((UNSCRATCH, None, None))
+        ex.allocator.free(scratch)
 
 
 class MemoryPolicy:
@@ -572,12 +579,13 @@ class OffloadCachePolicy(MemoryPolicy):
     # the drop set at run time, so nothing links again when it is
     # chosen.
     def _choose_drops(self, ctx: StepContext
-                      ) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """The drop set (each victim's last forward reader) and its chain
-        sources' return-trip deadlines."""
+                      ) -> Tuple[Dict[int, int], Dict[int, int],
+                                 Dict[int, Tuple[float, float]]]:
+        """The drop set (each victim's last forward reader), its chain
+        sources' return-trip deadlines and the costs it was chosen on."""
         plan = ctx.recompute_plan
         if not plan.enabled:
-            return {}, {}  # nothing would rebuild a dropped victim
+            return {}, {}, {}  # nothing would rebuild a dropped victim
         route, model, cache = ctx.route, ctx.model, self.cache
         turn = route.num_layers
         first_use = {tid: at[0] for tid, (_, at)
@@ -612,7 +620,7 @@ class OffloadCachePolicy(MemoryPolicy):
                 last_read[tid] = read
         drops, due = choose_drops(
             victims, kernel_clock(route.steps, model), rebuild)
-        return {tid: last_read[tid] for tid in drops}, due
+        return {tid: last_read[tid] for tid in drops}, due, drops
 
     def _evict(self, t: Tensor) -> int:
         """``LRU.out``'s movement: a dropped victim goes with no copy

@@ -29,9 +29,10 @@ new classes, not new branches here.
 The executor runs identically in concrete mode (NumPy payloads, used to
 prove numerical equivalence) and simulated mode (byte/time ledger only,
 used for 12 GB-scale capacity and speed benchmarks).  A simulated run of
-a built-in stack whose iterations meet no pressure records one of them
-as a :class:`~repro.core.plan.ResidencyTable` and runs the next ones
-from it (:meth:`Executor._run_table`).
+a built-in stack whose iterations repeat — they meet no pressure, or
+its tensor cache is at a fixed point — records one of them as a
+:class:`~repro.core.plan.ResidencyTable` and runs the next ones from it
+(:meth:`Executor._run_table`).
 """
 
 from __future__ import annotations
@@ -47,11 +48,16 @@ from repro.core.config import RuntimeConfig
 from repro.core.liveness import LivenessPlan
 from repro.core.plan import (
     ALLOC,
+    COPY,
+    EXHAUSTED,
     FREE,
+    PREFETCH,
     READ,
     SCRATCH,
     SUBMIT,
+    TO_HOST,
     UNSCRATCH,
+    WAIT,
     CompiledStep,
     IterationPlan,
     ResidencyTable,
@@ -295,15 +301,17 @@ class Executor:
         self._collect_traces = cfg.collect_traces
         self.replayed_iterations = 0
         #: the residency table (:meth:`_run_table`): the moves being
-        #: recorded (None when not recording), the table recorded last
-        #: (None until a calm iteration records one, and once anything
-        #: raises) and the iterations it ran.  An iteration is *calm* if
+        #: recorded (None when not recording) with the ordinal of each
+        #: event they made, the table recorded last (None until a
+        #: steady iteration records one, and once anything raises) and
+        #: the iterations it ran.  An iteration is *calm* if
         #: it copies nothing and asks no policy to relieve pressure
         #: (an eviction and a stall each need one or the other):
         #: ``_pressure`` counts both, ``_calm`` says the last completed
         #: iteration was, and ``_tabled`` (decided at the first record)
         #: whether the stack is exactly the config's built-in one.
         self._rec: Optional[list] = None
+        self._rec_events: Dict[Event, int] = {}
         self._table: Optional[ResidencyTable] = None
         self.table_iterations = 0
         self._pressure = 0
@@ -463,6 +471,8 @@ class Executor:
         try:  # fast path first: pressure handling costs a call per alloc
             a = self.allocator.alloc(nbytes, t.name)
         except OutOfMemoryError:
+            if self._rec is not None:
+                self._rec.append((EXHAUSTED, nbytes, t.name))
             a = self._alloc_under_pressure(nbytes, t.name)
         self._alloc_of[tid] = a
         self.state.to_gpu(t)
@@ -484,6 +494,8 @@ class Executor:
             try:
                 a = self.allocator.alloc(nbytes, tag)
             except OutOfMemoryError:
+                if self._rec is not None:
+                    self._rec.append((EXHAUSTED, nbytes, tag))
                 return None
             got.append(a)
             return a
@@ -514,6 +526,8 @@ class Executor:
         if a is not None:
             self.allocator.free(a)
         self.state.to_host(t)
+        if self._rec is not None:
+            self._rec.append((TO_HOST, t, None))
         if self.concrete:
             # the bytes may still be device-side if the D2H copy that
             # made the host reservation has not been reaped
@@ -559,6 +573,11 @@ class Executor:
         ev = self.dma.copy_async(t.nbytes, direction,
                                  label=f"{kind}:{t.name}", after=after,
                                  rate_scale=scale)
+        if self._rec is not None:
+            events = self._rec_events
+            self._rec.append((COPY, t, (kind, after and tuple(
+                events[e] for e in after))))
+            events[ev] = len(events)
         if self.recorder is not None:
             self.recorder.copied(kind, t, ev, scale)
         return ev
@@ -568,6 +587,8 @@ class Executor:
         stall the tensor cache and prefetch-ahead exist to avoid."""
         stall = self.timeline.sync(Stream.COMPUTE, ev)
         self._stall += stall
+        if self._rec is not None:
+            self._rec.append((WAIT, t, (kind, self._rec_events[ev])))
         if self.recorder is not None:
             self.recorder.waited(kind, t, ev, stall)
 
@@ -606,6 +627,8 @@ class Executor:
         if a is not None:
             self.allocator.free(a)
             freed = a.nbytes
+        if self._rec is not None:  # one move with the free: no move
+            self._rec.append((TO_HOST, t, None))  # between reads it
         return freed
 
     def _clean_async(self, t: Tensor,
@@ -659,10 +682,15 @@ class Executor:
             return True
         if not state.on_host(t):
             return False
+        tag = f"prefetch:{t.name}"
         try:
-            a = self.allocator.alloc(t.nbytes, tag=f"prefetch:{t.name}")
+            a = self.allocator.alloc(t.nbytes, tag=tag)
         except OutOfMemoryError:
+            if self._rec is not None:
+                self._rec.append((EXHAUSTED, t.nbytes, tag))
             return False
+        if self._rec is not None:
+            self._rec.append((PREFETCH, t, tag))
         self._alloc_of[t.tensor_id] = a
         state.to_gpu(t, arrival=self._copy(t, "prefetch"))
         if self.concrete:
@@ -760,9 +788,11 @@ class Executor:
                 and table.start == self.allocator.signature()):
             table = self._table = None
         start = None
-        if table is None and replayed and self._calm and self._may_table():
+        if table is None and replayed and self._steady() \
+                and self._may_table():
             start = self.allocator.signature()
             self._rec = []
+            self._rec_events.clear()
         ctx._begin_iteration(iteration, LayerContext(
             iteration=iteration, training=self.training,
             feed=feed, capture_final=capture_output))
@@ -791,6 +821,7 @@ class Executor:
             else:
                 traces = self._run_table(table, ctx)
             rec, self._rec = self._rec, None  # the barrier always runs live
+            self._rec_events.clear()
             # iteration barrier: drain copies, free whatever is left
             while self._pending:
                 self._force_reap_one()
@@ -831,9 +862,16 @@ class Executor:
             workspace_choices=self._workspace_choices()[ws_start:],
             output=ctx.layer_ctx.final_output,
         )
-        if rec is not None and self._calm:
+        if rec is not None and self._steady():
             self._table = ResidencyTable(plan, start, rec, res)
         return res
+
+    def _steady(self) -> bool:
+        """Did the last completed iteration end where it began, so the
+        next one makes its moves again?  It was calm, or it left the
+        tensor cache at a fixed point (:attr:`TensorCache.settled`)."""
+        cache = self.cache
+        return self._calm or cache is not None and cache.settled
 
     def _may_table(self) -> bool:
         """May this executor record a residency table at all?  Only a
@@ -848,28 +886,31 @@ class Executor:
     def _run_table(self, table: ResidencyTable, ctx: StepContext
                    ) -> List[StepTrace]:
         """Run an iteration from its residency table: the recorded
-        moves, in order, through the allocator, the state table and the
-        timeline (each looked up now, so a seam installed since is
-        called), then the hooks' recorded effect — the workspace picks
-        and the cache and recomputation counters.  No hook is
-        dispatched and nothing is locked: the table holds what they
-        decided."""
+        moves, in order, through the allocator, the state table, the
+        timeline and the copy and wait seams (each looked up now, so a
+        seam installed since is called), then the hooks' recorded
+        effect — the workspace picks and the cache and recomputation
+        counters.  No hook is dispatched and nothing is locked: the
+        table holds what they decided.  The calm moves come first."""
         alloc, free = self.allocator.alloc, self.allocator.free
         submit, compute = self.timeline.submit, Stream.COMPUTE
+        copy, wait, evict = self._copy, self._wait, self.fabric.evict
         state = self.state
         to_gpu, to_freed = state.to_gpu, state.to_freed
         alloc_of, scratch = self._alloc_of, ctx._scratch
+        events: List[Event] = []  # the submits' and copies', in order
         for op, a, b in table.ops:
             if op == ALLOC:
                 alloc_of[a.tensor_id] = alloc(a.nbytes, a.name)
                 to_gpu(a)
             elif op == FREE:
-                to_freed(a)  # a calm iteration holds no host copy
+                if to_freed(a):
+                    evict(a.tensor_id)
                 held = alloc_of.pop(a.tensor_id, None)
                 if held is not None:
                     free(held)
             elif op == SUBMIT:
-                submit(compute, a, b)
+                events.append(submit(compute, a, b))
             elif op == READ:
                 if not state.on_gpu(a):
                     raise ResidencyError(
@@ -881,13 +922,41 @@ class Executor:
                     scratch.append(alloc(a, b))
                 except OutOfMemoryError:
                     pass  # the recorded workspace fallback follows
-            else:
+            elif op == UNSCRATCH:
                 self._free_step_scratch(ctx)
+            elif op == EXHAUSTED:
+                try:
+                    alloc(a, b)
+                except OutOfMemoryError:
+                    pass
+            elif op == PREFETCH:
+                alloc_of[a.tensor_id] = alloc(a.nbytes, b)
+            elif op == COPY:
+                kind, after = b
+                ev = copy(a, kind, after=after and [events[n] for n in after])
+                events.append(ev)
+                if kind == "clean":
+                    state.set_cleaning(a, ev)
+                elif kind == "prefetch":
+                    to_gpu(a, arrival=ev)
+            elif op == WAIT:
+                kind, n = b
+                if kind == "prefetch":
+                    state.arrivals.pop(a.tensor_id, None)
+                wait(a, kind, events[n])
+            else:
+                state.to_host(a)
+                held = alloc_of.pop(a.tensor_id, None)
+                if held is not None:
+                    free(held)
         self._workspace_choices().extend(table.choices)
         if self._offload_policy is not None:
             cache = self._offload_policy.cache
             cache.hits += table.hits
             cache.misses += table.misses
+            cache.evictions += table.evictions
+            cache.dropped += table.dropped
+        self._clean_evictions += table.clean_evictions
         if self._recompute_policy is not None:
             self._recompute_policy.extra_forwards += table.extra_forwards
         return list(table.traces)
@@ -952,6 +1021,7 @@ class Executor:
         ctx.last_compute_event = ev
         if self._rec is not None:
             self._rec.append((SUBMIT, duration, cs.submit_label))
+            self._rec_events[ev] = len(self._rec_events)
 
         if self.concrete:
             ins = [self.store.get_required(p.output) for p in layer.prev]
@@ -1003,6 +1073,7 @@ class Executor:
         ctx.last_compute_event = ev
         if self._rec is not None:
             self._rec.append((SUBMIT, duration, cs.submit_label))
+            self._rec_events[ev] = len(self._rec_events)
 
         if self.concrete:
             self._backward_values(layer, ctx.layer_ctx, optimizer)

@@ -16,11 +16,13 @@ onto methods here: ``l_f`` (forward memory of the layer) and ``l_b``
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.check.instrument import TracedLock
 from repro.device.model import DeviceModel
 from repro.tensors.tensor import Tensor, TensorKind
 
@@ -87,6 +89,38 @@ class LayerContext:
     def layer_rng(self, layer_id: int) -> np.random.Generator:
         seed = (self.rng_salt * 1_000_003 + self.iteration) * 131_071 + layer_id
         return np.random.default_rng(seed & 0x7FFFFFFF)
+
+
+#: the bytes of He-normal draws :func:`he_normal` keeps
+DRAWS_LIMIT = 128 << 20
+#: (seed, shape, fan-in) -> its draw, least recently used first
+_draws: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+_draws_lock = TracedLock("layers.draws")
+
+
+def he_normal(seed: int, shape: Tuple[int, ...], fan_in: int) -> np.ndarray:
+    """The seeded He-normal initial weights N(0, 2 / ``fan_in``) of
+    ``shape``, float32 and read-only.  A pure function of its
+    arguments, so one array serves every build of a layer: the draws
+    are memoised, the least recently used going once they hold more
+    than :data:`DRAWS_LIMIT` bytes.  Training never writes a weight in
+    place (an optimizer step makes a new array), and anything that
+    tried would raise."""
+    key = (seed, shape, fan_in)
+    with _draws_lock:
+        w = _draws.get(key)
+        if w is not None:
+            _draws.move_to_end(key)
+            return w
+    w = np.random.default_rng(seed).normal(
+        0.0, np.sqrt(2.0 / fan_in), size=shape).astype(np.float32)
+    w.flags.writeable = False
+    with _draws_lock:
+        _draws[key] = w
+        held = sum(a.nbytes for a in _draws.values())
+        while held > DRAWS_LIMIT:
+            held -= _draws.popitem(last=False)[1].nbytes
+    return w
 
 
 class _LazyParams(dict):

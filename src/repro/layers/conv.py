@@ -23,7 +23,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.device.model import DeviceModel
-from repro.layers.base import Layer, LayerContext, LayerType
+from repro.layers.base import Layer, LayerContext, LayerType, he_normal
 from repro.layers.data import DataLayer
 from repro.tensors.shapes import as_pair, conv2d_out_shape
 
@@ -182,12 +182,8 @@ class Conv2D(Layer):
         fan_in = c * self.kh * self.kw
         kshape = (self.out_channels, c, self.kh, self.kw)
 
-        def init_w(kshape=kshape, seed=seed, fan_in=fan_in):
-            rng = np.random.default_rng(seed)
-            return rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                              size=kshape).astype(np.float32)
-
-        self._w = self._add_param(kshape, init_w, "W")
+        self._w = self._add_param(
+            kshape, lambda: he_normal(seed, kshape, fan_in), "W")
         if self.use_bias:
             bshape = (self.out_channels, 1, 1, 1)
             self._b = self._add_param(

@@ -6,7 +6,7 @@ import zlib
 
 import numpy as np
 
-from repro.layers.base import Layer, LayerType
+from repro.layers.base import Layer, LayerType, he_normal
 
 
 class FullyConnected(Layer):
@@ -43,13 +43,8 @@ class FullyConnected(Layer):
         seed = zlib.crc32(self.name.encode())
         out = self.out_features
 
-        def init_w(out=out, d=d, seed=seed):
-            rng = np.random.default_rng(seed)
-            return rng.normal(0.0, np.sqrt(2.0 / d),
-                              size=(out, d)).astype(np.float32).reshape(
-                                  out, d, 1, 1)
-
-        self._w = self._add_param((out, d, 1, 1), init_w, "W")
+        self._w = self._add_param(
+            (out, d, 1, 1), lambda: he_normal(seed, (out, d, 1, 1), d), "W")
         if self.use_bias:
             self._b = self._add_param(
                 (out, 1, 1, 1),

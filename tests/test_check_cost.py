@@ -474,6 +474,31 @@ class TestCheckCostCLI:
                         "fetch 0.0 + prefetch 5.4 + clean 2.3 + "
                         "evict 0.0 + reap 0.0")
 
+    def test_advise_lists_the_dropped_victims(self, tmp_path, capsys):
+        """Under pressure the advisor lists each victim the tensor cache
+        drops with the two modelled costs the choice weighed: its
+        rebuild is the cheaper.  resnet50 b32 at 1 GiB drops 11."""
+        out_path = tmp_path / "cost.json"
+        rc = main(["check", "cost", "--net", "resnet50", "--batch", "32",
+                   "--gpu-gb", "1", "--configs", "superneurons",
+                   "--modes", "train", "--advise", "--format", "json",
+                   "--output", str(out_path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        start = lines.index(next(ln for ln in lines if ln.startswith(
+            "  dropped by superneurons (train), modelled")))
+        rows = [ln.split() for ln in lines[start + 1:]
+                if ln.startswith("    ")]
+        assert len(rows) == 11
+        assert all(name.endswith(":out") and float(rebuild) < float(copy)
+                   for name, rebuild, _, copy, _ in rows)
+        (rung,) = json.loads(out_path.read_text())["metrics"][
+            "resnet50/advice"]["ladder"]
+        assert [[d["tensor"], f"{d['rebuild_ms']:.2f}",
+                 f"{d['exposed_copy_ms']:.2f}"]
+                for d in rung["dropped"]["train"]] == \
+            [[name, rebuild, copy] for name, rebuild, _, copy, _ in rows]
+
     def test_budget_violation_exits_one(self, capsys):
         rc = main(["check", "cost", "--net", "alexnet",
                    "--budget", "0.05"])

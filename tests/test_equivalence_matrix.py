@@ -224,6 +224,13 @@ def test_values(cell):
         reference(cell._replace(stack="baseline"))))
 
 
+#: the ledger's train_pressured and the small net at the smallest
+#: capacity it runs in: every iteration evicts, copies and drops
+PRESSURED = [Cell("resnet50", "superneurons", concrete=False, iters=5,
+                  capacity=1 << 30, axis="pressured"),
+             Cell("small_resnet", "superneurons", concrete=False, iters=5,
+                  capacity=SMALLEST, axis="pressured")]
+
 REPLAY = [
     *(Cell("lenet", s, iters=5) for s in RUNGS),
     Cell("lenet", "superneurons", mode="infer", iters=5),
@@ -231,14 +238,16 @@ REPLAY = [
     # the ledger's train_roomy and serving shapes
     Cell("resnet50", "superneurons", concrete=False, iters=5),
     Cell("lenet_b8", "superneurons", mode="infer", concrete=False, iters=5),
+    *PRESSURED,
 ]
 
 
 @cells(REPLAY)
 def test_replay(cell):
     """The linked-once plan, and from iteration 2 the residency table of
-    a calm simulated stack (eager offload copies every iteration), equal
-    a session that re-links before every iteration."""
+    a simulated stack, calm or pressured (eager offload's cache is never
+    at a fixed point), equal a session that re-links before every
+    iteration."""
     fresh = observe(standalone(cell, steady_state_replay=False), cell.iters)
     replay = observe(standalone(cell), cell.iters)
     tabled = not cell.concrete and cell.stack not in EAGER
@@ -350,14 +359,16 @@ def test_sim_concrete(cell):
 
 CAPACITY = [Cell("small_resnet", "superneurons", iters=3, capacity=SMALLEST,
                  axis="pressured"),
-            Cell("small_resnet", "superneurons", iters=3, axis="any")]
+            Cell("small_resnet", "superneurons", iters=3, axis="any"),
+            *PRESSURED]
 
 
 @cells(CAPACITY)
 def test_capacity(cell):
     """Concrete losses and parameters at any capacity that runs are the
     roomy run's; at the smallest (one byte less is OOM) every iteration
-    evicts and drops, so the axis is live."""
+    evicts and drops, so the axis is live — simulated, the residency
+    table makes them from iteration 2."""
     def check(cell):
         run = observe(standalone(cell), cell.iters)
         assert_same_run(run.values(),
@@ -365,8 +376,10 @@ def test_capacity(cell):
         return run
 
     if cell.axis == "pressured":
+        run = check(cell)
         assert all(d["cache"]["evictions"] > 0 and d["cache"]["dropped"] > 0
-                   for d in check(cell).dicts)
+                   for d in run.dicts)
+        assert run.tabled == (0 if cell.concrete else cell.iters - 2)
         return
 
     @settings(max_examples=20, deadline=None)

@@ -69,8 +69,8 @@ def engine(name):
 @functools.lru_cache(maxsize=None)
 def twin(name):
     """An undisturbed session's four iterations, the calls each seam
-    makes in iterations 0 and 1 (``seen[i][seam]``), its drop set and
-    its victim record."""
+    makes in each of them (``seen[i][seam]``; 2 and 3 run from the
+    residency table), its drop set and its victim record."""
     with engine(name).session("train") as sess:
         plans = [FaultPlan(s, 0).install(sess.executor) for s in SEAMS]
         dicts, seen = [], []
@@ -80,7 +80,7 @@ def twin(name):
             dicts.append(sess.run_iteration(i).to_dict())
             seen.append({p.seam: tuple(p.seen) for p in plans})
         cache = sess.executor.cache
-        return dicts, seen[:2], dict(cache.drops), victims(cache)
+        return dicts, seen, dict(cache.drops), victims(cache)
 
 
 def victims(cache):
@@ -118,10 +118,11 @@ def fail_once(name, seam, k, at=1, reruns=2):
         assert_quiescent(sess)
         assert ex.cache.drops == drops
         # a fault in the iteration bracket at or before recomputation's
-        # position keeps that iteration from asking it to start
+        # position keeps that iteration from asking it to start, and an
+        # iteration run from the residency table asks no policy
         keys = [p.key for p in ex.policies]
         key, _, hook = plan.seen[-1].split(" ")[0].partition(".")
-        started = at + 1 + reruns - (
+        started = at + 1 + reruns - ex.table_iterations - (
             hook == "on_iteration_start"
             and keys.index(key) <= keys.index("recompute"))
     assert swept == [({}, [])] * started
@@ -297,6 +298,38 @@ def test_every_allocation_of_a_table_run_iteration_fails():
             assert plan.seen[-1] == calls[k - 1]
             assert_quiescent(sess)
             assert ex._table is None and ex.table_iterations == 0
+            for i in (2, 3):
+                assert sess.run_iteration(i).to_dict() == clockless(expect[i])
+            assert_quiescent(sess)
+            assert ex.table_iterations == 1
+
+
+@pytest.mark.parametrize("seam", ["alloc", "copy"])
+def test_every_call_of_a_pressured_table_run_fails(seam):
+    """Seeded by its scout, the small net's tensor cache is at a fixed
+    point from iteration 0, so iteration 1 records and iteration 2 runs
+    from the table, making iteration 1's calls.  Whichever of its
+    allocations (the exhausted ones included) or copies raises, the
+    table goes and the session is left at rest with its seed intact;
+    iteration 2 then runs live (recording again) and iteration 3 from
+    the new table, both exactly as the undisturbed twin's."""
+    expect, seen, drops, predicted = twin("small-sim")
+    calls = seen[2][seam]
+    assert calls == seen[1][seam]
+    for k in range(1, len(calls) + 1):
+        with engine("small-sim").session("train") as sess:
+            ex = sess.executor
+            plan = FaultPlan(seam, k).install(ex)
+            for i in (0, 1):
+                assert sess.run_iteration(i).to_dict() == expect[i]
+            assert ex._table is not None
+            plan.arm()
+            with pytest.raises(InjectedFault):
+                sess.run_iteration(2)
+            assert plan.seen[-1] == calls[k - 1]
+            assert_quiescent(sess)
+            assert ex._table is None and ex.table_iterations == 0
+            assert (ex.cache.drops, victims(ex.cache)) == (drops, predicted)
             for i in (2, 3):
                 assert sess.run_iteration(i).to_dict() == clockless(expect[i])
             assert_quiescent(sess)

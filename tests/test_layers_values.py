@@ -1,6 +1,8 @@
 """Forward-value correctness tests (the gradient checks cover backward;
 these pin down the forward semantics against hand-computed results)."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.layers import (
     ReLU,
     SoftmaxLoss,
 )
+from repro.layers import base
 from repro.layers.base import LayerContext
 from tests.test_layers_grad import _build
 
@@ -180,3 +183,40 @@ class TestSoftmaxValues:
         ctx = LayerContext()
         l.forward([np.zeros((1, 5, 1, 1), dtype=np.float32)], ctx)
         assert ctx.last_loss == pytest.approx(np.log(5), rel=1e-5)
+
+
+class TestInitialWeights:
+    """Conv and FC weights are seeded He-normal draws, a pure function of
+    (seed, shape, fan-in): memoised, handed out read-only, bounded by
+    bytes, and the bits the layer always drew."""
+
+    @staticmethod
+    def drawn(layer):
+        # the draw as the layers made it before the memo
+        w = layer._w
+        fan_in = int(np.prod(w.shape[1:]))
+        rng = np.random.default_rng(zlib.crc32(layer.name.encode()))
+        return rng.normal(0.0, np.sqrt(2.0 / fan_in),
+                          size=w.shape).astype(np.float32)
+
+    @pytest.mark.parametrize("make,in_shape", [
+        (lambda: Conv2D("c", 4, kernel=3, pad=1), (2, 3, 6, 6)),
+        (lambda: FullyConnected("f", 5), (2, 3, 4, 4)),
+    ], ids=["conv", "fc"])
+    def test_every_build_shares_one_read_only_draw(self, make, in_shape):
+        a, b = (_build(make(), [in_shape]) for _ in range(2))
+        wa, wb = (l.param_values[l._w.tensor_id] for l in (a, b))
+        assert wa is wb
+        want = self.drawn(a)
+        assert wa.dtype == want.dtype and np.array_equal(wa, want)
+        with pytest.raises(ValueError, match="read-only"):
+            wa += 1.0
+
+    def test_the_memo_is_bounded_by_bytes(self, monkeypatch):
+        monkeypatch.setattr(base, "DRAWS_LIMIT", 3 * 4096)
+        monkeypatch.setattr(base, "_draws", type(base._draws)())
+        draws = [base.he_normal(seed, (1024,), 8) for seed in range(4)]
+        assert sum(w.nbytes for w in base._draws.values()) <= 3 * 4096
+        assert base.he_normal(0, (1024,), 8) is not draws[0]  # drawn again
+        assert np.array_equal(base.he_normal(0, (1024,), 8), draws[0])
+        assert base.he_normal(3, (1024,), 8) is draws[3]

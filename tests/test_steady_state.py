@@ -74,9 +74,11 @@ class TestReplayEquivalence:
     @pytest.mark.parametrize("case", [
         "pressured", "concrete", "custom policy", "recorder"])
     def test_the_table_stays_off(self, case):
-        """A pressured session, a concrete one, a stack with a custom
-        policy and an executor with a recorder attached run every
-        iteration live."""
+        """A concrete session, a stack with a custom policy and an
+        executor with a recorder attached run every iteration live.  A
+        pressured session starts from its scout's record, so its tensor
+        cache is at a fixed point from iteration 0: iteration 1 records
+        and every later one runs from the table."""
         if case == "pressured":
             session = Session(resnet50(batch=32), RuntimeConfig.superneurons(
                 concrete=False, gpu_capacity=1 << 30))
@@ -92,7 +94,8 @@ class TestReplayEquivalence:
                 IterationRecorder(ex)
             session.run(iters=ITERS)
             assert ex.replayed_iterations == ITERS - 1
-            assert ex.table_iterations == 0
+            assert ex.table_iterations == (
+                ITERS - 2 if case == "pressured" else 0)
 
     def test_custom_dynamic_policy_keeps_full_dispatch(self):
         """A policy that does not opt into plan stability must observe
