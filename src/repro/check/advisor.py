@@ -22,7 +22,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.cost_model import CostPrediction, predict_compiled_mode
+from repro.check.diagnostics import Diagnostic
+from repro.check.plan_verifier import verify_compiled_mode
 from repro.core.config import RuntimeConfig
+from repro.core.tensor_state import ResidencyError
+from repro.device.gpu import OutOfMemoryError
 
 MiB = 1024 * 1024
 
@@ -37,34 +41,44 @@ class RungAssessment:
     """One ladder rung's predictions across the requested modes, and
     per mode the victims its tensor cache drops instead of copying:
     (tensor, modelled rebuild seconds, modelled exposed copy seconds),
-    as :func:`~repro.core.cache.choose_drops` weighed them."""
+    as :func:`~repro.core.cache.choose_drops` weighed them.  A mode the
+    rung cannot run is in ``refused`` instead, with the plan verifier's
+    findings, and the rung fits no budget."""
 
     rung: str
     predictions: Dict[str, CostPrediction] = field(default_factory=dict)
     dropped: Dict[str, List[Tuple[str, float, float]]] = field(
         default_factory=dict)
+    refused: Dict[str, List[Diagnostic]] = field(default_factory=dict)
 
     @property
     def peak_bytes(self) -> int:
         """Worst predicted GPU peak across modes (what must fit)."""
-        return max(p.peak_gpu_bytes for p in self.predictions.values())
+        return max((p.peak_gpu_bytes for p in self.predictions.values()),
+                   default=0)
 
     def time_for(self, mode: str) -> float:
-        return self.predictions[mode].sim_time
+        pred = self.predictions.get(mode)
+        return float("inf") if pred is None else pred.sim_time
 
     def fits(self, budget: Optional[int]) -> bool:
-        return budget is None or self.peak_bytes <= budget
+        return not self.refused and (
+            budget is None or self.peak_bytes <= budget)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "rung": self.rung,
-            "peak_bytes": self.peak_bytes,
+            "peak_bytes": self.peak_bytes if self.predictions else None,
             "modes": {m: p.to_dict() for m, p in self.predictions.items()},
             "dropped": {m: [{"tensor": name, "rebuild_ms": rebuild * 1e3,
                              "exposed_copy_ms": copies * 1e3}
                             for name, rebuild, copies in rows]
                         for m, rows in self.dropped.items()},
         }
+        if self.refused:
+            out["refused"] = {m: [d.to_dict() for d in diags]
+                              for m, diags in self.refused.items()}
+        return out
 
 
 @dataclass
@@ -88,17 +102,17 @@ class Advice:
         for a in sorted(self.ladder,
                         key=lambda a: a.time_for(self.rank_mode)):
             marks = []
-            if not a.fits(self.budget):
+            if a.refused:
+                marks.append(f"refused ({', '.join(sorted(a.refused))})")
+            elif not a.fits(self.budget):
                 marks.append("over budget")
             if a.rung == self.recommended:
                 marks.append("<== recommended")
-            times = "  ".join(
-                f"{m}={p.sim_time * 1e3:8.2f} ms"
-                for m, p in sorted(a.predictions.items()))
-            lines.append(
-                f"  {a.rung:18s} {times}  "
-                f"peak={a.peak_bytes / MiB:8.1f} MiB"
-                + ("  " + ", ".join(marks) if marks else ""))
+            cols = [f"{m}={p.sim_time * 1e3:8.2f} ms"
+                    for m, p in sorted(a.predictions.items())]
+            if a.predictions:  # what ran: its times and its peak
+                cols.append(f"peak={a.peak_bytes / MiB:8.1f} MiB")
+            lines.append(f"  {a.rung:18s} " + "  ".join(cols + marks))
         if self.recommended is None:
             lines.append(
                 "  no rung fits the budget — the net needs a smaller "
@@ -137,7 +151,8 @@ def assess_ladder(make_net: Callable[[], object],
 
     ``make_net`` must return a *fresh* net per call (each rung compiles
     its own engine); ``config_kw`` (e.g. ``gpu_capacity``, ``device``)
-    is forwarded to every rung's config constructor.
+    is forwarded to every rung's config constructor.  A mode the
+    executor refuses to run is verified instead, into ``refused``.
     """
     from repro.core.engine import Engine  # lazy: check <- core cycle
     out = []
@@ -148,10 +163,20 @@ def assess_ladder(make_net: Callable[[], object],
         names = {l.output.tensor_id: l.output.name
                  for l in engine.net.layers if l.output is not None}
         for mode in modes:
-            cm = engine.compiled(mode)
-            a.predictions[mode] = predict_compiled_mode(
-                engine.net, cm, engine.config.for_mode(mode),
-                target=f"{engine.net.name}/{mode}@{rung}")
+            eff = engine.config.for_mode(mode)
+            target = f"{engine.net.name}/{mode}@{rung}"
+            try:
+                cm = engine.compiled(mode)
+                a.predictions[mode] = predict_compiled_mode(
+                    engine.net, cm, eff, target=target)
+            except (OutOfMemoryError, ResidencyError):
+                # what check plan reports: the refused iteration, verified
+                planning = engine.compiled(mode) \
+                    if mode in engine.compiled_modes \
+                    else engine.planning(mode)
+                a.refused[mode] = verify_compiled_mode(
+                    engine.net, planning, eff, target=target)
+                continue
             if cm.cache_seed is not None and cm.cache_seed.drop_costs:
                 a.dropped[mode] = [
                     (names[tid], *costs)

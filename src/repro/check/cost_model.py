@@ -6,14 +6,15 @@ schedule memory-*safe*; nothing proves it *fast*.  This module closes
 that gap without a machine of its own.  A simulated
 :class:`~repro.core.runtime.Executor` already is the timed,
 payload-free substrate — allocator, LRU cache, fabric, three-stream
-timeline — so a prediction is one of its iterations, *recorded*: an
-:class:`IterationRecorder` attached to the executor is told about every
-copy, stall, offload release and recompute forward, and the counters
-come from the iteration's own ``IterationResult``.  Two callers: the
-engine's ``cost_report`` hook and :func:`predict_compiled_mode`.  Both
-record a session's first iteration — from the scout's record where it
-left one, as every session starts — so they agree with each other and
-with any measured iteration exactly.
+timeline — so a prediction is one of its iterations, *recorded*: the
+move log a residency table is built from (:class:`~repro.core.plan.
+MoveLog`), which :func:`fold` turns into per-step, per-copy, per-stall
+and per-rebuild records, the counters coming from the iteration's own
+``IterationResult``.  Two callers: the engine's ``cost_report`` hook
+and :func:`predict_compiled_mode`.  Both record a session's first
+iteration — from the scout's record where it left one, as every
+session starts — so they agree with each other and with any measured
+iteration exactly; a residency table's log folds the same way.
 
 On top of the recording it emits PERF-rule diagnostics through the
 shared :class:`~repro.check.diagnostics.CheckReport` machinery:
@@ -46,11 +47,14 @@ shared :class:`~repro.check.diagnostics.CheckReport` machinery:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.diagnostics import CheckReport, Diagnostic
 from repro.core.config import RuntimeConfig
+from repro.core.plan import COPY, SUBMIT, TO_HOST, WAIT, MoveLog
 from repro.core.runtime import Executor
 from repro.device.dma import CopyDirection
 from repro.device.timeline import Stream
@@ -142,7 +146,6 @@ class PrefetchRecord:
     idle_gap: float                # H2D idle window before copy_start
     consumer_step: Optional[int] = None
     consumer_op: Optional[str] = None
-    slack: float = 0.0             # consumer_start - arrival (<0 = late)
     stall: float = 0.0
 
 
@@ -205,8 +208,8 @@ class CostPrediction:
     recompute_seconds: float
     capacity: Optional[int]
     pressure_evictions: int
-    #: of those, clean lines dropped with no D2H copy: the recorder
-    #: sees no copy, no stall and no record for them, so
+    #: of those, clean lines dropped with no D2H copy: the move log
+    #: holds no copy, no stall and no record for them, so
     #: D2H copies == pressure_evictions - clean_evictions
     clean_evictions: int
     workspace_fallbacks: int
@@ -246,8 +249,8 @@ class CostPrediction:
         return (self.d2h_busy_seconds + self.h2d_busy_seconds) \
             / self.sim_time
 
-    def to_dict(self, include_steps: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "target": self.target,
             "mode": self.mode,
             "sim_time_ms": self.sim_time * 1e3,
@@ -275,234 +278,141 @@ class CostPrediction:
             "offloads": len(self.offloads),
             "recompute_segments": len(self.recomputes),
         }
-        if include_steps:
-            out["steps"] = [
-                {"index": s.index, "op": s.op, "phase": s.phase,
-                 "start_ms": s.start * 1e3, "end_ms": s.end * 1e3,
-                 "stall_ms": s.stall * 1e3}
-                for s in self.steps
-            ]
-        return out
 
 
 # --------------------------------------------------------------------------- #
-# the recorder: one executor iteration, observed
+# the fold: one executor iteration's move log -> its prediction
 # --------------------------------------------------------------------------- #
 
-class IterationRecorder:
-    """Fills the per-event records from one iteration of a real
-    :class:`~repro.core.runtime.Executor`.
+def step_label(step) -> str:
+    """A route step as findings name it: ``"conv1:f"``."""
+    return f"{step.layer.name}:{step.phase.value[0]}"
 
-    Attaching (construction) sets ``executor.recorder``; it must happen
-    on a fresh executor, before the first iteration links a plan, so
-    that :func:`~repro.core.plan.link_iteration_plan` appends
-    :meth:`step_op` to every step.  The executor then calls
-    :meth:`begin_iteration` as each iteration starts, which forgets the
-    last one, and :meth:`copied` / :meth:`waited` / :meth:`released` at
-    its five copy sites (``evict``, ``clean``, ``offload``,
-    ``prefetch``, ``fetch``), six stall sites and the offload-release
-    site, and the recompute policy calls :meth:`rebuild_begins` /
-    :meth:`recomputed`.  Every method only reads the executor —
-    attaching a recorder never changes an ``IterationResult``
-    (``tests/test_check_cost.py`` holds that, and
-    ``tests/test_overlap_sweep.py`` across a pressured session's steady
-    iterations).  Recorded times are relative to the iteration's start, and
-    :meth:`prediction` reads the iteration that ran last.
-    """
 
-    def __init__(self, executor) -> None:
-        self.ex = executor
-        executor.recorder = self
-        self.begin_iteration()
-
-    def begin_iteration(self) -> None:
-        """Start recording afresh: nothing of an earlier iteration is
-        carried into the next one's records."""
-        tl = self.ex.timeline
-        self.t0 = tl.elapsed
-        self._busy0 = {s: tl.busy_time(s) for s in Stream}
-        # when each copy stream last went idle: a copy's idle gap is
-        # how long its stream then sat unused before the copy started
-        self._idle_since = {Stream.D2H: self.t0, Stream.H2D: self.t0}
-        self._gap: Dict[int, float] = {}          # tensor id -> last copy
-        self._offload_of: Dict[int, OffloadRecord] = {}
-        self._prefetch_of: Dict[int, PrefetchRecord] = {}
-        #: layer id -> the record of the rebuild that re-runs it
-        self._rebuild_of: Dict[int, RecomputeRecord] = {}
-        self._settled = -1                        # last finished step
-        self._step_stall = 0.0                    # stall since then
-        self.steps: List[StepCost] = []
-        self.prefetches: List[PrefetchRecord] = []
-        self.offloads: List[OffloadRecord] = []
-        self.recomputes: List[RecomputeRecord] = []
-        self.stalls: List[StallEvent] = []
-
-    def _now(self) -> float:
-        return self.ex.timeline.now(Stream.COMPUTE) - self.t0
-
-    def where(self) -> Tuple[int, str]:
-        """(step index, op) of the step in flight; past the last step
-        the iteration barrier is draining copies."""
-        steps = self.ex.route.steps
-        i = self._settled + 1
-        if i == len(steps):
-            return i - 1, "<barrier>"
-        step = steps[i]
-        return i, f"{step.layer.name}:{step.phase.value[0]}"
-
-    # -- executor sites ------------------------------------------------------
-    def copied(self, kind: str, t, ev, scale: float) -> None:
-        dma = self.ex.dma
-        to_gpu = ev.stream is Stream.H2D
-        dur = dma.copy_time(
-            t.nbytes, CopyDirection.H2D if to_gpu else CopyDirection.D2H,
-            scale)
-        start = ev.time - dur
-        gap = self._gap[t.tensor_id] = start - self._idle_since[ev.stream]
-        self._idle_since[ev.stream] = ev.time
-        if kind == "offload":
-            pool = self.ex.fabric.pool_of(t.tensor_id)
-            rec = OffloadRecord(
-                tensor=t.name, nbytes=t.nbytes,
-                copy_start=start - self.t0, copy_end=ev.time - self.t0,
-                round_trip_seconds=dur + dma.copy_time(
-                    t.nbytes, CopyDirection.H2D, pool.h2d_scale))
-            self._offload_of[t.tensor_id] = rec
-            self.offloads.append(rec)
-        elif to_gpu:
-            issue = self._now()
+def fold(executor, log: MoveLog, target: Optional[str] = None
+         ) -> CostPrediction:
+    """Fold one iteration's :class:`~repro.core.plan.MoveLog` into its
+    prediction: per step its kernel and the stalls before it, per copy
+    its stream's idle gap, per prefetch its consumer, per eager offload
+    its release and refetch, per rebuild its kernels, and the counters
+    of the iteration's own ``IterationResult``.  Times are relative to
+    the iteration's start.  ``executor`` recorded the log (its linked
+    steps, copy rates and host pools) and is not closed yet; a residency
+    table's log folds as any other, whatever ran from the table since."""
+    ex, t0, facts = executor, log.t0, log.facts
+    dma, steps = ex.dma, ex.iteration_plan.steps
+    D2H, H2D = CopyDirection.D2H, CopyDirection.H2D
+    labels = [cs.trace_label for cs in steps] + ["<barrier>"]
+    layers = {layer.name: layer for layer in ex.net.layers}
+    swap = ex.fabric.pools[0]   # where an offload would have gone
+    ends, opens = defaultdict(list), defaultdict(list)
+    for n, *mark in log.steps:
+        ends[n].append(mark)
+    for n, *mark in log.rebuilds:
+        opens[n].append(mark)
+    marked = ends.keys() | opens.keys()
+    # when each copy stream last went idle: a copy's idle gap is how
+    # long its stream then sat unused before the copy started
+    idle_since = {D2H: t0, H2D: t0}
+    gap: Dict[int, float] = {}                # tensor id -> last copy
+    # tensor id -> its offload and its prefetch, layer id -> its rebuild
+    offload_of, prefetch_of, rebuild_of = {}, {}, {}
+    result, busy = log.result, log.busy
+    pred = CostPrediction(
+        target=target or f"{ex.net.name}/{ex.mode}", mode=ex.mode,
+        sim_time=result.sim_time,
+        # the compute stream also carries the allocator's ticks
+        compute_seconds=busy[Stream.COMPUTE] - result.alloc_overhead,
+        stall_seconds=result.stall_seconds,
+        alloc_overhead_seconds=result.alloc_overhead,
+        alloc_calls=result.alloc_calls,
+        d2h_bytes=result.d2h_bytes, h2d_bytes=result.h2d_bytes,
+        d2h_busy_seconds=busy[Stream.D2H],
+        h2d_busy_seconds=busy[Stream.H2D],
+        peak_gpu_bytes=result.peak_bytes,
+        activation_peak_bytes=result.activation_peak_bytes,
+        param_bytes=result.param_bytes, peak_host_bytes=log.host_peak,
+        extra_forwards=result.extra_forwards, recompute_seconds=0.0,
+        capacity=ex.config.capacity,
+        pressure_evictions=result.cache_evictions,
+        clean_evictions=result.cache_clean_evictions,
+        workspace_fallbacks=sum(
+            1 for w in result.workspace_choices if not w.got_max_speed))
+    settled, stall_since = 0, 0.0             # steps, the stall since
+    index, at = 0, labels[0]                  # the step in flight
+    # one more (empty) move at the end settles the steps after the last
+    for n, (op, a, b) in enumerate(chain(log.moves, [(None, None, None)])):
+        if n in marked:
+            for end, duration in ends.get(n, ()):
+                end -= t0
+                cs = steps[settled]
+                pred.steps.append(StepCost(
+                    index=cs.step.index, op=labels[settled],
+                    phase=cs.phase_value, start=end - duration, end=end,
+                    duration=duration, stall=stall_since))
+                settled, stall_since = settled + 1, 0.0
+            # past the last step the iteration barrier drains copies
+            index, at = min(settled, len(steps) - 1), labels[settled]
+            for anchor, strategy, ids in opens.get(n, ()):
+                rec = RecomputeRecord(anchor=anchor, strategy=strategy,
+                                      trigger_step=index, trigger_op=at)
+                rebuild_of.update(dict.fromkeys(ids, rec))
+        if op == SUBMIT and b.startswith("recompute:"):
+            layer = layers[b[len("recompute:"):]]
+            rec = rebuild_of[layer.layer_id]
+            if not rec.members:
+                pred.recomputes.append(rec)
+            nbytes = layer.output.nbytes
+            rec.members += 1
+            rec.rebuild_seconds += a
+            rec.recovered_bytes += nbytes
+            rec.transfer_seconds += (
+                dma.copy_time(nbytes, D2H, swap.d2h_scale)
+                + dma.copy_time(nbytes, H2D, swap.h2d_scale))
+        elif op == COPY:
+            kind, (scale, x, arrival) = b[0], facts[n]
+            way = H2D if kind in ("prefetch", "fetch") else D2H
+            dur = dma.copy_time(a.nbytes, way, scale)
+            start = arrival - dur
+            idle = gap[a.tensor_id] = start - idle_since[way]
+            idle_since[way] = arrival
+            off = offload_of.get(a.tensor_id)
+            if kind == "offload":   # x: the return leg's H2D scale
+                offload_of[a.tensor_id] = off = OffloadRecord(
+                    tensor=a.name, nbytes=a.nbytes,
+                    copy_start=start - t0, copy_end=arrival - t0,
+                    round_trip_seconds=dur + dma.copy_time(a.nbytes, H2D, x))
+                pred.offloads.append(off)
+            elif way is H2D:        # x: the compute clock at issue
+                if kind == "prefetch":
+                    prefetch_of[a.tensor_id] = pre = PrefetchRecord(
+                        tensor=a.name, nbytes=a.nbytes, issue=x - t0,
+                        copy_start=start - t0, arrival=arrival - t0,
+                        idle_gap=idle)
+                    pred.prefetches.append(pre)
+                if off is not None and off.refetch_time is None:
+                    # GPU bytes re-occupied: at issue for a prefetch (its
+                    # allocation precedes the copy), at copy start for a
+                    # blocking fetch
+                    off.refetch_time = x - t0 if kind == "prefetch" \
+                        else start - t0
+        elif op == WAIT:
+            kind, stall = b[0], facts[n]
             if kind == "prefetch":
-                rec = PrefetchRecord(
-                    tensor=t.name, nbytes=t.nbytes, issue=issue,
-                    copy_start=start - self.t0, arrival=ev.time - self.t0,
-                    idle_gap=gap)
-                self._prefetch_of[t.tensor_id] = rec
-                self.prefetches.append(rec)
-            off = self._offload_of.get(t.tensor_id)
-            if off is not None and off.refetch_time is None:
-                # GPU bytes re-occupied: at issue for a prefetch (its
-                # allocation precedes the copy), at copy start for a
-                # blocking fetch
-                off.refetch_time = issue if kind == "prefetch" \
-                    else start - self.t0
-
-    def waited(self, kind: str, t, ev, stall: float) -> None:
-        index, op = self.where()
-        if kind == "prefetch":
-            rec = self._prefetch_of.pop(t.tensor_id)
-            rec.consumer_step, rec.consumer_op = index, op
-            # sync leaves the clock at max(consumer start, arrival)
-            rec.slack = self._now() - (ev.time - self.t0) - stall
-            rec.stall = stall
-        if stall > 0:
-            self._step_stall += stall
-            self.stalls.append(StallEvent(
-                step=index, op=op, tensor=t.name, kind=kind, seconds=stall,
-                copy_idle_gap=self._gap.get(t.tensor_id, 0.0)))
-
-    def released(self, t) -> None:
-        off = self._offload_of.get(t.tensor_id)
-        if off is not None and off.release_time is None:
-            off.release_time = self._now()
-
-    # -- recompute policy sites ----------------------------------------------
-    def rebuild_begins(self, anchor, strategy: str, layers) -> None:
-        """A rebuild starts: a segment's re-run from its ``anchor``, or a
-        dropped victim's conv (its own anchor, ``strategy`` "dropped")
-        with the chains that bring its inputs back.  ``layers`` are the
-        layers it may re-run; each one's re-run is priced on it."""
-        index, op = self.where()
-        rec = RecomputeRecord(anchor=anchor.name, strategy=strategy,
-                              trigger_step=index, trigger_op=op)
-        for layer in layers:
-            self._rebuild_of[layer.layer_id] = rec
-
-    def recomputed(self, layer, seconds: float) -> None:
-        """``layer`` re-ran forward, its kernel ``seconds`` long (at the
-        algorithm the rebuild picked)."""
-        ex = self.ex
-        rec = self._rebuild_of[layer.layer_id]
-        if not rec.members:
-            self.recomputes.append(rec)
-        nbytes = layer.output.nbytes
-        swap = ex.fabric.pools[0]   # where an offload would have gone
-        rec.members += 1
-        rec.rebuild_seconds += seconds
-        rec.recovered_bytes += nbytes
-        rec.transfer_seconds += (
-            ex.dma.copy_time(nbytes, CopyDirection.D2H, swap.d2h_scale)
-            + ex.dma.copy_time(nbytes, CopyDirection.H2D, swap.h2d_scale))
-
-    # -- the step loop -------------------------------------------------------
-    def step_op(self, cs):
-        """The settled-site op for one compiled step (runs after every
-        policy's, so the step's stalls and kernel are final).  It keeps
-        what it reads of ``cs``, not ``cs``: the step holds the op."""
-        label, phase, default = cs.trace_label, cs.phase_value, cs.duration
-
-        def op(ctx, step):
-            ev = ctx.last_compute_event
-            if ev is None:                 # data-layer backward: no kernel
-                end, duration = self._now(), 0.0
-            else:
-                end = ev.time - self.t0
-                duration = ctx.step_duration \
-                    if ctx.step_duration is not None else default
-            self.steps.append(StepCost(
-                index=step.index, op=label, phase=phase,
-                start=end - duration, end=end, duration=duration,
-                stall=self._step_stall))
-            self._settled = step.index
-            self._step_stall = 0.0
-        return op
-
-    # -- the result ----------------------------------------------------------
-    def prediction(self, result, target: Optional[str] = None
-                   ) -> CostPrediction:
-        """Assemble the prediction from the observed iteration's
-        ``IterationResult`` plus the substrate's own counters (read
-        before the executor closes: closing frees, which ticks)."""
-        ex = self.ex
-        busy = {s: ex.timeline.busy_time(s) - b0
-                for s, b0 in self._busy0.items()}
-        return CostPrediction(
-            target=target or f"{ex.net.name}/{ex.mode}",
-            mode=ex.mode,
-            sim_time=result.sim_time,
-            # the compute stream also carries the allocator's ticks
-            compute_seconds=busy[Stream.COMPUTE] - result.alloc_overhead,
-            stall_seconds=result.stall_seconds,
-            alloc_overhead_seconds=result.alloc_overhead,
-            alloc_calls=result.alloc_calls,
-            d2h_bytes=result.d2h_bytes,
-            h2d_bytes=result.h2d_bytes,
-            d2h_busy_seconds=busy[Stream.D2H],
-            h2d_busy_seconds=busy[Stream.H2D],
-            peak_gpu_bytes=result.peak_bytes,
-            activation_peak_bytes=result.activation_peak_bytes,
-            param_bytes=result.param_bytes,
-            peak_host_bytes=ex.fabric.peak_bytes(),
-            extra_forwards=result.extra_forwards,
-            recompute_seconds=sum(r.rebuild_seconds
-                                  for r in self.recomputes),
-            capacity=ex.config.capacity,
-            pressure_evictions=result.cache_evictions,
-            clean_evictions=result.cache_clean_evictions,
-            workspace_fallbacks=sum(
-                1 for w in result.workspace_choices if not w.got_max_speed),
-            steps=self.steps,
-            prefetches=self.prefetches,
-            offloads=self.offloads,
-            recomputes=self.recomputes,
-            stalls=self.stalls,
-        )
-
-
-def record_iteration(executor, target: Optional[str] = None
-                     ) -> CostPrediction:
-    """Run iteration 0 of a fresh ``executor`` under a recorder."""
-    recorder = IterationRecorder(executor)
-    return recorder.prediction(executor.run_iteration(0), target)
+                pre = prefetch_of.pop(a.tensor_id)
+                pre.consumer_step, pre.consumer_op = index, at
+                pre.stall = stall
+            if stall > 0:
+                stall_since += stall
+                pred.stalls.append(StallEvent(
+                    step=index, op=at, tensor=a.name, kind=kind,
+                    seconds=stall, copy_idle_gap=gap.get(a.tensor_id, 0.0)))
+        elif op == TO_HOST and n in facts:    # an eager offload's release
+            off = offload_of.get(a.tensor_id)
+            if off is not None and off.release_time is None:
+                off.release_time = facts[n] - t0
+    pred.recompute_seconds = sum(r.rebuild_seconds for r in pred.recomputes)
+    return pred
 
 
 # --------------------------------------------------------------------------- #
@@ -525,7 +435,7 @@ def analyze_prediction(pred: CostPrediction,
                 rule="PERF001", severity="warning", target=target,
                 step=pr.consumer_step, op=pr.consumer_op, tensor=pr.tensor,
                 message=f"prefetch of {pr.tensor!r} lands "
-                        f"{-pr.slack * 1e3:.2f} ms after its consumer "
+                        f"{pr.stall * 1e3:.2f} ms after its consumer "
                         f"starts — compute stalls {pr.stall * 1e3:.2f} ms "
                         f"({pr.stall / iter_time:.0%} of the iteration)"))
 
@@ -662,7 +572,7 @@ def predict_compiled_mode(net, compiled, config: RuntimeConfig,
     """
     sim = replace(config, concrete=False, collect_traces=False)
     with Executor(net, sim, sim.policy_stack(), compiled) as ex:
-        return record_iteration(ex, target)
+        return fold(ex, ex._run_recorded(0), target)
 
 
 def cost_compiled_mode(net, compiled, config: RuntimeConfig,

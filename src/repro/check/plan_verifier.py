@@ -9,11 +9,11 @@ therefore cannot crash "sometimes" — it emits a plan that is
 wrong.  So the verifier keeps no model of its own: it runs that
 iteration on a real simulated :class:`~repro.core.runtime.Executor`,
 the machine every session runs the plan on, with the placement
-validator armed (strict: a first
-iteration frees nothing twice) and the cost model's
-:class:`~repro.check.cost_model.IterationRecorder` attached.  What the
-run refuses or records becomes a PLAN finding with step, op and tensor
-provenance:
+validator armed (strict: a first iteration frees nothing twice) and
+its moves recorded for the cost model's :func:`~repro.check.cost_model.
+fold`.  A refusal becomes a PLAN finding at the step in flight
+(``StepContext.step``), and a fetch stall the fold shows or a lock the
+barrier leaves one with step, op and tensor provenance:
 
 * **PLAN001 use-after-free** — the executor refuses to make a freed
   tensor resident: a liveness free list or recompute discard retired it
@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.check.cost_model import CostPrediction, IterationRecorder
+from repro.check.cost_model import CostPrediction, fold, step_label
 from repro.check.diagnostics import CheckReport, Diagnostic
 from repro.core.config import RuntimeConfig
 from repro.core.runtime import Executor
@@ -117,8 +117,7 @@ def _need_order_findings(need, ex, target: str) -> List[Diagnostic]:
             diags.append(Diagnostic(
                 rule="PLAN007", message=msg, target=target, tensor=t.name,
                 step=i if step is not None else None,
-                op=f"{step.layer.name}:{step.phase.value[0]}"
-                if step is not None else None))
+                op=step_label(step) if step is not None else None))
         seen.setdefault(t.tensor_id, i)
         after = max(after, i)
     return diags
@@ -140,17 +139,19 @@ def verify_run(build: Callable[[], Executor], target: str,
     with ex:
         state = ex.state
         state.validate = state.strict = True
-        recorder = IterationRecorder(ex)
         try:
-            result = ex.run_iteration(0)
+            log = ex._run_recorded(0)
         except (ResidencyError, OutOfMemoryError) as exc:
-            step, op = recorder.where()
+            # the step in flight (the first, if none had begun)
+            in_flight = ex._ctx.step or ex.route.steps[0]
+            step, op = in_flight.index, step_label(in_flight)
             if isinstance(exc, OutOfMemoryError):
                 return [_overflow(exc, target, f"at step {step}", step, op)
                         ], None
             return [Diagnostic(
                 rule=exc.rule, message=str(exc), target=target, step=step,
                 op=op, tensor=exc.tensor.name)], None
+        prediction = fold(ex, log, target)
         diags: List[Diagnostic] = []
         if not (ex.config.use_offload and ex.config.use_tensor_cache):
             diags.extend(Diagnostic(
@@ -159,7 +160,7 @@ def verify_run(build: Callable[[], Executor], target: str,
                 message=f"compute stalls {s.seconds * 1e3:.2f} ms on a "
                         f"synchronous fetch of {s.tensor!r}: no prefetch "
                         f"brought it back before its consumer")
-                for s in recorder.stalls if s.kind == "fetch")
+                for s in prediction.stalls if s.kind == "fetch")
         diags.extend(Diagnostic(
             rule="PLAN003", target=target, tensor=t.name,
             message=f"tensor {t.name!r} is still locked at the iteration "
@@ -170,8 +171,7 @@ def verify_run(build: Callable[[], Executor], target: str,
         offload = ex.iteration_plan.plans.get("offload")
         if offload is not None:
             diags.extend(_need_order_findings(offload.return_trip, ex, target))
-        prediction = recorder.prediction(result, target) if cost else None
-    return diags, prediction
+    return diags, prediction if cost else None
 
 
 # --------------------------------------------------------------------------- #

@@ -655,7 +655,12 @@ def cmd_check_cost(args) -> int:
             modes=modes, rungs=rungs,
             gpu_capacity=int(args.gpu_gb * GiB))
         for assessment in ladder:
-            for pred in assessment.predictions.values():
+            for mode in modes:
+                pred = assessment.predictions.get(mode)
+                if pred is None:  # refused: the plan verifier's findings
+                    report.checked.append(f"{name}/{mode}@{assessment.rung}")
+                    report.extend(assessment.refused[mode])
+                    continue
                 report.checked.append(pred.target)
                 report.extend(analyze_prediction(pred, budget=budget))
                 report.metrics[pred.target] = pred.to_dict()

@@ -275,9 +275,9 @@ class Engine:
         # cached planning: the allocator landscape, frees, copies and
         # rebuilds are identical to a concrete run's, but no payload is
         # ever touched.  The same iteration is the verdict of the plan
-        # verifier and the cost prediction: with either armed it runs
-        # under the cost model's recorder (lazy imports: engines that
-        # arm neither never load the checkers) — where it seeds nothing,
+        # verifier and the cost prediction: with either armed its moves
+        # are recorded and folded (lazy imports: engines that arm
+        # neither never load the checkers) — where it seeds nothing,
         # every session's iteration 0 is the same machine doing the
         # same thing.  A plan the verifier refuses raises
         # PlanVerificationError and the mode is never cached.
@@ -304,8 +304,8 @@ class Engine:
         else:
             with scout() as ex:
                 if self.cost_report:
-                    from repro.check.cost_model import record_iteration
-                    prediction = record_iteration(ex, target)
+                    from repro.check.cost_model import fold
+                    prediction = fold(ex, ex._run_recorded(0), target)
                 else:
                     ex.run_iteration(0)
         return next((p.cache.outcome() for p in stack

@@ -47,6 +47,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.workspace import WorkspaceChoice
 from repro.device.dma import CopyDirection
+from repro.device.timeline import Stream
 from repro.graph.route import Phase, Step
 from repro.layers.base import Layer
 from repro.layers.data import DataLayer
@@ -553,6 +554,37 @@ ALLOC, FREE, SUBMIT, READ, SCRATCH, UNSCRATCH, \
     EXHAUSTED, PREFETCH, COPY, WAIT, TO_HOST = range(11)
 
 
+class MoveLog:
+    """One iteration's ``moves`` (see :data:`ALLOC`; on through the
+    barrier) and, captured only while recording, what the cost model
+    folds them with (:func:`repro.check.cost_model.fold`): ``events``,
+    each ``SUBMIT`` and ``COPY`` event's id -> its ordinal; ``facts``,
+    move ordinal -> a ``COPY``'s ``(rate scale, x, arrival)`` (``x`` the
+    return leg's H2D scale for a D2H copy, the compute clock at issue
+    for an H2D one), a ``WAIT``'s stall, an eager offload's ``TO_HOST``
+    release clock; ``steps``, ``(ordinal, kernel end, kernel seconds)`` as each
+    step settles (no kernel: the clock, 0 s); ``rebuilds``, ``(ordinal,
+    anchor name, strategy, layer ids)`` as each rebuild begins, whose
+    layers' later ``recompute:`` kernels are its own until another
+    claims them.  ``t0`` and ``busy`` are the timeline's elapsed and
+    busy time at the start (``busy`` the deltas once ended), and
+    ``host_peak`` and ``result`` the host pools' peak and the result.
+    """
+
+    __slots__ = ("moves", "events", "facts", "steps", "rebuilds", "t0",
+                 "busy", "host_peak", "result")
+
+    def __init__(self, timeline) -> None:
+        self.moves: list = []
+        self.events: Dict[int, int] = {}
+        self.facts: Dict[int, object] = {}
+        self.steps: List[Tuple[int, float, float]] = []
+        self.rebuilds: List[tuple] = []
+        self.t0 = timeline.elapsed
+        self.busy = {s: timeline.busy_time(s) for s in Stream}
+        self.host_peak, self.result = 0, None
+
+
 class ResidencyTable:
     """One steady iteration of a linked plan, recorded flat.
 
@@ -560,31 +592,25 @@ class ResidencyTable:
     iteration that starts where the last one started (paper §3): one
     that meets no pressure, or one whose tensor cache is at a fixed
     point.  So the executor records one such iteration and runs the next
-    ones from the record: the moves in order (``ops``, see
-    :data:`ALLOC`), then the step trace rows, the workspace picks and
-    the counter deltas the policies' hooks would have made.  ``start``
-    is the allocator's :meth:`~repro.mempool.allocator.Allocator.
-    signature` the record began at; the table runs only from there,
-    under ``plan``.
+    ones from the record: the moves in order up to the iteration barrier
+    (``ops``, see :data:`ALLOC`), then the step trace rows, the workspace
+    picks and the counter deltas the policies' hooks would have made
+    (the recorded result's).  ``start`` is the allocator's
+    :meth:`~repro.mempool.allocator.Allocator.signature` the record
+    began at; the table runs only from there, under ``plan``.  ``log``
+    is the whole record, which the cost model folds like any other.
     """
 
-    __slots__ = ("plan", "start", "ops", "traces", "choices", "hits",
-                 "misses", "evictions", "clean_evictions", "dropped",
-                 "extra_forwards")
+    __slots__ = ("plan", "start", "ops", "traces", "choices", "log")
 
-    def __init__(self, plan: IterationPlan, start: tuple, ops: list,
-                 result) -> None:
+    def __init__(self, plan: IterationPlan, start: tuple, log: MoveLog,
+                 end: int) -> None:
         self.plan = plan
         self.start = start
-        self.ops = ops
-        self.traces = tuple(result.traces)
-        self.choices = tuple(result.workspace_choices)
-        self.hits = result.cache_hits
-        self.misses = result.cache_misses
-        self.evictions = result.cache_evictions
-        self.clean_evictions = result.cache_clean_evictions
-        self.dropped = result.cache_dropped
-        self.extra_forwards = result.extra_forwards
+        self.ops = log.moves[:end]
+        self.traces = tuple(log.result.traces)
+        self.choices = tuple(log.result.workspace_choices)
+        self.log = log
 
 
 def link_iteration_plan(ex) -> IterationPlan:
@@ -639,9 +665,6 @@ def link_iteration_plan(ex) -> IterationPlan:
                 compute.append(make_workspace_op(ex.model, p.selector, step))
             for site, fn in hooks[n]:
                 sites[site].append(fn)
-        if ex.recorder is not None:
-            # the observer rides last: it sees the step fully settled
-            settled.append(ex.recorder.step_op(cs))
         cs.before_ops = tuple(before)
         cs.compute_ops = tuple(compute)
         cs.after_ops = tuple(after)

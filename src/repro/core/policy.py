@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Set, Tuple, Type
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Type
 
 from repro.core import config as _config
 from repro.core.cache import TensorCache, Victim, choose_drops
@@ -150,12 +150,6 @@ class StepContext:
         return self._ex.allocator.free_bytes
 
     @property
-    def recorder(self):
-        """The executor's iteration observer (None unless costing or
-        verifying)."""
-        return self._ex.recorder
-
-    @property
     def cache_armed(self) -> bool:
         """Does the resolved stack carry an armed tensor cache?  Read
         from the stack, not the config, so explicit stacks agree."""
@@ -242,7 +236,8 @@ class StepContext:
         ev = ex.timeline.submit(Stream.COMPUTE, duration, label)
         if ex._rec is not None:
             ex._rec.append((SUBMIT, duration, label))
-            ex._rec_events[ev] = len(ex._rec_events)
+            events = ex._log.events
+            events[ev.event_id] = len(events)
         return ev
 
     # -- the tensor cache's, not part of the policy protocol --------------
@@ -306,6 +301,14 @@ class StepContext:
         if ex._rec is not None:
             ex._rec.append((UNSCRATCH, None, None))
         ex.allocator.free(scratch)
+
+    def _log_rebuild(self, anchor: Layer, strategy: str,
+                     layers: Iterable[Layer]) -> None:
+        """Log a rebuild's start (``layers`` read only while recording)."""
+        ex = self._ex
+        if ex._rec is not None:
+            ex._log.rebuilds.append((len(ex._rec), anchor.name, strategy,
+                                     [layer.layer_id for layer in layers]))
 
 
 class MemoryPolicy:
@@ -866,9 +869,7 @@ class RecomputePolicy(MemoryPolicy):
                     f"tensor {t.name} was freed but its producer "
                     f"{producer.name} is not recomputable — scheduling bug",
                     t, "PLAN004")
-            if ctx.recorder is not None:
-                ctx.recorder.rebuild_begins(seg.anchor, seg.strategy.value,
-                                            seg.members)
+            ctx._log_rebuild(seg.anchor, seg.strategy.value, seg.members)
             if seg.strategy is RecomputeStrategy.SPEED_CENTRIC:
                 self._materialize_segment(ctx, seg)
             else:
@@ -879,11 +880,7 @@ class RecomputePolicy(MemoryPolicy):
         that is gone too comes back as a transient memory-centric chain
         and goes again as soon as the conv has run."""
         state = ctx.state
-        if ctx.recorder is not None:
-            ctx.recorder.rebuild_begins(conv, "dropped", [conv, *(
-                m for p in conv.prev
-                if p.is_recomputable and not state.is_live(p.output)
-                for m in self._chain_layers(ctx, p))])
+        ctx._log_rebuild(conv, "dropped", self._rebuilt(ctx, conv))
         transient = []
         for p in conv.prev:
             if p.is_recomputable and not state.is_live(p.output):
@@ -893,6 +890,14 @@ class RecomputePolicy(MemoryPolicy):
         for t in transient:
             if state.is_live(t):
                 ctx.discard(t)
+
+    def _rebuilt(self, ctx: StepContext, conv: Layer) -> Iterable[Layer]:
+        """The layers a dropped conv's rebuild may re-run: the conv and
+        the chains that bring its missing inputs back."""
+        yield conv
+        for p in conv.prev:
+            if p.is_recomputable and not ctx.state.is_live(p.output):
+                yield from self._chain_layers(ctx, p)
 
     def _materialize_segment(self, ctx: StepContext, seg) -> None:
         """Speed-centric: re-run every member once, keep the results."""
@@ -1005,8 +1010,6 @@ class RecomputePolicy(MemoryPolicy):
             state.unlock(p.output)
         state.unlock(layer.output)
         self.extra_forwards += 1
-        if ctx.recorder is not None:
-            ctx.recorder.recomputed(layer, kernel[0])
 
 
 @register_policy

@@ -60,6 +60,7 @@ from repro.core.plan import (
     WAIT,
     CompiledStep,
     IterationPlan,
+    MoveLog,
     ResidencyTable,
     link_iteration_plan,
     listener_table,
@@ -301,31 +302,24 @@ class Executor:
         self._collect_traces = cfg.collect_traces
         self.replayed_iterations = 0
         #: the residency table (:meth:`_run_table`): the moves being
-        #: recorded (None when not recording) with the ordinal of each
-        #: event they made, the table recorded last (None until a
-        #: steady iteration records one, and once anything raises) and
-        #: the iterations it ran.  An iteration is *calm* if
+        #: recorded (None when not recording), the :class:`MoveLog`
+        #: they go into (kept once recorded), whether every iteration
+        #: records (:meth:`_run_recorded`), the table recorded last (None
+        #: until a steady iteration records one, and once anything
+        #: raises) and the iterations it ran.  An iteration is *calm* if
         #: it copies nothing and asks no policy to relieve pressure
         #: (an eviction and a stall each need one or the other):
         #: ``_pressure`` counts both, ``_calm`` says the last completed
         #: iteration was, and ``_tabled`` (decided at the first record)
         #: whether the stack is exactly the config's built-in one.
         self._rec: Optional[list] = None
-        self._rec_events: Dict[Event, int] = {}
+        self._log: Optional[MoveLog] = None
+        self._recording = False
         self._table: Optional[ResidencyTable] = None
         self.table_iterations = 0
         self._pressure = 0
         self._calm = False
         self._tabled: Optional[bool] = None
-
-        #: optional observer of this executor's copies, stalls, offload
-        #: releases and recompute forwards (the cost model's
-        #: ``IterationRecorder``).  It must be attached before the first
-        #: iteration links a plan, reads state and never writes it, and
-        #: is None everywhere except costing and plan verification: each
-        #: site pays one ``is not None`` test, none of them on the
-        #: no-DMA hot path.
-        self.recorder = None
 
         # runtime state
         self._closed = False
@@ -434,8 +428,8 @@ class Executor:
         twice is harmless; running a closed executor is an error.
 
         Closing also cuts the reference cycles through the executor —
-        the linked plan's ops, the policies' context and the observer
-        each hold it — so dropping the last reference to a closed
+        the linked plan's ops and the policies' context each hold it —
+        so dropping the last reference to a closed
         executor frees it at once, with no work for the cycle
         collector.  The plan itself stays whole for whoever holds it."""
         if self._closed:
@@ -446,9 +440,8 @@ class Executor:
         self._alloc_of.clear()
         if isinstance(self.allocator, PoolAllocator):
             self.allocator.close()
-        self._plan = self._table = None
+        self._plan = self._table = self._log = None
         self._ctx._ex = None
-        self.recorder = None
 
     def __enter__(self) -> "Executor":
         return self
@@ -573,13 +566,16 @@ class Executor:
         ev = self.dma.copy_async(t.nbytes, direction,
                                  label=f"{kind}:{t.name}", after=after,
                                  rate_scale=scale)
-        if self._rec is not None:
-            events = self._rec_events
-            self._rec.append((COPY, t, (kind, after and tuple(
-                events[e] for e in after))))
-            events[ev] = len(events)
-        if self.recorder is not None:
-            self.recorder.copied(kind, t, ev, scale)
+        rec = self._rec
+        if rec is not None:
+            log = self._log
+            events = log.events
+            log.facts[len(rec)] = (scale, self.fabric.pool_of(
+                t.tensor_id).h2d_scale if direction is CopyDirection.D2H
+                else self.timeline.now(Stream.COMPUTE), ev.time)
+            rec.append((COPY, t, (kind, after and tuple(
+                events[e.event_id] for e in after))))
+            events[ev.event_id] = len(events)
         return ev
 
     def _wait(self, t: Tensor, kind: str, ev: Event) -> None:
@@ -587,10 +583,10 @@ class Executor:
         stall the tensor cache and prefetch-ahead exist to avoid."""
         stall = self.timeline.sync(Stream.COMPUTE, ev)
         self._stall += stall
-        if self._rec is not None:
-            self._rec.append((WAIT, t, (kind, self._rec_events[ev])))
-        if self.recorder is not None:
-            self.recorder.waited(kind, t, ev, stall)
+        rec = self._rec
+        if rec is not None:
+            self._log.facts[len(rec)] = stall
+            rec.append((WAIT, t, (kind, self._log.events[ev.event_id])))
 
     def _evict_to_host(self, t: Tensor) -> int:
         """Synchronous offload used by LRU eviction; returns bytes freed.
@@ -671,8 +667,8 @@ class Executor:
         self._complete_offload(p)
 
     def _complete_offload(self, p: _PendingOffload) -> None:
-        if self.recorder is not None:
-            self.recorder.released(p.tensor)
+        if self._rec is not None:  # the release's clock, on its TO_HOST
+            self._log.facts[len(self._rec)] = self.timeline.now(Stream.COMPUTE)
         self._free_gpu_only(p.tensor)
 
     def _prefetch_async(self, t: Tensor) -> bool:
@@ -780,24 +776,22 @@ class Executor:
         replayed = plan is not None and self._replay_enabled
         if not replayed:
             plan = self._link_plan()
-        # the table runs only where it was recorded: same plan, no
-        # observer, the allocator where the record began
+        # the table runs only where it was recorded: same plan, the
+        # allocator where the record began
         table = self._table
         if table is not None and not (
-                table.plan is plan and self.recorder is None
+                table.plan is plan
                 and table.start == self.allocator.signature()):
             table = self._table = None
-        start = None
-        if table is None and replayed and self._steady() \
-                and self._may_table():
+        tabling = table is None and replayed and self._steady() \
+            and self._may_table()
+        if tabling or self._recording:
             start = self.allocator.signature()
-            self._rec = []
-            self._rec_events.clear()
+            log = self._log = MoveLog(self.timeline)
+            self._rec = log.moves
         ctx._begin_iteration(iteration, LayerContext(
             iteration=iteration, training=self.training,
             feed=feed, capture_final=capture_output))
-        if self.recorder is not None:
-            self.recorder.begin_iteration()
         if table is None:
             self._dispatch("on_iteration_start")
         else:
@@ -820,13 +814,13 @@ class Executor:
                 self._dispatch("on_iteration_end")
             else:
                 traces = self._run_table(table, ctx)
-            rec, self._rec = self._rec, None  # the barrier always runs live
-            self._rec_events.clear()
+            end = len(self._rec or ())  # a table ends at the barrier
             # iteration barrier: drain copies, free whatever is left
             while self._pending:
                 self._force_reap_one()
             self.timeline.sync_all()
             self._end_of_iteration_cleanup()
+            rec, self._rec = self._rec, None
         except BaseException:
             self._abort_iteration()
             raise
@@ -862,9 +856,25 @@ class Executor:
             workspace_choices=self._workspace_choices()[ws_start:],
             output=ctx.layer_ctx.final_output,
         )
-        if rec is not None and self._steady():
-            self._table = ResidencyTable(plan, start, rec, res)
+        if rec is not None:
+            log = self._log
+            log.busy = {s: self.timeline.busy_time(s) - b0
+                        for s, b0 in log.busy.items()}
+            log.host_peak, log.result = self.fabric.peak_bytes(), res
+            if tabling and self._steady():
+                self._table = ResidencyTable(plan, start, log, end)
         return res
+
+    def _run_recorded(self, iteration: int = 0) -> MoveLog:
+        """Run one iteration live and return its move log, for ``check
+        cost`` and the plan verifier to fold, even one that never becomes
+        a table (iteration 0, an eager rung)."""
+        self._table, self._recording = None, True
+        try:
+            self.run_iteration(iteration)
+        finally:
+            self._recording = False
+        return self._log
 
     def _steady(self) -> bool:
         """Did the last completed iteration end where it began, so the
@@ -875,13 +885,13 @@ class Executor:
 
     def _may_table(self) -> bool:
         """May this executor record a residency table at all?  Only a
-        simulated run of exactly the config's built-in stack, observed
-        by no recorder: a concrete run moves payloads, and a custom
-        policy's hooks are its own."""
+        simulated run of exactly the config's built-in stack: a concrete
+        run moves payloads, and a custom policy's hooks are its own.  A
+        costed executor tables like any other."""
         if self._tabled is None:
             self._tabled = [type(p) for p in self.policies] \
                 == [type(p) for p in resolve_policies(self.config)]
-        return self._tabled and not self.concrete and self.recorder is None
+        return self._tabled and not self.concrete
 
     def _run_table(self, table: ResidencyTable, ctx: StepContext
                    ) -> List[StepTrace]:
@@ -950,15 +960,16 @@ class Executor:
                 if held is not None:
                     free(held)
         self._workspace_choices().extend(table.choices)
+        res = table.log.result
         if self._offload_policy is not None:
             cache = self._offload_policy.cache
-            cache.hits += table.hits
-            cache.misses += table.misses
-            cache.evictions += table.evictions
-            cache.dropped += table.dropped
-        self._clean_evictions += table.clean_evictions
+            cache.hits += res.cache_hits
+            cache.misses += res.cache_misses
+            cache.evictions += res.cache_evictions
+            cache.dropped += res.cache_dropped
+        self._clean_evictions += res.cache_clean_evictions
         if self._recompute_policy is not None:
-            self._recompute_policy.extra_forwards += table.extra_forwards
+            self._recompute_policy.extra_forwards += res.extra_forwards
         return list(table.traces)
 
     def _run_steps(self, plan: IterationPlan, ctx: StepContext, optimizer
@@ -968,6 +979,7 @@ class Executor:
         and which compiled closures — never the mechanics."""
         traces: List[StepTrace] = []
         collect = self._collect_traces
+        rec = self._rec  # the moves being recorded, if any
         allocator = self.allocator
         param_bytes = self.param_bytes
         for cs in plan.steps:
@@ -987,6 +999,13 @@ class Executor:
                 fn(ctx, step)
             for fn in cs.settled_ops:
                 fn(ctx, step)
+            if rec is not None:  # the step's kernel: its end and length
+                ev, dur = ctx.last_compute_event, ctx.step_duration
+                self._log.steps.append(
+                    (len(rec), self.timeline.now(Stream.COMPUTE), 0.0)
+                    if ev is None  # the data layer's backward: no kernel
+                    else (len(rec), ev.time,
+                          cs.duration if dur is None else dur))
             if collect:
                 settled = allocator.used_bytes
                 traces.append(StepTrace(
@@ -1021,7 +1040,8 @@ class Executor:
         ctx.last_compute_event = ev
         if self._rec is not None:
             self._rec.append((SUBMIT, duration, cs.submit_label))
-            self._rec_events[ev] = len(self._rec_events)
+            events = self._log.events
+            events[ev.event_id] = len(events)
 
         if self.concrete:
             ins = [self.store.get_required(p.output) for p in layer.prev]
@@ -1073,7 +1093,8 @@ class Executor:
         ctx.last_compute_event = ev
         if self._rec is not None:
             self._rec.append((SUBMIT, duration, cs.submit_label))
-            self._rec_events[ev] = len(self._rec_events)
+            events = self._log.events
+            events[ev.event_id] = len(events)
 
         if self.concrete:
             self._backward_values(layer, ctx.layer_ctx, optimizer)
@@ -1091,7 +1112,7 @@ class Executor:
         never reaches ``on_iteration_end``: a half iteration commits
         nothing a policy records, and the residency table goes: the
         next iteration runs live."""
-        self._rec = self._table = None
+        self._rec = self._table = self._log = None
         self._free_step_scratch(self._ctx)
         self.state.unlock_all(self._cleanup_tensors)
         self._pending.clear()

@@ -8,7 +8,9 @@ import numpy as np
 
 
 class SGD:
-    """Updates layer parameter values in place.
+    """Computes each parameter's next value: :meth:`step_param`
+    returns a new array, which the executor stores in the layer's
+    ``param_values`` in place of the old one.
 
     The optimizer state (momentum buffers) is host-side and never enters
     the GPU scheduling problem, matching Caffe's solver design on the

@@ -20,10 +20,10 @@ import repro
 from repro.check.advisor import advise, assess_ladder, recommend
 from repro.check.cost_model import (
     CostThresholds,
-    IterationRecorder,
     analyze_prediction,
     cost_compiled_mode,
     cost_engine,
+    fold,
     predict_compiled_mode,
     serving_fill_check,
 )
@@ -162,8 +162,8 @@ class TestCalibration:
 
 
 # --------------------------------------------------------------------------- #
-# the recorder is a pure observer, and the scout it rides at compile
-# time records the same iteration a replay does
+# recording never changes the iteration, and the scout recorded at
+# compile time is the same iteration a replay records
 # --------------------------------------------------------------------------- #
 class TestRecorder:
     @pytest.mark.parametrize("net,concrete", [("lenet", True),
@@ -179,16 +179,47 @@ class TestRecorder:
 
         def run(record):
             with engine.executor() as ex:
-                recorder = IterationRecorder(ex) if record else None
-                res = ex.run_iteration(0)
-                assert ex.replayed_iterations == 0
                 if record:
-                    assert len(recorder.steps) == len(ex.route.steps)
-                    pred = recorder.prediction(res)
+                    log = ex._run_recorded(0)
+                    res, pred = log.result, fold(ex, log)
+                    assert len(pred.steps) == len(ex.route.steps)
                     assert pred.sim_time == res.sim_time
+                else:
+                    res = ex.run_iteration(0)
+                assert ex.replayed_iterations == 0
                 return res.to_dict()
 
         assert run(record=True) == run(record=False)
+
+    @pytest.mark.parametrize("case", ["eager-slow-pcie", "cache-1GiB"])
+    def test_the_fold_places_every_record(self, case):
+        """The fold's records agree with each other and with the route:
+        each step's stall plus the barrier's sum to the iteration's, a
+        stall and a rebuild name the step they happened at, and a
+        prefetch's idle gap is its stream's since the copy before."""
+        if case == "cache-1GiB":
+            engine = Engine(NETWORK_BUILDERS["resnet50"](batch=32),
+                            RuntimeConfig.superneurons(
+                                concrete=False, gpu_capacity=1 << 30))
+        else:
+            engine = _engine("alexnet", "liveness_offload", device=replace(
+                K40_MODEL, pcie_h2d=4e9, pcie_d2h=4e9))
+        pred = _predict(engine)
+        steps = engine.compiled("train").route.steps
+        assert pred.stalls and pred.prefetches and (
+            pred.recomputes if case == "cache-1GiB" else pred.offloads)
+        barrier = sum(s.seconds for s in pred.stalls if s.op == "<barrier>")
+        assert sum(s.stall for s in pred.steps) + barrier \
+            == pytest.approx(pred.stall_seconds)
+        for index, op in [(s.step, s.op) for s in pred.stalls] + [
+                (r.trigger_step, r.trigger_op) for r in pred.recomputes]:
+            step = steps[index]
+            assert op in (f"{step.layer.name}:{step.phase.value[0]}",
+                          "<barrier>")
+        landed = 0.0
+        for p in sorted(pred.prefetches, key=lambda p: p.copy_start):
+            assert 0 <= p.idle_gap <= p.copy_start - landed + 1e-12
+            landed = p.arrival
 
     @pytest.mark.parametrize("net", ["lenet", "alexnet"])
     @pytest.mark.parametrize("rung", RUNGS)
@@ -498,6 +529,36 @@ class TestCheckCostCLI:
                  f"{d['exposed_copy_ms']:.2f}"]
                 for d in rung["dropped"]["train"]] == \
             [[name, rebuild, copy] for name, rebuild, _, copy, _ in rows]
+
+    def test_a_refused_rung_is_reported_not_crashed(self, tmp_path,
+                                                    capsys):
+        """At 1 GiB resnet50 b32 runs only with the tensor cache: the
+        baseline's first iteration is refused.  ``check cost`` reports
+        the refusal as ``check plan`` does (PLAN005 at the step in
+        flight, exit 1, not an internal error), costs the rung that
+        runs, and the advisor recommends only that one."""
+        out_path = tmp_path / "cost.json"
+        rc = main(["check", "cost", "--net", "resnet50", "--batch", "32",
+                   "--gpu-gb", "1", "--configs", "baseline,superneurons",
+                   "--modes", "train", "--advise", "--format", "json",
+                   "--output", str(out_path)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "refused (train)" in out
+        report = json.loads(out_path.read_text())
+        assert [(d["rule"], d["target"], d["step"], d["op"])
+                for d in report["diagnostics"]] == [
+            ("PLAN005", "resnet50/train@baseline", 15, "s1u0_join:f")]
+        assert report["checked"][:2] == ["resnet50/train@baseline",
+                                         "resnet50/train@superneurons"]
+        assert "resnet50/train@baseline" not in report["metrics"]
+        assert "resnet50/train@superneurons" in report["metrics"]
+        advice = report["metrics"]["resnet50/advice"]
+        assert advice["recommended"] == "superneurons"
+        baseline, = [a for a in advice["ladder"] if a["rung"] == "baseline"]
+        assert [d["rule"] for d in baseline["refused"]["train"]] \
+            == ["PLAN005"]
+        assert baseline["peak_bytes"] is None and baseline["modes"] == {}
 
     def test_budget_violation_exits_one(self, capsys):
         rc = main(["check", "cost", "--net", "alexnet",

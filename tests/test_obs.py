@@ -452,7 +452,8 @@ class TestFrameBudget:
         ("resnet50", None, 4_763),        # from 16,542
         ("resnet50", 1 << 30, 5_667),     # from 29,464, live 18,771
         ("lenet", None, 139),             # b8 infer, the serving step
-    ])
+    ], ids=["alexnet-None", "resnet50-None", "resnet50-1073741824",
+            "lenet-None"])
     def test_replayed_iteration_frames(self, monkeypatch, net, gpu_capacity,
                                        landed):
         from repro.check import instrument

@@ -124,7 +124,7 @@ POLICY_PROTOCOL = {
     "StepContext": (StepContext, [
         # views
         "state", "net", "route", "model", "store", "concrete", "plan",
-        "recompute_plan", "free_bytes", "recorder",
+        "recompute_plan", "free_bytes",
         "cache_armed", "pending_offloads", "offload_in_flight", "reads_at",
         # operations
         "alloc_tensor", "alloc_scratch", "set_duration", "set_workspace",

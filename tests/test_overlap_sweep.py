@@ -22,7 +22,7 @@ from collections import Counter
 import pytest
 
 from repro import Engine, RuntimeConfig, Session
-from repro.check.cost_model import IterationRecorder
+from repro.check.cost_model import fold
 from repro.core.config import RecomputeStrategy
 from repro.core.plan import head_room
 from repro.core.policy import resolve_policies
@@ -422,43 +422,46 @@ def test_the_copy_reserve_is_never_above_l_peak():
 
 
 def test_the_cost_recorder_reads_a_steady_iteration():
-    """``IterationRecorder`` kept across iterations records each one
-    afresh — a dropped victim's rebuild is a record of its own, priced
-    at the algorithm its workspace pick ran — and changes none of them:
-    iterations 0-2 equal an unrecorded run's.  Iteration 1's stall, by
+    """A costed lane tables like any other: iterations 0 and 1 of a
+    seeded pressured lane are recorded and folded, iteration 2 runs from
+    the table iteration 1's move log became, and that log folds to
+    iteration 1's prediction — which is iteration 2's, run from it.
+    Recording changes none of them: iterations 0-2 equal an unrecorded
+    lane's.  A dropped victim's rebuild is a record of its own, priced
+    at the algorithm its workspace pick ran.  Iteration 1's stall, by
     copy kind, is the per-copy reserve's: 5.36 ms of late prefetches
     (8.09 ms at the l_peak reserve) and 2.33 ms of forward clean
     waits."""
-    def executor():
-        net, cfg = pressured()
-        return hand_stacked_executor(net, cfg,
-                                     resolve_policies(cfg.for_mode("train")))
-
-    with executor() as ex:
+    engine = Engine(*pressured())
+    engine.compiled("train")
+    with engine.executor() as ex:
         unrecorded = [ex.run_iteration(i).to_dict() for i in range(3)]
-    with executor() as ex:
-        recorder = IterationRecorder(ex)
-        preds = []
-        for i, want in enumerate(unrecorded):
-            res = ex.run_iteration(i)
-            assert res.to_dict() == want
-            preds.append(recorder.prediction(res))
+    with engine.executor() as ex:
+        logs = [ex._run_recorded(i) for i in range(2)]
+        preds = [fold(ex, log) for log in logs]
+        res = ex.run_iteration(2)
+        assert ex.table_iterations == 1 and ex._table.log is logs[1]
+        assert fold(ex, ex._table.log) == preds[1]
+        assert [log.result.to_dict() for log in logs] + [res.to_dict()] \
+            == unrecorded
         model, layers = ex.model, {l.name: l for l in ex.net.layers}
-    # iteration 2 repeats iteration 1, and nothing of it is recorded twice
+    # (the clock moves, so durations differ in the last bits)
+    assert (preds[1].sim_time, preds[1].stall_seconds) \
+        == pytest.approx((res.sim_time, res.stall_seconds), rel=1e-12)
+    # iteration 0 starts from the scout's record: it is iteration 1
     by_kind = preds[1].stall_seconds_by_kind
-    assert preds[2].stall_seconds_by_kind == pytest.approx(by_kind)
-    assert [len(p.steps) for p in preds] == [len(ex.route.steps)] * 3
-    assert [(len(p.stalls), len(p.recomputes), len(p.prefetches))
-            for p in preds[1:]] == [(len(preds[1].stalls),
-                                     len(preds[1].recomputes),
-                                     len(preds[1].prefetches))] * 2
+    assert preds[0].stall_seconds_by_kind == pytest.approx(by_kind)
+    assert [len(p.steps) for p in preds] == [len(ex.route.steps)] * 2
+    assert (len(preds[0].stalls), len(preds[0].recomputes),
+            len(preds[0].prefetches)) == (len(preds[1].stalls),
+                                          len(preds[1].recomputes),
+                                          len(preds[1].prefetches))
     assert sum(by_kind.values()) == pytest.approx(preds[1].stall_seconds)
     assert by_kind["prefetch"] == pytest.approx(5.359e-3, abs=1e-6)
     assert by_kind["clean"] == pytest.approx(2.329e-3, abs=1e-6)
     assert by_kind["fetch"] == by_kind["evict"] == by_kind["reap"] == 0
     dropped = [r for r in preds[1].recomputes if r.strategy == "dropped"]
     assert len(dropped) == res.cache_dropped == 11
-    assert not any(r.strategy == "dropped" for r in preds[0].recomputes)
     # a conv rebuilt with no chain: its record is its kernel at its pick
     picks = {w.layer_name: w.algo for w in res.workspace_choices
              if w.layer_name in {r.anchor for r in dropped}}

@@ -79,12 +79,13 @@ class TestPressurePaths:
         so the stall kinds still sum to the stall), retires the arrival,
         and the line's next prefetch copies it again instead of
         answering "already pending" with no copy."""
-        from repro.check.cost_model import IterationRecorder
+        from repro.core.plan import WAIT, MoveLog
         from repro.tensors.tensor import Tensor
 
         net = lenet(batch=8, image=16)
         ex = Session(net, RuntimeConfig.superneurons(concrete=False)).executor
-        recorder = IterationRecorder(ex)
+        log = ex._log = MoveLog(ex.timeline)   # record the moves below
+        ex._rec = log.moves
         line = Tensor((1, 1, 1, 64 * MiB // 4), name="line")
         ex._gpu_alloc_tensor(line)
         ex._evict_to_host(line)              # dirty: copied out
@@ -98,9 +99,9 @@ class TestPressurePaths:
         assert ex._stall > stall
         assert ex._clean_evictions == clean + 1
         assert line.tensor_id not in ex.state.arrivals
-        waited = recorder.stalls[-1]
-        assert waited.kind == "prefetch"
-        assert waited.seconds == pytest.approx(ex._stall - stall)
+        n = max(n for n, move in enumerate(log.moves) if move[0] == WAIT)
+        assert log.moves[n][2][0] == "prefetch"
+        assert log.facts[n] == pytest.approx(ex._stall - stall)
         h2d = ex.dma.stats.h2d_bytes
         assert ex._prefetch_async(line)
         assert ex.dma.stats.h2d_bytes == h2d + line.nbytes

@@ -18,7 +18,7 @@ import pytest
 
 import repro.core.runtime as runtime
 from repro import Engine, RuntimeConfig, SGD, Session, Trainer
-from repro.check.cost_model import IterationRecorder
+from repro.check.cost_model import fold
 from repro.core.plan import PolicyPlan
 from repro.core.policy import MemoryPolicy
 from repro.zoo import NETWORK_BUILDERS, alexnet, lenet, resnet50
@@ -72,13 +72,13 @@ class TestReplayEquivalence:
         assert replay[0]["cache"]["evictions"] > 0
 
     @pytest.mark.parametrize("case", [
-        "pressured", "concrete", "custom policy", "recorder"])
+        "pressured", "concrete", "custom policy"])
     def test_the_table_stays_off(self, case):
-        """A concrete session, a stack with a custom policy and an
-        executor with a recorder attached run every iteration live.  A
-        pressured session starts from its scout's record, so its tensor
-        cache is at a fixed point from iteration 0: iteration 1 records
-        and every later one runs from the table."""
+        """A concrete session and a stack with a custom policy run every
+        iteration live.  A pressured session starts from its scout's
+        record, so its tensor cache is at a fixed point from iteration
+        0: iteration 1 records and every later one runs from the
+        table."""
         if case == "pressured":
             session = Session(resnet50(batch=32), RuntimeConfig.superneurons(
                 concrete=False, gpu_capacity=1 << 30))
@@ -90,12 +90,27 @@ class TestReplayEquivalence:
                 "Idle", (MemoryPolicy,), {"key": "idle"})())
         with session:
             ex = session.executor
-            if case == "recorder":
-                IterationRecorder(ex)
             session.run(iters=ITERS)
             assert ex.replayed_iterations == ITERS - 1
             assert ex.table_iterations == (
                 ITERS - 2 if case == "pressured" else 0)
+
+    def test_a_costed_executor_tables(self):
+        """Costing an iteration records its moves into the log a table
+        is built from, so a costed session tables like any other: its
+        costed iteration 1 becomes the table, the later iterations run
+        from it, and the table folds to iteration 1's prediction with no
+        run of its own.  (The session clock moves, so durations differ
+        in the last bits.)"""
+        with Session(lenet(batch=8),
+                     RuntimeConfig.superneurons(concrete=False)) as session:
+            ex = session.executor
+            costed = [fold(ex, ex._run_recorded(i)) for i in range(2)]
+            for i in range(2, ITERS):
+                assert ex.run_iteration(i).sim_time \
+                    == pytest.approx(costed[1].sim_time, rel=1e-12)
+            assert ex.table_iterations == ITERS - 2
+            assert fold(ex, ex._table.log) == costed[1]
 
     def test_custom_dynamic_policy_keeps_full_dispatch(self):
         """A policy that does not opt into plan stability must observe
