@@ -22,11 +22,17 @@ This module is the recording half:
 
 Arming
 ------
-Tracing is process-global and off by default: every hook first checks
-the module-level :data:`ACTIVE` log and returns immediately when it is
-``None`` (one global load + ``is None`` per operation — the "near-zero
-when disarmed" contract ``tests/test_obs.py::TestDisarmedCost`` holds
-to zero ``repro.check.*`` frames per replayed iteration).  Arm it
+Tracing is process-global and off by default.  Disarmed, a hook costs
+one global load and an ``is None`` test, inline, never a call: every
+primitive tests :data:`ACTIVE` in its own body before it calls
+``_rec``, and every call of an access/edge hook sits behind an
+``if instrument.ACTIVE is not None:`` at its call site, so its tokens
+and labels are built only when armed.  ``tests/test_obs.py::
+TestDisarmedCost`` holds both paths to it: a replayed train iteration
+enters **zero** ``repro.check`` frames; a served request enters only
+the primitives' own frames (the request's lock and future, the queue
+monitor), and their pinned count per request is the serving front
+door's stated budget.  Arm it
 with :func:`arm`/:func:`capture`, or by exporting
 ``REPRO_TRACE_SYNC=1`` (consulted once, at import — how the CI race
 jobs arm whole scripts without code changes).  No engine or config
@@ -264,6 +270,9 @@ def _rec(kind: str, obj: int, label: str, detail: str = "",
 
 
 # ------------------------------------------------------------- primitives
+# Every hook below is an inline ``ACTIVE is not None`` test with one
+# armed branch: disarmed, a primitive costs its own frame and nothing
+# more.  ``_rec`` re-reads ACTIVE, so a disarm racing the test is safe.
 class TracedLock:
     """Drop-in ``threading.Lock`` held via ``with`` (LINT004 already
     forbids bare ``.acquire()``; this wrapper simply does not offer it).
@@ -281,13 +290,15 @@ class TracedLock:
 
     def __enter__(self) -> "TracedLock":
         self._lock.__enter__()
-        _rec("acquire", id(self), self.label, gate=self.gate)
+        if ACTIVE is not None:
+            _rec("acquire", id(self), self.label, gate=self.gate)
         return self
 
     def __exit__(self, exc_type, exc, tb):
         # record while still holding: the release event's seq precedes
         # any subsequent acquire of the same lock
-        _rec("release", id(self), self.label)
+        if ACTIVE is not None:
+            _rec("release", id(self), self.label)
         return self._lock.__exit__(exc_type, exc, tb)
 
     def locked(self) -> bool:
@@ -310,55 +321,89 @@ class TracedCondition:
 
     def __enter__(self) -> "TracedCondition":
         self._cond.__enter__()
-        _rec("acquire", id(self), self.label)
+        if ACTIVE is not None:
+            _rec("acquire", id(self), self.label)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _rec("release", id(self), self.label)
+        if ACTIVE is not None:
+            _rec("release", id(self), self.label)
         return self._cond.__exit__(exc_type, exc, tb)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        _rec("wait_begin", id(self), self.label)
+        if ACTIVE is not None:
+            _rec("wait_begin", id(self), self.label)
         ok = self._cond.wait(timeout)
-        _rec("wait_end", id(self), self.label,
-             detail="ok" if ok else "timeout")
+        if ACTIVE is not None:
+            _rec("wait_end", id(self), self.label,
+                 detail="ok" if ok else "timeout")
         return ok
 
     def notify(self, n: int = 1) -> None:
-        _rec("notify", id(self), self.label)
+        if ACTIVE is not None:
+            _rec("notify", id(self), self.label)
         self._cond.notify(n)
 
     def notify_all(self) -> None:
-        _rec("notify", id(self), self.label)
+        if ACTIVE is not None:
+            _rec("notify", id(self), self.label)
         self._cond.notify_all()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TracedCondition({self.label!r})"
 
 
+#: Guards every :class:`TracedEvent`'s flag/Event pair.  Held for a few
+#: bytecodes and never across a wait, so one lock serves them all.
+_EVENT_LOCK = threading.Lock()
+
+
 class TracedEvent:
     """Drop-in ``threading.Event``; ``set`` -> successful ``wait`` is a
-    happens-before edge (the future-completion hand-off)."""
+    happens-before edge (the future-completion hand-off).
 
-    __slots__ = ("_event", "label")
+    The state is a flag.  The ``threading.Event`` a waiter blocks on is
+    built only by a ``wait`` that finds the flag clear — most request
+    futures resolve before anyone waits, and then cost no ``Condition``.
+    ``set`` and a waiter's check-then-build both run under
+    ``_EVENT_LOCK``, so a ``set`` either sees the waiter's Event and
+    sets it, or the waiter sees the flag.
+    """
+
+    __slots__ = ("_flag", "_event", "label")
 
     def __init__(self, label: str = "event"):
-        self._event = threading.Event()
+        self._flag = False
+        self._event: Optional[threading.Event] = None
         self.label = label
 
     def is_set(self) -> bool:
-        return self._event.is_set()
+        return self._flag
 
     def set(self) -> None:
         # record first: a waiter can only observe the flag after the
         # physical set, so its wait_end seq lands after this one
-        _rec("event_set", id(self), self.label)
-        self._event.set()
+        if ACTIVE is not None:
+            _rec("event_set", id(self), self.label)
+        with _EVENT_LOCK:
+            self._flag = True
+            event = self._event
+        if event is not None:
+            event.set()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        _rec("event_wait_begin", id(self), self.label)
-        ok = self._event.wait(timeout)
-        if ok:
+        if ACTIVE is not None:
+            _rec("event_wait_begin", id(self), self.label)
+        ok = self._flag
+        if not ok and (timeout is None or timeout > 0):
+            with _EVENT_LOCK:
+                ok = self._flag
+                event = self._event
+                if not ok and event is None:
+                    event = self._event = threading.Event()
+            if not ok:
+                ok = event.wait(timeout)
+        if ok and ACTIVE is not None:
             _rec("event_wait_end", id(self), self.label)
         return ok
 
@@ -372,19 +417,22 @@ class TracedThread(threading.Thread):
     child's last step happens-before a successful ``join``."""
 
     def start(self) -> None:
-        _rec("thread_start", id(self), self.name)
+        if ACTIVE is not None:
+            _rec("thread_start", id(self), self.name)
         super().start()
 
     def run(self) -> None:
-        _rec("thread_begin", id(self), self.name)
+        if ACTIVE is not None:
+            _rec("thread_begin", id(self), self.name)
         try:
             super().run()
         finally:
-            _rec("thread_end", id(self), self.name)
+            if ACTIVE is not None:
+                _rec("thread_end", id(self), self.name)
 
     def join(self, timeout: Optional[float] = None) -> None:
         super().join(timeout)
-        if not self.is_alive():
+        if ACTIVE is not None and not self.is_alive():
             _rec("thread_join", id(self), self.name)
 
 

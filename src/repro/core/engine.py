@@ -76,6 +76,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.check import instrument as _ins
 from repro.check.instrument import (
     TracedLock,
     channel_recv,
@@ -182,7 +183,8 @@ class Engine:
         """One execution mode's :meth:`planning`, once its scout has run
         (and, when armed, been verified and costed), with the scout's
         tensor cache record where it evicted."""
-        trace_read(self, f"engine.compiled[{mode}]")
+        if _ins.ACTIVE is not None:
+            trace_read(self, f"engine.compiled[{mode}]")
         cm = self._compiled.get(mode)
         if cm is not None:  # fast path: no lock once compiled
             return cm
@@ -195,7 +197,8 @@ class Engine:
                     else replace(planning, cache_seed=seed)
                 if self.cost_report:
                     self._cost_mode(cm, prediction)
-                trace_write(self, f"engine.compiled[{mode}]")
+                if _ins.ACTIVE is not None:
+                    trace_write(self, f"engine.compiled[{mode}]")
                 self._compiled[mode] = cm
                 self.mode_compile_count += 1
         return cm
@@ -407,7 +410,8 @@ class Engine:
         # worker's first step, and each worker's last step
         # happens-before the result collection below
         def _run_traced(s, token, index):
-            channel_recv(token, "parallel_run.submit")
+            if _ins.ACTIVE is not None:
+                channel_recv(token, "parallel_run.submit")
             tracer = obs_trace.ACTIVE
             span = None if tracer is None else tracer.root(
                 "session.run", cat="engine",
@@ -425,12 +429,14 @@ class Engine:
                     span.finish()
                 return out
             finally:
-                channel_send(f"done:{token}", "parallel_run.done")
+                if _ins.ACTIVE is not None:
+                    channel_send(f"done:{token}", "parallel_run.done")
 
         tokens = [f"parallel:{id(self)}:{i}" for i in range(len(sessions))]
         futures = []
         for i, (s, token) in enumerate(zip(sessions, tokens)):
-            channel_send(token, "parallel_run.submit")
+            if _ins.ACTIVE is not None:
+                channel_send(token, "parallel_run.submit")
             futures.append(pool.submit(_run_traced, s, token, i))
         try:
             done, not_done = futures_wait(futures, timeout=timeout,
@@ -462,7 +468,8 @@ class Engine:
                     f"{len(not_done)}/{len(futures)} sessions still "
                     f"running after {timeout}s")
             for token in tokens:
-                channel_recv(f"done:{token}", "parallel_run.done")
+                if _ins.ACTIVE is not None:
+                    channel_recv(f"done:{token}", "parallel_run.done")
             return [f.result() for f in futures]
         finally:
             hung = any(not f.done() for f in futures)
@@ -531,12 +538,14 @@ class Engine:
                     f"parameter {name!r} expects shape {p.shape}, "
                     f"got {arr.shape}")
             staged.append((layer, p, arr))
-        trace_write(self, "engine.params")
+        if _ins.ACTIVE is not None:
+            trace_write(self, "engine.params")
         for layer, p, arr in staged:
             layer.param_values[p.tensor_id] = arr
         # the caller quiesces sessions around the swap (see docstring);
         # the version bump is that documented barrier, not compile state
-        trace_write(self, "engine.weights_version")
+        if _ins.ACTIVE is not None:
+            trace_write(self, "engine.weights_version")
         self.weights_version += 1  # repro-lint: allow LINT003 swap barrier
         return len(staged)
 

@@ -216,17 +216,6 @@ class IterationPlan:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def describe(self) -> str:
-        elided = sum(
-            1 for cs in self.steps
-            for ops in (cs.before_ops, cs.compute_ops,
-                        cs.after_ops, cs.settled_ops)
-            if not ops
-        )
-        return (f"IterationPlan({len(self.steps)} steps, "
-                f"plans={list(self.plans)}, "
-                f"{elided} empty hook sites elided)")
-
 
 # --------------------------------------------------------------------------- #
 # op builders: the one body of each built-in policy action, prebound

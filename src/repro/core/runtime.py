@@ -180,7 +180,6 @@ class IterationResult:
 class _PendingOffload:
     tensor: Tensor
     event: Event
-    allocation: Allocation
 
 
 class Executor:
@@ -638,15 +637,14 @@ class Executor:
 
     def _offload_async(self, t: Tensor, after: Optional[List[Event]] = None) -> None:
         """Eager UTP offload: D2H overlaps following forward compute."""
-        a = self._alloc_of.get(t.tensor_id)
-        if a is None:
+        if t.tensor_id not in self._alloc_of:
             raise ResidencyError(
                 f"offload of {t.name} which is "
                 f"{self.state.placement(t).value}, not GPU-resident",
                 t, "PLAN006")
         ev = self._copy(t, "offload", after=after)
         self.state.offload_started(t)
-        self._pending.append(_PendingOffload(t, ev, a))
+        self._pending.append(_PendingOffload(t, ev))
 
     def _reap_offloads(self) -> None:
         """Free GPU copies whose D2H transfer has completed by now."""

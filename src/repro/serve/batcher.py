@@ -37,6 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
+from repro.check import instrument as _ins
 from repro.check.instrument import channel_recv, channel_send
 from repro.obs import trace as obs_trace
 from repro.serve.queue import (
@@ -345,7 +346,9 @@ class DynamicBatcher:
             batch = self._assemble_or_wait(timeout)
             if batch is None:
                 return None
-        channel_recv(f"batch:{id(self)}:{batch.batch_id}", "batcher.pop")
+        if _ins.ACTIVE is not None:
+            channel_recv(f"batch:{id(self)}:{batch.batch_id}",
+                         "batcher.pop")
         return batch
 
     def _assemble_or_wait(self, timeout: Optional[float]
@@ -378,7 +381,8 @@ class DynamicBatcher:
         # the edge a barrier joins where it observes idle: everything
         # this worker did for the batch (its reads of the engine's
         # weights above all) happens-before what the barrier does next
-        channel_send(self._done_token, "batcher.done")
+        if _ins.ACTIVE is not None:
+            channel_send(self._done_token, "batcher.done")
         self._done.append(batch.batch_id)
         if self._waiters:
             with self._cond:
@@ -423,8 +427,9 @@ class DynamicBatcher:
                 self._next_batch_id, self.capacity, plan, now))
             # the batch hand-off edge: the assembling thread's work
             # happens-before the worker that pops this batch
-            channel_send(f"batch:{id(self)}:{self._next_batch_id}",
-                         "batcher.publish")
+            if _ins.ACTIVE is not None:
+                channel_send(f"batch:{id(self)}:{self._next_batch_id}",
+                             "batcher.publish")
             self._next_batch_id += 1
         # counted before they can be taken, and visible all at once
         self._outstanding += len(batches)
@@ -471,7 +476,8 @@ class DynamicBatcher:
                     if wait is not None and wait <= 0:
                         return False
                     self._cond.wait(wait)
-                channel_recv(self._done_token, "batcher.idle")
+                if _ins.ACTIVE is not None:
+                    channel_recv(self._done_token, "batcher.idle")
                 return True
             finally:
                 self._waiters -= 1

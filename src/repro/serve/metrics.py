@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.check import instrument as _ins
 from repro.check.instrument import TracedLock, trace_read, trace_write
 from repro.serve.batcher import AssembledBatch
 from repro.serve.queue import PRIORITIES, InferenceRequest
@@ -193,7 +194,8 @@ class MetricsShard:
         resolved still counts, exactly once; the step itself does not.
         """
         with self._lock:
-            trace_write(self, "serve.metrics.shard")
+            if _ins.ACTIVE is not None:
+                trace_write(self, "serve.metrics.shard")
             self._tally.add_step(batch, seconds, completed)
             for req in failed:
                 self._tally.add_failure(req)
@@ -237,18 +239,21 @@ class ServerMetrics:
 
     def record_failure(self, req: InferenceRequest) -> None:
         with self._lock:
-            trace_write(self, "serve.metrics.counters")
+            if _ins.ACTIVE is not None:
+                trace_write(self, "serve.metrics.counters")
             self._total.add_failure(req)
 
     def record_shed(self, samples: int, priority: str = "normal") -> None:
         """A request of ``samples`` rows was rejected at admission."""
         with self._lock:
-            trace_write(self, "serve.metrics.counters")
+            if _ins.ACTIVE is not None:
+                trace_write(self, "serve.metrics.counters")
             self._total.add_shed(samples, priority)
 
     def note_swap(self, version: int) -> None:
         with self._lock:
-            trace_write(self, "serve.metrics.counters")
+            if _ins.ACTIVE is not None:
+                trace_write(self, "serve.metrics.counters")
             self.swaps += 1
             self.weights_version = version
 
@@ -256,11 +261,13 @@ class ServerMetrics:
     def _folded(self) -> _Tally:
         """The totals with every shard folded in (caller holds
         ``_lock``; each shard's lock nests inside it)."""
-        trace_write(self, "serve.metrics.counters")
+        if _ins.ACTIVE is not None:
+            trace_write(self, "serve.metrics.counters")
         total = self._total
         for shard in self._shards:
             with shard._lock:
-                trace_write(shard, "serve.metrics.shard")
+                if _ins.ACTIVE is not None:
+                    trace_write(shard, "serve.metrics.shard")
                 total.absorb(shard._tally)
                 shard._tally = _Tally()
         return total
@@ -279,7 +286,8 @@ class ServerMetrics:
         # read).  TracedLock is not reentrant, so to_dict — which
         # already holds the lock — uses the _unlocked internals.
         with self._lock:
-            trace_read(self, "serve.metrics.counters")
+            if _ins.ACTIVE is not None:
+                trace_read(self, "serve.metrics.counters")
             return self._elapsed_unlocked()
 
     @property
@@ -409,13 +417,15 @@ class FleetMetrics:
     # -- recording --------------------------------------------------------
     def record_routed(self, name: str) -> None:
         with self._lock:
-            trace_write(self, "serve.fleet.counters")
+            if _ins.ACTIVE is not None:
+                trace_write(self, "serve.fleet.counters")
             self.routed[name] += 1
 
     def record_shed(self, samples: int, priority: str = "normal") -> None:
         """Every lane rejected this request: a fleet-level shed."""
         with self._lock:
-            trace_write(self, "serve.fleet.counters")
+            if _ins.ACTIVE is not None:
+                trace_write(self, "serve.fleet.counters")
             self._sheds.add_shed(samples, priority)
 
     # -- export -----------------------------------------------------------
@@ -427,7 +437,8 @@ class FleetMetrics:
             c, f, s = m.counts()
             completed, failed, shed = completed + c, failed + f, shed + s
         with self._lock:
-            trace_read(self, "serve.fleet.counters")
+            if _ins.ACTIVE is not None:
+                trace_read(self, "serve.fleet.counters")
             return completed, failed, shed + self._sheds.shed
 
     def to_dict(self) -> dict:
@@ -438,7 +449,8 @@ class FleetMetrics:
                 engines[name] = m._report()
                 total.absorb(m._total)
         with self._lock:
-            trace_read(self, "serve.fleet.counters")
+            if _ins.ACTIVE is not None:
+                trace_read(self, "serve.fleet.counters")
             total.absorb(self._sheds)
             routed = dict(self.routed)
         return {

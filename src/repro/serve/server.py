@@ -28,6 +28,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from repro.check import instrument as _ins
 from repro.check.instrument import TracedLock, TracedThread, trace_read
 from repro.core.engine import Engine
 from repro.obs import trace as obs_trace
@@ -291,8 +292,9 @@ class InferenceServer:
             # read under the barrier's protection: a swap waits for this
             # batch's mark_done before installing, so the version cannot
             # change between here and the compute below
-            trace_read(self.engine, "engine.weights_version")
-            trace_read(self.engine, "engine.params")
+            if _ins.ACTIVE is not None:
+                trace_read(self.engine, "engine.weights_version")
+                trace_read(self.engine, "engine.params")
             version = self.engine.weights_version
             completed, failed = [], []
             stepped, dt = None, 0.0

@@ -11,6 +11,7 @@ exists to catch.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -375,6 +376,81 @@ def test_disarmed_hooks_record_nothing():
     ev.set()
     assert ev.wait(1)
     assert instrument.active_log() is None
+
+
+# --------------------------------------------------------------------------- #
+# TracedEvent: a flag, and a threading.Event only for an early waiter
+# --------------------------------------------------------------------------- #
+
+def _blocked_waiters(ev, n, timeout=10.0):
+    """Start ``n`` raw threads blocked in ``ev.wait(timeout)``; returns
+    them and the list their results land in.  Returns once a waiter has
+    built the event, so a later ``set`` comes after at least one wait."""
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(
+        ev.wait(timeout)), name=f"waiter-{i}") for i in range(n)]
+    for t in threads:
+        t.start()
+    while ev._event is None:
+        time.sleep(0.001)
+    return threads, results
+
+
+def _joined(threads):
+    for t in threads:
+        t.join(10)
+    return not any(t.is_alive() for t in threads)
+
+
+def test_event_set_before_wait_builds_no_event():
+    ev = TracedEvent("ev")
+    assert not ev.is_set()
+    ev.set()
+    assert ev.is_set() and ev.wait() and ev.wait(0) and ev.wait(-1)
+    assert ev._event is None
+
+
+def test_event_wait_before_a_set_from_another_thread():
+    ev = TracedEvent("ev")
+    threads, results = _blocked_waiters(ev, 1)
+    ev.set()
+    assert _joined(threads) and results == [True]
+
+
+def test_event_releases_every_waiter():
+    ev = TracedEvent("ev")
+    threads, results = _blocked_waiters(ev, 3)
+    ev.set()
+    assert _joined(threads) and results == [True, True, True]
+
+
+@pytest.mark.parametrize("timeout", [0.02, 0, -1])
+def test_event_wait_times_out(timeout):
+    ev = TracedEvent("ev")
+    assert ev.wait(timeout) is False
+    # a zero or negative timeout returns at once, with nothing built
+    assert (ev._event is None) == (timeout <= 0)
+
+
+@pytest.mark.parametrize("waiter_first", [True, False],
+                         ids=["waiter-first", "setter-first"])
+def test_armed_event_handoff_log(waiter_first):
+    """Armed, the hand-off is the same three records under the event's
+    id whichever side comes first, and ``set`` precedes ``wait_end``."""
+    ev = TracedEvent("ev")
+    with capture() as log:
+        if waiter_first:
+            threads, results = _blocked_waiters(ev, 1)
+            ev.set()
+            assert _joined(threads) and results == [True]
+        else:
+            ev.set()
+            assert ev.wait(10)
+    kinds = [e.kind for e in log.events if e.obj == id(ev)]
+    assert kinds == (["event_wait_begin", "event_set", "event_wait_end"]
+                     if waiter_first else
+                     ["event_set", "event_wait_begin", "event_wait_end"])
+    assert analyze_log(log).ok
 
 
 def test_capture_restores_previous_state():

@@ -12,7 +12,9 @@ The load-bearing guarantees:
 * disarmed tracing is free in frames, not in a noisy percentage:
   ``TestDisarmedCost`` counts **zero** calls into ``repro.obs`` and
   ``repro.check`` across a replayed train iteration, so a hook that
-  costs a frame when disarmed fails the build;
+  costs a frame when disarmed fails the build; a served request makes
+  no hook call and enters only the traced primitives' own frames, a
+  pinned count per request;
 * iteration spans come from the handle a user drives
   (``Session.run_iteration``), so N served batches are N spans and
   internal executors (compile scout, cost model) add none;
@@ -435,6 +437,55 @@ class TestDisarmedCost:
             assert sess.executor.replayed_iterations == replayed + 1
         assert (res.cache_evictions > 0) == (gpu_capacity is not None)
         assert entered == []
+
+    #: hooks that must not be entered disarmed: each call site tests
+    #: ``ACTIVE`` inline and skips the call
+    HOOKS = ("_rec", "channel_send", "channel_recv", "trace_read",
+             "trace_write")
+
+    @pytest.mark.parametrize("landed", [13.6], ids=["lenet-b8-w1"])
+    def test_served_request_enters_only_the_primitives(
+            self, monkeypatch, landed):
+        """A closed backlog through one greedy-fill worker, submit to
+        stop, disarmed: no ``repro.obs`` function, no hook call, and
+        per request only the traced primitives' own frames (the
+        request's lock and future, the queue monitor) — pinned at most
+        2% above what they landed at (32.8 before, 15.3 of them
+        ``_rec``)."""
+        from repro.check import instrument
+        monkeypatch.setattr(instrument, "ACTIVE", None)
+        monkeypatch.setattr(obs_trace, "ACTIVE", None)
+        entered = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_globals.get(
+                    "__name__", "").startswith(("repro.obs", "repro.check")):
+                entered.append(f"{frame.f_globals['__name__']}."
+                               f"{frame.f_code.co_name}")
+
+        engine = make_engine(batch=8)
+        engine.compiled("infer")
+        rng = np.random.default_rng(42)
+        sizes = [int(n) for n in rng.integers(1, 5, size=400)]
+        server = InferenceServer(engine, workers=1, policy="greedy-fill",
+                                 max_wait=0.001)
+        threading.setprofile(profiler)     # the worker, started below
+        sys.setprofile(profiler)
+        try:
+            futures = [server.submit(size=n) for n in sizes]
+            server.start()
+            for f in futures:
+                assert f.result(timeout=30) is None
+            server.stop()
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+        assert [e for e in entered if e.startswith("repro.obs")] == []
+        assert [e for e in entered
+                if e.rsplit(".", 1)[1] in self.HOOKS] == []
+        per_request = len(entered) / len(sizes)
+        assert per_request <= landed * 1.02, \
+            f"{per_request:.2f} frames a request, landed {landed}"
 
 
 class TestFrameBudget:

@@ -33,7 +33,7 @@ from repro.serve import (
 )
 from repro.serve.batcher import AssembledBatch, BatchSlice
 from repro.serve.metrics import FleetMetrics, ServerMetrics
-from repro.serve.queue import PRIORITIES, InferenceRequest
+from repro.serve.queue import PRIORITIES, InferenceRequest, RequestFuture
 from repro.zoo import NETWORK_BUILDERS
 
 BATCH = 8
@@ -60,6 +60,41 @@ def monitor_entries(log, thread_prefix=""):
 
 
 # ------------------------------------------------------------ queue rows
+class TestRequestFuture:
+    """A future is a flag until someone waits on it unresolved."""
+
+    def test_resolved_before_result(self):
+        f = RequestFuture()
+        assert not f.done()
+        f.set_result("rows")
+        assert f.done() and f.result() == "rows" \
+            and f.result(timeout=0) == "rows"
+
+    def test_result_waits_for_a_set_from_another_thread(self):
+        f = RequestFuture()
+        got = []
+        waiter = threading.Thread(target=lambda: got.append(
+            f.result(timeout=10)))
+        waiter.start()
+        while f._event._event is None:      # the waiter is in wait()
+            time.sleep(0.001)
+        f.set_result("rows")
+        waiter.join(10)
+        assert got == ["rows"]
+
+    @pytest.mark.parametrize("timeout", [0.02, 0, -1])
+    def test_result_times_out(self, timeout):
+        with pytest.raises(TimeoutError):
+            RequestFuture().result(timeout=timeout)
+
+    def test_exception_is_reraised(self):
+        f = RequestFuture()
+        f.set_exception(RuntimeError("step died"))
+        assert f.done()
+        with pytest.raises(RuntimeError, match="step died"):
+            f.result(timeout=0)
+
+
 class TestPendingRows:
     def test_running_count_tracks_submit_and_take(self):
         q = RequestQueue()
