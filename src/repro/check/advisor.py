@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.cost_model import CostPrediction, predict_compiled_mode
 from repro.check.diagnostics import Diagnostic
-from repro.check.plan_verifier import verify_compiled_mode
+from repro.check.plan_verifier import refusal
 from repro.core.config import RuntimeConfig
 from repro.core.tensor_state import ResidencyError
 from repro.device.gpu import OutOfMemoryError
@@ -169,13 +169,9 @@ def assess_ladder(make_net: Callable[[], object],
                 cm = engine.compiled(mode)
                 a.predictions[mode] = predict_compiled_mode(
                     engine.net, cm, eff, target=target)
-            except (OutOfMemoryError, ResidencyError):
-                # what check plan reports: the refused iteration, verified
-                planning = engine.compiled(mode) \
-                    if mode in engine.compiled_modes \
-                    else engine.planning(mode)
-                a.refused[mode] = verify_compiled_mode(
-                    engine.net, planning, eff, target=target)
+            except (OutOfMemoryError, ResidencyError) as exc:
+                # the refused iteration, reported as check plan does
+                a.refused[mode] = [refusal(exc, target)]
                 continue
             if cm.cache_seed is not None and cm.cache_seed.drop_costs:
                 a.dropped[mode] = [

@@ -50,7 +50,7 @@ propagates as itself.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.check.cost_model import CostPrediction, fold, step_label
 from repro.check.diagnostics import CheckReport, Diagnostic
@@ -75,11 +75,21 @@ class PlanVerificationError(RuntimeError):
         super().__init__(f"compiled plan failed verification: {head}{more}")
 
 
-def _overflow(exc: OutOfMemoryError, target: str, where: str,
-              step: Optional[int] = None, op: Optional[str] = None
-              ) -> Diagnostic:
+def refusal(exc: Union[OutOfMemoryError, ResidencyError], target: str
+            ) -> Diagnostic:
+    """The finding for an executor's refusal (``OutOfMemoryError`` or
+    ``ResidencyError``), placed at the step its iteration had in flight:
+    a failed allocation is PLAN005 there, or at parameter allocation
+    when no iteration ran; a refused residency move is its own rule."""
+    step = exc.step
+    index, op = (None, None) if step is None \
+        else (step.index, step_label(step))
+    if not isinstance(exc, OutOfMemoryError):
+        return Diagnostic(rule=exc.rule, message=str(exc), target=target,
+                          step=index, op=op, tensor=exc.tensor.name)
+    where = "for the parameters" if step is None else f"at step {index}"
     return Diagnostic(
-        rule="PLAN005", target=target, step=step, op=op,
+        rule="PLAN005", target=target, step=index, op=op,
         message=f"allocating {exc.requested / MiB:.1f} MiB {where} "
                 f"fails: {exc.free / MiB:.1f} of the "
                 f"{exc.capacity / MiB:.1f} MiB DRAM capacity free, with "
@@ -135,22 +145,14 @@ def verify_run(build: Callable[[], Executor], target: str,
     try:
         ex = build()
     except OutOfMemoryError as exc:
-        return [_overflow(exc, target, "for the parameters")], None
+        return [refusal(exc, target)], None
     with ex:
         state = ex.state
         state.validate = state.strict = True
         try:
             log = ex._run_recorded(0)
         except (ResidencyError, OutOfMemoryError) as exc:
-            # the step in flight (the first, if none had begun)
-            in_flight = ex._ctx.step or ex.route.steps[0]
-            step, op = in_flight.index, step_label(in_flight)
-            if isinstance(exc, OutOfMemoryError):
-                return [_overflow(exc, target, f"at step {step}", step, op)
-                        ], None
-            return [Diagnostic(
-                rule=exc.rule, message=str(exc), target=target, step=step,
-                op=op, tensor=exc.tensor.name)], None
+            return [refusal(exc, target)], None
         prediction = fold(ex, log, target)
         diags: List[Diagnostic] = []
         if not (ex.config.use_offload and ex.config.use_tensor_cache):

@@ -64,6 +64,7 @@ therefore parallel-safe; custom providers must be too.
 
 from __future__ import annotations
 
+import gc
 from concurrent.futures import (
     FIRST_EXCEPTION,
     ThreadPoolExecutor,
@@ -72,7 +73,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, replace
 from time import monotonic
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,6 +98,30 @@ from repro.obs import trace as obs_trace
 
 #: The execution modes an engine can compile.
 MODES = ("train", "infer")
+
+
+def _collector_paused(compile_mode: Callable[[str], ModePlanning],
+                      mode: str) -> ModePlanning:
+    """Compile ``mode`` with CPython's cyclic garbage collector paused.
+
+    A compile allocates hundreds of thousands of objects (steps, plans,
+    closures, the scout's moves), and each allocation burst would set
+    the collector walking every object the process retains.  None of
+    them needs it: a built net is acyclic (a layer holds its consumers
+    weakly) and a closed executor cuts its own cycles, so what a compile
+    drops is freed by reference counting alone
+    (``tests/test_engine.py::TestClosedExecutors`` pins that).  The
+    caller's setting is restored however the compile ends; when compiles
+    overlap, only the outermost one paused the collector, and it is the
+    one that turns it back on.  This is the one place ``src/`` touches
+    the collector (``tests/test_options_census.py``)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return compile_mode(mode)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _check_mode(mode: str) -> None:
@@ -188,6 +213,10 @@ class Engine:
         cm = self._compiled.get(mode)
         if cm is not None:  # fast path: no lock once compiled
             return cm
+        return _collector_paused(self._compile_mode, mode)
+
+    def _compile_mode(self, mode: str) -> ModePlanning:
+        """Plan, scout and (when armed) verify and cost one mode, once."""
         planning = self.planning(mode)  # rejects an unknown mode
         with self._compile_lock:
             cm = self._compiled.get(mode)

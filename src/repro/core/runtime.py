@@ -819,8 +819,12 @@ class Executor:
             self.timeline.sync_all()
             self._end_of_iteration_cleanup()
             rec, self._rec = self._rec, None
-        except BaseException:
+        except BaseException as exc:
             self._abort_iteration()
+            if isinstance(exc, (OutOfMemoryError, ResidencyError)):
+                # a refusal is placed at the step in flight (the first,
+                # if none had begun): the plan verifier's finding
+                exc.step = ctx.step or self.route.steps[0]
             raise
         self._calm = self._pressure == pressure0
         if replayed:

@@ -74,13 +74,16 @@ class ResidencyError(RuntimeError):
 
     ``tensor`` is the descriptor it refused and ``rule`` the plan rule
     (``PLAN001``...) the schedule broke, so the plan verifier maps a
-    refusal to its finding without reading the message.
+    refusal to its finding without reading the message.  ``step`` is
+    the route step in flight, set by the executor's iteration it
+    aborted.
     """
 
     def __init__(self, message: str, tensor: Tensor, rule: str):
         super().__init__(message)
         self.tensor = tensor
         self.rule = rule
+        self.step = None
 
 
 class IllegalPlacementTransition(ResidencyError):

@@ -19,13 +19,16 @@ class OutOfMemoryError(MemoryError):
 
     Equivalent to cudaErrorMemoryAllocation; the going-deeper/wider
     experiments (Tables 4/5) probe exactly where each framework first
-    raises this.
+    raises this.  ``step`` is the route step in flight when an
+    executor's iteration raised it (None outside an iteration, at
+    parameter allocation say).
     """
 
     def __init__(self, requested: int, free: int, capacity: int):
         self.requested = requested
         self.free = free
         self.capacity = capacity
+        self.step = None
         super().__init__(
             f"device OOM: requested {requested} bytes, "
             f"free {free} of {capacity}"

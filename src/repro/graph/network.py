@@ -15,6 +15,9 @@ class Net:
     Layers must be added in a topological order (each layer's inputs
     already present) — natural for builder code and verified at
     :meth:`build` time.  ``add`` returns the layer so builders can chain.
+    The net owns its layers: a layer holds its inputs (``prev``) but
+    only weak links to its consumers (``next``), so the graph holds no
+    reference cycle and a dropped net is freed by reference counting.
     """
 
     def __init__(self, name: str = "net"):

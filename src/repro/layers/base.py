@@ -16,6 +16,7 @@ onto methods here: ``l_f`` (forward memory of the layer) and ``l_b``
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -147,7 +148,7 @@ class Layer:
         self.name = name
         self.layer_id: int = -1              # assigned by Net.add
         self.prev: List["Layer"] = []
-        self.next: List["Layer"] = []
+        self._next: List["weakref.ref[Layer]"] = []
         self.in_shapes: List[Tuple[int, ...]] = []
         self.out_shape: Tuple[int, ...] = ()
         self.output: Optional[Tensor] = None
@@ -160,7 +161,20 @@ class Layer:
     def connect_from(self, sources: Sequence["Layer"]) -> None:
         for s in sources:
             self.prev.append(s)
-            s.next.append(self)
+            s._next.append(weakref.ref(self))
+
+    @property
+    def next(self) -> List["Layer"]:
+        """The layers that read this one's output, in wiring order.
+
+        Held weakly: the :class:`~repro.graph.network.Net` owns its
+        layers, and the only strong links between layers run from a
+        consumer to its inputs (``prev``), so a built net holds no
+        reference cycle and is freed by reference counting alone.  A
+        consumer whose net has been dropped is gone from the list."""
+        consumers = [ref() for ref in self._next]
+        return consumers if None not in consumers \
+            else [c for c in consumers if c is not None]
 
     def infer(self) -> None:
         """Shape inference only (run at wiring time so builders can read

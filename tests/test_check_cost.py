@@ -28,9 +28,11 @@ from repro.check.cost_model import (
     serving_fill_check,
 )
 from repro.check.diagnostics import PERF_RULES
+from repro.check.plan_verifier import verify_compiled_mode
 from repro.cli import main
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
+from repro.core.runtime import Executor
 from repro.device.fabric import LOCAL_CPU, PEER_GPU, REMOTE_RDMA
 from repro.device.model import K40_MODEL
 from repro.zoo import NETWORK_BUILDERS
@@ -435,6 +437,42 @@ class TestAdvisor:
         assert adv.ladder[0].time_for("train") == pytest.approx(
             runs[0], rel=1e-9) == pytest.approx(runs[1], rel=1e-9)
         assert "recommended" in adv.render().splitlines()[-1]
+
+    def test_a_refused_mode_runs_its_iteration_once(self, monkeypatch):
+        """At 1 GiB resnet50 b32 refuses four modes of the default
+        ladder.  Each finding is the scout's own refusal, placed as
+        ``check plan`` places it: one iteration per refused mode, not
+        the scout's and then a verifier's re-run."""
+        refused = {("baseline", "train"): (15, "s1u0_join:f"),
+                   ("baseline", "infer"): (15, "s1u0_join:f"),
+                   ("liveness_only", "train"): (15, "s1u0_join:f"),
+                   ("liveness_offload", "train"): (32, "s1u2_r2:f")}
+        runs = []
+        run_iteration = Executor.run_iteration
+
+        def counted(ex, *args, **kw):
+            runs.append(ex)
+            return run_iteration(ex, *args, **kw)
+        monkeypatch.setattr(Executor, "run_iteration", counted)
+        found = {}
+        for rung, mode in refused:
+            a, = assess_ladder(
+                lambda: NETWORK_BUILDERS["resnet50"](batch=32),
+                modes=(mode,), rungs=(rung,), gpu_capacity=1 << 30)
+            assert not a.predictions
+            found[rung, mode] = a.refused[mode]
+        assert len(runs) == len(refused) == 4
+        monkeypatch.undo()
+        for (rung, mode), diags in found.items():
+            assert [(d.rule, d.step, d.op) for d in diags] \
+                == [("PLAN005", *refused[rung, mode])]
+            engine = Engine(NETWORK_BUILDERS["resnet50"](batch=32),
+                            getattr(RuntimeConfig, rung)(
+                                concrete=False, gpu_capacity=1 << 30))
+            assert diags == verify_compiled_mode(
+                engine.net, engine.planning(mode),
+                engine.config.for_mode(mode),
+                target=f"resnet50/{mode}@{rung}")
 
     def test_advise_reports_no_fit(self):
         adv = advise(lambda: NETWORK_BUILDERS["lenet"](batch=8),

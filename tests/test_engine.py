@@ -23,14 +23,17 @@ of an infer loss being train's forward half, is
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
 import repro
 from repro import Engine, RuntimeConfig, SGD, Session, Trainer
+from repro.check.plan_verifier import PlanVerificationError
 from repro.core.liveness import LivenessAnalysis
 from repro.core.policy import POLICY_REGISTRY, MemoryPolicy
 from repro.core.runtime import Executor
+from repro.device.gpu import OutOfMemoryError
 from repro.graph.route import ExecutionRoute
 from repro.tensors.tensor import Tensor
 from repro.zoo import NETWORK_BUILDERS, alexnet, lenet, resnet50
@@ -239,21 +242,37 @@ class TestClosedExecutors:
     it — so a closed executor is freed by reference counting alone."""
 
     def test_a_verified_costed_compile_leaves_no_cyclic_garbage(self):
+        """A dropped engine — its net, routes, plans and the scout's
+        record — is freed by reference counting alone, for every zoo
+        net in both modes: what lets a compile pause the collector."""
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            engine = Engine(resnet50(batch=8),
-                            RuntimeConfig.superneurons(concrete=False),
-                            verify=True, cost_report=True)
-            for mode in ("train", "infer"):
-                engine.compiled(mode)
+            for build in NETWORK_BUILDERS.values():
+                engine = Engine(build(batch=8),
+                                RuntimeConfig.superneurons(concrete=False),
+                                verify=True, cost_report=True)
+                for mode in ("train", "infer"):
+                    engine.compiled(mode)
+                assert set(engine.cost_reports) == {"train", "infer"}
+                del engine
             gc.collect()
-            garbage = [type(o).__name__ for o in gc.garbage]
+            garbage = Counter(type(o).__name__ for o in gc.garbage)
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
-        assert set(engine.cost_reports) == {"train", "infer"}
-        assert garbage == []
+        assert not garbage, garbage.most_common(5)
+
+    def test_a_layer_holds_its_consumers_weakly(self):
+        net = lenet(batch=2, image=12).build()
+        data, first = net.layers[0], net.layers[1]
+        assert data.next == [first] and first.prev == [data]
+        gc.disable()
+        try:
+            del net, first
+            assert data.next == []      # the net owned them
+        finally:
+            gc.enable()
 
     def test_a_dropped_session_is_freed_at_once(self):
         net = lenet(batch=2, image=12)
@@ -266,6 +285,73 @@ class TestClosedExecutors:
             assert ex() is None
         finally:
             gc.enable()
+
+
+def _capacity_refused(verify: bool) -> Engine:
+    """resnet50 b32 on the baseline rung at 1 GiB: its scout runs out
+    of memory, and a verifying engine refuses the plan instead."""
+    return Engine(resnet50(batch=32),
+                  RuntimeConfig.baseline(concrete=False,
+                                         gpu_capacity=1 << 30),
+                  verify=verify)
+
+
+class TestCollectorPause:
+    """A compile runs with the cyclic collector paused and leaves it as
+    it found it, whatever the compile does."""
+
+    COMPILES = {
+        "compiles": (lambda: Engine(lenet(batch=2, image=12),
+                                    RuntimeConfig.superneurons(),
+                                    verify=True, cost_report=True),
+                     None),
+        "out_of_memory": (lambda: _capacity_refused(False),
+                          OutOfMemoryError),
+        "refused_by_verifier": (lambda: _capacity_refused(True),
+                                PlanVerificationError),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case", sorted(COMPILES))
+    def test_a_compile_leaves_the_collector_as_it_found_it(self, case,
+                                                           enabled):
+        build, raises = self.COMPILES[case]
+        engine = build()
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if raises is None:
+                engine.compiled("train")
+            else:
+                with pytest.raises(raises):
+                    engine.compiled("train")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_overlapping_compiles_restore_the_outermost_setting(
+            self, monkeypatch):
+        """A compile runs with the collector paused; one that starts
+        inside it finds the collector paused and leaves it paused, and
+        the outer one turns it back on."""
+        inner = Engine(lenet(batch=2, image=12),
+                       RuntimeConfig.superneurons())
+        seen = []
+        scout = Engine._scout
+
+        def nested(self, planning):
+            seen.append(gc.isenabled())
+            if self is not inner:
+                inner.compiled("infer")
+                seen.append(gc.isenabled())
+            return scout(self, planning)
+        monkeypatch.setattr(Engine, "_scout", nested)
+        assert gc.isenabled()
+        Engine(lenet(batch=2, image=12),
+               RuntimeConfig.superneurons()).compiled("train")
+        assert seen == [False, False, False] and gc.isenabled()
+        assert inner.compiled_modes == ("infer",)
 
 
 class TestFrontDoor:

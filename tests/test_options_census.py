@@ -317,6 +317,49 @@ def test_one_writer_of_active():
         f"{writers}); ArmingSwitch._install is the one that may")
 
 
+#: the collector switches, and the one function that may call them
+COLLECTOR_SWITCHES = frozenset({"disable", "enable", "freeze"})
+COLLECTOR_HELPER = ("core/engine.py", "_collector_paused")
+
+
+def collector_switch_calls() -> list:
+    """``(file, enclosing function, line)`` of every ``gc.disable()``,
+    ``gc.enable()`` or ``gc.freeze()`` call in src/repro, and of every
+    name imported from ``gc`` (a bare ``disable()`` would hide)."""
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+        def visit(node, func):
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+                f = getattr(child, "func", None)
+                if isinstance(child, ast.Call) \
+                        and isinstance(f, ast.Attribute) \
+                        and isinstance(f.value, ast.Name) \
+                        and f.value.id == "gc" \
+                        and f.attr in COLLECTOR_SWITCHES \
+                        or isinstance(child, ast.ImportFrom) \
+                        and child.module == "gc":
+                    found.append((rel, func, child.lineno))
+                visit(child, inner)
+        visit(tree, None)
+    return found
+
+
+def test_one_place_pauses_the_collector():
+    calls = collector_switch_calls()
+    strays = [c for c in calls if c[:2] != COLLECTOR_HELPER]
+    assert not strays, (
+        f"{strays} switch the cyclic collector; only "
+        f"{COLLECTOR_HELPER[0]}::{COLLECTOR_HELPER[1]} may, around a "
+        f"compile")
+    assert len(calls) == 2   # its pause and its restore
+
+
 # ------------------------------------------------------------------ CLI
 def cli_flags(parser: argparse.ArgumentParser, path=()) -> dict:
     """``{"check race": [flags...]}`` for every leaf subcommand."""
