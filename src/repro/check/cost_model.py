@@ -286,7 +286,7 @@ class CostPrediction:
 
 def step_label(step) -> str:
     """A route step as findings name it: ``"conv1:f"``."""
-    return f"{step.layer.name}:{step.phase.value[0]}"
+    return f"{step.layer.name}:{step.phase._value_[0]}"
 
 
 def fold(executor, log: MoveLog, target: Optional[str] = None

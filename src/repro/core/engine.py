@@ -264,9 +264,12 @@ class Engine:
                 "engine planning state mutated outside _compile_lock")
 
     def _planning_base(self) -> PlanningBase:
-        """The ONE shared planning pass (lazy; counted)."""
+        """The ONE shared planning pass (lazy; counted).  It also prices
+        the net's layers on the engine's device model, before any
+        executor of this engine reads a price."""
         self._assert_compile_locked()
         if self._base is None:
+            self.net.price(self.config.device)
             self._base = PlanningBase(forward_layers=forward_order(self.net))
             self.compile_count += 1
         return self._base

@@ -172,8 +172,8 @@ class CompiledStep:
         self.layer = layer
         self.is_forward = step.phase is Phase.FORWARD
         self.is_data = isinstance(layer, DataLayer)
-        self.phase_value = step.phase.value
-        self.trace_label = f"{layer.name}:{step.phase.value[0]}"
+        self.phase_value = step.phase._value_
+        self.trace_label = f"{layer.name}:{self.phase_value[0]}"
         self.before_ops: Tuple[StepOp, ...] = ()
         self.compute_ops: Tuple[StepOp, ...] = ()
         self.after_ops: Tuple[StepOp, ...] = ()
@@ -268,7 +268,7 @@ def head_room(layers: Sequence[Layer]
     their layers; tabled at most once per link.
 
     ``sizes[j]`` is step ``j``'s working set ``l_j`` (its layer's
-    ``working_set_bytes()``, the paper's ``l_i``).  For the route's
+    ``l_i``, the paper's, derived once per net build).  For the route's
     suffix from step ``s`` on, ``top[s]`` is its largest ``l_j``,
     ``only[s]`` the one step that holds it (-1 when two do) and
     ``rest[s]`` its largest with that step left out — so the largest
@@ -276,7 +276,7 @@ def head_room(layers: Sequence[Layer]
 
         rest[s] if only[s] == u else top[s]     # max l_j, j >= s, j != u
     """
-    sizes = [layer.working_set_bytes() for layer in layers]
+    sizes = [layer.l_i for layer in layers]
     n = len(sizes)
     top, only, rest = [0] * (n + 1), [-1] * (n + 1), [0] * (n + 1)
     for s in range(n - 1, -1, -1):
@@ -475,7 +475,7 @@ def make_workspace_op(model, selector, step: Step) -> StepOp:
     it on them: a fixed topology shows each step the same free bytes
     every iteration, and then the selector only logs the pick again."""
     layer = step.layer
-    phase = step.phase.value
+    phase = step.phase._value_
     sim_time = layer.sim_time_forward if step.phase is Phase.FORWARD \
         else layer.sim_time_backward
     tag = f"ws:{layer.name}"

@@ -68,6 +68,14 @@ ALLOWED_TRANSITIONS: FrozenSet[Tuple[Placement, Placement]] = frozenset({
     (Placement.FREED, Placement.GPU),
 })
 
+#: ``ALLOWED_TRANSITIONS`` as the armed validator reads it: ``id`` of a
+#: placement -> the placements it may move to.  Membership in the tuple
+#: compares members by identity, so a check hashes no ``Enum`` (whose
+#: ``__hash__`` is a Python call) and builds no pair.
+_MOVES_FROM: Dict[int, Tuple[Placement, ...]] = {
+    id(old): tuple(new for o, new in ALLOWED_TRANSITIONS if o is old)
+    for old in Placement}
+
 
 class ResidencyError(RuntimeError):
     """The executor refused a residency move its schedule asked for.
@@ -167,7 +175,7 @@ class SessionTensorState:
         """The armed validator: refuse an edge the state machine lacks."""
         old = self._placement.get(t.tensor_id, Placement.UNALLOCATED)
         if (old is not new or self.strict and new is Placement.FREED) \
-                and (old, new) not in ALLOWED_TRANSITIONS:
+                and new not in _MOVES_FROM[id(old)]:
             raise IllegalPlacementTransition(t, old, new)
 
     def to_gpu(self, t: Tensor, arrival=None) -> None:

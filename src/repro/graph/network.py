@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.device.model import DeviceModel
 from repro.layers.base import Layer, LayerType
+from repro.layers.conv import Conv2D
 from repro.layers.data import DataLayer
 from repro.layers.softmax import SoftmaxLoss
 
@@ -24,6 +26,8 @@ class Net:
         self.name = name
         self.layers: List[Layer] = []
         self._built = False
+        #: max(l_i), derived with every layer's ``l_i`` by :meth:`build`
+        self.l_peak = 0
 
     # -- construction -----------------------------------------------------
     def add(self, layer: Layer, inputs: Optional[Sequence[Layer]] = None) -> Layer:
@@ -58,6 +62,11 @@ class Net:
             if not isinstance(layer, DataLayer) and not layer.prev:
                 raise ValueError(f"layer {layer.name} has no inputs")
             layer.build()
+        # a working set reads the layer's consumers and its inputs'
+        # shapes, all wired by now: derive each once, here
+        for layer in self.layers:
+            layer.l_i = layer.working_set_bytes()
+        self.l_peak = max(layer.l_i for layer in self.layers)
         # (No label-source wiring: labels flow through the per-session
         # LayerContext — the data layer's forward writes ctx.labels,
         # the loss layer reads them.  set_label_source remains only for
@@ -118,8 +127,20 @@ class Net:
 
         l_i is the layer's *working set* — what its forward or backward
         kernel must have resident simultaneously (paper §3.4 step 1).
+        A built net reads the value :meth:`build` derived.
         """
+        if self._built:
+            return self.l_peak
         return max(l.working_set_bytes() for l in self.layers)
+
+    def price(self, model: DeviceModel) -> None:
+        """Store every conv's price on ``model`` (:meth:`Conv2D.price`).
+        A compiling engine calls it under its compile lock; what it
+        stores is a pure function of the built net and the model, so
+        every session and engine that reads it reads the same values."""
+        for layer in self.layers:
+            if isinstance(layer, Conv2D):
+                layer.price(model)
 
     def summary(self) -> str:
         rows = [f"{self.name}: {len(self.layers)} layers"]

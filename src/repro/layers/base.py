@@ -156,6 +156,9 @@ class Layer:
         self.params: List[Tensor] = []
         self.param_grads: List[Tensor] = []
         self.param_values: _LazyParams = _LazyParams()  # tensor_id -> value
+        #: the working set ``working_set_bytes()``, derived by every
+        #: ``Net.build()`` once the whole graph is wired (0 before)
+        self.l_i: int = 0
 
     # -- graph wiring (called by Net) ----------------------------------------
     def connect_from(self, sources: Sequence["Layer"]) -> None:

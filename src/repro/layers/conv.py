@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -144,8 +144,25 @@ def conv_algorithms(
     return algos
 
 
+class ConvPrice(NamedTuple):
+    """One conv layer's price on one device model: a pure function of
+    the built layer and the model, stored by :meth:`Conv2D.price`."""
+
+    model: DeviceModel
+    menu: Tuple[ConvAlgo, ...]     # :func:`conv_algorithms`, in its order
+    fastest: ConvAlgo              # the max-speed pick
+    forward_s: float               # the default algorithm's kernels
+    backward_s: float
+
+
 class Conv2D(Layer):
-    """Convolution layer; the paper's checkpoint/offload unit."""
+    """Convolution layer; the paper's checkpoint/offload unit.
+
+    Its algorithm menu, max-speed pick and default kernel times are
+    read from a :class:`ConvPrice` the compiling engine stores once per
+    device model (:meth:`price`); a model the layer was never priced
+    for is priced on every call and stored nowhere.
+    """
 
     ltype = LayerType.CONV
     # dgrad/wgrad read x and dy but never the forward output
@@ -167,6 +184,9 @@ class Conv2D(Layer):
         self.stride = stride
         self.pad = as_pair(pad) if not isinstance(pad, int) else pad
         self.use_bias = bias
+        #: one ConvPrice per device model priced, replaced whole (never
+        #: mutated), so a reader sees the tuple before or after a store
+        self._prices: Tuple[ConvPrice, ...] = ()
 
     # -- shapes / params --------------------------------------------------------
     def infer_shape(self, in_shapes):
@@ -226,16 +246,43 @@ class Conv2D(Layer):
         _, c, _, _ = self.in_shapes[0]
         return 2.0 * n * self.out_channels * c * self.kh * self.kw * oh * ow
 
-    def algorithms(self, model: DeviceModel) -> List[ConvAlgo]:
+    def _price(self, model: DeviceModel) -> ConvPrice:
+        """Derive the layer's price on ``model`` (the one
+        :func:`conv_algorithms` call in ``src/``)."""
         n, c, h, w = self.in_shapes[0]
         _, _, oh, ow = self.out_shape
-        return conv_algorithms(
+        menu = tuple(conv_algorithms(
             n, c, self.out_channels, (h, w), (oh, ow),
             self.kernel, self.stride, model,
-        )
+        ))
+        default = menu[0]
+        return ConvPrice(model, menu, max(menu, key=lambda a: a.speed),
+                         default.time(self.flops_forward(), model),
+                         default.time(self.flops_backward(), model))
+
+    def price(self, model: DeviceModel) -> None:
+        """Store the layer's price on ``model`` unless it holds one.
+
+        Only a compiling engine calls it, under its compile lock, before
+        any executor of its planning runs; a session only reads.  Two
+        engines over one net may each store their own model's price;
+        should their compiles race and one store be lost, that model is
+        priced per call — the same values, not stored."""
+        prices = self._prices
+        if all(p.model is not model for p in prices):
+            self._prices = (*prices, self._price(model))
+
+    def _priced(self, model: DeviceModel) -> ConvPrice:
+        for p in self._prices:
+            if p.model is model:
+                return p
+        return self._price(model)
+
+    def algorithms(self, model: DeviceModel) -> Tuple[ConvAlgo, ...]:
+        return self._priced(model).menu
 
     def max_speed_algo(self, model: DeviceModel) -> ConvAlgo:
-        return max(self.algorithms(model), key=lambda a: a.speed)
+        return self._priced(model).fastest
 
     def best_algo_within(self, budget_bytes: int, model: DeviceModel) -> ConvAlgo:
         """Fastest algorithm whose workspace fits ``budget_bytes``.
@@ -250,10 +297,10 @@ class Conv2D(Layer):
 
     def sim_time_forward(self, model: DeviceModel, algo: ConvAlgo = None) -> float:
         if algo is None:
-            algo = self.algorithms(model)[0]
+            return self._priced(model).forward_s
         return algo.time(self.flops_forward(), model)
 
     def sim_time_backward(self, model: DeviceModel, algo: ConvAlgo = None) -> float:
         if algo is None:
-            algo = self.algorithms(model)[0]
+            return self._priced(model).backward_s
         return algo.time(self.flops_backward(), model)

@@ -35,7 +35,9 @@ epoch was answered from the record.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import islice
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 BLOCK = 1024  # 1 KB basic storage unit
@@ -70,6 +72,10 @@ class _Node:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"_Node(id={self.node_id}, addr={self.addr}, blocks={self.blocks})"
+
+
+#: the free list's sort key (``bisect``'s ``key=``: a C call, no frame)
+_addr = attrgetter("addr")
 
 
 #: One recorded pool call, ``(blocks, ordinal, answer)``:
@@ -279,13 +285,7 @@ class HeapPool:
         # Insert by address, then merge with left/right neighbours.
         free = self._free
         addr = node.addr
-        lo, hi = 0, len(free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if free[mid].addr < addr:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(free, addr, key=_addr)
         free.insert(lo, node)
         # coalesce right
         if lo + 1 < len(free) and addr + node.blocks == free[lo + 1].addr:
