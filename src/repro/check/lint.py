@@ -4,10 +4,10 @@ checks.
 The parallel-session guarantees (PR 4/5) rest on discipline the type
 system cannot express: *descriptors are immutable* (all mutable
 scheduling state lives in ``SessionTensorState``), *engine-shared
-planning state mutates only under the compile lock*, *policies and
-coalescers go through their registries*, and *locks are held via
-``with``* (an exception between ``acquire`` and ``release`` must not
-leak a held lock).  Each rule below used to be a grep, a code-review
+planning state mutates only under the compile lock*, *policies go
+through their registry*, and *locks are held via ``with``* (an
+exception between ``acquire`` and ``release`` must not leak a held
+lock).  Each rule below used to be a grep, a code-review
 convention, or a docstring plea; here they are named checks over the
 parsed tree, with ``file:line`` provenance:
 
@@ -16,10 +16,9 @@ parsed tree, with ``file:line`` provenance:
   object outside ``core/tensor_state.py``.  Those attributes no longer
   exist on ``Tensor``; this rule keeps them from growing back, which is
   exactly what the DESIGN.md-era acceptance grep checked.
-* **LINT002 unregistered-policy** — a concrete ``MemoryPolicy`` /
-  ``CoalescePolicy`` subclass (one that declares a registry ``key``)
-  must carry the matching ``@register_policy`` /
-  ``@register_coalescer`` decorator: an unregistered strategy is
+* **LINT002 unregistered-policy** — a concrete ``MemoryPolicy``
+  subclass (one that declares a registry ``key``) must carry the
+  ``@register_policy`` decorator: an unregistered strategy is
   unreachable from configs and the CLI, the classic silently-dead code.
 * **LINT003 unguarded-shared-state** — in a class owning a compile lock
   (``self._compile_lock`` assigned in ``__init__``), methods that write
@@ -57,10 +56,7 @@ DESCRIPTOR_ATTRS = frozenset({"placement", "locked", "host_resident"})
 DESCRIPTOR_OWNER = "tensor_state.py"
 
 #: registry base class -> required decorator
-REGISTRY_BASES = {
-    "MemoryPolicy": "register_policy",
-    "CoalescePolicy": "register_coalescer",
-}
+REGISTRY_BASES = {"MemoryPolicy": "register_policy"}
 
 #: the engine-shared-state lock attribute LINT003 keys on
 COMPILE_LOCK_ATTR = "_compile_lock"

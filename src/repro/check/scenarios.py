@@ -161,7 +161,7 @@ def run_saturated_scenario(net: str = "lenet", workers: int = 4,
     with capture(limit=limit) as log:
         engine, payload = _sim_infer_engine(net, batch)
         server = InferenceServer(engine, workers=workers,
-                                 policy="greedy-fill", max_wait=max_wait)
+                                 max_wait=max_wait)
 
         def submit_wave():
             return [server.submit(size=1 + rng.randrange(2 * batch))

@@ -348,8 +348,7 @@ def _cmd_serve_fleet(args, tracer=None) -> int:
 
     fleet = ServingFleet(engines, workers=args.workers,
                          max_pending_rows=args.max_pending_rows,
-                         policy=args.policy, max_wait=args.max_wait,
-                         clock=CLOCK)
+                         max_wait=args.max_wait, clock=CLOCK)
     shed = [0]
 
     def dispatch(_i, arrival):
@@ -443,7 +442,6 @@ def _cmd_serve_single(args, tracer=None) -> int:
         t += rng.exponential(1.0 / args.rate)
 
     server = InferenceServer(engine, workers=args.workers,
-                             policy=args.policy,
                              max_wait=args.max_wait, clock=CLOCK)
     # max(1, ...): a trace shorter than swaps+1 still swaps on every
     # arrival instead of silently skipping the requested hot swaps
@@ -757,16 +755,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dynamic-batching serving loop "
                             "(synthetic arrival trace)")
     _add_common(p)
-    from repro.serve import COALESCER_REGISTRY
     p.add_argument("--rate", type=float, default=200.0,
                    help="mean request arrival rate (requests/second)")
     p.add_argument("--duration", type=float, default=2.0,
                    help="trace length in seconds")
     p.add_argument("--workers", type=int, default=2,
                    help="infer sessions pulling batches concurrently")
-    p.add_argument("--policy", choices=sorted(COALESCER_REGISTRY),
-                   default="greedy-fill",
-                   help="coalescing policy for the dynamic batcher")
     p.add_argument("--max-wait", type=float, default=0.005,
                    help="seconds a lone request waits for batch-mates")
     p.add_argument("--max-request", type=int, default=None,

@@ -143,6 +143,15 @@ class Layer:
     """Abstract layer.  Subclasses implement shapes, kernels, and costs."""
 
     ltype: LayerType = LayerType.DATA
+    #: ``ltype`` in CHECKPOINT_TYPES / RECOMPUTE_TYPES, derived once per
+    #: class (every ``ltype`` is class-level), so a read hashes no enum
+    is_checkpoint: bool = ltype in CHECKPOINT_TYPES
+    is_recomputable: bool = ltype in RECOMPUTE_TYPES
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.is_checkpoint = cls.ltype in CHECKPOINT_TYPES
+        cls.is_recomputable = cls.ltype in RECOMPUTE_TYPES
 
     def __init__(self, name: str):
         self.name = name
@@ -317,14 +326,6 @@ class Layer:
         if self.prev and self.prev[0].out_shape:  # produced dx per input
             bw += in_bytes
         return max(fw, bw)
-
-    @property
-    def is_checkpoint(self) -> bool:
-        return self.ltype in CHECKPOINT_TYPES
-
-    @property
-    def is_recomputable(self) -> bool:
-        return self.ltype in RECOMPUTE_TYPES
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"{type(self).__name__}(id={self.layer_id}, name={self.name!r}, "

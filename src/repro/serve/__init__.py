@@ -12,9 +12,9 @@ variable-sized request traffic:
   explicit :class:`RequestRejected`;
 * :mod:`repro.serve.batcher` — a :class:`DynamicBatcher` that coalesces
   queued requests into the engine's *compiled* batch shape, padding
-  short batches and splitting oversized requests across steps, under a
-  pluggable coalescing policy (``fifo``, ``greedy-fill``, ``deadline``)
-  mirroring the registry pattern of :mod:`repro.core.policy`;
+  short batches and splitting oversized requests across steps, under
+  one coalescing rule (:func:`~repro.serve.batcher.coalesce`: priority
+  class, then deadline, then arrival; exact fill);
 * :mod:`repro.serve.server` — an :class:`InferenceServer` owning one
   engine and N worker sessions (thread-per-session, the
   ``engine.parallel_run`` drive), returning per-request futures, with
@@ -32,14 +32,7 @@ variable-sized request traffic:
   :class:`FleetMetrics` rolling N engines up into one report.
 """
 
-from repro.serve.batcher import (
-    COALESCER_REGISTRY,
-    AssembledBatch,
-    BatchSlice,
-    CoalescePolicy,
-    DynamicBatcher,
-    register_coalescer,
-)
+from repro.serve.batcher import AssembledBatch, BatchSlice, DynamicBatcher
 from repro.serve.fleet import ServingFleet
 from repro.serve.metrics import FleetMetrics, ServerMetrics
 from repro.serve.queue import (
@@ -55,8 +48,6 @@ from repro.serve.server import InferenceServer
 __all__ = [
     "AssembledBatch",
     "BatchSlice",
-    "CoalescePolicy",
-    "COALESCER_REGISTRY",
     "DynamicBatcher",
     "FleetMetrics",
     "InferenceRequest",
@@ -68,5 +59,4 @@ __all__ = [
     "Router",
     "ServerMetrics",
     "ServingFleet",
-    "register_coalescer",
 ]

@@ -14,13 +14,12 @@ The :class:`DynamicBatcher` bridges the two:
 * **max_wait** — a lone request is dispatched, padded, at most
   ``max_wait`` seconds after it arrived, so light traffic is never
   starved waiting for a full batch;
-* **coalescing policy** — *which* pending requests ride one step is a
-  registered :class:`CoalescePolicy` (``fifo``, ``greedy-fill``,
-  ``deadline``), mirroring the registry pattern of
-  :mod:`repro.core.policy`: a new strategy is a new class plus a
-  :func:`register_coalescer` line.  The ``deadline`` policy reorders
-  the round by (priority class, deadline, arrival) before packing, so
-  deadline-critical requests get first claim on assembly rounds.
+* **one coalescing rule** — :func:`coalesce` orders each assembly
+  round by priority class, then deadline (none sorts last within its
+  class), then arrival, and packs it by exact fill, splitting requests
+  across batch boundaries so every batch but the round's last is full.
+  Uniform traffic (every request ``normal``, none dated) rides in
+  arrival order; ``critical`` requests claim a round's first batches.
 
 Assembly is atomic per request: every slice of a split request enters
 the ready queue in the same assembly round.  The weight-swap barrier of
@@ -32,19 +31,16 @@ straddles a weights install.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from time import monotonic
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.check import instrument as _ins
 from repro.check.instrument import channel_recv, channel_send
 from repro.obs import trace as obs_trace
-from repro.serve.queue import (
-    PRIORITY_RANK,
-    InferenceRequest,
-    RequestQueue,
-)
+from repro.serve.queue import InferenceRequest, RequestQueue
 
 
 class BatchSlice:
@@ -112,115 +108,34 @@ class AssembledBatch:
                 f"{self.capacity}, requests={ids})")
 
 
-# --------------------------------------------------------------- policies
-class CoalescePolicy:
-    """How pending requests are packed into compiled-shape batches.
+# ------------------------------------------------------------------ rule
+#: the name of the one coalescing rule, and the only value the
+#: ``policy=`` parameters accept
+COALESCE_RULE = "greedy-fill"
 
-    ``plan`` partitions one assembly round's backlog into per-batch
-    slice lists; each list's rows must fit ``capacity`` and every
-    request must be fully covered, in row order, by the returned plan
-    (the batcher validates nothing — a broken policy shows up as a
-    wrong-sized feed or a hung future, both loud).
-    """
+#: each request's order key, built once at admission
+_URGENCY = attrgetter("urgency")
 
-    #: registry key (subclasses set it; ``register_coalescer`` indexes it)
-    key = "abstract"
 
-    def plan(self, pending: List[InferenceRequest], capacity: int
+def coalesce(pending: List[InferenceRequest], capacity: int
              ) -> List[List[BatchSlice]]:
-        raise NotImplementedError
+    """Plan one assembly round: the per-batch slice lists.
 
-    def describe(self) -> str:
-        return self.key
-
-
-COALESCER_REGISTRY: Dict[str, Type[CoalescePolicy]] = {}
-
-
-def register_coalescer(cls: Type[CoalescePolicy]) -> Type[CoalescePolicy]:
-    """Class decorator: index a coalescing policy under its ``key``
-    (the same pattern :data:`repro.core.policy.POLICY_REGISTRY` uses)."""
-    if cls.key in COALESCER_REGISTRY:
-        raise ValueError(f"duplicate coalescer key {cls.key!r}")
-    COALESCER_REGISTRY[cls.key] = cls
-    return cls
-
-
-def resolve_coalescer(policy) -> CoalescePolicy:
-    """A policy instance from a registry name (or pass one through)."""
-    if isinstance(policy, CoalescePolicy):
-        return policy
-    try:
-        return COALESCER_REGISTRY[policy]()
-    except KeyError:
-        raise KeyError(
-            f"unknown coalescing policy {policy!r}; registered: "
-            f"{sorted(COALESCER_REGISTRY)}") from None
-
-
-@register_coalescer
-class FifoCoalescer(CoalescePolicy):
-    """Strict arrival order, whole requests only.
-
-    A batch closes when the next request does not fit entirely in the
-    remaining rows — small requests are never split to top a batch off,
-    so a request's rows stay contiguous in one step whenever they can.
-    Only an *oversized* request (> capacity) splits, into
-    ``ceil(size/capacity)`` consecutive batches (no all-padding final
-    batch: an exact multiple yields exactly ``size/capacity`` steps).
-    """
-
-    key = "fifo"
-
-    def plan(self, pending: List[InferenceRequest], capacity: int
-             ) -> List[List[BatchSlice]]:
-        batches: List[List[BatchSlice]] = []
-        current: List[BatchSlice] = []
-        used = 0
-        for req in pending:
-            if req.size <= capacity - used:
-                current.append(BatchSlice(req, 0, req.size, used, 0))
-                used += req.size
-            elif req.size <= capacity:
-                batches.append(current)
-                current = [BatchSlice(req, 0, req.size, 0, 0)]
-                used = req.size
-            else:
-                # oversized: dedicated full batches, remainder padded
-                if current:
-                    batches.append(current)
-                    current, used = [], 0
-                part = 0
-                for start in range(0, req.size, capacity):
-                    stop = min(start + capacity, req.size)
-                    batches.append([BatchSlice(req, start, stop, 0, part)])
-                    part += 1
-            if used == capacity:
-                batches.append(current)
-                current, used = [], 0
-        if current:
-            batches.append(current)
-        return [b for b in batches if b]
-
-
-def _pack_split_fill(pending: List[InferenceRequest], capacity: int
-                     ) -> List[List[BatchSlice]]:
-    """Pack ``pending`` in the given order, splitting requests freely
-    across batch boundaries so every batch except the last is filled
-    exactly (the greedy-fill packing, shared by every policy that only
-    differs in how it *orders* the round)."""
+    The round is ordered by each request's ``urgency`` (priority class,
+    then deadline, none last within its class, then arrival), then
+    packed by exact fill: requests split freely across batch
+    boundaries, so every batch but the round's last is full (a split
+    costs an output re-concatenation, never a recompute)."""
     batches: List[List[BatchSlice]] = []
     current: List[BatchSlice] = []
     used = 0
-    parts: Dict[int, int] = {}
-    for req in pending:
-        start = 0
+    for req in sorted(pending, key=_URGENCY):
+        start = part = 0
         while start < req.size:
             take = min(req.size - start, capacity - used)
-            part = parts.get(req.request_id, 0)
             current.append(
                 BatchSlice(req, start, start + take, used, part))
-            parts[req.request_id] = part + 1
+            part += 1
             start += take
             used += take
             if used == capacity:
@@ -231,47 +146,6 @@ def _pack_split_fill(pending: List[InferenceRequest], capacity: int
     return batches
 
 
-@register_coalescer
-class GreedyFillCoalescer(CoalescePolicy):
-    """Arrival order, but requests split freely across batch boundaries
-    so every batch except the round's last is filled exactly — minimum
-    padding waste at the cost of more split requests (each split costs
-    an output re-concatenation, never a recompute)."""
-
-    key = "greedy-fill"
-
-    def plan(self, pending: List[InferenceRequest], capacity: int
-             ) -> List[List[BatchSlice]]:
-        return _pack_split_fill(pending, capacity)
-
-
-@register_coalescer
-class DeadlineCoalescer(CoalescePolicy):
-    """Priority/deadline order with greedy-fill packing.
-
-    The round is sorted by (priority class, deadline, arrival) before
-    packing: ``critical`` requests ride the earliest batches of every
-    assembly round, ties break on the tighter deadline (requests
-    without one sort after every dated peer of their class), then on
-    enqueue time and finally request id for determinism.  Packing
-    itself is the same exact-fill split as ``greedy-fill``, so urgency
-    never costs padding waste.
-    """
-
-    key = "deadline"
-
-    def plan(self, pending: List[InferenceRequest], capacity: int
-             ) -> List[List[BatchSlice]]:
-        normal = PRIORITY_RANK["normal"]
-        ordered = sorted(pending, key=lambda r: (
-            PRIORITY_RANK.get(r.priority, normal),
-            r.deadline if r.deadline is not None else float("inf"),
-            r.enqueue_time,
-            r.request_id,
-        ))
-        return _pack_split_fill(ordered, capacity)
-
-
 # ---------------------------------------------------------------- batcher
 class DynamicBatcher:
     """Coalesces the request queue into ready-to-run batches.
@@ -279,8 +153,8 @@ class DynamicBatcher:
     Workers call :meth:`next_batch`; whichever worker arrives while the
     ready queue is empty runs one *assembly round* — snapshot the
     backlog (waiting out ``max_wait`` from the oldest request if the
-    backlog cannot yet fill one batch), plan it through the coalescing
-    policy, and publish every resulting batch atomically.
+    backlog cannot yet fill one batch), plan it with :func:`coalesce`,
+    and publish every resulting batch atomically.
 
     The hand-off keeps the queue monitor off the per-batch path (four
     workers entering it twice per batch convoy behind each other: a
@@ -305,18 +179,23 @@ class DynamicBatcher:
     batches keep flowing to workers, which is exactly the drain the
     weight-swap barrier needs (started requests complete on the old
     weights; everything still in the request queue waits for the new).
+
+    ``policy`` names the one rule and accepts nothing else (a
+    ``ValueError``); it stays only for callers that still pass it.
     """
 
     def __init__(self, queue: RequestQueue, capacity: int,
-                 policy="fifo", max_wait: float = 0.002,
+                 policy=COALESCE_RULE, max_wait: float = 0.002,
                  clock: Callable[[], float] = monotonic):
+        if policy != COALESCE_RULE:
+            raise ValueError(f"unknown coalescing policy {policy!r}; the "
+                             f"one rule is {COALESCE_RULE!r}")
         if capacity < 1:
             raise ValueError(f"batch capacity must be >= 1, got {capacity}")
         if max_wait < 0:
             raise ValueError(f"max_wait must be >= 0, got {max_wait}")
         self.queue = queue
         self.capacity = capacity
-        self.policy = resolve_coalescer(policy)
         self.max_wait = max_wait
         self.clock = clock
         self._cond = queue.cond         # ONE monitor with the queue
@@ -413,7 +292,7 @@ class DynamicBatcher:
         if not pending:
             return
         now = self.clock()
-        plans = self.policy.plan(pending, self.capacity)
+        plans = coalesce(pending, self.capacity)
         slice_counts: Dict[int, int] = {}
         for plan in plans:
             for s in plan:
@@ -445,8 +324,7 @@ class DynamicBatcher:
                 start=now, end=self.clock(),
                 attrs={"requests": len(pending), "rows": rows,
                        "batches": len(plans),
-                       "padding": len(plans) * self.capacity - rows,
-                       "policy": self.policy.key})
+                       "padding": len(plans) * self.capacity - rows})
         self._cond.notify_all()
 
     # -- barrier / lifecycle ----------------------------------------------
@@ -524,5 +402,4 @@ class DynamicBatcher:
 
     def describe(self) -> str:
         return (f"DynamicBatcher(capacity={self.capacity}, "
-                f"policy={self.policy.describe()}, "
                 f"max_wait={self.max_wait * 1e3:g}ms)")

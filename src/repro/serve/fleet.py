@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.engine import Engine
 from repro.obs import trace as obs_trace
 from repro.obs.recorder import RECORDER
+from repro.serve.batcher import COALESCE_RULE
 from repro.serve.metrics import FleetMetrics, render_slo_report
 from repro.serve.queue import (
     RequestFuture,
@@ -72,7 +73,7 @@ class ServingFleet:
     def __init__(self, engines: Sequence[Engine],
                  workers: int = 1,
                  max_pending_rows: Optional[int] = None,
-                 policy="greedy-fill",
+                 policy=COALESCE_RULE,
                  max_wait: float = 0.002,
                  clock: Callable[[], float] = monotonic):
         if not engines:

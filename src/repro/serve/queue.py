@@ -5,19 +5,21 @@ and a :class:`RequestFuture` the caller blocks on.  The queue itself is
 deliberately dumb — FIFO arrival order, one condition variable — so
 every coalescing decision (which requests ride one engine step, where
 an oversized request splits) lives in the
-:class:`~repro.serve.batcher.DynamicBatcher`'s pluggable policy, not
-here.  The batcher synchronizes on :attr:`RequestQueue.cond`, the one
-monitor both sides share: a ``submit`` wakes waiting workers without a
-second lock or a polling loop.
+:class:`~repro.serve.batcher.DynamicBatcher`'s one rule,
+:func:`~repro.serve.batcher.coalesce`, not here.  The batcher
+synchronizes on :attr:`RequestQueue.cond`, the one monitor both sides
+share: a ``submit`` wakes waiting workers without a second lock or a
+polling loop.
 
 Every request carries a **priority class** (:data:`PRIORITIES`) and an
-optional absolute **deadline** — the deadline coalescing policy orders
-assembly rounds by them and the metrics report SLO percentiles per
-class.  A queue built with ``max_pending_rows`` adds backpressure:
-admission is capped at that many pending sample rows, and an over-cap
-admission raises :class:`RequestRejected` *synchronously* instead of
-growing the backlog — the caller knows at once, and a shed request
-never owns a future that could dangle.
+optional absolute **deadline** — the coalescing rule orders every
+assembly round by them (the request's ``urgency``, built once at
+admission) and the metrics report SLO percentiles per class.  A queue
+built with ``max_pending_rows`` adds backpressure: admission is capped
+at that many pending sample rows, and an over-cap admission raises
+:class:`RequestRejected` *synchronously* instead of growing the
+backlog — the caller knows at once, and a shed request never owns a
+future that could dangle.
 
 Admission has one path: :func:`validate_request` checks a submit's
 arguments and :meth:`RequestQueue.admit` is the one admission body.
@@ -45,8 +47,8 @@ from repro.check.instrument import (
 )
 
 #: Priority classes, most to least urgent.  ``critical`` requests get
-#: first claim on assembly rounds under the ``deadline`` coalescing
-#: policy; ``batch`` traffic yields to everything else.
+#: first claim on every assembly round; ``batch`` traffic yields to
+#: everything else.
 PRIORITIES = ("critical", "normal", "batch")
 
 #: class name -> urgency rank (lower is more urgent)
@@ -77,7 +79,7 @@ def validate_request(data, size: Optional[int], priority: str,
     admission is asked and before anything is counted, so it can
     neither leave an open root in an armed trace nor be shed.
     ``deadline`` must be ``None`` or a finite real number (a NaN sort
-    key would leave the deadline coalescer's order undefined).
+    key would leave the coalescing order undefined).
     ``sample_shape`` is the compiled per-sample shape when the caller
     serves exactly one; ``concrete`` says whether payloads exist behind
     this door (``None``: a bare queue, which takes either).
@@ -161,6 +163,8 @@ class InferenceRequest:
     future resolves when the last part lands.  ``versions`` records the
     engine weights version each slice computed under; the no-tearing
     guarantee of ``swap_weights`` is exactly ``len(versions) == 1``.
+    ``urgency`` is the coalescing order key: priority class, then
+    deadline (none last within its class), then arrival.
 
     ``fail`` and ``deliver`` race by design (a split request's batches
     run on different workers, and one batch can fail mid-scatter after
@@ -180,6 +184,9 @@ class InferenceRequest:
         self.enqueue_time = enqueue_time
         self.priority = priority
         self.deadline = deadline
+        self.urgency = (PRIORITY_RANK[priority],
+                        math.inf if deadline is None else deadline,
+                        request_id)
         self.future = RequestFuture()
         self.dispatch_time: Optional[float] = None   # first slice started
         self.complete_time: Optional[float] = None
@@ -324,7 +331,7 @@ class RequestQueue:
         """The one admission body, for arguments
         :func:`validate_request` already checked.  ``priority`` is one
         of :data:`PRIORITIES`; ``deadline`` is an absolute clock time the
-        deadline coalescing policy orders urgent work by.  ``span`` is
+        coalescing rule orders urgent work by.  ``span`` is
         the request's root observability span (created by the server/
         fleet front door); it attaches — and opens its queue-wait
         child — under the monitor, before any worker can see the

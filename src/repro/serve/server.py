@@ -33,7 +33,7 @@ from repro.check.instrument import TracedLock, TracedThread, trace_read
 from repro.core.engine import Engine
 from repro.obs import trace as obs_trace
 from repro.obs.recorder import RECORDER
-from repro.serve.batcher import DynamicBatcher
+from repro.serve.batcher import COALESCE_RULE, DynamicBatcher
 from repro.serve.metrics import ServerMetrics, render_slo_report
 from repro.serve.queue import (
     RequestFuture,
@@ -47,18 +47,19 @@ class InferenceServer:
     """Serve variable-sized requests over one compiled engine.
 
     ``workers`` infer sessions share the engine's compiled plans (one
-    planning pass however many workers).  ``policy`` picks the
-    registered coalescing strategy (``"fifo"``, ``"greedy-fill"``,
-    ``"deadline"``); ``max_wait`` bounds how long a lone request waits
-    for batch-mates.  ``max_pending_rows`` bounds admission (the queue
-    sheds with :class:`RequestRejected` past it).  The roster is fixed:
-    ``start()`` stands up all ``workers`` and they live until
+    planning pass however many workers).  Every assembly round follows
+    the batcher's one coalescing rule (priority class, deadline,
+    arrival; exact fill), which ``policy`` may only name
+    (``"greedy-fill"``); ``max_wait`` bounds how long a lone request
+    waits for batch-mates.  ``max_pending_rows`` bounds admission (the
+    queue sheds with :class:`RequestRejected` past it).  The roster is
+    fixed: ``start()`` stands up all ``workers`` and they live until
     ``stop()``.  Use as a context manager, or ``start()``/``stop()``
     explicitly.
     """
 
     def __init__(self, engine: Engine, workers: int = 2,
-                 policy="fifo", max_wait: float = 0.002,
+                 policy=COALESCE_RULE, max_wait: float = 0.002,
                  max_pending_rows: Optional[int] = None,
                  clock: Callable[[], float] = monotonic):
         if workers < 1:

@@ -83,15 +83,6 @@ def test_unregistered_policy_flagged():
     assert "@register_policy" in diags[0].message
 
 
-def test_unregistered_coalescer_flagged():
-    diags = _lint("""
-        class Sticky(CoalescePolicy):
-            key = "sticky"
-    """)
-    assert _rules(diags) == ["LINT002"]
-    assert "@register_coalescer" in diags[0].message
-
-
 def test_registered_policy_passes():
     assert _lint("""
         @register_policy

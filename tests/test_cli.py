@@ -137,13 +137,17 @@ class TestCLI:
         assert "0 failed" in out
         assert "weight swaps : 1" in out
 
-    def test_serve_concrete_fifo(self, capsys):
+    def test_serve_concrete(self, capsys):
         rc = main(["serve", "--net", "lenet", "--batch", "4",
                    "--rate", "100", "--duration", "0.2",
-                   "--workers", "2", "--policy", "fifo", "--concrete"])
+                   "--workers", "2", "--concrete"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "policy=fifo" in out and "concrete" in out
+        assert "concrete" in out
+        # one coalescing rule: there is no policy to pick
+        with pytest.raises(SystemExit) as unknown:
+            main(["serve", "--net", "lenet", "--policy", "fifo"])
+        assert unknown.value.code == 2
 
     @pytest.mark.parametrize("argv, spans", [
         (["trace", "--net", "lenet", "--batch", "4", "--iters", "2"],

@@ -315,8 +315,8 @@ def test_drive(cell):
     assert shared.compile_count == 1
 
 
-SERVED = [Cell("lenet_b8", "superneurons", mode="infer", axis=policy)
-          for policy in ("fifo", "greedy-fill")]
+SERVED = [Cell("lenet_b8", "superneurons", mode="infer",
+               axis="greedy-fill")]
 
 
 @cells(SERVED)
@@ -329,8 +329,7 @@ def test_served(cell):
              rng.integers(1, int(2.5 * served.batch_size) + 1, size=20)]
     datas = make_requests(served, sizes, seed=3)
     refs = tuple(solo_outputs(served, d) for d in datas)
-    with InferenceServer(served, workers=3, policy=cell.axis,
-                         max_wait=0.002) as server:
+    with InferenceServer(served, workers=3, max_wait=0.002) as server:
         futures = []
         for d in datas:
             futures.append(server.submit(d))

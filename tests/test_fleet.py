@@ -27,14 +27,13 @@ from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
 from repro.obs import trace as obs_trace
 from repro.serve import (
-    COALESCER_REGISTRY,
     InferenceServer,
     RequestQueue,
     RequestRejected,
     Router,
     ServingFleet,
 )
-from repro.serve.batcher import DeadlineCoalescer
+from repro.serve.batcher import coalesce
 from repro.serve.metrics import FleetMetrics, ServerMetrics, _stats_ms
 from repro.serve.queue import InferenceRequest
 from repro.zoo import NETWORK_BUILDERS
@@ -347,12 +346,9 @@ class TestRouter:
 
 
 # --------------------------------------------------------------------------
-# deadline coalescing policy
+# the coalescing rule's priority/deadline order
 # --------------------------------------------------------------------------
 class TestDeadlineCoalescer:
-    def test_registered(self):
-        assert COALESCER_REGISTRY["deadline"] is DeadlineCoalescer
-
     @staticmethod
     def _req(rid, size, priority="normal", deadline=None, at=0.0):
         return InferenceRequest(rid, size, None, enqueue_time=at,
@@ -370,22 +366,22 @@ class TestDeadlineCoalescer:
         pending = [self._req(0, 4, "batch", at=0.0),
                    self._req(1, 4, "normal", at=1.0),
                    self._req(2, 4, "critical", at=2.0)]
-        plan = DeadlineCoalescer().plan(pending, capacity=4)
+        plan = coalesce(pending, capacity=4)
         assert self._order(plan) == [2, 1, 0]
 
     def test_tighter_deadline_first_within_class(self):
         pending = [self._req(0, 4, "normal", deadline=9.0),
                    self._req(1, 4, "normal", deadline=3.0),
                    self._req(2, 4, "normal")]         # dateless: last
-        plan = DeadlineCoalescer().plan(pending, capacity=4)
+        plan = coalesce(pending, capacity=4)
         assert self._order(plan) == [1, 0, 2]
 
     def test_packs_exact_fill(self):
         pending = [self._req(0, 3, "critical"),
                    self._req(1, 6, "normal")]
-        plan = DeadlineCoalescer().plan(pending, capacity=4)
+        plan = coalesce(pending, capacity=4)
         fills = [sum(s.rows for s in batch) for batch in plan]
-        assert fills == [4, 4, 1]           # greedy-fill packing
+        assert fills == [4, 4, 1]           # exact-fill packing
         assert plan[0][0].request.request_id == 0
 
     def test_queue_validates_priority(self):
@@ -551,12 +547,10 @@ class TestServingFleet:
         assert sorted(fleet.servers) == ["lenet@b4", "lenet@b4#2"]
 
     def test_deadline_policy_serves_critical_first(self):
-        """With one worker and a pre-loaded backlog, assembly under the
-        deadline policy puts critical requests in the round's earliest
-        batches."""
+        """With one worker and a pre-loaded backlog, assembly puts
+        critical requests in the round's earliest batches."""
         eng = make_engine(batch=4, concrete=False)
-        server = InferenceServer(eng, workers=1, policy="deadline",
-                                 max_wait=0.0)
+        server = InferenceServer(eng, workers=1, max_wait=0.0)
         # fill the queue before starting the worker: one assembly round
         f_batch = server.queue.submit(size=4, priority="batch")
         f_crit = server.queue.submit(size=4, priority="critical")

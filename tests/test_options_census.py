@@ -89,7 +89,7 @@ CLI_FLAGS = {
     "serve": _COMMON + [
         "--concrete", "--critical-frac", "--duration", "--fleet",
         "--fleet-batches", "--max-pending-rows", "--max-request",
-        "--max-wait", "--metrics-out", "--policy", "--rate", "--seed",
+        "--max-wait", "--metrics-out", "--rate", "--seed",
         "--swaps", "--timeout", "--trace-out", "--workers"],
     "check plan": _CHECK_OUT + [
         "--all", "--batch", "--configs", "--gpu-gb", "--modes", "--net",

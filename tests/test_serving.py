@@ -17,6 +17,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
@@ -24,13 +26,15 @@ from repro.obs.export import build_chrome_trace, validate_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.serve import (
-    COALESCER_REGISTRY,
+    PRIORITIES,
     DynamicBatcher,
     InferenceServer,
     RequestQueue,
+    ServingFleet,
 )
-from repro.serve.batcher import resolve_coalescer
+from repro.serve.batcher import coalesce
 from repro.zoo import NETWORK_BUILDERS
+from tests.reference_coalescers import deadline_plan, pack_split_fill
 
 BATCH = 8
 
@@ -92,60 +96,117 @@ def assert_plan_covers(plans, requests, capacity):
             assert stop == start, "gap or overlap in split request"
 
 
-# --------------------------------------------------------------- policies
+# ------------------------------------------------------------------- rule
+def plan_rows(plans):
+    """A plan as plain tuples, to compare two planners' output."""
+    return [[(s.request.request_id, s.start, s.stop, s.row_offset,
+              s.part_index) for s in plan] for plan in plans]
+
+
 class TestCoalescePolicies:
-    def test_registry_mirrors_policy_pattern(self):
-        assert set(COALESCER_REGISTRY) >= {"fifo", "greedy-fill"}
-        for key, cls in COALESCER_REGISTRY.items():
-            assert cls.key == key
-
     def test_unknown_policy_lists_registered(self):
-        with pytest.raises(KeyError, match="greedy-fill"):
-            resolve_coalescer("nope")
-
-    def test_fifo_keeps_whole_requests_in_order(self):
-        reqs = fake_requests([5, 6, 2])
-        plans = resolve_coalescer("fifo").plan(reqs, 8)
-        # r0 alone (r1 does not fit the remaining 3), then r1+r2
-        assert [[s.request.request_id for s in p] for p in plans] \
-            == [[0], [1, 2]]
-        assert all(s.rows == s.request.size for p in plans for s in p)
-        assert_plan_covers(plans, reqs, 8)
+        engine = make_engine(concrete=False)
+        for policy in ("fifo", "deadline", "nope"):
+            with pytest.raises(ValueError, match="greedy-fill"):
+                DynamicBatcher(RequestQueue(), BATCH, policy=policy)
+            with pytest.raises(ValueError, match="greedy-fill"):
+                InferenceServer(engine, policy=policy)
+            with pytest.raises(ValueError, match="greedy-fill"):
+                ServingFleet([engine], policy=policy)
 
     def test_greedy_fill_minimizes_padding(self):
         reqs = fake_requests([5, 6, 2])
-        plans = resolve_coalescer("greedy-fill").plan(reqs, 8)
+        plans = coalesce(reqs, 8)
         fills = [sum(s.rows for s in p) for p in plans]
         assert fills == [8, 5]      # 13 rows -> one full batch + tail
         assert_plan_covers(plans, reqs, 8)
 
     def test_oversized_request_multi_step_split(self):
         # > 2x the compiled batch: 20 rows over capacity 8 -> 3 steps
-        for key in ("fifo", "greedy-fill"):
-            reqs = fake_requests([20])
-            plans = resolve_coalescer(key).plan(reqs, 8)
-            assert len(plans) == 3
-            assert [sum(s.rows for s in p) for p in plans] == [8, 8, 4]
-            parts = [s.part_index for p in plans for s in p]
-            assert parts == [0, 1, 2]
-            assert_plan_covers(plans, reqs, 8)
+        reqs = fake_requests([20])
+        plans = coalesce(reqs, 8)
+        assert len(plans) == 3
+        assert [sum(s.rows for s in p) for p in plans] == [8, 8, 4]
+        parts = [s.part_index for p in plans for s in p]
+        assert parts == [0, 1, 2]
+        assert_plan_covers(plans, reqs, 8)
 
     def test_exact_multiple_has_no_all_padding_batch(self):
         # naive ceil-division would emit a fourth, empty step
-        for key in ("fifo", "greedy-fill"):
-            reqs = fake_requests([24])
-            plans = resolve_coalescer(key).plan(reqs, 8)
-            assert len(plans) == 3
-            assert all(sum(s.rows for s in p) == 8 for p in plans)
+        reqs = fake_requests([24])
+        plans = coalesce(reqs, 8)
+        assert len(plans) == 3
+        assert all(sum(s.rows for s in p) == 8 for p in plans)
 
     def test_random_plans_cover_rows_exactly(self):
         rng = np.random.default_rng(7)
-        for key in ("fifo", "greedy-fill"):
-            for trial in range(20):
-                sizes = rng.integers(1, 22, size=rng.integers(1, 9))
-                reqs = fake_requests([int(s) for s in sizes])
-                plans = resolve_coalescer(key).plan(reqs, 8)
-                assert_plan_covers(plans, reqs, 8)
+        for trial in range(40):
+            sizes = rng.integers(1, 22, size=rng.integers(1, 9))
+            reqs = fake_requests([int(s) for s in sizes])
+            assert_plan_covers(coalesce(reqs, 8), reqs, 8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 12), data=st.data())
+    def test_the_rule_is_the_retired_deadline_plan(self, capacity, data):
+        """Rounds of mixed priorities and deadlines, sizes
+        1..3 x capacity, admitted through a queue whose clock may stand
+        still: the rule plans what ``deadline`` planned, and what
+        ``greedy-fill`` planned when every request is ``normal`` and
+        undated."""
+        uniform = data.draw(st.booleans(), label="uniform")
+        n = data.draw(st.integers(1, 10), label="requests")
+        ticks = iter(data.draw(st.lists(
+            st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n),
+            label="ticks"))
+        now = [0.0]
+
+        def clock():
+            now[0] += next(ticks)
+            return now[0]
+
+        q = RequestQueue(clock=clock)
+        for _ in range(n):
+            size = data.draw(st.integers(1, 3 * capacity), label="size")
+            if uniform:
+                q.submit(size=size)
+            else:
+                q.submit(size=size,
+                         priority=data.draw(st.sampled_from(PRIORITIES),
+                                            label="priority"),
+                         deadline=data.draw(st.one_of(
+                             st.none(), st.sampled_from([1.0, 2.0, 5.0])),
+                             label="deadline"))
+        with q.cond:
+            round_ = q.take_pending()
+        plans = plan_rows(coalesce(round_, capacity))
+        assert plans == plan_rows(deadline_plan(round_, capacity))
+        if uniform:
+            assert plans == plan_rows(pack_split_fill(round_, capacity))
+        assert_plan_covers(coalesce(round_, capacity), round_, capacity)
+
+    @pytest.mark.parametrize("door", ["server", "fleet"])
+    def test_a_critical_request_rides_the_first_batch(self, door):
+        """Default arguments, one worker, a closed backlog of six 3-row
+        ``normal`` requests and then one 2-row ``critical`` request with
+        a deadline: one assembly round of three batches, and the
+        critical request rides the first (it rode the last while the
+        default packed in arrival order)."""
+        engine = make_engine(concrete=False)
+        if door == "server":
+            front = InferenceServer(engine)
+            lane = front
+        else:
+            front = ServingFleet([engine])
+            (lane,) = front.servers.values()
+        reqs = [lane.queue.submit(size=3) for _ in range(6)]
+        critical = lane.queue.submit(size=2, priority="critical",
+                                     deadline=lane.clock() + 1.0)
+        with front:
+            assert front.drain(timeout=60)
+        assert lane.metrics.to_dict()["batches"]["count"] == 3
+        starts = sorted({r.dispatch_time for r in reqs + [critical]})
+        assert len(starts) == 3     # one worker: a start per batch
+        assert critical.dispatch_time == starts[0]
 
 
 # ------------------------------------------------------------------ queue
@@ -371,8 +432,7 @@ class TestWeightSwap:
 
         real_session = eng.session
         eng.session = lambda mode="train": GatedSession(real_session(mode))
-        server = InferenceServer(eng, workers=1, policy="fifo",
-                                 max_wait=0.0)
+        server = InferenceServer(eng, workers=1, max_wait=0.0)
         server.start()
         try:
             future = server.submit(data)
@@ -435,8 +495,7 @@ class TestWeightSwap:
 class TestServerMetrics:
     def test_fill_padding_and_latency_accounting(self, engine):
         datas = make_requests(engine, [3, 20], seed=17)
-        with InferenceServer(engine, workers=2, policy="fifo",
-                             max_wait=0.0) as server:
+        with InferenceServer(engine, workers=2, max_wait=0.0) as server:
             for d in datas:
                 server.submit(d).result(timeout=60.0)
         m = server.metrics.to_dict()
