@@ -526,21 +526,23 @@ def listener_table(ex) -> Dict[str, tuple]:
 
 
 #: A residency table's moves, each one ``(op, a, b)``.  A calm
-#: iteration makes the first six: ``ALLOC``/``FREE``/``READ`` a tensor
-#: ``a``; ``SCRATCH`` reserve ``a`` bytes tagged ``b`` as step scratch,
-#: ``UNSCRATCH`` free the step's scratch; ``SUBMIT`` a compute kernel of
-#: ``a`` seconds labelled ``b``.  Pressure adds the rest: ``EXHAUSTED``
-#: an allocation of ``a`` bytes tagged ``b`` that fails; ``PREFETCH``
-#: allocate tensor ``a``'s bytes tagged ``b`` for the H2D copy that
-#: follows; ``COPY`` tensor ``a``, ``b`` = (kind, the ordinals of its
+#: iteration makes the first six kinds: ``ALLOC`` a tensor ``a``, ``b``
+#: the allocation it got; ``SCRATCH`` reserve step scratch, ``b`` the
+#: allocation; ``FREE`` a tensor ``a``; ``UNSCRATCH`` free the step's
+#: scratch; ``SUBMIT`` a compute kernel of ``a`` seconds labelled ``b``;
+#: ``READ`` a tensor ``a``.  Pressure adds the rest: ``PREFETCH``
+#: allocate tensor ``a``'s bytes for the H2D copy that follows, ``b``
+#: the allocation; ``TO_HOST`` move ``a`` to its host copy and free its
+#: GPU bytes; ``EXHAUSTED`` an allocation of ``a`` bytes tagged ``b``
+#: that fails; ``COPY`` tensor ``a``, ``b`` = (kind, the ordinals of its
 #: ``after`` events), a ``clean`` copy making the line cleaning and a
 #: ``prefetch`` one its arrival; ``WAIT`` for a copy of ``a``, ``b`` =
 #: (kind, its event's ordinal), a ``prefetch`` wait retiring the
-#: arrival; ``TO_HOST`` move ``a`` to its host copy and free its GPU
-#: bytes.  An event's ordinal counts the iteration's ``SUBMIT`` and
-#: ``COPY`` moves before it.
-ALLOC, FREE, SUBMIT, READ, SCRATCH, UNSCRATCH, \
-    EXHAUSTED, PREFETCH, COPY, WAIT, TO_HOST = range(11)
+#: arrival.  An event's ordinal counts the iteration's ``SUBMIT`` and
+#: ``COPY`` moves before it.  The moves that allocate come first and
+#: those that free next, so a table run tells them apart by range.
+ALLOC, PREFETCH, SCRATCH, FREE, TO_HOST, UNSCRATCH, \
+    SUBMIT, READ, EXHAUSTED, COPY, WAIT = range(11)
 
 
 class MoveLog:

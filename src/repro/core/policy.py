@@ -62,7 +62,8 @@ from repro.core import config as _config
 from repro.core.cache import TensorCache, Victim, choose_drops
 from repro.core.config import OFFLOAD_TYPES, RecomputeStrategy, RuntimeConfig
 from repro.core.plan import (
-    SCRATCH, SUBMIT, UNSCRATCH, PolicyPlan, kernel_clock, zero_workspace)
+    EXHAUSTED, SCRATCH, SUBMIT, UNSCRATCH, PolicyPlan, kernel_clock,
+    zero_workspace)
 from repro.core.recompute import chain_of
 from repro.core.tensor_state import ResidencyError
 from repro.core.workspace import WorkspaceChoice, WorkspaceSelector
@@ -181,12 +182,14 @@ class StepContext:
         the training.
         """
         ex = self._ex
-        if ex._rec is not None:
-            ex._rec.append((SCRATCH, nbytes, tag))
         try:
             a = ex.allocator.alloc(nbytes, tag)
         except OutOfMemoryError:
+            if ex._rec is not None:
+                ex._rec.append((EXHAUSTED, nbytes, tag))
             return None
+        if ex._rec is not None:
+            ex._rec.append((SCRATCH, None, a))
         self._scratch.append(a)
         return a
 
@@ -287,12 +290,15 @@ class StepContext:
             return choice.algo, None
         if ws_bytes <= budget:
             tag = f"ws:{conv.name}"
-            if ex._rec is not None:  # a table holds it as step scratch
-                ex._rec.append((SCRATCH, ws_bytes, tag))
             try:
-                return choice.algo, allocator.alloc(ws_bytes, tag)
+                scratch = allocator.alloc(ws_bytes, tag)
             except OutOfMemoryError:
-                pass
+                if ex._rec is not None:
+                    ex._rec.append((EXHAUSTED, ws_bytes, tag))
+            else:
+                if ex._rec is not None:  # a table holds it as step scratch
+                    ex._rec.append((SCRATCH, None, scratch))
+                return choice.algo, scratch
         return zero_workspace(self.model, selector, conv, choice,
                               budget).algo, None
 

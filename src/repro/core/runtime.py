@@ -323,6 +323,11 @@ class Executor:
         # runtime state
         self._closed = False
         self._alloc_of: Dict[int, Allocation] = {}
+        #: how a residency move gives an allocation back: the
+        #: allocator's ``free``, looked up as each iteration starts, or
+        #: ``Allocator.forget`` from a table run that answered its own
+        #: allocations on through its barrier (:meth:`_run_table`)
+        self._free = self.allocator.free
         self._pending: List[_PendingOffload] = []
         #: the return trip's queue, in need order: (backward step whose
         #: settle the H2D copy is due at, host tensor, the step that
@@ -469,7 +474,7 @@ class Executor:
         self._alloc_of[tid] = a
         self.state.to_gpu(t)
         if self._rec is not None:
-            self._rec.append((ALLOC, t, None))
+            self._rec.append((ALLOC, t, a))
         ctx = self._ctx
         for fn in self._listeners["on_tensor_resident"]:
             fn(ctx, t, "alloc")
@@ -516,7 +521,7 @@ class Executor:
                 "copy", t, "PLAN006")
         a = self._alloc_of.pop(t.tensor_id, None)
         if a is not None:
-            self.allocator.free(a)
+            self._free(a)
         self.state.to_host(t)
         if self._rec is not None:
             self._rec.append((TO_HOST, t, None))
@@ -538,7 +543,7 @@ class Executor:
             self.fabric.evict(t.tensor_id)
         a = self._alloc_of.pop(t.tensor_id, None)
         if a is not None:
-            self.allocator.free(a)
+            self._free(a)
         if self.concrete:
             self.store.drop(t)
         if self._rec is not None:
@@ -620,7 +625,7 @@ class Executor:
         a = self._alloc_of.pop(t.tensor_id, None)
         freed = 0
         if a is not None:
-            self.allocator.free(a)
+            self._free(a)
             freed = a.nbytes
         if self._rec is not None:  # one move with the free: no move
             self._rec.append((TO_HOST, t, None))  # between reads it
@@ -684,7 +689,7 @@ class Executor:
                 self._rec.append((EXHAUSTED, t.nbytes, tag))
             return False
         if self._rec is not None:
-            self._rec.append((PREFETCH, t, tag))
+            self._rec.append((PREFETCH, t, a))
         self._alloc_of[t.tensor_id] = a
         state.to_gpu(t, arrival=self._copy(t, "prefetch"))
         if self.concrete:
@@ -795,7 +800,7 @@ class Executor:
         else:
             self._workspace_choices().clear()
         self.allocator.reset_peak()
-        self.allocator.begin_epoch()
+        self._free = self.allocator.free
         t0 = self.timeline.elapsed
         d2h0, h2d0 = self.dma.stats.d2h_bytes, self.dma.stats.h2d_bytes
         calls0 = self.allocator.stats.calls
@@ -898,69 +903,120 @@ class Executor:
     def _run_table(self, table: ResidencyTable, ctx: StepContext
                    ) -> List[StepTrace]:
         """Run an iteration from its residency table: the recorded
-        moves, in order, through the allocator, the state table, the
-        timeline and the copy and wait seams (each looked up now, so a
-        seam installed since is called), then the hooks' recorded
-        effect — the workspace picks and the cache and recomputation
-        counters.  No hook is dispatched and nothing is locked: the
-        table holds what they decided.  The calm moves come first."""
-        alloc, free = self.allocator.alloc, self.allocator.free
+        moves, in order, through the state table, the timeline and the
+        copy and wait seams (each looked up now, so a seam installed
+        since is called), then the hooks' recorded effect — the
+        workspace picks and the cache and recomputation counters.  No
+        hook is dispatched and nothing is locked: the table holds what
+        they decided.  The calm moves come first.
+
+        Each allocation takes the answer recorded for it, and is
+        accounted as the allocator would account it — used bytes, peak,
+        calls and bytes, its latency on the compute clock, one move at a
+        time in order — without a call into the allocator or its store,
+        and so is each free, on through the barrier or an abort
+        (:meth:`~repro.mempool.allocator.Allocator.forget`).  That is
+        exact: the table runs only from the allocator signature it was
+        recorded at, and every barrier ends at params-only, so the
+        store ends the iteration where it began.  An allocator whose
+        ``alloc`` or ``free`` is replaced on the instance gets every
+        recorded call through the replacement instead, and answers it
+        live."""
+        allocator = self.allocator
+        live = "alloc" in vars(allocator) or "free" in vars(allocator)
+        alloc, free = allocator.alloc, allocator.free
+        if not live:
+            self._free = allocator.forget
+        stats = allocator.stats
+        used, peak, overhead = allocator.used_bytes, allocator._peak, \
+            stats.overhead_seconds
+        allocs, frees, alloc_bytes = stats.allocs, stats.frees, \
+            stats.alloc_bytes
+        t_alloc, t_free = allocator._alloc_latency, allocator._free_latency
+        clock, busy = self.timeline.clock, self.timeline.busy
         submit, compute = self.timeline.submit, Stream.COMPUTE
+        lane = compute._value_
         copy, wait, evict = self._copy, self._wait, self.fabric.evict
         state = self.state
         to_gpu, to_freed = state.to_gpu, state.to_freed
         alloc_of, scratch = self._alloc_of, ctx._scratch
         events: List[Event] = []  # the submits' and copies', in order
-        for op, a, b in table.ops:
-            if op == ALLOC:
-                alloc_of[a.tensor_id] = alloc(a.nbytes, a.name)
-                to_gpu(a)
-            elif op == FREE:
-                if to_freed(a):
-                    evict(a.tensor_id)
-                held = alloc_of.pop(a.tensor_id, None)
-                if held is not None:
-                    free(held)
-            elif op == SUBMIT:
-                events.append(submit(compute, a, b))
-            elif op == READ:
-                if not state.on_gpu(a):
-                    raise ResidencyError(
-                        f"tensor {a.name} is {state.placement(a).value}; "
-                        "the residency table reads it on the GPU",
-                        a, "PLAN001")
-            elif op == SCRATCH:
-                try:
-                    scratch.append(alloc(a, b))
-                except OutOfMemoryError:
-                    pass  # the recorded workspace fallback follows
-            elif op == UNSCRATCH:
-                self._free_step_scratch(ctx)
-            elif op == EXHAUSTED:
-                try:
-                    alloc(a, b)
-                except OutOfMemoryError:
-                    pass
-            elif op == PREFETCH:
-                alloc_of[a.tensor_id] = alloc(a.nbytes, b)
-            elif op == COPY:
-                kind, after = b
-                ev = copy(a, kind, after=after and [events[n] for n in after])
-                events.append(ev)
-                if kind == "clean":
-                    state.set_cleaning(a, ev)
-                elif kind == "prefetch":
-                    to_gpu(a, arrival=ev)
-            elif op == WAIT:
-                kind, n = b
-                if kind == "prefetch":
-                    state.arrivals.pop(a.tensor_id, None)
-                wait(a, kind, events[n])
-            else:
-                state.to_host(a)
-                held = alloc_of.pop(a.tensor_id, None)
-                if held is not None:
-                    free(held)
+        try:
+            for op, a, b in table.ops:
+                if op <= SCRATCH:  # b: the allocation the record got
+                    if live:
+                        b = alloc(b.nbytes, b.tag)
+                    else:
+                        size = b.nbytes
+                        used += size
+                        if used > peak:
+                            peak = used
+                        allocs += 1
+                        alloc_bytes += size
+                        overhead += t_alloc
+                        clock[lane] += t_alloc
+                        busy[lane] += t_alloc
+                    if op == ALLOC:
+                        alloc_of[a.tensor_id] = b
+                        to_gpu(a)
+                    elif op == SCRATCH:
+                        scratch.append(b)
+                    else:  # PREFETCH: its copy follows
+                        alloc_of[a.tensor_id] = b
+                elif op <= UNSCRATCH:  # give back what the move held
+                    if op == UNSCRATCH:
+                        held = scratch[:]
+                        scratch.clear()
+                    else:
+                        if op == TO_HOST:
+                            state.to_host(a)
+                        elif to_freed(a):
+                            evict(a.tensor_id)
+                        held = alloc_of.pop(a.tensor_id, None)
+                        held = () if held is None else (held,)
+                    for h in held:
+                        if live:
+                            free(h)
+                        else:
+                            used -= h.nbytes
+                            frees += 1
+                            overhead += t_free
+                            clock[lane] += t_free
+                            busy[lane] += t_free
+                elif op == SUBMIT:
+                    events.append(submit(compute, a, b))
+                elif op == READ:
+                    if not state.on_gpu(a):
+                        raise ResidencyError(
+                            f"tensor {a.name} is {state.placement(a).value}; "
+                            "the residency table reads it on the GPU",
+                            a, "PLAN001")
+                elif op == EXHAUSTED:
+                    if live:
+                        try:
+                            alloc(a, b)
+                        except OutOfMemoryError:
+                            pass
+                elif op == COPY:
+                    kind, after = b
+                    ev = copy(a, kind,
+                              after=after and [events[n] for n in after])
+                    events.append(ev)
+                    if kind == "clean":
+                        state.set_cleaning(a, ev)
+                    elif kind == "prefetch":
+                        to_gpu(a, arrival=ev)
+                else:  # WAIT
+                    kind, n = b
+                    if kind == "prefetch":
+                        state.arrivals.pop(a.tensor_id, None)
+                    wait(a, kind, events[n])
+        finally:
+            if not live:
+                allocator.used_bytes, allocator._peak = used, peak
+                stats.allocs, stats.frees, stats.alloc_bytes = \
+                    allocs, frees, alloc_bytes
+                stats.overhead_seconds = overhead
         self._workspace_choices().extend(table.choices)
         res = table.log.result
         if self._offload_policy is not None:
@@ -1151,7 +1207,7 @@ class Executor:
         if self._rec is not None:
             self._rec.append((UNSCRATCH, None, None))
         for a in ctx._scratch:
-            self.allocator.free(a)
+            self._free(a)
         ctx._scratch.clear()
 
     def _backward_values(self, layer: Layer, ctx: LayerContext, optimizer) -> None:

@@ -6,7 +6,6 @@ from typing import List, Optional, Sequence
 
 from repro.device.model import DeviceModel
 from repro.layers.base import Layer, LayerType
-from repro.layers.conv import Conv2D
 from repro.layers.data import DataLayer
 from repro.layers.softmax import SoftmaxLoss
 
@@ -134,13 +133,12 @@ class Net:
         return max(l.working_set_bytes() for l in self.layers)
 
     def price(self, model: DeviceModel) -> None:
-        """Store every conv's price on ``model`` (:meth:`Conv2D.price`).
+        """Store every layer's price on ``model`` (:meth:`Layer.price`).
         A compiling engine calls it under its compile lock; what it
         stores is a pure function of the built net and the model, so
         every session and engine that reads it reads the same values."""
         for layer in self.layers:
-            if isinstance(layer, Conv2D):
-                layer.price(model)
+            layer.price(model)
 
     def summary(self) -> str:
         rows = [f"{self.name}: {len(self.layers)} layers"]

@@ -19,7 +19,7 @@ import enum
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,8 +139,23 @@ class _LazyParams(dict):
         return value
 
 
+class Price(NamedTuple):
+    """A layer's default kernel times on one device model: a pure
+    function of the built layer and the model, stored by
+    :meth:`Layer.price`."""
+
+    model: DeviceModel
+    forward_s: float
+    backward_s: float
+
+
 class Layer:
-    """Abstract layer.  Subclasses implement shapes, kernels, and costs."""
+    """Abstract layer.  Subclasses implement shapes, kernels, and costs.
+
+    Its default kernel times are read from a price the compiling engine
+    stores once per device model (:meth:`price`); a model the layer was
+    never priced for is priced on every call and stored nowhere.
+    """
 
     ltype: LayerType = LayerType.DATA
     #: ``ltype`` in CHECKPOINT_TYPES / RECOMPUTE_TYPES, derived once per
@@ -168,6 +183,9 @@ class Layer:
         #: the working set ``working_set_bytes()``, derived by every
         #: ``Net.build()`` once the whole graph is wired (0 before)
         self.l_i: int = 0
+        #: one price per device model priced, replaced whole (never
+        #: mutated), so a reader sees the tuple before or after a store
+        self._prices: tuple = ()
 
     # -- graph wiring (called by Net) ----------------------------------------
     def connect_from(self, sources: Sequence["Layer"]) -> None:
@@ -276,20 +294,41 @@ class Layer:
     def is_compute_bound(self) -> bool:
         return self.ltype in (LayerType.CONV, LayerType.FC)
 
+    def _price(self, model: DeviceModel) -> Price:
+        """Derive the layer's default kernel times on ``model``."""
+        if self.is_compute_bound():
+            fw = self.flops_forward() / model.compute_tflops
+            bw = self.flops_backward() / model.compute_tflops
+        else:
+            fw = self.bytes_touched_forward() / model.mem_bandwidth
+            bw = self.bytes_touched_backward() / model.mem_bandwidth
+        return Price(model, fw + model.kernel_launch_overhead,
+                     bw + model.kernel_launch_overhead)
+
+    def price(self, model: DeviceModel) -> None:
+        """Store the layer's price on ``model`` unless it holds one.
+
+        Only a compiling engine calls it, under its compile lock, before
+        any executor of its planning runs; a session only reads.  Two
+        engines over one net may each store their own model's price;
+        should their compiles race and one store be lost, that model is
+        priced per call — the same values, not stored."""
+        prices = self._prices
+        if all(p.model is not model for p in prices):
+            self._prices = (*prices, self._price(model))
+
+    def _priced(self, model: DeviceModel):
+        for p in self._prices:
+            if p.model is model:
+                return p
+        return self._price(model)
+
     def sim_time_forward(self, model: DeviceModel) -> float:
         """Simulated duration of the forward kernel on ``model``."""
-        if self.is_compute_bound():
-            t = self.flops_forward() / model.compute_tflops
-        else:
-            t = self.bytes_touched_forward() / model.mem_bandwidth
-        return t + model.kernel_launch_overhead
+        return self._priced(model).forward_s
 
     def sim_time_backward(self, model: DeviceModel) -> float:
-        if self.is_compute_bound():
-            t = self.flops_backward() / model.compute_tflops
-        else:
-            t = self.bytes_touched_backward() / model.mem_bandwidth
-        return t + model.kernel_launch_overhead
+        return self._priced(model).backward_s
 
     # -- paper cost-model quantities ----------------------------------------------
     def l_f(self) -> int:

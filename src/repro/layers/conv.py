@@ -146,7 +146,8 @@ def conv_algorithms(
 
 class ConvPrice(NamedTuple):
     """One conv layer's price on one device model: a pure function of
-    the built layer and the model, stored by :meth:`Conv2D.price`."""
+    the built layer and the model, stored by
+    :meth:`~repro.layers.base.Layer.price`."""
 
     model: DeviceModel
     menu: Tuple[ConvAlgo, ...]     # :func:`conv_algorithms`, in its order
@@ -158,10 +159,9 @@ class ConvPrice(NamedTuple):
 class Conv2D(Layer):
     """Convolution layer; the paper's checkpoint/offload unit.
 
-    Its algorithm menu, max-speed pick and default kernel times are
-    read from a :class:`ConvPrice` the compiling engine stores once per
-    device model (:meth:`price`); a model the layer was never priced
-    for is priced on every call and stored nowhere.
+    Its price (:meth:`Layer.price <repro.layers.base.Layer.price>`) is a
+    :class:`ConvPrice`: the algorithm menu and max-speed pick beside
+    the default kernel times.
     """
 
     ltype = LayerType.CONV
@@ -184,9 +184,6 @@ class Conv2D(Layer):
         self.stride = stride
         self.pad = as_pair(pad) if not isinstance(pad, int) else pad
         self.use_bias = bias
-        #: one ConvPrice per device model priced, replaced whole (never
-        #: mutated), so a reader sees the tuple before or after a store
-        self._prices: Tuple[ConvPrice, ...] = ()
 
     # -- shapes / params --------------------------------------------------------
     def infer_shape(self, in_shapes):
@@ -259,24 +256,6 @@ class Conv2D(Layer):
         return ConvPrice(model, menu, max(menu, key=lambda a: a.speed),
                          default.time(self.flops_forward(), model),
                          default.time(self.flops_backward(), model))
-
-    def price(self, model: DeviceModel) -> None:
-        """Store the layer's price on ``model`` unless it holds one.
-
-        Only a compiling engine calls it, under its compile lock, before
-        any executor of its planning runs; a session only reads.  Two
-        engines over one net may each store their own model's price;
-        should their compiles race and one store be lost, that model is
-        priced per call — the same values, not stored."""
-        prices = self._prices
-        if all(p.model is not model for p in prices):
-            self._prices = (*prices, self._price(model))
-
-    def _priced(self, model: DeviceModel) -> ConvPrice:
-        for p in self._prices:
-            if p.model is model:
-                return p
-        return self._price(model)
 
     def algorithms(self, model: DeviceModel) -> Tuple[ConvAlgo, ...]:
         return self._priced(model).menu

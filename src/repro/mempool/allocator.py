@@ -106,9 +106,19 @@ class Allocator:
             timeline.clock["compute"] += latency
             timeline.busy["compute"] += latency
 
-    def begin_epoch(self) -> None:
-        """The executor's iteration-start mark: what follows repeats
-        what followed the previous mark.  Only a heap pool uses it."""
+    def forget(self, allocation: Allocation) -> None:
+        """:meth:`free` for an allocation the backing store never
+        placed: a residency table's recorded answer (``core/plan.py::
+        ResidencyTable``).  The same accounting, and nothing released."""
+        self.used_bytes -= allocation.nbytes
+        latency = self._free_latency
+        stats = self.stats
+        stats.frees += 1
+        stats.overhead_seconds += latency
+        timeline = self.timeline
+        if timeline is not None:
+            timeline.clock["compute"] += latency
+            timeline.busy["compute"] += latency
 
     # -- usage accounting --------------------------------------------------------
     @property
@@ -123,8 +133,8 @@ class Allocator:
         self._peak = self.used_bytes
 
     def signature(self) -> tuple:
-        """The state an epoch begun now starts at: two epochs that start
-        at one signature get the same answers to the same calls."""
+        """The state the allocator is in: from one signature, the same
+        calls succeed and fail alike, and leave it at one signature."""
         return self.used_bytes, self.gpu.free_bytes
 
 
@@ -164,9 +174,6 @@ class PoolAllocator(Allocator):
         self._slab_seg = gpu.reserve(self.slab_bytes, "heap-pool-slab")
         self.pool = HeapPool(self.slab_bytes)
         super().__init__(gpu, timeline, self.pool.alloc, self.pool.free)
-
-    def begin_epoch(self) -> None:
-        self.pool.begin_epoch()
 
     def signature(self) -> tuple:
         return self.used_bytes, self.pool.signature()

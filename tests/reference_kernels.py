@@ -7,6 +7,11 @@ through ``argmax`` + ``np.add.at``, pooling forward as a reduction of a
 reference is for; ``test_layer_kernels.py`` holds the shipped kernels
 to them.  Unlike the shipped conv, ``conv_backward`` always computes
 the full ``dx``.
+
+Every kernel computes in its operands' dtype, so the same kernels over
+the operands' absolute values in float64 give each output entry's
+``Σ|products|`` (:func:`conv_magnitudes`, :func:`pool_magnitudes`): the
+scale of the rounding a float32 sum of those products may carry.
 """
 
 import numpy as np
@@ -56,7 +61,7 @@ def conv_forward(x, w, b, stride, pad):
     out = out.reshape(conv2d_out_shape(x.shape, k, (kh, kw), stride, pad))
     if b is not None:
         out = out + b.reshape(1, -1, 1, 1)
-    return out.astype(np.float32, copy=False)
+    return out.astype(x.dtype, copy=False)
 
 
 def conv_backward(x, w, grad_out, stride, pad):
@@ -69,9 +74,9 @@ def conv_backward(x, w, grad_out, stride, pad):
     dcols = np.einsum("kc,nkp->ncp", w.reshape(k, -1), go, optimize=True)
     dx = col2im(dcols, x.shape, kh, kw, stride, pad)
     db = go.sum(axis=(0, 2)).reshape(-1, 1, 1, 1)
-    return (dx.astype(np.float32, copy=False),
-            dw.astype(np.float32, copy=False),
-            db.astype(np.float32, copy=False))
+    return (dx.astype(x.dtype, copy=False),
+            dw.astype(x.dtype, copy=False),
+            db.astype(x.dtype, copy=False))
 
 
 def _pool_padded(x, kernel, stride, pad, oh, ow, fill):
@@ -101,7 +106,7 @@ def pool_forward(x, kernel, stride, pad, mode):
     xp = _pool_padded(x, kernel, stride, pad, oh, ow, fill)
     win = _pool_windows(xp, kernel, stride, oh, ow)
     out = win.max(axis=(4, 5)) if mode == "max" else win.mean(axis=(4, 5))
-    return out.astype(np.float32, copy=False)
+    return out.astype(x.dtype, copy=False)
 
 
 def pool_backward(x, grad_out, kernel, stride, pad, mode):
@@ -110,7 +115,7 @@ def pool_backward(x, grad_out, kernel, stride, pad, mode):
     k, s = kernel, stride
     if mode == "max":
         xp = _pool_padded(x, k, s, pad, oh, ow, -np.inf)
-        dxp = np.zeros_like(xp, dtype=np.float32)
+        dxp = np.zeros_like(xp, dtype=grad_out.dtype)
         win = _pool_windows(xp, k, s, oh, ow).reshape(n, c, oh, ow, k * k)
         ki, kj = np.unravel_index(win.argmax(axis=4), (k, k))
         rows = (np.arange(oh)[None, None, :, None] * s + ki).ravel()
@@ -120,9 +125,33 @@ def pool_backward(x, grad_out, kernel, stride, pad, mode):
         np.add.at(dxp, (ni, ci, rows, cols), grad_out.ravel())
     else:
         xp = _pool_padded(x, k, s, pad, oh, ow, 0.0)
-        dxp = np.zeros(xp.shape, dtype=np.float32)
+        dxp = np.zeros(xp.shape, dtype=grad_out.dtype)
         g = grad_out / (k * k)
         for i in range(k):
             for j in range(k):
                 dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += g
     return np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + w])
+
+
+def _abs64(a):
+    return None if a is None else np.abs(a).astype(np.float64)
+
+
+def conv_magnitudes(x, w, b, grad_out, stride, pad):
+    """``Σ|products|`` of every entry of :func:`conv_forward`'s output
+    and :func:`conv_backward`'s ``(dx, dw, db)``, in float64:
+    ``(out, dx, dw, db)``."""
+    out = conv_forward(_abs64(x), _abs64(w), _abs64(b), stride, pad)
+    return (out,) + conv_backward(_abs64(x), _abs64(w), _abs64(grad_out),
+                                  stride, pad)
+
+
+def pool_magnitudes(x, grad_out, kernel, stride, pad, mode):
+    """``Σ|products|`` of every entry of the output (average pooling;
+    a max pool's output is a selection, not a sum: None) and of ``dx``
+    (its windows' ``dy`` routed or spread as :func:`pool_backward`
+    does), in float64: ``(out, dx)``."""
+    out = pool_forward(_abs64(x), kernel, stride, pad, mode) \
+        if mode == "avg" else None
+    return out, pool_backward(x, _abs64(grad_out), kernel, stride, pad,
+                              mode)

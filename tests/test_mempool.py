@@ -143,6 +143,23 @@ class TestAllocators:
         assert alloc.peak_bytes == 8 * MB
         assert alloc.used_bytes == 0
 
+    @pytest.mark.parametrize("kind", [CudaAllocator, PoolAllocator])
+    def test_forget_accounts_a_free_and_releases_nothing(self, kind):
+        """What a residency table does with a free: the allocator's
+        books move exactly as ``free`` moves them, the store not at all."""
+        books = []
+        for give_back in ("free", "forget"):
+            gpu, tl = self._mk()
+            alloc = kind(gpu, tl)
+            a = alloc.alloc(MB)
+            placed = alloc.free_bytes
+            getattr(alloc, give_back)(a)
+            books.append((alloc.used_bytes, alloc.stats,
+                          tl.now(Stream.COMPUTE), tl.busy_time(Stream.COMPUTE)))
+            assert alloc.free_bytes == (placed if give_back == "forget"
+                                        else placed + MB)
+        assert books[0] == books[1]
+
     def test_pool_free_bytes_reflects_slab(self):
         gpu, tl = self._mk()
         alloc = PoolAllocator(gpu, tl, slab_bytes=16 * MB)
@@ -171,208 +188,3 @@ class TestSimulatedGPU:
         gpu = SimulatedGPU()
         with pytest.raises(KeyError):
             gpu.release(123)
-
-
-class _Pair:
-    """One call stream into two pools: ``planned`` is told where epochs
-    begin, ``plain`` never is — it is the live first-fit reference.
-    Every call's outcome is compared on the spot."""
-
-    def __init__(self, capacity):
-        self.planned = HeapPool(capacity)
-        self.plain = HeapPool(capacity)
-        self.live = []           # handles, oldest first (ids agree)
-
-    def alloc(self, nbytes):
-        got = []
-        for pool in (self.planned, self.plain):
-            try:
-                got.append(pool.alloc(nbytes))
-            except PoolExhaustedError as exc:
-                got.append((exc.requested_blocks, exc.free_blocks, str(exc)))
-        assert got[0] == got[1]
-        if isinstance(got[0], int):
-            self.live.append(got[0])
-        self.cheap_check()
-
-    def free(self, index):
-        if self.live:
-            handle = self.live.pop(index % len(self.live))
-            self.planned.free(handle)
-            self.plain.free(handle)
-            self.cheap_check()
-
-    def cheap_check(self):
-        """What can be asked without leaving the plan."""
-        assert self.planned.free_bytes == self.plain.free_bytes
-        assert self.planned.used_bytes == self.plain.used_bytes
-
-    def audit(self):
-        """The structural questions (these make ``planned`` rebuild)."""
-        a, b = self.planned, self.plain
-        assert [a.addr_of(h) for h in self.live] == \
-            [b.addr_of(h) for h in self.live]
-        assert [a.size_of(h) for h in self.live] == \
-            [b.size_of(h) for h in self.live]
-        assert a.fragmentation == b.fragmentation
-        assert a.largest_free_bytes == b.largest_free_bytes
-        assert a.allocation_count == b.allocation_count == len(self.live)
-        assert not a.replaying
-        a.check_invariants()
-        b.check_invariants()
-        self.cheap_check()
-
-    def run(self, ops):
-        for kind, arg in ops:
-            if kind == "alloc":
-                self.alloc(arg * KB)
-            elif kind == "free":
-                self.free(arg)
-            else:
-                self.audit()
-
-    def epoch(self, ops, drain=True):
-        """One iteration: the ops, then (unless cut short) release
-        everything the epoch still holds so it ends where it began."""
-        older = set(self.live)
-        self.planned.begin_epoch()
-        self.run(ops)
-        if drain:
-            for h in [h for h in reversed(self.live) if h not in older]:
-                self.free(self.live.index(h))
-
-
-_POOL_OP = st.one_of(
-    st.tuples(st.just("alloc"), st.integers(0, 48)),   # KB; 0 -> one block
-    st.tuples(st.just("free"), st.integers(0, 1 << 16)),
-    st.tuples(st.just("audit"), st.just(0)),
-)
-_AT = st.integers(0, 1 << 16)
-_VARIANT = st.one_of(
-    st.tuples(st.just("repeat")),
-    st.tuples(st.just("mutate"), _AT, st.integers(0, 48)),
-    st.tuples(st.just("truncate"), _AT),
-    st.tuples(st.just("extend"), st.lists(_POOL_OP, max_size=6)),
-    st.tuples(st.just("free_older"), _AT),
-    st.tuples(st.just("audit"), _AT),
-    st.tuples(st.just("exhaust"), _AT),
-)
-
-
-def _vary(base, variant, capacity_kb):
-    """The epoch's op list and whether it drains at the end."""
-    kind, ops = variant[0], list(base)
-    if kind == "repeat":
-        return ops, True
-    if kind == "extend":
-        return ops + variant[1], True
-    at = variant[1] % (len(ops) + 1)
-    if kind == "truncate":
-        return ops[:at], False     # leftovers become pre-epoch nodes
-    if kind == "mutate":
-        ops[at:at + 1] = [("alloc", variant[2])]
-    else:
-        ops.insert(at, {"free_older": ("free", 0),   # 0: the oldest node
-                        "audit": ("audit", 0),
-                        "exhaust": ("alloc", capacity_kb + 1)}[kind])
-    return ops, True
-
-
-class TestAddressPlan:
-    """The epoch-scoped address plan answers from a record; a pool that
-    never hears of epochs is the reference it must be indistinguishable
-    from."""
-
-    CAP_KB = 256
-
-    @given(st.lists(_POOL_OP, max_size=30),
-           st.lists(_VARIANT, min_size=1, max_size=8))
-    @settings(max_examples=200, deadline=None)
-    def test_planned_pool_matches_never_planned(self, base, variants):
-        pair = _Pair(self.CAP_KB * KB)
-        pair.alloc(20 * KB)            # "parameters": older than any epoch
-        pair.alloc(3 * KB)
-        for variant in [("repeat",), ("repeat",)] + variants:
-            ops, drain = _vary(base, variant, self.CAP_KB)
-            pair.epoch(ops, drain)
-        pair.planned.begin_epoch()
-        pair.audit()
-
-    def _steady(self, sizes=(8, 2, 16)):
-        """A pair that has recorded one epoch and replayed another."""
-        pair = _Pair(self.CAP_KB * KB)
-        pair.alloc(4 * KB)
-        ops = [("alloc", s) for s in sizes] + [("free", 1)]
-        pair.epoch(ops)
-        assert not pair.planned.replaying      # recording
-        pair.epoch(ops)
-        assert pair.planned.replaying          # answered to the end
-        return pair, ops
-
-    def test_repeated_epochs_stay_on_the_plan(self):
-        pair, ops = self._steady()
-        for _ in range(3):
-            pair.epoch(ops)
-            assert pair.planned.replaying
-        pair.audit()
-
-    def test_a_different_request_falls_off_and_is_relearned(self):
-        pair, ops = self._steady()
-        other = [("alloc", 8), ("alloc", 3)] + ops[2:]
-        pair.epoch(other)
-        assert not pair.planned.replaying
-        pair.epoch(other)                      # the new record is the plan
-        assert pair.planned.replaying
-        pair.audit()
-
-    def test_shorter_and_longer_epochs(self):
-        pair, ops = self._steady()
-        pair.epoch(ops + [("alloc", 1)])
-        assert not pair.planned.replaying      # ran past the record's end
-        pair.epoch(ops)                        # (which is now the plan)
-        assert not pair.planned.replaying      # stopped short of its end
-        pair.epoch(ops)
-        assert pair.planned.replaying
-        pair.planned.begin_epoch()
-        pair.run(ops[:2])
-        assert pair.planned.replaying          # a prefix is still on it
-        pair.epoch(ops)       # the two left behind moved the free list
-        assert not pair.planned.replaying
-        pair.audit()
-
-    def test_structural_questions_leave_the_plan_mid_epoch(self):
-        pair, ops = self._steady()
-        pair.planned.begin_epoch()
-        pair.run(ops[:2])
-        assert pair.planned.replaying
-        pair.audit()                           # asserts it rebuilt
-        pair.run(ops[2:])
-        pair.audit()
-
-    def test_exhaustion_is_recorded_and_replayed(self):
-        pair, _ = self._steady()
-        ops = [("alloc", 100), ("alloc", 200), ("alloc", 100)]
-        pair.epoch(ops)
-        pair.epoch(ops)
-        assert pair.planned.replaying          # the failed probe too
-        pair.audit()
-
-    def test_freeing_an_older_node_is_never_planned(self):
-        pair, ops = self._steady()
-        held = [("alloc", 5)]
-        pair.epoch(held, drain=False)          # leaves a node behind
-        swap = [("free", 1), ("alloc", 5)]     # same free list at both ends
-        for _ in range(3):
-            pair.planned.begin_epoch()
-            pair.run(swap)
-            assert not pair.planned.replaying
-        pair.audit()
-
-    def test_unknown_free_raises_like_the_live_pool(self):
-        pair, ops = self._steady()
-        pair.planned.begin_epoch()
-        for pool in (pair.planned, pair.plain):
-            with pytest.raises(KeyError):
-                pool.free(10_000)
-        pair.run(ops)
-        pair.audit()

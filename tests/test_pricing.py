@@ -1,11 +1,11 @@
 """A layer's price is derived once per compile, and equals a fresh one.
 
-A conv's algorithm menu, max-speed pick and default kernel times are a
-pure function of the built layer and the device model; a layer's
-working set ``l_i`` and the net's ``l_peak`` are a pure function of the
-built net.  The compiling engine stores the first (``Net.price``, under
-its compile lock), every ``Net.build()`` the second, and everything
-else reads them.  These tests pin both the call counts of one compile
+A layer's default kernel times — and a conv's algorithm menu and
+max-speed pick beside them — are a pure function of the built layer and
+the device model; a layer's working set ``l_i`` and the net's
+``l_peak`` are a pure function of the built net.  The compiling engine
+stores the first (``Net.price``, under its compile lock), every
+``Net.build()`` the second, and everything else reads them.  These tests pin both the call counts of one compile
 and that every stored value is the value an uncached walk derives.
 """
 
@@ -23,6 +23,7 @@ from repro import Engine, RuntimeConfig
 from repro.core import tensor_state
 from repro.core.tensor_state import ALLOWED_TRANSITIONS, SessionTensorState
 from repro.device.model import K40_MODEL, DeviceModel
+from repro import layers
 from repro.layers import conv as conv_module
 from repro.layers.base import Layer
 from repro.layers.conv import Conv2D, conv_algorithms
@@ -42,27 +43,46 @@ def fresh_menu(layer: Conv2D, model):
                                  layer.kernel, layer.stride, model))
 
 
-def assert_priced_like_fresh(layer: Conv2D, model) -> None:
-    menu = fresh_menu(layer, model)
-    assert layer.algorithms(model) == menu
-    assert layer.max_speed_algo(model) == max(menu, key=lambda a: a.speed)
-    assert layer.sim_time_forward(model) == \
-        menu[0].time(layer.flops_forward(), model)
-    assert layer.sim_time_backward(model) == \
-        menu[0].time(layer.flops_backward(), model)
+def fresh_times(layer: Layer, model):
+    """The default forward and backward kernel times, derived anew: a
+    conv's at its menu's first algorithm, a compute-bound layer's from
+    its FLOPs, any other's from the bytes it touches."""
+    if isinstance(layer, Conv2D):
+        default = fresh_menu(layer, model)[0]
+        return (default.time(layer.flops_forward(), model),
+                default.time(layer.flops_backward(), model))
+    if layer.is_compute_bound():
+        rate = model.compute_tflops
+        work = layer.flops_forward(), layer.flops_backward()
+    else:
+        rate = model.mem_bandwidth
+        work = layer.bytes_touched_forward(), layer.bytes_touched_backward()
+    return tuple(w / rate + model.kernel_launch_overhead for w in work)
 
 
-def stored_models(layer: Conv2D):
+def assert_priced_like_fresh(layer: Layer, model) -> None:
+    assert (layer.sim_time_forward(model), layer.sim_time_backward(model)) \
+        == fresh_times(layer, model)
+    if isinstance(layer, Conv2D):
+        menu = fresh_menu(layer, model)
+        assert layer.algorithms(model) == menu
+        assert layer.max_speed_algo(model) == max(menu,
+                                                  key=lambda a: a.speed)
+
+
+def stored_models(layer: Layer):
     return [p.model for p in layer._prices]
 
 
 class TestOneCompilePricesOnce:
     def test_a_verified_costed_two_mode_compile(self, monkeypatch):
         """resnet50 b8, built, verified and costed in both modes: one
-        menu per conv (477 at nine per conv before) and one working set
-        per layer (352, two walks, before)."""
-        menus, walks = [], []
+        menu per conv (477 at nine per conv before), one price per other
+        layer (472 kernel-time derivations, one per call, before) and
+        one working set per layer (352, two walks, before)."""
+        menus, walks, prices = [], [], []
         derive_menu, derive_walk = conv_algorithms, Layer.working_set_bytes
+        derive_price = Layer._price
 
         def counted_menu(*args):
             menus.append(args)
@@ -72,14 +92,20 @@ class TestOneCompilePricesOnce:
             walks.append(layer)
             return derive_walk(layer)
 
+        def counted_price(layer, model):
+            prices.append(layer)
+            return derive_price(layer, model)
+
         monkeypatch.setattr(conv_module, "conv_algorithms", counted_menu)
         monkeypatch.setattr(Layer, "working_set_bytes", counted_walk)
+        monkeypatch.setattr(Layer, "_price", counted_price)
         net = NETWORK_BUILDERS["resnet50"](batch=8)
         engine = repro.compile(net, RuntimeConfig.superneurons(concrete=False),
                                modes=("train", "infer"), verify=True,
                                cost_report=True)
         assert len(convs(net)) == 53 and len(net.layers) == 176
         assert len(menus) == 53
+        assert len(prices) == 176 - 53  # Conv2D prices itself
         assert len(walks) == 176
         assert sorted(engine.cost_reports) == ["infer", "train"]
 
@@ -93,26 +119,39 @@ class TestStoredEqualsFresh:
         walk = [l.working_set_bytes() for l in net.layers]
         assert [l.l_i for l in net.layers] == walk
         assert net.l_peak == net.max_layer_bytes() == max(walk)
-        for layer in convs(net):
+        for layer in net.layers:
             assert stored_models(layer) == [K40_MODEL]
-            assert layer.algorithms(K40_MODEL) is layer._prices[0].menu
+            assert layer.sim_time_forward(K40_MODEL) \
+                is layer._prices[0].forward_s
             assert_priced_like_fresh(layer, K40_MODEL)
+        for layer in convs(net):
+            assert layer.algorithms(K40_MODEL) is layer._prices[0].menu
+
+    def test_the_zoo_holds_every_layer_type(self):
+        """so :meth:`test_every_zoo_net` checks every type's price"""
+        types = {type(layer) for build in NETWORK_BUILDERS.values()
+                 for layer in build(batch=8).layers}
+        assert types == {getattr(layers, name) for name in layers.__all__
+                         if isinstance(getattr(layers, name), type)
+                         and issubclass(getattr(layers, name), Layer)
+                         and name != "Layer"}
 
     def test_an_engine_prices_its_model_at_planning(self):
         net = lenet(batch=2, image=12)
         assert all(not l._prices for l in convs(net))
         engine = Engine(net, RuntimeConfig(concrete=False))
         engine.planning("infer")
-        assert all(stored_models(l) == [K40_MODEL] for l in convs(net))
+        assert all(stored_models(l) == [K40_MODEL] for l in net.layers)
 
     def test_an_unseen_model_is_priced_but_not_stored(self):
         net = lenet(batch=2, image=12)
         net.price(K40_MODEL)
         twin = DeviceModel()  # equal to K40_MODEL, but another object
-        for layer in convs(net):
+        for layer in net.layers:
             assert_priced_like_fresh(layer, twin)
-            assert layer.algorithms(twin) is not layer.algorithms(K40_MODEL)
             assert stored_models(layer) == [K40_MODEL]
+        for layer in convs(net):
+            assert layer.algorithms(twin) is not layer.algorithms(K40_MODEL)
 
 
 class TestEnginesOverOneNet:
@@ -130,7 +169,7 @@ class TestEnginesOverOneNet:
             with engine.session("train") as s:
                 picks.append({(c.layer_name, c.phase): c.max_speed_algo.name
                               for c in s.run_iteration(0).workspace_choices})
-        for layer in convs(net):
+        for layer in net.layers:
             assert stored_models(layer) == [K40_MODEL, gemm_first]
             for model in (K40_MODEL, gemm_first):
                 assert_priced_like_fresh(layer, model)

@@ -6,12 +6,13 @@ the executor replays a compiled :class:`~repro.core.plan.IterationPlan`
 instead of dispatching policy hooks — and the replayed iterations are
 **bit-identical** to the fresh planning path in every observable
 (``tests/test_equivalence_matrix.py::test_replay``).  Here: links,
-dispatch, the residency table's off switches, the heap pool's address
-plan, and the state-hygiene fixes that only matter in exactly this
+dispatch, the residency table's off switches and recorded allocator
+answers, and the state-hygiene fixes that only matter in exactly this
 long-running regime: per-iteration accumulators must not grow without
 bound across ``run_iteration`` calls on one executor.
 """
 
+import dataclasses
 import functools
 
 import pytest
@@ -19,10 +20,13 @@ import pytest
 import repro.core.runtime as runtime
 from repro import Engine, RuntimeConfig, SGD, Session, Trainer
 from repro.check.cost_model import fold
-from repro.core.plan import PolicyPlan
+from repro.core.plan import COPY, PolicyPlan
 from repro.core.policy import MemoryPolicy
+from repro.mempool import Allocator, HeapPool
 from repro.zoo import NETWORK_BUILDERS, alexnet, lenet, resnet50
 from repro.zoo.resnet import resnet_from_units
+from tests.faults import FaultPlan, InjectedFault, assert_quiescent
+from tests.test_clean_lines import SMALLEST, small_resnet
 
 ITERS = 5
 
@@ -335,69 +339,22 @@ class TestValidatorIsAnObserver:
         assert all(res["cache"]["evictions"] > 0 for res, *_ in armed)
 
 
-class TestAddressPlan:
-    """Under a fixed topology the heap pool answers every alloc/free of
-    an iteration from its recorded address plan — and nothing the
-    executor reports can tell."""
+def signature(res):
+    """What a steady iteration repeats (``sim_time`` to the
+    nanosecond: it is a difference of two readings of a running clock)."""
+    return (round(res.sim_time, 9), res.peak_bytes, res.d2h_bytes,
+            res.h2d_bytes, res.alloc_calls, res.cache_evictions)
 
-    GiB = 1 << 30
 
-    @staticmethod
-    def signature(res):
-        return (round(res.sim_time, 9), res.peak_bytes, res.d2h_bytes,
-                res.h2d_bytes, res.alloc_calls, res.cache_evictions)
-
-    @pytest.mark.parametrize("capacity", [None, GiB],
-                             ids=["roomy", "pressured-1GiB"])
-    def test_plan_engages_on_resnet50(self, capacity):
-        """The ledger's two sim workloads.  At 1 GiB every iteration
-        makes failed probes and evictions; they are part of the record,
-        so the whole iteration still replays — from iteration 1 there
-        too: iteration 0 starts from the scout's drop set, so its
-        allocations are iteration 1's (from iteration 2 while the first
-        iteration had no record)."""
-        cfg = RuntimeConfig.superneurons(concrete=False,
-                                         gpu_capacity=capacity)
-        with Engine(resnet50(batch=32), cfg).session("train") as sess:
-            pool = sess.executor.allocator.pool
-            first = sess.run_iteration(0)
-            assert not pool.replaying, "nothing recorded yet"
-            if capacity is not None:
-                assert first.cache_evictions > 0
-            steady = sess.run_iteration(1)
-            assert pool.replaying
-            for i in range(2, 4):
-                res = sess.run_iteration(i)
-                assert pool.replaying, \
-                    "address plan never engaged — iterations run live"
-                assert self.signature(res) == self.signature(steady)
-            # iteration 0 cleans the scout's victims early and drops
-            # the ones it dropped, as every later iteration does
-            assert self.signature(first)[1:] == self.signature(steady)[1:]
-            pool.check_invariants()            # rebuilds from the record
-            assert not pool.replaying
-            assert self.signature(sess.run_iteration(4)) \
-                == self.signature(steady)
-            assert pool.replaying              # and is back on it
-
-    def test_non_replay_executor_plans_addresses_too(self):
-        """The address plan keys on what the pool sees, not on the
-        executor's own replay switch."""
-        cfg = RuntimeConfig.superneurons(concrete=False,
-                                         steady_state_replay=False)
-        with Session(alexnet(batch=4, image=67, num_classes=10),
-                     cfg).executor as ex:
-            ex.run_iteration(0)
-            ex.run_iteration(1)
-            assert ex.replayed_iterations == 0
-            assert ex.allocator.pool.replaying
+class TestAbortedIteration:
+    """An iteration that raises leaves the session as a completed one
+    would."""
 
     def test_aborted_iteration_leaves_the_next_one_correct(self):
         """An exception mid-iteration would strand tensors — and,
         raised between a conv's workspace reservation and its kernel,
-        the step's scratch — and stops the pool part-way through its
-        record; the aborted iteration cleans up, and the following ones
-        report exactly what an undisturbed run does."""
+        the step's scratch; the aborted iteration cleans up, and the
+        following ones report exactly what an undisturbed run does."""
 
         class Saboteur(MemoryPolicy):
             key = "saboteur"
@@ -423,7 +380,7 @@ class TestAddressPlan:
 
         cfg = RuntimeConfig.superneurons(concrete=False)
         with Session(mk(), cfg) as clean:
-            expect = [self.signature(clean.run_iteration(i))
+            expect = [signature(clean.run_iteration(i))
                       for i in range(5)]
             settled = clean.executor.allocator.pool.used_bytes
         # step 30 is mid-backward; step 46 is conv1's backward, whose
@@ -433,24 +390,118 @@ class TestAddressPlan:
             with Session(mk(), cfg).with_policy(saboteur) as sess:
                 ex = sess.executor
                 pool = ex.allocator.pool
-                got = [self.signature(sess.run_iteration(i))
+                got = [signature(sess.run_iteration(i))
                        for i in range(2)]
-                assert pool.replaying
                 saboteur.armed = True
                 with pytest.raises(ValueError, match="injected"):
                     sess.run_iteration(2)
                 assert ex.allocator.used_bytes == ex.param_bytes
                 saboteur.armed = False
-                got += [self.signature(sess.run_iteration(i))
+                got += [signature(sess.run_iteration(i))
                         for i in range(2, 5)]
                 assert ex.allocator.used_bytes == ex.param_bytes
                 assert pool.used_bytes == settled
-                assert pool.replaying              # found its way back
                 pool.check_invariants()
             assert got[:2] == expect[:2]
             # nothing was stranded: from the recovery iteration on
             # nothing differs
             assert got[2:] == expect[2:]
+
+
+class TestTableAnswers:
+    """A table iteration gives each allocation the answer the record
+    got and accounts it, and each free, as the allocator would: it
+    enters neither the allocator nor its store.  An allocator replaced
+    on the instance gets every recorded call instead, and nothing the
+    executor reports tells the two apart."""
+
+    CAPACITIES = pytest.mark.parametrize(
+        "capacity", [None, SMALLEST], ids=["roomy", "pressured"])
+
+    @staticmethod
+    def session(capacity):
+        return Session(small_resnet(), RuntimeConfig.superneurons(
+            concrete=False, gpu_capacity=capacity))
+
+    @CAPACITIES
+    def test_a_table_iteration_calls_no_allocator(self, monkeypatch,
+                                                  capacity):
+        calls = []
+        for cls, name in ((Allocator, "alloc"), (Allocator, "free"),
+                          (HeapPool, "alloc"), (HeapPool, "free")):
+            def counted(*args, call=getattr(cls, name),
+                        what=f"{cls.__name__}.{name}", **kw):
+                calls.append(what)
+                return call(*args, **kw)
+            monkeypatch.setattr(cls, name, counted)
+        with self.session(capacity) as sess:
+            ex = sess.executor
+            steady = [sess.run_iteration(i) for i in range(2)][-1]
+            assert calls and ex._table is not None
+            if capacity is not None:
+                assert steady.cache_evictions > 0
+            for i in range(2, 4):
+                del calls[:]
+                res = sess.run_iteration(i)
+                assert calls == [], "a table iteration called the allocator"
+                assert ex.table_iterations == i - 1
+                assert signature(res) == signature(steady)
+            assert ex.allocator.used_bytes == ex.param_bytes
+            ex.allocator.pool.check_invariants()
+
+    @CAPACITIES
+    def test_a_wrapped_allocator_gets_the_recorded_calls(self, capacity):
+        def run(wrap):
+            with self.session(capacity) as sess:
+                ex = sess.executor
+                allocator = ex.allocator
+                calls = []
+                if wrap:
+                    alloc, free = allocator.alloc, allocator.free
+
+                    def passed_alloc(nbytes, tag=""):
+                        calls.append((nbytes, tag))
+                        return alloc(nbytes, tag)
+
+                    def passed_free(a):
+                        calls.append(a.nbytes)
+                        return free(a)
+                    allocator.alloc, allocator.free = passed_alloc, \
+                        passed_free
+                seen = []
+                for i in range(4):
+                    del calls[:]
+                    res = sess.run_iteration(i)
+                    seen.append((calls[:], res.to_dict(),
+                                 ex.timeline.elapsed,
+                                 dataclasses.astuple(allocator.stats),
+                                 allocator.signature()))
+                assert ex.table_iterations == 2
+            return seen
+
+        wrapped, answered = run(True), run(False)
+        for i in (2, 3):  # the table's: the recording iteration's calls
+            assert wrapped[i][0] == wrapped[1][0]
+        assert [w[1:] for w in wrapped] == [a[1:] for a in answered]
+
+    def test_a_copy_fault_mid_table_leaves_the_store_at_rest(self):
+        with self.session(SMALLEST) as sess:
+            ex = sess.executor
+            plan = FaultPlan("copy", 0).install(ex)
+            for i in range(2):
+                sess.run_iteration(i)
+            table = ex._table
+            copies = sum(1 for op, _a, _b in table.ops if op == COPY)
+            assert copies > 1
+            plan.k = copies // 2
+            plan.arm()
+            with pytest.raises(InjectedFault):
+                sess.run_iteration(2)
+            assert ex._table is None
+            ex.allocator.pool.check_invariants()
+            assert ex.allocator.used_bytes == ex.param_bytes
+            assert ex.allocator.signature() == table.start
+            assert_quiescent(sess)
 
 
 class TestReplayOptOut:
