@@ -51,7 +51,7 @@ from repro.device.timeline import Stream
 from repro.graph.route import Phase, Step
 from repro.layers.base import Layer
 from repro.layers.data import DataLayer
-from repro.tensors.tensor import Tensor
+from repro.tensors.tensor import Placement, Tensor, TensorKind
 
 #: A hook-site closure: ``op(ctx, step)``, prebound to executor internals.
 StepOp = Callable[[object, Step], None]
@@ -541,8 +541,19 @@ def listener_table(ex) -> Dict[str, tuple]:
 #: arrival.  An event's ordinal counts the iteration's ``SUBMIT`` and
 #: ``COPY`` moves before it.  The moves that allocate come first and
 #: those that free next, so a table run tells them apart by range.
+#: A table runs its moves in :class:`TableBlock` runs: each maximal run
+#: of *calm* moves — ``ALLOC``, ``FREE``, ``SCRATCH``, ``UNSCRATCH``,
+#: ``EXHAUSTED``, ``READ``, and a ``SUBMIT`` whose event no later
+#: ``COPY`` or ``WAIT`` names — is one block, folded into its net
+#: effect when the table is built; the moves between them are blocks
+#: that run move by move.
 ALLOC, PREFETCH, SCRATCH, FREE, TO_HOST, UNSCRATCH, \
     SUBMIT, READ, EXHAUSTED, COPY, WAIT = range(11)
+
+#: the moves a calm block may hold besides its unnamed kernels
+_CALM = frozenset((ALLOC, FREE, SCRATCH, UNSCRATCH, EXHAUSTED, READ))
+_GPU, _FREED = Placement.GPU, Placement.FREED
+_LIVE_KINDS = (TensorKind.DATA, TensorKind.GRAD)
 
 
 class MoveLog:
@@ -576,6 +587,175 @@ class MoveLog:
         self.host_peak, self.result = 0, None
 
 
+class TableBlock:
+    """A run of a residency table's moves (``moves``, see
+    :data:`ALLOC`).  A ``calm`` block also carries its net effect, what
+    its moves do when run one by one from any state the table reaches
+    there (:meth:`~repro.core.runtime.Executor._run_table` applies it
+    only where that holds):
+
+    * the state table's: ``ends``, each tensor id it moves -> where
+      it ends, in first-move order; ``freed``, the ids it frees (they
+      leave the live set); ``adds``, the DATA and GRAD ids that end on
+      the GPU (they join it after); ``reads``, the ids it reads that it
+      did not place itself, which must be on the GPU
+      (:meth:`~repro.core.tensor_state.SessionTensorState.apply`);
+    * the compute stream's: ``increments``, every latency and kernel
+      length it adds to the clock and busy time, in order, and
+      ``kernels``, how many event ids its kernels take
+      (:meth:`~repro.device.timeline.Timeline.advance`);
+    * the allocator's: ``used``, the net bytes; ``rise``, the most the
+      used bytes stand above where the block began after any of its
+      allocations (0 with none); ``allocs``, ``frees`` and
+      ``alloc_bytes``; ``latencies``, its alloc and free latencies in
+      order;
+    * the executor's: ``pops``, the ids whose allocation an earlier
+      block made and this one frees; ``assigns``, each id holding an
+      allocation at its end that it made -> that allocation, in the
+      order the moves (re)made them; ``scratch``, the step scratch at
+      its end (None if it touches none); ``holes``, one placeholder per
+      kernel in the event list, so later ordinals still count.
+
+    A block of calm moves that reads a tensor it freed itself would
+    refuse that read; it is not calm, and runs move by move to the
+    refusal.
+    """
+
+    __slots__ = ("moves", "calm", "ends", "freed", "adds", "reads",
+                 "increments", "kernels", "used", "rise", "allocs",
+                 "frees", "alloc_bytes", "latencies", "pops", "assigns",
+                 "scratch", "holes")
+
+    def __init__(self, moves: list, calm: bool) -> None:
+        self.moves = tuple(moves)
+        self.calm = calm
+
+    def fold(self, held: Dict[int, object], scratch: list,
+             t_alloc: float, t_free: float) -> None:
+        """Fold the moves into their effect.  ``held`` (tensor id -> the
+        allocation the executor holds for it, parameters aside) and
+        ``scratch`` are the executor's maps where the block begins,
+        advanced here to where it ends."""
+        placement: Dict[int, Placement] = {}
+        tensors: Dict[int, Tensor] = {}
+        freed = set()
+        reads: Dict[int, None] = {}
+        increments: List[float] = []
+        latencies: List[float] = []
+        pops: List[int] = []
+        assigns: Dict[int, object] = {}
+        kernels = used = rise = allocs = frees = alloc_bytes = 0
+        touched_scratch = False
+        for op, a, b in self.moves:
+            if op == ALLOC or op == SCRATCH:
+                size = b.nbytes
+                used += size
+                if used > rise:
+                    rise = used
+                allocs += 1
+                alloc_bytes += size
+                increments.append(t_alloc)
+                latencies.append(t_alloc)
+                if op == SCRATCH:
+                    scratch.append(b)
+                    touched_scratch = True
+                    continue
+                tid = a.tensor_id
+                held[tid] = assigns[tid] = b
+                placement[tid], tensors[tid] = _GPU, a
+            elif op == FREE or op == UNSCRATCH:
+                if op == UNSCRATCH:
+                    gone = scratch[:]
+                    scratch.clear()
+                    touched_scratch = True
+                else:
+                    tid = a.tensor_id
+                    placement[tid] = _FREED
+                    freed.add(tid)
+                    h = held.pop(tid, None)
+                    if tid in assigns:
+                        del assigns[tid]
+                    elif h is not None:
+                        pops.append(tid)
+                    gone = () if h is None else (h,)
+                for h in gone:
+                    used -= h.nbytes
+                    frees += 1
+                    increments.append(t_free)
+                    latencies.append(t_free)
+            elif op == SUBMIT:
+                increments.append(a)
+                kernels += 1
+            elif op == READ:
+                p = placement.get(a.tensor_id)
+                if p is _FREED:
+                    self.calm = False
+                elif p is None:
+                    reads[a.tensor_id] = None
+        self.ends = placement
+        self.freed = frozenset(freed)
+        self.adds = tuple(tid for tid, p in placement.items()
+                          if p is _GPU and tensors[tid].kind in _LIVE_KINDS)
+        self.reads = tuple(reads)
+        self.increments, self.kernels = tuple(increments), kernels
+        self.used, self.rise = used, rise
+        self.allocs, self.frees, self.alloc_bytes = allocs, frees, \
+            alloc_bytes
+        self.latencies = tuple(latencies)
+        self.pops, self.assigns = tuple(pops), assigns
+        self.scratch = tuple(scratch) if touched_scratch else None
+        self.holes = (None,) * kernels
+
+
+def _follow(moves: Sequence[tuple], held: Dict[int, object]) -> None:
+    """Advance ``held`` (see :meth:`TableBlock.fold`) over a block that
+    is not calm: its prefetches hold allocations, its evictions free
+    them, and nothing else it does touches the executor's maps."""
+    for op, a, b in moves:
+        if op == PREFETCH:
+            held[a.tensor_id] = b
+        elif op == TO_HOST:
+            held.pop(a.tensor_id, None)
+
+
+def table_blocks(moves: Sequence[tuple], t_alloc: float, t_free: float
+                 ) -> Tuple[TableBlock, ...]:
+    """Cut ``moves`` (a table's, from an iteration's start, where the
+    executor holds the parameters only and no scratch) into its blocks,
+    each maximal run of calm moves folded, charging an allocation
+    ``t_alloc`` and a free ``t_free`` seconds."""
+    named = set()  # the ordinals of the events a copy or a wait names
+    for op, _a, b in moves:
+        if op == COPY:
+            named.update(b[1] or ())
+        elif op == WAIT:
+            named.add(b[1])
+    runs: List[Tuple[bool, list]] = []
+    n = 0  # the next event's ordinal
+    for move in moves:
+        op = move[0]
+        if op == SUBMIT or op == COPY:
+            calm = op == SUBMIT and n not in named
+            n += 1
+        else:
+            calm = op in _CALM
+        if runs and runs[-1][0] == calm:
+            runs[-1][1].append(move)
+        else:
+            runs.append((calm, [move]))
+    held: Dict[int, object] = {}
+    scratch: list = []
+    blocks = []
+    for calm, run in runs:
+        block = TableBlock(run, calm)
+        if calm:
+            block.fold(held, scratch, t_alloc, t_free)
+        else:
+            _follow(run, held)
+        blocks.append(block)
+    return tuple(blocks)
+
+
 class ResidencyTable:
     """One steady iteration of a linked plan, recorded flat.
 
@@ -584,7 +764,9 @@ class ResidencyTable:
     that meets no pressure, or one whose tensor cache is at a fixed
     point.  So the executor records one such iteration and runs the next
     ones from the record: the moves in order up to the iteration barrier
-    (``ops``, see :data:`ALLOC`), then the step trace rows, the workspace
+    (``ops``, see :data:`ALLOC`), cut into ``blocks`` once, here
+    (:func:`table_blocks`, at the allocator's ``latency``, its alloc and
+    free seconds), then the step trace rows, the workspace
     picks and the counter deltas the policies' hooks would have made
     (the recorded result's).  ``start`` is the allocator's
     :meth:`~repro.mempool.allocator.Allocator.signature` the record
@@ -592,13 +774,15 @@ class ResidencyTable:
     is the whole record, which the cost model folds like any other.
     """
 
-    __slots__ = ("plan", "start", "ops", "traces", "choices", "log")
+    __slots__ = ("plan", "start", "ops", "blocks", "traces", "choices",
+                 "log")
 
     def __init__(self, plan: IterationPlan, start: tuple, log: MoveLog,
-                 end: int) -> None:
+                 end: int, latency: Tuple[float, float]) -> None:
         self.plan = plan
         self.start = start
         self.ops = log.moves[:end]
+        self.blocks = table_blocks(self.ops, *latency)
         self.traces = tuple(log.result.traces)
         self.choices = tuple(log.result.workspace_choices)
         self.log = log

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -338,6 +340,9 @@ class Executor:
         self._clean_evictions = 0
         self.param_bytes = 0
         self._allocate_params()
+        #: how many of ``_alloc_of``'s entries are the parameters, which
+        #: it holds from here until :meth:`close`
+        self._param_count = len(self._alloc_of)
         # static end-of-iteration sweep candidates (tensors are fixed
         # objects per net; membership in _alloc_of is what varies)
         self._cleanup_tensors = [
@@ -869,7 +874,9 @@ class Executor:
                         for s, b0 in log.busy.items()}
             log.host_peak, log.result = self.fabric.peak_bytes(), res
             if tabling and self._steady():
-                self._table = ResidencyTable(plan, start, log, end)
+                self._table = ResidencyTable(
+                    plan, start, log, end, (self.allocator._alloc_latency,
+                                            self.allocator._free_latency))
         return res
 
     def _run_recorded(self, iteration: int = 0) -> MoveLog:
@@ -921,7 +928,17 @@ class Executor:
         store ends the iteration where it began.  An allocator whose
         ``alloc`` or ``free`` is replaced on the instance gets every
         recorded call through the replacement instead, and answers it
-        live."""
+        live.
+
+        The moves run a block at a time (:class:`~repro.core.plan.
+        TableBlock`): a calm block applies its folded effect at once —
+        the state table's, the compute clock's, the allocator's books
+        and the executor's maps — where that is what its moves would
+        do: the allocator answered from the record, a timeline that
+        records no ops, and a state table that can take it (:meth:`~
+        repro.core.tensor_state.SessionTensorState.foldable`).  Every
+        other block runs move by move, so a fault seam, the race trace,
+        the op log and a refusal see each move."""
         allocator = self.allocator
         live = "alloc" in vars(allocator) or "free" in vars(allocator)
         alloc, free = allocator.alloc, allocator.free
@@ -933,84 +950,107 @@ class Executor:
         allocs, frees, alloc_bytes = stats.allocs, stats.frees, \
             stats.alloc_bytes
         t_alloc, t_free = allocator._alloc_latency, allocator._free_latency
-        clock, busy = self.timeline.clock, self.timeline.busy
-        submit, compute = self.timeline.submit, Stream.COMPUTE
+        timeline = self.timeline
+        clock, busy = timeline.clock, timeline.busy
+        submit, advance = timeline.submit, timeline.advance
+        compute = Stream.COMPUTE
         lane = compute._value_
         copy, wait, evict = self._copy, self._wait, self.fabric.evict
         state = self.state
         to_gpu, to_freed = state.to_gpu, state.to_freed
+        foldable, apply = state.foldable, state.apply
+        fold = not live and not timeline.record_ops
         alloc_of, scratch = self._alloc_of, ctx._scratch
         events: List[Event] = []  # the submits' and copies', in order
         try:
-            for op, a, b in table.ops:
-                if op <= SCRATCH:  # b: the allocation the record got
-                    if live:
-                        b = alloc(b.nbytes, b.tag)
-                    else:
-                        size = b.nbytes
-                        used += size
-                        if used > peak:
-                            peak = used
-                        allocs += 1
-                        alloc_bytes += size
-                        overhead += t_alloc
-                        clock[lane] += t_alloc
-                        busy[lane] += t_alloc
-                    if op == ALLOC:
-                        alloc_of[a.tensor_id] = b
-                        to_gpu(a)
-                    elif op == SCRATCH:
-                        scratch.append(b)
-                    else:  # PREFETCH: its copy follows
-                        alloc_of[a.tensor_id] = b
-                elif op <= UNSCRATCH:  # give back what the move held
-                    if op == UNSCRATCH:
-                        held = scratch[:]
-                        scratch.clear()
-                    else:
-                        if op == TO_HOST:
-                            state.to_host(a)
-                        elif to_freed(a):
-                            evict(a.tensor_id)
-                        held = alloc_of.pop(a.tensor_id, None)
-                        held = () if held is None else (held,)
-                    for h in held:
+            for block in table.blocks:
+                if block.calm and fold and foldable(block):
+                    apply(block)
+                    advance(compute, block.increments, block.kernels)
+                    if used + block.rise > peak:
+                        peak = used + block.rise
+                    used += block.used
+                    allocs += block.allocs
+                    frees += block.frees
+                    alloc_bytes += block.alloc_bytes
+                    overhead = reduce(add, block.latencies, overhead)
+                    for tid in block.pops:
+                        del alloc_of[tid]
+                    alloc_of.update(block.assigns)
+                    if block.scratch is not None:
+                        scratch[:] = block.scratch
+                    events += block.holes
+                    continue
+                for op, a, b in block.moves:
+                    if op <= SCRATCH:  # b: the allocation the record got
                         if live:
-                            free(h)
+                            b = alloc(b.nbytes, b.tag)
                         else:
-                            used -= h.nbytes
-                            frees += 1
-                            overhead += t_free
-                            clock[lane] += t_free
-                            busy[lane] += t_free
-                elif op == SUBMIT:
-                    events.append(submit(compute, a, b))
-                elif op == READ:
-                    if not state.on_gpu(a):
-                        raise ResidencyError(
-                            f"tensor {a.name} is {state.placement(a).value}; "
-                            "the residency table reads it on the GPU",
-                            a, "PLAN001")
-                elif op == EXHAUSTED:
-                    if live:
-                        try:
-                            alloc(a, b)
-                        except OutOfMemoryError:
-                            pass
-                elif op == COPY:
-                    kind, after = b
-                    ev = copy(a, kind,
-                              after=after and [events[n] for n in after])
-                    events.append(ev)
-                    if kind == "clean":
-                        state.set_cleaning(a, ev)
-                    elif kind == "prefetch":
-                        to_gpu(a, arrival=ev)
-                else:  # WAIT
-                    kind, n = b
-                    if kind == "prefetch":
-                        state.arrivals.pop(a.tensor_id, None)
-                    wait(a, kind, events[n])
+                            size = b.nbytes
+                            used += size
+                            if used > peak:
+                                peak = used
+                            allocs += 1
+                            alloc_bytes += size
+                            overhead += t_alloc
+                            clock[lane] += t_alloc
+                            busy[lane] += t_alloc
+                        if op == ALLOC:
+                            alloc_of[a.tensor_id] = b
+                            to_gpu(a)
+                        elif op == SCRATCH:
+                            scratch.append(b)
+                        else:  # PREFETCH: its copy follows
+                            alloc_of[a.tensor_id] = b
+                    elif op <= UNSCRATCH:  # give back what the move held
+                        if op == UNSCRATCH:
+                            held = scratch[:]
+                            scratch.clear()
+                        else:
+                            if op == TO_HOST:
+                                state.to_host(a)
+                            elif to_freed(a):
+                                evict(a.tensor_id)
+                            held = alloc_of.pop(a.tensor_id, None)
+                            held = () if held is None else (held,)
+                        for h in held:
+                            if live:
+                                free(h)
+                            else:
+                                used -= h.nbytes
+                                frees += 1
+                                overhead += t_free
+                                clock[lane] += t_free
+                                busy[lane] += t_free
+                    elif op == SUBMIT:
+                        events.append(submit(compute, a, b))
+                    elif op == READ:
+                        if not state.on_gpu(a):
+                            raise ResidencyError(
+                                f"tensor {a.name} is "
+                                f"{state.placement(a).value}; the "
+                                "residency table reads it on the GPU",
+                                a, "PLAN001")
+                    elif op == EXHAUSTED:
+                        if live:
+                            try:
+                                alloc(a, b)
+                            except OutOfMemoryError:
+                                pass
+                    elif op == COPY:
+                        kind, after = b
+                        ev = copy(a, kind, after=after and [
+                            events[n] for n in after])
+                        events.append(ev)
+                        if kind == "clean":
+                            state.set_cleaning(a, ev)
+                        elif kind == "prefetch":
+                            to_gpu(a, arrival=ev)
+                    else:  # WAIT
+                        kind, n = b
+                        if kind == "prefetch":
+                            state.arrivals.pop(a.tensor_id, None)
+                        wait(a, kind, events[n])
         finally:
             if not live:
                 allocator.used_bytes, allocator._peak = used, peak
@@ -1179,9 +1219,11 @@ class Executor:
 
     def _end_of_iteration_cleanup(self) -> None:
         state = self.state
-        for t in self._cleanup_tensors:
-            if t.tensor_id in self._alloc_of:
-                self._discard(t)
+        alloc_of = self._alloc_of
+        if len(alloc_of) > self._param_count:  # not the parameters only
+            for t in self._cleanup_tensors:
+                if t.tensor_id in alloc_of:
+                    self._discard(t)
         hosted = state.host_ids()
         if hosted:
             for t in self._hosted_candidates:

@@ -242,6 +242,37 @@ class SessionTensorState:
                 hosted = True
         return hosted
 
+    # -- a residency table's calm blocks: many transitions at once --------
+    def foldable(self, block) -> bool:
+        """May :meth:`apply` stand for the transitions of ``block`` (a
+        calm :class:`~repro.core.plan.TableBlock`) from here?  Only with
+        no race trace armed and no strict validator; only if every
+        tensor it reads without placing it is on the GPU; and only if
+        no tensor it frees holds a host copy, a cleaning line or an
+        arrival, whose reservation its ``to_freed`` would release.  The
+        armed non-strict validator can refuse none of its moves: every
+        placement may move to GPU or to FREED."""
+        if _ins.ACTIVE is not None or self.strict:
+            return False
+        freed = block.freed
+        for held in (self._host, self.arrivals, self._cleaning):
+            if held and not freed.isdisjoint(held):
+                return False
+        get = self._placement.get
+        for tid in block.reads:
+            if get(tid) is not Placement.GPU:
+                return False
+        return True
+
+    def apply(self, block) -> None:
+        """Make a calm block's transitions (see :meth:`foldable`): each
+        tensor's last placement, the frees leaving the live set and the
+        DATA and GRAD tensors left on the GPU joining it."""
+        self._placement.update(block.ends)
+        live = self._live
+        live.difference_update(block.freed)
+        live.update(block.adds)
+
     # -- cache lock (paper Alg. 2) ----------------------------------------
     def lock(self, t: Tensor) -> None:
         """Pin ``t`` for the duration of a kernel: the LRU cache must

@@ -33,7 +33,7 @@ import math
 import numbers
 from collections import deque
 from time import monotonic
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +53,11 @@ PRIORITIES = ("critical", "normal", "batch")
 
 #: class name -> urgency rank (lower is more urgent)
 PRIORITY_RANK = {name: rank for rank, name in enumerate(PRIORITIES)}
+
+#: what a request shares until it needs its own: no engine version
+#: (until a part is delivered) and no instant reported
+_NO_VERSIONS: frozenset = frozenset()
+_NEVER = float("-inf")
 
 
 class RequestRejected(RuntimeError):
@@ -125,6 +130,8 @@ class RequestFuture:
     unresolved, so a future resolved before anyone asks costs no
     ``threading.Event``."""
 
+    __slots__ = ("_event", "_result", "_exception")
+
     def __init__(self) -> None:
         self._event = TracedEvent("future")
         self._result: Optional[np.ndarray] = None
@@ -174,6 +181,11 @@ class InferenceRequest:
     once, whatever the interleaving.
     """
 
+    __slots__ = ("request_id", "size", "data", "enqueue_time", "priority",
+                 "deadline", "urgency", "future", "dispatch_time",
+                 "complete_time", "versions", "_lock", "_parts",
+                 "_remaining", "_last_report", "span", "queue_span")
+
     def __init__(self, request_id: int, size: int,
                  data: Optional[np.ndarray], enqueue_time: float,
                  priority: str = "normal",
@@ -190,16 +202,16 @@ class InferenceRequest:
         self.future = RequestFuture()
         self.dispatch_time: Optional[float] = None   # first slice started
         self.complete_time: Optional[float] = None
-        self.versions: set = set()
+        self.versions = _NO_VERSIONS   # a set of its own from delivery
         self._lock = TracedLock("request")
-        self._parts: List[Optional[np.ndarray]] = []
+        self._parts: Sequence[Optional[np.ndarray]] = ()  # from dispatch
         self._remaining = 0
         # the latest instant any part reported.  A worker reads its
         # clock before it takes _lock, so the caller that completes the
         # request may hold an older reading than a sibling slice that
         # computed and delivered in between; the request is over when
         # its last part is, not when its last *caller* looked.
-        self._last_report = float("-inf")
+        self._last_report = _NEVER
         # observability (repro.obs): the request's root span and its
         # queue-wait child, attached by the submit front door when the
         # tracer is armed.  Both close under _lock (deliver/fail/
@@ -237,7 +249,10 @@ class InferenceRequest:
             if self.future.done():
                 return False     # already failed (or delivered): drop it
             self._parts[part_index] = rows
-            self.versions.add(version)
+            if self.versions:
+                self.versions.add(version)
+            else:  # the first part: the shared empty set until now
+                self.versions = {version}
             self._last_report = now = max(self._last_report, now)
             self._remaining -= 1
             if self._remaining > 0:

@@ -493,16 +493,20 @@ class TestFrameBudget:
     ``repro.*`` function it enters, with both tracers and the placement
     validator disarmed, as every ledger figure and user run has them.
     A roomy iteration and a pressured one both run from the residency
-    table: one state transition, one kernel submit or one copy or wait
-    per recorded move, and no allocator call (the table answers them).  The counts are pinned at
-    most 2% above what they landed at.  Python 3.12+ inlines comprehensions and only counts
-    lower."""
+    table, which folds each calm run of its moves into one state update
+    and one clock advance (DESIGN.md "The residency table"): a roomy
+    table is one such block, whatever the net.  Only the moves around a
+    copy or a wait, and a block whose guard fails, still cost one state
+    transition, kernel submit, copy or wait per recorded move; no move
+    calls the allocator (the table answers them).  The counts are
+    pinned at most 2% above what they landed at.  Python 3.12+ inlines
+    comprehensions and only counts lower."""
 
     @pytest.mark.parametrize("net,gpu_capacity,landed", [
-        ("alexnet", None, 252),           # from 2,098, 606 calling the pool
-        ("resnet50", None, 1_745),        # from 16,542, 4,763 calling it
-        ("resnet50", 1 << 30, 2_214),     # from 29,464, 5,667; live 18,771
-        ("lenet", None, 77),              # b8 infer, the serving step
+        ("alexnet", None, 41),            # 252 move by move; 2,098 live
+        ("resnet50", None, 41),           # 1,745 move by move; 16,542 live
+        ("resnet50", 1 << 30, 1_028),     # 2,214 move by move; 29,464 live
+        ("lenet", None, 41),              # b8 infer, the serving step; 77
     ], ids=["alexnet-None", "resnet50-None", "resnet50-1073741824",
             "lenet-None"])
     def test_replayed_iteration_frames(self, monkeypatch, net, gpu_capacity,

@@ -34,6 +34,7 @@ from tests.reference_policies import (
     copy_every_victim_stack, turn_only_stack, write_behind_stack)
 from tests.faults import assert_quiescent, clockless
 from tests.test_clean_lines import abort_then_recover
+from tests.test_table_fold import substrate
 
 GiB = 1 << 30
 MiB = 1 << 20
@@ -240,6 +241,10 @@ _KEPT = {}
 #: (net, GiB) -> the iterations of the shipped run there that ran from
 #: the residency table
 TABLED = {}
+#: (net, GiB, config overrides) -> what each of the three iterations of
+#: the shipped run, or of the lane that never replays, left in its
+#: executor (``tests/test_table_fold.py::substrate``), until read
+SUBSTRATES = {}
 #: the points where the scout's victims, recorded with no drop set,
 #: are not the ones the seeded iteration 0 evicts: its tensor cache
 #: reaches its fixed point one iteration later, so iteration 2 records
@@ -250,6 +255,16 @@ TABLED = {}
 SETTLES_LATE = {("resnet50", 0.75), ("resnet101", 0.75), ("resnet101", 1.0),
                 ("resnet152", 0.75), ("resnet152", 1.0),
                 ("inception_v4", 1.0)}
+
+
+def run_and_observe(ex, iters):
+    """``iters`` iterations of ``ex``: their results, and the substrate
+    each left."""
+    runs, seen = [], []
+    for i in range(iters):
+        runs.append(ex.run_iteration(i))
+        seen.append(substrate(ex))
+    return tuple(runs), tuple(seen)
 
 
 def sweep_iterations(net, gib, stack_of=resolve_policies, iters=3, **kw):
@@ -272,15 +287,16 @@ def sweep_iterations(net, gib, stack_of=resolve_policies, iters=3, **kw):
     mk = NETWORK_BUILDERS[net](batch=SWEEP_NETS[net])
     if shipped:
         with Engine(mk, cfg).session("train") as sess:
-            runs = tuple(sess.run_iteration(i) for i in range(iters))
+            runs, seen = run_and_observe(sess.executor, iters)
             if not kw and iters == 3:
                 TABLED[net, gib] = sess.executor.table_iterations
+                SUBSTRATES[key] = seen
         live = (net, gib, LIVE)
         if not kw and iters == 3 and READS[live]:
             with compiled_executor(sess.engine,
                                    steady_state_replay=False) as ex:
-                _KEPT[live] = (tuple(ex.run_iteration(i)
-                                     for i in range(iters)), READS[live])
+                live_runs, SUBSTRATES[live] = run_and_observe(ex, iters)
+                _KEPT[live] = live_runs, READS[live]
     else:
         with hand_stacked_executor(mk, cfg,
                                    stack_of(cfg.for_mode("train"))) as ex:
@@ -328,6 +344,11 @@ def test_recorded_victims_against_the_write_behind_twin(net, gib):
         == clockless(shipped[1].to_dict())
     live = sweep_iterations(net, gib, steady_state_replay=False)
     assert [r.to_dict() for r in live] == [r.to_dict() for r in shipped]
+    # and leaves its executor as one that never replays does, its
+    # table's folded blocks included: clock, busy time and event ids,
+    # allocator books, placement, live and host tables, allocations
+    assert SUBSTRATES.pop((net, gib, ())) \
+        == SUBSTRATES.pop((net, gib, LIVE))
     assert TABLED[net, gib] == (0 if (net, gib) in SETTLES_LATE else 1)
 
 

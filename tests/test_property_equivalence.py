@@ -3,16 +3,18 @@
 Hypothesis grows random fan/join networks with :func:`build_net`.
 ``tests/test_equivalence_matrix.py`` trains them under every stack
 against the unoptimized baseline — the central invariant.  Here: the
-full stack's peak is never above the baseline's, and liveness and the
-route keep their invariants on any topology.
+full stack's peak is never above the baseline's, a residency table's
+folded blocks equal its moves run one by one at any capacity, and
+liveness and the route keep their invariants on any topology.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import RuntimeConfig, Session
+from repro import Engine, RuntimeConfig, Session
 from repro.core.config import WorkspacePolicy
 from repro.core.liveness import LivenessAnalysis
+from repro.device.gpu import OutOfMemoryError
 from repro.graph import ExecutionRoute, Net
 from repro.layers import (
     BatchNorm,
@@ -27,6 +29,8 @@ from repro.layers import (
     ReLU,
     SoftmaxLoss,
 )
+
+from tests.test_table_fold import lane
 
 # -- random net construction -------------------------------------------------
 
@@ -98,6 +102,35 @@ class TestRandomNetEquivalence:
         sn = peak(RuntimeConfig.superneurons(
             use_tensor_cache=False, workspace_policy=WorkspacePolicy.NONE))
         assert sn <= base
+
+
+class TestRandomNetTable:
+    @given(
+        blocks=block_ids(6),
+        seed=st.integers(0, 10_000),
+        at=st.floats(0, 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_folded_equals_move_by_move_under_pressure(self, blocks, seed,
+                                                       at):
+        """At a capacity drawn between the parameters plus ``l_peak``
+        and the roomy peak, iterations 0-5 of a lane whose table folds
+        its calm blocks equal a lane that runs every move through a
+        wrapped allocator, refusals included."""
+        net = build_net(blocks, seed)
+        with Session(net, RuntimeConfig.superneurons(concrete=False)) as sess:
+            res = sess.run_iteration(0)
+        floor = res.param_bytes + net.l_peak
+        capacity = floor + int(at * max(res.peak_bytes - floor, 0))
+        engine = Engine(build_net(blocks, seed), RuntimeConfig.superneurons(
+            concrete=False, gpu_capacity=capacity))
+        try:
+            engine.compiled("train")
+        except OutOfMemoryError:
+            return  # the compile refuses the capacity: no lane runs
+        folding, wrapped = (lane(engine, "train", 6, True, w)
+                            for w in (False, True))
+        assert folding == wrapped
 
 
 class TestRandomNetLiveness:

@@ -95,6 +95,32 @@ class TestRequestFuture:
             f.result(timeout=0)
 
 
+class TestPendingRequest:
+    """A closed backlog holds thousands of requests at once, so one
+    waiting for its batch carries no instance dict and no container of
+    its own: its ``versions`` is one shared empty set until a part is
+    delivered, and its parts are armed at dispatch."""
+
+    def test_a_pending_request_owns_no_container(self):
+        a, b = (InferenceRequest(i, 3, None, enqueue_time=0.0)
+                for i in range(2))
+        for obj in (a, a.future):
+            assert not hasattr(obj, "__dict__")
+        assert a.versions is b.versions and not a.versions
+        assert a._parts == ()
+
+    def test_delivery_gives_each_request_its_own_versions(self):
+        a, b = (InferenceRequest(i, 3, None, enqueue_time=0.0)
+                for i in range(2))
+        for req in (a, b):
+            req.begin_dispatch(2)
+        assert a.deliver(0, None, version=4, now=1.0) is False
+        assert a.deliver(1, None, version=5, now=2.0) is True
+        assert b.deliver(0, None, version=4, now=1.0) is False
+        assert (a.versions, b.versions) == ({4, 5}, {4})
+        assert not InferenceRequest(2, 1, None, 0.0).versions
+
+
 class TestPendingRows:
     def test_running_count_tracks_submit_and_take(self):
         q = RequestQueue()
